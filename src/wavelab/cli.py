@@ -32,7 +32,8 @@ from .diagnostics import (ChainConfig, GridTooShortError, H_profile, check_chain
                           s_exponent, select_t2_delta)
 from .gronwall import (GronwallParams, WindowTooShortError, certify,
                        failure_radius, log10_failure_radius)
-from .solver import (RadialField, detect_blowup_time, linear_radial, solve_march)
+from .solver import (FieldFormatError, RadialField, detect_blowup_time, linear_radial,
+                     solve_march)
 from .spherical import ScalarField3, build_sphere_quadrature, spherical_mean
 
 log = logging.getLogger("wavelab")
@@ -455,12 +456,11 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except FieldFormatError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError as exc:
-        msg = str(exc)
-        if "CSV" in msg or "csv" in msg or "parse" in msg or "header" in msg:
-            print(f"parse error: {msg}", file=sys.stderr)
-            return EXIT_CONFIG
-        print(f"numerical error: {msg}", file=sys.stderr)
+        print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

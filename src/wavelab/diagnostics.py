@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .regions import RegionT, StripBounds, lattice_weights
+from .regions import _UNBOUNDED, RegionT, StripBounds, strip_quadrature
 from .solver import RadialField
 
 __all__ = [
@@ -66,6 +66,8 @@ __all__ = [
 ]
 
 CRITICAL_P = 1.0 + math.sqrt(2.0)
+BRT_SAMPLES = 60    # Sigma nodes checked by the region integral bound
+G1_SAMPLES = 144    # (alpha, beta) pairs checked by the weighted functional bound
 
 
 class GridTooShortError(ValueError):
@@ -270,10 +272,9 @@ def compute_M(field: RadialField, t2: float, delta: float, p: Optional[float] = 
     k_max, a_max = b.window()
     if k_max > field.n_levels - 1 or a_max > grid.n_r:
         raise ValueError("region outside grid")
-    W = lattice_weights(b, k_max, a_max)
     lam = h * np.arange(a_max + 1)
     window = np.abs(field.samples[: k_max + 1, : a_max + 1]) ** p
-    return float((W * (0.5 * lam[None, :] * window)).sum() * h * h)
+    return float(strip_quadrature(0.5 * lam[None, :] * window, b)) * h * h
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +395,7 @@ def _f_grid(field: RadialField, config: ChainConfig, n: int, block: int = 256):
 # The full chain
 # ---------------------------------------------------------------------------
 
-def _brt_quadrature(field, sigma, i, j, t_star_cells):
-    """A-free integral over B(r,t) of (lambda/2r) sigma on the lattice."""
-    h = field.grid.h
-    bounds = StripBounds(j - i, j + i, t_star_cells, j - i, 0, 10**15)
-    k_max, a_max = bounds.window()
-    W = lattice_weights(bounds, k_max, a_max)
-    lam = h * np.arange(a_max + 1)
-    window = sigma[: k_max + 1, : a_max + 1]
-    return float((W * (lam[None, :] * window)).sum() * h * h / (2.0 * i * h))
-
-
-def check_chain(field: RadialField, config: ChainConfig,
-                brt_samples: int = 60, g1_samples: int = 144) -> DiagnosticsReport:
+def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
     """Run every inequality of the chain on a frozen field; see module docstring."""
     h = field.grid.h
     p, A, q = config.p, config.A, config.q
@@ -458,21 +447,18 @@ def check_chain(field: RadialField, config: ChainConfig,
         _chain_tol(h, u_sigma, np.maximum(np.abs(u_sigma), 1.0)), {}))
 
     # 2. region integral bound over B(r,t), sampled on Sigma
-    sigma_src = np.clip(field.samples, 0.0, None) ** p
-    j_star = int(round(t_star / h))
-    cand = [(jj, ii) for jj, ii in zip(js, iss) if ii >= 1 and ii + jj <= field.grid.n_r]
-    stride = max(1, len(cand) // brt_samples)
-    cand = cand[::stride][:brt_samples]
-    if cand:
-        lhs_b, rhs_b, rb, tb = [], [], [], []
-        for jj, ii in cand:
-            lhs_b.append(field.samples[jj, ii])
-            rhs_b.append(A * _brt_quadrature(field, sigma_src, int(ii), int(jj), j_star))
-            rb.append(ii * h)
-            tb.append(jj * h)
+    keep = (iss >= 1) & (iss + js <= field.grid.n_r)
+    stride = max(1, int(keep.sum()) // BRT_SAMPLES)
+    jb, ib = js[keep][::stride][:BRT_SAMPLES], iss[keep][::stride][:BRT_SAMPLES]
+    if jb.size:
+        j_star = int(round(t_star / h))
+        lam_src = h * np.arange(field.grid.n_r + 1) * np.clip(field.samples, 0.0, None) ** p
+        brt = StripBounds(jb - ib, jb + ib, j_star, jb - ib, 0, _UNBOUNDED)
+        rhs_b = A * (strip_quadrature(lam_src, brt) * h * h / (2.0 * ib * h))
+        lhs_b = field.samples[jb, ib]
         tables.append(InequalityTable.build(
-            "region_integral_bound", rb, tb, lhs_b, rhs_b,
-            _chain_tol(h, np.asarray(lhs_b), np.asarray(rhs_b)), {"A": A}))
+            "region_integral_bound", ib * h, jb * h, lhs_b, rhs_b,
+            _chain_tol(h, lhs_b, rhs_b), {"A": A}))
 
     # 3. pointwise lower bounds on Sigma and in characteristic coordinates
     tables.append(check_pointwise_lower_bound(field, config))
@@ -498,7 +484,7 @@ def check_chain(field: RadialField, config: ChainConfig,
     K1 = cumulative_trapezoid(db_pos * Fp, dx=h, axis=1, initial=0.0)
 
     # 4. weighted functional bound (G form), sampled over Sigma-prime
-    side = max(2, int(math.sqrt(g1_samples)))
+    side = max(2, int(math.sqrt(G1_SAMPLES)))
     it_idx = np.unique(np.linspace(0, n - 1, side).astype(int))
     lhs_g, rhs_g, rg, tg = [], [], [], []
     for it in it_idx:

@@ -81,10 +81,6 @@ class RadialProfile:
         out = self._moments[idx] + part
         return out if out.ndim else float(out)
 
-    @property
-    def total_moment(self):
-        return float(self._moments[-1])
-
     def scaled(self, factor):
         return RadialProfile(self.r, factor * self.values, self.rho)
 

@@ -23,15 +23,18 @@ Seven region kinds are supported:
     SigmaPrime(t_star)     its image {t_star <= t <= r} under (r,t) -> (t+r, t-r)
 
 Membership uses closed boundaries throughout.  Besides membership, this module
-provides exact strip areas, quasi-random subset testing, and second-order
-quadrature weights on a uniform characteristic lattice (full cells use the
-four-corner product trapezoid, boundary cells cut by a 45-degree line use the
-exact three-vertex rule on the kept triangle).
+provides exact strip areas, quasi-random subset testing, and the one
+second-order quadrature on a uniform characteristic lattice that the solver
+and the diagnostics share: full cells use the four-corner product trapezoid,
+boundary cells cut by a 45-degree line the exact three-vertex rule on the kept
+triangle.  :func:`strip_quadrature` applies it to a batch of regions by a
+prefix-sum row walk; :func:`lattice_weights` builds the same weights as a
+dense array and is kept as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.stats import qmc
@@ -50,6 +53,7 @@ __all__ = [
     "subset_check",
     "StripBounds",
     "lattice_weights",
+    "strip_quadrature",
 ]
 
 _UNBOUNDED = 10**15  # integer sentinel for one-sided strips on the lattice
@@ -381,7 +385,9 @@ class StripBounds:
 
     ``a_lo <= alpha <= a_hi``, ``b_lo <= beta <= b_hi``, ``k_lo <= s <= k_hi``,
     one-sided strips use +/- the _UNBOUNDED sentinel.  Bounds must sit on the
-    lattice; :func:`from_region` validates and converts.
+    lattice; :func:`from_region` validates and converts.  For
+    :func:`strip_quadrature` the fields may be integer arrays, one entry per
+    region of a batch.
     """
 
     a_lo: int
@@ -432,6 +438,10 @@ def lattice_weights(bounds: StripBounds, n_k: int, n_a: int) -> np.ndarray:
     triangle, integrated with the cell-centre value taken as the corner mean.
     All weights are nonnegative, and the weights of a constant reproduce the
     clipped region area exactly.
+
+    This dense form is the reference oracle for :func:`strip_quadrature`,
+    which computes ``(W * g).sum()`` without building W; the package itself
+    calls only the latter.
     """
     W = np.zeros((n_k + 1, n_a + 1))
     if bounds.a_hi <= bounds.a_lo and not (bounds.a_hi >= _UNBOUNDED or bounds.a_lo <= -_UNBOUNDED):
@@ -485,20 +495,66 @@ def lattice_weights(bounds: StripBounds, n_k: int, n_a: int) -> np.ndarray:
     return W
 
 
-def region_quadrature(region, h, values_window, integrand_window=None):
-    """Integrate lattice samples over a region.
+_CHUNK_ROWS = 1 << 16  # cell rows per step of strip_quadrature; bounds its temporaries
+# Weight per kept cell corner by the number kept: kept area (1, 1/2, 1/4) over
+# the vertices of the kept part; a quadrant's third vertex is the cell centre.
+_KEPT_WEIGHT = np.array([0.0, 0.0, 1.0 / 12.0, 1.0 / 6.0, 1.0 / 4.0])
 
-    ``values_window`` must cover the region's lattice window, indexed
-    ``[k, a]`` for the node (a*h, k*h).  Optional ``integrand_window`` is a
-    pointwise multiplier (for example the kernel lambda/2).  Returns the scalar
-    integral with the h**2 cell measure applied.
+
+def strip_quadrature(g, bounds: StripBounds) -> np.ndarray:
+    """``sum(W_q * g)`` for a batch of strip regions q, W_q as in lattice_weights.
+
+    ``g`` holds lattice samples indexed ``[k, a]`` for the node (a*h, k*h);
+    the fields of ``bounds`` are ints or broadcastable integer arrays, one
+    entry per region, and the result has their broadcast shape.  Regions are
+    clipped to the cells of ``g``: for ``g.shape == (K, N)`` entry q equals
+    ``(lattice_weights(b_q, K - 1, N - 1) * g).sum()``.  Multiply by h**2 for
+    the integral.
+
+    Each cell row of a region is a run of cells [lo, hi]; the interior cells
+    are two lookups in the row prefix sums of the cell corner sums, and only
+    the two end cells are weighted by the boundaries that cut them.  The rows
+    of all regions are flattened, walked _CHUNK_ROWS at a time and summed per
+    region with bincount.
     """
-    b = StripBounds.from_region(region, h)
-    k_max, a_max = b.window()
-    if values_window.shape[0] < k_max + 1 or values_window.shape[1] < a_max + 1:
-        raise ValueError("values window does not cover the region")
-    W = lattice_weights(b, k_max, a_max)
-    g = values_window[: k_max + 1, : a_max + 1]
-    if integrand_window is not None:
-        g = g * integrand_window[: k_max + 1, : a_max + 1]
-    return float((W * g).sum() * h * h)
+    g = np.asarray(g, dtype=float)
+    fields = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in astuple(bounds)))
+    shape = fields[0].shape
+    a_lo, a_hi, b_lo, b_hi, k_lo, k_hi = (v.ravel() for v in fields)
+    out = np.zeros(a_lo.size)
+    n_k, n_a = g.shape[0] - 1, g.shape[1] - 1      # cell rows, cells per row
+
+    # cell rows that can hold part of a region: inside [k_lo, k_hi) and g,
+    # not below its lowest corner and not above its highest one
+    k0 = np.maximum(np.maximum(k_lo, 0), np.maximum(b_lo, -((1 - a_lo - b_lo) // 2)))
+    k1 = np.minimum(np.minimum(k_hi - 1, n_k - 1), np.minimum(a_hi - 1, (a_hi + b_hi - 1) // 2))
+    n_rows = np.where((a_hi <= a_lo) | (b_hi <= b_lo), 0, np.maximum(k1 - k0 + 1, 0))
+    starts = np.concatenate(([0], np.cumsum(n_rows)))
+
+    prefix = np.zeros((n_k, n_a + 1))     # row prefix sums of the cell corner sums
+    np.cumsum(g[:-1, :-1] + g[:-1, 1:] + g[1:, :-1] + g[1:, 1:], axis=1, out=prefix[:, 1:])
+
+    for r0 in range(0, int(starts[-1]), _CHUNK_ROWS):
+        flat = np.arange(r0, min(r0 + _CHUNK_ROWS, int(starts[-1])))
+        q = np.searchsorted(starts, flat, side="right") - 1
+        k = k0[q] + (flat - starts[q])
+        # the cell cut through its centre by each boundary line
+        cut_al, cut_ah = a_lo[q] - k - 1, a_hi[q] - k - 1
+        cut_bh, cut_bl = k - b_hi[q], k - b_lo[q]
+        lo = np.maximum(np.maximum(cut_al, cut_bh), 0)
+        hi = np.minimum(np.minimum(cut_ah, cut_bl), n_a - 1)
+
+        def end_cell(a):
+            # a line through the centre drops a corner: alpha = a_lo (k, a), beta = b_lo
+            # (k, a+1), beta = b_hi (k+1, a), alpha = a_hi (k+1, a+1)
+            a = np.clip(a, 0, n_a - 1)
+            vals = np.stack([g[k, a], g[k, a + 1], g[k + 1, a], g[k + 1, a + 1]], axis=1)
+            kept = np.stack([a != cut_al, a != cut_bl, a != cut_bh, a != cut_ah], axis=1)
+            n_kept = kept.sum(axis=1)
+            centre = np.where(n_kept == 2, vals.mean(axis=1), 0.0)
+            return _KEPT_WEIGHT[n_kept] * ((kept * vals).sum(axis=1) + centre)
+
+        inner = 0.25 * (prefix[k, np.maximum(hi, 0)] - prefix[k, np.minimum(lo, n_a - 1) + 1])
+        row = end_cell(lo) + np.where(hi > lo, end_cell(hi) + inner, 0.0)
+        out += np.bincount(q, weights=np.where(lo <= hi, row, 0.0), minlength=out.size)
+    return out.reshape(shape)

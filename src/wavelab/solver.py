@@ -33,17 +33,18 @@ corrector pass on that single value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .profiles import RadialProfile
-from .regions import StripBounds, lattice_weights
+from .regions import _UNBOUNDED, StripBounds, strip_quadrature
 
 __all__ = [
     "Problem",
     "CharGrid",
+    "FieldFormatError",
     "RadialField",
     "BlowupFit",
     "apply_P",
@@ -57,7 +58,6 @@ __all__ = [
 
 DEFAULT_BLOWUP_THRESHOLD = 1.0e8
 DEFAULT_DIVERGENCE_FACTOR = 10.0
-_NEG_INF = -(10**15)
 
 
 # ---------------------------------------------------------------------------
@@ -106,20 +106,14 @@ class CharGrid:
     h: float
     r_max: float
     t_max: float
+    n_r: int = field(init=False, repr=False)
+    n_t: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.h <= 0:
             raise ValueError("spacing h must be positive")
-        _snap(self.r_max, self.h, "r_max")
-        _snap(self.t_max, self.h, "t_max")
-
-    @property
-    def n_r(self):
-        return _snap(self.r_max, self.h, "r_max")
-
-    @property
-    def n_t(self):
-        return _snap(self.t_max, self.h, "t_max")
+        object.__setattr__(self, "n_r", _snap(self.r_max, self.h, "r_max"))
+        object.__setattr__(self, "n_t", _snap(self.t_max, self.h, "t_max"))
 
     def r_values(self):
         return self.h * np.arange(self.n_r + 1)
@@ -134,6 +128,10 @@ class CharGrid:
         if not (0 <= i <= self.n_r and 0 <= j <= self.n_t):
             raise ValueError("out of grid")
         return i, j
+
+
+class FieldFormatError(ValueError):
+    """A field CSV that cannot be parsed: bad header, column line or cells."""
 
 
 @dataclass
@@ -218,17 +216,20 @@ class RadialField:
         with open(path) as fh:
             header = fh.readline().strip()
             if not header.startswith("# wavelab-field"):
-                raise ValueError("not a wavelab field CSV (missing header)")
+                raise FieldFormatError("not a wavelab field CSV (missing header)")
             meta = dict(tok.split("=", 1) for tok in header[2:].split()[1:])
             second = fh.readline().strip()
             if second != "r,t,value":
-                raise ValueError("malformed field CSV (missing column line)")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                raise FieldFormatError("malformed field CSV (missing column line)")
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise FieldFormatError(f"malformed field CSV ({exc})") from exc
         h = float(meta["h"])
         grid = CharGrid(h, float(meta["r_max"]), float(meta["t_max"]))
         n_r = grid.n_r
         if data.size == 0 or data.shape[0] % (n_r + 1) != 0 or data.shape[1] != 3:
-            raise ValueError("malformed field CSV (truncated rows)")
+            raise FieldFormatError("malformed field CSV (truncated rows)")
         levels = data.shape[0] // (n_r + 1)
         values = data[:, 2].reshape(levels, n_r + 1)
 
@@ -243,73 +244,33 @@ class RadialField:
 # The P operator
 # ---------------------------------------------------------------------------
 
-def _apply_p_indices(sigma, h, i, j):
-    """P(sigma) at the lattice node (i, j); sigma indexed [level, radius]."""
-    if j == 0:
-        return 0.0
-    if i == 0:
-        ks = np.arange(j)
-        cols = j - ks
-        vals = (cols * h) * sigma[ks, cols]
-        weights = np.full(j, h)
-        weights[0] = 0.5 * h
-        return float(np.dot(weights, vals))
-    if i + j >= sigma.shape[1] or j >= sigma.shape[0]:
-        raise ValueError("out of grid")
-    bounds = StripBounds(j - i, j + i, _NEG_INF, j - i, 0, j)
-    W = lattice_weights(bounds, j, i + j)
-    lam = h * np.arange(i + j + 1)
-    window = sigma[: j + 1, : i + j + 1]
-    return float((W * (lam[None, :] * window)).sum() * h * h / (2.0 * i * h))
+def _region_R(i, j):
+    """Strip bounds of R(i*h, j*h) in lattice units; i, j may be arrays."""
+    return StripBounds(j - i, j + i, -_UNBOUNDED, j - i, 0, j)
 
 
 def apply_P(source: RadialField, r: float, t: float) -> float:
     """Integral of (lambda/2r) * source over R(r, t), trapezoid on the lattice.
 
-    At r = 0 the 1/(2r) singularity cancels against the shrinking lambda
-    interval and the limit is a single integral along the backward
-    characteristic; that form is used directly.
+    For r > 0 this is the strip quadrature of lambda * source over R(r, t)
+    (regions.strip_quadrature) divided by 2r.  At r = 0 the 1/(2r)
+    singularity cancels against the shrinking lambda interval and the limit
+    is a single integral along the backward characteristic; that form is
+    used directly.
     """
     i, j = source.grid.index_of(r, t)
     if j >= source.n_levels:
         raise ValueError("out of grid")
-    return _apply_p_indices(source.samples, source.grid.h, i, j)
-
-
-def _apply_p_rows(f, rowcum, h, i, j):
-    """Row-walk evaluation of the same R(r,t) cell quadrature, O(j) per node.
-
-    ``f`` holds lambda*sigma samples and ``rowcum`` its column prefix sums
-    (rowcum[k, a+1] = sum of f[k, :a+1]).  Each cell row of R(i*h, j*h)
-    contributes its full-cell corner averages via two prefix-sum lookups plus
-    one cut triangle at each end; algebraically identical to the
-    lattice_weights path, which the tests cross-check.
-    """
-    if j == 0:
-        return 0.0
-    ks = np.arange(j)
-    m = j - ks
-    aR = i + m - 1
-    left_is_beta = m <= i
-    a_left = np.where(left_is_beta, i - m, m - i - 1)
-    F0 = a_left + 1
-    F1 = aR - 1
-
-    def RS(rows, a0, a1, valid):
-        lo = np.where(valid, a0, 0)
-        hi = np.where(valid, a1 + 1, 0)
-        return rowcum[rows, hi] - rowcum[rows, lo]
-
-    has_full = F1 >= F0
-    full = 0.25 * (RS(ks, F0, F1, has_full) + RS(ks, F0 + 1, F1 + 1, has_full)
-                   + RS(ks + 1, F0, F1, has_full) + RS(ks + 1, F0 + 1, F1 + 1, has_full))
-
-    right = (f[ks, aR] + f[ks, aR + 1] + f[ks + 1, aR]) / 6.0
-    lb = f[ks, a_left] + f[ks, a_left + 1] + f[ks + 1, a_left + 1]
-    ll = f[ks, a_left + 1] + f[ks + 1, a_left + 1] + f[ks + 1, a_left]
-    left = np.where(left_is_beta, lb, ll) / 6.0
-
-    return float((full.sum() + right.sum() + left.sum()) * h * h / (2.0 * i * h))
+    h = source.grid.h
+    if i == 0:
+        cols = j - np.arange(j)
+        weights = np.full(j, h)
+        weights[:1] = 0.5 * h
+        return float(np.dot(weights, (cols * h) * source.samples[np.arange(j), cols]))
+    if i + j > source.grid.n_r:
+        raise ValueError("out of grid")
+    g = h * np.arange(i + j + 1) * source.samples[: j + 1, : i + j + 1]
+    return float(strip_quadrature(g, _region_R(i, j))) * h * h / (2.0 * i * h)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +533,9 @@ def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 409
     Interior means 1 <= i, 1 <= j, and i + j <= n_r so the influence region
     fits the lattice.  The stride is chosen so at most max_nodes nodes are
     checked and the total quadrature work stays within cell_budget lattice
-    cells; pass large limits for full coverage on small grids.
+    cells; pass large limits for full coverage on small grids.  P is
+    evaluated at all sampled nodes by one batched regions.strip_quadrature
+    call over their regions R(r, t).
     """
     grid = field.grid
     u0 = linear_radial(problem.f_profile, problem.g_profile, grid)
@@ -582,17 +545,13 @@ def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 409
     cost = sum(j * min(grid.n_r, 2 * j) for j in range(1, n_lev))  # row lookups, coarse
     stride = max(1, int(np.ceil(np.sqrt(max(total, 1) / max_nodes))),
                  int(np.ceil(np.sqrt(max(cost, 1.0) / cell_budget))))
-    f = grid.h * np.arange(grid.n_r + 1)[None, :] * sigma
-    rowcum = np.zeros((n_lev, grid.n_r + 2))
-    np.cumsum(f, axis=1, out=rowcum[:, 1:])
-    res = []
-    for j in range(1, n_lev, stride):
-        for i in range(1, grid.n_r, stride):
-            if i + j > grid.n_r:
-                break
-            pval = _apply_p_rows(f, rowcum, grid.h, int(i), int(j))
-            res.append(field.samples[j, i] - u0.samples[j, i] - problem.A * pval)
-    res = np.asarray(res)
+    sigma *= grid.h * np.arange(grid.n_r + 1)     # lambda * sigma
+    jj, ii = np.meshgrid(np.arange(1, n_lev, stride), np.arange(1, grid.n_r, stride),
+                         indexing="ij")
+    keep = ii + jj <= grid.n_r
+    jj, ii = jj[keep], ii[keep]
+    pval = strip_quadrature(sigma, _region_R(ii, jj)) * grid.h * grid.h / (2.0 * ii * grid.h)
+    res = field.samples[jj, ii] - u0.samples[jj, ii] - problem.A * pval
     if res.size == 0:
         return {"residual_linf": 0.0, "residual_l2": 0.0, "nodes": 0}
     return {

@@ -207,6 +207,19 @@ def test_diagnose_truncated_field(solved_run, tmp_path, capsys):
     assert rc == 2
 
 
+def test_diagnose_non_numeric_field_cell(solved_run, tmp_path, capsys):
+    tmp, doc = solved_run
+    lines = (tmp / "out" / "field.csv").read_text().splitlines()
+    r, t, _ = lines[5].split(",")
+    lines[5] = f"{r},{t},abc"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["diagnose", "--config", str(tmp / "c.json"),
+               "--field", str(bad), "--output", str(tmp_path / "d")])
+    assert rc == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_diagnose_grid_too_short(tmp_path, capsys):
     doc = base_run_config(tmp_path, grid={"h": 1 / 16, "t_max": 0.5})
     doc["problem"]["data"]["amplitude"] = 1.0

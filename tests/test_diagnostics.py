@@ -9,6 +9,7 @@ from wavelab.diagnostics import (ChainConfig, GridTooShortError, F_of, G_of,
                                  compute_M, gronwall_params_from_chain,
                                  s_exponent, select_t2_delta)
 from wavelab.profiles import bump_profile, zero_profile
+from wavelab.regions import _UNBOUNDED, StripBounds, lattice_weights, strip_quadrature
 from wavelab.solver import (CharGrid, Problem, RadialField, linear_radial,
                             normalize_coefficient, solve_march)
 
@@ -28,6 +29,24 @@ def test_compute_M_constant_field_oracle():
     grid = CharGrid(1 / 64, 3.0, 3.0)
     ones = RadialField(grid, np.ones((grid.n_t + 1, grid.n_r + 1)), p=2.0)
     assert compute_M(ones, 0.0, 1.0) == pytest.approx(7.0 / 16.0, abs=1e-15)
+
+
+def test_brt_quadrature_at_last_level():
+    # B(r,t) with t on the last defined level: its lattice window reaches one
+    # row past the field, and that row carries no weight
+    rng = np.random.default_rng(11)
+    src = rng.random((25, 33))                  # levels 0..24, radii 0..32
+    j, j_star = src.shape[0] - 1, 4
+    padded = np.vstack([src, np.zeros((1, src.shape[1]))])
+    ii = np.arange(1, src.shape[1] - j)
+    for i in ii:
+        b = StripBounds(j - i, j + i, j_star, j - i, 0, _UNBOUNDED)
+        k_max, a_max = b.window()
+        assert k_max == src.shape[0]
+        ref = (lattice_weights(b, k_max, a_max) * padded[: k_max + 1, : a_max + 1]).sum()
+        assert strip_quadrature(src, b) == pytest.approx(ref, rel=1e-12)
+    batch = strip_quadrature(src, StripBounds(j - ii, j + ii, j_star, j - ii, 0, _UNBOUNDED))
+    assert batch.shape == ii.shape and np.all(batch > 0)
 
 
 def test_compute_M_zero_field_and_grid_check():

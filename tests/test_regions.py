@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from wavelab.regions import (Cone, RegionBrt, RegionQ, RegionQrt, RegionR,
-                             RegionT, Sigma, SigmaPrime, StripBounds, area,
-                             contains, lattice_weights, subset_check)
+from wavelab import regions
+from wavelab.regions import (_UNBOUNDED, Cone, RegionBrt, RegionQ, RegionQrt,
+                             RegionR, RegionT, Sigma, SigmaPrime, StripBounds,
+                             area, contains, lattice_weights, strip_quadrature,
+                             subset_check)
 
 
 def test_membership_examples():
@@ -129,6 +133,37 @@ def test_lattice_weights_nonnegative():
     b = StripBounds.from_region(RegionQrt(1.0, 10.0, 2.125, 0.5), 0.125)
     W = lattice_weights(b, *b.window())
     assert np.all(W >= 0)
+
+
+def _random_bounds(rng):
+    """Lattice strip bounds of either parity, with one-sided and empty strips."""
+    a_lo, b_lo, k_lo = (int(x) for x in rng.integers((-5, -30, -2), (40, 25, 10)))
+    a_hi, b_hi, k_hi = (int(x) for x in (a_lo, b_lo, k_lo) + rng.integers(-1, 40, 3))
+
+    def one_sided(v, sentinel):
+        return sentinel if rng.random() < 0.15 else v
+    return StripBounds(one_sided(a_lo, -_UNBOUNDED), one_sided(a_hi, _UNBOUNDED),
+                       one_sided(b_lo, -_UNBOUNDED), one_sided(b_hi, _UNBOUNDED),
+                       k_lo, one_sided(k_hi, _UNBOUNDED))
+
+
+def test_strip_quadrature_matches_lattice_weights(monkeypatch):
+    rng = np.random.default_rng(3)
+    g = rng.random((25, 31))
+    singles = [_random_bounds(rng) for _ in range(400)]
+    oracle = np.array([(lattice_weights(b, 24, 30) * g).sum() for b in singles])
+    assert np.any(oracle == 0.0) and np.count_nonzero(oracle) > 250
+    assert any(b.a_hi <= b.a_lo or b.b_hi <= b.b_lo for b in singles)
+    assert {(b.a_hi + b.b_hi) % 2 for b in singles} == {0, 1}
+    for b, ref in zip(singles, oracle):
+        assert strip_quadrature(g, b) == pytest.approx(ref, rel=1e-12, abs=1e-13)
+
+    # one batched call whose flattened rows span many chunks
+    monkeypatch.setattr(regions, "_CHUNK_ROWS", 7)
+    batch = StripBounds(*np.array([dataclasses.astuple(b) for b in singles]).T)
+    got = strip_quadrature(g, batch)
+    assert got.shape == (len(singles),)
+    np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=1e-13)
 
 
 def test_subset_examples():

@@ -4,8 +4,7 @@ from scipy.integrate import solve_ivp
 
 from wavelab.profiles import RadialProfile, bump_profile, zero_profile
 from wavelab.solver import (CharGrid, Problem, RadialField, apply_P,
-                            _apply_p_indices, _apply_p_rows, detect_blowup_time,
-                            integral_residual, linear_radial,
+                            detect_blowup_time, integral_residual, linear_radial,
                             normalize_coefficient, solve_forced, solve_march)
 from wavelab.spherical import ScalarField3, build_sphere_quadrature, spherical_mean
 
@@ -121,21 +120,6 @@ def test_apply_P_out_of_grid(p_grid):
     ones = RadialField(p_grid, np.ones((p_grid.n_t + 1, p_grid.n_r + 1)))
     with pytest.raises(ValueError, match="out of grid"):
         apply_P(ones, 2.5, 1.0)       # r + t beyond r_max
-
-
-def test_fast_row_walk_matches_region_quadrature():
-    rng = np.random.default_rng(3)
-    grid = CharGrid(1 / 32, 4.0, 2.0)
-    sig = rng.random((grid.n_t + 1, grid.n_r + 1))
-    f = grid.h * np.arange(grid.n_r + 1)[None, :] * sig
-    rowcum = np.zeros((grid.n_t + 1, grid.n_r + 2))
-    np.cumsum(f, axis=1, out=rowcum[:, 1:])
-    for _ in range(200):
-        j = int(rng.integers(1, grid.n_t + 1))
-        i = int(rng.integers(1, grid.n_r - j + 1))
-        a = _apply_p_indices(sig, grid.h, i, j)
-        b = _apply_p_rows(f, rowcum, grid.h, i, j)
-        assert b == pytest.approx(a, rel=1e-13, abs=1e-16)
 
 
 # ---------------------------------------------------------------------------
