@@ -211,7 +211,8 @@ def _sweep_row(task):
     if marker.exists():
         try:
             old = json.loads(marker.read_text())
-            if old.get("config_hash") == h and (row_dir / "field.csv").exists():
+            if (old.get("config_hash") == h and old.get("package_version") == __version__
+                    and (row_dir / "field.csv").exists()):
                 return old["row"]
         except (json.JSONDecodeError, KeyError):
             pass

@@ -17,8 +17,10 @@ into full cells plus exactly-integrated boundary triangles.
 
 The homogeneous part is computed in closed form: v = r*ubar0 obeys the
 one-dimensional wave equation on the half line with an odd reflection at r = 0,
-so d'Alembert's formula with odd-extended data gives every node directly, with
-compact support honoured to round-off (sharp Huygens principle).
+so d'Alembert's formula with odd-extended data gives every node from two 1-D
+tables over the lattice abscissae (r +- t is always a node; O(n_r + n_t)
+profile evaluations), with compact support honoured to round-off (sharp
+Huygens principle).
 
 The inhomogeneous part w = r*ubar1 marches level by level using the
 characteristic parallelogram identity
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .profiles import RadialProfile
 from .regions import _UNBOUNDED, StripBounds, strip_quadrature
@@ -130,6 +133,9 @@ class CharGrid:
         return i, j
 
 
+_STATUSES = ("complete", "blown_up", "error")
+
+
 class FieldFormatError(ValueError):
     """A field CSV that cannot be parsed: bad header, column line or cells."""
 
@@ -154,7 +160,7 @@ class RadialField:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 2 or self.samples.shape[1] != self.grid.n_r + 1:
             raise ValueError("samples must be (levels, n_r + 1)")
-        if self.status not in ("complete", "blown_up", "error"):
+        if self.status not in _STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
         if self.status == "blown_up" and self.t_b is None:
             raise ValueError("blown_up status requires t_b")
@@ -217,7 +223,17 @@ class RadialField:
             header = fh.readline().strip()
             if not header.startswith("# wavelab-field"):
                 raise FieldFormatError("not a wavelab field CSV (missing header)")
-            meta = dict(tok.split("=", 1) for tok in header[2:].split()[1:])
+            try:
+                meta = dict(tok.split("=", 1) for tok in header[2:].split()[1:])
+                grid = CharGrid(*(float(meta[k]) for k in ("h", "r_max", "t_max")))
+                p, A, t_b = (None if meta[k] == "none" else float(meta[k]) for k in ("p", "A", "t_b"))
+                status = meta["status"]
+            except KeyError as exc:
+                raise FieldFormatError(f"malformed field CSV header (no {exc.args[0]}=)") from None
+            except ValueError as exc:
+                raise FieldFormatError(f"malformed field CSV header ({exc})") from None
+            if status not in _STATUSES:
+                raise FieldFormatError(f"malformed field CSV header (status={status})")
             second = fh.readline().strip()
             if second != "r,t,value":
                 raise FieldFormatError("malformed field CSV (missing column line)")
@@ -225,19 +241,12 @@ class RadialField:
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as exc:
                 raise FieldFormatError(f"malformed field CSV ({exc})") from exc
-        h = float(meta["h"])
-        grid = CharGrid(h, float(meta["r_max"]), float(meta["t_max"]))
         n_r = grid.n_r
         if data.size == 0 or data.shape[0] % (n_r + 1) != 0 or data.shape[1] != 3:
             raise FieldFormatError("malformed field CSV (truncated rows)")
         levels = data.shape[0] // (n_r + 1)
         values = data[:, 2].reshape(levels, n_r + 1)
-
-        def opt(key):
-            return None if meta[key] == "none" else float(meta[key])
-
-        return RadialField(grid, values, status=meta["status"], t_b=opt("t_b"),
-                           p=opt("p"), A=opt("A"))
+        return RadialField(grid, values, status=status, t_b=t_b, p=p, A=A)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +286,19 @@ def apply_P(source: RadialField, r: float, t: float) -> float:
 # Homogeneous part by d'Alembert with odd extension
 # ---------------------------------------------------------------------------
 
+def _homogeneous(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid) -> np.ndarray:
+    """ubar0 on the lattice; level j reads the F and I windows starting at n_t +- j."""
+    n_r, n_t = grid.n_r, grid.n_t
+    y = grid.h * np.arange(-n_t, n_r + n_t + 1)
+    F = sliding_window_view(y * fbar(np.abs(y)), n_r + 1)
+    I = sliding_window_view(gbar.moment_integral(y), n_r + 1)
+    v = 0.5 * (F[n_t:] + F[n_t::-1]) + 0.5 * (I[n_t:] - I[n_t::-1])
+    v[:, 1:] /= grid.r_values()[1:]
+    tv = grid.t_values()
+    v[:, 0] = fbar(tv) + tv * fbar.derivative(tv) + tv * gbar(tv)
+    return v
+
+
 def linear_radial(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid) -> RadialField:
     """Radial average of the homogeneous 3-D wave solution with data (fbar, gbar).
 
@@ -285,41 +307,19 @@ def linear_radial(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid) -> R
         ubar0(r, t) = [Ff(r+t) + Ff(r-t) + Ig(r+t) - Ig(|r-t|)] / (2r),
 
     with Ff(y) = y*fbar(|y|) and Ig the exact running moment of y*gbar(y).
+    On the lattice r +- t is always a node, so Ff and Ig are two 1-D tables over
+    the abscissae k*h (O(n_r + n_t) profile evaluations) that every level indexes.
     The r = 0 column uses the derivative of the odd extension instead:
     ubar0(0, t) = fbar(t) + t*fbar'(t) + t*gbar(t).  Compact support of the
     data is honoured to round-off, so the solution vanishes identically
     whenever |r - t| > rho (sharp Huygens principle in both directions).
     """
-    rv = grid.r_values()
-    tv = grid.t_values()
-    rp = rv[None, :] + tv[:, None]
-    rm = rv[None, :] - tv[:, None]
-
-    def Ff(y):
-        return y * fbar(np.abs(y))
-
-    v = 0.5 * (Ff(rp) + Ff(rm)) + 0.5 * (gbar.moment_integral(rp) - gbar.moment_integral(rm))
-    u0 = np.empty_like(v)
-    u0[:, 1:] = v[:, 1:] / rv[None, 1:]
-    u0[:, 0] = fbar(tv) + tv * fbar.derivative(tv) + tv * gbar(tv)
-    return RadialField(grid, u0, status="complete")
+    return RadialField(grid, _homogeneous(fbar, gbar, grid), status="complete")
 
 
 # ---------------------------------------------------------------------------
 # Marching core
 # ---------------------------------------------------------------------------
-
-def _linear_row(fbar: RadialProfile, gbar: RadialProfile, rv: np.ndarray, t: float) -> np.ndarray:
-    """One time level of the homogeneous solution (see linear_radial)."""
-    rp = rv + t
-    rm = rv - t
-    v = 0.5 * (rp * fbar(np.abs(rp)) + rm * fbar(np.abs(rm))) \
-        + 0.5 * (gbar.moment_integral(rp) - gbar.moment_integral(rm))
-    row = np.empty_like(v)
-    row[1:] = v[1:] / rv[1:]
-    row[0] = float(fbar(t)) + t * float(fbar.derivative(t)) + t * float(gbar(t))
-    return row
-
 
 def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
            p: Optional[float],
@@ -362,7 +362,8 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
             return forcing(cols * h, ks * h)
         return np.abs(u[ks, cols]) ** p
 
-    u[0, : n_r + 1] = _linear_row(fbar, gbar, rv, 0.0)
+    u0 = _homogeneous(fbar, gbar, grid)
+    u[0, : n_r + 1] = u0[0]
     sig_prev = np.zeros(n_r + 2)
     sig_curr = forcing_row(0) if forcing is not None else source_of(u[0])
     w_prev = np.zeros(n_r + 2)
@@ -375,8 +376,6 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
 
     for j in range(n_t):
         new = j + 1
-        u0_row = np.zeros(n_r + 2)
-        u0_row[: n_r + 1] = _linear_row(fbar, gbar, rv, new * h)
         Fj = A * lam * sig_curr
         base = np.zeros(n_r + 2)
         if j == 0:
@@ -393,27 +392,25 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
                 u_star = u[j] if j == 0 else 2.0 * u[j] - u[j - 1]
                 F_star = A * lam * source_of(u_star)
                 u_pre = np.zeros(n_r + 2)
-                u_pre[inner] = u0_row[inner] + (base[inner] + hh6 * F_star[inner]) / lam[inner]
+                u_pre[inner] = u0[new, 1:] + (base[inner] + hh6 * F_star[inner]) / lam[inner]
                 F_new = A * lam * source_of(u_pre)
 
             w_new = np.zeros(n_r + 2)
             w_new[inner] = base[inner] + hh6 * F_new[inner]
-            u[new, inner] = u0_row[inner] + w_new[inner] / lam[inner]
+            u[new, inner] = u0[new, 1:] + w_new[inner] / lam[inner]
 
             # r = 0 column by the limit formula for P (plus the closed-form u0)
             p0_vals = (np.arange(new, 0, -1) * h) * source_diag(new)
             p0_weights = np.full(new, h)
             p0_weights[0] = 0.5 * h
-            u[new, 0] = u0_row[0] + A * float(np.dot(p0_weights, p0_vals))
+            u[new, 0] = u0[new, 0] + A * float(np.dot(p0_weights, p0_vals))
 
             level_vals = u[new, : n_r + 1]
-            finite = bool(np.all(np.isfinite(level_vals)))
-            m_new = float(np.max(np.abs(level_vals))) if finite else np.inf
-
-            if not finite:
+            if not np.all(np.isfinite(level_vals)):
                 status = "error"
                 defined = new
                 break
+            m_new = float(np.max(np.abs(level_vals)))
             if m_new >= blowup_threshold or (
                 m_prev > 0.0 and m_new > ratio_floor and m_new > divergence_factor * m_prev
             ):

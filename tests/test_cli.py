@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from wavelab import cli
+from wavelab import __version__, cli
 from wavelab.cli import main
 from wavelab.gronwall import WindowTooShortError
 from wavelab.config import (ConfigError, apply_overrides, config_hash,
@@ -207,11 +207,31 @@ def test_diagnose_truncated_field(solved_run, tmp_path, capsys):
     assert rc == 2
 
 
-def test_diagnose_non_numeric_field_cell(solved_run, tmp_path, capsys):
-    tmp, doc = solved_run
-    lines = (tmp / "out" / "field.csv").read_text().splitlines()
+def _corrupt_cell(lines):
     r, t, _ = lines[5].split(",")
     lines[5] = f"{r},{t},abc"
+
+
+def _corrupt_header(old, new):
+    def corrupt(lines):
+        assert old in lines[0]
+        lines[0] = lines[0].replace(old, new)
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_cell,
+    _corrupt_header("r_max=", "rmax="),
+    _corrupt_header(" t_b=", " tb="),
+    _corrupt_header(" p=", " p "),
+    _corrupt_header("h=0.0625", "h=abc"),
+    _corrupt_header("status=blown_up", "status=bogus"),
+], ids=["cell", "missing_r_max", "missing_t_b", "token_without_eq", "h_non_numeric",
+        "unknown_status"])
+def test_diagnose_non_numeric_field_cell(solved_run, tmp_path, capsys, corrupt):
+    tmp, doc = solved_run
+    lines = (tmp / "out" / "field.csv").read_text().splitlines()
+    corrupt(lines)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     rc = main(["diagnose", "--config", str(tmp / "c.json"),
@@ -266,6 +286,20 @@ def test_sweep_rows_and_resume(tmp_path):
     # resume: artifacts verify against manifests and rows are reused bytewise
     assert main(["sweep", "--config", cfg_path]) == 0
     assert (tmp_path / "sweep" / "sweep.csv").read_text() == csv1
+    # a row computed by another package version is recomputed, the rest untouched
+    rows = sorted((tmp_path / "sweep" / "rows").iterdir())
+    stale = rows[1]
+    man = json.loads((stale / "manifest.json").read_text())
+    man["package_version"] = "0.0.0"
+    (stale / "manifest.json").write_text(json.dumps(man))
+    field_bytes = (stale / "field.csv").read_bytes()
+    (stale / "field.csv").write_text("stale\n")
+    kept_bytes = {f: f.read_bytes() for d in rows if d != stale for f in d.iterdir()}
+    assert main(["sweep", "--config", cfg_path]) == 0
+    assert (tmp_path / "sweep" / "sweep.csv").read_text() == csv1
+    assert json.loads((stale / "manifest.json").read_text())["package_version"] == __version__
+    assert (stale / "field.csv").read_bytes() == field_bytes
+    assert {f: f.read_bytes() for f in kept_bytes} == kept_bytes
 
 
 def test_sweep_blowup_row_recorded(tmp_path):

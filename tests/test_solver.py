@@ -180,6 +180,46 @@ def test_linear_radial_against_kirchhoff_oracle():
         assert got == pytest.approx(want, abs=3e-4)
 
 
+def _pointwise_dalembert(fbar, gbar, grid):
+    """d'Alembert evaluated at every node's own r + t and r - t (reference)."""
+    rv = grid.r_values()
+    tv = grid.t_values()
+    rp = rv[None, :] + tv[:, None]
+    rm = rv[None, :] - tv[:, None]
+    v = 0.5 * (rp * fbar(np.abs(rp)) + rm * fbar(np.abs(rm))) \
+        + 0.5 * (gbar.moment_integral(rp) - gbar.moment_integral(rm))
+    u0 = np.empty_like(v)
+    u0[:, 1:] = v[:, 1:] / rv[None, 1:]
+    u0[:, 0] = fbar(tv) + tv * fbar.derivative(tv) + tv * gbar(tv)
+    return u0
+
+
+def _off_lattice_data():
+    knots = np.linspace(0.0, RHO, 27)          # spacing 1/26: no knot on the lattice
+    return bump_profile(5.0, RHO, knots), bump_profile(-3.0, RHO, knots)
+
+
+@pytest.mark.parametrize("h", [1 / 8, 0.1, 1 / 96])
+def test_linear_radial_matches_pointwise_dalembert(h):
+    grid = CharGrid(h, 4.0, 3.0)
+    f, g = _off_lattice_data()
+    got = linear_radial(f, g, grid).samples
+    want = _pointwise_dalembert(f, g, grid)
+    assert np.max(np.abs(want)) > 1.0
+    if h == 1 / 8:                             # dyadic: r +- t exact, same bits
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_unforced_march_is_linear_radial():
+    grid = CharGrid(1 / 16, 4.0, 3.0)
+    f, g = _off_lattice_data()
+    fld = solve_forced(f, g, lambda r, t: np.zeros_like(r), grid)
+    assert fld.n_levels == grid.n_t + 1
+    assert np.array_equal(fld.samples, linear_radial(f, g, grid).samples)
+
+
 # ---------------------------------------------------------------------------
 # marching solver
 # ---------------------------------------------------------------------------
