@@ -14,7 +14,7 @@ from .gronwall import (GronwallCertificate, GronwallParams, WindowTooShortError,
                        certify, check_inequality, failure_radius,
                        log10_failure_radius)
 from .diagnostics import (ChainConfig, DiagnosticsReport, GridTooShortError,
-                          F_of, G_of, H_of, H_profile, check_chain,
+                          F_of, G_of, H_of, check_chain,
                           check_pointwise_lower_bound, choose_epsilon, compute_M,
                           gronwall_params_from_chain, s_exponent, select_t2_delta)
 from .profiles import RadialProfile, bump_profile, zero_profile
@@ -38,7 +38,7 @@ __all__ = [
     "integral_residual", "normalize_coefficient",
     "ChainConfig", "DiagnosticsReport", "GridTooShortError",
     "select_t2_delta", "compute_M", "check_pointwise_lower_bound",
-    "F_of", "G_of", "H_of", "H_profile", "check_chain",
+    "F_of", "G_of", "H_of", "check_chain",
     "s_exponent", "choose_epsilon", "gronwall_params_from_chain",
     "GronwallParams", "GronwallCertificate", "WindowTooShortError",
     "check_inequality", "failure_radius", "log10_failure_radius", "certify",

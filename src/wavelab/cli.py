@@ -27,9 +27,8 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, RunConfig, apply_overrides, config_hash,
                      load_json, parse_run_config, parse_sweep_config)
-from .diagnostics import (ChainConfig, GridTooShortError, H_profile, check_chain,
-                          choose_epsilon, compute_M, gronwall_params_from_chain,
-                          s_exponent, select_t2_delta)
+from .diagnostics import (ChainConfig, GridTooShortError, check_chain, choose_epsilon,
+                          gronwall_params_from_chain, s_exponent, select_t2_delta)
 from .gronwall import (GronwallParams, WindowTooShortError, certify,
                        failure_radius, log10_failure_radius)
 from .solver import (FieldFormatError, RadialField, detect_blowup_time, linear_radial,
@@ -122,22 +121,15 @@ def _run_diagnose(cfg: RunConfig, field_path, out_dir: Path):
     p = field.p if field.p is not None else cfg.p
     A = field.A if field.A is not None else cfg.A
     grid = field.grid
-    f_prof, g_prof = cfg.data.build_profiles(grid.r_values())
-    u0 = linear_radial(f_prof, g_prof, grid)
-
-    if cfg.auto_t2:
-        t2, delta = select_t2_delta(field, u0, cfg.data.rho)
-        if cfg.t2 is not None:
-            t2 = _lattice_round(cfg.t2, grid.h) if cfg.t2 > 0 else 0.0
-        if cfg.delta is not None:
-            delta = _lattice_round(cfg.delta, grid.h, up_even=True)
-    else:
+    if cfg.t2 is None or cfg.delta is None:
+        f_prof, g_prof = cfg.data.build_profiles(grid.r_values())
+        t2, delta = select_t2_delta(field, linear_radial(f_prof, g_prof, grid), cfg.data.rho)
+    if cfg.t2 is not None:
         t2 = _lattice_round(cfg.t2, grid.h) if cfg.t2 > 0 else 0.0
+    if cfg.delta is not None:
         delta = _lattice_round(cfg.delta, grid.h, up_even=True)
 
-    chain_cfg = ChainConfig(p, A, t2, delta, cfg.epsilon)
-    chain_cfg = chain_cfg.with_constants(compute_M(field, t2, delta, p))
-    report = check_chain(field, chain_cfg)
+    report = check_chain(field, ChainConfig(p, A, t2, delta, cfg.epsilon))
     _write_json(out_dir / "diagnostics.json", report.to_json_dict())
     report.tables_to_csv(out_dir / "residuals.csv")
 
@@ -150,11 +142,10 @@ def _run_diagnose(cfg: RunConfig, field_path, out_dir: Path):
                                f"(s(p,0) = {s_exponent(p, 0.0):.6g} <= -1)")
     else:
         C, a, b, t0, t1 = gronwall_params_from_chain(report.config)
-        params = GronwallParams(C, a, b, t0, t1)
-        rs, hv = H_profile(field, report.config)
+        rs, hv = report.H
         sel = rs >= t1 - 1e-12
         try:
-            cert = certify(rs[sel], hv[sel], params)
+            cert = certify(rs[sel], hv[sel], GronwallParams(C, a, b, t0, t1))
             cert_doc.update(cert.to_json_dict())
             cert_doc["log10_r_star"] = _finite_or_none(cert.log10_r_star)
             if cert.violation_found_at is None or cert.violation_found_at > cert.r_star:

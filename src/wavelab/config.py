@@ -80,7 +80,6 @@ class RunConfig:
     t_max: float
     blowup_threshold: float
     divergence_factor: float
-    auto_t2: bool
     t2: Optional[float]
     delta: Optional[float]
     epsilon: Optional[float]
@@ -148,21 +147,16 @@ def parse_run_config(doc: dict, default_output="runs") -> RunConfig:
                   default=DEFAULT_DIVERGENCE_FACTOR, positive=True)
 
     diag = doc.get("diagnostics", {})
-    _require_keys(diag, {"auto_t2", "t2", "delta", "epsilon"}, set(), "diagnostics")
-    auto_t2 = diag.get("auto_t2", True)
-    if not isinstance(auto_t2, bool):
-        raise ConfigError("diagnostics.auto_t2: expected a boolean")
+    _require_keys(diag, {"t2", "delta", "epsilon"}, set(), "diagnostics")
     t2 = None if diag.get("t2") is None else _number(diag, "t2", "diagnostics", nonneg=True)
     delta = None if diag.get("delta") is None else _number(diag, "delta", "diagnostics", positive=True)
     epsilon = None if diag.get("epsilon") is None else _number(diag, "epsilon", "diagnostics", positive=True)
-    if not auto_t2 and (t2 is None or delta is None):
-        raise ConfigError("diagnostics: auto_t2 false requires explicit t2 and delta")
 
     out = doc.get("output_dir", default_output)
     if not isinstance(out, str):
         raise ConfigError("output_dir: expected a path string")
-    return RunConfig(p, A, data, h, t_max, threshold, div, auto_t2, t2, delta,
-                     epsilon, out, raw=doc)
+    return RunConfig(p, A, data, h, t_max, threshold, div, t2, delta, epsilon, out,
+                     raw=doc)
 
 
 @dataclass(frozen=True)

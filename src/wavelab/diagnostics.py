@@ -58,7 +58,6 @@ __all__ = [
     "F_of",
     "G_of",
     "H_of",
-    "H_profile",
     "check_chain",
     "s_exponent",
     "choose_epsilon",
@@ -107,6 +106,16 @@ class ChainConfig:
     @property
     def t_star(self):
         return self.t2 + 2.0 * self.delta
+
+    @property
+    def c_single(self):
+        """A 2^(p-1) / (4q), the constant of the single integral bound."""
+        return self.A * 2.0 ** (self.p - 1.0) / (4.0 * self.q)
+
+    @property
+    def c_low(self):
+        """C0 2^(1-p) / (q+1), the constant of the growth floor; needs C0."""
+        return self.C0 * 2.0 ** (1.0 - self.p) / (self.q + 1.0)
 
     def with_constants(self, m_bare: float) -> "ChainConfig":
         """Attach M = A * (bare T integral) and C0 = A M^p delta / 2."""
@@ -168,6 +177,7 @@ class DiagnosticsReport:
     tables: list
     holds: bool
     notes: list
+    H: tuple        # (alphas, H values) on the lattice from t_star to the defined horizon
 
     def to_json_dict(self):
         c = self.config
@@ -203,30 +213,17 @@ class DiagnosticsReport:
 # Cone base selection and the constant M
 # ---------------------------------------------------------------------------
 
-def _infer_rho(u0_check: RadialField) -> float:
-    """Support radius from the homogeneous field: data live in |r - t| <= rho."""
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(u0_check.samples))))
-    rv = u0_check.grid.r_values()
-    best = 0.0
-    for j in range(u0_check.n_levels):
-        nz = np.nonzero(np.abs(u0_check.samples[j]) > tol)[0]
-        if nz.size:
-            best = max(best, rv[nz[-1]] - j * u0_check.grid.h)
-    return best
-
-
-def select_t2_delta(field: RadialField, u0_check: RadialField, rho: Optional[float] = None):
+def select_t2_delta(field: RadialField, u0_check: RadialField, rho: float):
     """Earliest grid-aligned cone base (t2, delta) admissible for the chain.
 
     t2 is the smallest grid time such that the homogeneous part is nonnegative
     on the forward cone from (0, t2) and the solution is positive at the probe
-    point (delta, t2 + delta).  delta defaults to max(4h, rho/8), rounded up to
-    an even number of cells so the corners of the region T are lattice nodes.
+    point (delta, t2 + delta).  delta is max(4h, rho/8) for the data's support
+    radius rho, rounded up to an even number of cells so the corners of the
+    region T are lattice nodes.
     """
     grid = field.grid
     h = grid.h
-    if rho is None:
-        rho = _infer_rho(u0_check)
     if rho <= 0:
         raise ValueError("no admissible cone: field has trivial data")
     d_cells = max(4, int(math.ceil(rho / (8.0 * h))))
@@ -359,21 +356,6 @@ def H_of(field: RadialField, config: ChainConfig, r):
     return float(np.trapezoid(g, betas))
 
 
-def H_profile(field: RadialField, config: ChainConfig):
-    """(r grid, H values) for every lattice r in [t_star, defined horizon]."""
-    h = field.grid.h
-    t_star = config.t_star
-    n = int(math.floor((field.defined_t_max - t_star) / h + 1e-9))
-    if n < 1:
-        raise GridTooShortError("grid too short: extend t_max beyond t_star")
-    rs = t_star + h * np.arange(n + 1)
-    F2, alphas = _f_grid(field, config, n)
-    db = alphas[:, None] - alphas[None, :]
-    G2 = np.where(db >= 0, db, 0.0) ** config.q * F2
-    ct = cumulative_trapezoid(G2, dx=h, axis=1, initial=0.0)
-    return rs, ct[np.arange(n + 1), np.arange(n + 1)]
-
-
 def _f_grid(field: RadialField, config: ChainConfig, n: int, block: int = 256):
     """F on the triangular (alpha, beta) lattice t_star + h*[0..n], beta <= alpha."""
     h = field.grid.h
@@ -419,8 +401,7 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
                          f"(supercritical p >= 1+sqrt(2))")
     s_val = None if eps is None else s_exponent(p, eps)
 
-    c_single = A * 2.0 ** (p - 1.0) / (4.0 * q)
-    c_low = C0 * 2.0 ** (1.0 - p) / (q + 1.0)
+    c_single, c_low = config.c_single, config.c_low
     constants = {
         "M": {"value": M, "formula": "A * integral_T (lambda/2) u^p"},
         "C0": {"value": C0, "formula": "A * M^p * delta / 2"},
@@ -433,7 +414,7 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
     }
     if eps is not None:
         constants["C_split"] = {
-            "value": c_single * c_low ** (p - 1.0 - eps),
+            "value": gronwall_params_from_chain(config)[0],
             "formula": "C_single * C_low^(p-1-eps)",
         }
 
@@ -547,7 +528,7 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
         _chain_tol(h, H_vals[sel], rhs_floor), {"C_low": c_low}))
 
     holds = all(tb.holds for tb in tables)
-    return DiagnosticsReport(config, s_val, constants, tables, holds, notes)
+    return DiagnosticsReport(config, s_val, constants, tables, holds, notes, (alphas, H_vals))
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +579,6 @@ def gronwall_params_from_chain(config: ChainConfig):
         raise ValueError("no admissible epsilon (supercritical p); cannot assemble lemma parameters")
     if config.C0 is None:
         raise ValueError("constants not attached; run compute_M / with_constants first")
-    p, q, A, eps = config.p, config.q, config.A, config.epsilon
-    c_single = A * 2.0 ** (p - 1.0) / (4.0 * q)
-    c_low = config.C0 * 2.0 ** (1.0 - p) / (q + 1.0)
-    C = c_single * c_low ** (p - 1.0 - eps)
+    p, eps = config.p, config.epsilon
+    C = config.c_single * config.c_low ** (p - 1.0 - eps)
     return C, 1.0 + eps, s_exponent(p, eps), config.t_star, 2.0 * config.t_star

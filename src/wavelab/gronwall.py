@@ -128,13 +128,11 @@ def _weighted_cumulative(r, H, params):
     return cumulative_trapezoid(integrand, r, initial=0.0)
 
 
-def check_inequality(r, H, params: GronwallParams):
-    """Smallest sampled radius violating H(r) >= C * integral, or None.
+def _scan(r, H, params: GronwallParams):
+    """Validated samples -> (r, the weighted cumulative integral, first violation).
 
-    H must be sampled on an ascending grid starting at t1, nonnegative
-    everywhere and strictly positive past t1 (the lemma's hypotheses, checked).
-    The violation tolerance 1e-12 * max(1, |H(r)|) covers round-off only;
-    discretisation slack is the caller's grid-cell allowance.
+    Checks the samples and the lemma's hypotheses on H, then scans
+    H(r) >= C * integral once; ``check_inequality`` and ``certify`` share it.
     """
     r = np.asarray(r, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -148,10 +146,21 @@ def check_inequality(r, H, params: GronwallParams):
         raise ValueError("hypothesis violated: H must be nonnegative")
     if np.any(H[1:] <= 0):
         raise ValueError("hypothesis violated: H must be positive beyond t1")
-    rhs = params.C * _weighted_cumulative(r, H, params)
+    cums = _weighted_cumulative(r, H, params)
     tol = 1e-12 * np.maximum(1.0, np.abs(H))
-    bad = np.nonzero(H < rhs - tol)[0]
-    return float(r[bad[0]]) if bad.size else None
+    bad = np.nonzero(H < params.C * cums - tol)[0]
+    return r, cums, float(r[bad[0]]) if bad.size else None
+
+
+def check_inequality(r, H, params: GronwallParams):
+    """Smallest sampled radius violating H(r) >= C * integral, or None.
+
+    H must be sampled on an ascending grid starting at t1, nonnegative
+    everywhere and strictly positive past t1 (the lemma's hypotheses, checked).
+    The violation tolerance 1e-12 * max(1, |H(r)|) covers round-off only;
+    discretisation slack is the caller's grid-cell allowance.
+    """
+    return _scan(r, H, params)[2]
 
 
 def _exp(x):
@@ -215,17 +224,12 @@ def certify(r, H, params: GronwallParams) -> GronwallCertificate:
     for more samples; a window reaching r_star with no violation would refute
     the lemma (the property tests exercise exactly this contract).
     """
-    r = np.asarray(r, dtype=float)
-    H = np.asarray(H, dtype=float)
-    if r[-1] < params.t1 + 1.0 - 1e-12:
+    if np.asarray(r, dtype=float)[-1] < params.t1 + 1.0 - 1e-12:
         raise WindowTooShortError("extend window to t1 + 1 to compute J1")
-    if np.any(H < 0) or np.any(H[1:] <= 0):
-        raise ValueError("hypothesis violated: H must be positive beyond t1")
-    cums = _weighted_cumulative(r, H, params)
+    r, cums, violation = _scan(r, H, params)
     J1 = float(np.interp(params.t1 + 1.0, r, cums))
     r_star = failure_radius(params, J1)
     log10_r_star = log10_failure_radius(params, J1)
-    violation = check_inequality(r, H, params)
     if violation is None and r[-1] < r_star:
         size = f"{r_star:g}" if math.isfinite(r_star) else f"10^{log10_r_star:.1f}"
         raise WindowTooShortError(

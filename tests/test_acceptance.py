@@ -16,8 +16,7 @@ import math
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from wavelab.diagnostics import (H_profile, choose_epsilon,
-                                 gronwall_params_from_chain, s_exponent)
+from wavelab.diagnostics import choose_epsilon, gronwall_params_from_chain, s_exponent
 from wavelab.gronwall import (GronwallParams, WindowTooShortError, certify,
                               failure_radius)
 from wavelab.profiles import RadialProfile, bump_profile
@@ -183,7 +182,7 @@ def test_criterion_8_end_to_end_contradiction(crit4_chain):
     field, report = crit4_chain
     C, a, b, t0, t1 = gronwall_params_from_chain(report.config)
     params = GronwallParams(C, a, b, t0, t1)
-    rs, hv = H_profile(field, report.config)
+    rs, hv = report.H
     sel = rs >= t1 - 1e-12
     window = (float(rs[sel][0]), float(rs[sel][-1]))
     try:

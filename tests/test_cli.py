@@ -42,6 +42,10 @@ def test_unknown_key_is_named():
             "grid": {"t_max": 1.0}}
     with pytest.raises(ConfigError, match="unknown key: problem.zeta"):
         parse_run_config(doc2)
+    doc3 = {"problem": {"p": 2.0, "data": {"profile": "bump", "amplitude": 1, "rho": 1}},
+            "grid": {"t_max": 1.0}, "diagnostics": {"auto_t2": False}}
+    with pytest.raises(ConfigError, match="unknown key: diagnostics.auto_t2"):
+        parse_run_config(doc3)
 
 
 def test_exactly_one_data_profile():
@@ -195,6 +199,23 @@ def test_diagnose_supercritical_notes(tmp_path):
     assert any("supercritical" in n for n in d["notes"])
     g = json.loads((tmp_path / "diag" / "gronwall.json").read_text())
     assert "supercritical" in g["skipped"]
+
+
+def test_diagnose_zero_constant_skips_certificate(tmp_path):
+    # zero data: the chain holds trivially with M = C0 = 0, so the lemma's
+    # constant C vanishes and the certificate is skipped with that reason
+    doc = base_run_config(tmp_path, grid={"h": 1 / 16, "t_max": 4.0},
+                          diagnostics={"t2": 0, "delta": 0.25})
+    doc["problem"]["data"]["amplitude"] = 0.0
+    cfg = write(tmp_path / "c.json", doc)
+    assert main(["solve", "--config", cfg]) == 0
+    rc = main(["diagnose", "--config", cfg, "--field", str(tmp_path / "out" / "field.csv"),
+               "--output", str(tmp_path / "diag")])
+    assert rc == 0
+    d = json.loads((tmp_path / "diag" / "diagnostics.json").read_text())
+    assert d["holds"] is True and d["M"] == 0.0
+    g = json.loads((tmp_path / "diag" / "gronwall.json").read_text())
+    assert g["skipped"] == "hypotheses not met on this window: need C > 0"
 
 
 def test_diagnose_truncated_field(solved_run, tmp_path, capsys):

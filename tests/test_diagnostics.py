@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavelab.diagnostics import (ChainConfig, GridTooShortError, F_of, G_of,
-                                 H_of, H_profile, check_chain,
+                                 H_of, check_chain,
                                  check_pointwise_lower_bound, choose_epsilon,
                                  compute_M, gronwall_params_from_chain,
                                  s_exponent, select_t2_delta)
@@ -70,7 +70,7 @@ def test_select_t2_delta_zero_field_errors():
     grid = CharGrid(1 / 16, 2.0, 1.0)
     zeros = RadialField(grid, np.zeros((grid.n_t + 1, grid.n_r + 1)))
     with pytest.raises(ValueError, match="no admissible cone"):
-        select_t2_delta(zeros, zeros)
+        select_t2_delta(zeros, zeros, rho=1.0)
 
 
 def test_cone_average_bound_on_Q(blowup_run_coarse):
@@ -163,7 +163,7 @@ def test_fgh_identities(blowup_run_coarse):
 def test_H_profile_matches_pointwise_H(blowup_run_coarse):
     prob, fld = blowup_run_coarse
     cfg = ChainConfig(prob.p, prob.A, 0.0, RHO / 8.0)
-    rs, hv = H_profile(fld, cfg)
+    rs, hv = check_chain(fld, cfg).H
     for idx in (1, 7, 31, len(rs) - 1):
         assert hv[idx] == pytest.approx(H_of(fld, cfg, float(rs[idx])), rel=1e-10, abs=1e-12)
 
