@@ -3,10 +3,11 @@
 Exit codes are a contract for scripting: 0 success (a detected blow-up is a
 result, not a failure), 2 configuration or parse errors, 3 numerical errors or
 failed verdicts, 4 insufficient grid (extend t_max or the sample window).
-All CSV outputs are deterministic (17 significant digits, no timestamps);
-wall-clock data lives only in the run manifests.  The WAVELAB_LOG environment
-variable selects the log level (DEBUG/INFO/WARNING/ERROR); there is no other
-environment coupling.
+Every artifact except the manifests is deterministic: the field is one npz
+whose zip entries carry a fixed timestamp, and every CSV uses 17 significant
+digits.  Wall-clock data (timings, peak RSS) lives only in the run manifests.
+The WAVELAB_LOG environment variable selects the log level
+(DEBUG/INFO/WARNING/ERROR); there is no other environment coupling.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import logging
 import math
 import os
+import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -75,32 +77,45 @@ def _manifest(config_doc, extra):
 # ---------------------------------------------------------------------------
 
 def _run_solve(cfg: RunConfig, out_dir: Path):
+    """March, write field.npz, residual.json and manifest.json.
+
+    Returns the field and the run record written into the manifest (status,
+    t_b, the blow-up fit, max|u|, timings, peak RSS), so callers reuse them.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = cfg.build_grid()
     problem = cfg.build_problem(grid)
     started = time.perf_counter()
     fld = solve_march(problem, grid, cfg.blowup_threshold, cfg.divergence_factor)
-    wall = time.perf_counter() - started
-    fld.to_csv(out_dir / "field.csv")
-    _write_json(out_dir / "residual.json", fld.residual)
+    marched = time.perf_counter()
+    fld.save(out_dir / "field.npz")
+    written = time.perf_counter()
     fit = detect_blowup_time(fld)
-    _write_json(out_dir / "manifest.json", _manifest(cfg.raw, {
-        "wall_time_s": wall,
+    fitted = time.perf_counter()
+    _write_json(out_dir / "residual.json", fld.residual)
+    record = {
+        "wall_time_s": marched - started,       # march plus residual, as before
+        "timings": {"march_s": marched - started, "field_write_s": written - marched,
+                    "blowup_fit_s": fitted - written},
+        # peak RSS of this process so far; ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "status": fld.status,
         "t_b": fld.t_b,
         "fitted_t_b": None if fit is None else fit.fitted_t_b,
         "fitted_exponent": None if fit is None else fit.fitted_exponent,
         "max_amplitude_reached": float(np.max(np.abs(fld.samples))),
         "residual": fld.residual,
-    }))
-    log.info("solve: status=%s t_b=%s wall=%.2fs", fld.status, fld.t_b, wall)
-    return fld
+    }
+    _write_json(out_dir / "manifest.json", _manifest(cfg.raw, record))
+    log.info("solve: status=%s t_b=%s march=%.2fs write=%.2fs", fld.status, fld.t_b,
+             marched - started, written - marched)
+    return fld, record
 
 
 def cmd_solve(args):
     cfg = parse_run_config(apply_overrides(load_json(args.config), args.override))
     out_dir = Path(args.output or cfg.output_dir)
-    fld = _run_solve(cfg, out_dir)
+    fld, _ = _run_solve(cfg, out_dir)
     return EXIT_NUMERICAL if fld.status == "error" else EXIT_OK
 
 
@@ -117,7 +132,7 @@ def _lattice_round(x, h, up_even=False):
 
 def _run_diagnose(cfg: RunConfig, field_path, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
-    field = RadialField.from_csv(field_path)
+    field = RadialField.load(field_path)
     p = field.p if field.p is not None else cfg.p
     A = field.A if field.A is not None else cfg.A
     grid = field.grid
@@ -203,7 +218,7 @@ def _sweep_row(task):
         try:
             old = json.loads(marker.read_text())
             if (old.get("config_hash") == h and old.get("package_version") == __version__
-                    and (row_dir / "field.csv").exists()):
+                    and (row_dir / "field.npz").exists()):
                 return old["row"]
         except (json.JSONDecodeError, KeyError):
             pass
@@ -217,21 +232,19 @@ def _sweep_row(task):
     row["epsilon"] = eps
     row["s_margin"] = s_exponent(p, eps if eps is not None else 0.0) + 1.0
     wall = None
+    record = {}
     try:
         started = time.perf_counter()
-        fld = _run_solve(cfg, row_dir)
+        _, record = _run_solve(cfg, row_dir)
         wall = time.perf_counter() - started
-        fit = detect_blowup_time(fld)
-        row.update({
-            "status": fld.status,
-            "t_b": fld.t_b,
-            "fitted_t_b": None if fit is None else fit.fitted_t_b,
-            "max_amplitude_reached": float(np.max(np.abs(fld.samples))),
-        })
+        row.update({k: record[k] for k in ("status", "t_b", "fitted_t_b",
+                                           "max_amplitude_reached")})
     except Exception as exc:           # row errors recorded, sweep continues
         row["status"] = "error"
         row["error"] = str(exc)
-    _write_json(marker, _manifest(row_doc, {"row": row, "wall_time_s": wall}))
+    _write_json(marker, _manifest(row_doc, {"row": row, "wall_time_s": wall,
+                                            "timings": record.get("timings"),
+                                            "peak_rss_mb": record.get("peak_rss_mb")}))
     return row
 
 
@@ -415,7 +428,7 @@ def build_parser():
 
     sp = sub.add_parser("diagnose", help="run the estimate chain and the Gronwall certificate")
     _add_common(sp)
-    sp.add_argument("--field", required=True, help="field CSV produced by solve")
+    sp.add_argument("--field", required=True, help="field artifact (field.npz) written by solve")
     sp.set_defaults(func=cmd_diagnose)
 
     sp = sub.add_parser("sweep", help="grid of (p, amplitude) runs with resume")

@@ -102,8 +102,14 @@ class RadialProfile:
 
 
 def bump_profile(amplitude, rho, grid_r):
-    """amplitude * (1 - (r/rho)^2)^3 inside the support, zero outside."""
+    """amplitude * (1 - (r/rho)^2)^3 inside the support, zero outside.
+
+    rho is made a knot when grid_r lacks it, so the interpolant falls to zero
+    at rho and the profile is continuous there (``__call__`` zeroes x > rho).
+    """
     grid_r = np.asarray(grid_r, dtype=float)
+    if not np.any(grid_r == rho):
+        grid_r = np.insert(grid_r, np.searchsorted(grid_r, rho), rho)
     x = np.clip(1.0 - (grid_r / rho) ** 2, 0.0, None)
     return RadialProfile(grid_r, amplitude * x**3, rho)
 

@@ -35,6 +35,9 @@ corrector pass on that single value.
 
 from __future__ import annotations
 
+import json
+import math
+import zipfile
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -137,7 +140,9 @@ _STATUSES = ("complete", "blown_up", "error")
 
 
 class FieldFormatError(ValueError):
-    """A field CSV that cannot be parsed: bad header, column line or cells."""
+    """A field artifact that cannot be read: not an npz, a missing member or
+    meta key, a bad meta value or grid, or samples of the wrong shape, dtype or
+    with non-finite values."""
 
 
 @dataclass
@@ -201,6 +206,7 @@ class RadialField:
         return np.max(np.abs(self.samples), axis=1)
 
     def to_csv(self, path):
+        """Text export: a ``# wavelab-field`` header line, then r,t,value rows (17 digits)."""
         h = self.grid.h
         n_r = self.grid.n_r
         rv = self.grid.r_values()
@@ -217,36 +223,70 @@ class RadialField:
             fh.write("r,t,value\n")
             np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
 
+    def save(self, path):
+        """Write the field artifact: one npz holding ``samples`` and ``meta``.
+
+        ``samples`` is the float64 array unchanged; ``meta`` is a 0-d string of
+        sort-keyed JSON (h, r_max, t_max, p, A, status, t_b; floats by repr, so
+        they round-trip exactly).  Uncompressed, and zip entries carry the fixed
+        1980-01-01 stamp, so two writes of one field are byte-identical.
+        """
+        meta = {"h": self.grid.h, "r_max": self.grid.r_max, "t_max": self.grid.t_max,
+                "p": self.p, "A": self.A, "status": self.status, "t_b": self.t_b}
+        with open(path, "wb") as fh:
+            np.savez(fh, samples=self.samples, meta=np.array(json.dumps(meta, sort_keys=True)))
+
     @staticmethod
-    def from_csv(path):
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if not header.startswith("# wavelab-field"):
-                raise FieldFormatError("not a wavelab field CSV (missing header)")
+    def load(path):
+        """Read a field artifact written by ``save``; refuses pickled members.
+
+        A missing file raises FileNotFoundError; every other defect (not an npz,
+        truncated, a missing member or key, a bad value, an off-lattice grid,
+        samples of the wrong width or dtype or not finite) a FieldFormatError.
+        """
+        with open(path, "rb") as fh:
+            if fh.read(4) != b"PK\x03\x04":
+                raise FieldFormatError("not a wavelab field npz (no zip signature)")
+            fh.seek(0)
             try:
-                meta = dict(tok.split("=", 1) for tok in header[2:].split()[1:])
-                grid = CharGrid(*(float(meta[k]) for k in ("h", "r_max", "t_max")))
-                p, A, t_b = (None if meta[k] == "none" else float(meta[k]) for k in ("p", "A", "t_b"))
-                status = meta["status"]
+                with np.load(fh) as npz:
+                    samples, meta = npz["samples"], npz["meta"]
             except KeyError as exc:
-                raise FieldFormatError(f"malformed field CSV header (no {exc.args[0]}=)") from None
-            except ValueError as exc:
-                raise FieldFormatError(f"malformed field CSV header ({exc})") from None
-            if status not in _STATUSES:
-                raise FieldFormatError(f"malformed field CSV header (status={status})")
-            second = fh.readline().strip()
-            if second != "r,t,value":
-                raise FieldFormatError("malformed field CSV (missing column line)")
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise FieldFormatError(f"malformed field CSV ({exc})") from exc
-        n_r = grid.n_r
-        if data.size == 0 or data.shape[0] % (n_r + 1) != 0 or data.shape[1] != 3:
-            raise FieldFormatError("malformed field CSV (truncated rows)")
-        levels = data.shape[0] // (n_r + 1)
-        values = data[:, 2].reshape(levels, n_r + 1)
-        return RadialField(grid, values, status=status, t_b=t_b, p=p, A=A)
+                raise FieldFormatError(f"malformed field npz ({exc.args[0]})") from None
+            except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+                raise FieldFormatError(f"malformed field npz ({exc})") from None
+        if meta.shape != () or meta.dtype.kind != "U":
+            raise FieldFormatError("malformed field meta (not a string)")
+        try:
+            meta = json.loads(meta[()])
+        except ValueError as exc:
+            raise FieldFormatError(f"malformed field meta ({exc})") from None
+        if not isinstance(meta, dict):
+            raise FieldFormatError("malformed field meta (not an object)")
+
+        def number(key, optional=False):
+            if key not in meta:
+                raise FieldFormatError(f"malformed field meta (no {key})")
+            value = meta[key]
+            if value is None and optional:
+                return None
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise FieldFormatError(f"malformed field meta ({key}={value!r})")
+            return float(value)
+
+        h, r_max, t_max = (number(k) for k in ("h", "r_max", "t_max"))
+        p, A, t_b = (number(k, optional=True) for k in ("p", "A", "t_b"))
+        status = meta.get("status")
+        if status not in _STATUSES:
+            raise FieldFormatError(f"malformed field meta (status={status!r})")
+        if samples.dtype != np.float64 or samples.ndim != 2 or samples.shape[0] == 0:
+            raise FieldFormatError(f"malformed field samples ({samples.dtype}, shape {samples.shape})")
+        try:
+            return RadialField(CharGrid(h, r_max, t_max), samples,
+                               status=status, t_b=t_b, p=p, A=A)
+        except ValueError as exc:
+            raise FieldFormatError(f"malformed field ({exc})") from None
 
 
 # ---------------------------------------------------------------------------

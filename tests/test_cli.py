@@ -97,7 +97,7 @@ def test_solve_zero_data(tmp_path):
     doc["problem"]["data"]["amplitude"] = 0.0
     rc = main(["solve", "--config", write(tmp_path / "c.json", doc)])
     assert rc == 0
-    fld = RadialField.from_csv(tmp_path / "out" / "field.csv")
+    fld = RadialField.load(tmp_path / "out" / "field.npz")
     assert fld.status == "complete"
     assert np.all(fld.samples == 0.0)
     res = json.loads((tmp_path / "out" / "residual.json").read_text())
@@ -112,6 +112,9 @@ def test_solve_blowup_recorded(tmp_path):
     assert man["status"] == "blown_up"
     assert man["t_b"] is not None and 10.0 < man["t_b"] < 17.0
     assert man["config_hash"] == config_hash(doc)
+    assert set(man["timings"]) == {"march_s", "field_write_s", "blowup_fit_s"}
+    assert man["timings"]["march_s"] == man["wall_time_s"]
+    assert all(v >= 0.0 for v in man["timings"].values()) and man["peak_rss_mb"] > 0.0
 
 
 def test_solve_malformed_config(tmp_path, capsys):
@@ -144,7 +147,7 @@ def solved_run(tmp_path_factory):
 def test_diagnose_end_to_end(solved_run, tmp_path):
     tmp, doc = solved_run
     rc = main(["diagnose", "--config", str(tmp / "c.json"),
-               "--field", str(tmp / "out" / "field.csv"),
+               "--field", str(tmp / "out" / "field.npz"),
                "--output", str(tmp_path / "diag")])
     assert rc == 0
     d = json.loads((tmp_path / "diag" / "diagnostics.json").read_text())
@@ -178,7 +181,7 @@ def test_diagnose_lifespan_beyond_r_star_is_exit_3(solved_run, tmp_path, monkeyp
     monkeypatch.setattr(cli, "certify", short_radius)
     tmp, doc = solved_run
     rc = main(["diagnose", "--config", str(tmp / "c.json"),
-               "--field", str(tmp / "out" / "field.csv"),
+               "--field", str(tmp / "out" / "field.npz"),
                "--output", str(tmp_path / "diag")])
     assert rc == 3
     g = json.loads((tmp_path / "diag" / "gronwall.json").read_text())
@@ -191,7 +194,7 @@ def test_diagnose_supercritical_notes(tmp_path):
     rc = main(["solve", "--config", write(tmp_path / "c.json", doc)])
     assert rc == 0
     rc = main(["diagnose", "--config", str(tmp_path / "c.json"),
-               "--field", str(tmp_path / "out" / "field.csv"),
+               "--field", str(tmp_path / "out" / "field.npz"),
                "--output", str(tmp_path / "diag")])
     assert rc == 0
     d = json.loads((tmp_path / "diag" / "diagnostics.json").read_text())
@@ -209,7 +212,7 @@ def test_diagnose_zero_constant_skips_certificate(tmp_path):
     doc["problem"]["data"]["amplitude"] = 0.0
     cfg = write(tmp_path / "c.json", doc)
     assert main(["solve", "--config", cfg]) == 0
-    rc = main(["diagnose", "--config", cfg, "--field", str(tmp_path / "out" / "field.csv"),
+    rc = main(["diagnose", "--config", cfg, "--field", str(tmp_path / "out" / "field.npz"),
                "--output", str(tmp_path / "diag")])
     assert rc == 0
     d = json.loads((tmp_path / "diag" / "diagnostics.json").read_text())
@@ -220,41 +223,61 @@ def test_diagnose_zero_constant_skips_certificate(tmp_path):
 
 def test_diagnose_truncated_field(solved_run, tmp_path, capsys):
     tmp, doc = solved_run
-    src = (tmp / "out" / "field.csv").read_text().splitlines()
-    bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(src[: len(src) - 3]) + "\n")
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes((tmp / "out" / "field.npz").read_bytes()[:-100])
     rc = main(["diagnose", "--config", str(tmp / "c.json"),
                "--field", str(bad), "--output", str(tmp_path / "d")])
     assert rc == 2
+    assert "parse error" in capsys.readouterr().err
 
 
-def _corrupt_cell(lines):
-    r, t, _ = lines[5].split(",")
-    lines[5] = f"{r},{t},abc"
-
-
-def _corrupt_header(old, new):
-    def corrupt(lines):
-        assert old in lines[0]
-        lines[0] = lines[0].replace(old, new)
+def _rewritten(drop=None, samples=None, meta=None, **meta_updates):
+    """Corruptor: the solved field.npz rewritten with one member or meta key changed."""
+    def corrupt(src, tmp_path):
+        with np.load(src) as npz:
+            members = {"samples": npz["samples"], "meta": json.loads(npz["meta"][()])}
+        members["meta"].update(meta_updates)
+        members["meta"].pop(drop, None)
+        members.pop(drop, None)
+        if samples is not None:
+            members["samples"] = samples(members["samples"].copy())
+        members["meta"] = np.array(meta if meta is not None else json.dumps(members["meta"]))
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **members)        # pickles object arrays, as a foreign writer might
+        return bad
     return corrupt
 
 
+def _nan_cell(samples):
+    samples[5, 3] = np.nan
+    return samples
+
+
+def _as_csv(src, tmp_path):
+    bad = tmp_path / "field.csv"
+    RadialField.load(src).to_csv(bad)
+    return bad
+
+
 @pytest.mark.parametrize("corrupt", [
-    _corrupt_cell,
-    _corrupt_header("r_max=", "rmax="),
-    _corrupt_header(" t_b=", " tb="),
-    _corrupt_header(" p=", " p "),
-    _corrupt_header("h=0.0625", "h=abc"),
-    _corrupt_header("status=blown_up", "status=bogus"),
-], ids=["cell", "missing_r_max", "missing_t_b", "token_without_eq", "h_non_numeric",
-        "unknown_status"])
+    _rewritten(samples=_nan_cell),
+    _rewritten(drop="r_max"),
+    _rewritten(drop="t_b"),
+    _rewritten(drop="samples"),
+    _rewritten(meta="# wavelab-field h=0.0625 r_max=17"),
+    _rewritten(h="abc"),
+    _rewritten(status="bogus"),
+    _rewritten(samples=lambda s: s.astype(object)),
+    _rewritten(samples=lambda s: s.astype(np.float32)),
+    _rewritten(samples=lambda s: s[:, :-1]),
+    _rewritten(r_max=17.03),
+    _as_csv,
+], ids=["cell", "missing_r_max", "missing_t_b", "missing_samples", "meta_not_json",
+        "h_non_numeric", "unknown_status", "object_dtype", "float32_samples",
+        "narrow_samples", "off_lattice", "csv_field"])
 def test_diagnose_non_numeric_field_cell(solved_run, tmp_path, capsys, corrupt):
     tmp, doc = solved_run
-    lines = (tmp / "out" / "field.csv").read_text().splitlines()
-    corrupt(lines)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
+    bad = corrupt(tmp / "out" / "field.npz", tmp_path)
     rc = main(["diagnose", "--config", str(tmp / "c.json"),
                "--field", str(bad), "--output", str(tmp_path / "d")])
     assert rc == 2
@@ -267,7 +290,7 @@ def test_diagnose_grid_too_short(tmp_path, capsys):
     rc = main(["solve", "--config", write(tmp_path / "c.json", doc)])
     assert rc == 0
     rc = main(["diagnose", "--config", str(tmp_path / "c.json"),
-               "--field", str(tmp_path / "out" / "field.csv"),
+               "--field", str(tmp_path / "out" / "field.npz"),
                "--output", str(tmp_path / "d")])
     assert rc == 4
     assert "extend" in capsys.readouterr().err
@@ -304,6 +327,11 @@ def test_sweep_rows_and_resume(tmp_path):
     assert row20[2] == "complete" and row20[5] == "0"
     row30 = lines[3].split(",")
     assert row30[6] == "" and float(row30[7]) < 0
+    # each row manifest carries its solve's timings
+    for row_dir in (tmp_path / "sweep" / "rows").iterdir():
+        man = json.loads((row_dir / "manifest.json").read_text())
+        assert set(man["timings"]) == {"march_s", "field_write_s", "blowup_fit_s"}
+        assert man["peak_rss_mb"] > 0.0
     # resume: artifacts verify against manifests and rows are reused bytewise
     assert main(["sweep", "--config", cfg_path]) == 0
     assert (tmp_path / "sweep" / "sweep.csv").read_text() == csv1
@@ -313,13 +341,13 @@ def test_sweep_rows_and_resume(tmp_path):
     man = json.loads((stale / "manifest.json").read_text())
     man["package_version"] = "0.0.0"
     (stale / "manifest.json").write_text(json.dumps(man))
-    field_bytes = (stale / "field.csv").read_bytes()
-    (stale / "field.csv").write_text("stale\n")
+    field_bytes = (stale / "field.npz").read_bytes()
+    (stale / "field.npz").write_text("stale\n")
     kept_bytes = {f: f.read_bytes() for d in rows if d != stale for f in d.iterdir()}
     assert main(["sweep", "--config", cfg_path]) == 0
     assert (tmp_path / "sweep" / "sweep.csv").read_text() == csv1
     assert json.loads((stale / "manifest.json").read_text())["package_version"] == __version__
-    assert (stale / "field.csv").read_bytes() == field_bytes
+    assert (stale / "field.npz").read_bytes() == field_bytes
     assert {f: f.read_bytes() for f in kept_bytes} == kept_bytes
 
 
@@ -366,9 +394,17 @@ def test_solve_determinism_bytewise(tmp_path):
     cfg = write(tmp_path / "c.json", doc)
     assert main(["solve", "--config", cfg, "--output", str(tmp_path / "a")]) == 0
     assert main(["solve", "--config", cfg, "--output", str(tmp_path / "b")]) == 0
-    fa = (tmp_path / "a" / "field.csv").read_bytes()
-    fb = (tmp_path / "b" / "field.csv").read_bytes()
+    fa = (tmp_path / "a" / "field.npz").read_bytes()
+    fb = (tmp_path / "b" / "field.npz").read_bytes()
     assert fa == fb
+
+
+def test_solve_leaves_one_field_artifact(tmp_path):
+    # tools find the field as the one field.* file that is not JSON
+    doc = base_run_config(tmp_path, grid={"h": 1 / 16, "t_max": 2.0})
+    assert main(["solve", "--config", write(tmp_path / "c.json", doc)]) == 0
+    names = sorted(f.name for f in (tmp_path / "out").iterdir())
+    assert names == ["field.npz", "manifest.json", "residual.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from wavelab.profiles import RadialProfile, bump_profile, zero_profile
-from wavelab.solver import (CharGrid, Problem, RadialField, apply_P,
+from wavelab.solver import (CharGrid, FieldFormatError, Problem, RadialField, apply_P,
                             detect_blowup_time, integral_residual, linear_radial,
                             normalize_coefficient, solve_forced, solve_march)
 from wavelab.spherical import ScalarField3, build_sphere_quadrature, spherical_mean
@@ -26,27 +26,62 @@ def test_chargrid_validation():
         g.index_of(3.0, 0.0)
 
 
+def _parse_field_csv(path):
+    """Test-local reader of the to_csv export: header tokens and r,t,value rows."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        assert header[:2] == ["#", "wavelab-field"]
+        assert fh.readline().strip() == "r,t,value"
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return dict(tok.split("=", 1) for tok in header[2:]), rows
+
+
 def test_field_csv_roundtrip(tmp_path):
     g = CharGrid(0.25, 2.0, 1.0)
-    vals = np.arange((g.n_t + 1) * (g.n_r + 1), dtype=float).reshape(g.n_t + 1, -1)
+    vals = np.arange((g.n_t + 1) * (g.n_r + 1), dtype=float).reshape(g.n_t + 1, -1) / 7.0
     f = RadialField(g, vals, status="blown_up", t_b=1.25, p=2.0, A=1.0)
     path = tmp_path / "f.csv"
     f.to_csv(path)
-    back = RadialField.from_csv(path)
-    assert np.array_equal(back.samples, vals)
-    assert back.status == "blown_up" and back.t_b == 1.25
-    assert back.p == 2.0 and back.A == 1.0
+    meta, rows = _parse_field_csv(path)
+    assert meta == {"h": "0.25", "r_max": "2", "t_max": "1", "p": "2", "A": "1",
+                    "status": "blown_up", "t_b": "1.25"}
+    assert rows.shape == (vals.size, 3)
+    assert np.array_equal(rows[:, 0], np.tile(g.r_values(), g.n_t + 1))
+    assert np.array_equal(rows[:, 1], np.repeat(g.t_values(), g.n_r + 1))
+    assert np.array_equal(rows[:, 2].reshape(vals.shape), vals)   # 17 digits round-trip
 
 
-def test_field_csv_truncated_rejected(tmp_path):
+def test_field_save_load_roundtrip_bitwise(tmp_path):
+    g = CharGrid(0.1, 2.0, 1.0)
+    vals = np.sin(np.arange((g.n_t + 1) * (g.n_r + 1), dtype=float)).reshape(g.n_t + 1, -1)
+    vals[0, :3] = [-0.0, 5e-324, 1.0 / 3.0]
+    f = RadialField(g, vals, status="blown_up", t_b=0.7000000000000001, p=1 + 2**0.5, A=0.1)
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    f.save(a)
+    f.save(b)
+    assert a.read_bytes() == b.read_bytes()
+    with np.load(a) as npz:
+        assert sorted(npz.files) == ["meta", "samples"]
+    back = RadialField.load(a)
+    assert back.samples.dtype == np.float64
+    assert back.samples.tobytes() == vals.tobytes()
+    assert back.grid == g
+    assert (back.status, back.t_b, back.p, back.A) == ("blown_up", 0.7000000000000001,
+                                                         1 + 2**0.5, 0.1)
+    plain = RadialField(g, vals)
+    plain.save(a)
+    back = RadialField.load(a)
+    assert back.status == "complete" and back.t_b is None and back.p is None and back.A is None
+
+
+def test_field_npz_truncated_rejected(tmp_path):
     g = CharGrid(0.25, 1.0, 0.5)
     f = RadialField(g, np.zeros((3, 5)))
-    path = tmp_path / "f.csv"
-    f.to_csv(path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-2]) + "\n")
-    with pytest.raises(ValueError, match="CSV"):
-        RadialField.from_csv(path)
+    path = tmp_path / "f.npz"
+    f.save(path)
+    path.write_bytes(path.read_bytes()[:-40])
+    with pytest.raises(FieldFormatError, match="npz"):
+        RadialField.load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +245,25 @@ def test_linear_radial_matches_pointwise_dalembert(h):
         assert np.array_equal(got, want)
     else:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_bump_profile_continuous_at_off_lattice_rho():
+    # rho = 1 falls between the last two knots; it becomes a knot, so the
+    # profile falls to zero there instead of jumping
+    knots = np.arange(0.0, 1.037, 0.037)
+    f, g = bump_profile(5.0, RHO, knots), bump_profile(-3.0, RHO, knots)
+    assert RHO not in knots and RHO in g.r
+    for prof in (f, g):
+        assert prof(RHO) == 0.0
+        assert abs(prof(np.nextafter(RHO, 0.0))) <= 1e-15
+    # on |r - t| = rho the table (k*h) and the pointwise (h*i - h*j) d'Alembert
+    # read the profile on either side of rho; they now agree to round-off
+    grid = CharGrid(0.1, 4.0, 3.0)
+    got = linear_radial(f, g, grid).samples
+    want = _pointwise_dalembert(f, g, grid)
+    jj, ii = np.indices(want.shape)
+    diag = np.abs(ii - jj) == 10
+    assert np.max(np.abs(got[diag] - want[diag])) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_unforced_march_is_linear_radial():
