@@ -18,20 +18,20 @@ from .diagnostics import (ChainConfig, DiagnosticsReport, GridTooShortError,
                           check_pointwise_lower_bound, choose_epsilon, compute_M,
                           gronwall_params_from_chain, s_exponent, select_t2_delta)
 from .profiles import RadialProfile, bump_profile, zero_profile
-from .regions import (Cone, RegionBrt, RegionQ, RegionQrt, RegionR, RegionT,
-                      Sigma, SigmaPrime, area, contains, subset_check)
+from .regions import (RegionBrt, RegionQ, RegionQrt, RegionR, RegionT, Sigma,
+                      SigmaPrime, area, contains, subset_check)
 from .solver import (BlowupFit, CharGrid, Problem, RadialField, apply_P,
                      detect_blowup_time, integral_residual, linear_radial,
                      normalize_coefficient, solve_forced, solve_march)
 from .spherical import (ScalarField3, SphereQuadrature, build_sphere_quadrature,
-                        reduce_initial_data, spherical_mean)
+                        spherical_mean)
 
 __all__ = [
     "__version__",
-    "Cone", "RegionR", "RegionT", "RegionQ", "RegionQrt", "RegionBrt",
+    "RegionR", "RegionT", "RegionQ", "RegionQrt", "RegionBrt",
     "Sigma", "SigmaPrime", "contains", "area", "subset_check",
     "ScalarField3", "SphereQuadrature", "build_sphere_quadrature",
-    "spherical_mean", "reduce_initial_data",
+    "spherical_mean",
     "RadialProfile", "bump_profile", "zero_profile",
     "Problem", "CharGrid", "RadialField", "BlowupFit", "apply_P",
     "linear_radial", "solve_march", "solve_forced", "detect_blowup_time",

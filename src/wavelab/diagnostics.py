@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .regions import _UNBOUNDED, RegionT, StripBounds, strip_quadrature
+from .regions import RegionBrt, RegionT, StripBounds, strip_quadrature
 from .solver import RadialField
 
 __all__ = [
@@ -434,7 +434,7 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
     if jb.size:
         j_star = int(round(t_star / h))
         lam_src = h * np.arange(field.grid.n_r + 1) * np.clip(field.samples, 0.0, None) ** p
-        brt = StripBounds(jb - ib, jb + ib, j_star, jb - ib, 0, _UNBOUNDED)
+        brt = StripBounds.from_region(RegionBrt(ib, jb, j_star), 1)
         rhs_b = A * (strip_quadrature(lam_src, brt) * h * h / (2.0 * ib * h))
         lhs_b = field.samples[jb, ib]
         tables.append(InequalityTable.build(

@@ -2,7 +2,8 @@
 
 A profile stores values on an ascending radius grid starting at 0 and is
 treated as piecewise linear between knots and identically zero beyond its
-support radius.  Besides evaluation it exposes the two quantities the
+support radius rho, which is made a knot (value 0) when it falls inside the
+grid, so the profile is continuous at rho.  Besides evaluation it exposes the two quantities the
 one-dimensional reduction of the homogeneous wave solution needs:
 
 * ``derivative(x)`` of the interpolant, centred at knots so that knot queries
@@ -38,6 +39,11 @@ class RadialProfile:
             raise ValueError("profile values must be finite")
         if self.rho <= 0:
             raise ValueError("support radius must be positive")
+        if r[0] < self.rho < r[-1] and not np.any(r == self.rho):
+            # rho as a knot: the interpolant falls to zero at rho, where
+            # __call__ zeroes x > rho, so the profile is continuous there
+            k = np.searchsorted(r, self.rho)
+            r, v = np.insert(r, k, self.rho), np.insert(v, k, 0.0)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "values", v)
         # cumulative integral of y*v(y) over whole cells, one entry per knot
@@ -102,14 +108,8 @@ class RadialProfile:
 
 
 def bump_profile(amplitude, rho, grid_r):
-    """amplitude * (1 - (r/rho)^2)^3 inside the support, zero outside.
-
-    rho is made a knot when grid_r lacks it, so the interpolant falls to zero
-    at rho and the profile is continuous there (``__call__`` zeroes x > rho).
-    """
+    """amplitude * (1 - (r/rho)^2)^3 inside the support, zero outside."""
     grid_r = np.asarray(grid_r, dtype=float)
-    if not np.any(grid_r == rho):
-        grid_r = np.insert(grid_r, np.searchsorted(grid_r, rho), rho)
     x = np.clip(1.0 - (grid_r / rho) ** 2, 0.0, None)
     return RadialProfile(grid_r, amplitude * x**3, rho)
 

@@ -9,38 +9,44 @@ rotated coordinates
 
 every region becomes an axis-aligned box ``{alpha_lo <= alpha <= alpha_hi,
 beta_lo <= beta <= beta_hi, s_lo <= s <= s_hi}`` clipped to the quarter-plane
-``lambda >= 0, s >= 0``.  The Jacobian of (alpha, beta) -> (lambda, s) is 1/2,
-so strip-intersection areas are products of strip widths divided by two.
+``lambda >= 0, s >= 0``.  The Jacobian of (alpha, beta) -> (lambda, s) is 1/2.
 
 Seven region kinds are supported:
 
     R(r, t)                backward influence region of the point (r, t)
     T(t2, delta)           fixed band below the line s = lambda + t2
     Q(t2, delta)           unbounded companion band of T
-    Qrt(r, t, t2, delta)   sliding parallelogram, area exactly r*delta
+    Qrt(r, t, t2, delta)   sliding parallelogram, area r*delta above Sigma
     Brt(r, t, t_star)      sliding parallelogram above beta = t_star
     Sigma(t_star)          interior cone {0 <= r <= t - t_star} (read as (r,t))
     SigmaPrime(t_star)     its image {t_star <= t <= r} under (r,t) -> (t+r, t-r)
 
-Membership uses closed boundaries throughout.  Besides membership, this module
-provides exact strip areas, quasi-random subset testing, and the one
-second-order quadrature on a uniform characteristic lattice that the solver
-and the diagnostics share: full cells use the four-corner product trapezoid,
+A kind is nothing but its ``strip_bounds()``; everything else derives from
+them.  Membership uses closed boundaries throughout.  The same bounds, read as
+exact rational half-planes in (alpha, beta), give each bounded region's
+vertices, hence its exact area (shoelace) and exact inclusion between regions
+(inner lies in outer iff every vertex of inner does).  On a uniform
+characteristic lattice they give the integer bounds of
+:class:`StripBounds`, and the one second-order quadrature that the solver and
+the diagnostics share: full cells use the four-corner product trapezoid,
 boundary cells cut by a 45-degree line the exact three-vertex rule on the kept
 triangle.  :func:`strip_quadrature` applies it to a batch of regions by a
 prefix-sum row walk; :func:`lattice_weights` builds the same weights as a
 dense array and is kept as the reference the tests compare against.
+
+The fields of a kind may be integer arrays (lattice indices with h = 1), one
+entry per region of a batch, for :meth:`StripBounds.from_region`.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
-from scipy.stats import qmc
 
 __all__ = [
-    "Cone",
     "RegionR",
     "RegionT",
     "RegionQ",
@@ -59,130 +65,87 @@ __all__ = [
 _UNBOUNDED = 10**15  # integer sentinel for one-sided strips on the lattice
 
 
+def _require(bad, message):
+    if np.any(bad):
+        raise ValueError(message)
+
+
 # ---------------------------------------------------------------------------
 # Region types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cone:
-    """Solid light cone with apex on the radial axis, unit wave speed.
+class _StripRegion:
+    """Shared behaviour of the kinds, all of it read from ``strip_bounds()``.
 
-    ``direction="forward"`` gives {(r, t): |r - apex_r| <= t - apex_t, t >= 0},
-    ``direction="backward"`` the mirror image with apex_t - t.
+    ``strip_bounds()`` returns ``(a_lo, a_hi, b_lo, b_hi, s_lo, s_hi)``, the
+    closed bounds on alpha, beta and s, with None for a missing side.
     """
 
-    apex_r: float
-    apex_t: float
-    direction: str = "forward"
+    def contains(self, lam, s):
+        lam = np.asarray(lam, dtype=float)
+        s = np.asarray(s, dtype=float)
+        a_lo, a_hi, b_lo, b_hi, s_lo, s_hi = self.strip_bounds()
+        inside = (lam >= 0) & (s >= 0)
+        for v, lo, hi in ((lam + s, a_lo, a_hi), (s - lam, b_lo, b_hi), (s, s_lo, s_hi)):
+            if lo is not None:
+                inside = inside & (v >= lo)
+            if hi is not None:
+                inside = inside & (v <= hi)
+        return inside
 
-    def __post_init__(self):
-        if self.apex_t < 0:
-            raise ValueError("cone apex must satisfy apex_t >= 0")
-        if self.direction not in ("forward", "backward"):
-            raise ValueError("direction must be 'forward' or 'backward'")
-
-    def contains(self, r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        if self.direction == "forward":
-            inside = np.abs(r - self.apex_r) <= (t - self.apex_t)
-        else:
-            inside = np.abs(r - self.apex_r) <= (self.apex_t - t)
-        return np.logical_and(inside, t >= 0)
-
-
-def _quarter_plane(lam, s):
-    return np.logical_and(lam >= 0, s >= 0)
+    def bounded(self):
+        # alpha <= a_hi bounds lambda and s in the quarter-plane
+        return self.strip_bounds()[1] is not None
 
 
 @dataclass(frozen=True)
-class RegionR:
+class RegionR(_StripRegion):
     """R(r, t) = {(lam, s): 0 <= s <= t, |r - t + s| <= lam <= r + t - s}."""
 
     r: float
     t: float
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("R(r, t) requires r > 0")
-        if self.t < 0:
-            raise ValueError("R(r, t) requires t >= 0")
-
-    kind = "R"
-
-    def contains(self, lam, s):
-        lam = np.asarray(lam, dtype=float)
-        s = np.asarray(s, dtype=float)
-        inside = (s <= self.t) & (np.abs(self.r - self.t + s) <= lam) & (lam <= self.r + self.t - s)
-        return inside & _quarter_plane(lam, s)
+        _require(self.r <= 0, "R(r, t) requires r > 0")
+        _require(self.t < 0, "R(r, t) requires t >= 0")
 
     def strip_bounds(self):
         # alpha in [t-r, t+r], beta <= t-r; s <= t is implied by the strips.
-        return (self.t - self.r, self.t + self.r, None, self.t - self.r, 0.0, self.t)
-
-    def bounded(self):
-        return True
+        return (self.t - self.r, self.t + self.r, None, self.t - self.r, 0.0, None)
 
 
 @dataclass(frozen=True)
-class RegionT:
+class RegionT(_StripRegion):
     """T = {t2+delta <= s+lam <= t2+2*delta, s-lam <= t2, s >= 0}."""
 
     t2: float
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("T requires delta > 0")
-        if self.t2 < 0:
-            raise ValueError("T requires t2 >= 0")
-
-    kind = "T"
-
-    def contains(self, lam, s):
-        lam = np.asarray(lam, dtype=float)
-        s = np.asarray(s, dtype=float)
-        a = lam + s
-        inside = (a >= self.t2 + self.delta) & (a <= self.t2 + 2 * self.delta) & (s - lam <= self.t2)
-        return inside & _quarter_plane(lam, s)
+        _require(self.delta <= 0, "T requires delta > 0")
+        _require(self.t2 < 0, "T requires t2 >= 0")
 
     def strip_bounds(self):
         return (self.t2 + self.delta, self.t2 + 2 * self.delta, None, self.t2, 0.0, None)
 
-    def bounded(self):
-        return True
-
 
 @dataclass(frozen=True)
-class RegionQ:
+class RegionQ(_StripRegion):
     """Q = {t2+2*delta <= s+lam, t2 <= s-lam <= t2+delta}; unbounded."""
 
     t2: float
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("Q requires delta > 0")
-        if self.t2 < 0:
-            raise ValueError("Q requires t2 >= 0")
-
-    kind = "Q"
-
-    def contains(self, lam, s):
-        lam = np.asarray(lam, dtype=float)
-        s = np.asarray(s, dtype=float)
-        inside = (lam + s >= self.t2 + 2 * self.delta) & (s - lam >= self.t2) & (s - lam <= self.t2 + self.delta)
-        return inside & _quarter_plane(lam, s)
+        _require(self.delta <= 0, "Q requires delta > 0")
+        _require(self.t2 < 0, "Q requires t2 >= 0")
 
     def strip_bounds(self):
         return (self.t2 + 2 * self.delta, None, self.t2, self.t2 + self.delta, 0.0, None)
 
-    def bounded(self):
-        return False
-
 
 @dataclass(frozen=True)
-class RegionQrt:
+class RegionQrt(_StripRegion):
     """Q(r, t) = {t-r <= lam+s <= t+r, t2 <= s-lam <= t2+delta}."""
 
     r: float
@@ -191,30 +154,15 @@ class RegionQrt:
     delta: float
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("Qrt requires r >= 0")
-        if self.delta <= 0:
-            raise ValueError("Qrt requires delta > 0")
-
-    kind = "Qrt"
-
-    def contains(self, lam, s):
-        lam = np.asarray(lam, dtype=float)
-        s = np.asarray(s, dtype=float)
-        a = lam + s
-        b = s - lam
-        inside = (a >= self.t - self.r) & (a <= self.t + self.r) & (b >= self.t2) & (b <= self.t2 + self.delta)
-        return inside & _quarter_plane(lam, s)
+        _require(self.r < 0, "Qrt requires r >= 0")
+        _require(self.delta <= 0, "Qrt requires delta > 0")
 
     def strip_bounds(self):
         return (self.t - self.r, self.t + self.r, self.t2, self.t2 + self.delta, 0.0, None)
 
-    def bounded(self):
-        return True
-
 
 @dataclass(frozen=True)
-class RegionBrt:
+class RegionBrt(_StripRegion):
     """B(r, t) = {t-r <= lam+s <= t+r, t_star <= s-lam <= t-r}."""
 
     r: float
@@ -222,76 +170,45 @@ class RegionBrt:
     t_star: float
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("Brt requires r >= 0")
-        if self.t_star < 0:
-            raise ValueError("Brt requires t_star >= 0")
-
-    kind = "Brt"
-
-    def contains(self, lam, s):
-        lam = np.asarray(lam, dtype=float)
-        s = np.asarray(s, dtype=float)
-        a = lam + s
-        b = s - lam
-        inside = (a >= self.t - self.r) & (a <= self.t + self.r) & (b >= self.t_star) & (b <= self.t - self.r)
-        return inside & _quarter_plane(lam, s)
+        _require(self.r < 0, "Brt requires r >= 0")
+        _require(self.t_star < 0, "Brt requires t_star >= 0")
 
     def strip_bounds(self):
         return (self.t - self.r, self.t + self.r, self.t_star, self.t - self.r, 0.0, None)
 
-    def bounded(self):
-        return True
-
 
 @dataclass(frozen=True)
-class Sigma:
+class Sigma(_StripRegion):
     """Interior cone {(r, t): 0 <= r <= t - t_star}, points read as (r, t)."""
 
     t_star: float
 
     def __post_init__(self):
-        if self.t_star <= 0:
-            raise ValueError("Sigma requires t_star > 0")
+        _require(self.t_star <= 0, "Sigma requires t_star > 0")
 
-    kind = "Sigma"
-
-    def contains(self, r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return (r >= 0) & (r <= t - self.t_star)
-
-    def bounded(self):
-        return False
+    def strip_bounds(self):
+        return (None, None, self.t_star, None, 0.0, None)
 
 
 @dataclass(frozen=True)
-class SigmaPrime:
+class SigmaPrime(_StripRegion):
     """Characteristic image {(r, t): t_star <= t <= r} of Sigma."""
 
     t_star: float
 
     def __post_init__(self):
-        if self.t_star <= 0:
-            raise ValueError("SigmaPrime requires t_star > 0")
+        _require(self.t_star <= 0, "SigmaPrime requires t_star > 0")
 
-    kind = "SigmaPrime"
-
-    def contains(self, r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return (t >= self.t_star) & (t <= r)
-
-    def bounded(self):
-        return False
+    def strip_bounds(self):
+        return (None, None, None, 0.0, self.t_star, None)
 
 
 # ---------------------------------------------------------------------------
-# Membership, area, subset testing
+# Membership, exact area, exact inclusion
 # ---------------------------------------------------------------------------
 
 def contains(region, point):
-    """Exact membership of ``point = (lam, s)`` with closed boundaries."""
+    """Membership of ``point = (lam, s)`` with closed boundaries."""
     lam, s = point
     result = region.contains(lam, s)
     if np.isscalar(lam) and np.isscalar(s):
@@ -299,80 +216,76 @@ def contains(region, point):
     return result
 
 
-def area(region):
-    """Exact area of a bounded region from its strip geometry.
+def _half_planes(region):
+    """Exact rows ``(c_a, c_b, d)``, meaning c_a*alpha + c_b*beta <= d, of region.
 
-    Each strip intersection is a parallelogram in (lam, s) whose area is the
-    product of the strip widths times the Jacobian 1/2; T carries an extra
-    exactly-integrated corner cut by the row s = 0.  Degenerate (zero-width)
-    regions have area 0.
+    Float bounds convert to Fraction exactly, so the rows are the region the
+    float predicate of :meth:`contains` describes, up to its own rounding.
     """
-    if isinstance(region, RegionQrt):
-        width_b = region.delta
-        # parallelogram formula needs the lowest corner above the axes
-        if region.t - region.r < region.t2 + region.delta:
-            raise ValueError("Qrt strip area needs t - r >= t2 + delta (point below Sigma)")
-        return region.r * width_b
-    if isinstance(region, RegionBrt):
-        width_b = region.t - region.r - region.t_star
-        if width_b <= 0:
-            return 0.0
-        return region.r * width_b
-    if isinstance(region, RegionT):
-        return region.t2 * region.delta + 0.75 * region.delta ** 2
-    if isinstance(region, RegionR):
-        r, t = region.r, region.t
-        if r >= t:
-            return t * t
-        return 2.0 * r * t - r * r
-    raise ValueError(f"unbounded region: {getattr(region, 'kind', type(region).__name__)}")
-
-
-def _bounding_box(region):
     a_lo, a_hi, b_lo, b_hi, s_lo, s_hi = region.strip_bounds()
-    if a_hi is None:
-        raise ValueError("unbounded region cannot be sampled")
-    if b_lo is None:
-        b_lo = -a_hi  # s >= 0 forces beta >= -alpha
-    lam_lo = max(0.0, 0.5 * (a_lo - b_hi))
-    lam_hi = 0.5 * (a_hi - b_lo)
-    s_lo_box = max(0.0, 0.5 * (a_lo + b_lo))
-    s_hi_box = 0.5 * (a_hi + b_hi)
-    return lam_lo, lam_hi, s_lo_box, s_hi_box
+    rows = [(-1, 1, Fraction(0)), (-1, -1, Fraction(0))]       # lambda >= 0, s >= 0
+    # alpha, beta and 2s = alpha + beta against their bounds
+    for c_a, c_b, scale, lo, hi in ((1, 0, 1, a_lo, a_hi), (0, 1, 1, b_lo, b_hi),
+                                    (1, 1, 2, s_lo, s_hi)):
+        if lo is not None:
+            rows.append((-c_a, -c_b, -scale * Fraction(lo)))
+        if hi is not None:
+            rows.append((c_a, c_b, scale * Fraction(hi)))
+    return rows
 
 
-def subset_check(inner, outer, samples, seed=0):
-    """Quasi-random inclusion test: every sampled point of inner lies in outer.
+def _satisfies(rows, point):
+    a, b = point
+    return all(c_a * a + c_b * b <= d for c_a, c_b, d in rows)
 
-    Points are drawn from a seeded Halton sequence over the bounding box of
-    inner and rejected against its membership predicate, so runs are
-    reproducible.  A degenerate inner region (no interior) passes vacuously.
-    This is a property test, not a proof.
+
+def _vertices(region):
+    """Vertices (alpha, beta) of a region, exact: its feasible line crossings.
+
+    For a bounded region these span it (its convex hull); an empty region has
+    none.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    rows = _half_planes(region)
+    points = set()
+    for (a1, b1, d1), (a2, b2, d2) in combinations(rows, 2):
+        det = a1 * b2 - a2 * b1
+        if det:
+            points.add(((d1 * b2 - d2 * b1) / det, (a1 * d2 - a2 * d1) / det))
+    return [p for p in points if _satisfies(rows, p)]
+
+
+def area(region):
+    """Exact area of a bounded region, the shoelace area of its vertices.
+
+    The vertex polygon lives in (alpha, beta), so its area is halved for
+    (lambda, s).  Empty and degenerate (zero-width) regions have area 0.
+    """
+    if not region.bounded():
+        raise ValueError(f"unbounded region: {type(region).__name__}")
+    pts = sorted(_vertices(region))
+    if len(pts) < 3:
+        return 0.0
+    # split the convex polygon by the chord between its extreme vertices into
+    # a lower and an upper chain, each monotone in the sort order
+    (a0, b0), (a1, b1) = pts[0], pts[-1]
+    side = [(a1 - a0) * (b - b0) - (b1 - b0) * (a - a0) for a, b in pts]
+    ring = ([pts[0]] + [p for p, c in zip(pts, side) if c < 0] + [pts[-1]]
+            + [p for p, c in zip(pts[::-1], side[::-1]) if c > 0])
+    twice = sum(a * b_next - a_next * b for (a, b), (a_next, b_next) in zip(ring, ring[1:] + ring[:1]))
+    return float(abs(twice) / 4)
+
+
+def subset_check(inner, outer):
+    """Exact inclusion test: True iff every point of inner lies in outer.
+
+    Both regions are convex, so inner lies in outer iff every vertex of inner
+    satisfies outer's half-planes; the arithmetic is exact in Fractions of the
+    float bounds.  An empty inner region passes; an unbounded one raises.
+    """
     if not inner.bounded():
         raise ValueError("inner region must be bounded")
-    lam_lo, lam_hi, s_lo, s_hi = _bounding_box(inner)
-    if lam_hi <= lam_lo or s_hi <= s_lo:
-        return True
-    engine = qmc.Halton(d=2, seed=seed)
-    accepted = 0
-    draws = 0
-    max_draws = 1000 * samples + 4096
-    while accepted < samples and draws < max_draws:
-        batch = engine.random(max(1024, samples))
-        draws += batch.shape[0]
-        lam = lam_lo + (lam_hi - lam_lo) * batch[:, 0]
-        s = s_lo + (s_hi - s_lo) * batch[:, 1]
-        keep = inner.contains(lam, s)
-        lam, s = lam[keep], s[keep]
-        if lam.size:
-            take = min(lam.size, samples - accepted)
-            if not np.all(outer.contains(lam[:take], s[:take])):
-                return False
-            accepted += take
-    return True
+    rows = _half_planes(outer)
+    return all(_satisfies(rows, v) for v in _vertices(inner))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +300,7 @@ class StripBounds:
     one-sided strips use +/- the _UNBOUNDED sentinel.  Bounds must sit on the
     lattice; :func:`from_region` validates and converts.  For
     :func:`strip_quadrature` the fields may be integer arrays, one entry per
-    region of a batch.
+    region of a batch, as ``from_region`` gives for a kind built from arrays.
     """
 
     a_lo: int
@@ -405,11 +318,11 @@ class StripBounds:
             if v is None:
                 out.append(default)
                 continue
-            q = v / h
-            qi = round(q)
-            if abs(q - qi) > 1e-6:
+            q = np.asarray(v) / h
+            qi = np.rint(q)
+            if np.any(np.abs(q - qi) > 1e-6):
                 raise ValueError(f"region bound {v} is not aligned to the lattice spacing {h}")
-            out.append(int(qi))
+            out.append(qi.astype(np.int64) if qi.ndim else int(qi))
         return StripBounds(*out)
 
     def window(self):

@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .profiles import RadialProfile
-from .regions import _UNBOUNDED, StripBounds, strip_quadrature
+from .regions import RegionR, StripBounds, strip_quadrature
 
 __all__ = [
     "Problem",
@@ -293,11 +293,6 @@ class RadialField:
 # The P operator
 # ---------------------------------------------------------------------------
 
-def _region_R(i, j):
-    """Strip bounds of R(i*h, j*h) in lattice units; i, j may be arrays."""
-    return StripBounds(j - i, j + i, -_UNBOUNDED, j - i, 0, j)
-
-
 def apply_P(source: RadialField, r: float, t: float) -> float:
     """Integral of (lambda/2r) * source over R(r, t), trapezoid on the lattice.
 
@@ -319,7 +314,8 @@ def apply_P(source: RadialField, r: float, t: float) -> float:
     if i + j > source.grid.n_r:
         raise ValueError("out of grid")
     g = h * np.arange(i + j + 1) * source.samples[: j + 1, : i + j + 1]
-    return float(strip_quadrature(g, _region_R(i, j))) * h * h / (2.0 * i * h)
+    bounds = StripBounds.from_region(RegionR(i, j), 1)
+    return float(strip_quadrature(g, bounds)) * h * h / (2.0 * i * h)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +583,8 @@ def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 409
                          indexing="ij")
     keep = ii + jj <= grid.n_r
     jj, ii = jj[keep], ii[keep]
-    pval = strip_quadrature(sigma, _region_R(ii, jj)) * grid.h * grid.h / (2.0 * ii * grid.h)
+    bounds = StripBounds.from_region(RegionR(ii, jj), 1)
+    pval = strip_quadrature(sigma, bounds) * grid.h * grid.h / (2.0 * ii * grid.h)
     res = field.samples[jj, ii] - u0.samples[jj, ii] - problem.A * pval
     if res.size == 0:
         return {"residual_linf": 0.0, "residual_l2": 0.0, "nodes": 0}

@@ -17,14 +17,11 @@ from typing import Callable
 
 import numpy as np
 
-from .profiles import RadialProfile
-
 __all__ = [
     "ScalarField3",
     "SphereQuadrature",
     "build_sphere_quadrature",
     "spherical_mean",
-    "reduce_initial_data",
 ]
 
 
@@ -42,15 +39,6 @@ class ScalarField3:
     def __call__(self, points, t=0.0):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return np.asarray(self.evaluator(points, t), dtype=float)
-
-    def check_support(self, rng=None, samples=256, tol=1e-12):
-        """Sample outside the stated support and verify the field vanishes."""
-        rng = np.random.default_rng(0) if rng is None else rng
-        radii = self.support_radius * (1.0 + rng.uniform(0.05, 3.0, samples))
-        dirs = rng.normal(size=(samples, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        vals = self(dirs * radii[:, None], 0.0)
-        return bool(np.all(np.abs(vals) <= tol))
 
 
 @dataclass(frozen=True)
@@ -105,16 +93,3 @@ def spherical_mean(field: ScalarField3, r: float, t: float, quad: SphereQuadratu
         return 0.0
     vals = field(r * quad.nodes, t)
     return float(np.dot(quad.weights, vals))
-
-
-def reduce_initial_data(f: ScalarField3, g: ScalarField3, grid_r, quad: SphereQuadrature):
-    """Reduce 3-D initial data (f, g) to sampled radial profiles (fbar, gbar)."""
-    grid_r = np.asarray(grid_r, dtype=float)
-    if grid_r.ndim != 1 or grid_r.size < 2 or grid_r[0] != 0.0 or np.any(np.diff(grid_r) <= 0):
-        raise ValueError("grid unsorted: radii must ascend strictly from 0")
-    rho = max(f.support_radius, g.support_radius)
-    fbar = np.array([spherical_mean(f, r, 0.0, quad) for r in grid_r])
-    gbar = np.array([spherical_mean(g, r, 0.0, quad) for r in grid_r])
-    fbar[grid_r > f.support_radius] = 0.0
-    gbar[grid_r > g.support_radius] = 0.0
-    return (RadialProfile(grid_r, fbar, rho), RadialProfile(grid_r, gbar, rho))

@@ -211,9 +211,9 @@ def test_criterion_9_determinism(tmp_path, crit4_run):
     prob, first = crit4_run
     grid = first.grid
     second = solve_march(blowup_problem(grid), grid, residual_nodes=0)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    first.to_csv(a)
-    second.to_csv(b)
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    first.save(a)
+    second.save(b)
     same = a.read_bytes() == b.read_bytes()
     _report(9, same, f"two consecutive runs, {a.stat().st_size} bytes, byte-identical={same}")
     assert same

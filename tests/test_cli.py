@@ -1,13 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wavelab
 from wavelab import __version__, cli
 from wavelab.cli import main
 from wavelab.gronwall import WindowTooShortError
-from wavelab.config import (ConfigError, apply_overrides, config_hash,
+from wavelab.config import (ConfigError, DataSpec, apply_overrides, config_hash,
                             parse_run_config, parse_sweep_config)
 from wavelab.solver import RadialField
 
@@ -58,6 +62,29 @@ def test_exactly_one_data_profile():
             "grid": {"t_max": 1.0}}
     with pytest.raises(ConfigError, match="custom-csv needs"):
         parse_run_config(doc2)
+
+
+def test_custom_csv_profile_continuous_at_rho(tmp_path):
+    # knots 0, 0.3, ..., 1.2 of the bump straddle rho = 1 without hitting it
+    knots = np.arange(5) * 0.3
+    path = tmp_path / "g.csv"
+    values = 10.0 * np.clip(1.0 - knots**2, 0.0, None) ** 3
+    path.write_text("r,value\n" + "".join(f"{r:.17g},{v:.17g}\n" for r, v in zip(knots, values)))
+    f, g = DataSpec("custom-csv", 1.0, g_csv=str(path)).build_profiles(knots)
+    below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    assert abs(g(below)) <= 1e-12 and g(above) == 0.0
+    assert 1.0 in g.r and g(1.0) == 0.0
+    assert g.moment_integral(1.2) == g.moment_integral(1.0)
+    assert np.all(f.values == 0.0)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = os.path.dirname(os.path.dirname(wavelab.__file__))
+    code = "import sys, wavelab.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_default_h_is_rho_over_128():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from wavelab import regions
-from wavelab.regions import (_UNBOUNDED, Cone, RegionBrt, RegionQ, RegionQrt,
-                             RegionR, RegionT, Sigma, SigmaPrime, StripBounds,
-                             area, contains, lattice_weights, strip_quadrature,
+from wavelab.regions import (_UNBOUNDED, RegionBrt, RegionQ, RegionQrt, RegionR,
+                             RegionT, Sigma, SigmaPrime, StripBounds, area,
+                             contains, lattice_weights, strip_quadrature,
                              subset_check)
 
 
@@ -25,13 +25,41 @@ def test_membership_vectorised_and_boundaries_closed():
     assert got.tolist() == [True, True, False]
 
 
-def test_cone_membership():
-    fw = Cone(0.0, 1.0, "forward")
-    assert fw.contains(0.5, 2.0) and not fw.contains(3.0, 2.0)
-    bw = Cone(0.0, 2.0, "backward")
-    assert bw.contains(1.0, 0.5) and not bw.contains(1.0, 3.0)
-    with pytest.raises(ValueError):
-        Cone(0.0, -1.0)
+def _reference_contains(reg, lam, s):
+    """Each kind's membership written out by hand, the oracle for contains."""
+    a, b = lam + s, s - lam
+    quarter = (lam >= 0) & (s >= 0)
+    if isinstance(reg, RegionR):
+        return (s <= reg.t) & (np.abs(reg.r - reg.t + s) <= lam) & (lam <= reg.r + reg.t - s) & quarter
+    if isinstance(reg, RegionT):
+        return (a >= reg.t2 + reg.delta) & (a <= reg.t2 + 2 * reg.delta) & (b <= reg.t2) & quarter
+    if isinstance(reg, RegionQ):
+        return (a >= reg.t2 + 2 * reg.delta) & (b >= reg.t2) & (b <= reg.t2 + reg.delta) & quarter
+    if isinstance(reg, RegionQrt):
+        return ((a >= reg.t - reg.r) & (a <= reg.t + reg.r) & (b >= reg.t2)
+                & (b <= reg.t2 + reg.delta) & quarter)
+    if isinstance(reg, RegionBrt):
+        return ((a >= reg.t - reg.r) & (a <= reg.t + reg.r) & (b >= reg.t_star)
+                & (b <= reg.t - reg.r) & quarter)
+    if isinstance(reg, Sigma):
+        return (lam >= 0) & (lam <= s - reg.t_star)
+    return (s >= reg.t_star) & (s <= lam)                  # SigmaPrime, read as (r, t)
+
+
+def test_contains_matches_reference_on_dyadic_cloud():
+    # dyadic points and bounds: every sum is exact, so boundaries are hit exactly
+    lam, s = (v.ravel() for v in np.meshgrid(np.arange(-4, 57) / 8, np.arange(-4, 57) / 8))
+    kinds = [RegionR(1, 1), RegionR(0.5, 2.25), RegionR(3, 2), RegionT(0.5, 0.25),
+             RegionT(0, 1), RegionQ(0.5, 0.25), RegionQrt(0.75, 3, 0.5, 0.25),
+             RegionQrt(2, 3, 0.5, 1), RegionBrt(0.75, 3, 1), RegionBrt(1, 5, 2.5),
+             Sigma(1), Sigma(0.375), SigmaPrime(1), SigmaPrime(0.375)]
+    for reg in kinds:
+        want = _reference_contains(reg, lam, s)
+        assert 0 < want.sum() < want.size, reg
+        nudged = [_reference_contains(reg, lam + dl, s + ds)
+                  for dl, ds in ((1 / 16, 0), (-1 / 16, 0), (0, 1 / 16), (0, -1 / 16))]
+        assert (want & ~np.logical_and.reduce(nudged)).any(), reg   # boundary points included
+        assert np.array_equal(reg.contains(lam, s), want), reg
 
 
 def test_region_invariants_rejected():
@@ -41,6 +69,8 @@ def test_region_invariants_rejected():
         RegionT(0.0, 0.0)
     with pytest.raises(ValueError):
         Sigma(0.0)
+    with pytest.raises(ValueError):                       # validation covers index arrays
+        RegionR(np.array([1, 0]), np.array([2, 2]))
 
 
 def test_area_examples():
@@ -75,6 +105,14 @@ def test_area_qrt_monte_carlo_oracle():
     # lambda in [(9-2.5)/2, (11-2)/2], s in [(9+2)/2, (11+2.5)/2]
     est, sigma = _mc_area(reg, 3.25, 4.5, 5.5, 6.75, seed=77)
     assert abs(est - 1.0 * 0.5) <= 3 * sigma
+
+
+def test_area_qrt_below_sigma_is_clipped():
+    # t - r < t2 + delta: lambda >= 0 cuts a corner off the parallelogram
+    reg = RegionQrt(2, 3, 0.5, 1.0)
+    assert area(reg) == 2.0 - 0.0625
+    est, sigma = _mc_area(reg, 0.0, 2.25, 0.75, 3.25, seed=99)
+    assert abs(est - area(reg)) <= 3 * sigma
 
 
 def test_area_T_against_shoelace():
@@ -166,22 +204,44 @@ def test_strip_quadrature_matches_lattice_weights(monkeypatch):
     np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=1e-13)
 
 
+def test_from_region_on_index_arrays():
+    # R(i, j) from integer index arrays, as the solver builds it, against the
+    # hand-written bounds that also carry the redundant row cap s <= t
+    rng = np.random.default_rng(8)
+    g = rng.random((40, 60))
+    jj, ii = rng.integers(0, 39, 300), rng.integers(1, 21, 300)
+    b = StripBounds.from_region(RegionR(ii, jj), 1)
+    assert b.a_hi.dtype == np.int64 and b.a_hi.shape == (300,)
+    hand = StripBounds(jj - ii, jj + ii, -_UNBOUNDED, jj - ii, 0, jj)
+    assert np.array_equal(strip_quadrature(g, b), strip_quadrature(g, hand))
+    with pytest.raises(ValueError, match="not aligned"):
+        StripBounds.from_region(RegionR(np.array([1.0, 1.5]), np.array([2.0, 2.0])), 1)
+
+
 def test_subset_examples():
-    assert subset_check(RegionQrt(1, 10, 2, 0.5), RegionR(1, 10), 10**4)
-    assert subset_check(RegionBrt(2, 12, 5), Sigma(5), 10**4)
-    assert not subset_check(RegionR(1, 10), RegionQrt(1, 10, 2, 0.5), 10**4)
+    assert subset_check(RegionQrt(1, 10, 2, 0.5), RegionR(1, 10))
+    assert subset_check(RegionBrt(2, 12, 5), Sigma(5))
+    assert not subset_check(RegionR(1, 10), RegionQrt(1, 10, 2, 0.5))
     with pytest.raises(ValueError):
-        subset_check(RegionQ(1, 1), RegionR(1, 10), 100)
-    with pytest.raises(ValueError):
-        subset_check(RegionR(1, 1), RegionR(1, 2), 0)
+        subset_check(RegionQ(1, 1), RegionR(1, 10))
 
 
 def test_subset_degenerate_inner_vacuous():
-    assert subset_check(RegionQrt(0.0, 10.0, 2.0, 0.5), RegionR(1, 10), 100)
+    assert subset_check(RegionQrt(0.0, 10.0, 2.0, 0.5), RegionR(1, 10))
+    assert subset_check(RegionBrt(2, 6.5, 5), RegionR(0.5, 1))   # empty beta strip
+
+
+def test_subset_is_exact():
+    # a sliver 1e-9 wide past R's alpha line, which point sampling misses
+    assert subset_check(RegionQrt(1, 10, 2, 0.5), RegionR(1, 10))
+    assert not subset_check(RegionQrt(1, 10 + 1e-9, 2, 0.5), RegionR(1, 10))
+    # touching boundaries are inside (closed regions), a zero-width inner is checked
+    assert subset_check(RegionBrt(1, 10, 2), RegionQrt(1, 10, 2, 7))
+    assert not subset_check(RegionQrt(0.0, 10.0, 2.0, 0.5), RegionR(1, 8))
 
 
 def test_inclusion_chain_on_sigma_random_draws():
-    # the four inclusions for (r, t) in Sigma, 100 random draws, 1e4 samples
+    # the four inclusions for (r, t) in Sigma, 100 random draws
     rng = np.random.default_rng(42)
     for trial in range(100):
         t2 = float(rng.uniform(0.0, 2.0))
@@ -190,15 +250,14 @@ def test_inclusion_chain_on_sigma_random_draws():
         t = t_star + float(rng.uniform(0.05, 5.0))
         r = float(rng.uniform(0.0, t - t_star))
         R = RegionR(max(r, 1e-9), t)
-        seed = 1000 + trial
-        assert subset_check(RegionQrt(r, t, t2, d), R, 10**4, seed=seed)
-        assert subset_check(RegionBrt(r, t, t_star), R, 10**4, seed=seed)
-        assert subset_check(RegionQrt(r, t, t2, d), RegionQ(t2, d), 10**4, seed=seed)
-        assert subset_check(RegionBrt(r, t, t_star), Sigma(t_star), 10**4, seed=seed)
+        assert subset_check(RegionQrt(r, t, t2, d), R)
+        assert subset_check(RegionBrt(r, t, t_star), R)
+        assert subset_check(RegionQrt(r, t, t2, d), RegionQ(t2, d))
+        assert subset_check(RegionBrt(r, t, t_star), Sigma(t_star))
 
 
 def test_fixed_T_inside_every_R_from_Q():
-    # T is contained in R(r, t) for every (r, t) in Q, sampled
+    # T is contained in R(r, t) for every (r, t) in Q, 25 random draws
     rng = np.random.default_rng(5)
     t2, d = 0.6, 0.35
     T = RegionT(t2, d)
@@ -208,7 +267,7 @@ def test_fixed_T_inside_every_R_from_Q():
         alpha = t2 + 2 * d + float(rng.uniform(0, 4.0))
         r, t = (alpha - beta) / 2.0, (alpha + beta) / 2.0
         assert contains(Q, (r, t))
-        assert subset_check(T, RegionR(r, t), 4000, seed=50 + k)
+        assert subset_check(T, RegionR(r, t))
 
 
 def test_area_of_R_monotone_in_t_membership_is_not():

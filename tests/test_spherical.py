@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from wavelab.profiles import RadialProfile, bump_profile
-from wavelab.spherical import (ScalarField3, build_sphere_quadrature,
-                               reduce_initial_data, spherical_mean)
+from wavelab.spherical import ScalarField3, build_sphere_quadrature, spherical_mean
 
 
 @pytest.fixture(scope="module")
@@ -109,36 +108,6 @@ def test_jensen_inequality_on_samples(quad, p):
             lhs = spherical_mean(fp, r, 0.0, quad)
             rhs = abs(spherical_mean(f, r, 0.0, quad))**p
             assert lhs >= rhs - 1e-12 * max(1.0, lhs)
-
-
-def test_reduce_initial_data_radial_bump(quad):
-    grid_r = np.linspace(0.0, 2.0, 129)
-    bump = bump_profile(1.0, 1.0, np.linspace(0, 2, 1025))
-    f = ScalarField3(lambda pts, t: bump(np.linalg.norm(pts, axis=1)), 1.0)
-    g = ScalarField3(lambda pts, t: np.zeros(len(pts)), 1.0)
-    fbar, gbar = reduce_initial_data(f, g, grid_r, quad)
-    assert np.allclose(fbar.values, bump(grid_r), atol=1e-12)
-    assert np.all(gbar.values == 0.0)
-    # (1 - |x|^2)^3 at r = 0.5 -> 0.421875
-    assert fbar(0.5) == pytest.approx(0.421875, abs=1e-9)
-    # zero beyond the support
-    assert np.all(fbar.values[grid_r > 1.0] == 0.0)
-
-
-def test_reduce_initial_data_rejects_bad_grid(quad):
-    f = ScalarField3(lambda pts, t: np.zeros(len(pts)), 1.0)
-    with pytest.raises(ValueError, match="grid unsorted"):
-        reduce_initial_data(f, f, np.array([0.0, 0.5, 0.25]), quad)
-    with pytest.raises(ValueError, match="grid unsorted"):
-        reduce_initial_data(f, f, np.array([0.1, 0.5, 1.0]), quad)
-
-
-def test_support_check():
-    prof = bump_profile(1.0, 1.0, np.linspace(0, 2, 257))
-    good = ScalarField3(lambda pts, t: prof(np.linalg.norm(pts, axis=1)), 1.0)
-    bad = ScalarField3(lambda pts, t: np.ones(len(pts)), 1.0)
-    assert good.check_support()
-    assert not bad.check_support()
 
 
 def test_profile_csv_roundtrip(tmp_path):
