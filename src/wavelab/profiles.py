@@ -3,8 +3,9 @@
 A profile stores values on an ascending radius grid starting at 0 and is
 treated as piecewise linear between knots and identically zero beyond its
 support radius rho, which is made a knot (value 0) when it falls inside the
-grid, so the profile is continuous at rho.  Besides evaluation it exposes the two quantities the
-one-dimensional reduction of the homogeneous wave solution needs:
+grid, so the profile is continuous at rho.  Besides evaluation it exposes the
+two quantities the one-dimensional reduction of the homogeneous wave solution
+needs:
 
 * ``derivative(x)`` of the interpolant, centred at knots so that knot queries
   (which is where the solver asks) stay second-order accurate;
