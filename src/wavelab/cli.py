@@ -5,9 +5,10 @@ result, not a failure), 2 configuration or parse errors, 3 numerical errors or
 failed verdicts, 4 insufficient grid (extend t_max or the sample window).
 Every artifact except the manifests is deterministic: the field is one npz
 whose zip entries carry a fixed timestamp, and every CSV uses 17 significant
-digits.  Wall-clock data (timings, peak RSS) lives only in the run manifests.
-The WAVELAB_LOG environment variable selects the log level
-(DEBUG/INFO/WARNING/ERROR); there is no other environment coupling.
+digits.  Wall-clock data (timings, peak RSS) lives only in the run manifests,
+`manifest.json` and `diagnose_manifest.json`.  The WAVELAB_LOG environment
+variable selects the log level (DEBUG/INFO/WARNING/ERROR); there is no other
+environment coupling.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ def _finite_or_none(x):
     return x if x is not None and math.isfinite(x) else None
 
 
+def _peak_rss_mb():      # of this process so far; ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def _manifest(config_doc, extra):
     return {
         "config": config_doc,
@@ -97,8 +102,7 @@ def _run_solve(cfg: RunConfig, out_dir: Path):
         "wall_time_s": marched - started,       # march plus residual, as before
         "timings": {"march_s": marched - started, "field_write_s": written - marched,
                     "blowup_fit_s": fitted - written},
-        # peak RSS of this process so far; ru_maxrss is in KiB on Linux
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": _peak_rss_mb(),
         "status": fld.status,
         "t_b": fld.t_b,
         "fitted_t_b": None if fit is None else fit.fitted_t_b,
@@ -132,21 +136,30 @@ def _lattice_round(x, h, up_even=False):
 
 def _run_diagnose(cfg: RunConfig, field_path, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
+    clock = time.perf_counter()
     field = RadialField.load(field_path)
+    timings = {"field_read_s": time.perf_counter() - clock, "select_s": None}
     p = field.p if field.p is not None else cfg.p
     A = field.A if field.A is not None else cfg.A
     grid = field.grid
     if cfg.t2 is None or cfg.delta is None:
+        clock = time.perf_counter()
         f_prof, g_prof = cfg.data.build_profiles(grid.r_values())
         t2, delta = select_t2_delta(field, linear_radial(f_prof, g_prof, grid), cfg.data.rho)
+        timings["select_s"] = time.perf_counter() - clock
     if cfg.t2 is not None:
         t2 = _lattice_round(cfg.t2, grid.h) if cfg.t2 > 0 else 0.0
     if cfg.delta is not None:
         delta = _lattice_round(cfg.delta, grid.h, up_even=True)
 
+    clock = time.perf_counter()
     report = check_chain(field, ChainConfig(p, A, t2, delta, cfg.epsilon))
+    timings["check_chain_s"] = time.perf_counter() - clock
+    clock = time.perf_counter()
     _write_json(out_dir / "diagnostics.json", report.to_json_dict())
     report.tables_to_csv(out_dir / "residuals.csv")
+    timings["tables_s"] = time.perf_counter() - clock
+    clock = time.perf_counter()
 
     cert_doc = {"r_star_note": "failure radius derived from the lemma's proof, "
                                "not part of its statement"}
@@ -181,6 +194,10 @@ def _run_diagnose(cfg: RunConfig, field_path, out_dir: Path):
         except ValueError as exc:
             cert_doc["skipped"] = f"hypotheses not met on this window: {exc}"
     _write_json(out_dir / "gronwall.json", cert_doc)
+    timings["certify_s"] = time.perf_counter() - clock
+    # not manifest.json: without --output this is the solve directory
+    _write_json(out_dir / "diagnose_manifest.json",
+                _manifest(cfg.raw, {"timings": timings, "peak_rss_mb": _peak_rss_mb()}))
 
     if not report.holds:
         log.warning("diagnose: chain violated")

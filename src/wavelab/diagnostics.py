@@ -67,6 +67,7 @@ __all__ = [
 CRITICAL_P = 1.0 + math.sqrt(2.0)
 BRT_SAMPLES = 60    # Sigma nodes checked by the region integral bound
 G1_SAMPLES = 144    # (alpha, beta) pairs checked by the weighted functional bound
+_GRID_ROWS = 256    # alpha-rows of the characteristic grid held at once
 
 
 class GridTooShortError(ValueError):
@@ -150,15 +151,14 @@ class InequalityTable:
             raise ValueError(f"empty residual table for {inequality_id}")
         res = lhs - rhs
         k = int(np.argmin(res))
+        min_residual = float(res[k])
         holds = bool(np.all(res >= -tol))
         if lhs.size > max_rows:
             stride = lhs.size // max_rows + 1
             keep = np.unique(np.concatenate([np.arange(0, lhs.size, stride), [k]]))
             r, t, lhs, rhs, tol = r[keep], t[keep], lhs[keep], rhs[keep], tol[keep]
-            res_kept = lhs - rhs
-            k = int(np.argmin(res_kept))
-        return InequalityTable(inequality_id, r, t, lhs, rhs, tol, holds,
-                               float(res[np.argmin(res)]) if lhs.size else 0.0,
+            k = int(np.argmin(lhs - rhs))
+        return InequalityTable(inequality_id, r, t, lhs, rhs, tol, holds, min_residual,
                                (float(r[k]), float(t[k])), constants or {})
 
     @property
@@ -285,12 +285,9 @@ def _sigma_nodes(field: RadialField, t_star: float):
         raise ValueError("t_star is not lattice aligned")
     if j_star >= field.n_levels - 1:
         raise GridTooShortError("grid too short: no Sigma nodes below the defined horizon")
-    js, iss = [], []
-    for j in range(j_star, field.n_levels):
-        m = min(j - j_star, field.grid.n_r)
-        iss.append(np.arange(m + 1))
-        js.append(np.full(m + 1, j))
-    return np.concatenate(js), np.concatenate(iss)
+    counts = np.minimum(np.arange(field.n_levels - j_star), field.grid.n_r) + 1
+    js = np.repeat(np.arange(j_star, field.n_levels), counts)
+    return js, np.arange(js.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _chain_tol(h, lhs, rhs):
@@ -302,15 +299,16 @@ def check_pointwise_lower_bound(field: RadialField, config: ChainConfig) -> Ineq
     """u(r, t) >= C0 (t + r)^(1-p) at every defined lattice node of Sigma."""
     if config.C0 is None:
         raise ValueError("M/C0 not attached to config; call with_constants first")
+    return _pointwise_table(field, config, *_sigma_nodes(field, config.t_star))
+
+
+def _pointwise_table(field, config, js, iss):
     h = field.grid.h
-    js, iss = _sigma_nodes(field, config.t_star)
-    r = iss * h
-    t = js * h
+    r, t = iss * h, js * h
     lhs = field.samples[js, iss]
     rhs = config.C0 * (t + r) ** (1.0 - config.p)
     return InequalityTable.build("pointwise_lower_bound", r, t, lhs, rhs,
-                                 _chain_tol(h, lhs, rhs),
-                                 {"C0": config.C0})
+                                 _chain_tol(h, lhs, rhs), {"C0": config.C0})
 
 
 # ---------------------------------------------------------------------------
@@ -356,21 +354,56 @@ def H_of(field: RadialField, config: ChainConfig, r):
     return float(np.trapezoid(g, betas))
 
 
-def _f_grid(field: RadialField, config: ChainConfig, n: int, block: int = 256):
-    """F on the triangular (alpha, beta) lattice t_star + h*[0..n], beta <= alpha."""
-    h = field.grid.h
+def _region_integral_table(field, config, js, iss):
+    """Step 2 at BRT_SAMPLES Sigma nodes: one table, none if no B(r,t) fits the grid."""
+    h, n_r = field.grid.h, field.grid.n_r
+    keep = np.flatnonzero((iss >= 1) & (iss + js <= n_r))
+    keep = keep[::max(1, keep.size // BRT_SAMPLES)][:BRT_SAMPLES]
+    if not keep.size:
+        return []
+    jb, ib = js[keep], iss[keep]
+    # (lambda) u_+^p, built in place: it is the largest array of the step
+    lam_src = np.clip(field.samples, 0.0, None)
+    lam_src **= config.p
+    lam_src *= h * np.arange(n_r + 1)
+    brt = StripBounds.from_region(RegionBrt(ib, jb, int(round(config.t_star / h))), 1)
+    rhs_b = config.A * (strip_quadrature(lam_src, brt) * h * h / (2.0 * ib * h))
+    lhs_b = field.samples[jb, ib]
+    return [InequalityTable.build("region_integral_bound", ib * h, jb * h, lhs_b, rhs_b,
+                                  _chain_tol(h, lhs_b, rhs_b), {"A": config.A})]
+
+
+def _characteristic_pass(field, config, n, cols, tri_a, tri_b):
+    """F on the lattice t_star + h*[0..n], beta <= alpha, _GRID_ROWS alpha-rows at a time.
+
+    Returns alphas, H, J, G and K1 at the columns ``cols``, and F at the row-sorted
+    nodes (tri_a, tri_b).  Each row sums the same terms as on the full square grid,
+    so every value keeps its bits; past the diagonal K1 only adds exact zeros.
+    """
+    h, p, q = field.grid.h, config.p, config.q
     alphas = config.t_star + h * np.arange(n + 1)
-    F2 = np.zeros((n + 1, n + 1))
-    for lo in range(0, n + 1, block):
-        hi = min(lo + block, n + 1)
-        A_blk = alphas[lo:hi][:, None]
-        B_blk = alphas[None, :]
-        lam = (A_blk - B_blk) / 2.0
-        s = (A_blk + B_blk) / 2.0
-        vals = field.interpolate(np.clip(lam, 0.0, None), np.minimum(s, field.defined_t_max))
-        mask = B_blk <= A_blk
-        F2[lo:hi] = np.where(mask, vals, 0.0)
-    return F2, alphas
+    H_vals, J_int, F_tri = np.empty(n + 1), np.empty(n + 1), np.empty(tri_a.size)
+    G_cols, K1_cols = np.empty((n + 1, cols.size)), np.empty((n + 1, cols.size))
+    for lo in range(0, n + 1, _GRID_ROWS):
+        hi = min(lo + _GRID_ROWS, n + 1)
+        A_blk, B_blk = alphas[lo:hi, None], alphas[None, :hi]
+        db = A_blk - B_blk
+        vals = field.interpolate(np.clip(db / 2.0, 0.0, None),
+                                 np.minimum((A_blk + B_blk) / 2.0, field.defined_t_max))
+        F = np.where(db >= 0, vals, 0.0)
+        Fp = np.clip(F, 0.0, None) ** p
+        db_pos = np.where(db > 0, db, 0.0)
+        G = db_pos**q * F
+        diag = (np.arange(hi - lo), np.arange(lo, hi))
+        H_vals[lo:hi] = cumulative_trapezoid(G, dx=h, axis=1, initial=0.0)[diag]
+        J_int[lo:hi] = cumulative_trapezoid(db_pos ** (1.0 + q) * Fp, dx=h, axis=1,
+                                            initial=0.0)[diag]
+        c = np.minimum(cols, hi - 1)
+        G_cols[lo:hi] = G[:, c]
+        K1_cols[lo:hi] = cumulative_trapezoid(db_pos * Fp, dx=h, axis=1, initial=0.0)[:, c]
+        s0, s1 = np.searchsorted(tri_a, [lo, hi])
+        F_tri[s0:s1] = F[tri_a[s0:s1] - lo, tri_b[s0:s1]]
+    return alphas, H_vals, J_int, G_cols, K1_cols, F_tri
 
 
 # ---------------------------------------------------------------------------
@@ -418,64 +451,41 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
             "formula": "C_single * C_low^(p-1-eps)",
         }
 
-    tables = []
-
-    # 1. positivity of u on Sigma
+    # 1.-3. on the Sigma nodes: built once, dropped before the characteristic grid
     js, iss = _sigma_nodes(field, t_star)
     u_sigma = field.samples[js, iss]
-    tables.append(InequalityTable.build(
+    tables = [InequalityTable.build(
         "sigma_positivity", iss * h, js * h, u_sigma, np.zeros_like(u_sigma),
-        _chain_tol(h, u_sigma, np.maximum(np.abs(u_sigma), 1.0)), {}))
+        _chain_tol(h, u_sigma, 1.0), {})]
+    del u_sigma
+    tables += _region_integral_table(field, config, js, iss)
+    tables.append(_pointwise_table(field, config, js, iss))
+    del js, iss
 
-    # 2. region integral bound over B(r,t), sampled on Sigma
-    keep = (iss >= 1) & (iss + js <= field.grid.n_r)
-    stride = max(1, int(keep.sum()) // BRT_SAMPLES)
-    jb, ib = js[keep][::stride][:BRT_SAMPLES], iss[keep][::stride][:BRT_SAMPLES]
-    if jb.size:
-        j_star = int(round(t_star / h))
-        lam_src = h * np.arange(field.grid.n_r + 1) * np.clip(field.samples, 0.0, None) ** p
-        brt = StripBounds.from_region(RegionBrt(ib, jb, j_star), 1)
-        rhs_b = A * (strip_quadrature(lam_src, brt) * h * h / (2.0 * ib * h))
-        lhs_b = field.samples[jb, ib]
-        tables.append(InequalityTable.build(
-            "region_integral_bound", ib * h, jb * h, lhs_b, rhs_b,
-            _chain_tol(h, lhs_b, rhs_b), {"A": A}))
-
-    # 3. pointwise lower bounds on Sigma and in characteristic coordinates
-    tables.append(check_pointwise_lower_bound(field, config))
-
+    # every stride-th node (a, b) of the row-major lower triangle, m = a(a+1)/2 + b
     n = int(math.floor((field.defined_t_max - t_star) / h + 1e-9))
-    F2, alphas = _f_grid(field, config, n)
-    tri_a, tri_b = np.tril_indices(n + 1)
-    samp = slice(0, tri_a.size, max(1, tri_a.size // 20000))
-    lhs_f = F2[tri_a, tri_b][samp]
-    rhs_f = C0 * alphas[tri_a][samp] ** (1.0 - p)
-    tables.append(InequalityTable.build(
-        "inverse_power_lower_bound", alphas[tri_a][samp], alphas[tri_b][samp],
-        lhs_f, rhs_f, _chain_tol(h, lhs_f, rhs_f), {"C0": C0}))
-
-    # shared characteristic-grid quantities
-    Fp = np.clip(F2, 0.0, None) ** p
-    db = alphas[:, None] - alphas[None, :]
-    db_pos = np.where(db > 0, db, 0.0)
-    G2 = db_pos**q * F2
-    H_vals = cumulative_trapezoid(G2, dx=h, axis=1, initial=0.0)[np.arange(n + 1), np.arange(n + 1)]
-    J_int = cumulative_trapezoid(db_pos ** (1.0 + q) * Fp, dx=h, axis=1,
-                                 initial=0.0)[np.arange(n + 1), np.arange(n + 1)]
-    K1 = cumulative_trapezoid(db_pos * Fp, dx=h, axis=1, initial=0.0)
-
-    # 4. weighted functional bound (G form), sampled over Sigma-prime
+    n_tri = (n + 1) * (n + 2) // 2
+    m = np.arange(0, n_tri, max(1, n_tri // 20000))
+    tri_a = ((np.sqrt(8.0 * m + 1.0) - 1.0) // 2.0).astype(np.int64)
+    tri_b = m - tri_a * (tri_a + 1) // 2
     side = max(2, int(math.sqrt(G1_SAMPLES)))
     it_idx = np.unique(np.linspace(0, n - 1, side).astype(int))
+    alphas, H_vals, J_int, G_cols, K1_cols, lhs_f = _characteristic_pass(
+        field, config, n, it_idx, tri_a, tri_b)
+    rhs_f = C0 * alphas[tri_a] ** (1.0 - p)
+    tables.append(InequalityTable.build(
+        "inverse_power_lower_bound", alphas[tri_a], alphas[tri_b],
+        lhs_f, rhs_f, _chain_tol(h, lhs_f, rhs_f), {"C0": C0}))
+
+    # 4. weighted functional bound (G form), sampled over Sigma-prime
     lhs_g, rhs_g, rg, tg = [], [], [], []
-    for it in it_idx:
-        col = K1[:, it]
-        outer = cumulative_trapezoid(col, dx=h, initial=0.0)
+    for k, it in enumerate(it_idx):
+        outer = cumulative_trapezoid(K1_cols[:, k], dx=h, initial=0.0)
         ir_idx = np.unique(np.linspace(it, n, side).astype(int))
         for ir in ir_idx:
             if ir <= it:
                 continue
-            lhs_g.append(G2[ir, it])
+            lhs_g.append(G_cols[ir, k])
             rhs_g.append((A / 4.0) * (alphas[ir] - alphas[it]) ** (q - 1.0)
                          * (outer[ir] - outer[it]))
             rg.append(alphas[ir])

@@ -76,9 +76,9 @@ class RadialProfile:
         return out if out.shape != (1,) else float(out[0])
 
     def moment_integral(self, x):
-        """Exact integral of y*profile(y) dy from 0 to |x| (even in x)."""
+        """Exact integral of y*profile(y) dy from 0 to |x| (even in x); constant past rho."""
         x = np.abs(np.asarray(x, dtype=float))
-        xc = np.minimum(x, self.r[-1])
+        xc = np.minimum(x, min(self.rho, self.r[-1]))
         idx = np.clip(np.searchsorted(self.r, xc, side="right") - 1, 0, len(self.r) - 2)
         r0 = self.r[idx]
         r1 = self.r[idx + 1]

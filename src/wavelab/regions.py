@@ -444,8 +444,11 @@ def strip_quadrature(g, bounds: StripBounds) -> np.ndarray:
     n_rows = np.where((a_hi <= a_lo) | (b_hi <= b_lo), 0, np.maximum(k1 - k0 + 1, 0))
     starts = np.concatenate(([0], np.cumsum(n_rows)))
 
-    prefix = np.zeros((n_k, n_a + 1))     # row prefix sums of the cell corner sums
-    np.cumsum(g[:-1, :-1] + g[:-1, 1:] + g[1:, :-1] + g[1:, 1:], axis=1, out=prefix[:, 1:])
+    prefix = np.zeros((n_k, n_a + 1))     # row prefix sums of the cell corner sums, in place
+    corners = np.add(g[:-1, :-1], g[:-1, 1:], out=prefix[:, 1:])
+    corners += g[1:, :-1]
+    corners += g[1:, 1:]
+    np.cumsum(corners, axis=1, out=corners)
 
     for r0 in range(0, int(starts[-1]), _CHUNK_ROWS):
         flat = np.arange(r0, min(r0 + _CHUNK_ROWS, int(starts[-1])))

@@ -198,6 +198,35 @@ def test_diagnose_end_to_end(solved_run, tmp_path):
     assert header == "inequality_id,r,t,lhs,rhs,residual"
 
 
+def test_diagnose_manifest_records_timings(tmp_path):
+    doc = base_run_config(tmp_path)
+    assert main(["solve", "--config", write(tmp_path / "c.json", doc)]) == 0
+    solve_manifest = (tmp_path / "out" / "manifest.json").read_bytes()
+    keys = {"field_read_s", "select_s", "check_chain_s", "tables_s", "certify_s"}
+
+    # cone base selected from the data: every phase timed
+    assert main(["diagnose", "--config", str(tmp_path / "c.json"),
+                 "--field", str(tmp_path / "out" / "field.npz"),
+                 "--output", str(tmp_path / "diag")]) == 0
+    man = json.loads((tmp_path / "diag" / "diagnose_manifest.json").read_text())
+    assert set(man["timings"]) == keys
+    assert all(v >= 0 for v in man["timings"].values())
+    assert man["peak_rss_mb"] > 0
+    assert man["config_hash"] == config_hash(doc) and man["package_version"] == __version__
+    for name in ("diagnostics.json", "gronwall.json", "residuals.csv"):
+        text = (tmp_path / "diag" / name).read_text()
+        assert "timings" not in text and "peak_rss_mb" not in text
+
+    # cone base set, no --output: the solve directory keeps solve's manifest
+    assert main(["diagnose", "--config", str(tmp_path / "c.json"),
+                 "--field", str(tmp_path / "out" / "field.npz"),
+                 "--override", "diagnostics.t2=0", "--override", "diagnostics.delta=0.25"]) == 0
+    assert (tmp_path / "out" / "manifest.json").read_bytes() == solve_manifest
+    man = json.loads((tmp_path / "out" / "diagnose_manifest.json").read_text())
+    assert set(man["timings"]) == keys and man["timings"]["select_s"] is None
+    assert man["timings"]["check_chain_s"] > 0
+
+
 def test_diagnose_lifespan_beyond_r_star_is_exit_3(solved_run, tmp_path, monkeypatch):
     # a blown-up field outliving the lemma's r_star contradicts the lemma
     def short_radius(r, H, params):

@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
+from wavelab import diagnostics
 from wavelab.diagnostics import (ChainConfig, GridTooShortError, F_of, G_of,
-                                 H_of, check_chain,
+                                 H_of, InequalityTable, check_chain,
                                  check_pointwise_lower_bound, choose_epsilon,
                                  compute_M, gronwall_params_from_chain,
                                  s_exponent, select_t2_delta)
 from wavelab.profiles import bump_profile, zero_profile
-from wavelab.regions import _UNBOUNDED, StripBounds, lattice_weights, strip_quadrature
+from wavelab.regions import (_UNBOUNDED, RegionBrt, StripBounds, lattice_weights,
+                             strip_quadrature)
 from wavelab.solver import (CharGrid, Problem, RadialField, linear_radial,
                             normalize_coefficient, solve_march)
 
@@ -200,6 +204,136 @@ def test_chain_holds_on_blowup_run(crit4_chain):
     assert report.config.M > 0 and report.config.C0 > 0
     assert report.constants["C0"]["value"] == report.config.C0
     assert "2^(p-1)" in report.constants["holder_factor"]["formula"]
+
+
+def _dense_chain_reference(field, config):
+    """Every table of the chain and H, from the formulas on the full (n+1)^2 grid.
+
+    The oracle for the row-blocked pass: F on the whole square
+    (alpha, beta) lattice, full-array cumulative trapezoids and
+    ``np.tril_indices`` sampling, written out as check_chain once computed
+    them.  ``config`` carries M, C0 and eps.
+    """
+    h, n_r = field.grid.h, field.grid.n_r
+    p, A, q, t_star, C0 = config.p, config.A, config.q, config.t_star, config.C0
+    tol = diagnostics._chain_tol
+    tables = []
+
+    js, iss = diagnostics._sigma_nodes(field, t_star)
+    u_sigma = field.samples[js, iss]
+    tables.append(InequalityTable.build(
+        "sigma_positivity", iss * h, js * h, u_sigma, np.zeros_like(u_sigma),
+        tol(h, u_sigma, np.maximum(np.abs(u_sigma), 1.0))))
+    keep = (iss >= 1) & (iss + js <= n_r)
+    stride = max(1, int(keep.sum()) // diagnostics.BRT_SAMPLES)
+    jb = js[keep][::stride][:diagnostics.BRT_SAMPLES]
+    ib = iss[keep][::stride][:diagnostics.BRT_SAMPLES]
+    lam_src = h * np.arange(n_r + 1) * np.clip(field.samples, 0.0, None) ** p
+    brt = StripBounds.from_region(RegionBrt(ib, jb, int(round(t_star / h))), 1)
+    rhs_b = A * (strip_quadrature(lam_src, brt) * h * h / (2.0 * ib * h))
+    lhs_b = field.samples[jb, ib]
+    tables.append(InequalityTable.build("region_integral_bound", ib * h, jb * h,
+                                        lhs_b, rhs_b, tol(h, lhs_b, rhs_b)))
+    tables.append(check_pointwise_lower_bound(field, config))
+
+    n = int(math.floor((field.defined_t_max - t_star) / h + 1e-9))
+    alphas = t_star + h * np.arange(n + 1)
+    A2, B2 = alphas[:, None], alphas[None, :]
+    vals = field.interpolate(np.clip((A2 - B2) / 2.0, 0.0, None),
+                             np.minimum((A2 + B2) / 2.0, field.defined_t_max))
+    F2 = np.where(B2 <= A2, vals, 0.0)
+    tri_a, tri_b = np.tril_indices(n + 1)
+    samp = slice(0, tri_a.size, max(1, tri_a.size // 20000))
+    lhs_f = F2[tri_a, tri_b][samp]
+    rhs_f = C0 * alphas[tri_a][samp] ** (1.0 - p)
+    tables.append(InequalityTable.build(
+        "inverse_power_lower_bound", alphas[tri_a][samp], alphas[tri_b][samp],
+        lhs_f, rhs_f, tol(h, lhs_f, rhs_f)))
+
+    Fp = np.clip(F2, 0.0, None) ** p
+    db = A2 - B2
+    db_pos = np.where(db > 0, db, 0.0)
+    G2 = db_pos**q * F2
+    diag = (np.arange(n + 1), np.arange(n + 1))
+    H_vals = cumulative_trapezoid(G2, dx=h, axis=1, initial=0.0)[diag]
+    J_int = cumulative_trapezoid(db_pos ** (1.0 + q) * Fp, dx=h, axis=1, initial=0.0)[diag]
+    K1 = cumulative_trapezoid(db_pos * Fp, dx=h, axis=1, initial=0.0)
+
+    side = max(2, int(math.sqrt(diagnostics.G1_SAMPLES)))
+    lhs_g, rhs_g, rg, tg = [], [], [], []
+    for it in np.unique(np.linspace(0, n - 1, side).astype(int)):
+        outer = cumulative_trapezoid(K1[:, it], dx=h, initial=0.0)
+        for ir in np.unique(np.linspace(it, n, side).astype(int)):
+            if ir > it:
+                lhs_g.append(G2[ir, it])
+                rhs_g.append((A / 4.0) * (alphas[ir] - alphas[it]) ** (q - 1.0)
+                             * (outer[ir] - outer[it]))
+                rg.append(alphas[ir])
+                tg.append(alphas[it])
+    tables.append(InequalityTable.build("weighted_functional_bound", rg, tg, lhs_g, rhs_g,
+                                        tol(h, np.asarray(lhs_g), np.asarray(rhs_g))))
+
+    rng = np.random.default_rng(20240803)
+    rr = t_star + rng.uniform(0, 10, 1000) * max(1.0, t_star)
+    aa = t_star + (rr - t_star) * rng.uniform(0, 1, 1000)
+    bb = t_star + (aa - t_star) * rng.uniform(0, 1, 1000)
+    lhs_s, rhs_s = (rr - bb) ** q - (rr - aa) ** q, (aa - bb) ** q
+    tables.append(InequalityTable.build("power_superadditivity", rr, aa, lhs_s, rhs_s,
+                                        np.maximum(1e-12 * np.maximum(lhs_s, 1.0), 1e-12)))
+
+    nan = np.full_like(alphas, np.nan)
+    rhs_h1 = (A / (4.0 * q)) * cumulative_trapezoid(J_int, dx=h, initial=0.0)
+    tables.append(InequalityTable.build("double_integral_bound", alphas, nan, H_vals,
+                                        rhs_h1, tol(h, H_vals, rhs_h1)))
+    gap = alphas - t_star
+    pos = gap > 0
+    rhs_hold = np.zeros_like(alphas)
+    rhs_hold[pos] = H_vals[pos] ** p * (gap[pos] ** 2 / 2.0) ** (1.0 - p)
+    tables.append(InequalityTable.build("holder_interpolation", alphas, nan, J_int,
+                                        rhs_hold, tol(h, J_int, rhs_hold)))
+    integrand = np.zeros_like(alphas)
+    integrand[pos] = H_vals[pos] ** p * gap[pos] ** (2.0 - 2.0 * p)
+    rhs_single = config.c_single * cumulative_trapezoid(integrand, dx=h, initial=0.0)
+    tables.append(InequalityTable.build("single_integral_bound", alphas, nan, H_vals,
+                                        rhs_single, tol(h, H_vals, rhs_single)))
+    sel = alphas >= 2.0 * t_star - 1e-12
+    rhs_floor = config.c_low * (alphas[sel] - t_star) ** (2.0 - p + q)
+    tables.append(InequalityTable.build("growth_floor", alphas[sel], nan[sel], H_vals[sel],
+                                        rhs_floor, tol(h, H_vals[sel], rhs_floor)))
+    return tables, (alphas, H_vals)
+
+
+@pytest.mark.parametrize("rows, p", [(7, 2.0), ("n+1", 2.0), (7, 1.5)])
+def test_row_blocked_chain_matches_dense_grid(blowup_run_coarse, monkeypatch, rows, p):
+    # 7 rows: many blocks and a ragged last one; n+1 rows: one block; p = 1.5
+    # takes numpy's general power instead of squaring
+    prob, fld = blowup_run_coarse
+    cfg = ChainConfig(p, prob.A, 0.0, RHO / 8.0)
+    n = int(math.floor((fld.defined_t_max - cfg.t_star) / fld.grid.h + 1e-9))
+    assert (n + 1) % 7
+    monkeypatch.setattr(diagnostics, "_GRID_ROWS", n + 1 if rows == "n+1" else rows)
+    report = check_chain(fld, cfg)
+    ref_tables, ref_H = _dense_chain_reference(fld, report.config)
+    assert np.array_equal(report.H[0], ref_H[0]) and np.array_equal(report.H[1], ref_H[1])
+    assert [tb.inequality_id for tb in report.tables] == [tb.inequality_id for tb in ref_tables]
+    for tb, ref in zip(report.tables, ref_tables):
+        for name in ("r", "t", "lhs", "rhs"):
+            assert np.array_equal(getattr(tb, name), getattr(ref, name), equal_nan=True), \
+                (tb.inequality_id, name)
+        assert tb.holds == ref.holds and tb.min_residual == ref.min_residual, tb.inequality_id
+
+
+def test_check_chain_peak_memory(crit4_run):
+    # no (n+1)^2 characteristic-grid array: the dense chain peaked at 11x the field
+    prob, field = crit4_run
+    cfg = ChainConfig(prob.p, prob.A, 0.0, RHO / 8.0)
+    tracemalloc.start()
+    try:
+        check_chain(field, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * field.samples.nbytes
 
 
 def test_holder_residual_invariant(crit4_chain):

@@ -132,3 +132,12 @@ def test_profile_moment_integral_matches_quadrature():
     # even in x and saturates beyond the support
     assert prof.moment_integral(-0.8) == prof.moment_integral(0.8)
     assert prof.moment_integral(5.0) == prof.moment_integral(1.0)
+
+
+def test_profile_moment_integral_constant_past_rho():
+    # the knot past rho carries a value that the profile itself reports as zero
+    prof = RadialProfile([0.0, 0.5, 1.5], [1.0, 1.0, 1.0], rho=1.0)
+    assert prof(1.2) == 0.0
+    at_rho = prof.moment_integral(1.0)
+    assert at_rho == pytest.approx(7.0 / 24.0, rel=1e-15)
+    assert np.all(prof.moment_integral(np.array([1.2, 1.5, 3.0, -2.0])) == at_rho)
