@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -68,6 +69,7 @@ CRITICAL_P = 1.0 + math.sqrt(2.0)
 BRT_SAMPLES = 60    # Sigma nodes checked by the region integral bound
 G1_SAMPLES = 144    # (alpha, beta) pairs checked by the weighted functional bound
 _GRID_ROWS = 256    # alpha-rows of the characteristic grid held at once
+_CSV_ROWS = 512     # table rows formatted at once by tables_to_csv
 
 
 class GridTooShortError(ValueError):
@@ -200,13 +202,15 @@ class DiagnosticsReport:
         }
 
     def tables_to_csv(self, path):
+        row = "{},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}\n".format
         with open(path, "w", newline="") as fh:
             fh.write("inequality_id,r,t,lhs,rhs,residual\n")
             for tb in self.tables:
-                res = tb.residual
-                for i in range(tb.lhs.size):
-                    fh.write(f"{tb.inequality_id},{tb.r[i]:.17g},{tb.t[i]:.17g},"
-                             f"{tb.lhs[i]:.17g},{tb.rhs[i]:.17g},{res[i]:.17g}\n")
+                cols = (tb.r, tb.t, tb.lhs, tb.rhs, tb.residual)
+                # row blocks: whole columns of Python floats would raise diagnose's peak RSS
+                for lo in range(0, tb.lhs.size, _CSV_ROWS):
+                    fh.writelines(map(row, repeat(tb.inequality_id),
+                                      *(c[lo : lo + _CSV_ROWS].tolist() for c in cols)))
 
 
 # ---------------------------------------------------------------------------

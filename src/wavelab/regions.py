@@ -30,9 +30,12 @@ characteristic lattice they give the integer bounds of
 :class:`StripBounds`, and the one second-order quadrature that the solver and
 the diagnostics share: full cells use the four-corner product trapezoid,
 boundary cells cut by a 45-degree line the exact three-vertex rule on the kept
-triangle.  :func:`strip_quadrature` applies it to a batch of regions by a
-prefix-sum row walk; :func:`lattice_weights` builds the same weights as a
-dense array and is kept as the reference the tests compare against.
+triangle.  :func:`strip_quadrature` applies it to any batch of strip regions
+by a prefix-sum row walk and serves B(r, t) and the T integral M;
+:func:`influence_quadrature` applies it to the regions R(i, j) of lattice
+nodes by one sweep of the cell diagonals and serves the P operator and the
+integral residual; :func:`lattice_weights` builds the same weights as a dense
+array and is kept as the reference the tests compare against.
 
 The fields of a kind may be integer arrays (lattice indices with h = 1), one
 entry per region of a batch, for :meth:`StripBounds.from_region`.
@@ -60,6 +63,7 @@ __all__ = [
     "StripBounds",
     "lattice_weights",
     "strip_quadrature",
+    "influence_quadrature",
 ]
 
 _UNBOUNDED = 10**15  # integer sentinel for one-sided strips on the lattice
@@ -473,4 +477,60 @@ def strip_quadrature(g, bounds: StripBounds) -> np.ndarray:
         inner = 0.25 * (prefix[k, np.maximum(hi, 0)] - prefix[k, np.minimum(lo, n_a - 1) + 1])
         row = end_cell(lo) + np.where(hi > lo, end_cell(hi) + inner, 0.0)
         out += np.bincount(q, weights=np.where(lo <= hi, row, 0.0), minlength=out.size)
+    return out.reshape(shape)
+
+
+def influence_quadrature(g, i, j) -> np.ndarray:
+    """``sum(W * g)`` over the backward regions R(i, j) of lattice nodes (i, j).
+
+    ``g`` is indexed ``[k, a]`` as in :func:`strip_quadrature`; ``i >= 1`` and
+    ``j >= 0`` are ints or broadcastable integer arrays, and each R(i, j) must
+    fit the cells of ``g``.  W is exactly ``lattice_weights`` of
+    ``RegionR(i, j)``; multiply by h**2 for the integral.
+
+    A cell (k, a) has centre alpha_c = a + k + 1, beta_c = k - a.  Every corner
+    of R(i, j) is a node, so its cells are full (1/4 per corner) or cut along
+    one diagonal (1/6 per kept corner): right-cut in the column alpha_c = i + j,
+    left-cut in alpha_c = B = j - i, top-cut on the diagonal beta_c = B.  The
+    diagonals are swept upward keeping running column sums of the full,
+    right-cut and left-cut corner sums; the nodes of diagonal B are answered
+    before it is added, by one cumsum over the columns from B + 1 (no prefix
+    difference is taken) and one lookup in each cut column (for B < 1 the
+    left-cut one is column 0, which holds no cell).
+    """
+    g = np.asarray(g, dtype=float)
+    i, j = np.broadcast_arrays(np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64))
+    shape, i, j = i.shape, i.ravel(), j.ravel()
+    n_k, n_a = g.shape[0] - 1, g.shape[1] - 1      # cell rows, cells per row
+    _require((i < 1) | (j < 0) | (j > n_k) | (i + j > n_a), "R(i, j) must fit the lattice of g")
+    out, b = np.zeros(i.size), j - i
+    order = np.argsort(b, kind="stable")
+    diags, first = np.unique(b[order], return_index=True)
+    groups = dict(zip(diags.tolist(), np.split(order, first[1:])))
+
+    full, right, left = (np.zeros(n_k + n_a + 1) for _ in range(3))
+    flat, step = g.ravel(), n_a + 2                  # step: node (k, a) -> (k+1, a+1)
+    for beta in range(min(b.min(initial=0), 1 - n_a), b.max(initial=-n_a) + 1):
+        a0, a1 = max(0, -beta), min(n_a, n_k - beta)   # cells a0 <= a < a1, k = a + beta
+        if a1 > a0:
+            s0 = beta * (n_a + 1) + a0 * step
+            stop = s0 + (a1 - a0) * step
+            lower = flat[s0 : stop + 1 : step]          # c00 = lower[:-1], c11 = lower[1:]
+            c01 = flat[s0 + 1 : stop : step]
+            side = c01 + flat[s0 + n_a + 1 : stop + n_a + 1 : step]   # c01 + c10
+            cut_r = side + lower[:-1]
+        q = groups.get(beta)
+        if q is not None:
+            top = i[q] + j[q]
+            c0 = max(beta + 1, 0)
+            run = 0.25 * full[c0 : top.max()]
+            if a1 > a0:      # top-cut cells c00 + c01 + c11, from alpha_c = 2*a0 + beta + 1
+                tri = run[2 * a0 + beta + 1 - c0 :: 2]
+                tri += (c01[: tri.size] + lower[: tri.size] + lower[1 : tri.size + 1]) / 6.0
+            out[q] = np.cumsum(run)[top - 1 - c0] + (right[top] + left[max(beta, 0)]) / 6.0
+        if a1 > a0:
+            cols = slice(2 * a0 + beta + 1, 2 * a1 + beta, 2)      # alpha_c = 2a + beta + 1
+            full[cols] += cut_r + lower[1:]
+            right[cols] += cut_r
+            left[cols] += side + lower[1:]
     return out.reshape(shape)

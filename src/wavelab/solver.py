@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .profiles import RadialProfile
-from .regions import RegionR, StripBounds, strip_quadrature
+from .regions import influence_quadrature
 
 __all__ = [
     "Problem",
@@ -296,8 +296,8 @@ class RadialField:
 def apply_P(source: RadialField, r: float, t: float) -> float:
     """Integral of (lambda/2r) * source over R(r, t), trapezoid on the lattice.
 
-    For r > 0 this is the strip quadrature of lambda * source over R(r, t)
-    (regions.strip_quadrature) divided by 2r.  At r = 0 the 1/(2r)
+    For r > 0 this is the quadrature of lambda * source over R(r, t)
+    (regions.influence_quadrature) divided by 2r.  At r = 0 the 1/(2r)
     singularity cancels against the shrinking lambda interval and the limit
     is a single integral along the backward characteristic; that form is
     used directly.
@@ -314,8 +314,7 @@ def apply_P(source: RadialField, r: float, t: float) -> float:
     if i + j > source.grid.n_r:
         raise ValueError("out of grid")
     g = h * np.arange(i + j + 1) * source.samples[: j + 1, : i + j + 1]
-    bounds = StripBounds.from_region(RegionR(i, j), 1)
-    return float(strip_quadrature(g, bounds)) * h * h / (2.0 * i * h)
+    return float(influence_quadrature(g, i, j)) * h * h / (2.0 * i * h)
 
 
 # ---------------------------------------------------------------------------
@@ -559,33 +558,30 @@ def detect_blowup_time(field: RadialField) -> Optional[BlowupFit]:
 # Residual against the independent quadrature, coefficient normalization
 # ---------------------------------------------------------------------------
 
-def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 4096,
-                      cell_budget: float = 4.0e7) -> dict:
+def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 4096) -> dict:
     """Residual u - u0 - A*P(|u|^p) on a deterministic interior subsample.
 
     Interior means 1 <= i, 1 <= j, and i + j <= n_r so the influence region
-    fits the lattice.  The stride is chosen so at most max_nodes nodes are
-    checked and the total quadrature work stays within cell_budget lattice
-    cells; pass large limits for full coverage on small grids.  P is
-    evaluated at all sampled nodes by one batched regions.strip_quadrature
-    call over their regions R(r, t).
+    fits the lattice.  The nodes form a square sub-lattice whose stride keeps
+    at most max_nodes of them; pass a large max_nodes for full coverage.  P is
+    evaluated at all of them by one regions.influence_quadrature sweep (one
+    pass over the lattice plus O(1) per node); u0 is read at the nodes and
+    dropped before the source is built, so at most two fields are held.
     """
     grid = field.grid
-    u0 = linear_radial(problem.f_profile, problem.g_profile, grid)
-    sigma = np.abs(field.samples) ** problem.p
     n_lev = field.n_levels
     total = sum(max(0, min(grid.n_r - 1, grid.n_r - j)) for j in range(1, n_lev))
-    cost = sum(j * min(grid.n_r, 2 * j) for j in range(1, n_lev))  # row lookups, coarse
-    stride = max(1, int(np.ceil(np.sqrt(max(total, 1) / max_nodes))),
-                 int(np.ceil(np.sqrt(max(cost, 1.0) / cell_budget))))
-    sigma *= grid.h * np.arange(grid.n_r + 1)     # lambda * sigma
+    stride = max(1, int(np.ceil(np.sqrt(max(total, 1) / max_nodes))))
     jj, ii = np.meshgrid(np.arange(1, n_lev, stride), np.arange(1, grid.n_r, stride),
                          indexing="ij")
     keep = ii + jj <= grid.n_r
     jj, ii = jj[keep], ii[keep]
-    bounds = StripBounds.from_region(RegionR(ii, jj), 1)
-    pval = strip_quadrature(sigma, bounds) * grid.h * grid.h / (2.0 * ii * grid.h)
-    res = field.samples[jj, ii] - u0.samples[jj, ii] - problem.A * pval
+    res = field.samples[jj, ii] - linear_radial(problem.f_profile, problem.g_profile,
+                                                grid).samples[jj, ii]
+    src = np.abs(field.samples)                   # lambda * |u|^p, built in place
+    src **= problem.p
+    src *= grid.h * np.arange(grid.n_r + 1)
+    res -= problem.A * (influence_quadrature(src, ii, jj) * grid.h * grid.h / (2.0 * ii * grid.h))
     if res.size == 0:
         return {"residual_linf": 0.0, "residual_l2": 0.0, "nodes": 0}
     return {

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -334,6 +335,32 @@ def test_check_chain_peak_memory(crit4_run):
     finally:
         tracemalloc.stop()
     assert peak <= 6 * field.samples.nbytes
+
+
+def _tables_csv_by_row_loop(report):
+    """The per-row f-string writer that tables_to_csv replaced, the byte oracle."""
+    out = ["inequality_id,r,t,lhs,rhs,residual\n"]
+    for tb in report.tables:
+        res = tb.residual
+        for i in range(tb.lhs.size):
+            out.append(f"{tb.inequality_id},{tb.r[i]:.17g},{tb.t[i]:.17g},"
+                       f"{tb.lhs[i]:.17g},{tb.rhs[i]:.17g},{res[i]:.17g}\n")
+    return "".join(out).encode()
+
+
+def test_tables_to_csv_bytes_match_row_loop(crit4_chain, tmp_path):
+    _, report = crit4_chain
+    rng = np.random.default_rng(4)
+    n = 50
+    odd = InequalityTable.build(
+        "synthetic", rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n),
+        np.full(n, np.nan), np.r_[-0.0, np.inf, -np.inf, 1e-320, rng.random(n - 4)],
+        np.r_[0.0, 1.0, 2.0, 3.0, rng.random(n - 4)], 0.0)
+    mixed = dataclasses.replace(report, tables=list(report.tables) + [odd])
+    assert any(np.isnan(tb.t).all() for tb in report.tables)
+    for rep in (report, mixed):
+        rep.tables_to_csv(tmp_path / "residuals.csv")
+        assert (tmp_path / "residuals.csv").read_bytes() == _tables_csv_by_row_loop(rep)
 
 
 def test_holder_residual_invariant(crit4_chain):

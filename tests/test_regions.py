@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from wavelab import regions
 from wavelab.regions import (_UNBOUNDED, RegionBrt, RegionQ, RegionQrt, RegionR,
                              RegionT, Sigma, SigmaPrime, StripBounds, area,
-                             contains, lattice_weights, strip_quadrature,
-                             subset_check)
+                             contains, influence_quadrature, lattice_weights,
+                             strip_quadrature, subset_check)
 
 
 def test_membership_examples():
@@ -216,6 +217,50 @@ def test_from_region_on_index_arrays():
     assert np.array_equal(strip_quadrature(g, b), strip_quadrature(g, hand))
     with pytest.raises(ValueError, match="not aligned"):
         StripBounds.from_region(RegionR(np.array([1.0, 1.5]), np.array([2.0, 2.0])), 1)
+
+
+def _fsum_R(g, i, j):
+    """Exact-sum oracle: the dense lattice_weights of R(i, j) against g."""
+    W = lattice_weights(StripBounds.from_region(RegionR(i, j), 1), g.shape[0] - 1, g.shape[1] - 1)
+    return math.fsum((W * g).ravel())
+
+
+@pytest.mark.parametrize("shape", [(2, 9), (13, 31), (20, 20), (25, 31)])
+def test_influence_quadrature_matches_lattice_weights_on_every_node(shape):
+    # every node whose R(i, j) fits: i > j, j = 0 and the top row included
+    K, N = shape
+    g = np.random.default_rng(K * N).random(shape)
+    jj, ii = (v.ravel() for v in np.meshgrid(np.arange(K), np.arange(1, N), indexing="ij"))
+    keep = ii + jj <= N - 1
+    jj, ii = jj[keep], ii[keep]
+    got = influence_quadrature(g, ii, jj)
+    assert got.shape == ii.shape
+    ref = np.array([_fsum_R(g, i, j) for i, j in zip(ii, jj)])
+    assert np.all(ref[jj > 0] > 0)
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+    # scalars give a 0-d result, broadcasting follows numpy
+    assert influence_quadrature(g, ii[-1], jj[-1]).shape == ()
+    assert influence_quadrature(g, ii[:, None], np.zeros(3, int)).shape == (ii.size, 3)
+
+
+def test_influence_quadrature_keeps_dynamic_range():
+    # a source concentrated at early times near the axis: a late node's P is
+    # at most 1e-6 of the sums over the cells before R(i, j), which a prefix
+    # difference would subtract, yet it comes out to round-off
+    kk, aa = np.meshgrid(np.arange(48), np.arange(64), indexing="ij")
+    g = np.exp(-(kk + aa) / 2.0)
+    i, j = 5, 40
+    ref = _fsum_R(g, i, j)
+    assert 0 < ref <= 1e-6 * g[: j + 1, : i + j + 1].sum()
+    assert influence_quadrature(g, i, j) == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+def test_influence_quadrature_rejects_regions_off_the_lattice():
+    g = np.ones((5, 8))
+    for i, j in ((0, 2), (1, -1), (2, 5), (4, 4)):
+        with pytest.raises(ValueError, match="fit the lattice"):
+            influence_quadrature(g, i, j)
+    assert influence_quadrature(g, np.array([], dtype=int), 1).shape == (0,)
 
 
 def test_subset_examples():

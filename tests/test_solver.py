@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -358,11 +360,25 @@ def test_residual_contract_for_complete_fields():
     prob = Problem(2.0, 1.0, bump_profile(0.5, 1.0, gr), bump_profile(0.5, 1.0, gr), 1.0)
     fld = solve_march(prob, grid, residual_nodes=0)
     assert fld.status == "complete"
-    res = integral_residual(prob, fld, max_nodes=10**9, cell_budget=1e12)
+    res = integral_residual(prob, fld, max_nodes=10**9)
     sigma_scale = float(np.max(np.abs(fld.samples))**prob.p)
     bound = 10.0 * h * h * prob.A * sigma_scale * grid.t_max**2 / 2.0
     assert res["residual_linf"] <= bound
     assert res["nodes"] >= 5000
+
+
+def test_residual_peak_memory(crit4_run):
+    # u0 is read at the nodes and dropped before the source is built, and the
+    # sweep keeps only column sums: no prefix-sum copy of the lattice
+    prob, field = crit4_run
+    tracemalloc.start()
+    try:
+        res = integral_residual(prob, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res["nodes"] > 0
+    assert peak <= 2.75 * field.samples.nbytes
 
 
 def test_blowup_run_and_refinement_stability(blowup_run_coarse):
