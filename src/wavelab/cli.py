@@ -34,8 +34,7 @@ from .diagnostics import (ChainConfig, GridTooShortError, check_chain, choose_ep
                           gronwall_params_from_chain, s_exponent, select_t2_delta)
 from .gronwall import (GronwallParams, WindowTooShortError, certify,
                        failure_radius, log10_failure_radius)
-from .solver import (FieldFormatError, RadialField, detect_blowup_time, linear_radial,
-                     solve_march)
+from .solver import FieldFormatError, RadialField, detect_blowup_time, solve_march
 from .spherical import ScalarField3, build_sphere_quadrature, spherical_mean
 
 log = logging.getLogger("wavelab")
@@ -136,30 +135,37 @@ def _lattice_round(x, h, up_even=False):
 
 def _run_diagnose(cfg: RunConfig, field_path, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
+    # per phase: its time, the running peak RSS after it and one INFO line
+    timings, rss_after = {"select_s": None}, {"select": None}
     clock = time.perf_counter()
+
+    def phase_done(name, detail):
+        nonlocal clock
+        now = time.perf_counter()
+        timings[name + "_s"], rss_after[name] = now - clock, _peak_rss_mb()
+        log.info("diagnose: %s %s in %.2fs, peak RSS %.0f MB", name, detail, now - clock,
+                 rss_after[name])
+        clock = now
+
     field = RadialField.load(field_path)
-    timings = {"field_read_s": time.perf_counter() - clock, "select_s": None}
+    phase_done("field_read", f"{field.n_levels} levels")
     p = field.p if field.p is not None else cfg.p
     A = field.A if field.A is not None else cfg.A
     grid = field.grid
     if cfg.t2 is None or cfg.delta is None:
-        clock = time.perf_counter()
         f_prof, g_prof = cfg.data.build_profiles(grid.r_values())
-        t2, delta = select_t2_delta(field, linear_radial(f_prof, g_prof, grid), cfg.data.rho)
-        timings["select_s"] = time.perf_counter() - clock
+        t2, delta = select_t2_delta(field, f_prof, g_prof, cfg.data.rho)
+        phase_done("select", f"t2={t2:g} delta={delta:g}")
     if cfg.t2 is not None:
         t2 = _lattice_round(cfg.t2, grid.h) if cfg.t2 > 0 else 0.0
     if cfg.delta is not None:
         delta = _lattice_round(cfg.delta, grid.h, up_even=True)
 
-    clock = time.perf_counter()
     report = check_chain(field, ChainConfig(p, A, t2, delta, cfg.epsilon))
-    timings["check_chain_s"] = time.perf_counter() - clock
-    clock = time.perf_counter()
+    phase_done("check_chain", "holds" if report.holds else "violated")
     _write_json(out_dir / "diagnostics.json", report.to_json_dict())
     report.tables_to_csv(out_dir / "residuals.csv")
-    timings["tables_s"] = time.perf_counter() - clock
-    clock = time.perf_counter()
+    phase_done("tables", f"{sum(tb.lhs.size for tb in report.tables)} rows")
 
     cert_doc = {"r_star_note": "failure radius derived from the lemma's proof, "
                                "not part of its statement"}
@@ -194,10 +200,11 @@ def _run_diagnose(cfg: RunConfig, field_path, out_dir: Path):
         except ValueError as exc:
             cert_doc["skipped"] = f"hypotheses not met on this window: {exc}"
     _write_json(out_dir / "gronwall.json", cert_doc)
-    timings["certify_s"] = time.perf_counter() - clock
+    phase_done("certify", "skipped" if "skipped" in cert_doc else "done")
     # not manifest.json: without --output this is the solve directory
     _write_json(out_dir / "diagnose_manifest.json",
-                _manifest(cfg.raw, {"timings": timings, "peak_rss_mb": _peak_rss_mb()}))
+                _manifest(cfg.raw, {"timings": timings, "peak_rss_mb_after": rss_after,
+                                    "peak_rss_mb": _peak_rss_mb()}))
 
     if not report.holds:
         log.warning("diagnose: chain violated")

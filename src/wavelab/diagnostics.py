@@ -45,8 +45,9 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from .profiles import RadialProfile
 from .regions import RegionBrt, RegionT, StripBounds, strip_quadrature
-from .solver import RadialField
+from .solver import RadialField, homogeneous_levels
 
 __all__ = [
     "GridTooShortError",
@@ -144,24 +145,17 @@ class InequalityTable:
 
     @staticmethod
     def build(inequality_id, r, t, lhs, rhs, tol, constants=None, max_rows=20000):
-        r = np.asarray(r, dtype=float).ravel()
-        t = np.asarray(t, dtype=float).ravel()
+        """The table of lhs - rhs over the given points, at most about max_rows kept.
+
+        Above max_rows, every stride-th row and the first row of least
+        residual are kept; the verdict and min_residual cover every row.
+        """
         lhs = np.asarray(lhs, dtype=float).ravel()
-        rhs = np.asarray(rhs, dtype=float).ravel()
-        tol = np.broadcast_to(np.asarray(tol, dtype=float), lhs.shape).ravel()
-        if lhs.size == 0:
-            raise ValueError(f"empty residual table for {inequality_id}")
-        res = lhs - rhs
-        k = int(np.argmin(res))
-        min_residual = float(res[k])
-        holds = bool(np.all(res >= -tol))
-        if lhs.size > max_rows:
-            stride = lhs.size // max_rows + 1
-            keep = np.unique(np.concatenate([np.arange(0, lhs.size, stride), [k]]))
-            r, t, lhs, rhs, tol = r[keep], t[keep], lhs[keep], rhs[keep], tol[keep]
-            k = int(np.argmin(lhs - rhs))
-        return InequalityTable(inequality_id, r, t, lhs, rhs, tol, holds, min_residual,
-                               (float(r[k]), float(t[k])), constants or {})
+        stream = _TableStream(inequality_id, lhs.size, constants, max_rows)
+        stream.add(np.asarray(r, dtype=float).ravel(), np.asarray(t, dtype=float).ravel(), lhs,
+                   np.asarray(rhs, dtype=float).ravel(),
+                   np.broadcast_to(np.asarray(tol, dtype=float), lhs.shape).ravel())
+        return stream.finish()
 
     @property
     def residual(self):
@@ -169,6 +163,48 @@ class InequalityTable:
 
     def verdict(self):
         return "holds" if self.holds else f"violated(r={self.argmin[0]:g}, t={self.argmin[1]:g})"
+
+
+class _TableStream:
+    """``InequalityTable.build`` over rows that arrive in consecutive blocks.
+
+    ``size`` rows are fed in order through :meth:`add`.  The stream keeps the
+    running verdict, the first row of least residual and the rows at flat
+    index 0 mod stride, the stride fixed by ``size`` and ``max_rows``, so a
+    table over millions of points never holds them.  Fed in one block it is
+    ``build``; fed in any blocks it gives the same table bit for bit.
+    """
+
+    def __init__(self, inequality_id, size, constants=None, max_rows=20000):
+        if size == 0:
+            raise ValueError(f"empty residual table for {inequality_id}")
+        self.inequality_id, self.size, self.constants = inequality_id, size, constants or {}
+        self.stride = size // max_rows + 1 if size > max_rows else 1
+        self.seen, self.holds = 0, True
+        self.least = None       # (flat index, residual, row) of the first least residual
+        self.kept = []          # per block, the kept rows as columns (r, t, lhs, rhs, tol)
+
+    def add(self, r, t, lhs, rhs, tol):
+        cols = (r, t, lhs, rhs, tol)
+        res = lhs - rhs
+        self.holds = self.holds and bool(np.all(res >= -tol))
+        k = int(np.argmin(res))
+        # a later block replaces the minimum only if strictly less (NaN counts as least)
+        if self.least is None or not (np.isnan(self.least[1]) or res[k] >= self.least[1]):
+            self.least = (self.seen + k, res[k], tuple(c[k] for c in cols))
+        keep = slice((-self.seen) % self.stride, None, self.stride)
+        self.kept.append(tuple(c[keep].copy() for c in cols))
+        self.seen += lhs.size
+
+    def finish(self) -> "InequalityTable":
+        if self.seen != self.size:
+            raise ValueError(f"{self.inequality_id}: fed {self.seen} rows, expected {self.size}")
+        cols = [np.concatenate(c) for c in zip(*self.kept)]
+        k, least, row = self.least
+        if k % self.stride:       # the least residual's row joins the kept rows in order
+            cols = [np.insert(c, k // self.stride + 1, v) for c, v in zip(cols, row)]
+        return InequalityTable(self.inequality_id, *cols, self.holds, float(least),
+                               (float(row[0]), float(row[1])), self.constants)
 
 
 @dataclass
@@ -217,14 +253,21 @@ class DiagnosticsReport:
 # Cone base selection and the constant M
 # ---------------------------------------------------------------------------
 
-def select_t2_delta(field: RadialField, u0_check: RadialField, rho: float):
+def select_t2_delta(field: RadialField, fbar: RadialProfile, gbar: RadialProfile, rho: float):
     """Earliest grid-aligned cone base (t2, delta) admissible for the chain.
 
-    t2 is the smallest grid time such that the homogeneous part is nonnegative
-    on the forward cone from (0, t2) and the solution is positive at the probe
+    t2 is the smallest grid time such that the homogeneous part u0 of the data
+    (fbar, gbar) is nonnegative, up to tol = 1e-10 max(1, max|u0|), on the
+    forward cone from (0, t2), and the solution is positive at the probe
     point (delta, t2 + delta).  delta is max(4h, rho/8) for the data's support
     radius rho, rounded up to an even number of cells so the corners of the
     region T are lattice nodes.
+
+    u0 is evaluated in blocks of _GRID_ROWS levels and each level j keeps only
+    j - c_j, with c_j its first column i <= j where u0 < -tol: the cone from
+    level j2 is admissible iff j2 exceeds that reach on every level from j2 on,
+    a suffix maximum.  tol is known only after the last block, so the blocks
+    with a value below -1e-10, the least tol possible, are evaluated again.
     """
     grid = field.grid
     h = grid.h
@@ -234,26 +277,42 @@ def select_t2_delta(field: RadialField, u0_check: RadialField, rho: float):
     d_cells += d_cells % 2
     delta = d_cells * h
 
-    n_lev = min(field.n_levels, u0_check.n_levels)
-    scale = max(1.0, float(np.max(np.abs(u0_check.samples))))
-    tol = 1e-10 * scale
+    n_lev = field.n_levels
+    u0_levels = homogeneous_levels(fbar, gbar, grid)
+    reach = np.full(n_lev, -1)          # j - c_j per level, -1 where no column is below -tol
+    scale, suspect = 1.0, []
+    for lo in range(0, grid.n_t + 1, _GRID_ROWS):
+        hi = min(lo + _GRID_ROWS, grid.n_t + 1)
+        u0 = u0_levels(lo, hi)
+        scale = max(scale, float(np.max(np.abs(u0))))
+        if lo < n_lev:
+            reach[lo:hi] = _cone_reach(u0[: n_lev - lo], lo, 1e-10)
+            if np.any(reach[lo:hi] >= 0):
+                suspect.append((lo, hi))
+    if scale > 1.0:
+        for lo, hi in suspect:
+            reach[lo:hi] = _cone_reach(u0_levels(lo, hi)[: n_lev - lo], lo, 1e-10 * scale)
 
-    # prefix minima over radius, one row per level: pm[j, i] = min u0[j, :i+1]
-    pm = np.minimum.accumulate(u0_check.samples[:n_lev], axis=1)
-    cone_ok = np.full(n_lev, True)
-    for j2 in range(n_lev):
-        js = np.arange(j2, n_lev)
-        cols = np.minimum(js - j2, grid.n_r)
-        cone_ok[j2] = bool(np.all(pm[js, cols] >= -tol))
-    for j2 in range(n_lev):
-        if not cone_ok[j2]:
-            continue
+    worst = np.maximum.accumulate(reach[::-1])[::-1]   # max of j - c_j over the levels j >= j2
+    for j2 in np.flatnonzero(np.arange(n_lev) > worst).tolist():
         probe_j = j2 + d_cells
         if probe_j >= n_lev:
             break
         if field.samples[probe_j, d_cells] > 0.0:
             return (j2 * h, delta)
     raise ValueError("no admissible cone")
+
+
+def _cone_reach(u0, lo, tol):
+    """j - c_j for the levels j = lo, lo+1, ... of the block u0; -1 where no c_j.
+
+    c_j is the first column i <= j with u0[j, i] < -tol: the cone from level j2
+    meets it iff j - j2 >= c_j.
+    """
+    j = np.arange(lo, lo + u0.shape[0])
+    bad = u0 < -tol
+    bad &= np.arange(u0.shape[1]) <= j[:, None]
+    return np.where(bad.any(axis=1), j - bad.argmax(axis=1), -1)
 
 
 def compute_M(field: RadialField, t2: float, delta: float, p: Optional[float] = None) -> float:
@@ -282,16 +341,15 @@ def compute_M(field: RadialField, t2: float, delta: float, p: Optional[float] = 
 # Pointwise bound on Sigma
 # ---------------------------------------------------------------------------
 
-def _sigma_nodes(field: RadialField, t_star: float):
+def _sigma_levels(field: RadialField, t_star: float):
+    """First Sigma level j_star and the node count of each level j_star..n_levels-1."""
     h = field.grid.h
     j_star = int(round(t_star / h))
     if abs(j_star * h - t_star) > 1e-9 * max(1.0, t_star):
         raise ValueError("t_star is not lattice aligned")
     if j_star >= field.n_levels - 1:
         raise GridTooShortError("grid too short: no Sigma nodes below the defined horizon")
-    counts = np.minimum(np.arange(field.n_levels - j_star), field.grid.n_r) + 1
-    js = np.repeat(np.arange(j_star, field.n_levels), counts)
-    return js, np.arange(js.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return j_star, np.minimum(np.arange(field.n_levels - j_star), field.grid.n_r) + 1
 
 
 def _chain_tol(h, lhs, rhs):
@@ -303,16 +361,31 @@ def check_pointwise_lower_bound(field: RadialField, config: ChainConfig) -> Ineq
     """u(r, t) >= C0 (t + r)^(1-p) at every defined lattice node of Sigma."""
     if config.C0 is None:
         raise ValueError("M/C0 not attached to config; call with_constants first")
-    return _pointwise_table(field, config, *_sigma_nodes(field, config.t_star))
+    return _sigma_tables(field, config)[1]
 
 
-def _pointwise_table(field, config, js, iss):
-    h = field.grid.h
-    r, t = iss * h, js * h
-    lhs = field.samples[js, iss]
-    rhs = config.C0 * (t + r) ** (1.0 - config.p)
-    return InequalityTable.build("pointwise_lower_bound", r, t, lhs, rhs,
-                                 _chain_tol(h, lhs, rhs), {"C0": config.C0})
+def _sigma_tables(field, config):
+    """Steps 1 and 3 at every Sigma node: the sigma_positivity and pointwise tables.
+
+    The nodes run level by level, outward in r, as one flat array would hold
+    them; they are read in blocks of _GRID_ROWS levels and streamed into the
+    tables, so only a block and the kept rows are held.
+    """
+    h, p, C0 = field.grid.h, config.p, config.C0
+    j_star, counts = _sigma_levels(field, config.t_star)
+    positivity = _TableStream("sigma_positivity", int(counts.sum()))
+    pointwise = _TableStream("pointwise_lower_bound", int(counts.sum()), {"C0": C0})
+    cols = np.arange(field.grid.n_r + 1)
+    for lo in range(j_star, field.n_levels, _GRID_ROWS):
+        hi = min(lo + _GRID_ROWS, field.n_levels)
+        inside = cols < counts[lo - j_star : hi - j_star, None]
+        u = field.samples[lo:hi][inside]
+        r = np.broadcast_to(h * cols, inside.shape)[inside]
+        t = np.broadcast_to(h * np.arange(lo, hi)[:, None], inside.shape)[inside]
+        positivity.add(r, t, u, np.zeros_like(u), _chain_tol(h, u, 1.0))
+        rhs = C0 * (t + r) ** (1.0 - p)
+        pointwise.add(r, t, u, rhs, _chain_tol(h, u, rhs))
+    return positivity.finish(), pointwise.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -358,23 +431,64 @@ def H_of(field: RadialField, config: ChainConfig, r):
     return float(np.trapezoid(g, betas))
 
 
-def _region_integral_table(field, config, js, iss):
-    """Step 2 at BRT_SAMPLES Sigma nodes: one table, none if no B(r,t) fits the grid."""
+def _region_integral_table(field, config, j_star):
+    """Step 2 at BRT_SAMPLES Sigma nodes: one table, none if no B(r,t) fits the grid.
+
+    The eligible nodes (i >= 1, i + j <= n_r) are counted per level; every
+    stride-th of them in Sigma's flat order is picked by its rank.  The
+    source lambda u_+^p is built only on the window of the regions: beta >=
+    t_star bounds lambda and the nodes bound the rows.
+    """
     h, n_r = field.grid.h, field.grid.n_r
-    keep = np.flatnonzero((iss >= 1) & (iss + js <= n_r))
-    keep = keep[::max(1, keep.size // BRT_SAMPLES)][:BRT_SAMPLES]
-    if not keep.size:
+    js = np.arange(j_star, field.n_levels)
+    eligible = np.maximum(np.minimum(js - j_star, n_r - js), 0)
+    ends = np.cumsum(eligible)
+    if not ends[-1]:
         return []
-    jb, ib = js[keep], iss[keep]
-    # (lambda) u_+^p, built in place: it is the largest array of the step
-    lam_src = np.clip(field.samples, 0.0, None)
+    ranks = np.arange(0, ends[-1], max(1, int(ends[-1]) // BRT_SAMPLES))[:BRT_SAMPLES]
+    lev = np.searchsorted(ends, ranks, side="right")
+    jb, ib = js[lev], 1 + ranks - (ends[lev] - eligible[lev])
+    brt = StripBounds.from_region(RegionBrt(ib, jb, j_star), 1)
+    k_max, a_max = brt.window()
+    # lambda u_+^p, built in place: it is the largest array of the step
+    lam_src = np.clip(field.samples[: k_max + 1, : a_max + 1], 0.0, None)
     lam_src **= config.p
-    lam_src *= h * np.arange(n_r + 1)
-    brt = StripBounds.from_region(RegionBrt(ib, jb, int(round(config.t_star / h))), 1)
+    lam_src *= h * np.arange(a_max + 1)
     rhs_b = config.A * (strip_quadrature(lam_src, brt) * h * h / (2.0 * ib * h))
     lhs_b = field.samples[jb, ib]
     return [InequalityTable.build("region_integral_bound", ib * h, jb * h, lhs_b, rhs_b,
                                   _chain_tol(h, lhs_b, rhs_b), {"A": config.A})]
+
+
+def _lattice_F(samples, j_star, lo, hi):
+    """F(alpha_a, beta_b) for a in [lo, hi), b in [0, hi), read off the lattice.
+
+    alpha = t_star + a h and beta = t_star + b h put (r, t) at ((a - b)/2,
+    j_star + (a + b)/2) in lattice units: a node when a - b is even, a cell
+    centre when it is odd, whose value is the corner mean in the order of
+    RadialField.interpolate, so the two agree bitwise.  Along a row, b -> b + 2
+    moves one node up-left, so each parity is a strided anti-diagonal view of
+    the samples.  Entries with b > a, outside Sigma-prime, are zero.
+    """
+    width, flat = samples.shape[1], samples.ravel()
+    step = width - 1
+
+    def diagonal(i, j, count):
+        # the nodes (i - m, j + m), m = 0..count-1, as (column, level)
+        start = j * width + i
+        return flat[start : start + (count - 1) * step + 1 : step]
+
+    F = np.zeros((hi - lo, hi))
+    for a in range(lo, hi):
+        k = a // 2                      # nodes (k, j_star + a - k) .. (0, j_star + a)
+        F[a - lo, a % 2 : a + 1 : 2] = diagonal(k, j_star + a - k, k + 1)
+        if a:                           # cells whose lower-left corners run the same way
+            k = (a - 1) // 2
+            i, j = k, j_star + a - 1 - k
+            F[a - lo, 1 - a % 2 : a : 2] = (
+                0.25 * diagonal(i, j, k + 1) + 0.25 * diagonal(i + 1, j, k + 1)
+                + 0.25 * diagonal(i, j + 1, k + 1) + 0.25 * diagonal(i + 1, j + 1, k + 1))
+    return F
 
 
 def _characteristic_pass(field, config, n, cols, tri_a, tri_b):
@@ -385,16 +499,14 @@ def _characteristic_pass(field, config, n, cols, tri_a, tri_b):
     so every value keeps its bits; past the diagonal K1 only adds exact zeros.
     """
     h, p, q = field.grid.h, config.p, config.q
+    j_star = int(round(config.t_star / h))
     alphas = config.t_star + h * np.arange(n + 1)
     H_vals, J_int, F_tri = np.empty(n + 1), np.empty(n + 1), np.empty(tri_a.size)
     G_cols, K1_cols = np.empty((n + 1, cols.size)), np.empty((n + 1, cols.size))
     for lo in range(0, n + 1, _GRID_ROWS):
         hi = min(lo + _GRID_ROWS, n + 1)
-        A_blk, B_blk = alphas[lo:hi, None], alphas[None, :hi]
-        db = A_blk - B_blk
-        vals = field.interpolate(np.clip(db / 2.0, 0.0, None),
-                                 np.minimum((A_blk + B_blk) / 2.0, field.defined_t_max))
-        F = np.where(db >= 0, vals, 0.0)
+        db = alphas[lo:hi, None] - alphas[None, :hi]
+        F = _lattice_F(field.samples, j_star, lo, hi)
         Fp = np.clip(F, 0.0, None) ** p
         db_pos = np.where(db > 0, db, 0.0)
         G = db_pos**q * F
@@ -455,16 +567,10 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
             "formula": "C_single * C_low^(p-1-eps)",
         }
 
-    # 1.-3. on the Sigma nodes: built once, dropped before the characteristic grid
-    js, iss = _sigma_nodes(field, t_star)
-    u_sigma = field.samples[js, iss]
-    tables = [InequalityTable.build(
-        "sigma_positivity", iss * h, js * h, u_sigma, np.zeros_like(u_sigma),
-        _chain_tol(h, u_sigma, 1.0), {})]
-    del u_sigma
-    tables += _region_integral_table(field, config, js, iss)
-    tables.append(_pointwise_table(field, config, js, iss))
-    del js, iss
+    # 1.-3. on the Sigma nodes, streamed by level blocks
+    positivity, pointwise = _sigma_tables(field, config)
+    tables = [positivity, *_region_integral_table(field, config, int(round(t_star / h))),
+              pointwise]
 
     # every stride-th node (a, b) of the row-major lower triangle, m = a(a+1)/2 + b
     n = int(math.floor((field.defined_t_max - t_star) / h + 1e-9))

@@ -67,7 +67,13 @@ class RadialProfile:
         slopes = np.diff(v) / np.diff(r)
         idx = np.clip(np.searchsorted(r, x, side="right") - 1, 0, len(slopes) - 1)
         out = slopes[idx]
-        on_knot = np.isclose(x[:, None], r[None, 1:-1], rtol=0.0, atol=1e-12 * max(1.0, r[-1])).any(axis=1)
+        inner = r[1:-1]
+        on_knot = np.zeros(x.shape, dtype=bool)
+        if inner.size:
+            # within atol of an interior knot: only the two that bracket x can be
+            k = np.searchsorted(inner, x)
+            below, above = inner[np.maximum(k - 1, 0)], inner[np.minimum(k, inner.size - 1)]
+            on_knot = np.minimum(np.abs(x - below), np.abs(x - above)) <= 1e-12 * max(1.0, r[-1])
         if on_knot.any():
             knot = np.clip(np.searchsorted(r, x[on_knot]), 1, len(r) - 2)
             centred = (v[knot + 1] - v[knot - 1]) / (r[knot + 1] - r[knot - 1])

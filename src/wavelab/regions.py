@@ -332,15 +332,17 @@ class StripBounds:
     def window(self):
         """Smallest (k_max, a_max) node window holding the clipped region.
 
-        When the top corner falls mid-cell (odd alpha+beta parity) the kept
-        quadrant lives one cell row above the last node row, hence the +1.
+        For a batch, the window holds every region of it.  When the top
+        corner falls mid-cell (odd alpha+beta parity) the kept quadrant lives
+        one cell row above the last node row, hence the +1.
         """
-        if self.a_hi >= _UNBOUNDED:
+        if np.any(np.asarray(self.a_hi) >= _UNBOUNDED):
             raise ValueError("unbounded region has no finite lattice window")
-        b_hi = min(self.b_hi, self.a_hi)   # lambda >= 0 forces beta <= alpha
-        k_max = min((self.a_hi + b_hi) // 2 + 1, self.k_hi)
-        a_max = self.a_hi                  # s >= 0 forces lambda <= alpha
-        return int(max(k_max, 0)), int(max(a_max, 0))
+        b_hi = np.minimum(self.b_hi, self.a_hi)     # lambda >= 0 forces beta <= alpha
+        k_max = np.minimum((self.a_hi + b_hi) // 2 + 1, self.k_hi)
+        # lambda = (alpha - beta)/2 <= (a_hi - b_lo)/2, and s >= 0 forces lambda <= alpha
+        a_max = np.minimum(self.a_hi, -((self.b_lo - self.a_hi) // 2))
+        return int(max(np.max(k_max), 0)), int(max(np.max(a_max), 0))
 
 
 def lattice_weights(bounds: StripBounds, n_k: int, n_a: int) -> np.ndarray:

@@ -55,6 +55,7 @@ __all__ = [
     "BlowupFit",
     "apply_P",
     "linear_radial",
+    "homogeneous_levels",
     "solve_march",
     "solve_forced",
     "detect_blowup_time",
@@ -191,10 +192,12 @@ class RadialField:
         r = np.asarray(r, dtype=float)
         t = np.asarray(t, dtype=float)
         h = self.grid.h
-        fi = np.clip(r / h, 0, self.grid.n_r - 1e-12)
-        fj = np.clip(t / h, 0, self.n_levels - 1 - 1e-12)
-        i0 = np.floor(fi).astype(int)
-        j0 = np.floor(fj).astype(int)
+        fi = np.clip(r / h, 0, self.grid.n_r)
+        fj = np.clip(t / h, 0, self.n_levels - 1)
+        # the last column and level use the cell below them, so a node query
+        # there returns the node
+        i0 = np.minimum(np.floor(fi).astype(int), self.grid.n_r - 1)
+        j0 = np.minimum(np.floor(fj).astype(int), self.n_levels - 2)
         di = fi - i0
         dj = fj - j0
         s = self.samples
@@ -321,17 +324,30 @@ def apply_P(source: RadialField, r: float, t: float) -> float:
 # Homogeneous part by d'Alembert with odd extension
 # ---------------------------------------------------------------------------
 
-def _homogeneous(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid) -> np.ndarray:
-    """ubar0 on the lattice; level j reads the F and I windows starting at n_t +- j."""
+def homogeneous_levels(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
+    """ubar0 by level blocks: returns ``levels(lo, hi)``, ubar0 on levels lo..hi-1.
+
+    The two 1-D d'Alembert tables (and the r = 0 column) are built once; level
+    j reads the F and I windows starting at n_t +- j.  Every block is computed
+    elementwise from the same tables, so its values are bitwise those of the
+    whole-lattice array ``levels(0, n_t + 1)``.
+    """
     n_r, n_t = grid.n_r, grid.n_t
     y = grid.h * np.arange(-n_t, n_r + n_t + 1)
     F = sliding_window_view(y * fbar(np.abs(y)), n_r + 1)
     I = sliding_window_view(gbar.moment_integral(y), n_r + 1)
-    v = 0.5 * (F[n_t:] + F[n_t::-1]) + 0.5 * (I[n_t:] - I[n_t::-1])
-    v[:, 1:] /= grid.r_values()[1:]
     tv = grid.t_values()
-    v[:, 0] = fbar(tv) + tv * fbar.derivative(tv) + tv * gbar(tv)
-    return v
+    axis = fbar(tv) + tv * fbar.derivative(tv) + tv * gbar(tv)
+    r_inner = grid.r_values()[1:]
+
+    def levels(lo, hi):
+        up, down = slice(n_t + lo, n_t + hi), slice(n_t - hi + 1, n_t - lo + 1)
+        v = 0.5 * (F[up] + F[down][::-1]) + 0.5 * (I[up] - I[down][::-1])
+        v[:, 1:] /= r_inner
+        v[:, 0] = axis[lo:hi]
+        return v
+
+    return levels
 
 
 def linear_radial(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid) -> RadialField:
@@ -349,7 +365,8 @@ def linear_radial(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid) -> R
     data is honoured to round-off, so the solution vanishes identically
     whenever |r - t| > rho (sharp Huygens principle in both directions).
     """
-    return RadialField(grid, _homogeneous(fbar, gbar, grid), status="complete")
+    return RadialField(grid, homogeneous_levels(fbar, gbar, grid)(0, grid.n_t + 1),
+                       status="complete")
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +414,7 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
             return forcing(cols * h, ks * h)
         return np.abs(u[ks, cols]) ** p
 
-    u0 = _homogeneous(fbar, gbar, grid)
+    u0 = homogeneous_levels(fbar, gbar, grid)(0, n_t + 1)
     u[0, : n_r + 1] = u0[0]
     sig_prev = np.zeros(n_r + 2)
     sig_curr = forcing_row(0) if forcing is not None else source_of(u[0])

@@ -2,7 +2,7 @@ import pytest
 
 from wavelab.diagnostics import ChainConfig, check_chain, compute_M, select_t2_delta
 from wavelab.profiles import bump_profile, zero_profile
-from wavelab.solver import CharGrid, Problem, linear_radial, solve_march
+from wavelab.solver import CharGrid, Problem, solve_march
 
 RHO = 1.0
 
@@ -35,8 +35,7 @@ def crit4_run():
 def crit4_chain(crit4_run):
     """Selected cone base, constants, and full chain report for the run."""
     prob, field = crit4_run
-    u0 = linear_radial(prob.f_profile, prob.g_profile, field.grid)
-    t2, delta = select_t2_delta(field, u0, prob.rho)
+    t2, delta = select_t2_delta(field, prob.f_profile, prob.g_profile, prob.rho)
     cfg = ChainConfig(prob.p, prob.A, t2, delta)
     cfg = cfg.with_constants(compute_M(field, t2, delta, prob.p))
     report = check_chain(field, cfg)

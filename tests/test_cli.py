@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import subprocess
@@ -212,6 +213,11 @@ def test_diagnose_manifest_records_timings(tmp_path):
     assert set(man["timings"]) == keys
     assert all(v >= 0 for v in man["timings"].values())
     assert man["peak_rss_mb"] > 0
+    # the running peak after each phase: the phase that sets the peak shows
+    after = man["peak_rss_mb_after"]
+    assert set(after) == {k[:-2] for k in keys}
+    steps = [after[k] for k in ("field_read", "select", "check_chain", "tables", "certify")]
+    assert 0 < steps[0] and steps == sorted(steps) and steps[-1] <= man["peak_rss_mb"]
     assert man["config_hash"] == config_hash(doc) and man["package_version"] == __version__
     for name in ("diagnostics.json", "gronwall.json", "residuals.csv"):
         text = (tmp_path / "diag" / name).read_text()
@@ -225,6 +231,20 @@ def test_diagnose_manifest_records_timings(tmp_path):
     man = json.loads((tmp_path / "out" / "diagnose_manifest.json").read_text())
     assert set(man["timings"]) == keys and man["timings"]["select_s"] is None
     assert man["timings"]["check_chain_s"] > 0
+    assert man["peak_rss_mb_after"]["select"] is None and man["peak_rss_mb_after"]["tables"] > 0
+
+
+def test_diagnose_logs_one_info_line_per_phase(solved_run, tmp_path, caplog):
+    tmp, _ = solved_run
+    caplog.set_level(logging.INFO, logger="wavelab")
+    assert main(["diagnose", "--config", str(tmp / "c.json"),
+                 "--field", str(tmp / "out" / "field.npz"),
+                 "--output", str(tmp_path / "diag")]) == 0
+    lines = [rec.getMessage() for rec in caplog.records
+             if rec.name == "wavelab" and rec.levelno == logging.INFO]
+    phases = ["field_read", "select", "check_chain", "tables", "certify"]
+    assert [line.split()[1] for line in lines] == phases
+    assert all(line.startswith("diagnose: ") and "peak RSS" in line for line in lines)
 
 
 def test_diagnose_lifespan_beyond_r_star_is_exit_3(solved_run, tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from wavelab.diagnostics import (ChainConfig, GridTooShortError, F_of, G_of,
                                  check_pointwise_lower_bound, choose_epsilon,
                                  compute_M, gronwall_params_from_chain,
                                  s_exponent, select_t2_delta)
-from wavelab.profiles import bump_profile, zero_profile
+from wavelab.profiles import RadialProfile, bump_profile, zero_profile
 from wavelab.regions import (_UNBOUNDED, RegionBrt, StripBounds, lattice_weights,
                              strip_quadrature)
 from wavelab.solver import (CharGrid, Problem, RadialField, linear_radial,
@@ -64,8 +64,7 @@ def test_compute_M_zero_field_and_grid_check():
 
 def test_select_t2_delta_nonnegative_velocity_data(blowup_run_coarse):
     prob, fld = blowup_run_coarse
-    u0 = linear_radial(prob.f_profile, prob.g_profile, fld.grid)
-    t2, delta = select_t2_delta(fld, u0, prob.rho)
+    t2, delta = select_t2_delta(fld, prob.f_profile, prob.g_profile, prob.rho)
     assert t2 == 0.0
     assert delta == pytest.approx(RHO / 8.0)
     assert fld.value_at(delta, t2 + delta) > 0
@@ -74,8 +73,96 @@ def test_select_t2_delta_nonnegative_velocity_data(blowup_run_coarse):
 def test_select_t2_delta_zero_field_errors():
     grid = CharGrid(1 / 16, 2.0, 1.0)
     zeros = RadialField(grid, np.zeros((grid.n_t + 1, grid.n_r + 1)))
+    zero = zero_profile(RHO, grid.r_values())
     with pytest.raises(ValueError, match="no admissible cone"):
-        select_t2_delta(zeros, zeros, rho=1.0)
+        select_t2_delta(zeros, zero, zero, rho=1.0)
+    with pytest.raises(ValueError, match="trivial data"):
+        select_t2_delta(zeros, zero, zero, rho=0.0)
+
+
+def _select_reference(field, u0, rho):
+    """The cone selection on the whole lattice: u0, its prefix minima over r
+    and an O(levels^2) scan of every cone, as select_t2_delta once ran."""
+    grid, h = field.grid, field.grid.h
+    d_cells = max(4, int(math.ceil(rho / (8.0 * h))))
+    d_cells += d_cells % 2
+    n_lev = min(field.n_levels, u0.n_levels)
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(u0.samples))))
+    pm = np.minimum.accumulate(u0.samples[:n_lev], axis=1)
+    for j2 in range(n_lev):
+        js = np.arange(j2, n_lev)
+        if not np.all(pm[js, np.minimum(js - j2, grid.n_r)] >= -tol):
+            continue
+        if j2 + d_cells >= n_lev:
+            break
+        if field.samples[j2 + d_cells, d_cells] > 0.0:
+            return (j2 * h, d_cells * h)
+    raise ValueError("no admissible cone")
+
+
+def _shell_velocity(eps):
+    """A tall positive core and a shell of depth -eps: u0 reaches ~-eps/6 inside cones."""
+    r = np.linspace(0.0, RHO, 65)
+    g = np.where(r <= 0.3, 1000.0, np.clip(1000.0 * (0.4 - r) / 0.1, 0.0, None))
+    return RadialProfile(r, np.where((r >= 0.5) & (r <= 0.9), -eps, g), RHO)
+
+
+@pytest.fixture(scope="module")
+def select_cases(blowup_run_coarse):
+    """(field, fbar, gbar) triples: the coarse blow-up run; displacement data,
+    whose u0 dips below zero so t2 > 0; a shell whose dips lie between -tol and
+    -1e-10 (t2 = 0 only once tol is known) or below -tol; zero solution."""
+    prob, fld = blowup_run_coarse
+    grid = CharGrid(1 / 16, RHO + 6.0, 6.0)
+    gr = grid.r_values()
+    disp = Problem(2.0, 1.0, bump_profile(2.0, RHO, gr), zero_profile(RHO, gr), RHO)
+    ones = RadialField(grid, np.ones((grid.n_t + 1, grid.n_r + 1)))
+    zeros = RadialField(grid, np.zeros((grid.n_t + 1, grid.n_r + 1)))
+    zero = zero_profile(RHO, gr)
+    return {
+        "blowup": (fld, prob.f_profile, prob.g_profile),
+        "displacement": (solve_march(disp, grid, residual_nodes=0), disp.f_profile, zero),
+        "shell-within-tol": (ones, zero, _shell_velocity(1e-9)),
+        "shell-below-tol": (ones, zero, _shell_velocity(1e-3)),
+        "zero-solution": (zeros, zero, bump_profile(1.0, RHO, gr)),
+    }
+
+
+@pytest.mark.parametrize("rows", [1, 7, 256, 10**6])
+@pytest.mark.parametrize("case", ["blowup", "displacement", "shell-within-tol",
+                                  "shell-below-tol", "zero-solution"])
+def test_select_t2_delta_matches_whole_lattice_scan(select_cases, monkeypatch, case, rows):
+    fld, fbar, gbar = select_cases[case]
+    u0 = linear_radial(fbar, gbar, fld.grid)
+    try:
+        want = _select_reference(fld, u0, RHO)
+    except ValueError as exc:
+        want = exc
+    monkeypatch.setattr(diagnostics, "_GRID_ROWS", rows)
+    if isinstance(want, ValueError):
+        assert case == "zero-solution"
+        with pytest.raises(ValueError, match="no admissible cone"):
+            select_t2_delta(fld, fbar, gbar, RHO)
+        return
+    assert select_t2_delta(fld, fbar, gbar, RHO) == want
+    # the cases reach what they are named for
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(u0.samples))))
+    within = (u0.samples < -1e-10) & (u0.samples >= -tol)
+    assert (want[0] > 0) == (case in ("displacement", "shell-below-tol"))
+    if case == "shell-within-tol":
+        assert np.any(diagnostics._cone_reach(u0.samples, 0, 1e-10) >= 0) and within.any()
+
+
+def test_select_t2_delta_peak_memory(crit4_run):
+    # u0 in level blocks: no whole-lattice u0 or prefix minima
+    prob, field = crit4_run
+    tracemalloc.start()
+    try:
+        select_t2_delta(field, prob.f_profile, prob.g_profile, prob.rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 * field.samples.nbytes
 
 
 def test_cone_average_bound_on_Q(blowup_run_coarse):
@@ -220,7 +307,8 @@ def _dense_chain_reference(field, config):
     tol = diagnostics._chain_tol
     tables = []
 
-    js, iss = diagnostics._sigma_nodes(field, t_star)
+    j_star = int(round(t_star / h))
+    js, iss = np.nonzero(np.arange(n_r + 1) <= np.arange(field.n_levels)[:, None] - j_star)
     u_sigma = field.samples[js, iss]
     tables.append(InequalityTable.build(
         "sigma_positivity", iss * h, js * h, u_sigma, np.zeros_like(u_sigma),
@@ -324,8 +412,101 @@ def test_row_blocked_chain_matches_dense_grid(blowup_run_coarse, monkeypatch, ro
         assert tb.holds == ref.holds and tb.min_residual == ref.min_residual, tb.inequality_id
 
 
+def _build_reference(r, t, lhs, rhs, tol, max_rows=20000):
+    """InequalityTable.build on whole arrays, as written before tables streamed:
+    (r, t, lhs, rhs, tol) kept, holds, min_residual, argmin."""
+    res = lhs - rhs
+    k = int(np.argmin(res))
+    min_residual, holds = float(res[k]), bool(np.all(res >= -tol))
+    if lhs.size > max_rows:
+        stride = lhs.size // max_rows + 1
+        keep = np.unique(np.concatenate([np.arange(0, lhs.size, stride), [k]]))
+        r, t, lhs, rhs, tol = r[keep], t[keep], lhs[keep], rhs[keep], tol[keep]
+        k = int(np.argmin(lhs - rhs))
+    return (r, t, lhs, rhs, tol), holds, min_residual, (float(r[k]), float(t[k]))
+
+
+def _assert_table_is(table, ref):
+    cols, holds, min_residual, argmin = ref
+    for name, col in zip(("r", "t", "lhs", "rhs", "tol"), cols):
+        assert np.array_equal(getattr(table, name), col, equal_nan=True), name
+    assert (table.holds, table.min_residual, table.argmin) == (holds, min_residual, argmin)
+
+
+@pytest.mark.parametrize("block", [1, 7, 10**6])
+@pytest.mark.parametrize("max_rows", [37, 20000])
+@pytest.mark.parametrize("tied", [True, False])
+def test_table_stream_matches_whole_array_build(block, max_rows, tied):
+    # tied: residuals drawn from a few integers, so the least one recurs in
+    # many blocks and only its first row may be reported; both tables violated
+    rng = np.random.default_rng(7)
+    n = 500
+    r, t = rng.random(n), rng.random(n)
+    rhs = rng.random(n)
+    lhs = rhs + (rng.integers(-3, 4, n) if tied else rng.normal(size=n))
+    tol = np.full(n, 0.5)
+    stream = diagnostics._TableStream("synthetic", n, None, max_rows)
+    for lo in range(0, n, block):
+        stream.add(*(c[lo : lo + block] for c in (r, t, lhs, rhs, tol)))
+    table = stream.finish()
+    ref = _build_reference(r, t, lhs, rhs, tol, max_rows)
+    assert not ref[1]
+    if tied:
+        assert np.sum(lhs - rhs == ref[2]) > 10
+    _assert_table_is(table, ref)
+    _assert_table_is(InequalityTable.build("synthetic", r, t, lhs, rhs, tol, max_rows=max_rows),
+                     ref)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10**6])
+@pytest.mark.parametrize("case", ["blowup", "small", "negative"])
+def test_sigma_tables_match_whole_array_build(blowup_run_coarse, monkeypatch, rows, case):
+    # blowup: 1e5 Sigma nodes, above max_rows; small: 1.5e3 nodes, below it;
+    # negative: u = -1 on Sigma, every node tied for the least residual
+    prob, fld = blowup_run_coarse
+    if case != "blowup":
+        grid = CharGrid(1 / 16, 5.0, 4.0)
+        fld = RadialField(grid, np.full((grid.n_t + 1, grid.n_r + 1),
+                                        -1.0 if case == "negative" else 1.0))
+    cfg = ChainConfig(2.0, 1.0, 0.0, RHO / 8.0, None, M=1.0, C0=0.3)
+    h = fld.grid.h
+    j_star = int(round(cfg.t_star / h))
+    js, iss = np.nonzero(np.arange(fld.grid.n_r + 1) <= np.arange(fld.n_levels)[:, None] - j_star)
+    u, r, t = fld.samples[js, iss], iss * h, js * h
+    assert (u.size > 20000) == (case == "blowup")
+    monkeypatch.setattr(diagnostics, "_GRID_ROWS", rows)
+    positivity, pointwise = diagnostics._sigma_tables(fld, cfg)
+    _assert_table_is(positivity, _build_reference(r, t, u, np.zeros_like(u),
+                                                  diagnostics._chain_tol(h, u, 1.0)))
+    rhs = cfg.C0 * (t + r) ** (1.0 - cfg.p)
+    _assert_table_is(pointwise, _build_reference(r, t, u, rhs, diagnostics._chain_tol(h, u, rhs)))
+    assert positivity.holds == (case != "negative")
+    if case == "negative":
+        assert positivity.argmin == (0.0, j_star * h)
+
+
+@pytest.mark.parametrize("k, j_star, rows", [(3, 0, 5), (4, 6, 7), (5, 13, 256)])
+def test_lattice_gather_matches_interpolate(k, j_star, rows):
+    # dyadic h: alpha and beta are exact, so the bilinear interpolant at the
+    # node or cell centre and the direct read agree bit for bit, apex included
+    rng = np.random.default_rng(k)
+    h = 2.0**-k
+    grid = CharGrid(h, 40 * h, 70 * h)
+    fld = RadialField(grid, rng.normal(size=(grid.n_t - 3, grid.n_r + 1)))
+    n = fld.n_levels - 1 - j_star
+    alphas = j_star * h + h * np.arange(n + 1)
+    for lo in range(0, n + 1, rows):
+        hi = min(lo + rows, n + 1)
+        A, B = alphas[lo:hi, None], alphas[None, :hi]
+        got = diagnostics._lattice_F(fld.samples, j_star, lo, hi)
+        want = np.where(A >= B, fld.interpolate(np.clip((A - B) / 2.0, 0.0, None),
+                                                np.minimum((A + B) / 2.0, fld.defined_t_max)), 0.0)
+        assert np.array_equal(got, want)
+
+
 def test_check_chain_peak_memory(crit4_run):
-    # no (n+1)^2 characteristic-grid array: the dense chain peaked at 11x the field
+    # no (n+1)^2 characteristic-grid array (the dense chain peaked at 11x the
+    # field) and no Sigma-size array (whole-Sigma steps 1-3 peaked at 3.9x)
     prob, field = crit4_run
     cfg = ChainConfig(prob.p, prob.A, 0.0, RHO / 8.0)
     tracemalloc.start()
@@ -334,7 +515,7 @@ def test_check_chain_peak_memory(crit4_run):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * field.samples.nbytes
+    assert peak <= 2 * field.samples.nbytes
 
 
 def _tables_csv_by_row_loop(report):

@@ -219,6 +219,28 @@ def test_from_region_on_index_arrays():
         StripBounds.from_region(RegionR(np.array([1.0, 1.5]), np.array([2.0, 2.0])), 1)
 
 
+def test_window_holds_every_region_of_a_batch():
+    # B(r, t) batches as the chain builds them: the window bounds lambda by
+    # (a_hi - b_lo)/2, and the quadrature on the window equals the one on the
+    # whole lattice bit for bit (row prefix sums run from a = 0 either way)
+    rng = np.random.default_rng(12)
+    g = rng.random((60, 90))
+    j_star = 5
+    jb = rng.integers(j_star + 2, 60, 50)
+    ib = np.minimum(rng.integers(1, 30, 50), jb - j_star)
+    batch = StripBounds.from_region(RegionBrt(ib, jb, j_star), 1)
+    k_max, a_max = batch.window()
+    singles = [StripBounds.from_region(RegionBrt(int(i), int(j), j_star), 1).window()
+               for i, j in zip(ib, jb)]
+    assert (k_max, a_max) == tuple(np.max(singles, axis=0))
+    assert a_max == max(-((j_star - i - j) // 2) for i, j in zip(ib, jb)) < (ib + jb).max()
+    assert np.array_equal(strip_quadrature(g[: k_max + 1, : a_max + 1], batch),
+                          strip_quadrature(g, batch))
+    # one column fewer drops cells that carry weight
+    assert not np.array_equal(strip_quadrature(g[: k_max + 1, :a_max], batch),
+                              strip_quadrature(g, batch))
+
+
 def _fsum_R(g, i, j):
     """Exact-sum oracle: the dense lattice_weights of R(i, j) against g."""
     W = lattice_weights(StripBounds.from_region(RegionR(i, j), 1), g.shape[0] - 1, g.shape[1] - 1)

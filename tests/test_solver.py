@@ -86,6 +86,28 @@ def test_field_npz_truncated_rejected(tmp_path):
         RadialField.load(path)
 
 
+def test_interpolate_returns_nodes_on_last_level_and_column(blowup_run_coarse):
+    # the last level and column are read from the cell below them: a node query
+    # there returns the node (a 1e-12 clamp once blended in the level below)
+    _, fld = blowup_run_coarse
+    h, top = fld.grid.h, fld.n_levels - 1
+    r = fld.grid.r_values()
+    assert np.array_equal(fld.interpolate(r, np.full(r.size, fld.defined_t_max)), fld.samples[top])
+    assert fld.interpolate(0.0, fld.defined_t_max) == fld.samples[top, 0] > 1e3
+    mid = fld.interpolate(r[:-1] + 0.5 * h, np.full(r.size - 1, fld.defined_t_max))
+    np.testing.assert_allclose(mid, 0.5 * (fld.samples[top, :-1] + fld.samples[top, 1:]),
+                               rtol=1e-15, atol=1e-300)
+    # the blown-up run is zero on its last column, so check it on random samples
+    noisy = RadialField(fld.grid, np.random.default_rng(3).normal(size=fld.samples.shape),
+                        status="blown_up", t_b=fld.t_b)
+    t = fld.grid.t_values(fld.n_levels)
+    assert np.array_equal(noisy.interpolate(np.full(t.size, fld.grid.r_max), t),
+                          noisy.samples[:, -1])
+    assert noisy.interpolate(fld.grid.r_max, fld.defined_t_max) == noisy.samples[top, -1]
+    assert np.array_equal(noisy.interpolate(r, np.full(r.size, fld.defined_t_max)),
+                          noisy.samples[top])
+
+
 # ---------------------------------------------------------------------------
 # the P operator
 # ---------------------------------------------------------------------------

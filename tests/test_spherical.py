@@ -141,3 +141,31 @@ def test_profile_moment_integral_constant_past_rho():
     at_rho = prof.moment_integral(1.0)
     assert at_rho == pytest.approx(7.0 / 24.0, rel=1e-15)
     assert np.all(prof.moment_integral(np.array([1.2, 1.5, 3.0, -2.0])) == at_rho)
+
+
+def _derivative_by_knot_table(prof, x):
+    """derivative as it was written with an (x, knot) np.isclose table: the oracle."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    r, v = prof.r, prof.values
+    slopes = np.diff(v) / np.diff(r)
+    out = slopes[np.clip(np.searchsorted(r, x, side="right") - 1, 0, len(slopes) - 1)]
+    on_knot = np.isclose(x[:, None], r[None, 1:-1], rtol=0.0,
+                         atol=1e-12 * max(1.0, r[-1])).any(axis=1)
+    if on_knot.any():
+        knot = np.clip(np.searchsorted(r, x[on_knot]), 1, len(r) - 2)
+        out[on_knot] = (v[knot + 1] - v[knot - 1]) / (r[knot + 1] - r[knot - 1])
+    return np.where(x >= min(prof.rho, r[-1]), 0.0, out)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_profile_derivative_matches_knot_table(seed):
+    # the centred slope applies within 1e-12 of an interior knot; only the two
+    # knots that bracket x are tested now, with the same result
+    rng = np.random.default_rng(seed)
+    r = np.unique(np.concatenate([[0.0], rng.random(int(rng.integers(1, 30))) * 3.0]))
+    prof = RadialProfile(r, rng.normal(size=r.size), rho=float(rng.uniform(0.5, 4.0)))
+    x = np.concatenate([rng.uniform(-1.0, 5.0, 300), prof.r, prof.r + 1e-13,
+                        prof.r - 1e-13, prof.r + 1e-11])
+    assert np.array_equal(np.atleast_1d(prof.derivative(x)), _derivative_by_knot_table(prof, x))
+    line = RadialProfile([0.0, 2.0], [1.0, 0.0], rho=2.0)      # no interior knot
+    assert np.array_equal(line.derivative(x), _derivative_by_knot_table(line, x))
