@@ -28,8 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, RunConfig, apply_overrides, config_hash,
-                     load_json, parse_run_config, parse_sweep_config)
+from .config import (ConfigError, RunConfig, _is_number, _number, _require_keys,
+                     apply_overrides, config_hash, load_json, parse_run_config,
+                     parse_sweep_config)
 from .diagnostics import (ChainConfig, GridTooShortError, check_chain, choose_epsilon,
                           gronwall_params_from_chain, s_exponent, select_t2_delta)
 from .gronwall import (GronwallParams, WindowTooShortError, certify,
@@ -66,6 +67,23 @@ def _peak_rss_mb():      # of this process so far; ru_maxrss is in KiB on Linux
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+class _PhaseClock:
+    """Per phase of a command: its time, the running peak RSS after it and one INFO line."""
+
+    def __init__(self, command, phases):
+        self.command = command
+        self.timings = {name + "_s": None for name in phases}
+        self.rss_after = dict.fromkeys(phases)
+        self._clock = time.perf_counter()
+
+    def done(self, name, detail):
+        now = time.perf_counter()
+        self.timings[name + "_s"], self.rss_after[name] = now - self._clock, _peak_rss_mb()
+        log.info("%s: %s %s in %.2fs, peak RSS %.0f MB", self.command, name, detail,
+                 now - self._clock, self.rss_after[name])
+        self._clock = now
+
+
 def _manifest(config_doc, extra):
     return {
         "config": config_doc,
@@ -89,18 +107,18 @@ def _run_solve(cfg: RunConfig, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = cfg.build_grid()
     problem = cfg.build_problem(grid)
-    started = time.perf_counter()
+    phases = _PhaseClock("solve", ("march", "field_write", "blowup_fit"))
     fld = solve_march(problem, grid, cfg.blowup_threshold, cfg.divergence_factor)
-    marched = time.perf_counter()
+    phases.done("march", f"{fld.n_levels} levels, status={fld.status} t_b={fld.t_b}")
     fld.save(out_dir / "field.npz")
-    written = time.perf_counter()
+    phases.done("field_write", "field.npz")
     fit = detect_blowup_time(fld)
-    fitted = time.perf_counter()
+    phases.done("blowup_fit", "none" if fit is None else f"t_b={fit.fitted_t_b:.6g}")
     _write_json(out_dir / "residual.json", fld.residual)
     record = {
-        "wall_time_s": marched - started,       # march plus residual, as before
-        "timings": {"march_s": marched - started, "field_write_s": written - marched,
-                    "blowup_fit_s": fitted - written},
+        "wall_time_s": phases.timings["march_s"],       # march plus residual, as before
+        "timings": phases.timings,
+        "peak_rss_mb_after": phases.rss_after,
         "peak_rss_mb": _peak_rss_mb(),
         "status": fld.status,
         "t_b": fld.t_b,
@@ -110,8 +128,6 @@ def _run_solve(cfg: RunConfig, out_dir: Path):
         "residual": fld.residual,
     }
     _write_json(out_dir / "manifest.json", _manifest(cfg.raw, record))
-    log.info("solve: status=%s t_b=%s march=%.2fs write=%.2fs", fld.status, fld.t_b,
-             marched - started, written - marched)
     return fld, record
 
 
@@ -135,37 +151,26 @@ def _lattice_round(x, h, up_even=False):
 
 def _run_diagnose(cfg: RunConfig, field_path, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
-    # per phase: its time, the running peak RSS after it and one INFO line
-    timings, rss_after = {"select_s": None}, {"select": None}
-    clock = time.perf_counter()
-
-    def phase_done(name, detail):
-        nonlocal clock
-        now = time.perf_counter()
-        timings[name + "_s"], rss_after[name] = now - clock, _peak_rss_mb()
-        log.info("diagnose: %s %s in %.2fs, peak RSS %.0f MB", name, detail, now - clock,
-                 rss_after[name])
-        clock = now
-
+    phases = _PhaseClock("diagnose", ("field_read", "select", "check_chain", "tables", "certify"))
     field = RadialField.load(field_path)
-    phase_done("field_read", f"{field.n_levels} levels")
+    phases.done("field_read", f"{field.n_levels} levels")
     p = field.p if field.p is not None else cfg.p
     A = field.A if field.A is not None else cfg.A
     grid = field.grid
     if cfg.t2 is None or cfg.delta is None:
         f_prof, g_prof = cfg.data.build_profiles(grid.r_values())
         t2, delta = select_t2_delta(field, f_prof, g_prof, cfg.data.rho)
-        phase_done("select", f"t2={t2:g} delta={delta:g}")
+        phases.done("select", f"t2={t2:g} delta={delta:g}")
     if cfg.t2 is not None:
         t2 = _lattice_round(cfg.t2, grid.h) if cfg.t2 > 0 else 0.0
     if cfg.delta is not None:
         delta = _lattice_round(cfg.delta, grid.h, up_even=True)
 
     report = check_chain(field, ChainConfig(p, A, t2, delta, cfg.epsilon))
-    phase_done("check_chain", "holds" if report.holds else "violated")
+    phases.done("check_chain", "holds" if report.holds else "violated")
     _write_json(out_dir / "diagnostics.json", report.to_json_dict())
     report.tables_to_csv(out_dir / "residuals.csv")
-    phase_done("tables", f"{sum(tb.lhs.size for tb in report.tables)} rows")
+    phases.done("tables", f"{sum(tb.lhs.size for tb in report.tables)} rows")
 
     cert_doc = {"r_star_note": "failure radius derived from the lemma's proof, "
                                "not part of its statement"}
@@ -200,10 +205,11 @@ def _run_diagnose(cfg: RunConfig, field_path, out_dir: Path):
         except ValueError as exc:
             cert_doc["skipped"] = f"hypotheses not met on this window: {exc}"
     _write_json(out_dir / "gronwall.json", cert_doc)
-    phase_done("certify", "skipped" if "skipped" in cert_doc else "done")
+    phases.done("certify", "skipped" if "skipped" in cert_doc else "done")
     # not manifest.json: without --output this is the solve directory
     _write_json(out_dir / "diagnose_manifest.json",
-                _manifest(cfg.raw, {"timings": timings, "peak_rss_mb_after": rss_after,
+                _manifest(cfg.raw, {"timings": phases.timings,
+                                    "peak_rss_mb_after": phases.rss_after,
                                     "peak_rss_mb": _peak_rss_mb()}))
 
     if not report.holds:
@@ -313,28 +319,34 @@ def cmd_sweep(args):
 # gronwall (direct access on user-supplied samples)
 # ---------------------------------------------------------------------------
 
+def _direct_output_dir(args, doc):
+    """--output, else the config's output_dir, else the working directory; created."""
+    out = args.output or doc.get("output_dir", ".")
+    if not isinstance(out, str):
+        raise ConfigError("output_dir: expected a path string")
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _parse_gronwall_params(doc):
-    allowed = {"C", "a", "b", "t0", "t1"}
-    if not isinstance(doc, dict) or set(doc) - allowed or allowed - set(doc):
-        raise ConfigError("params: expected exactly the keys C, a, b, t0, t1")
+    keys = ("C", "a", "b", "t0", "t1")
+    _require_keys(doc, set(keys), set(keys), "params")
+    values = [_number(doc, k, "params") for k in keys]
     try:
-        return GronwallParams(float(doc["C"]), float(doc["a"]), float(doc["b"]),
-                              float(doc["t0"]), float(doc["t1"]))
+        return GronwallParams(*values)
     except ValueError as exc:
         raise ConfigError(f"params: {exc}")
 
 
 def cmd_gronwall(args):
     doc = apply_overrides(load_json(args.config), args.override)
-    if not isinstance(doc, dict) or "params" not in doc:
-        raise ConfigError("missing key: params")
-    for k in doc:
-        if k not in ("params", "H_csv", "J1", "output_dir"):
-            raise ConfigError(f"unknown key: {k}")
+    _require_keys(doc, {"params", "H_csv", "J1", "output_dir"}, {"params"}, "")
     params = _parse_gronwall_params(doc["params"])
-    out_dir = Path(args.output or doc.get("output_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _direct_output_dir(args, doc)
     if "H_csv" in doc:
+        if not isinstance(doc["H_csv"], str):
+            raise ConfigError("H_csv: expected a path string")
         data = np.genfromtxt(doc["H_csv"], delimiter=",", skip_header=1)
         data = np.atleast_2d(data)
         if data.shape[1] != 2 or not np.all(np.isfinite(data)):
@@ -349,7 +361,7 @@ def cmd_gronwall(args):
         cert.to_json(out_dir / "gronwall.json")
         return EXIT_OK
     if "J1" in doc:
-        J1 = float(doc["J1"])
+        J1 = _number(doc, "J1", "")
         _write_json(out_dir / "gronwall.json",
                     {**{k: getattr(params, k) for k in ("C", "a", "b", "t0", "t1")},
                      "J1": J1, "r_star": _finite_or_none(failure_radius(params, J1)),
@@ -366,12 +378,14 @@ def cmd_gronwall(args):
 def _build_family(doc):
     family = doc.get("family")
     params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("params: expected an object")
     if family == "monomial":
         powers = params.get("powers")
         if (not isinstance(powers, list) or len(powers) != 3
                 or any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in powers)):
             raise ConfigError("params.powers: expected three nonnegative integers")
-        rho = float(params.get("rho", 1e6))
+        rho = _number(params, "rho", "params", default=1e6)
         a, b, c = powers
 
         def ev(pts, t):
@@ -379,8 +393,8 @@ def _build_family(doc):
 
         return ScalarField3(ev, rho)
     if family == "radial-bump":
-        amp = float(params.get("amplitude", 1.0))
-        rho = float(params.get("rho", 1.0))
+        amp = _number(params, "amplitude", "params", default=1.0)
+        rho = _number(params, "rho", "params", default=1.0)
 
         def ev(pts, t):
             rr = np.linalg.norm(pts, axis=1)
@@ -388,9 +402,12 @@ def _build_family(doc):
 
         return ScalarField3(ev, rho)
     if family == "offset-gaussian":
-        center = np.asarray(params.get("center", [0.5, 0.0, 0.0]), dtype=float)
-        width = float(params.get("width", 0.25))
-        rho = float(params.get("rho", np.linalg.norm(center) + 8 * width))
+        center = params.get("center", [0.5, 0.0, 0.0])
+        if not isinstance(center, list) or len(center) != 3 or not all(map(_is_number, center)):
+            raise ConfigError("params.center: expected three numbers")
+        center = np.asarray(center, dtype=float)
+        width = _number(params, "width", "params", default=0.25)
+        rho = _number(params, "rho", "params", default=float(np.linalg.norm(center) + 8 * width))
 
         def ev(pts, t):
             d2 = np.sum((pts - center[None, :]) ** 2, axis=1)
@@ -403,26 +420,24 @@ def _build_family(doc):
 
 def cmd_mean(args):
     doc = apply_overrides(load_json(args.config), args.override)
-    for k in doc:
-        if k not in ("family", "params", "degree", "t", "radii", "output_dir"):
-            raise ConfigError(f"unknown key: {k}")
+    _require_keys(doc, {"family", "params", "degree", "t", "radii", "output_dir"}, set(), "")
     field = _build_family(doc)
     degree = doc.get("degree", 23)
     if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
         raise ConfigError("degree: expected a nonnegative integer")
-    t = float(doc.get("t", 0.0))
+    t = _number(doc, "t", "", default=0.0)
     radii = doc.get("radii")
     if isinstance(radii, dict):
-        for k in radii:
-            if k not in ("start", "stop", "count"):
-                raise ConfigError(f"unknown key: radii.{k}")
-        radii = np.linspace(float(radii["start"]), float(radii["stop"]),
-                            int(radii["count"])).tolist()
-    if not isinstance(radii, list) or not radii:
-        raise ConfigError("radii: expected a list or {start, stop, count}")
+        _require_keys(radii, {"start", "stop", "count"}, {"start", "stop", "count"}, "radii")
+        count = radii["count"]
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ConfigError("radii.count: expected a positive integer")
+        radii = np.linspace(_number(radii, "start", "radii"), _number(radii, "stop", "radii"),
+                            count).tolist()
+    if not isinstance(radii, list) or not radii or not all(map(_is_number, radii)):
+        raise ConfigError("radii: expected a list of numbers or {start, stop, count}")
     quad = build_sphere_quadrature(degree)
-    out_dir = Path(args.output or doc.get("output_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _direct_output_dir(args, doc)
     with open(out_dir / "mean.csv", "w", newline="") as fh:
         fh.write("r,value\n")
         for r in radii:

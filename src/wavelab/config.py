@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,19 +37,25 @@ def _require_keys(d, allowed, required, path):
             raise ConfigError(f"missing key: {path + '.' if path else ''}{k}")
 
 
+def _is_number(v):
+    """A JSON number that is finite: Python's json also reads NaN and Infinity."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _number(d, key, path, default=None, positive=False, nonneg=False):
+    name = f"{path}.{key}" if path else key
     if key not in d:
         if default is None:
-            raise ConfigError(f"missing key: {path}.{key}")
+            raise ConfigError(f"missing key: {name}")
         return default
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number")
+    if not _is_number(v):
+        raise ConfigError(f"{name}: expected a finite number")
     v = float(v)
     if positive and v <= 0:
-        raise ConfigError(f"{path}.{key}: must be positive")
+        raise ConfigError(f"{name}: must be positive")
     if nonneg and v < 0:
-        raise ConfigError(f"{path}.{key}: must be nonnegative")
+        raise ConfigError(f"{name}: must be nonnegative")
     return v
 
 
@@ -87,7 +94,6 @@ class RunConfig:
     raw: dict = field(compare=False, default_factory=dict)
 
     def build_grid(self) -> CharGrid:
-        import math
         r_max = self.data.rho + self.t_max
         # snap extents onto the lattice, never shrinking the influence domain
         n_r = int(math.ceil(r_max / self.h - 1e-9))
@@ -176,8 +182,8 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
     for name, xs in (("p_values", ps), ("amplitudes", amps)):
         if not isinstance(xs, list) or not xs:
             raise ConfigError(f"{name}: expected a nonempty list")
-        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in xs):
-            raise ConfigError(f"{name}: expected numbers")
+        if not all(map(_is_number, xs)):
+            raise ConfigError(f"{name}: expected finite numbers")
     if any(x <= 1 for x in ps):
         raise ConfigError("p_values: every exponent must exceed 1")
     jobs = doc.get("parallel_jobs", 1)

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .profiles import RadialProfile
-from .regions import RegionBrt, RegionT, StripBounds, strip_quadrature
+from .regions import influence_quadrature
 from .solver import RadialField, homogeneous_levels
 
 __all__ = [
@@ -327,14 +327,17 @@ def compute_M(field: RadialField, t2: float, delta: float, p: Optional[float] = 
         p = field.p
     grid = field.grid
     h = grid.h
-    region = RegionT(t2, delta)
-    b = StripBounds.from_region(region, h)
-    k_max, a_max = b.window()
-    if k_max > field.n_levels - 1 or a_max > grid.n_r:
+    q = np.array([t2, delta]) / h
+    j2, d = (int(v) for v in np.rint(q))
+    if np.any(np.abs(q - np.rint(q)) > 1e-6) or j2 < 0 or d < 1:
+        raise ValueError(f"T({t2}, {delta}) needs t2 >= 0 and delta > 0 on the lattice spacing {h}")
+    if j2 + d > field.n_levels - 1 or j2 + 2 * d > grid.n_r:
         raise ValueError("region outside grid")
-    lam = h * np.arange(a_max + 1)
-    window = np.abs(field.samples[: k_max + 1, : a_max + 1]) ** p
-    return float(strip_quadrature(0.5 * lam[None, :] * window, b)) * h * h
+    # T(t2, delta) is R(delta, t2 + delta) cut at alpha = t2 + delta
+    lam = h * np.arange(j2 + 2 * d + 1)
+    window = np.abs(field.samples[: j2 + d + 1, : j2 + 2 * d + 1]) ** p
+    g = 0.5 * lam[None, :] * window
+    return float(influence_quadrature(g, d, j2 + d, alpha_lo=j2 + d)) * h * h
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +451,14 @@ def _region_integral_table(field, config, j_star):
     ranks = np.arange(0, ends[-1], max(1, int(ends[-1]) // BRT_SAMPLES))[:BRT_SAMPLES]
     lev = np.searchsorted(ends, ranks, side="right")
     jb, ib = js[lev], 1 + ranks - (ends[lev] - eligible[lev])
-    brt = StripBounds.from_region(RegionBrt(ib, jb, j_star), 1)
-    k_max, a_max = brt.window()
+    # B(r, t) is R(i, j) cut at beta = j_star: it reaches lambda = (i + j - j_star)/2
+    a_max = int((ib + jb - j_star + 1).max()) // 2
     # lambda u_+^p, built in place: it is the largest array of the step
-    lam_src = np.clip(field.samples[: k_max + 1, : a_max + 1], 0.0, None)
+    lam_src = np.clip(field.samples[: jb.max() + 1, : a_max + 1], 0.0, None)
     lam_src **= config.p
     lam_src *= h * np.arange(a_max + 1)
-    rhs_b = config.A * (strip_quadrature(lam_src, brt) * h * h / (2.0 * ib * h))
+    integral = influence_quadrature(lam_src, ib, jb, beta_lo=j_star) * h * h
+    rhs_b = config.A * (integral / (2.0 * ib * h))
     lhs_b = field.samples[jb, ib]
     return [InequalityTable.build("region_integral_bound", ib * h, jb * h, lhs_b, rhs_b,
                                   _chain_tol(h, lhs_b, rhs_b), {"A": config.A})]

@@ -25,25 +25,28 @@ A kind is nothing but its ``strip_bounds()``; everything else derives from
 them.  Membership uses closed boundaries throughout.  The same bounds, read as
 exact rational half-planes in (alpha, beta), give each bounded region's
 vertices, hence its exact area (shoelace) and exact inclusion between regions
-(inner lies in outer iff every vertex of inner does).  On a uniform
-characteristic lattice they give the integer bounds of
-:class:`StripBounds`, and the one second-order quadrature that the solver and
-the diagnostics share: full cells use the four-corner product trapezoid,
-boundary cells cut by a 45-degree line the exact three-vertex rule on the kept
-triangle.  :func:`strip_quadrature` applies it to any batch of strip regions
-by a prefix-sum row walk and serves B(r, t) and the T integral M;
-:func:`influence_quadrature` applies it to the regions R(i, j) of lattice
-nodes by one sweep of the cell diagonals and serves the P operator and the
-integral residual; :func:`lattice_weights` builds the same weights as a dense
-array and is kept as the reference the tests compare against.
+(inner lies in outer iff every vertex of inner does).
+
+On a uniform characteristic lattice the solver and the diagnostics share one
+second-order quadrature rule: full cells use the four-corner product
+trapezoid (1/4 per corner), cells cut by one 45-degree line the exact
+three-vertex rule on the kept triangle (1/6 per kept corner), and cells cut
+through their centre by two lines keep a quadrant triangle whose centre value
+is the corner mean (1/12 per kept corner, 1/48 per corner).  The weights are
+nonnegative and reproduce the clipped area exactly.  One engine applies it:
+:func:`influence_quadrature` sweeps the cell diagonals once and answers R(i, j)
+at any set of lattice nodes, clipped by an optional alpha or beta floor, so it
+serves the P operator and the integral residual (R), the region integral
+bound (B(r, t)) and the cone constant M (T).  The dense weights, built cell
+by cell, are kept only as its test reference (``tests/lattice_oracle.py``).
 
 The fields of a kind may be integer arrays (lattice indices with h = 1), one
-entry per region of a batch, for :meth:`StripBounds.from_region`.
+entry per region of a batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -60,13 +63,8 @@ __all__ = [
     "contains",
     "area",
     "subset_check",
-    "StripBounds",
-    "lattice_weights",
-    "strip_quadrature",
     "influence_quadrature",
 ]
-
-_UNBOUNDED = 10**15  # integer sentinel for one-sided strips on the lattice
 
 
 def _require(bad, message):
@@ -296,243 +294,90 @@ def subset_check(inner, outer):
 # Lattice quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StripBounds:
-    """Strip bounds in integer lattice units (grid spacing h = 1).
-
-    ``a_lo <= alpha <= a_hi``, ``b_lo <= beta <= b_hi``, ``k_lo <= s <= k_hi``,
-    one-sided strips use +/- the _UNBOUNDED sentinel.  Bounds must sit on the
-    lattice; :func:`from_region` validates and converts.  For
-    :func:`strip_quadrature` the fields may be integer arrays, one entry per
-    region of a batch, as ``from_region`` gives for a kind built from arrays.
-    """
-
-    a_lo: int
-    a_hi: int
-    b_lo: int
-    b_hi: int
-    k_lo: int
-    k_hi: int
-
-    @staticmethod
-    def from_region(region, h):
-        vals = region.strip_bounds()
-        out = []
-        for v, default in zip(vals, (-_UNBOUNDED, _UNBOUNDED, -_UNBOUNDED, _UNBOUNDED, 0, _UNBOUNDED)):
-            if v is None:
-                out.append(default)
-                continue
-            q = np.asarray(v) / h
-            qi = np.rint(q)
-            if np.any(np.abs(q - qi) > 1e-6):
-                raise ValueError(f"region bound {v} is not aligned to the lattice spacing {h}")
-            out.append(qi.astype(np.int64) if qi.ndim else int(qi))
-        return StripBounds(*out)
-
-    def window(self):
-        """Smallest (k_max, a_max) node window holding the clipped region.
-
-        For a batch, the window holds every region of it.  When the top
-        corner falls mid-cell (odd alpha+beta parity) the kept quadrant lives
-        one cell row above the last node row, hence the +1.
-        """
-        if np.any(np.asarray(self.a_hi) >= _UNBOUNDED):
-            raise ValueError("unbounded region has no finite lattice window")
-        b_hi = np.minimum(self.b_hi, self.a_hi)     # lambda >= 0 forces beta <= alpha
-        k_max = np.minimum((self.a_hi + b_hi) // 2 + 1, self.k_hi)
-        # lambda = (alpha - beta)/2 <= (a_hi - b_lo)/2, and s >= 0 forces lambda <= alpha
-        a_max = np.minimum(self.a_hi, -((self.b_lo - self.a_hi) // 2))
-        return int(max(np.max(k_max), 0)), int(max(np.max(a_max), 0))
-
-
-def lattice_weights(bounds: StripBounds, n_k: int, n_a: int) -> np.ndarray:
-    """Second-order quadrature weights for a strip region on the unit lattice.
-
-    Returns ``W`` of shape ``(n_k + 1, n_a + 1)`` such that for samples ``g`` of
-    a function on the lattice, ``(W * g).sum() * h**2`` approximates the
-    integral of g over the region.  Cells fully inside contribute the bilinear
-    product-trapezoid (1/4 per corner); cells cut by one 45-degree boundary
-    contribute the exact linear rule on the kept triangle (1/6 per vertex);
-    cells cut by two boundaries crossing at the cell centre keep the quadrant
-    triangle, integrated with the cell-centre value taken as the corner mean.
-    All weights are nonnegative, and the weights of a constant reproduce the
-    clipped region area exactly.
-
-    This dense form is the reference oracle for :func:`strip_quadrature`,
-    which computes ``(W * g).sum()`` without building W; the package itself
-    calls only the latter.
-    """
-    W = np.zeros((n_k + 1, n_a + 1))
-    if bounds.a_hi <= bounds.a_lo and not (bounds.a_hi >= _UNBOUNDED or bounds.a_lo <= -_UNBOUNDED):
-        return W
-    if bounds.b_hi <= bounds.b_lo and not (bounds.b_hi >= _UNBOUNDED or bounds.b_lo <= -_UNBOUNDED):
-        return W
-
-    kk, aa = np.meshgrid(np.arange(n_k), np.arange(n_a), indexing="ij")
-    u = aa + kk          # alpha at the cell's lower-left corner
-    v = kk - aa          # beta at the cell's lower-left corner
-
-    rows_ok = (kk >= bounds.k_lo) & (kk + 1 <= bounds.k_hi)
-    cut_r = u + 1 == bounds.a_hi
-    cut_l = u + 1 == bounds.a_lo
-    cut_t = v == bounds.b_hi
-    cut_b = v == bounds.b_lo
-    ok = rows_ok & ((u + 2 <= bounds.a_hi) | cut_r) & ((u >= bounds.a_lo) | cut_l) \
-        & ((v + 1 <= bounds.b_hi) | cut_t) & ((v - 1 >= bounds.b_lo) | cut_b)
-    ncuts = (cut_r.astype(np.int8) + cut_l.astype(np.int8)
-             + cut_t.astype(np.int8) + cut_b.astype(np.int8))
-
-    c00, c01, c10, c11 = (0, 0), (0, 1), (1, 0), (1, 1)
-
-    def scatter(mask, offsets, wgt):
-        # cell corners are node-aligned, so masked slice adds avoid add.at
-        for dk, da in offsets:
-            W[dk : dk + n_k, da : da + n_a] += wgt * mask
-
-    scatter(ok & (ncuts == 0), (c00, c01, c10, c11), 0.25)
-
-    # single 45-degree cut: exact triangle rule on the kept half cell
-    scatter(ok & (ncuts == 1) & cut_r, (c00, c01, c10), 1.0 / 6.0)
-    scatter(ok & (ncuts == 1) & cut_l, (c01, c11, c10), 1.0 / 6.0)
-    scatter(ok & (ncuts == 1) & cut_t, (c00, c01, c11), 1.0 / 6.0)
-    scatter(ok & (ncuts == 1) & cut_b, (c00, c10, c11), 1.0 / 6.0)
-
-    # two cuts crossing at the cell centre: keep the quadrant triangle
-    quarters = (
-        (cut_r & cut_t, (c00, c01)),   # bottom quadrant
-        (cut_r & cut_b, (c00, c10)),   # left quadrant
-        (cut_l & cut_t, (c01, c11)),   # right quadrant
-        (cut_l & cut_b, (c10, c11)),   # top quadrant
-    )
-    for pair_mask, edge_verts in quarters:
-        mask = ok & (ncuts == 2) & pair_mask
-        if not mask.any():
-            continue
-        scatter(mask, edge_verts, 1.0 / 12.0)
-        scatter(mask, (c00, c01, c10, c11), 1.0 / 48.0)
-
-    return W
-
-
-_CHUNK_ROWS = 1 << 16  # cell rows per step of strip_quadrature; bounds its temporaries
-# Weight per kept cell corner by the number kept: kept area (1, 1/2, 1/4) over
-# the vertices of the kept part; a quadrant's third vertex is the cell centre.
-_KEPT_WEIGHT = np.array([0.0, 0.0, 1.0 / 12.0, 1.0 / 6.0, 1.0 / 4.0])
-
-
-def strip_quadrature(g, bounds: StripBounds) -> np.ndarray:
-    """``sum(W_q * g)`` for a batch of strip regions q, W_q as in lattice_weights.
+def influence_quadrature(g, i, j, alpha_lo=None, beta_lo=None) -> np.ndarray:
+    """``sum(W * g)`` over the regions R(i, j) of lattice nodes (i, j), optionally floored.
 
     ``g`` holds lattice samples indexed ``[k, a]`` for the node (a*h, k*h);
-    the fields of ``bounds`` are ints or broadcastable integer arrays, one
-    entry per region, and the result has their broadcast shape.  Regions are
-    clipped to the cells of ``g``: for ``g.shape == (K, N)`` entry q equals
-    ``(lattice_weights(b_q, K - 1, N - 1) * g).sum()``.  Multiply by h**2 for
-    the integral.
+    ``i >= 1`` and ``j >= 0`` are ints or broadcastable integer arrays, and the
+    result has their broadcast shape.  The integer floors clip every region to
+    alpha >= alpha_lo and beta >= beta_lo: B(r, t) is R(i, j) with beta_lo =
+    j_star, and T(t2, delta) is R(delta, t2 + delta) with alpha_lo = t2 +
+    delta.  Each clipped region must fit the cells of ``g``; an empty one
+    gives 0.  W is the lattice rule of the module docstring; multiply by h**2
+    for the integral.
 
-    Each cell row of a region is a run of cells [lo, hi]; the interior cells
-    are two lookups in the row prefix sums of the cell corner sums, and only
-    the two end cells are weighted by the boundaries that cut them.  The rows
-    of all regions are flattened, walked _CHUNK_ROWS at a time and summed per
-    region with bincount.
-    """
-    g = np.asarray(g, dtype=float)
-    fields = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in astuple(bounds)))
-    shape = fields[0].shape
-    a_lo, a_hi, b_lo, b_hi, k_lo, k_hi = (v.ravel() for v in fields)
-    out = np.zeros(a_lo.size)
-    n_k, n_a = g.shape[0] - 1, g.shape[1] - 1      # cell rows, cells per row
+    A cell (k, a) has centre alpha_c = a + k + 1, beta_c = k - a.  With B = j - i
+    and a_lo = max(alpha_lo, B), the cells between the columns alpha_c = a_lo
+    and i + j are full (1/4 per corner), and those cut along one diagonal keep
+    a triangle (1/6 per kept corner): right-cut in the column i + j, left-cut in
+    the column a_lo (for a_lo < 1 it is column 0, which holds no cell),
+    top-cut on the diagonal beta_c = B, bottom-cut on beta_c = beta_lo.  A
+    corner on a cell centre, where alpha + beta is odd, leaves that cell a
+    quadrant (1/12 per kept corner, 1/48 per corner).
 
-    # cell rows that can hold part of a region: inside [k_lo, k_hi) and g,
-    # not below its lowest corner and not above its highest one
-    k0 = np.maximum(np.maximum(k_lo, 0), np.maximum(b_lo, -((1 - a_lo - b_lo) // 2)))
-    k1 = np.minimum(np.minimum(k_hi - 1, n_k - 1), np.minimum(a_hi - 1, (a_hi + b_hi - 1) // 2))
-    n_rows = np.where((a_hi <= a_lo) | (b_hi <= b_lo), 0, np.maximum(k1 - k0 + 1, 0))
-    starts = np.concatenate(([0], np.cumsum(n_rows)))
-
-    prefix = np.zeros((n_k, n_a + 1))     # row prefix sums of the cell corner sums, in place
-    corners = np.add(g[:-1, :-1], g[:-1, 1:], out=prefix[:, 1:])
-    corners += g[1:, :-1]
-    corners += g[1:, 1:]
-    np.cumsum(corners, axis=1, out=corners)
-
-    for r0 in range(0, int(starts[-1]), _CHUNK_ROWS):
-        flat = np.arange(r0, min(r0 + _CHUNK_ROWS, int(starts[-1])))
-        q = np.searchsorted(starts, flat, side="right") - 1
-        k = k0[q] + (flat - starts[q])
-        # the cell cut through its centre by each boundary line
-        cut_al, cut_ah = a_lo[q] - k - 1, a_hi[q] - k - 1
-        cut_bh, cut_bl = k - b_hi[q], k - b_lo[q]
-        lo = np.maximum(np.maximum(cut_al, cut_bh), 0)
-        hi = np.minimum(np.minimum(cut_ah, cut_bl), n_a - 1)
-
-        def end_cell(a):
-            # a line through the centre drops a corner: alpha = a_lo (k, a), beta = b_lo
-            # (k, a+1), beta = b_hi (k+1, a), alpha = a_hi (k+1, a+1)
-            a = np.clip(a, 0, n_a - 1)
-            vals = np.stack([g[k, a], g[k, a + 1], g[k + 1, a], g[k + 1, a + 1]], axis=1)
-            kept = np.stack([a != cut_al, a != cut_bl, a != cut_bh, a != cut_ah], axis=1)
-            n_kept = kept.sum(axis=1)
-            centre = np.where(n_kept == 2, vals.mean(axis=1), 0.0)
-            return _KEPT_WEIGHT[n_kept] * ((kept * vals).sum(axis=1) + centre)
-
-        inner = 0.25 * (prefix[k, np.maximum(hi, 0)] - prefix[k, np.minimum(lo, n_a - 1) + 1])
-        row = end_cell(lo) + np.where(hi > lo, end_cell(hi) + inner, 0.0)
-        out += np.bincount(q, weights=np.where(lo <= hi, row, 0.0), minlength=out.size)
-    return out.reshape(shape)
-
-
-def influence_quadrature(g, i, j) -> np.ndarray:
-    """``sum(W * g)`` over the backward regions R(i, j) of lattice nodes (i, j).
-
-    ``g`` is indexed ``[k, a]`` as in :func:`strip_quadrature`; ``i >= 1`` and
-    ``j >= 0`` are ints or broadcastable integer arrays, and each R(i, j) must
-    fit the cells of ``g``.  W is exactly ``lattice_weights`` of
-    ``RegionR(i, j)``; multiply by h**2 for the integral.
-
-    A cell (k, a) has centre alpha_c = a + k + 1, beta_c = k - a.  Every corner
-    of R(i, j) is a node, so its cells are full (1/4 per corner) or cut along
-    one diagonal (1/6 per kept corner): right-cut in the column alpha_c = i + j,
-    left-cut in alpha_c = B = j - i, top-cut on the diagonal beta_c = B.  The
-    diagonals are swept upward keeping running column sums of the full,
-    right-cut and left-cut corner sums; the nodes of diagonal B are answered
-    before it is added, by one cumsum over the columns from B + 1 (no prefix
-    difference is taken) and one lookup in each cut column (for B < 1 the
-    left-cut one is column 0, which holds no cell).
+    The diagonals are swept upward from beta_lo, keeping running column sums of
+    the full, right-cut and left-cut corner sums; the bottom-cut diagonal
+    enters the full sums only, its 1/6 written as 2/3 of their 1/4.  The nodes
+    of diagonal B are answered before it is added, by one cumsum over the
+    columns from a_lo + 1 (no prefix difference is taken) and one lookup in
+    each cut column; the quadrants, O(1) per node, are added last.
     """
     g = np.asarray(g, dtype=float)
     i, j = np.broadcast_arrays(np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64))
     shape, i, j = i.shape, i.ravel(), j.ravel()
     n_k, n_a = g.shape[0] - 1, g.shape[1] - 1      # cell rows, cells per row
-    _require((i < 1) | (j < 0) | (j > n_k) | (i + j > n_a), "R(i, j) must fit the lattice of g")
-    out, b = np.zeros(i.size), j - i
-    order = np.argsort(b, kind="stable")
+    b, top = j - i, i + j
+    lo = -n_a if beta_lo is None else beta_lo       # by default below every cell
+    a_lo = b if alpha_lo is None else np.maximum(b, alpha_lo)
+    # the region reaches lambda = (i + j - beta_lo)/2, or i + j where s = 0 cuts it first
+    _require((i < 1) | (j < 0) | (j > n_k) | (np.minimum(top, (top - lo + 1) // 2) > n_a),
+             "R(i, j) must fit the lattice of g")
+    out = np.zeros(i.size)
+    live = np.flatnonzero((b > lo) & (a_lo < top))
+    order = live[np.argsort(b[live], kind="stable")]
     diags, first = np.unique(b[order], return_index=True)
     groups = dict(zip(diags.tolist(), np.split(order, first[1:])))
 
     full, right, left = (np.zeros(n_k + n_a + 1) for _ in range(3))
     flat, step = g.ravel(), n_a + 2                  # step: node (k, a) -> (k+1, a+1)
-    for beta in range(min(b.min(initial=0), 1 - n_a), b.max(initial=-n_a) + 1):
+    for beta in range(lo, max(groups, default=lo) + 1):
         a0, a1 = max(0, -beta), min(n_a, n_k - beta)   # cells a0 <= a < a1, k = a + beta
         if a1 > a0:
             s0 = beta * (n_a + 1) + a0 * step
             stop = s0 + (a1 - a0) * step
             lower = flat[s0 : stop + 1 : step]          # c00 = lower[:-1], c11 = lower[1:]
             c01 = flat[s0 + 1 : stop : step]
-            side = c01 + flat[s0 + n_a + 1 : stop + n_a + 1 : step]   # c01 + c10
+            c10 = flat[s0 + n_a + 1 : stop + n_a + 1 : step]
+            side = c01 + c10
             cut_r = side + lower[:-1]
         q = groups.get(beta)
         if q is not None:
-            top = i[q] + j[q]
-            c0 = max(beta + 1, 0)
-            run = 0.25 * full[c0 : top.max()]
-            if a1 > a0:      # top-cut cells c00 + c01 + c11, from alpha_c = 2*a0 + beta + 1
-                tri = run[2 * a0 + beta + 1 - c0 :: 2]
-                tri += (c01[: tri.size] + lower[: tri.size] + lower[1 : tri.size + 1]) / 6.0
-            out[q] = np.cumsum(run)[top - 1 - c0] + (right[top] + left[max(beta, 0)]) / 6.0
+            edge = int(a_lo[q[0]])                      # the left edge a_lo of every node of q
+            c0, c1 = max(edge + 1, 0), top[q].max()
+            run = np.zeros(c1 - c0 + 1)                 # run[c - c0 + 1] is column c
+            np.multiply(full[c0:c1], 0.25, out=run[1:])
+            if a1 > a0:      # top-cut cells c00 + c01 + c11, from the first column >= c0
+                skip = max(0, (c0 - 2 * a0 - beta) // 2)
+                tri = run[2 * (a0 + skip) + beta + 2 - c0 :: 2]
+                n = tri.size
+                tri += (c01[skip : skip + n] + lower[skip : skip + n]
+                        + lower[skip + 1 : skip + n + 1]) / 6.0
+            out[q] = np.cumsum(run)[top[q] - c0] + (right[top[q]] + left[max(edge, 0)]) / 6.0
         if a1 > a0:
             cols = slice(2 * a0 + beta + 1, 2 * a1 + beta, 2)      # alpha_c = 2a + beta + 1
-            full[cols] += cut_r + lower[1:]
-            right[cols] += cut_r
-            left[cols] += side + lower[1:]
+            if beta == beta_lo:      # bottom-cut cells keep c00 + c10 + c11
+                full[cols] += (lower[:-1] + c10 + lower[1:]) * (2.0 / 3.0)
+            else:
+                full[cols] += cut_r + lower[1:]
+                right[cols] += cut_r
+                left[cols] += side + lower[1:]
+
+    # quadrants at the corners (a_lo, beta_lo), (i + j, beta_lo), (a_lo, B), by
+    # their kept corners c00, c01, c10, c11 = 0..3, where the cell is on the lattice
+    for alpha_c, beta_c, kept in ((a_lo, lo, (2, 3)), (top, lo, (0, 2)), (a_lo, b, (1, 3))):
+        alpha_c, beta_c = (np.broadcast_to(v, i.shape)[live] for v in (alpha_c, beta_c))
+        on = ((alpha_c + beta_c) % 2 == 1) & (alpha_c + beta_c >= 1)
+        k, a = (alpha_c[on] + beta_c[on] - 1) // 2, (alpha_c[on] - beta_c[on] - 1) // 2
+        corners = (g[k, a], g[k, a + 1], g[k + 1, a], g[k + 1, a + 1])
+        out[live[on]] += (corners[kept[0]] + corners[kept[1]]) / 12.0 + sum(corners) / 48.0
     return out.reshape(shape)

@@ -247,6 +247,21 @@ def test_diagnose_logs_one_info_line_per_phase(solved_run, tmp_path, caplog):
     assert all(line.startswith("diagnose: ") and "peak RSS" in line for line in lines)
 
 
+def test_solve_logs_one_info_line_per_phase(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="wavelab")
+    doc = base_run_config(tmp_path)
+    assert main(["solve", "--config", write(tmp_path / "c.json", doc)]) == 0
+    lines = [rec.getMessage() for rec in caplog.records
+             if rec.name == "wavelab" and rec.levelno == logging.INFO]
+    phases = ["march", "field_write", "blowup_fit"]
+    assert [line.split()[1] for line in lines] == phases
+    assert all(line.startswith("solve: ") and "peak RSS" in line for line in lines)
+    # the manifest keeps the running peak after each phase beside the timings
+    man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    after = [man["peak_rss_mb_after"][name] for name in phases]
+    assert 0 < after[0] and after == sorted(after) and after[-1] <= man["peak_rss_mb"]
+
+
 def test_diagnose_lifespan_beyond_r_star_is_exit_3(solved_run, tmp_path, monkeypatch):
     # a blown-up field outliving the lemma's r_star contradicts the lemma
     def short_radius(r, H, params):
@@ -537,6 +552,23 @@ def test_gronwall_subcommand_bad_params(tmp_path):
     cfg = write(tmp_path / "g.json",
                 {"params": {"C": 1, "a": 2, "b": -2, "t0": 0, "t1": 0}, "J1": 1.0})
     assert main(["gronwall", "--config", cfg, "--output", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("gronwall", {"params": {"C": 1, "a": 2, "b": 0, "t0": 0, "t1": 0}, "J1": None}),
+    ("gronwall", {"params": {"C": None, "a": 2, "b": 0, "t0": 0, "t1": 0}, "J1": 1.0}),
+    ("gronwall", {"params": {"C": 1, "a": 2, "b": 0, "t0": 0, "t1": 0}, "J1": "abc"}),
+    ("gronwall", {"params": {"C": 1, "a": 2, "b": 0, "t0": 0, "t1": 0}, "J1": math.nan}),
+    ("mean", {"family": "monomial", "params": {"powers": [2, 0, 0]},
+              "radii": {"start": 0.1, "stop": 1}}),
+    ("mean", {"family": "monomial", "params": {"powers": [2, 0, 0]}, "radii": [1.0],
+              "output_dir": None}),
+], ids=["J1_null", "C_null", "J1_text", "J1_nan", "radii_without_count", "output_dir_null"])
+def test_malformed_direct_input_is_a_config_error(tmp_path, monkeypatch, capsys, command, doc):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", write(tmp_path / "c.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 def test_mean_subcommand_monomial(tmp_path):

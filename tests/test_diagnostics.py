@@ -13,12 +13,12 @@ from wavelab.diagnostics import (ChainConfig, GridTooShortError, F_of, G_of,
                                  compute_M, gronwall_params_from_chain,
                                  s_exponent, select_t2_delta)
 from wavelab.profiles import RadialProfile, bump_profile, zero_profile
-from wavelab.regions import (_UNBOUNDED, RegionBrt, StripBounds, lattice_weights,
-                             strip_quadrature)
+from wavelab.regions import RegionBrt, influence_quadrature
 from wavelab.solver import (CharGrid, Problem, RadialField, linear_radial,
                             normalize_coefficient, solve_march)
 
 from conftest import RHO
+from lattice_oracle import _UNBOUNDED, StripBounds, lattice_weights
 
 CRIT = 1.0 + math.sqrt(2.0)
 
@@ -28,30 +28,34 @@ CRIT = 1.0 + math.sqrt(2.0)
 # ---------------------------------------------------------------------------
 
 def test_compute_M_constant_field_oracle():
-    # field == 1 on T(0, 1) with p = 2: the exact iterated integral of
-    # lambda/2 over T is 7/16 (symbolic oracle, two parametrisations agree),
-    # and the lattice rule reproduces it exactly (integrand linear in lambda)
+    # field == 1 with p = 2: the exact iterated integral of lambda/2 over
+    # T(t2, delta) is (F(t2 + 2 delta) - F(t2 + delta)) / 8 with
+    # F(a) = a^3/2 + a^2 t2/2 - a t2^2/2, 7/16 for T(0, 1) (symbolic oracle, two
+    # parametrisations agree); the lattice rule reproduces it exactly (integrand
+    # linear in lambda), also when delta is an odd number of cells and the
+    # corner (t2 + delta, t2) falls on a cell centre
     grid = CharGrid(1 / 64, 3.0, 3.0)
     ones = RadialField(grid, np.ones((grid.n_t + 1, grid.n_r + 1)), p=2.0)
     assert compute_M(ones, 0.0, 1.0) == pytest.approx(7.0 / 16.0, abs=1e-15)
+    for t2, delta in ((0.25, 3 / 64), (0.5, 0.5)):
+        F = [a**3 / 2 + a**2 * t2 / 2 - a * t2**2 / 2 for a in (t2 + delta, t2 + 2 * delta)]
+        assert compute_M(ones, t2, delta) == pytest.approx((F[1] - F[0]) / 8, rel=1e-14)
 
 
 def test_brt_quadrature_at_last_level():
-    # B(r,t) with t on the last defined level: its lattice window reaches one
-    # row past the field, and that row carries no weight
+    # B(r,t) with t on the last defined level, as step 2 sweeps it: no row
+    # past the field, both corner parities (j - i + j_star odd and even) and
+    # the zero-width region i = j - j_star, against the dense weights
     rng = np.random.default_rng(11)
     src = rng.random((25, 33))                  # levels 0..24, radii 0..32
-    j, j_star = src.shape[0] - 1, 4
-    padded = np.vstack([src, np.zeros((1, src.shape[1]))])
-    ii = np.arange(1, src.shape[1] - j)
-    for i in ii:
-        b = StripBounds(j - i, j + i, j_star, j - i, 0, _UNBOUNDED)
-        k_max, a_max = b.window()
-        assert k_max == src.shape[0]
-        ref = (lattice_weights(b, k_max, a_max) * padded[: k_max + 1, : a_max + 1]).sum()
-        assert strip_quadrature(src, b) == pytest.approx(ref, rel=1e-12)
-    batch = strip_quadrature(src, StripBounds(j - ii, j + ii, j_star, j - ii, 0, _UNBOUNDED))
-    assert batch.shape == ii.shape and np.all(batch > 0)
+    j = src.shape[0] - 1
+    for j_star in (4, 5):
+        ii = np.arange(1, j - j_star + 1)
+        got = influence_quadrature(src, ii, j, beta_lo=j_star)
+        for i, value in zip(ii, got):
+            W = lattice_weights(StripBounds(j - i, j + i, j_star, j - i, 0, _UNBOUNDED), 24, 32)
+            assert value == pytest.approx(math.fsum((W * src).ravel()), rel=1e-13, abs=0)
+        assert np.all(got[:-1] > 0) and got[-1] == 0.0
 
 
 def test_compute_M_zero_field_and_grid_check():
@@ -60,6 +64,11 @@ def test_compute_M_zero_field_and_grid_check():
     assert compute_M(zeros, 0.0, 0.5) == 0.0
     with pytest.raises(ValueError, match="outside grid"):
         compute_M(zeros, 0.0, 1.5)
+    # T must sit on the lattice
+    with pytest.raises(ValueError, match="lattice spacing"):
+        compute_M(zeros, 0.5 * grid.h, 0.5)
+    with pytest.raises(ValueError, match="lattice spacing"):
+        compute_M(zeros, 0.0, 0.5 + 0.5 * grid.h)
 
 
 def test_select_t2_delta_nonnegative_velocity_data(blowup_run_coarse):
@@ -318,8 +327,14 @@ def _dense_chain_reference(field, config):
     jb = js[keep][::stride][:diagnostics.BRT_SAMPLES]
     ib = iss[keep][::stride][:diagnostics.BRT_SAMPLES]
     lam_src = h * np.arange(n_r + 1) * np.clip(field.samples, 0.0, None) ** p
-    brt = StripBounds.from_region(RegionBrt(ib, jb, int(round(t_star / h))), 1)
-    rhs_b = A * (strip_quadrature(lam_src, brt) * h * h / (2.0 * ib * h))
+    rhs_b = []
+    for i, j in zip(ib, jb):
+        brt = StripBounds.from_region(RegionBrt(int(i), int(j), j_star), 1)
+        a_max = brt.window()[1]
+        W = lattice_weights(brt, j, a_max)          # row j + 1 of the window carries no weight
+        integral = math.fsum((W * lam_src[: j + 1, : a_max + 1]).ravel()) * h * h
+        rhs_b.append(A * (integral / (2.0 * i * h)))
+    rhs_b = np.array(rhs_b)
     lhs_b = field.samples[jb, ib]
     tables.append(InequalityTable.build("region_integral_bound", ib * h, jb * h,
                                         lhs_b, rhs_b, tol(h, lhs_b, rhs_b)))
@@ -406,10 +421,13 @@ def test_row_blocked_chain_matches_dense_grid(blowup_run_coarse, monkeypatch, ro
     assert np.array_equal(report.H[0], ref_H[0]) and np.array_equal(report.H[1], ref_H[1])
     assert [tb.inequality_id for tb in report.tables] == [tb.inequality_id for tb in ref_tables]
     for tb, ref in zip(report.tables, ref_tables):
+        # step 2 is the one sum taken in another order: exact up to round-off
+        atol = 1e-13 * np.abs(ref.rhs).max() if tb.inequality_id == "region_integral_bound" else 0
         for name in ("r", "t", "lhs", "rhs"):
-            assert np.array_equal(getattr(tb, name), getattr(ref, name), equal_nan=True), \
-                (tb.inequality_id, name)
-        assert tb.holds == ref.holds and tb.min_residual == ref.min_residual, tb.inequality_id
+            np.testing.assert_allclose(getattr(tb, name), getattr(ref, name), rtol=0, atol=atol,
+                                       equal_nan=True, err_msg=f"{tb.inequality_id} {name}")
+        assert tb.holds == ref.holds, tb.inequality_id
+        assert abs(tb.min_residual - ref.min_residual) <= atol, tb.inequality_id
 
 
 def _build_reference(r, t, lhs, rhs, tol, max_rows=20000):

@@ -1,14 +1,13 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from wavelab import regions
-from wavelab.regions import (_UNBOUNDED, RegionBrt, RegionQ, RegionQrt, RegionR,
-                             RegionT, Sigma, SigmaPrime, StripBounds, area,
-                             contains, influence_quadrature, lattice_weights,
-                             strip_quadrature, subset_check)
+from wavelab.regions import (RegionBrt, RegionQ, RegionQrt, RegionR, RegionT, Sigma,
+                             SigmaPrime, area, contains, influence_quadrature,
+                             subset_check)
+
+from lattice_oracle import _UNBOUNDED, StripBounds, lattice_weights
 
 
 def test_membership_examples():
@@ -174,77 +173,96 @@ def test_lattice_weights_nonnegative():
     assert np.all(W >= 0)
 
 
-def _random_bounds(rng):
-    """Lattice strip bounds of either parity, with one-sided and empty strips."""
-    a_lo, b_lo, k_lo = (int(x) for x in rng.integers((-5, -30, -2), (40, 25, 10)))
-    a_hi, b_hi, k_hi = (int(x) for x in (a_lo, b_lo, k_lo) + rng.integers(-1, 40, 3))
-
-    def one_sided(v, sentinel):
-        return sentinel if rng.random() < 0.15 else v
-    return StripBounds(one_sided(a_lo, -_UNBOUNDED), one_sided(a_hi, _UNBOUNDED),
-                       one_sided(b_lo, -_UNBOUNDED), one_sided(b_hi, _UNBOUNDED),
-                       k_lo, one_sided(k_hi, _UNBOUNDED))
+def _fsum(g, bounds):
+    """Exact-sum oracle: the dense lattice_weights of the strip bounds against g."""
+    return math.fsum((lattice_weights(bounds, g.shape[0] - 1, g.shape[1] - 1) * g).ravel())
 
 
-def test_strip_quadrature_matches_lattice_weights(monkeypatch):
+def _fsum_R(g, i, j):
+    return _fsum(g, StripBounds.from_region(RegionR(i, j), 1))
+
+
+def test_floored_sweep_matches_lattice_weights():
+    # on random lattices: B(i, j; j_star) at every node of Sigma that fits,
+    # with both corner parities (j - i + j_star odd or even) and zero width
+    # (i = j - j_star); T(t2, delta) with odd and even delta; and R(i, j) under
+    # arbitrary floors, empty regions and floors below the lattice included
     rng = np.random.default_rng(3)
-    g = rng.random((25, 31))
-    singles = [_random_bounds(rng) for _ in range(400)]
-    oracle = np.array([(lattice_weights(b, 24, 30) * g).sum() for b in singles])
-    assert np.any(oracle == 0.0) and np.count_nonzero(oracle) > 250
-    assert any(b.a_hi <= b.a_lo or b.b_hi <= b.b_lo for b in singles)
-    assert {(b.a_hi + b.b_hi) % 2 for b in singles} == {0, 1}
-    for b, ref in zip(singles, oracle):
-        assert strip_quadrature(g, b) == pytest.approx(ref, rel=1e-12, abs=1e-13)
+    corners, deltas = set(), set()
+    for _ in range(30):
+        K, N = (int(x) for x in rng.integers(3, 26, 2))
+        g = rng.random((K, N))
+        j_star = int(rng.integers(0, K - 1))
+        jj, ii = (v.ravel() for v in np.meshgrid(np.arange(K), np.arange(1, N), indexing="ij"))
+        keep = (ii <= jj - j_star) & ((ii + jj - j_star + 1) // 2 <= N - 1)
+        jj, ii = jj[keep], ii[keep]
+        got = influence_quadrature(g, ii, jj, beta_lo=j_star)
+        ref = [_fsum(g, StripBounds(j - i, j + i, j_star, j - i, 0, _UNBOUNDED))
+               for i, j in zip(ii, jj)]
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        assert np.all((got == 0) == (ii == jj - j_star))
+        corners |= set((jj - ii + j_star) % 2)
 
-    # one batched call whose flattened rows span many chunks
-    monkeypatch.setattr(regions, "_CHUNK_ROWS", 7)
-    batch = StripBounds(*np.array([dataclasses.astuple(b) for b in singles]).T)
-    got = strip_quadrature(g, batch)
-    assert got.shape == (len(singles),)
-    np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=1e-13)
+        d = int(rng.integers(1, (N + 1) // 2))
+        t2 = int(rng.integers(0, min(K - d, N - 2 * d)))
+        got = influence_quadrature(g, d, t2 + d, alpha_lo=t2 + d)
+        ref = _fsum(g, StripBounds(t2 + d, t2 + 2 * d, -_UNBOUNDED, t2, 0, _UNBOUNDED))
+        assert got.shape == () and got == pytest.approx(ref, rel=1e-13, abs=0) and ref > 0
+        deltas.add(d % 2)
+
+        for _ in range(20):
+            i, j = int(rng.integers(1, N)), int(rng.integers(0, K))
+            a_lo, b_lo = int(rng.integers(-4, N)), int(rng.integers(-4, K))
+            if (i + j - b_lo + 1) // 2 > N - 1 or i + j > 2 * (N - 1):
+                continue
+            ref = _fsum(g, StripBounds(max(j - i, a_lo), j + i, b_lo, j - i, 0, _UNBOUNDED))
+            got = influence_quadrature(g, i, j, alpha_lo=a_lo, beta_lo=b_lo)
+            assert got == pytest.approx(ref, rel=1e-13, abs=0), (K, N, i, j, a_lo, b_lo)
+    assert corners == {0, 1} and deltas == {0, 1}
 
 
 def test_from_region_on_index_arrays():
-    # R(i, j) from integer index arrays, as the solver builds it, against the
-    # hand-written bounds that also carry the redundant row cap s <= t
+    # B(r, t) from integer index arrays, as step 2 builds it: the oracle's
+    # bounds are the hand-written ones, node by node, and the sweep over the
+    # arrays gives each node the bits of its own call and the dense sum
     rng = np.random.default_rng(8)
     g = rng.random((40, 60))
-    jj, ii = rng.integers(0, 39, 300), rng.integers(1, 21, 300)
-    b = StripBounds.from_region(RegionR(ii, jj), 1)
+    j_star = 3
+    jj = rng.integers(j_star + 1, 40, 300)
+    ii = np.minimum(rng.integers(1, 30, 300), jj - j_star)
+    b = StripBounds.from_region(RegionBrt(ii, jj, j_star), 1)
     assert b.a_hi.dtype == np.int64 and b.a_hi.shape == (300,)
-    hand = StripBounds(jj - ii, jj + ii, -_UNBOUNDED, jj - ii, 0, jj)
-    assert np.array_equal(strip_quadrature(g, b), strip_quadrature(g, hand))
+    hand = (jj - ii, jj + ii, j_star, jj - ii, 0, _UNBOUNDED)
+    assert all(np.array_equal(x, y) for x, y in zip(
+        (b.a_lo, b.a_hi, b.b_lo, b.b_hi, b.k_lo, b.k_hi), hand))
+    got = influence_quadrature(g, ii, jj, beta_lo=j_star)
+    singles = [influence_quadrature(g, i, j, beta_lo=j_star) for i, j in zip(ii, jj)]
+    assert np.array_equal(got, singles)
+    ref = [_fsum(g, StripBounds.from_region(RegionBrt(int(i), int(j), j_star), 1))
+           for i, j in zip(ii, jj)]
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
     with pytest.raises(ValueError, match="not aligned"):
         StripBounds.from_region(RegionR(np.array([1.0, 1.5]), np.array([2.0, 2.0])), 1)
 
 
 def test_window_holds_every_region_of_a_batch():
-    # B(r, t) batches as the chain builds them: the window bounds lambda by
-    # (a_hi - b_lo)/2, and the quadrature on the window equals the one on the
-    # whole lattice bit for bit (row prefix sums run from a = 0 either way)
+    # B(r, t) batches as step 2 builds them: the window is the rows up to the
+    # highest node and the columns up to lambda = ceil((i + j - j_star)/2), and
+    # the sweep on it equals the one on the whole lattice bit for bit
     rng = np.random.default_rng(12)
     g = rng.random((60, 90))
     j_star = 5
     jb = rng.integers(j_star + 2, 60, 50)
     ib = np.minimum(rng.integers(1, 30, 50), jb - j_star)
-    batch = StripBounds.from_region(RegionBrt(ib, jb, j_star), 1)
-    k_max, a_max = batch.window()
-    singles = [StripBounds.from_region(RegionBrt(int(i), int(j), j_star), 1).window()
-               for i, j in zip(ib, jb)]
-    assert (k_max, a_max) == tuple(np.max(singles, axis=0))
-    assert a_max == max(-((j_star - i - j) // 2) for i, j in zip(ib, jb)) < (ib + jb).max()
-    assert np.array_equal(strip_quadrature(g[: k_max + 1, : a_max + 1], batch),
-                          strip_quadrature(g, batch))
-    # one column fewer drops cells that carry weight
-    assert not np.array_equal(strip_quadrature(g[: k_max + 1, :a_max], batch),
-                              strip_quadrature(g, batch))
-
-
-def _fsum_R(g, i, j):
-    """Exact-sum oracle: the dense lattice_weights of R(i, j) against g."""
-    W = lattice_weights(StripBounds.from_region(RegionR(i, j), 1), g.shape[0] - 1, g.shape[1] - 1)
-    return math.fsum((W * g).ravel())
+    k_max, a_max = jb.max(), (ib + jb - j_star + 1).max() // 2
+    assert a_max < (ib + jb).max()
+    whole = influence_quadrature(g, ib, jb, beta_lo=j_star)
+    on_window = influence_quadrature(g[: k_max + 1, : a_max + 1], ib, jb, beta_lo=j_star)
+    assert np.array_equal(on_window, whole)
+    # one column or one row fewer drops cells that carry weight
+    for window in (g[: k_max + 1, :a_max], g[:k_max, : a_max + 1]):
+        with pytest.raises(ValueError, match="fit the lattice"):
+            influence_quadrature(window, ib, jb, beta_lo=j_star)
 
 
 @pytest.mark.parametrize("shape", [(2, 9), (13, 31), (20, 20), (25, 31)])
