@@ -14,6 +14,8 @@ environment coupling.
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import json
 import logging
 import math
@@ -82,6 +84,14 @@ class _PhaseClock:
         log.info("%s: %s %s in %.2fs, peak RSS %.0f MB", self.command, name, detail,
                  now - self._clock, self.rss_after[name])
         self._clock = now
+
+
+@functools.cache
+def _code_digest():
+    """sha256 over the package's own source files, computed once per process."""
+    files = sorted(Path(__file__).parent.glob("*.py"))
+    return hashlib.sha256(b"".join(f.name.encode() + b"\0" + f.read_bytes() + b"\0"
+                                   for f in files)).hexdigest()[:16]
 
 
 def _manifest(config_doc, extra):
@@ -248,6 +258,7 @@ def _sweep_row(task):
         try:
             old = json.loads(marker.read_text())
             if (old.get("config_hash") == h and old.get("package_version") == __version__
+                    and old.get("code_digest") == _code_digest()
                     and (row_dir / "field.npz").exists()):
                 return old["row"]
         except (json.JSONDecodeError, KeyError):
@@ -272,7 +283,8 @@ def _sweep_row(task):
     except Exception as exc:           # row errors recorded, sweep continues
         row["status"] = "error"
         row["error"] = str(exc)
-    _write_json(marker, _manifest(row_doc, {"row": row, "wall_time_s": wall,
+    _write_json(marker, _manifest(row_doc, {"row": row, "code_digest": _code_digest(),
+                                            "wall_time_s": wall,
                                             "timings": record.get("timings"),
                                             "peak_rss_mb": record.get("peak_rss_mb")}))
     return row
@@ -456,6 +468,12 @@ def _add_common(sp):
                     help="dotted-path config override, repeatable")
 
 
+def _positive_int(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return int(text)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="wavelab",
                                  description="radial semilinear wave laboratory")
@@ -472,7 +490,7 @@ def build_parser():
 
     sp = sub.add_parser("sweep", help="grid of (p, amplitude) runs with resume")
     _add_common(sp)
-    sp.add_argument("--jobs", type=int, help="parallel worker processes")
+    sp.add_argument("--jobs", type=_positive_int, help="parallel worker processes")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("gronwall", help="failure radius / certificate for sampled H")

@@ -18,8 +18,7 @@ from .profiles import RadialProfile, bump_profile, zero_profile
 from .solver import (DEFAULT_BLOWUP_THRESHOLD, DEFAULT_DIVERGENCE_FACTOR,
                      CharGrid, Problem)
 
-__all__ = ["ConfigError", "RunConfig", "SweepConfig", "load_run_config",
-           "load_sweep_config", "apply_overrides", "config_hash"]
+__all__ = ["ConfigError", "RunConfig", "SweepConfig", "apply_overrides", "config_hash"]
 
 
 class ConfigError(ValueError):
@@ -129,7 +128,7 @@ def _parse_data(d, path):
     return DataSpec("custom-csv", rho, f_csv=f_csv, g_csv=g_csv)
 
 
-def parse_run_config(doc: dict, default_output="runs") -> RunConfig:
+def parse_run_config(doc: dict) -> RunConfig:
     _require_keys(doc, {"problem", "grid", "solver", "diagnostics", "output_dir"},
                   {"problem", "grid"}, "")
     prob = doc["problem"]
@@ -158,7 +157,7 @@ def parse_run_config(doc: dict, default_output="runs") -> RunConfig:
     delta = None if diag.get("delta") is None else _number(diag, "delta", "diagnostics", positive=True)
     epsilon = None if diag.get("epsilon") is None else _number(diag, "epsilon", "diagnostics", positive=True)
 
-    out = doc.get("output_dir", default_output)
+    out = doc.get("output_dir", "runs")
     if not isinstance(out, str):
         raise ConfigError("output_dir: expected a path string")
     return RunConfig(p, A, data, h, t_max, threshold, div, t2, delta, epsilon, out,
@@ -228,14 +227,6 @@ def load_json(path):
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-
-
-def load_run_config(path, overrides=None) -> RunConfig:
-    return parse_run_config(apply_overrides(load_json(path), overrides))
-
-
-def load_sweep_config(path, overrides=None) -> SweepConfig:
-    return parse_sweep_config(apply_overrides(load_json(path), overrides))
 
 
 def config_hash(doc: dict) -> str:

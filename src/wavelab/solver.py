@@ -65,6 +65,7 @@ __all__ = [
 
 DEFAULT_BLOWUP_THRESHOLD = 1.0e8
 DEFAULT_DIVERGENCE_FACTOR = 10.0
+_U0_BLOCK = 32          # levels of ubar0 the march reads at a time
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +311,23 @@ def apply_P(source: RadialField, r: float, t: float) -> float:
         raise ValueError("out of grid")
     h = source.grid.h
     if i == 0:
-        cols = j - np.arange(j)
-        weights = np.full(j, h)
-        weights[:1] = 0.5 * h
-        return float(np.dot(weights, (cols * h) * source.samples[np.arange(j), cols]))
+        return _axis_P(source.samples[np.arange(j), j - np.arange(j)], h)
     if i + j > source.grid.n_r:
         raise ValueError("out of grid")
     g = h * np.arange(i + j + 1) * source.samples[: j + 1, : i + j + 1]
     return float(influence_quadrature(g, i, j)) * h * h / (2.0 * i * h)
+
+
+def _axis_P(sigma_diag, h):
+    """P(sigma)(0, jh), the r -> 0 limit: sum over k < j of w_k (j-k)h sigma_diag[k].
+
+    sigma_diag[k] = sigma((j-k)h, kh); the trapezoid weights are w_0 = h/2 and
+    w_k = h otherwise (the k = j term has lambda = 0).
+    """
+    j = sigma_diag.size
+    weights = np.full(j, h)
+    weights[:1] = 0.5 * h
+    return float(np.dot(weights, (np.arange(j, 0, -1) * h) * sigma_diag))
 
 
 # ---------------------------------------------------------------------------
@@ -328,42 +338,42 @@ def homogeneous_levels(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid)
     """ubar0 by level blocks: returns ``levels(lo, hi)``, ubar0 on levels lo..hi-1.
 
     The two 1-D d'Alembert tables (and the r = 0 column) are built once; level
-    j reads the F and I windows starting at n_t +- j.  Every block is computed
-    elementwise from the same tables, so its values are bitwise those of the
-    whole-lattice array ``levels(0, n_t + 1)``.
+    j reads the F and I windows starting at n_t +- j.  ``levels.at(ii, jj)``
+    reads ubar0 at nodes with ii >= 1 straight from the tables.  Every read is
+    computed elementwise by the same arithmetic, so its values are bitwise
+    those of the whole-lattice array ``levels(0, n_t + 1)``.
     """
     n_r, n_t = grid.n_r, grid.n_t
     y = grid.h * np.arange(-n_t, n_r + n_t + 1)
-    F = sliding_window_view(y * fbar(np.abs(y)), n_r + 1)
-    I = sliding_window_view(gbar.moment_integral(y), n_r + 1)
+    Fy, Iy = y * fbar(np.abs(y)), gbar.moment_integral(y)
+    F, I = sliding_window_view(Fy, n_r + 1), sliding_window_view(Iy, n_r + 1)
     tv = grid.t_values()
     axis = fbar(tv) + tv * fbar.derivative(tv) + tv * gbar(tv)
-    r_inner = grid.r_values()[1:]
+    rv = grid.r_values()
 
     def levels(lo, hi):
         up, down = slice(n_t + lo, n_t + hi), slice(n_t - hi + 1, n_t - lo + 1)
         v = 0.5 * (F[up] + F[down][::-1]) + 0.5 * (I[up] - I[down][::-1])
-        v[:, 1:] /= r_inner
+        v[:, 1:] /= rv[1:]
         v[:, 0] = axis[lo:hi]
         return v
 
+    def at(ii, jj):
+        up, down = n_t + ii + jj, n_t + ii - jj
+        return (0.5 * (Fy[up] + Fy[down]) + 0.5 * (Iy[up] - Iy[down])) / rv[ii]
+
+    levels.at = at
     return levels
 
 
 def linear_radial(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid) -> RadialField:
     """Radial average of the homogeneous 3-D wave solution with data (fbar, gbar).
 
-    v = r*ubar0 solves the 1-D wave equation with odd-extended data, so
-
-        ubar0(r, t) = [Ff(r+t) + Ff(r-t) + Ig(r+t) - Ig(|r-t|)] / (2r),
-
-    with Ff(y) = y*fbar(|y|) and Ig the exact running moment of y*gbar(y).
-    On the lattice r +- t is always a node, so Ff and Ig are two 1-D tables over
-    the abscissae k*h (O(n_r + n_t) profile evaluations) that every level indexes.
-    The r = 0 column uses the derivative of the odd extension instead:
-    ubar0(0, t) = fbar(t) + t*fbar'(t) + t*gbar(t).  Compact support of the
-    data is honoured to round-off, so the solution vanishes identically
-    whenever |r - t| > rho (sharp Huygens principle in both directions).
+    The whole lattice of ``homogeneous_levels``: by d'Alembert with odd-extended
+    data, ubar0(r, t) = [Ff(r+t) + Ff(r-t) + Ig(r+t) - Ig(|r-t|)] / (2r), with
+    Ff(y) = y*fbar(|y|) and Ig the exact running moment of y*gbar(y); at r = 0,
+    ubar0(0, t) = fbar(t) + t*fbar'(t) + t*gbar(t).  Compact support is honoured
+    to round-off: ubar0 vanishes wherever |r - t| > rho (sharp Huygens).
     """
     return RadialField(grid, homogeneous_levels(fbar, gbar, grid)(0, grid.n_t + 1),
                        status="complete")
@@ -385,26 +395,22 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
     broadcast elementwise over congruent r and t arrays.
 
     Only the solution history is kept in full (the r = 0 limit formula reads
-    the source along a backward characteristic through all earlier levels);
-    the auxiliary w = r*ubar1 and the source need a two-level window.
+    the source along a backward characteristic through all earlier levels),
+    and the samples are a prefix of it; ubar0 streams in blocks of levels, and
+    the auxiliary w = r*ubar1 and the source need a two-level window.  The
+    solution vanishes beyond r_max, so the right neighbour of the last column
+    is an exact zero appended to the one-level rows of w and A*lambda*sigma.
     """
-    h = grid.h
-    n_r = grid.n_r
-    n_t = grid.n_t
-    rv = grid.r_values()
-    lam = np.concatenate([rv, [rv[-1] + h]])     # ghost column at r_max + h
+    h, n_r, n_t = grid.h, grid.n_r, grid.n_t
+    lam = grid.r_values()
     hh6 = h * h / 6.0
     inner = slice(1, n_r + 1)
+    u = np.zeros((n_t + 1, n_r + 1))
 
-    u = np.zeros((n_t + 1, n_r + 2))
-
-    def source_of(u_row):
+    def source(level, u_row):
+        if forcing is not None:
+            return forcing(lam, np.full_like(lam, level * h))
         return np.abs(u_row) ** p
-
-    def forcing_row(level):
-        row = np.zeros(n_r + 2)
-        row[: n_r + 1] = forcing(rv, np.full_like(rv, level * h))
-        return row
 
     def source_diag(level):
         # source at the nodes ((level-k)h, kh), k = 0..level-1
@@ -414,74 +420,58 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
             return forcing(cols * h, ks * h)
         return np.abs(u[ks, cols]) ** p
 
-    u0 = homogeneous_levels(fbar, gbar, grid)(0, n_t + 1)
-    u[0, : n_r + 1] = u0[0]
-    sig_prev = np.zeros(n_r + 2)
-    sig_curr = forcing_row(0) if forcing is not None else source_of(u[0])
-    w_prev = np.zeros(n_r + 2)
-    w_curr = np.zeros(n_r + 2)
-
-    status = "complete"
-    t_b = None
-    defined = n_t + 1
-    m_prev = float(np.max(np.abs(u[0, : n_r + 1])))
+    u0_levels = homogeneous_levels(fbar, gbar, grid)
+    u0_rows = (row for lo in range(0, n_t + 1, _U0_BLOCK)
+               for row in u0_levels(lo, min(lo + _U0_BLOCK, n_t + 1)))
+    u[0] = next(u0_rows)
+    sig_curr, F_prev = source(0, u[0]), None
+    w_prev = w_curr = np.zeros(n_r + 2)
+    status, t_b, defined = "complete", None, n_t + 1
+    m_prev = float(np.max(np.abs(u[0])))
 
     for j in range(n_t):
         new = j + 1
-        Fj = A * lam * sig_curr
-        base = np.zeros(n_r + 2)
+        u0 = next(u0_rows)
+        Fj = np.append(A * lam * sig_curr, 0.0)
         if j == 0:
-            base[inner] = (h * h / 12.0) * (Fj[0:n_r] + 2.0 * Fj[inner] + Fj[2 : n_r + 2])
+            base = (h * h / 12.0) * (Fj[0:n_r] + 2.0 * Fj[inner] + Fj[2 : n_r + 2])
         else:
-            Fjm1 = A * lam * sig_prev
-            base[inner] = (w_curr[0:n_r] + w_curr[2 : n_r + 2] - w_prev[inner]
-                           + hh6 * (2.0 * Fj[inner] + Fj[0:n_r] + Fj[2 : n_r + 2] + Fjm1[inner]))
+            base = (w_curr[0:n_r] + w_curr[2 : n_r + 2] - w_prev[inner]
+                    + hh6 * (2.0 * Fj[inner] + Fj[0:n_r] + Fj[2 : n_r + 2] + F_prev[inner]))
 
         with np.errstate(over="ignore", invalid="ignore"):
             if forcing is not None:
-                F_new = A * lam * forcing_row(new)
+                F_new = A * lam * source(new, None)
             else:
                 u_star = u[j] if j == 0 else 2.0 * u[j] - u[j - 1]
-                F_star = A * lam * source_of(u_star)
-                u_pre = np.zeros(n_r + 2)
-                u_pre[inner] = u0[new, 1:] + (base[inner] + hh6 * F_star[inner]) / lam[inner]
-                F_new = A * lam * source_of(u_pre)
+                F_star = A * lam * source(new, u_star)
+                u_pre = np.zeros(n_r + 1)
+                u_pre[inner] = u0[1:] + (base + hh6 * F_star[inner]) / lam[inner]
+                F_new = A * lam * source(new, u_pre)
 
             w_new = np.zeros(n_r + 2)
-            w_new[inner] = base[inner] + hh6 * F_new[inner]
-            u[new, inner] = u0[new, 1:] + w_new[inner] / lam[inner]
+            w_new[inner] = base + hh6 * F_new[inner]
+            u[new, inner] = u0[1:] + w_new[inner] / lam[inner]
+            u[new, 0] = u0[0] + A * _axis_P(source_diag(new), h)
 
-            # r = 0 column by the limit formula for P (plus the closed-form u0)
-            p0_vals = (np.arange(new, 0, -1) * h) * source_diag(new)
-            p0_weights = np.full(new, h)
-            p0_weights[0] = 0.5 * h
-            u[new, 0] = u0[new, 0] + A * float(np.dot(p0_weights, p0_vals))
-
-            level_vals = u[new, : n_r + 1]
-            if not np.all(np.isfinite(level_vals)):
-                status = "error"
-                defined = new
+            if not np.all(np.isfinite(u[new])):
+                status, defined = "error", new
                 break
-            m_new = float(np.max(np.abs(level_vals)))
-            if m_new >= blowup_threshold or (
-                m_prev > 0.0 and m_new > ratio_floor and m_new > divergence_factor * m_prev
-            ):
-                status = "blown_up"
-                t_b = new * h
-                defined = new
+            m_new = float(np.max(np.abs(u[new])))
+            if m_new >= blowup_threshold or (m_prev > 0.0 and m_new > ratio_floor
+                                             and m_new > divergence_factor * m_prev):
+                status, t_b, defined = "blown_up", new * h, new
                 break
 
-            sig_prev = sig_curr
-            sig_curr = forcing_row(new) if forcing is not None else source_of(u[new])
-            if not np.all(np.isfinite(sig_curr[: n_r + 1])):
-                status = "error"
-                defined = new
+            F_prev = Fj
+            sig_curr = source(new, u[new])
+            if not np.all(np.isfinite(sig_curr)):
+                status, defined = "error", new
                 break
-            w_prev = w_curr
-            w_curr = w_new
+            w_prev, w_curr = w_curr, w_new
         m_prev = m_new
 
-    return u[:defined, : n_r + 1].copy(), status, t_b
+    return u[:defined], status, t_b
 
 
 def solve_march(problem: Problem, grid: CharGrid,
@@ -582,8 +572,8 @@ def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 409
     fits the lattice.  The nodes form a square sub-lattice whose stride keeps
     at most max_nodes of them; pass a large max_nodes for full coverage.  P is
     evaluated at all of them by one regions.influence_quadrature sweep (one
-    pass over the lattice plus O(1) per node); u0 is read at the nodes and
-    dropped before the source is built, so at most two fields are held.
+    pass over the lattice plus O(1) per node); u0 is read at the nodes from
+    its two 1-D tables, so besides the field only the source array is held.
     """
     grid = field.grid
     n_lev = field.n_levels
@@ -593,8 +583,8 @@ def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 409
                          indexing="ij")
     keep = ii + jj <= grid.n_r
     jj, ii = jj[keep], ii[keep]
-    res = field.samples[jj, ii] - linear_radial(problem.f_profile, problem.g_profile,
-                                                grid).samples[jj, ii]
+    res = field.samples[jj, ii] - homogeneous_levels(problem.f_profile, problem.g_profile,
+                                                     grid).at(ii, jj)
     src = np.abs(field.samples)                   # lambda * |u|^p, built in place
     src **= problem.p
     src *= grid.h * np.arange(grid.n_r + 1)

@@ -426,20 +426,36 @@ def test_sweep_rows_and_resume(tmp_path):
     # resume: artifacts verify against manifests and rows are reused bytewise
     assert main(["sweep", "--config", cfg_path]) == 0
     assert (tmp_path / "sweep" / "sweep.csv").read_text() == csv1
-    # a row computed by another package version is recomputed, the rest untouched
+    # a row computed by another package version, or by other source code under
+    # the same version, is recomputed; the rest are untouched
     rows = sorted((tmp_path / "sweep" / "rows").iterdir())
-    stale = rows[1]
-    man = json.loads((stale / "manifest.json").read_text())
-    man["package_version"] = "0.0.0"
-    (stale / "manifest.json").write_text(json.dumps(man))
-    field_bytes = (stale / "field.npz").read_bytes()
-    (stale / "field.npz").write_text("stale\n")
-    kept_bytes = {f: f.read_bytes() for d in rows if d != stale for f in d.iterdir()}
+    stale = {rows[1]: ("package_version", "0.0.0"), rows[2]: ("code_digest", "0" * 16)}
+    field_bytes = {}
+    for row_dir, (key, value) in stale.items():
+        man = json.loads((row_dir / "manifest.json").read_text())
+        assert man["code_digest"] == cli._code_digest()
+        man[key] = value
+        (row_dir / "manifest.json").write_text(json.dumps(man))
+        field_bytes[row_dir] = (row_dir / "field.npz").read_bytes()
+        (row_dir / "field.npz").write_text("stale\n")
+    kept_bytes = {f: f.read_bytes() for d in rows if d not in stale for f in d.iterdir()}
     assert main(["sweep", "--config", cfg_path]) == 0
     assert (tmp_path / "sweep" / "sweep.csv").read_text() == csv1
-    assert json.loads((stale / "manifest.json").read_text())["package_version"] == __version__
-    assert (stale / "field.npz").read_bytes() == field_bytes
+    for row_dir in stale:
+        man = json.loads((row_dir / "manifest.json").read_text())
+        assert (man["package_version"], man["code_digest"]) == (__version__, cli._code_digest())
+        assert (row_dir / "field.npz").read_bytes() == field_bytes[row_dir]
     assert {f: f.read_bytes() for f in kept_bytes} == kept_bytes
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_non_positive_jobs(tmp_path, capsys, jobs):
+    cfg_path = write(tmp_path / "s.json", sweep_doc(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", cfg_path, "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_blowup_row_recorded(tmp_path):

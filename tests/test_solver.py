@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from wavelab import solver
 from wavelab.profiles import RadialProfile, bump_profile, zero_profile
 from wavelab.solver import (CharGrid, FieldFormatError, Problem, RadialField, apply_P,
-                            detect_blowup_time, integral_residual, linear_radial,
-                            normalize_coefficient, solve_forced, solve_march)
+                            detect_blowup_time, homogeneous_levels, integral_residual,
+                            linear_radial, normalize_coefficient, solve_forced, solve_march)
 from wavelab.spherical import ScalarField3, build_sphere_quadrature, spherical_mean
 
 from conftest import RHO, blowup_problem
@@ -298,6 +299,16 @@ def test_unforced_march_is_linear_radial():
     assert np.array_equal(fld.samples, linear_radial(f, g, grid).samples)
 
 
+def test_homogeneous_node_read_is_bitwise_linear_radial():
+    grid = CharGrid(0.1, 4.0, 3.0)              # not dyadic: every rounding counts
+    f, g = _off_lattice_data()
+    whole = linear_radial(f, g, grid).samples
+    jj, ii = np.indices(whole.shape)
+    jj, ii = jj[:, 1:].ravel(), ii[:, 1:].ravel()   # every node with i >= 1
+    assert jj.max() == grid.n_t and ii.max() == grid.n_r
+    assert np.array_equal(homogeneous_levels(f, g, grid).at(ii, jj), whole[jj, ii])
+
+
 # ---------------------------------------------------------------------------
 # marching solver
 # ---------------------------------------------------------------------------
@@ -400,7 +411,69 @@ def test_residual_peak_memory(crit4_run):
     finally:
         tracemalloc.stop()
     assert res["nodes"] > 0
-    assert peak <= 2.75 * field.samples.nbytes
+    assert peak <= 1.25 * field.samples.nbytes
+
+
+def test_march_peak_memory():
+    # the state array is the field itself and u0 streams in blocks of levels
+    grid = CharGrid(RHO / 64, RHO + 16.0, 16.0)
+    prob = blowup_problem(grid)
+    tracemalloc.start()
+    try:
+        fld = solve_march(prob, grid, residual_nodes=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fld.status == "blown_up"
+    assert peak <= 1.3 * fld.samples.nbytes
+
+
+def test_march_is_independent_of_the_u0_block(monkeypatch, blowup_run_coarse):
+    grid = CharGrid(1 / 32, 5.0, 4.0)           # 129 levels: 5 default blocks, 19 of 7
+    f, g = _off_lattice_data()
+    prob = Problem(2.0, 1.0, f, g, RHO)
+    runs = (lambda: solve_march(prob, grid, residual_nodes=0),
+            lambda: solve_forced(f, g, _mms_forcing, grid))
+    default = [run() for run in runs]
+    monkeypatch.setattr(solver, "_U0_BLOCK", 7)
+    for run, fld in zip(runs, default):
+        assert fld.n_levels == grid.n_t + 1
+        assert np.array_equal(run().samples, fld.samples)
+    prob, fld = blowup_run_coarse                # computed with the default block
+    small = solve_march(prob, fld.grid, residual_nodes=0)
+    assert small.status == "blown_up" and small.t_b == fld.t_b
+    assert np.array_equal(small.samples, fld.samples)
+
+
+def test_solve_reads_u0_one_block_at_a_time(monkeypatch):
+    # solve never builds a whole-lattice u0: the march reads it by blocks and
+    # the residual at its nodes
+    def refuse(*args):
+        raise AssertionError("solve called linear_radial")
+
+    real, spans, node_reads = solver.homogeneous_levels, [], []
+
+    def guarded(fbar, gbar, grid):
+        levels = real(fbar, gbar, grid)
+
+        def block(lo, hi):
+            spans.append(hi - lo)
+            return levels(lo, hi)
+
+        def at(ii, jj):
+            node_reads.append(ii.size)
+            return levels.at(ii, jj)
+
+        block.at = at
+        return block
+
+    monkeypatch.setattr(solver, "linear_radial", refuse)
+    monkeypatch.setattr(solver, "homogeneous_levels", guarded)
+    grid = CharGrid(RHO / 32, RHO + 16.0, 16.0)
+    fld = solve_march(blowup_problem(grid), grid)
+    assert fld.status == "blown_up" and fld.residual["nodes"] > 0
+    assert len(spans) > 1 and max(spans) <= solver._U0_BLOCK
+    assert node_reads == [fld.residual["nodes"]]
 
 
 def test_blowup_run_and_refinement_stability(blowup_run_coarse):
