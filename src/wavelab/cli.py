@@ -257,11 +257,12 @@ def _sweep_row(task):
     if marker.exists():
         try:
             old = json.loads(marker.read_text())
-            if (old.get("config_hash") == h and old.get("package_version") == __version__
+            if (isinstance(old, dict) and isinstance(old.get("row"), dict)
+                    and old.get("config_hash") == h and old.get("package_version") == __version__
                     and old.get("code_digest") == _code_digest()
                     and (row_dir / "field.npz").exists()):
                 return old["row"]
-        except (json.JSONDecodeError, KeyError):
+        except json.JSONDecodeError:
             pass
     cfg = parse_run_config(row_doc)
     p = cfg.p

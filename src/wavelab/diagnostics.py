@@ -43,8 +43,8 @@ from itertools import repeat
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
+from .gronwall import _cumulative_trapezoid
 from .profiles import RadialProfile
 from .regions import influence_quadrature
 from .solver import RadialField, homogeneous_levels
@@ -515,12 +515,11 @@ def _characteristic_pass(field, config, n, cols, tri_a, tri_b):
         db_pos = np.where(db > 0, db, 0.0)
         G = db_pos**q * F
         diag = (np.arange(hi - lo), np.arange(lo, hi))
-        H_vals[lo:hi] = cumulative_trapezoid(G, dx=h, axis=1, initial=0.0)[diag]
-        J_int[lo:hi] = cumulative_trapezoid(db_pos ** (1.0 + q) * Fp, dx=h, axis=1,
-                                            initial=0.0)[diag]
+        H_vals[lo:hi] = _cumulative_trapezoid(G, dx=h)[diag]
+        J_int[lo:hi] = _cumulative_trapezoid(db_pos ** (1.0 + q) * Fp, dx=h)[diag]
         c = np.minimum(cols, hi - 1)
         G_cols[lo:hi] = G[:, c]
-        K1_cols[lo:hi] = cumulative_trapezoid(db_pos * Fp, dx=h, axis=1, initial=0.0)[:, c]
+        K1_cols[lo:hi] = _cumulative_trapezoid(db_pos * Fp, dx=h)[:, c]
         s0, s1 = np.searchsorted(tri_a, [lo, hi])
         F_tri[s0:s1] = F[tri_a[s0:s1] - lo, tri_b[s0:s1]]
     return alphas, H_vals, J_int, G_cols, K1_cols, F_tri
@@ -594,7 +593,7 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
     # 4. weighted functional bound (G form), sampled over Sigma-prime
     lhs_g, rhs_g, rg, tg = [], [], [], []
     for k, it in enumerate(it_idx):
-        outer = cumulative_trapezoid(K1_cols[:, k], dx=h, initial=0.0)
+        outer = _cumulative_trapezoid(K1_cols[:, k], dx=h)
         ir_idx = np.unique(np.linspace(it, n, side).astype(int))
         for ir in ir_idx:
             if ir <= it:
@@ -620,7 +619,7 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
         np.maximum(1e-12 * np.maximum(lhs_s, 1.0), 1e-12), {"q": q}))
 
     # 6. double integral bound for H
-    rhs_h1 = (A / (4.0 * q)) * cumulative_trapezoid(J_int, dx=h, initial=0.0)
+    rhs_h1 = (A / (4.0 * q)) * _cumulative_trapezoid(J_int, dx=h)
     tables.append(InequalityTable.build(
         "double_integral_bound", alphas, np.full_like(alphas, np.nan), H_vals, rhs_h1,
         _chain_tol(h, H_vals, rhs_h1), {"C_H1": A / (4.0 * q)}))
@@ -637,7 +636,7 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
     # 8. single integral bound (the Gronwall-ready form)
     integrand = np.zeros_like(alphas)
     integrand[pos] = H_vals[pos] ** p * gap[pos] ** (2.0 - 2.0 * p)
-    rhs_single = c_single * cumulative_trapezoid(integrand, dx=h, initial=0.0)
+    rhs_single = c_single * _cumulative_trapezoid(integrand, dx=h)
     tables.append(InequalityTable.build(
         "single_integral_bound", alphas, np.full_like(alphas, np.nan), H_vals, rhs_single,
         _chain_tol(h, H_vals, rhs_single), {"C_single": c_single}))

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "GronwallParams",
@@ -109,6 +108,21 @@ class GronwallCertificate:
             fh.write("\n")
 
 
+def _cumulative_trapezoid(y, x=None, dx=1.0):
+    """Trapezoid prefix sums of y along its last axis, 0.0 first; x or a uniform dx.
+
+    The arithmetic of ``scipy.integrate.cumulative_trapezoid(y, x, dx=dx,
+    initial=0.0)`` term by term, (d * (y[k+1] + y[k])) / 2.0 summed by one
+    cumsum, so every value keeps the bits the chain was written against.
+    """
+    y = np.asarray(y, dtype=float)
+    d = dx if x is None else np.diff(x)
+    out = np.empty(y.shape)
+    out[..., :1] = 0.0
+    np.cumsum(d * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
+    return out
+
+
 def _weighted_cumulative(r, H, params):
     """Integral from t1 of H^a (alpha - t0)^b, trapezoid prefix sums.
 
@@ -125,7 +139,7 @@ def _weighted_cumulative(r, H, params):
     integrand = H**params.a * w
     if not np.isfinite(integrand[0]):
         integrand[0] = 0.0  # open-left first cell for the singular weight
-    return cumulative_trapezoid(integrand, r, initial=0.0)
+    return _cumulative_trapezoid(integrand, r)
 
 
 def _scan(r, H, params: GronwallParams):

@@ -171,7 +171,9 @@ class RadialField:
             raise ValueError(f"unknown status {self.status!r}")
         if self.status == "blown_up" and self.t_b is None:
             raise ValueError("blown_up status requires t_b")
-        if not np.all(np.isfinite(self.samples)):
+        # min and max carry any NaN and show +-inf, without a mask the size of the field
+        if self.samples.size and not (np.isfinite(self.samples.min())
+                                      and np.isfinite(self.samples.max())):
             raise ValueError("stored samples must be finite")
 
     @property

@@ -1,9 +1,11 @@
+import ast
 import json
 import logging
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,13 +81,30 @@ def test_custom_csv_profile_continuous_at_rho(tmp_path):
     assert np.all(f.values == 0.0)
 
 
-def test_cli_import_leaves_scipy_stats_out():
+def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(wavelab.__file__))
-    code = "import sys, wavelab.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, wavelab.cli; "
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_package_source_never_imports_scipy():
+    # scipy is a test-only dependency; this also catches imports inside functions
+    pkg = Path(wavelab.__file__).parent
+    found = []
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert len(list(pkg.rglob("*.py"))) > 5 and found == []
 
 
 def test_default_h_is_rho_over_128():
@@ -427,16 +446,20 @@ def test_sweep_rows_and_resume(tmp_path):
     assert main(["sweep", "--config", cfg_path]) == 0
     assert (tmp_path / "sweep" / "sweep.csv").read_text() == csv1
     # a row computed by another package version, or by other source code under
-    # the same version, is recomputed; the rest are untouched
+    # the same version, or whose manifest is valid JSON but not an object, is
+    # recomputed; the rest are untouched
     rows = sorted((tmp_path / "sweep" / "rows").iterdir())
-    stale = {rows[1]: ("package_version", "0.0.0"), rows[2]: ("code_digest", "0" * 16)}
-    field_bytes = {}
-    for row_dir, (key, value) in stale.items():
+    stale = {rows[1]: ("package_version", "0.0.0"), rows[2]: ("code_digest", "0" * 16),
+             rows[3]: None}
+    row_bytes = {}
+    for row_dir, edit in stale.items():
         man = json.loads((row_dir / "manifest.json").read_text())
         assert man["code_digest"] == cli._code_digest()
-        man[key] = value
-        (row_dir / "manifest.json").write_text(json.dumps(man))
-        field_bytes[row_dir] = (row_dir / "field.npz").read_bytes()
+        if edit is not None:
+            man[edit[0]] = edit[1]
+        (row_dir / "manifest.json").write_text(json.dumps(man) if edit else "[]")
+        row_bytes[row_dir] = {f: (row_dir / f).read_bytes()
+                              for f in ("field.npz", "residual.json")}
         (row_dir / "field.npz").write_text("stale\n")
     kept_bytes = {f: f.read_bytes() for d in rows if d not in stale for f in d.iterdir()}
     assert main(["sweep", "--config", cfg_path]) == 0
@@ -444,7 +467,7 @@ def test_sweep_rows_and_resume(tmp_path):
     for row_dir in stale:
         man = json.loads((row_dir / "manifest.json").read_text())
         assert (man["package_version"], man["code_digest"]) == (__version__, cli._code_digest())
-        assert (row_dir / "field.npz").read_bytes() == field_bytes[row_dir]
+        assert {f: (row_dir / f).read_bytes() for f in row_bytes[row_dir]} == row_bytes[row_dir]
     assert {f: f.read_bytes() for f in kept_bytes} == kept_bytes
 
 

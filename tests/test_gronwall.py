@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 
-from wavelab.gronwall import (GronwallParams, WindowTooShortError, certify,
+from wavelab.gronwall import (GronwallParams, _cumulative_trapezoid, WindowTooShortError, certify,
                               check_inequality, failure_radius,
                               log10_failure_radius)
 
@@ -19,6 +20,35 @@ def test_params_enforce_lemma_hypotheses():
         GronwallParams(1.0, 1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         GronwallParams(1.0, 2.0, 0.0, 1.0, 0.0)
+
+
+def test_cumulative_trapezoid_is_scipy_bitwise():
+    rng = np.random.default_rng(7)
+    # 1-D on non-uniform abscissae, as the Gronwall scan integrates
+    r = np.cumsum(rng.uniform(0.01, 0.3, 257))
+    y = rng.uniform(0.0, 5.0, r.size) ** 2.5
+    assert np.array_equal(_cumulative_trapezoid(y, r), cumulative_trapezoid(y, r, initial=0.0))
+    # 2-D rows along axis 1 at uniform h, as in the chain's characteristic pass:
+    # (alpha - beta)_+ weights vanish past the diagonal, F_+^p with p = 1.5
+    h, p = 1 / 64, 1.5
+    q = p / (p - 1.0)
+    alphas = 0.5 + h * np.arange(300)
+    db = alphas[40:97, None] - alphas[None, :97]
+    db_pos = np.where(db > 0, db, 0.0)
+    F = np.tril(rng.uniform(-0.1, 1.0, db.shape), 40)
+    Fp = np.clip(F, 0.0, None) ** p
+    for g in (db_pos**q * F, db_pos ** (1.0 + q) * Fp, db_pos * Fp):
+        assert np.array_equal(_cumulative_trapezoid(g, dx=h),
+                              cumulative_trapezoid(g, dx=h, axis=1, initial=0.0))
+        col = g[:, 13]
+        assert np.array_equal(_cumulative_trapezoid(col, dx=h),
+                              cumulative_trapezoid(col, dx=h, initial=0.0))
+    # the shortest inputs: the leading zero alone, then one cell
+    for y, x in (([2.5], [0.3]), ([2.5, -1.0], [0.3, 0.7])):
+        y, x = np.array(y), np.array(x)
+        assert np.array_equal(_cumulative_trapezoid(y, x), cumulative_trapezoid(y, x, initial=0.0))
+        assert np.array_equal(_cumulative_trapezoid(y, dx=h),
+                              cumulative_trapezoid(y, dx=h, initial=0.0))
 
 
 def test_failure_radius_closed_forms():

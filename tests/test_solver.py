@@ -87,6 +87,28 @@ def test_field_npz_truncated_rejected(tmp_path):
         RadialField.load(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_rejects_non_finite_samples(bad):
+    g = CharGrid(0.25, 1.0, 0.5)
+    vals = np.zeros((3, 5))
+    vals[1, 2] = bad
+    with pytest.raises(ValueError, match="stored samples must be finite"):
+        RadialField(g, vals)
+    assert RadialField(g, np.zeros((0, 5))).n_levels == 0
+
+
+def test_field_finiteness_check_allocates_no_mask():
+    g = CharGrid(1 / 64, 8.0, 4.0)
+    vals = np.ones((g.n_t + 1, g.n_r + 1))
+    tracemalloc.start()
+    try:
+        RadialField(g, vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.02 * vals.nbytes
+
+
 def test_interpolate_returns_nodes_on_last_level_and_column(blowup_run_coarse):
     # the last level and column are read from the cell below them: a node query
     # there returns the node (a 1e-12 clamp once blended in the level below)
