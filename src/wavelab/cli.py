@@ -18,12 +18,12 @@ import functools
 import hashlib
 import json
 import logging
-import math
 import os
 import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from .config import (ConfigError, RunConfig, _is_number, _number, _require_keys,
                      parse_sweep_config)
 from .diagnostics import (ChainConfig, GridTooShortError, check_chain, choose_epsilon,
                           gronwall_params_from_chain, s_exponent, select_t2_delta)
-from .gronwall import (GronwallParams, WindowTooShortError, certify,
+from .gronwall import (GronwallCertificate, GronwallParams, WindowTooShortError, certify,
                        failure_radius, log10_failure_radius)
 from .solver import FieldFormatError, RadialField, detect_blowup_time, solve_march
 from .spherical import ScalarField3, build_sphere_quadrature, spherical_mean
@@ -58,11 +58,6 @@ def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _finite_or_none(x):
-    """Strict JSON has no Infinity or NaN; a radius beyond doubles is null."""
-    return x if x is not None and math.isfinite(x) else None
 
 
 def _peak_rss_mb():      # of this process so far; ru_maxrss is in KiB on Linux
@@ -109,10 +104,10 @@ def _manifest(config_doc, extra):
 # ---------------------------------------------------------------------------
 
 def _run_solve(cfg: RunConfig, out_dir: Path):
-    """March, write field.npz, residual.json and manifest.json.
+    """March, write field.npz and residual.json.
 
-    Returns the field and the run record written into the manifest (status,
-    t_b, the blow-up fit, max|u|, timings, peak RSS), so callers reuse them.
+    Returns the field and the run record (status, t_b, the blow-up fit,
+    max|u|, timings, peak RSS); each caller writes its own manifest.json.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = cfg.build_grid()
@@ -137,14 +132,14 @@ def _run_solve(cfg: RunConfig, out_dir: Path):
         "max_amplitude_reached": float(np.max(np.abs(fld.samples))),
         "residual": fld.residual,
     }
-    _write_json(out_dir / "manifest.json", _manifest(cfg.raw, record))
     return fld, record
 
 
 def cmd_solve(args):
     cfg = parse_run_config(apply_overrides(load_json(args.config), args.override))
     out_dir = Path(args.output or cfg.output_dir)
-    fld, _ = _run_solve(cfg, out_dir)
+    fld, record = _run_solve(cfg, out_dir)
+    _write_json(out_dir / "manifest.json", _manifest(cfg.raw, record))
     return EXIT_NUMERICAL if fld.status == "error" else EXIT_OK
 
 
@@ -184,7 +179,7 @@ def _run_diagnose(cfg: RunConfig, field_path, out_dir: Path):
 
     cert_doc = {"r_star_note": "failure radius derived from the lemma's proof, "
                                "not part of its statement"}
-    confirmed_or_skipped = True
+    refuted = False
     eps = report.config.epsilon
     if eps is None:
         cert_doc["skipped"] = ("no admissible epsilon: supercritical exponent "
@@ -194,26 +189,22 @@ def _run_diagnose(cfg: RunConfig, field_path, out_dir: Path):
         rs, hv = report.H
         sel = rs >= t1 - 1e-12
         try:
-            cert = certify(rs[sel], hv[sel], GronwallParams(C, a, b, t0, t1))
-            cert_doc.update(cert.to_json_dict())
-            cert_doc["log10_r_star"] = _finite_or_none(cert.log10_r_star)
-            if cert.violation_found_at is None or cert.violation_found_at > cert.r_star:
-                confirmed_or_skipped = False
+            params = GronwallParams(C, a, b, t0, t1)
+            cert = certify(rs[sel], hv[sel], params)
         except WindowTooShortError as exc:
-            cert_doc.update({"C": C, "a": a, "b": b, "t0": t0, "t1": t1,
-                             "skipped": str(exc)})
-            if exc.r_star is not None:
-                # the lemma bounds any existence horizon by r_star: t_b <= r_star
-                within = None if field.t_b is None else bool(field.t_b <= exc.r_star)
-                cert_doc.update({
-                    "J1": exc.J1, "r_star": _finite_or_none(exc.r_star),
-                    "log10_r_star": _finite_or_none(exc.log10_r_star),
-                    "window_end": exc.window_end, "t_b": field.t_b,
-                    "t_b_within_r_star": within})
-                if within is False:
-                    confirmed_or_skipped = False
+            cert_doc.update(asdict(params), skipped=str(exc))
         except ValueError as exc:
             cert_doc["skipped"] = f"hypotheses not met on this window: {exc}"
+        else:
+            cert_doc.update(cert.to_json_dict())
+            if cert.window_short:
+                # the lemma bounds any existence horizon by r_star: t_b <= r_star
+                within = None if field.t_b is None else bool(field.t_b <= cert.r_star)
+                cert_doc.update(t_b=field.t_b, t_b_within_r_star=within)
+                refuted = within is False
+            else:
+                refuted = (cert.violation_found_at is None
+                           or cert.violation_found_at > cert.r_star)
     _write_json(out_dir / "gronwall.json", cert_doc)
     phases.done("certify", "skipped" if "skipped" in cert_doc else "done")
     # not manifest.json: without --output this is the solve directory
@@ -224,10 +215,7 @@ def _run_diagnose(cfg: RunConfig, field_path, out_dir: Path):
 
     if not report.holds:
         log.warning("diagnose: chain violated")
-        return EXIT_NUMERICAL
-    if not confirmed_or_skipped:
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_NUMERICAL if refuted or not report.holds else EXIT_OK
 
 
 def cmd_diagnose(args):
@@ -353,6 +341,11 @@ def _parse_gronwall_params(doc):
 
 
 def cmd_gronwall(args):
+    """gronwall.json from sampled H (``H_csv``) or from J1 alone.
+
+    Exit 4 when the samples end before t1 + 1 or short of r_star; the
+    certificate's numbers are written in the second case too.
+    """
     doc = apply_overrides(load_json(args.config), args.override)
     _require_keys(doc, {"params", "H_csv", "J1", "output_dir"}, {"params"}, "")
     params = _parse_gronwall_params(doc["params"])
@@ -367,19 +360,15 @@ def cmd_gronwall(args):
         try:
             cert = certify(data[:, 0], data[:, 1], params)
         except WindowTooShortError as exc:
-            _write_json(out_dir / "gronwall.json",
-                        {**{k: getattr(params, k) for k in ("C", "a", "b", "t0", "t1")},
-                         "skipped": str(exc)})
+            _write_json(out_dir / "gronwall.json", {**asdict(params), "skipped": str(exc)})
             return EXIT_GRID
-        cert.to_json(out_dir / "gronwall.json")
-        return EXIT_OK
+        _write_json(out_dir / "gronwall.json", cert.to_json_dict())
+        return EXIT_GRID if cert.window_short else EXIT_OK
     if "J1" in doc:
         J1 = _number(doc, "J1", "")
-        _write_json(out_dir / "gronwall.json",
-                    {**{k: getattr(params, k) for k in ("C", "a", "b", "t0", "t1")},
-                     "J1": J1, "r_star": _finite_or_none(failure_radius(params, J1)),
-                     "log10_r_star": _finite_or_none(log10_failure_radius(params, J1)),
-                     "violation_found_at": None})
+        cert = GronwallCertificate(params, J1, failure_radius(params, J1), None,
+                                   log10_failure_radius(params, J1))
+        _write_json(out_dir / "gronwall.json", cert.to_json_dict())
         return EXIT_OK
     raise ConfigError("missing key: H_csv or J1")
 

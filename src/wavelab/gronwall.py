@@ -23,7 +23,6 @@ statement, and is labelled as such in reports.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -46,21 +45,7 @@ _LN10 = math.log(10.0)
 
 
 class WindowTooShortError(ValueError):
-    """The sampled window does not reach the guaranteed failure radius.
-
-    Raised by ``certify`` when no violation is found before the window ends
-    short of r_star, it carries the certificate's numbers: ``J1``, ``r_star``
-    (+inf beyond the double range), ``log10_r_star`` and ``window_end``.  They
-    are None when the window is too short even for J1.
-    """
-
-    def __init__(self, message, J1=None, r_star=None, log10_r_star=None,
-                 window_end=None):
-        super().__init__(message)
-        self.J1 = J1
-        self.r_star = r_star
-        self.log10_r_star = log10_r_star
-        self.window_end = window_end
+    """The sample window ends before t1 + 1, so J1 = J(t1 + 1) cannot be computed."""
 
 
 @dataclass(frozen=True)
@@ -84,28 +69,50 @@ class GronwallParams:
             raise ValueError("need t0 <= t1")
 
 
+def _finite_or_none(x):
+    """Strict JSON has no Infinity or NaN; a radius beyond doubles is null."""
+    return x if x is not None and math.isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class GronwallCertificate:
+    """J1, the closed-form r_star and the scan's outcome on [t1, window_end].
+
+    ``window_end`` is None for a certificate built from J1 alone (no samples).
+    """
+
     params: GronwallParams
     J1: float
     r_star: float
     violation_found_at: Optional[float]
     log10_r_star: Optional[float]
+    window_end: Optional[float] = None
+
+    @property
+    def window_short(self):
+        """No violation found, and the window ends short of r_star."""
+        return (self.violation_found_at is None and self.window_end is not None
+                and self.window_end < self.r_star)
 
     def to_json_dict(self):
-        """Strict-JSON fields; r_star is None where it exceeds the double range."""
-        p = self.params
-        return {
-            "C": p.C, "a": p.a, "b": p.b, "t0": p.t0, "t1": p.t1,
-            "J1": self.J1,
-            "r_star": self.r_star if math.isfinite(self.r_star) else None,
-            "violation_found_at": self.violation_found_at,
-        }
+        """Strict-JSON fields; r_star and log10_r_star are None where not finite.
 
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        A short window records why the lemma's conclusion is not confirmed
+        (``skipped``) and where the samples end, in place of the violation.
+        """
+        p = self.params
+        doc = {"C": p.C, "a": p.a, "b": p.b, "t0": p.t0, "t1": p.t1, "J1": self.J1,
+               "r_star": _finite_or_none(self.r_star),
+               "log10_r_star": _finite_or_none(self.log10_r_star)}
+        if not self.window_short:
+            doc["violation_found_at"] = self.violation_found_at
+            return doc
+        size = (f"{self.r_star:g}" if math.isfinite(self.r_star)
+                else f"10^{self.log10_r_star:.1f}")
+        doc["skipped"] = (f"extend window to r_star: no violation up to {self.window_end:g} "
+                          f"but the lemma only forces one by {size}")
+        doc["window_end"] = self.window_end
+        return doc
 
 
 def _cumulative_trapezoid(y, x=None, dx=1.0):
@@ -232,23 +239,17 @@ def log10_failure_radius(params: GronwallParams, J1: float) -> Optional[float]:
 def certify(r, H, params: GronwallParams) -> GronwallCertificate:
     """Quadrature J1, closed-form r_star, and a violation scan in one bundle.
 
-    Requires the sample window to cover [t1, t1+1] for J1.  If no violation is
-    found inside the window and the window stops short of r_star, the lemma's
-    conclusion cannot be confirmed numerically and a WindowTooShortError asks
-    for more samples; a window reaching r_star with no violation would refute
-    the lemma (the property tests exercise exactly this contract).
+    Requires the sample window to cover [t1, t1+1] for J1 (WindowTooShortError
+    otherwise), and then returns the certificate in every outcome.  If no
+    violation is found and the window stops short of r_star
+    (``window_short``), the lemma's conclusion is not confirmed numerically;
+    r_star still bounds any existence horizon.  A window reaching r_star with
+    no violation would refute the lemma (the property tests exercise exactly
+    this contract).
     """
     if np.asarray(r, dtype=float)[-1] < params.t1 + 1.0 - 1e-12:
         raise WindowTooShortError("extend window to t1 + 1 to compute J1")
     r, cums, violation = _scan(r, H, params)
     J1 = float(np.interp(params.t1 + 1.0, r, cums))
-    r_star = failure_radius(params, J1)
-    log10_r_star = log10_failure_radius(params, J1)
-    if violation is None and r[-1] < r_star:
-        size = f"{r_star:g}" if math.isfinite(r_star) else f"10^{log10_r_star:.1f}"
-        raise WindowTooShortError(
-            f"extend window to r_star: no violation up to {r[-1]:g} "
-            f"but the lemma only forces one by {size}",
-            J1=J1, r_star=r_star, log10_r_star=log10_r_star,
-            window_end=float(r[-1]))
-    return GronwallCertificate(params, J1, r_star, violation, log10_r_star)
+    return GronwallCertificate(params, J1, failure_radius(params, J1), violation,
+                               log10_failure_radius(params, J1), float(r[-1]))

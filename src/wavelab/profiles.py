@@ -104,14 +104,10 @@ class RadialProfile:
                 fh.write(f"{ri:.17g},{vi:.17g}\n")
 
     @staticmethod
-    def from_csv(path, rho=None):
+    def from_csv(path, rho):
         data = np.genfromtxt(path, delimiter=",", skip_header=1)
         data = np.atleast_2d(data)
-        r, v = data[:, 0], data[:, 1]
-        if rho is None:
-            nz = np.nonzero(v)[0]
-            rho = float(r[nz[-1] + 1]) if nz.size and nz[-1] + 1 < r.size else float(r[-1])
-        return RadialProfile(r, v, rho)
+        return RadialProfile(data[:, 0], data[:, 1], rho)
 
 
 def bump_profile(amplitude, rho, grid_r):

@@ -386,15 +386,14 @@ def linear_radial(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid) -> R
 # ---------------------------------------------------------------------------
 
 def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
-           p: Optional[float],
-           forcing: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]],
+           sigma: Callable[..., np.ndarray],
            blowup_threshold: float, divergence_factor: float, ratio_floor: float):
     """Level-by-level march; returns (samples, status, t_b).
 
-    Nonlinear mode (p set): source |u|^p with one predictor/corrector pass on
-    the new level.  Forced mode (forcing set): prescribed source sigma(r, t)
-    evaluated exactly at the new level, no prediction needed; forcing must
-    broadcast elementwise over congruent r and t arrays.
+    The source sigma(r, t, u) is evaluated elementwise at nodes (r, t) with
+    solution values u; t is a scalar on a level and an array on the backward
+    diagonal.  One predictor/corrector pass settles the new level; a source
+    that ignores u (forced mode) gives the same values at both passes.
 
     Only the solution history is kept in full (the r = 0 limit formula reads
     the source along a backward characteristic through all earlier levels),
@@ -404,29 +403,21 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
     is an exact zero appended to the one-level rows of w and A*lambda*sigma.
     """
     h, n_r, n_t = grid.h, grid.n_r, grid.n_t
-    lam = grid.r_values()
+    lam, tv = grid.r_values(), grid.t_values()
     hh6 = h * h / 6.0
     inner = slice(1, n_r + 1)
     u = np.zeros((n_t + 1, n_r + 1))
 
-    def source(level, u_row):
-        if forcing is not None:
-            return forcing(lam, np.full_like(lam, level * h))
-        return np.abs(u_row) ** p
-
     def source_diag(level):
         # source at the nodes ((level-k)h, kh), k = 0..level-1
         ks = np.arange(level)
-        cols = level - ks
-        if forcing is not None:
-            return forcing(cols * h, ks * h)
-        return np.abs(u[ks, cols]) ** p
+        return sigma(lam[level:0:-1], tv[:level], u[ks, level - ks])
 
     u0_levels = homogeneous_levels(fbar, gbar, grid)
     u0_rows = (row for lo in range(0, n_t + 1, _U0_BLOCK)
                for row in u0_levels(lo, min(lo + _U0_BLOCK, n_t + 1)))
     u[0] = next(u0_rows)
-    sig_curr, F_prev = source(0, u[0]), None
+    sig_curr, F_prev = sigma(lam, 0.0, u[0]), None
     w_prev = w_curr = np.zeros(n_r + 2)
     status, t_b, defined = "complete", None, n_t + 1
     m_prev = float(np.max(np.abs(u[0])))
@@ -442,14 +433,11 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
                     + hh6 * (2.0 * Fj[inner] + Fj[0:n_r] + Fj[2 : n_r + 2] + F_prev[inner]))
 
         with np.errstate(over="ignore", invalid="ignore"):
-            if forcing is not None:
-                F_new = A * lam * source(new, None)
-            else:
-                u_star = u[j] if j == 0 else 2.0 * u[j] - u[j - 1]
-                F_star = A * lam * source(new, u_star)
-                u_pre = np.zeros(n_r + 1)
-                u_pre[inner] = u0[1:] + (base + hh6 * F_star[inner]) / lam[inner]
-                F_new = A * lam * source(new, u_pre)
+            u_star = u[j] if j == 0 else 2.0 * u[j] - u[j - 1]
+            F_star = A * lam * sigma(lam, new * h, u_star)
+            u_pre = np.zeros(n_r + 1)
+            u_pre[inner] = u0[1:] + (base + hh6 * F_star[inner]) / lam[inner]
+            F_new = A * lam * sigma(lam, new * h, u_pre)
 
             w_new = np.zeros(n_r + 2)
             w_new[inner] = base + hh6 * F_new[inner]
@@ -466,7 +454,7 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
                 break
 
             F_prev = Fj
-            sig_curr = source(new, u[new])
+            sig_curr = sigma(lam, new * h, u[new])
             if not np.all(np.isfinite(sig_curr)):
                 status, defined = "error", new
                 break
@@ -495,8 +483,9 @@ def solve_march(problem: Problem, grid: CharGrid,
         raise ValueError("blowup_threshold must exceed the initial amplitude")
 
     ratio_floor = max(1.0, 10.0 * problem.data_scale)
-    samples, status, t_b = _march(problem.f_profile, problem.g_profile, grid,
-                                  problem.A, problem.p, None,
+    p = problem.p
+    samples, status, t_b = _march(problem.f_profile, problem.g_profile, grid, problem.A,
+                                  lambda r, t, u: np.abs(u) ** p,
                                   blowup_threshold, divergence_factor, ratio_floor)
     field = RadialField(grid, samples, status=status, t_b=t_b, p=problem.p, A=problem.A)
     if residual_nodes:
@@ -513,7 +502,8 @@ def solve_forced(fbar: RadialProfile, gbar: RadialProfile,
     supported inside the light cone of r_max (the lattice assumes the solution
     vanishes beyond the last column).
     """
-    samples, status, t_b = _march(fbar, gbar, grid, A, None, forcing,
+    samples, status, t_b = _march(fbar, gbar, grid, A,
+                                  lambda r, t, u: forcing(r, np.full_like(r, t)),
                                   np.inf, np.inf, np.inf)
     return RadialField(grid, samples, status=status, t_b=t_b, A=A)
 

@@ -13,7 +13,7 @@ import pytest
 import wavelab
 from wavelab import __version__, cli
 from wavelab.cli import main
-from wavelab.gronwall import WindowTooShortError
+from wavelab.gronwall import GronwallCertificate
 from wavelab.config import (ConfigError, DataSpec, apply_overrides, config_hash,
                             parse_run_config, parse_sweep_config)
 from wavelab.solver import RadialField
@@ -284,9 +284,8 @@ def test_solve_logs_one_info_line_per_phase(tmp_path, caplog):
 def test_diagnose_lifespan_beyond_r_star_is_exit_3(solved_run, tmp_path, monkeypatch):
     # a blown-up field outliving the lemma's r_star contradicts the lemma
     def short_radius(r, H, params):
-        raise WindowTooShortError("extend window to r_star: stub", J1=1.0,
-                                  r_star=2.0, log10_r_star=math.log10(2.0),
-                                  window_end=float(r[-1]))
+        return GronwallCertificate(params, 1.0, 2.0, None, math.log10(2.0),
+                                   window_end=1.5)
 
     monkeypatch.setattr(cli, "certify", short_radius)
     tmp, doc = solved_run
@@ -471,6 +470,22 @@ def test_sweep_rows_and_resume(tmp_path):
     assert {f: f.read_bytes() for f in kept_bytes} == kept_bytes
 
 
+def test_sweep_writes_each_row_manifest_once(tmp_path, monkeypatch):
+    # the row manifest is the only manifest.json a computed row writes; a resume writes none
+    written = []
+    write_json = cli._write_json
+    monkeypatch.setattr(cli, "_write_json",
+                        lambda path, obj: (written.append(Path(path)), write_json(path, obj)))
+    cfg_path = write(tmp_path / "s.json", sweep_doc(tmp_path))
+    assert main(["sweep", "--config", cfg_path, "--jobs", "1"]) == 0
+    manifests = [path for path in written if path.name == "manifest.json"]
+    assert len(manifests) == len(set(manifests)) == 4
+    assert json.loads(manifests[0].read_text())["row"]["p"] == 2.0
+    written.clear()
+    assert main(["sweep", "--config", cfg_path, "--jobs", "1"]) == 0
+    assert written == []
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_rejects_non_positive_jobs(tmp_path, capsys, jobs):
     cfg_path = write(tmp_path / "s.json", sweep_doc(tmp_path))
@@ -573,6 +588,7 @@ def test_gronwall_subcommand_H_csv(tmp_path):
     assert main(["gronwall", "--config", cfg, "--output", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "gronwall.json").read_text())
     assert doc["violation_found_at"] <= doc["r_star"]
+    assert doc["log10_r_star"] == pytest.approx(math.log10(doc["r_star"]), rel=1e-12)
 
 
 def test_gronwall_subcommand_window_short(tmp_path):
@@ -585,6 +601,14 @@ def test_gronwall_subcommand_window_short(tmp_path):
                 {"params": {"C": 1e-4, "a": 2, "b": 0, "t0": 0, "t1": 0},
                  "H_csv": str(tmp_path / "H.csv")})
     assert main(["gronwall", "--config", cfg, "--output", str(tmp_path)]) == 4
+    # the short window's numbers are written beside the reason, as diagnose does
+    doc = json.loads((tmp_path / "gronwall.json").read_text())
+    assert set(doc) == {"C", "a", "b", "t0", "t1", "J1", "r_star", "log10_r_star",
+                        "skipped", "window_end"}
+    assert doc["J1"] == pytest.approx(25.0, rel=1e-12) and doc["window_end"] == 1.5
+    assert doc["log10_r_star"] == pytest.approx(math.log10(doc["r_star"]), rel=1e-12)
+    assert doc["skipped"] == ("extend window to r_star: no violation up to 1.5 "
+                              f"but the lemma only forces one by {doc['r_star']:g}")
 
 
 def test_gronwall_subcommand_bad_params(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 
-from wavelab.gronwall import (GronwallParams, _cumulative_trapezoid, WindowTooShortError, certify,
+from wavelab.gronwall import (GronwallCertificate, GronwallParams, _cumulative_trapezoid,
+                              WindowTooShortError, certify,
                               check_inequality, failure_radius,
                               log10_failure_radius)
 
@@ -160,32 +162,60 @@ def test_certify_window_errors():
     with pytest.raises(WindowTooShortError, match="t1 \\+ 1"):
         certify(r, np.ones_like(r), GronwallParams(1, 2, 0, 0, 0))
     r2 = np.linspace(0.0, 1.5, 151)
-    with pytest.raises(WindowTooShortError, match="extend window to r_star"):
-        certify(r2, 5.0 + 0 * r2, GronwallParams(1e-4, 2, 0, 0, 0))
+    cert = certify(r2, 5.0 + 0 * r2, GronwallParams(1e-4, 2, 0, 0, 0))
+    assert cert.window_short
+    assert cert.to_json_dict()["skipped"].startswith("extend window to r_star")
 
 
 def test_window_too_short_carries_the_bound():
     r = np.linspace(0.0, 1.5, 151)
     params = GronwallParams(1e-4, 2, 0, 0, 0)
-    with pytest.raises(WindowTooShortError) as info:
-        certify(r, 5.0 + 0 * r, params)
-    exc = info.value
-    assert exc.window_end == 1.5
-    assert exc.J1 == pytest.approx(25.0, rel=1e-12)
-    assert exc.r_star == pytest.approx(failure_radius(params, exc.J1), rel=1e-12)
-    assert exc.log10_r_star == pytest.approx(math.log10(exc.r_star), rel=1e-12)
-    assert exc.r_star > exc.window_end
+    cert = certify(r, 5.0 + 0 * r, params)
+    assert cert.violation_found_at is None and cert.window_short
+    assert cert.window_end == 1.5
+    assert cert.J1 == pytest.approx(25.0, rel=1e-12)
+    assert cert.r_star == pytest.approx(failure_radius(params, cert.J1), rel=1e-12)
+    assert cert.log10_r_star == pytest.approx(math.log10(cert.r_star), rel=1e-12)
+    assert cert.r_star > cert.window_end
 
 
-def test_certificate_json_roundtrip(tmp_path):
+_PARAM_KEYS = {"C", "a", "b", "t0", "t1", "J1", "r_star", "log10_r_star"}
+
+
+def test_certificate_json_roundtrip():
     r = np.linspace(0.0, 7.0, 7001)
     cert = certify(r, r**2, GronwallParams(1, 2, 0, 0, 0))
-    path = tmp_path / "cert.json"
-    cert.to_json(path)
-    import json
-    doc = json.loads(path.read_text())
-    assert set(doc) == {"C", "a", "b", "t0", "t1", "J1", "r_star", "violation_found_at"}
+    assert not cert.window_short
+    text = json.dumps(cert.to_json_dict(), allow_nan=False)
+    doc = json.loads(text)
+    assert set(doc) == _PARAM_KEYS | {"violation_found_at"}
     assert doc["r_star"] == pytest.approx(6.0, rel=1e-5)
+    assert doc["log10_r_star"] == pytest.approx(math.log10(doc["r_star"]), rel=1e-12)
+    assert doc["violation_found_at"] <= doc["r_star"] + (r[1] - r[0])
+
+    # a short window: the numbers, the reason and the window's end, no violation
+    params = GronwallParams(1e-4, 2, 0, 0, 0)
+    short = certify(r[:1501], 5.0 + 0 * r[:1501], params)
+    doc = json.loads(json.dumps(short.to_json_dict(), allow_nan=False))
+    assert set(doc) == _PARAM_KEYS | {"skipped", "window_end"}
+    assert doc["window_end"] == 1.5 and doc["r_star"] == short.r_star
+    assert doc["skipped"] == ("extend window to r_star: no violation up to 1.5 "
+                              f"but the lemma only forces one by {short.r_star:g}")
+
+    # r_star beyond the double range: null beside its finite log10 size, never Infinity
+    huge = certify(r[:1501], 1.0 + 0 * r[:1501], GronwallParams(1e-8, 1.5, -0.99, 0, 0))
+    assert huge.r_star == math.inf and huge.window_short
+    text = json.dumps(huge.to_json_dict(), allow_nan=False)
+    doc = json.loads(text)
+    assert "Infinity" not in text and doc["r_star"] is None
+    assert doc["log10_r_star"] == pytest.approx(huge.log10_r_star)
+    assert doc["skipped"].endswith(f"10^{huge.log10_r_star:.1f}")
+
+    # a certificate from J1 alone has no window and reports no violation
+    J1_only = GronwallCertificate(params, 1.0, failure_radius(params, 1.0), None,
+                                  log10_failure_radius(params, 1.0))
+    assert not J1_only.window_short
+    assert set(J1_only.to_json_dict()) == _PARAM_KEYS | {"violation_found_at"}
 
 
 def _random_family(rng):
