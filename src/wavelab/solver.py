@@ -313,23 +313,28 @@ def apply_P(source: RadialField, r: float, t: float) -> float:
         raise ValueError("out of grid")
     h = source.grid.h
     if i == 0:
-        return _axis_P(source.samples[np.arange(j), j - np.arange(j)], h)
+        ks = np.arange(j)
+        return _axis_P(source.samples[ks, j - ks], _axis_weights(j, h), (j - ks) * h)
     if i + j > source.grid.n_r:
         raise ValueError("out of grid")
     g = h * np.arange(i + j + 1) * source.samples[: j + 1, : i + j + 1]
     return float(influence_quadrature(g, i, j)) * h * h / (2.0 * i * h)
 
 
-def _axis_P(sigma_diag, h):
+def _axis_P(sigma_diag, weights, lambdas):
     """P(sigma)(0, jh), the r -> 0 limit: sum over k < j of w_k (j-k)h sigma_diag[k].
 
-    sigma_diag[k] = sigma((j-k)h, kh); the trapezoid weights are w_0 = h/2 and
-    w_k = h otherwise (the k = j term has lambda = 0).
+    sigma_diag[k] = sigma((j-k)h, kh) and lambdas[k] = (j-k)h; the trapezoid
+    weights (``_axis_weights``) are w_0 = h/2 and w_k = h otherwise (the k = j
+    term has lambda = 0).
     """
-    j = sigma_diag.size
-    weights = np.full(j, h)
+    return float(np.dot(weights, lambdas * sigma_diag))
+
+
+def _axis_weights(n, h):
+    weights = np.full(n, h)
     weights[:1] = 0.5 * h
-    return float(np.dot(weights, (np.arange(j, 0, -1) * h) * sigma_diag))
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -396,70 +401,97 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
     that ignores u (forced mode) gives the same values at both passes.
 
     Only the solution history is kept in full (the r = 0 limit formula reads
-    the source along a backward characteristic through all earlier levels),
-    and the samples are a prefix of it; ubar0 streams in blocks of levels, and
-    the auxiliary w = r*ubar1 and the source need a two-level window.  The
-    solution vanishes beyond r_max, so the right neighbour of the last column
-    is an exact zero appended to the one-level rows of w and A*lambda*sigma.
+    the source along a backward characteristic through all earlier levels, so
+    that diagonal must stay inside the lattice: n_t <= n_r), and the samples
+    are a prefix of it; ubar0 streams in blocks of levels.  Everything else
+    lives in rows allocated once: A*lambda*sigma at two levels, the auxiliary
+    w = r*ubar1 at three, the predictor, and the part ``base`` that both
+    passes share.  The solution vanishes beyond r_max, so the right neighbour
+    of the last column is the exact zero kept at the end of every F and w row.
     """
     h, n_r, n_t = grid.h, grid.n_r, grid.n_t
+    if n_t > n_r:
+        raise ValueError(f"the r = 0 diagonal leaves the lattice: need n_t <= n_r, "
+                         f"got n_t={n_t}, n_r={n_r}")
     lam, tv = grid.r_values(), grid.t_values()
+    alam, lam_in, wts = A * lam, lam[1:], _axis_weights(n_t, h)
     hh6 = h * h / 6.0
     inner = slice(1, n_r + 1)
     u = np.zeros((n_t + 1, n_r + 1))
-
-    def source_diag(level):
-        # source at the nodes ((level-k)h, kh), k = 0..level-1
-        ks = np.arange(level)
-        return sigma(lam[level:0:-1], tv[:level], u[ks, level - ks])
+    flat = u.ravel()                   # u[k, j - k] is flat[j + k*n_r]
+    F = np.zeros((2, n_r + 2))         # A*lambda*sigma at levels j and j - 1
+    w = np.zeros((3, n_r + 2))         # w at levels j + 1, j and j - 1
+    u_pre, base, tmp = np.zeros(n_r + 1), np.empty(n_r), np.empty(n_r + 1)
+    pre_in, tmp_in = u_pre[inner], tmp[inner]
+    # the rows' views by level j mod 2 and mod 3: F_j (to write, then at columns
+    # i - 1, i, i + 1) and F_{j-1} at i; w_{j+1} at i, w_j at i -+ 1, w_{j-1} at i
+    F_views = [(F[a, : n_r + 1], F[a, :n_r], F[a, inner], F[a, 2:], F[1 - a, inner])
+               for a in (0, 1)]
+    w_views = [(w[a, inner], w[a - 1, :n_r], w[a - 1, 2:], w[a - 2, inner]) for a in range(3)]
 
     u0_levels = homogeneous_levels(fbar, gbar, grid)
     u0_rows = (row for lo in range(0, n_t + 1, _U0_BLOCK)
                for row in u0_levels(lo, min(lo + _U0_BLOCK, n_t + 1)))
     u[0] = next(u0_rows)
-    sig_curr, F_prev = sigma(lam, 0.0, u[0]), None
-    w_prev = w_curr = np.zeros(n_r + 2)
+    sig_curr = sigma(lam, 0.0, u[0])
     status, t_b, defined = "complete", None, n_t + 1
     m_prev = float(np.max(np.abs(u[0])))
 
-    for j in range(n_t):
-        new = j + 1
-        u0 = next(u0_rows)
-        Fj = np.append(A * lam * sig_curr, 0.0)
-        if j == 0:
-            base = (h * h / 12.0) * (Fj[0:n_r] + 2.0 * Fj[inner] + Fj[2 : n_r + 2])
-        else:
-            base = (w_curr[0:n_r] + w_curr[2 : n_r + 2] - w_prev[inner]
-                    + hh6 * (2.0 * Fj[inner] + Fj[0:n_r] + Fj[2 : n_r + 2] + F_prev[inner]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_t):
+            new, t_new = j + 1, (j + 1) * h
+            u0 = next(u0_rows)
+            Fh, F0, F1, F2, Fp1 = F_views[j % 2]
+            wn_in, wc0, wc2, wp1 = w_views[j % 3]
+            np.multiply(alam, sig_curr, out=Fh)
+            if j == 0:
+                np.multiply(h * h / 12.0, F0 + 2.0 * F1 + F2, out=base)
+                u_star = u[0]
+            else:
+                # base = ((wc0 + wc2) - wp1) + hh6 * (((2 F1 + F0) + F2) + Fp1)
+                np.multiply(F1, 2.0, out=tmp_in)
+                np.add(tmp_in, F0, out=tmp_in)
+                np.add(tmp_in, F2, out=tmp_in)
+                np.add(tmp_in, Fp1, out=tmp_in)
+                np.multiply(tmp_in, hh6, out=tmp_in)
+                np.add(wc0, wc2, out=base)
+                np.subtract(base, wp1, out=base)
+                np.add(base, tmp_in, out=base)
+                u_star = np.multiply(u[j], 2.0, out=tmp)
+                np.subtract(u_star, u[j - 1], out=u_star)
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            u_star = u[j] if j == 0 else 2.0 * u[j] - u[j - 1]
-            F_star = A * lam * sigma(lam, new * h, u_star)
-            u_pre = np.zeros(n_r + 1)
-            u_pre[inner] = u0[1:] + (base + hh6 * F_star[inner]) / lam[inner]
-            F_new = A * lam * sigma(lam, new * h, u_pre)
+            # predictor: u0 + (base + hh6 * A*lambda*sigma(u_star)) / lambda
+            np.multiply(alam, sigma(lam, t_new, u_star), out=tmp)
+            np.multiply(tmp_in, hh6, out=tmp_in)
+            np.add(base, tmp_in, out=tmp_in)
+            np.divide(tmp_in, lam_in, out=tmp_in)
+            np.add(u0[1:], tmp_in, out=pre_in)
+            # corrector: w = base + hh6 * A*lambda*sigma(u_pre), u = u0 + w / lambda
+            np.multiply(alam, sigma(lam, t_new, u_pre), out=tmp)
+            un, un_in = u[new], u[new, 1:]
+            np.multiply(tmp_in, hh6, out=wn_in)
+            np.add(base, wn_in, out=wn_in)
+            np.divide(wn_in, lam_in, out=un_in)
+            np.add(u0[1:], un_in, out=un_in)
+            lam_diag = lam[new:0:-1]
+            diag = sigma(lam_diag, tv[:new], flat[new : new + new * n_r : n_r])
+            un[0] = u0[0] + A * _axis_P(diag, wts[:new], lam_diag)
 
-            w_new = np.zeros(n_r + 2)
-            w_new[inner] = base + hh6 * F_new[inner]
-            u[new, inner] = u0[1:] + w_new[inner] / lam[inner]
-            u[new, 0] = u0[0] + A * _axis_P(source_diag(new), h)
-
-            if not np.all(np.isfinite(u[new])):
+            # max|u| carries any NaN and shows +-inf
+            m_new = float(np.abs(un, out=tmp).max())
+            if not math.isfinite(m_new):
                 status, defined = "error", new
                 break
-            m_new = float(np.max(np.abs(u[new])))
             if m_new >= blowup_threshold or (m_prev > 0.0 and m_new > ratio_floor
                                              and m_new > divergence_factor * m_prev):
-                status, t_b, defined = "blown_up", new * h, new
+                status, t_b, defined = "blown_up", t_new, new
                 break
 
-            F_prev = Fj
-            sig_curr = sigma(lam, new * h, u[new])
+            sig_curr = sigma(lam, t_new, un)
             if not np.all(np.isfinite(sig_curr)):
                 status, defined = "error", new
                 break
-            w_prev, w_curr = w_curr, w_new
-        m_prev = m_new
+            m_prev = m_new
 
     return u[:defined], status, t_b
 
@@ -500,7 +532,10 @@ def solve_forced(fbar: RadialProfile, gbar: RadialProfile,
 
     The forcing must broadcast over congruent r/t arrays and should be
     supported inside the light cone of r_max (the lattice assumes the solution
-    vanishes beyond the last column).
+    vanishes beyond the last column).  The grid needs t_max <= r_max, so that
+    the backward diagonal from the axis stays on the lattice; a ValueError
+    says otherwise.  (``solve_march``'s domain-of-dependence check,
+    r_max >= rho + t_max, already implies it.)
     """
     samples, status, t_b = _march(fbar, gbar, grid, A,
                                   lambda r, t, u: forcing(r, np.full_like(r, t)),

@@ -11,6 +11,7 @@ from wavelab.solver import (CharGrid, FieldFormatError, Problem, RadialField, ap
                             linear_radial, normalize_coefficient, solve_forced, solve_march)
 from wavelab.spherical import ScalarField3, build_sphere_quadrature, spherical_mean
 
+import march_oracle
 from conftest import RHO, blowup_problem
 
 
@@ -369,12 +370,16 @@ def _mms_forcing(r, t):
     return np.where(r < 1.0, w, 0.0)
 
 
-def _mms_error(n):
+def _mms_data(n):
     h = 1.0 / n
-    grid = CharGrid(h, 2.0, 1.0)
     gr = np.arange(0.0, 2.0 + h / 2, h)
     fb = RadialProfile(gr, _mms_exact(gr, 0.0), 1.0)
     gb = RadialProfile(gr, -2.0 * np.clip(1 - gr**2, 0, None)**3, 1.0)
+    return fb, gb, CharGrid(h, 2.0, 1.0)
+
+
+def _mms_error(n):
+    fb, gb, grid = _mms_data(n)
     fld = solve_forced(fb, gb, _mms_forcing, grid)
     RR, TT = np.meshgrid(grid.r_values(), grid.t_values())
     return float(np.max(np.abs(fld.samples - _mms_exact(RR, TT))))
@@ -496,6 +501,74 @@ def test_solve_reads_u0_one_block_at_a_time(monkeypatch):
     assert fld.status == "blown_up" and fld.residual["nodes"] > 0
     assert len(spans) > 1 and max(spans) <= solver._U0_BLOCK
     assert node_reads == [fld.residual["nodes"]]
+
+
+def test_march_rejects_a_lattice_whose_axis_diagonal_leaves_it():
+    grid = CharGrid(1 / 16, 1.0, 2.0)            # n_t = 32 > n_r = 16
+    zero = zero_profile(1.0, grid.r_values())
+    with pytest.raises(ValueError, match="diagonal leaves the lattice"):
+        solve_forced(zero, zero, lambda r, t: np.ones_like(r), grid)
+    with pytest.raises(ValueError, match="domain of dependence"):
+        solve_march(Problem(2.0, 1.0, zero, zero, 1.0), grid)
+
+
+# the march against its reference (march_oracle), bit for bit
+
+def _assert_march_is_oracle(fbar, gbar, grid, A, sigma, limits):
+    samples, status, t_b = solver._march(fbar, gbar, grid, A, sigma, *limits)
+    ref, ref_status, ref_t_b = march_oracle._march(fbar, gbar, grid, A, sigma, *limits)
+    assert (status, t_b, samples.shape) == (ref_status, ref_t_b, ref.shape)
+    assert samples.tobytes() == ref.tobytes()
+    return samples, status
+
+
+def _assert_nonlinear_march_is_oracle(p, amplitude):
+    grid = CharGrid(RHO / 16, RHO + 20.0, 20.0)
+    prob = blowup_problem(grid, amplitude=amplitude, p=p)
+    limits = (solver.DEFAULT_BLOWUP_THRESHOLD, solver.DEFAULT_DIVERGENCE_FACTOR,
+              max(1.0, 10.0 * prob.data_scale))
+    return _assert_march_is_oracle(prob.f_profile, prob.g_profile, grid, prob.A,
+                                   lambda r, t, u: np.abs(u) ** p, limits)
+
+
+def _forced(forcing):
+    return lambda r, t, u: forcing(r, np.full_like(r, t))
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 10.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.41, 2.5, 3.0])
+def test_march_is_bitwise_the_oracle(p, amplitude):
+    _assert_nonlinear_march_is_oracle(p, amplitude)
+
+
+def test_forced_and_blocked_march_is_bitwise_the_oracle(monkeypatch):
+    fb, gb, grid = _mms_data(32)
+    _assert_march_is_oracle(fb, gb, grid, 1.0, _forced(_mms_forcing), (np.inf,) * 3)
+    monkeypatch.setattr(solver, "_U0_BLOCK", 7)   # the oracle reads 32 levels at a time
+    _assert_march_is_oracle(fb, gb, grid, 1.0, _forced(_mms_forcing), (np.inf,) * 3)
+    assert _assert_nonlinear_march_is_oracle(2.0, 10.0)[1] == "blown_up"
+
+
+def test_march_error_exits_are_the_oracle():
+    # a source that turns NaN at t = 1/2 makes u non-finite at level 16
+    fb, gb, grid = _mms_data(32)
+    nan_late = _forced(lambda r, t: np.where(t >= 0.5, np.nan, _mms_forcing(r, t)))
+    samples, status = _assert_march_is_oracle(fb, gb, grid, 1.0, nan_late, (np.inf,) * 3)
+    assert status == "error" and samples.shape[0] == 16
+    # |u|^3 overflows while u is still finite: the check on the source row stops it
+    grid = CharGrid(RHO / 16, RHO + 20.0, 20.0)
+    prob = blowup_problem(grid, amplitude=24.0, p=3.0)
+    calls = []
+
+    def sigma(r, t, u):
+        out = np.abs(u) ** 3.0
+        calls.append((r.size, bool(np.all(np.isfinite(u))), bool(np.all(np.isfinite(out)))))
+        return out
+
+    samples, status = _assert_march_is_oracle(prob.f_profile, prob.g_profile, grid, 1.0,
+                                              sigma, (1e300, np.inf, np.inf))
+    assert status == "error" and samples.shape[0] == 11
+    assert calls.count((grid.n_r + 1, True, False)) == 2 and calls[-1][1:] == (True, False)
 
 
 def test_blowup_run_and_refinement_stability(blowup_run_coarse):
