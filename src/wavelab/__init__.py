@@ -10,36 +10,27 @@ radii.
 
 __version__ = "0.1.0"
 
-from .gronwall import (GronwallCertificate, GronwallParams, WindowTooShortError,
-                       certify, check_inequality, failure_radius,
-                       log10_failure_radius)
-from .diagnostics import (ChainConfig, DiagnosticsReport, GridTooShortError,
-                          F_of, G_of, H_of, check_chain,
-                          check_pointwise_lower_bound, choose_epsilon, compute_M,
-                          gronwall_params_from_chain, s_exponent, select_t2_delta)
+from .gronwall import (GronwallCertificate, GronwallParams, WindowTooShortError, certify,
+                       failure_radius, log10_failure_radius)
+from .diagnostics import (ChainConfig, DiagnosticsReport, GridTooShortError, check_chain,
+                          choose_epsilon, compute_M, gronwall_params_from_chain, s_exponent,
+                          select_t2_delta)
 from .profiles import RadialProfile, bump_profile, zero_profile
-from .regions import (RegionBrt, RegionQ, RegionQrt, RegionR, RegionT, Sigma,
-                      SigmaPrime, area, contains, subset_check)
-from .solver import (BlowupFit, CharGrid, Problem, RadialField, apply_P,
-                     detect_blowup_time, integral_residual, linear_radial,
-                     normalize_coefficient, solve_forced, solve_march)
+from .solver import (BlowupFit, CharGrid, Problem, RadialField, apply_P, detect_blowup_time,
+                     integral_residual, solve_forced, solve_march)
 from .spherical import (ScalarField3, SphereQuadrature, build_sphere_quadrature,
                         spherical_mean)
 
 __all__ = [
     "__version__",
-    "RegionR", "RegionT", "RegionQ", "RegionQrt", "RegionBrt",
-    "Sigma", "SigmaPrime", "contains", "area", "subset_check",
     "ScalarField3", "SphereQuadrature", "build_sphere_quadrature",
     "spherical_mean",
     "RadialProfile", "bump_profile", "zero_profile",
     "Problem", "CharGrid", "RadialField", "BlowupFit", "apply_P",
-    "linear_radial", "solve_march", "solve_forced", "detect_blowup_time",
-    "integral_residual", "normalize_coefficient",
+    "solve_march", "solve_forced", "detect_blowup_time", "integral_residual",
     "ChainConfig", "DiagnosticsReport", "GridTooShortError",
-    "select_t2_delta", "compute_M", "check_pointwise_lower_bound",
-    "F_of", "G_of", "H_of", "check_chain",
+    "select_t2_delta", "compute_M", "check_chain",
     "s_exponent", "choose_epsilon", "gronwall_params_from_chain",
     "GronwallParams", "GronwallCertificate", "WindowTooShortError",
-    "check_inequality", "failure_radius", "log10_failure_radius", "certify",
+    "failure_radius", "log10_failure_radius", "certify",
 ]

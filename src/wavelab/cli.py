@@ -349,7 +349,6 @@ def cmd_gronwall(args):
     doc = apply_overrides(load_json(args.config), args.override)
     _require_keys(doc, {"params", "H_csv", "J1", "output_dir"}, {"params"}, "")
     params = _parse_gronwall_params(doc["params"])
-    out_dir = _direct_output_dir(args, doc)
     if "H_csv" in doc:
         if not isinstance(doc["H_csv"], str):
             raise ConfigError("H_csv: expected a path string")
@@ -357,6 +356,7 @@ def cmd_gronwall(args):
         data = np.atleast_2d(data)
         if data.shape[1] != 2 or not np.all(np.isfinite(data)):
             raise ConfigError("H_csv: expected two finite columns (r, H)")
+        out_dir = _direct_output_dir(args, doc)
         try:
             cert = certify(data[:, 0], data[:, 1], params)
         except WindowTooShortError as exc:
@@ -365,7 +365,8 @@ def cmd_gronwall(args):
         _write_json(out_dir / "gronwall.json", cert.to_json_dict())
         return EXIT_GRID if cert.window_short else EXIT_OK
     if "J1" in doc:
-        J1 = _number(doc, "J1", "")
+        J1 = _number(doc, "J1", "", positive=True)
+        out_dir = _direct_output_dir(args, doc)
         cert = GronwallCertificate(params, J1, failure_radius(params, J1), None,
                                    log10_failure_radius(params, J1))
         _write_json(out_dir / "gronwall.json", cert.to_json_dict())
@@ -438,6 +439,8 @@ def cmd_mean(args):
                             count).tolist()
     if not isinstance(radii, list) or not radii or not all(map(_is_number, radii)):
         raise ConfigError("radii: expected a list of numbers or {start, stop, count}")
+    if min(radii) < 0:
+        raise ConfigError("radii: must be nonnegative")
     quad = build_sphere_quadrature(degree)
     out_dir = _direct_output_dir(args, doc)
     with open(out_dir / "mean.csv", "w", newline="") as fh:

@@ -56,10 +56,6 @@ __all__ = [
     "DiagnosticsReport",
     "select_t2_delta",
     "compute_M",
-    "check_pointwise_lower_bound",
-    "F_of",
-    "G_of",
-    "H_of",
     "check_chain",
     "s_exponent",
     "choose_epsilon",
@@ -315,16 +311,12 @@ def _cone_reach(u0, lo, tol):
     return np.where(bad.any(axis=1), j - bad.argmax(axis=1), -1)
 
 
-def compute_M(field: RadialField, t2: float, delta: float, p: Optional[float] = None) -> float:
+def compute_M(field: RadialField, t2: float, delta: float, p: float) -> float:
     """Integral over T(t2, delta) of (lambda/2) |u|^p by the lattice trapezoid.
 
     This is the bare integral; the chain multiplies by the coefficient A so
     that u >= M/r holds on Q with M = A * compute_M(...).
     """
-    if p is None:
-        if field.p is None:
-            raise ValueError("field carries no exponent; pass p explicitly")
-        p = field.p
     grid = field.grid
     h = grid.h
     q = np.array([t2, delta]) / h
@@ -341,7 +333,7 @@ def compute_M(field: RadialField, t2: float, delta: float, p: Optional[float] = 
 
 
 # ---------------------------------------------------------------------------
-# Pointwise bound on Sigma
+# Chain steps: the Sigma nodes, B(r, t) and the characteristic grid
 # ---------------------------------------------------------------------------
 
 def _sigma_levels(field: RadialField, t_star: float):
@@ -358,13 +350,6 @@ def _sigma_levels(field: RadialField, t_star: float):
 def _chain_tol(h, lhs, rhs):
     scale = np.maximum(np.abs(lhs), np.abs(rhs))
     return np.maximum(1e-9, 50.0 * h * h * scale)
-
-
-def check_pointwise_lower_bound(field: RadialField, config: ChainConfig) -> InequalityTable:
-    """u(r, t) >= C0 (t + r)^(1-p) at every defined lattice node of Sigma."""
-    if config.C0 is None:
-        raise ValueError("M/C0 not attached to config; call with_constants first")
-    return _sigma_tables(field, config)[1]
 
 
 def _sigma_tables(field, config):
@@ -389,49 +374,6 @@ def _sigma_tables(field, config):
         rhs = C0 * (t + r) ** (1.0 - p)
         pointwise.add(r, t, u, rhs, _chain_tol(h, u, rhs))
     return positivity.finish(), pointwise.finish()
-
-
-# ---------------------------------------------------------------------------
-# The functionals F, G, H
-# ---------------------------------------------------------------------------
-
-def _require_sigma_prime(config, alpha, beta):
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if np.any(beta < config.t_star - 1e-12) or np.any(beta > alpha + 1e-12):
-        raise ValueError("outside Sigma-prime")
-    return alpha, beta
-
-
-def F_of(field: RadialField, config: ChainConfig, alpha, beta):
-    """Field value in characteristic coordinates: u((alpha-beta)/2, (alpha+beta)/2)."""
-    alpha, beta = _require_sigma_prime(config, alpha, beta)
-    if np.any((alpha + beta) / 2.0 > field.defined_t_max + 1e-12):
-        raise ValueError("outside grid: time (alpha+beta)/2 beyond the defined levels")
-    return field.interpolate((alpha - beta) / 2.0, (alpha + beta) / 2.0)
-
-
-def G_of(field: RadialField, config: ChainConfig, alpha, beta):
-    """Weighted diagonal profile (alpha - beta)^q F(alpha, beta)."""
-    alpha, beta = _require_sigma_prime(config, alpha, beta)
-    return (alpha - beta) ** config.q * F_of(field, config, alpha, beta)
-
-
-def H_of(field: RadialField, config: ChainConfig, r):
-    """H(r) = integral of G(r, beta) for beta from t_star to r, lattice trapezoid."""
-    if np.ndim(r):
-        return np.array([H_of(field, config, float(x)) for x in np.asarray(r).ravel()])
-    r = float(r)
-    if r < config.t_star - 1e-12:
-        raise ValueError("outside Sigma-prime")
-    h = field.grid.h
-    n = int(round((r - config.t_star) / h))
-    if n == 0:
-        return 0.0
-    betas = config.t_star + h * np.arange(n + 1)
-    betas[-1] = r
-    g = G_of(field, config, np.full(n + 1, r), betas)
-    return float(np.trapezoid(g, betas))
 
 
 def _region_integral_table(field, config, j_star):
@@ -469,10 +411,11 @@ def _lattice_F(samples, j_star, lo, hi):
 
     alpha = t_star + a h and beta = t_star + b h put (r, t) at ((a - b)/2,
     j_star + (a + b)/2) in lattice units: a node when a - b is even, a cell
-    centre when it is odd, whose value is the corner mean in the order of
-    RadialField.interpolate, so the two agree bitwise.  Along a row, b -> b + 2
-    moves one node up-left, so each parity is a strided anti-diagonal view of
-    the samples.  Entries with b > a, outside Sigma-prime, are zero.
+    centre when it is odd, whose value is the corner mean in the order of the
+    bilinear interpolant (``tests/field_oracle.py``), so the two agree bitwise.
+    Along a row, b -> b + 2 moves one node up-left, so each parity is a strided
+    anti-diagonal view of the samples.  Entries with b > a, outside
+    Sigma-prime, are zero.
     """
     width, flat = samples.shape[1], samples.ravel()
     step = width - 1

@@ -34,7 +34,6 @@ __all__ = [
     "GronwallParams",
     "GronwallCertificate",
     "WindowTooShortError",
-    "check_inequality",
     "failure_radius",
     "log10_failure_radius",
     "certify",
@@ -152,8 +151,11 @@ def _weighted_cumulative(r, H, params):
 def _scan(r, H, params: GronwallParams):
     """Validated samples -> (r, the weighted cumulative integral, first violation).
 
-    Checks the samples and the lemma's hypotheses on H, then scans
-    H(r) >= C * integral once; ``check_inequality`` and ``certify`` share it.
+    H must be sampled on an ascending grid starting at t1, nonnegative
+    everywhere and strictly positive past t1 (the lemma's hypotheses, checked).
+    The first violation is the smallest sampled radius where H(r) >= C *
+    integral fails, or None; its tolerance 1e-12 * max(1, |H(r)|) covers
+    round-off only, discretisation slack is the caller's grid-cell allowance.
     """
     r = np.asarray(r, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -171,17 +173,6 @@ def _scan(r, H, params: GronwallParams):
     tol = 1e-12 * np.maximum(1.0, np.abs(H))
     bad = np.nonzero(H < params.C * cums - tol)[0]
     return r, cums, float(r[bad[0]]) if bad.size else None
-
-
-def check_inequality(r, H, params: GronwallParams):
-    """Smallest sampled radius violating H(r) >= C * integral, or None.
-
-    H must be sampled on an ascending grid starting at t1, nonnegative
-    everywhere and strictly positive past t1 (the lemma's hypotheses, checked).
-    The violation tolerance 1e-12 * max(1, |H(r)|) covers round-off only;
-    discretisation slack is the caller's grid-cell allowance.
-    """
-    return _scan(r, H, params)[2]
 
 
 def _exp(x):

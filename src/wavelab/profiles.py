@@ -94,9 +94,6 @@ class RadialProfile:
         out = self._moments[idx] + part
         return out if out.ndim else float(out)
 
-    def scaled(self, factor):
-        return RadialProfile(self.r, factor * self.values, self.rho)
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             fh.write("r,value\n")

@@ -54,13 +54,11 @@ __all__ = [
     "RadialField",
     "BlowupFit",
     "apply_P",
-    "linear_radial",
     "homogeneous_levels",
     "solve_march",
     "solve_forced",
     "detect_blowup_time",
     "integral_residual",
-    "normalize_coefficient",
 ]
 
 DEFAULT_BLOWUP_THRESHOLD = 1.0e8
@@ -183,30 +181,6 @@ class RadialField:
     @property
     def defined_t_max(self):
         return self.grid.h * (self.n_levels - 1)
-
-    def value_at(self, r, t):
-        i, j = self.grid.index_of(r, t)
-        if j >= self.n_levels:
-            raise ValueError("time level not defined for this field")
-        return float(self.samples[j, i])
-
-    def interpolate(self, r, t):
-        """Bilinear interpolation inside the defined part of the lattice."""
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        h = self.grid.h
-        fi = np.clip(r / h, 0, self.grid.n_r)
-        fj = np.clip(t / h, 0, self.n_levels - 1)
-        # the last column and level use the cell below them, so a node query
-        # there returns the node
-        i0 = np.minimum(np.floor(fi).astype(int), self.grid.n_r - 1)
-        j0 = np.minimum(np.floor(fj).astype(int), self.n_levels - 2)
-        di = fi - i0
-        dj = fj - j0
-        s = self.samples
-        out = ((1 - di) * (1 - dj) * s[j0, i0] + di * (1 - dj) * s[j0, i0 + 1]
-               + (1 - di) * dj * s[j0 + 1, i0] + di * dj * s[j0 + 1, i0 + 1])
-        return out if out.ndim else float(out)
 
     def level_max(self):
         return np.max(np.abs(self.samples), axis=1)
@@ -344,6 +318,12 @@ def _axis_weights(n, h):
 def homogeneous_levels(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
     """ubar0 by level blocks: returns ``levels(lo, hi)``, ubar0 on levels lo..hi-1.
 
+    By d'Alembert with odd-extended data, ubar0(r, t) = [Ff(r+t) + Ff(r-t) +
+    Ig(r+t) - Ig(|r-t|)] / (2r), with Ff(y) = y*fbar(|y|) and Ig the exact
+    running moment of y*gbar(y); at r = 0, ubar0(0, t) = fbar(t) + t*fbar'(t) +
+    t*gbar(t).  Compact support is honoured to round-off: ubar0 vanishes
+    wherever |r - t| > rho (sharp Huygens).
+
     The two 1-D d'Alembert tables (and the r = 0 column) are built once; level
     j reads the F and I windows starting at n_t +- j.  ``levels.at(ii, jj)``
     reads ubar0 at nodes with ii >= 1 straight from the tables.  Every read is
@@ -371,19 +351,6 @@ def homogeneous_levels(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid)
 
     levels.at = at
     return levels
-
-
-def linear_radial(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid) -> RadialField:
-    """Radial average of the homogeneous 3-D wave solution with data (fbar, gbar).
-
-    The whole lattice of ``homogeneous_levels``: by d'Alembert with odd-extended
-    data, ubar0(r, t) = [Ff(r+t) + Ff(r-t) + Ig(r+t) - Ig(|r-t|)] / (2r), with
-    Ff(y) = y*fbar(|y|) and Ig the exact running moment of y*gbar(y); at r = 0,
-    ubar0(0, t) = fbar(t) + t*fbar'(t) + t*gbar(t).  Compact support is honoured
-    to round-off: ubar0 vanishes wherever |r - t| > rho (sharp Huygens).
-    """
-    return RadialField(grid, homogeneous_levels(fbar, gbar, grid)(0, grid.n_t + 1),
-                       status="complete")
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +556,7 @@ def detect_blowup_time(field: RadialField) -> Optional[BlowupFit]:
 
 
 # ---------------------------------------------------------------------------
-# Residual against the independent quadrature, coefficient normalization
+# Residual against the independent quadrature
 # ---------------------------------------------------------------------------
 
 def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 4096) -> dict:
@@ -624,13 +591,3 @@ def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 409
         "nodes": int(res.size),
     }
 
-
-def normalize_coefficient(problem: Problem):
-    """Rescale so the coefficient is 1: u -> A^(1/(p-1)) * u fixes box(u)=|u|^p.
-
-    Returns the rescaled problem and the amplitude factor applied to the data.
-    """
-    c = problem.A ** (1.0 / (problem.p - 1.0))
-    scaled = Problem(problem.p, 1.0, problem.f_profile.scaled(c),
-                     problem.g_profile.scaled(c), problem.rho)
-    return scaled, c

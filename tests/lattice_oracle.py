@@ -1,4 +1,23 @@
-"""Dense lattice quadrature weights: the reference the sweep is tested against.
+"""Exact region geometry and dense lattice weights: the references the sweep is tested against.
+
+The seven region kinds of the argument, in the rotated coordinates alpha =
+lambda + s and beta = s - lambda:
+
+    R(r, t)                backward influence region of the point (r, t)
+    T(t2, delta)           fixed band below the line s = lambda + t2
+    Q(t2, delta)           unbounded companion band of T
+    Qrt(r, t, t2, delta)   sliding parallelogram, area r*delta above Sigma
+    Brt(r, t, t_star)      sliding parallelogram above beta = t_star
+    Sigma(t_star)          interior cone {0 <= r <= t - t_star} (read as (r,t))
+    SigmaPrime(t_star)     its image {t_star <= t <= r} under (r,t) -> (t+r, t-r)
+
+A kind is nothing but its ``strip_bounds()``; everything else derives from
+them.  Membership uses closed boundaries throughout.  The same bounds, read as
+exact rational half-planes in (alpha, beta), give each bounded region's
+vertices, hence its exact area (shoelace) and exact inclusion between regions
+(inner lies in outer iff every vertex of inner does).  The fields of a kind
+may be integer arrays (lattice indices with h = 1), one entry per region of a
+batch.
 
 :func:`lattice_weights` builds, cell by cell, the weights that
 ``regions.influence_quadrature`` sums without building them, for any strip
@@ -6,8 +25,235 @@ region in integer lattice bounds (:class:`StripBounds`).
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
+
+from wavelab.regions import _require
+
+
+# ---------------------------------------------------------------------------
+# Region types
+# ---------------------------------------------------------------------------
+
+class _StripRegion:
+    """Shared behaviour of the kinds, all of it read from ``strip_bounds()``.
+
+    ``strip_bounds()`` returns ``(a_lo, a_hi, b_lo, b_hi, s_lo, s_hi)``, the
+    closed bounds on alpha, beta and s, with None for a missing side.
+    """
+
+    def contains(self, lam, s):
+        lam = np.asarray(lam, dtype=float)
+        s = np.asarray(s, dtype=float)
+        a_lo, a_hi, b_lo, b_hi, s_lo, s_hi = self.strip_bounds()
+        inside = (lam >= 0) & (s >= 0)
+        for v, lo, hi in ((lam + s, a_lo, a_hi), (s - lam, b_lo, b_hi), (s, s_lo, s_hi)):
+            if lo is not None:
+                inside = inside & (v >= lo)
+            if hi is not None:
+                inside = inside & (v <= hi)
+        return inside
+
+    def bounded(self):
+        # alpha <= a_hi bounds lambda and s in the quarter-plane
+        return self.strip_bounds()[1] is not None
+
+
+@dataclass(frozen=True)
+class RegionR(_StripRegion):
+    """R(r, t) = {(lam, s): 0 <= s <= t, |r - t + s| <= lam <= r + t - s}."""
+
+    r: float
+    t: float
+
+    def __post_init__(self):
+        _require(self.r <= 0, "R(r, t) requires r > 0")
+        _require(self.t < 0, "R(r, t) requires t >= 0")
+
+    def strip_bounds(self):
+        # alpha in [t-r, t+r], beta <= t-r; s <= t is implied by the strips.
+        return (self.t - self.r, self.t + self.r, None, self.t - self.r, 0.0, None)
+
+
+@dataclass(frozen=True)
+class RegionT(_StripRegion):
+    """T = {t2+delta <= s+lam <= t2+2*delta, s-lam <= t2, s >= 0}."""
+
+    t2: float
+    delta: float
+
+    def __post_init__(self):
+        _require(self.delta <= 0, "T requires delta > 0")
+        _require(self.t2 < 0, "T requires t2 >= 0")
+
+    def strip_bounds(self):
+        return (self.t2 + self.delta, self.t2 + 2 * self.delta, None, self.t2, 0.0, None)
+
+
+@dataclass(frozen=True)
+class RegionQ(_StripRegion):
+    """Q = {t2+2*delta <= s+lam, t2 <= s-lam <= t2+delta}; unbounded."""
+
+    t2: float
+    delta: float
+
+    def __post_init__(self):
+        _require(self.delta <= 0, "Q requires delta > 0")
+        _require(self.t2 < 0, "Q requires t2 >= 0")
+
+    def strip_bounds(self):
+        return (self.t2 + 2 * self.delta, None, self.t2, self.t2 + self.delta, 0.0, None)
+
+
+@dataclass(frozen=True)
+class RegionQrt(_StripRegion):
+    """Q(r, t) = {t-r <= lam+s <= t+r, t2 <= s-lam <= t2+delta}."""
+
+    r: float
+    t: float
+    t2: float
+    delta: float
+
+    def __post_init__(self):
+        _require(self.r < 0, "Qrt requires r >= 0")
+        _require(self.delta <= 0, "Qrt requires delta > 0")
+
+    def strip_bounds(self):
+        return (self.t - self.r, self.t + self.r, self.t2, self.t2 + self.delta, 0.0, None)
+
+
+@dataclass(frozen=True)
+class RegionBrt(_StripRegion):
+    """B(r, t) = {t-r <= lam+s <= t+r, t_star <= s-lam <= t-r}."""
+
+    r: float
+    t: float
+    t_star: float
+
+    def __post_init__(self):
+        _require(self.r < 0, "Brt requires r >= 0")
+        _require(self.t_star < 0, "Brt requires t_star >= 0")
+
+    def strip_bounds(self):
+        return (self.t - self.r, self.t + self.r, self.t_star, self.t - self.r, 0.0, None)
+
+
+@dataclass(frozen=True)
+class Sigma(_StripRegion):
+    """Interior cone {(r, t): 0 <= r <= t - t_star}, points read as (r, t)."""
+
+    t_star: float
+
+    def __post_init__(self):
+        _require(self.t_star <= 0, "Sigma requires t_star > 0")
+
+    def strip_bounds(self):
+        return (None, None, self.t_star, None, 0.0, None)
+
+
+@dataclass(frozen=True)
+class SigmaPrime(_StripRegion):
+    """Characteristic image {(r, t): t_star <= t <= r} of Sigma."""
+
+    t_star: float
+
+    def __post_init__(self):
+        _require(self.t_star <= 0, "SigmaPrime requires t_star > 0")
+
+    def strip_bounds(self):
+        return (None, None, None, 0.0, self.t_star, None)
+
+
+# ---------------------------------------------------------------------------
+# Membership, exact area, exact inclusion
+# ---------------------------------------------------------------------------
+
+def contains(region, point):
+    """Membership of ``point = (lam, s)`` with closed boundaries."""
+    lam, s = point
+    result = region.contains(lam, s)
+    if np.isscalar(lam) and np.isscalar(s):
+        return bool(result)
+    return result
+
+
+def _half_planes(region):
+    """Exact rows ``(c_a, c_b, d)``, meaning c_a*alpha + c_b*beta <= d, of region.
+
+    Float bounds convert to Fraction exactly, so the rows are the region the
+    float predicate of :meth:`contains` describes, up to its own rounding.
+    """
+    a_lo, a_hi, b_lo, b_hi, s_lo, s_hi = region.strip_bounds()
+    rows = [(-1, 1, Fraction(0)), (-1, -1, Fraction(0))]       # lambda >= 0, s >= 0
+    # alpha, beta and 2s = alpha + beta against their bounds
+    for c_a, c_b, scale, lo, hi in ((1, 0, 1, a_lo, a_hi), (0, 1, 1, b_lo, b_hi),
+                                    (1, 1, 2, s_lo, s_hi)):
+        if lo is not None:
+            rows.append((-c_a, -c_b, -scale * Fraction(lo)))
+        if hi is not None:
+            rows.append((c_a, c_b, scale * Fraction(hi)))
+    return rows
+
+
+def _satisfies(rows, point):
+    a, b = point
+    return all(c_a * a + c_b * b <= d for c_a, c_b, d in rows)
+
+
+def _vertices(region):
+    """Vertices (alpha, beta) of a region, exact: its feasible line crossings.
+
+    For a bounded region these span it (its convex hull); an empty region has
+    none.
+    """
+    rows = _half_planes(region)
+    points = set()
+    for (a1, b1, d1), (a2, b2, d2) in combinations(rows, 2):
+        det = a1 * b2 - a2 * b1
+        if det:
+            points.add(((d1 * b2 - d2 * b1) / det, (a1 * d2 - a2 * d1) / det))
+    return [p for p in points if _satisfies(rows, p)]
+
+
+def area(region):
+    """Exact area of a bounded region, the shoelace area of its vertices.
+
+    The vertex polygon lives in (alpha, beta), so its area is halved for
+    (lambda, s).  Empty and degenerate (zero-width) regions have area 0.
+    """
+    if not region.bounded():
+        raise ValueError(f"unbounded region: {type(region).__name__}")
+    pts = sorted(_vertices(region))
+    if len(pts) < 3:
+        return 0.0
+    # split the convex polygon by the chord between its extreme vertices into
+    # a lower and an upper chain, each monotone in the sort order
+    (a0, b0), (a1, b1) = pts[0], pts[-1]
+    side = [(a1 - a0) * (b - b0) - (b1 - b0) * (a - a0) for a, b in pts]
+    ring = ([pts[0]] + [p for p, c in zip(pts, side) if c < 0] + [pts[-1]]
+            + [p for p, c in zip(pts[::-1], side[::-1]) if c > 0])
+    twice = sum(a * b_next - a_next * b for (a, b), (a_next, b_next) in zip(ring, ring[1:] + ring[:1]))
+    return float(abs(twice) / 4)
+
+
+def subset_check(inner, outer):
+    """Exact inclusion test: True iff every point of inner lies in outer.
+
+    Both regions are convex, so inner lies in outer iff every vertex of inner
+    satisfies outer's half-planes; the arithmetic is exact in Fractions of the
+    float bounds.  An empty inner region passes; an unbounded one raises.
+    """
+    if not inner.bounded():
+        raise ValueError("inner region must be bounded")
+    rows = _half_planes(outer)
+    return all(_satisfies(rows, v) for v in _vertices(inner))
+
+
+# ---------------------------------------------------------------------------
+# Dense lattice weights
+# ---------------------------------------------------------------------------
 
 _UNBOUNDED = 10**15  # integer sentinel for one-sided strips on the lattice
 

@@ -19,7 +19,7 @@ from scipy.integrate import cumulative_trapezoid
 from wavelab.diagnostics import choose_epsilon, gronwall_params_from_chain, s_exponent
 from wavelab.gronwall import GronwallParams, certify, failure_radius
 from wavelab.profiles import RadialProfile, bump_profile
-from wavelab.solver import (CharGrid, RadialField, apply_P, linear_radial,
+from wavelab.solver import (CharGrid, RadialField, apply_P, homogeneous_levels,
                             solve_forced, solve_march)
 
 from conftest import RHO, blowup_problem
@@ -83,10 +83,11 @@ def test_criterion_3_huygens_support():
     h = RHO / 256
     grid = CharGrid(h, 3.0, 2.0)
     gr = grid.r_values()
-    u0 = linear_radial(bump_profile(5.0, RHO, gr), bump_profile(-3.0, RHO, gr), grid)
+    f, g = bump_profile(5.0, RHO, gr), bump_profile(-3.0, RHO, gr)
+    u0 = homogeneous_levels(f, g, grid)(0, grid.n_t + 1)
     RR, TT = np.meshgrid(grid.r_values(), grid.t_values())
     inside = TT - RR > RHO + 1e-12
-    worst = float(np.max(np.abs(u0.samples[inside])))
+    worst = float(np.max(np.abs(u0[inside])))
     ok = worst <= 1e-12
     _report(3, ok, f"max |u0| inside the forward cone = {worst:.2e} (tol 1e-12)")
     assert ok

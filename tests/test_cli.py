@@ -622,12 +622,20 @@ def test_gronwall_subcommand_bad_params(tmp_path):
     ("gronwall", {"params": {"C": None, "a": 2, "b": 0, "t0": 0, "t1": 0}, "J1": 1.0}),
     ("gronwall", {"params": {"C": 1, "a": 2, "b": 0, "t0": 0, "t1": 0}, "J1": "abc"}),
     ("gronwall", {"params": {"C": 1, "a": 2, "b": 0, "t0": 0, "t1": 0}, "J1": math.nan}),
+    ("gronwall", {"params": {"C": 1, "a": 2, "b": 0, "t0": 0, "t1": 0}, "J1": 0,
+                  "output_dir": "out"}),
+    ("gronwall", {"params": {"C": 1, "a": 2, "b": 0, "t0": 0, "t1": 0}, "J1": -1.0,
+                  "output_dir": "out"}),
     ("mean", {"family": "monomial", "params": {"powers": [2, 0, 0]},
               "radii": {"start": 0.1, "stop": 1}}),
     ("mean", {"family": "monomial", "params": {"powers": [2, 0, 0]}, "radii": [1.0],
               "output_dir": None}),
-], ids=["J1_null", "C_null", "J1_text", "J1_nan", "radii_without_count", "output_dir_null"])
+    ("mean", {"family": "monomial", "params": {"powers": [2, 0, 0]}, "radii": [0.5, -0.1],
+              "output_dir": "out"}),
+], ids=["J1_null", "C_null", "J1_text", "J1_nan", "J1_zero", "J1_negative",
+        "radii_without_count", "output_dir_null", "radii_negative"])
 def test_malformed_direct_input_is_a_config_error(tmp_path, monkeypatch, capsys, command, doc):
+    # nothing is written, not even the output directory
     monkeypatch.chdir(tmp_path)
     assert main([command, "--config", write(tmp_path / "c.json", doc)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")

@@ -7,18 +7,16 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from wavelab import diagnostics
-from wavelab.diagnostics import (ChainConfig, GridTooShortError, F_of, G_of,
-                                 H_of, InequalityTable, check_chain,
-                                 check_pointwise_lower_bound, choose_epsilon,
-                                 compute_M, gronwall_params_from_chain,
+from wavelab.diagnostics import (ChainConfig, GridTooShortError, InequalityTable, check_chain,
+                                 choose_epsilon, compute_M, gronwall_params_from_chain,
                                  s_exponent, select_t2_delta)
 from wavelab.profiles import RadialProfile, bump_profile, zero_profile
-from wavelab.regions import RegionBrt, influence_quadrature
-from wavelab.solver import (CharGrid, Problem, RadialField, linear_radial,
-                            normalize_coefficient, solve_march)
+from wavelab.regions import influence_quadrature
+from wavelab.solver import CharGrid, Problem, RadialField, homogeneous_levels, solve_march
 
 from conftest import RHO
-from lattice_oracle import _UNBOUNDED, StripBounds, lattice_weights
+from field_oracle import H_of, interpolate
+from lattice_oracle import _UNBOUNDED, RegionBrt, StripBounds, lattice_weights
 
 CRIT = 1.0 + math.sqrt(2.0)
 
@@ -36,10 +34,10 @@ def test_compute_M_constant_field_oracle():
     # corner (t2 + delta, t2) falls on a cell centre
     grid = CharGrid(1 / 64, 3.0, 3.0)
     ones = RadialField(grid, np.ones((grid.n_t + 1, grid.n_r + 1)), p=2.0)
-    assert compute_M(ones, 0.0, 1.0) == pytest.approx(7.0 / 16.0, abs=1e-15)
+    assert compute_M(ones, 0.0, 1.0, 2.0) == pytest.approx(7.0 / 16.0, abs=1e-15)
     for t2, delta in ((0.25, 3 / 64), (0.5, 0.5)):
         F = [a**3 / 2 + a**2 * t2 / 2 - a * t2**2 / 2 for a in (t2 + delta, t2 + 2 * delta)]
-        assert compute_M(ones, t2, delta) == pytest.approx((F[1] - F[0]) / 8, rel=1e-14)
+        assert compute_M(ones, t2, delta, 2.0) == pytest.approx((F[1] - F[0]) / 8, rel=1e-14)
 
 
 def test_brt_quadrature_at_last_level():
@@ -61,14 +59,14 @@ def test_brt_quadrature_at_last_level():
 def test_compute_M_zero_field_and_grid_check():
     grid = CharGrid(1 / 16, 2.0, 2.0)
     zeros = RadialField(grid, np.zeros((grid.n_t + 1, grid.n_r + 1)), p=2.0)
-    assert compute_M(zeros, 0.0, 0.5) == 0.0
+    assert compute_M(zeros, 0.0, 0.5, 2.0) == 0.0
     with pytest.raises(ValueError, match="outside grid"):
-        compute_M(zeros, 0.0, 1.5)
+        compute_M(zeros, 0.0, 1.5, 2.0)
     # T must sit on the lattice
     with pytest.raises(ValueError, match="lattice spacing"):
-        compute_M(zeros, 0.5 * grid.h, 0.5)
+        compute_M(zeros, 0.5 * grid.h, 0.5, 2.0)
     with pytest.raises(ValueError, match="lattice spacing"):
-        compute_M(zeros, 0.0, 0.5 + 0.5 * grid.h)
+        compute_M(zeros, 0.0, 0.5 + 0.5 * grid.h, 2.0)
 
 
 def test_select_t2_delta_nonnegative_velocity_data(blowup_run_coarse):
@@ -76,7 +74,8 @@ def test_select_t2_delta_nonnegative_velocity_data(blowup_run_coarse):
     t2, delta = select_t2_delta(fld, prob.f_profile, prob.g_profile, prob.rho)
     assert t2 == 0.0
     assert delta == pytest.approx(RHO / 8.0)
-    assert fld.value_at(delta, t2 + delta) > 0
+    i, j = fld.grid.index_of(delta, t2 + delta)
+    assert fld.samples[j, i] > 0
 
 
 def test_select_t2_delta_zero_field_errors():
@@ -95,9 +94,9 @@ def _select_reference(field, u0, rho):
     grid, h = field.grid, field.grid.h
     d_cells = max(4, int(math.ceil(rho / (8.0 * h))))
     d_cells += d_cells % 2
-    n_lev = min(field.n_levels, u0.n_levels)
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(u0.samples))))
-    pm = np.minimum.accumulate(u0.samples[:n_lev], axis=1)
+    n_lev = min(field.n_levels, u0.shape[0])
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(u0))))
+    pm = np.minimum.accumulate(u0[:n_lev], axis=1)
     for j2 in range(n_lev):
         js = np.arange(j2, n_lev)
         if not np.all(pm[js, np.minimum(js - j2, grid.n_r)] >= -tol):
@@ -142,7 +141,7 @@ def select_cases(blowup_run_coarse):
                                   "shell-below-tol", "zero-solution"])
 def test_select_t2_delta_matches_whole_lattice_scan(select_cases, monkeypatch, case, rows):
     fld, fbar, gbar = select_cases[case]
-    u0 = linear_radial(fbar, gbar, fld.grid)
+    u0 = homogeneous_levels(fbar, gbar, fld.grid)(0, fld.grid.n_t + 1)
     try:
         want = _select_reference(fld, u0, RHO)
     except ValueError as exc:
@@ -155,11 +154,11 @@ def test_select_t2_delta_matches_whole_lattice_scan(select_cases, monkeypatch, c
         return
     assert select_t2_delta(fld, fbar, gbar, RHO) == want
     # the cases reach what they are named for
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(u0.samples))))
-    within = (u0.samples < -1e-10) & (u0.samples >= -tol)
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(u0))))
+    within = (u0 < -1e-10) & (u0 >= -tol)
     assert (want[0] > 0) == (case in ("displacement", "shell-below-tol"))
     if case == "shell-within-tol":
-        assert np.any(diagnostics._cone_reach(u0.samples, 0, 1e-10) >= 0) and within.any()
+        assert np.any(diagnostics._cone_reach(u0, 0, 1e-10) >= 0) and within.any()
 
 
 def test_select_t2_delta_peak_memory(crit4_run):
@@ -202,7 +201,7 @@ def test_pointwise_lower_bound_zero_field_holds():
     grid = CharGrid(1 / 16, 3.0, 3.0)
     zeros = RadialField(grid, np.zeros((grid.n_t + 1, grid.n_r + 1)), p=2.0)
     cfg = ChainConfig(2.0, 1.0, 0.0, 0.25).with_constants(0.0)
-    table = check_pointwise_lower_bound(zeros, cfg)
+    table = diagnostics._sigma_tables(zeros, cfg)[1]
     assert table.holds
 
 
@@ -212,7 +211,7 @@ def test_pointwise_lower_bound_detects_violation():
     zeros = RadialField(grid, np.zeros((grid.n_t + 1, grid.n_r + 1)), p=2.0)
     cfg = ChainConfig(2.0, 1.0, 0.0, 0.25)
     cfg = ChainConfig(2.0, 1.0, 0.0, 0.25, None, M=1.0, C0=1.0)
-    table = check_pointwise_lower_bound(zeros, cfg)
+    table = diagnostics._sigma_tables(zeros, cfg)[1]
     assert not table.holds
     assert "violated" in table.verdict()
 
@@ -223,20 +222,20 @@ def test_pointwise_lower_bound_scaled_field_violation(crit4_chain):
     # the bound; validates that the checker can fail on real data
     field, report = crit4_chain
     cfg = report.config
-    orig = check_pointwise_lower_bound(field, cfg)
+    orig = diagnostics._sigma_tables(field, cfg)[1]
     assert orig.holds
 
-    half = check_pointwise_lower_bound(
+    half = diagnostics._sigma_tables(
         RadialField(field.grid, 0.5 * field.samples, status=field.status,
-                    t_b=field.t_b, p=field.p, A=field.A), cfg)
+                    t_b=field.t_b, p=field.p, A=field.A), cfg)[1]
     assert half.min_residual < orig.min_residual
 
     ratio = np.min(orig.lhs / orig.rhs)
     assert ratio > 0
     s = 0.5 / ratio
-    broken = check_pointwise_lower_bound(
+    broken = diagnostics._sigma_tables(
         RadialField(field.grid, s * field.samples, status=field.status,
-                    t_b=field.t_b, p=field.p, A=field.A), cfg)
+                    t_b=field.t_b, p=field.p, A=field.A), cfg)[1]
     assert not broken.holds
     assert "violated" in broken.verdict()
 
@@ -248,17 +247,18 @@ def test_pointwise_lower_bound_scaled_field_violation(crit4_chain):
 def test_fgh_identities(blowup_run_coarse):
     prob, fld = blowup_run_coarse
     cfg = ChainConfig(prob.p, prob.A, 0.0, RHO / 8.0)
-    t_star = cfg.t_star
+    t_star, h = cfg.t_star, fld.grid.h
     alpha = t_star + 1.0
-    # F on the diagonal is the centre value
-    assert F_of(fld, cfg, alpha, alpha) == pytest.approx(fld.value_at(0.0, alpha), rel=1e-12)
-    # the weight kills G on the diagonal, and H at the base point is empty
-    assert G_of(fld, cfg, alpha, alpha) == 0.0
+    # F on the diagonal, u((alpha - alpha)/2, (alpha + alpha)/2), is the centre value
+    i, j = fld.grid.index_of(0.0, alpha)
+    F_diag = interpolate(fld, (alpha - alpha) / 2.0, (alpha + alpha) / 2.0)
+    assert F_diag == pytest.approx(fld.samples[j, i], rel=1e-12)
+    # the weight kills G on the diagonal, so one step of H is its beta = t_star end
+    r = t_star + h
+    G_end = h**cfg.q * interpolate(fld, h / 2.0, t_star + h / 2.0)
+    assert H_of(fld, cfg, r) == pytest.approx(0.5 * h * G_end, rel=1e-12)
+    # and H at the base point is empty
     assert H_of(fld, cfg, t_star) == 0.0
-    with pytest.raises(ValueError, match="outside Sigma-prime"):
-        F_of(fld, cfg, alpha, t_star - 0.1)
-    with pytest.raises(ValueError, match="outside Sigma-prime"):
-        F_of(fld, cfg, alpha, alpha + 0.1)
 
 
 def test_H_profile_matches_pointwise_H(blowup_run_coarse):
@@ -338,13 +338,13 @@ def _dense_chain_reference(field, config):
     lhs_b = field.samples[jb, ib]
     tables.append(InequalityTable.build("region_integral_bound", ib * h, jb * h,
                                         lhs_b, rhs_b, tol(h, lhs_b, rhs_b)))
-    tables.append(check_pointwise_lower_bound(field, config))
+    tables.append(diagnostics._sigma_tables(field, config)[1])
 
     n = int(math.floor((field.defined_t_max - t_star) / h + 1e-9))
     alphas = t_star + h * np.arange(n + 1)
     A2, B2 = alphas[:, None], alphas[None, :]
-    vals = field.interpolate(np.clip((A2 - B2) / 2.0, 0.0, None),
-                             np.minimum((A2 + B2) / 2.0, field.defined_t_max))
+    vals = interpolate(field, np.clip((A2 - B2) / 2.0, 0.0, None),
+                       np.minimum((A2 + B2) / 2.0, field.defined_t_max))
     F2 = np.where(B2 <= A2, vals, 0.0)
     tri_a, tri_b = np.tril_indices(n + 1)
     samp = slice(0, tri_a.size, max(1, tri_a.size // 20000))
@@ -517,8 +517,8 @@ def test_lattice_gather_matches_interpolate(k, j_star, rows):
         hi = min(lo + rows, n + 1)
         A, B = alphas[lo:hi, None], alphas[None, :hi]
         got = diagnostics._lattice_F(fld.samples, j_star, lo, hi)
-        want = np.where(A >= B, fld.interpolate(np.clip((A - B) / 2.0, 0.0, None),
-                                                np.minimum((A + B) / 2.0, fld.defined_t_max)), 0.0)
+        want = np.where(A >= B, interpolate(fld, np.clip((A - B) / 2.0, 0.0, None),
+                                            np.minimum((A + B) / 2.0, fld.defined_t_max)), 0.0)
         assert np.array_equal(got, want)
 
 
@@ -659,7 +659,9 @@ def test_dilation_invariance_of_verdicts():
     grid = CharGrid(RHO / 32, RHO + 8.0, 8.0)
     gr = grid.r_values()
     prob = Problem(2.0, 3.0, zero_profile(RHO, gr), bump_profile(4.0, RHO, gr), RHO)
-    scaled, c = normalize_coefficient(prob)
+    # u -> c u with c = A^(1/(p-1)) turns box(u) = A|u|^p into box(u) = |u|^p
+    c = prob.A ** (1.0 / (prob.p - 1.0))
+    scaled = Problem(prob.p, 1.0, zero_profile(RHO, gr), bump_profile(c * 4.0, RHO, gr), RHO)
     f1 = solve_march(prob, grid, residual_nodes=0)
     f2 = solve_march(scaled, grid, residual_nodes=0)
     assert f1.status == f2.status

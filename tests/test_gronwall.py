@@ -7,8 +7,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 
 from wavelab.gronwall import (GronwallCertificate, GronwallParams, _cumulative_trapezoid,
-                              WindowTooShortError, certify,
-                              check_inequality, failure_radius,
+                              _scan, WindowTooShortError, certify, failure_radius,
                               log10_failure_radius)
 
 
@@ -113,13 +112,13 @@ def test_check_inequality_constant_H():
     # H = 1, C = 1, a = 2, b = 0, t0 = t1 = 0: the integral is r, so the
     # first violation is at r = 1
     r = np.linspace(0.0, 2.0, 8001)
-    v = check_inequality(r, np.ones_like(r), GronwallParams(1, 2, 0, 0, 0))
+    v = _scan(r, np.ones_like(r), GronwallParams(1, 2, 0, 0, 0))[2]
     assert v == pytest.approx(1.0, abs=2e-3)
 
 
 def test_check_inequality_tiny_C_window_limited():
     r = np.linspace(0.0, 0.5, 501)
-    assert check_inequality(r, np.ones_like(r), GronwallParams(1e-9, 2, 0, 0, 0)) is None
+    assert _scan(r, np.ones_like(r), GronwallParams(1e-9, 2, 0, 0, 0))[2] is None
 
 
 def test_check_inequality_exponential_oracle():
@@ -128,18 +127,18 @@ def test_check_inequality_exponential_oracle():
     root = brentq(lambda x: np.exp(x) - (2.0 / 3.0) * (np.exp(1.5 * x) - 1.0), 0.5, 2.0)
     assert root == pytest.approx(1.18272, abs=1e-4)
     r = np.linspace(0.0, 2.0, 40001)
-    v = check_inequality(r, np.exp(r), GronwallParams(1.0, 1.5, 0.0, 0.0, 0.0))
+    v = _scan(r, np.exp(r), GronwallParams(1.0, 1.5, 0.0, 0.0, 0.0))[2]
     assert v == pytest.approx(root, abs=1e-3)
 
 
 def test_check_inequality_hypothesis_checks():
     r = np.linspace(0.0, 1.0, 101)
     with pytest.raises(ValueError, match="hypothesis violated"):
-        check_inequality(r, -np.ones_like(r), GronwallParams(1, 2, 0, 0, 0))
+        _scan(r, -np.ones_like(r), GronwallParams(1, 2, 0, 0, 0))
     with pytest.raises(ValueError, match="hypothesis violated"):
-        check_inequality(r, np.zeros_like(r), GronwallParams(1, 2, 0, 0, 0))
+        _scan(r, np.zeros_like(r), GronwallParams(1, 2, 0, 0, 0))
     with pytest.raises(ValueError, match="start at t1"):
-        check_inequality(r + 0.5, np.ones_like(r), GronwallParams(1, 2, 0, 0, 0))
+        _scan(r + 0.5, np.ones_like(r), GronwallParams(1, 2, 0, 0, 0))
 
 
 def test_certify_quadratic_example():

@@ -1,13 +1,15 @@
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
 
-from wavelab.regions import (RegionBrt, RegionQ, RegionQrt, RegionR, RegionT, Sigma,
-                             SigmaPrime, area, contains, influence_quadrature,
-                             subset_check)
+from wavelab.regions import influence_quadrature
 
-from lattice_oracle import _UNBOUNDED, StripBounds, lattice_weights
+from lattice_oracle import (_UNBOUNDED, RegionBrt, RegionQ, RegionQrt, RegionR, RegionT,
+                            Sigma, SigmaPrime, StripBounds, _StripRegion, area, contains,
+                            lattice_weights, subset_check)
 
 
 def test_membership_examples():
@@ -339,6 +341,41 @@ def test_inclusion_chain_on_sigma_random_draws():
         assert subset_check(RegionBrt(r, t, t_star), R)
         assert subset_check(RegionQrt(r, t, t2, d), RegionQ(t2, d))
         assert subset_check(RegionBrt(r, t, t_star), Sigma(t_star))
+
+
+@dataclass(frozen=True)
+class _FlooredR(_StripRegion):
+    """R(r, t) cut at alpha >= alpha_lo and beta >= beta_lo, as influence_quadrature reads it."""
+
+    r: float
+    t: float
+    alpha_lo: Optional[float] = None
+    beta_lo: Optional[float] = None
+
+    def strip_bounds(self):
+        a_lo, a_hi, b_lo, b_hi, s_lo, s_hi = RegionR(self.r, self.t).strip_bounds()
+        if self.alpha_lo is not None:
+            a_lo = max(a_lo, self.alpha_lo)
+        if self.beta_lo is not None:
+            b_lo = self.beta_lo if b_lo is None else max(b_lo, self.beta_lo)
+        return (a_lo, a_hi, b_lo, b_hi, s_lo, s_hi)
+
+
+def test_floored_R_is_B_and_T_exactly():
+    # the floors step 2 and compute_M pass to the engine give exactly the
+    # regions of the argument, as two-way exact inclusion over lattice parameters:
+    # B(r, t) = R(r, t) with beta >= t_star, T(t2, delta) = R(delta, t2 + delta)
+    # with alpha >= t2 + delta
+    for j_star in range(0, 5):
+        for j in range(j_star, j_star + 7):
+            for i in range(1, 9):
+                B, floored = RegionBrt(i, j, j_star), _FlooredR(i, j, beta_lo=j_star)
+                assert subset_check(B, floored) and subset_check(floored, B), (i, j, j_star)
+    for t2 in range(0, 6):
+        for d in range(1, 6):
+            T, floored = RegionT(t2, d), _FlooredR(d, t2 + d, alpha_lo=t2 + d)
+            assert subset_check(T, floored) and subset_check(floored, T), (t2, d)
+            assert area(T) == area(floored) > 0
 
 
 def test_fixed_T_inside_every_R_from_Q():

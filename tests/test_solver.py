@@ -8,11 +8,12 @@ from wavelab import solver
 from wavelab.profiles import RadialProfile, bump_profile, zero_profile
 from wavelab.solver import (CharGrid, FieldFormatError, Problem, RadialField, apply_P,
                             detect_blowup_time, homogeneous_levels, integral_residual,
-                            linear_radial, normalize_coefficient, solve_forced, solve_march)
+                            solve_forced, solve_march)
 from wavelab.spherical import ScalarField3, build_sphere_quadrature, spherical_mean
 
 import march_oracle
 from conftest import RHO, blowup_problem
+from field_oracle import interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +117,19 @@ def test_interpolate_returns_nodes_on_last_level_and_column(blowup_run_coarse):
     _, fld = blowup_run_coarse
     h, top = fld.grid.h, fld.n_levels - 1
     r = fld.grid.r_values()
-    assert np.array_equal(fld.interpolate(r, np.full(r.size, fld.defined_t_max)), fld.samples[top])
-    assert fld.interpolate(0.0, fld.defined_t_max) == fld.samples[top, 0] > 1e3
-    mid = fld.interpolate(r[:-1] + 0.5 * h, np.full(r.size - 1, fld.defined_t_max))
+    assert np.array_equal(interpolate(fld, r, np.full(r.size, fld.defined_t_max)), fld.samples[top])
+    assert interpolate(fld, 0.0, fld.defined_t_max) == fld.samples[top, 0] > 1e3
+    mid = interpolate(fld, r[:-1] + 0.5 * h, np.full(r.size - 1, fld.defined_t_max))
     np.testing.assert_allclose(mid, 0.5 * (fld.samples[top, :-1] + fld.samples[top, 1:]),
                                rtol=1e-15, atol=1e-300)
     # the blown-up run is zero on its last column, so check it on random samples
     noisy = RadialField(fld.grid, np.random.default_rng(3).normal(size=fld.samples.shape),
                         status="blown_up", t_b=fld.t_b)
     t = fld.grid.t_values(fld.n_levels)
-    assert np.array_equal(noisy.interpolate(np.full(t.size, fld.grid.r_max), t),
+    assert np.array_equal(interpolate(noisy, np.full(t.size, fld.grid.r_max), t),
                           noisy.samples[:, -1])
-    assert noisy.interpolate(fld.grid.r_max, fld.defined_t_max) == noisy.samples[top, -1]
-    assert np.array_equal(noisy.interpolate(r, np.full(r.size, fld.defined_t_max)),
+    assert interpolate(noisy, fld.grid.r_max, fld.defined_t_max) == noisy.samples[top, -1]
+    assert np.array_equal(interpolate(noisy, r, np.full(r.size, fld.defined_t_max)),
                           noisy.samples[top])
 
 
@@ -212,8 +213,8 @@ def test_apply_P_out_of_grid(p_grid):
 def test_linear_radial_zero_data():
     grid = CharGrid(1 / 32, 2.0, 1.0)
     gr = grid.r_values()
-    u0 = linear_radial(zero_profile(1.0, gr), zero_profile(1.0, gr), grid)
-    assert np.all(u0.samples == 0.0)
+    u0 = homogeneous_levels(zero_profile(1.0, gr), zero_profile(1.0, gr), grid)(0, grid.n_t + 1)
+    assert np.all(u0 == 0.0)
 
 
 def test_linear_radial_huygens_support_exact():
@@ -221,12 +222,12 @@ def test_linear_radial_huygens_support_exact():
     gr = grid.r_values()
     f = bump_profile(5.0, RHO, gr)
     g = bump_profile(-2.0, RHO, gr)
-    u0 = linear_radial(f, g, grid)
+    u0 = homogeneous_levels(f, g, grid)(0, grid.n_t + 1)
     RR, TT = np.meshgrid(grid.r_values(), grid.t_values())
     inside_cone = TT - RR > RHO + 1e-12
     beyond_front = RR - TT > RHO + 1e-12
-    assert np.max(np.abs(u0.samples[inside_cone])) <= 1e-12
-    assert np.max(np.abs(u0.samples[beyond_front])) <= 1e-12
+    assert np.max(np.abs(u0[inside_cone])) <= 1e-12
+    assert np.max(np.abs(u0[beyond_front])) <= 1e-12
 
 
 def test_linear_radial_truncated_velocity_example():
@@ -234,8 +235,9 @@ def test_linear_radial_truncated_velocity_example():
     grid = CharGrid(1 / 64, 3.0, 2.0)
     gr = np.linspace(0.0, 3.0, 385)
     g = RadialProfile(gr, np.where(gr <= 1.0, 1.0, 0.0), 1.0)
-    u0 = linear_radial(zero_profile(1.0, gr), g, grid)
-    assert u0.value_at(0.0, 0.5) == pytest.approx(0.5, rel=1e-12)
+    u0 = homogeneous_levels(zero_profile(1.0, gr), g, grid)(0, grid.n_t + 1)
+    i, j = grid.index_of(0.0, 0.5)
+    assert u0[j, i] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_linear_radial_against_kirchhoff_oracle():
@@ -243,7 +245,7 @@ def test_linear_radial_against_kirchhoff_oracle():
     grid = CharGrid(1 / 64, 3.0, 2.0)
     gr = grid.r_values()
     g = bump_profile(3.0, RHO, gr)
-    u0 = linear_radial(zero_profile(RHO, gr), g, grid)
+    u0 = homogeneous_levels(zero_profile(RHO, gr), g, grid)(0, grid.n_t + 1)
     quad = build_sphere_quadrature(47)
 
     def oracle(r, t):
@@ -259,7 +261,8 @@ def test_linear_radial_against_kirchhoff_oracle():
 
     for r, t in [(0.25, 0.25), (0.5, 0.75), (1.0, 0.5), (0.0, 0.625), (1.5, 1.0)]:
         want = oracle(r, t)
-        got = u0.value_at(r, t)
+        i, j = grid.index_of(r, t)
+        got = u0[j, i]
         assert got == pytest.approx(want, abs=3e-4)
 
 
@@ -286,7 +289,7 @@ def _off_lattice_data():
 def test_linear_radial_matches_pointwise_dalembert(h):
     grid = CharGrid(h, 4.0, 3.0)
     f, g = _off_lattice_data()
-    got = linear_radial(f, g, grid).samples
+    got = homogeneous_levels(f, g, grid)(0, grid.n_t + 1)
     want = _pointwise_dalembert(f, g, grid)
     assert np.max(np.abs(want)) > 1.0
     if h == 1 / 8:                             # dyadic: r +- t exact, same bits
@@ -307,7 +310,7 @@ def test_bump_profile_continuous_at_off_lattice_rho():
     # on |r - t| = rho the table (k*h) and the pointwise (h*i - h*j) d'Alembert
     # read the profile on either side of rho; they now agree to round-off
     grid = CharGrid(0.1, 4.0, 3.0)
-    got = linear_radial(f, g, grid).samples
+    got = homogeneous_levels(f, g, grid)(0, grid.n_t + 1)
     want = _pointwise_dalembert(f, g, grid)
     jj, ii = np.indices(want.shape)
     diag = np.abs(ii - jj) == 10
@@ -319,13 +322,13 @@ def test_unforced_march_is_linear_radial():
     f, g = _off_lattice_data()
     fld = solve_forced(f, g, lambda r, t: np.zeros_like(r), grid)
     assert fld.n_levels == grid.n_t + 1
-    assert np.array_equal(fld.samples, linear_radial(f, g, grid).samples)
+    assert np.array_equal(fld.samples, homogeneous_levels(f, g, grid)(0, grid.n_t + 1))
 
 
 def test_homogeneous_node_read_is_bitwise_linear_radial():
     grid = CharGrid(0.1, 4.0, 3.0)              # not dyadic: every rounding counts
     f, g = _off_lattice_data()
-    whole = linear_radial(f, g, grid).samples
+    whole = homogeneous_levels(f, g, grid)(0, grid.n_t + 1)
     jj, ii = np.indices(whole.shape)
     jj, ii = jj[:, 1:].ravel(), ii[:, 1:].ravel()   # every node with i >= 1
     assert jj.max() == grid.n_t and ii.max() == grid.n_r
@@ -405,12 +408,12 @@ def test_forced_march_reproduces_P_closed_form():
 def test_positivity_for_nonnegative_velocity_data():
     grid = CharGrid(1 / 32, 4.0, 3.0)
     prob = blowup_problem(grid, amplitude=2.0)
-    u0 = linear_radial(prob.f_profile, prob.g_profile, grid)
-    assert np.min(u0.samples) >= -1e-13
+    u0 = homogeneous_levels(prob.f_profile, prob.g_profile, grid)(0, grid.n_t + 1)
+    assert np.min(u0) >= -1e-13
     fld = solve_march(prob, grid, residual_nodes=0)
     assert fld.status == "complete"
     assert np.min(fld.samples) >= -1e-13
-    assert np.min(fld.samples - u0.samples[: fld.n_levels]) >= -1e-12
+    assert np.min(fld.samples - u0[: fld.n_levels]) >= -1e-12
 
 
 def test_residual_contract_for_complete_fields():
@@ -475,9 +478,6 @@ def test_march_is_independent_of_the_u0_block(monkeypatch, blowup_run_coarse):
 def test_solve_reads_u0_one_block_at_a_time(monkeypatch):
     # solve never builds a whole-lattice u0: the march reads it by blocks and
     # the residual at its nodes
-    def refuse(*args):
-        raise AssertionError("solve called linear_radial")
-
     real, spans, node_reads = solver.homogeneous_levels, [], []
 
     def guarded(fbar, gbar, grid):
@@ -494,7 +494,6 @@ def test_solve_reads_u0_one_block_at_a_time(monkeypatch):
         block.at = at
         return block
 
-    monkeypatch.setattr(solver, "linear_radial", refuse)
     monkeypatch.setattr(solver, "homogeneous_levels", guarded)
     grid = CharGrid(RHO / 32, RHO + 16.0, 16.0)
     fld = solve_march(blowup_problem(grid), grid)
@@ -632,8 +631,8 @@ def test_supercritical_small_data_stays_small():
     prob = Problem(3.0, 1.0, zero_profile(1.0, gr), bump_profile(0.01, 1.0, gr), 1.0)
     fld = solve_march(prob, grid, residual_nodes=0)
     assert fld.status == "complete"
-    u0 = linear_radial(prob.f_profile, prob.g_profile, grid)
-    initial = float(np.max(np.abs(u0.samples)))
+    u0 = homogeneous_levels(prob.f_profile, prob.g_profile, grid)(0, grid.n_t + 1)
+    initial = float(np.max(np.abs(u0)))
     assert float(np.max(np.abs(fld.samples))) < 2.0 * initial
 
 
@@ -641,8 +640,10 @@ def test_dilation_normalisation_scales_solution():
     grid = CharGrid(1 / 32, 3.0, 2.0)
     gr = grid.r_values()
     prob = Problem(2.0, 4.0, zero_profile(1.0, gr), bump_profile(1.0, 1.0, gr), 1.0)
-    scaled, c = normalize_coefficient(prob)
-    assert scaled.A == 1.0 and c == pytest.approx(4.0)
+    # u -> c u with c = A^(1/(p-1)) turns box(u) = A|u|^p into box(u) = |u|^p
+    c = prob.A ** (1.0 / (prob.p - 1.0))
+    scaled = Problem(prob.p, 1.0, zero_profile(1.0, gr), bump_profile(c, 1.0, gr), 1.0)
+    assert c == pytest.approx(4.0)
     f1 = solve_march(prob, grid, residual_nodes=0)
     f2 = solve_march(scaled, grid, residual_nodes=0)
     assert f1.status == f2.status == "complete"
