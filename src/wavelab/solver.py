@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .profiles import RadialProfile
-from .regions import influence_quadrature
+from .regions import _SCAN_ROWS, _row_ends, influence_quadrature
 
 __all__ = [
     "Problem",
@@ -463,6 +463,28 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
     return u[:defined], status, t_b
 
 
+def _power_source(p, h, rho):
+    """The march's source sigma(r, t, u) = |u|^p, raised only inside the light cone.
+
+    It reads a level row (t = jh, u at columns i = 0..n_r) or the axis
+    diagonal (t = kh, u at ((n - k)h, kh) for k < n).  u is +-0.0 wherever
+    r - t > rho, so the power is taken only where i - j <= floor(rho/h) + 1
+    (one column of margin); elsewhere |u| is already the +0.0 of |u|^p.
+    """
+    reach = int(rho / h) + 1
+
+    def sigma(r, t, u):
+        out = np.abs(u)
+        if isinstance(t, np.ndarray):   # the axis diagonal: node k has i - j = n - 2k
+            inside = out[max(0, (u.size - reach + 1) // 2):]
+        else:                           # level j = t/h
+            inside = out[: round(t / h) + reach + 1]
+        inside **= p
+        return out
+
+    return sigma
+
+
 def solve_march(problem: Problem, grid: CharGrid,
                 blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
                 divergence_factor: float = DEFAULT_DIVERGENCE_FACTOR,
@@ -475,6 +497,15 @@ def solve_march(problem: Problem, grid: CharGrid,
     integral-equation residual against the independent region quadrature is
     recorded on a deterministic interior subsample (capped at residual_nodes
     nodes; pass 0 to skip).
+
+    The data vanish past their support radius rho (the larger of the two
+    profiles' radii), so by finite speed of propagation u is exactly +0.0 at
+    every node with r - t > rho, and the march keeps it so.  The source |u|^p
+    is therefore evaluated only in the light-cone window i <= j + floor(rho/h)
+    + 1 of each level row and on the matching tail of the axis diagonal
+    (``_power_source``); outside it |u|^p is the +0.0 left there, so the
+    samples are bitwise those of the source ``np.abs(u) ** p`` on every node.
+    The axis dot product keeps its full-length operands.
     """
     if grid.r_max + 1e-12 < problem.rho + grid.t_max:
         raise ValueError("grid violates the domain of dependence: need r_max >= rho + t_max")
@@ -482,9 +513,9 @@ def solve_march(problem: Problem, grid: CharGrid,
         raise ValueError("blowup_threshold must exceed the initial amplitude")
 
     ratio_floor = max(1.0, 10.0 * problem.data_scale)
-    p = problem.p
+    support = max(problem.f_profile.rho, problem.g_profile.rho)   # the data's own radius
     samples, status, t_b = _march(problem.f_profile, problem.g_profile, grid, problem.A,
-                                  lambda r, t, u: np.abs(u) ** p,
+                                  _power_source(problem.p, grid.h, support),
                                   blowup_threshold, divergence_factor, ratio_floor)
     field = RadialField(grid, samples, status=status, t_b=t_b, p=problem.p, A=problem.A)
     if residual_nodes:
@@ -566,8 +597,10 @@ def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 409
     fits the lattice.  The nodes form a square sub-lattice whose stride keeps
     at most max_nodes of them; pass a large max_nodes for full coverage.  P is
     evaluated at all of them by one regions.influence_quadrature sweep (one
-    pass over the lattice plus O(1) per node); u0 is read at the nodes from
-    its two 1-D tables, so besides the field only the source array is held.
+    pass over the lattice inside the light cone plus O(1) per node); u0 is
+    read at the nodes from its two 1-D tables, so besides the field only the
+    source array is held.  |u|^p is taken only up to the last nonzero column
+    of each block of rows: past r = rho + t the field is exactly zero.
     """
     grid = field.grid
     n_lev = field.n_levels
@@ -579,9 +612,15 @@ def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 409
     jj, ii = jj[keep], ii[keep]
     res = field.samples[jj, ii] - homogeneous_levels(problem.f_profile, problem.g_profile,
                                                      grid).at(ii, jj)
-    src = np.abs(field.samples)                   # lambda * |u|^p, built in place
-    src **= problem.p
-    src *= grid.h * np.arange(grid.n_r + 1)
+    # lambda * |u|^p, built in place by row blocks up to their last nonzero
+    # column; past it the +0.0 of np.zeros is already lambda * |+-0.0|^p
+    src, lam = np.zeros(field.samples.shape), grid.h * np.arange(grid.n_r + 1)
+    ends = _row_ends(field.samples)
+    for k in range(0, n_lev, _SCAN_ROWS):
+        rows, c = slice(k, k + _SCAN_ROWS), int(ends[k : k + _SCAN_ROWS].max())
+        block = np.abs(field.samples[rows, :c], out=src[rows, :c])
+        block **= problem.p
+        block *= lam[:c]
     res -= problem.A * (influence_quadrature(src, ii, jj) * grid.h * grid.h / (2.0 * ii * grid.h))
     if res.size == 0:
         return {"residual_linf": 0.0, "residual_l2": 0.0, "nodes": 0}

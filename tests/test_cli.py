@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 import wavelab
-from wavelab import __version__, cli
+from wavelab import __version__, cli, diagnostics, solver
 from wavelab.cli import main
 from wavelab.gronwall import GronwallCertificate
 from wavelab.config import (ConfigError, DataSpec, apply_overrides, config_hash,
                             parse_run_config, parse_sweep_config)
 from wavelab.solver import RadialField
+
+import quadrature_oracle
 
 
 def write(path, doc):
@@ -403,6 +405,32 @@ def test_diagnose_grid_too_short(tmp_path, capsys):
                "--output", str(tmp_path / "d")])
     assert rc == 4
     assert "extend" in capsys.readouterr().err
+
+
+def _solve_and_diagnose(tmp_path, doc):
+    tmp_path.mkdir()
+    cfg = write(tmp_path / "c.json", doc)
+    codes = (main(["solve", "--config", cfg, "--output", str(tmp_path / "out")]),
+             main(["diagnose", "--config", cfg, "--field", str(tmp_path / "out" / "field.npz"),
+                   "--output", str(tmp_path / "out")]))
+    names = ("field.npz", "residual.json", "diagnostics.json", "gronwall.json", "residuals.csv")
+    return codes, {name: (tmp_path / "out" / name).read_bytes() for name in names}
+
+
+@pytest.mark.parametrize("p", [2.0, 2.41])
+def test_light_cone_cuts_keep_every_artifact_byte(tmp_path, monkeypatch, p):
+    # solve and diagnose at rho/32, then again with the references swapped in:
+    # the sweep over every cell diagonal (in solver and diagnostics), |u|^p on
+    # every node for the march and the residual's source
+    doc = base_run_config(tmp_path, grid={"h": 1 / 32, "t_max": 16.0})
+    doc["problem"]["p"] = p
+    codes, cut = _solve_and_diagnose(tmp_path / "cut", doc)
+    assert codes[0] == 0 and json.loads(cut["residual.json"])["nodes"] > 0
+    monkeypatch.setattr(solver, "influence_quadrature", quadrature_oracle.influence_quadrature)
+    monkeypatch.setattr(diagnostics, "influence_quadrature", quadrature_oracle.influence_quadrature)
+    monkeypatch.setattr(solver, "_power_source", lambda p, h, rho: lambda r, t, u: np.abs(u) ** p)
+    monkeypatch.setattr(solver, "_row_ends", lambda g: np.full(g.shape[0], g.shape[1]))
+    assert _solve_and_diagnose(tmp_path / "whole", doc) == (codes, cut)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from wavelab.regions import influence_quadrature
 
+import quadrature_oracle
 from lattice_oracle import (_UNBOUNDED, RegionBrt, RegionQ, RegionQrt, RegionR, RegionT,
                             Sigma, SigmaPrime, StripBounds, _StripRegion, area, contains,
                             lattice_weights, subset_check)
@@ -303,6 +304,67 @@ def test_influence_quadrature_rejects_regions_off_the_lattice():
         with pytest.raises(ValueError, match="fit the lattice"):
             influence_quadrature(g, i, j)
     assert influence_quadrature(g, np.array([], dtype=int), 1).shape == (0,)
+
+
+# the sweep against its reference (quadrature_oracle), bit for bit
+
+def _fitting_nodes(K, N, beta_lo=None):
+    """Every node (i, j) whose R(i, j), floored at beta_lo, fits a (K, N) lattice."""
+    jj, ii = (v.ravel() for v in np.meshgrid(np.arange(K), np.arange(1, N), indexing="ij"))
+    top, lo = ii + jj, -(N - 1) if beta_lo is None else beta_lo
+    keep = np.minimum(top, (top - lo + 1) // 2) <= N - 1
+    return ii[keep], jj[keep]
+
+
+def _sources(K, N):
+    """Random g; g with a zero cone g[k, a] = 0 for a >= k + c; all zeros; signed zeros."""
+    rng = np.random.default_rng(K * N)
+    kk, aa = np.indices((K, N))
+    dense = rng.normal(size=(K, N))                 # negative entries too
+    sources = [dense]
+    for c in (-2, 0, 3, K):
+        sources.append(np.where(aa >= kk + c, 0.0, dense))
+    sources.append(np.zeros((K, N)))
+    signed = np.where(rng.random((K, N)) < 0.3, -0.0, dense)
+    sources.append(np.where(aa >= kk + 2, -0.0, signed))
+    sources.append(np.full((K, N), -0.0))
+    return sources
+
+
+def _assert_sweep_is_oracle(g, i, j, **floors):
+    got = influence_quadrature(g, i, j, **floors)
+    ref = quadrature_oracle.influence_quadrature(g, i, j, **floors)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), floors
+    return got
+
+
+@pytest.mark.parametrize("shape", [(2, 9), (13, 31), (20, 20), (31, 25)])
+def test_sweep_is_bitwise_the_oracle(shape):
+    # R at every node, B(r, t) at every node for several j_star (nodes past
+    # Sigma, i > j - j_star, and the zero-width i = j - j_star included), T at
+    # a spread of (t2, delta), and R under alpha floors, on sources whose zeros sit
+    # below, across and above the queried diagonals
+    K, N = shape
+    answers = []
+    for g in _sources(K, N):
+        ii, jj = _fitting_nodes(K, N)
+        answers.append(_assert_sweep_is_oracle(g, ii, jj))
+        for a_lo in (-3, 2, N // 2):
+            _assert_sweep_is_oracle(g, ii, jj, alpha_lo=a_lo)
+        for j_star in sorted({0, 1, K // 2, K - 1}):
+            ii, jj = _fitting_nodes(K, N, j_star)
+            assert np.any(ii == jj - j_star) or K - 1 - j_star < 1
+            assert np.any(ii > jj - j_star)
+            _assert_sweep_is_oracle(g, ii, jj, beta_lo=j_star)
+            _assert_sweep_is_oracle(g, ii, jj, alpha_lo=N // 3, beta_lo=j_star)
+        for d in range(1, (N + 1) // 2):
+            for t2 in range(d % 3, min(K - d, N - 2 * d), 4):
+                _assert_sweep_is_oracle(g, d, t2 + d, alpha_lo=t2 + d)
+    # the zero cones leave both zero and nonzero answers; zeros come out +0.0
+    cones = np.concatenate(answers[1:5])
+    assert np.any(cones == 0) and np.any(cones != 0)
+    for got in answers[1:]:
+        assert not np.any(np.signbit(got[got == 0]))
 
 
 def test_subset_examples():

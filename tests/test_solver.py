@@ -5,7 +5,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from wavelab import solver
+from wavelab.config import parse_run_config
 from wavelab.profiles import RadialProfile, bump_profile, zero_profile
+from wavelab.regions import influence_quadrature
 from wavelab.solver import (CharGrid, FieldFormatError, Problem, RadialField, apply_P,
                             detect_blowup_time, homogeneous_levels, integral_residual,
                             solve_forced, solve_march)
@@ -502,6 +504,60 @@ def test_solve_reads_u0_one_block_at_a_time(monkeypatch):
     assert node_reads == [fld.residual["nodes"]]
 
 
+def test_quadrature_peak_memory(monkeypatch):
+    # the sweep finds the support of the residual's source by blocks of rows
+    # and keeps only column sums: no temporary the size of the lattice
+    grid = CharGrid(RHO / 64, RHO + 16.0, 16.0)
+    prob = blowup_problem(grid)
+    fld = solve_march(prob, grid, residual_nodes=0)
+    seen = []
+
+    def traced(g, i, j, **floors):
+        tracemalloc.start()
+        try:
+            out = influence_quadrature(g, i, j, **floors)
+            seen.append((tracemalloc.get_traced_memory()[1], g.nbytes))
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(solver, "influence_quadrature", traced)
+    assert integral_residual(prob, fld)["nodes"] > 0
+    (peak, nbytes), = seen
+    assert nbytes == fld.samples.nbytes
+    assert peak <= 0.1 * nbytes
+
+
+def _assert_plus_zero_past_the_cone(fld, rho):
+    h = fld.grid.h
+    jj, ii = np.indices(fld.samples.shape)
+    past = (ii - jj) * h >= rho
+    outside, edge = fld.samples[past], fld.samples[ii - jj == int(np.ceil(rho / h)) - 1]
+    assert outside.size > fld.samples.size // 3 and np.all(edge[1:] != 0)
+    assert np.all(outside == 0) and not np.any(np.signbit(outside))
+
+
+def test_solution_is_plus_zero_past_the_light_cone(blowup_run_coarse, tmp_path):
+    # finite speed of propagation, kept exactly by the lattice: u = +0.0 at
+    # every node with r - t >= rho, which the march's source window rests on
+    prob, fld = blowup_run_coarse
+    _assert_plus_zero_past_the_cone(fld, prob.rho)
+    # custom-csv data, f and g both nonzero, rho off the lattice and the knots
+    knots, rho = np.linspace(0.0, 1.2, 9), 0.8
+    for name, values in (("f", 0.5 * np.clip(1 - (knots / rho) ** 2, 0, None) ** 2),
+                         ("g", 2.0 * np.clip(1 - (knots / rho) ** 2, 0, None))):
+        (tmp_path / f"{name}.csv").write_text(
+            "r,value\n" + "".join(f"{r:.17g},{v:.17g}\n" for r, v in zip(knots, values)))
+    cfg = parse_run_config({"problem": {"p": 2.41, "data": {
+        "profile": "custom-csv", "rho": rho, "f_csv": str(tmp_path / "f.csv"),
+        "g_csv": str(tmp_path / "g.csv")}}, "grid": {"h": 1 / 32, "t_max": 8.0}})
+    grid = cfg.build_grid()
+    prob = cfg.build_problem(grid)
+    assert prob.f_profile(0.5) > 0 and prob.g_profile(0.5) > 0
+    samples, _ = _assert_solve_is_oracle(prob, grid)
+    _assert_plus_zero_past_the_cone(RadialField(grid, samples), rho)
+
+
 def test_march_rejects_a_lattice_whose_axis_diagonal_leaves_it():
     grid = CharGrid(1 / 16, 1.0, 2.0)            # n_t = 32 > n_r = 16
     zero = zero_profile(1.0, grid.r_values())
@@ -521,13 +577,22 @@ def _assert_march_is_oracle(fbar, gbar, grid, A, sigma, limits):
     return samples, status
 
 
-def _assert_nonlinear_march_is_oracle(p, amplitude):
-    grid = CharGrid(RHO / 16, RHO + 20.0, 20.0)
-    prob = blowup_problem(grid, amplitude=amplitude, p=p)
+def _assert_solve_is_oracle(prob, grid):
+    # solve_march, whose source takes |u|^p only inside the light cone, against
+    # the reference march with |u|^p on every node
+    fld = solve_march(prob, grid, residual_nodes=0)
     limits = (solver.DEFAULT_BLOWUP_THRESHOLD, solver.DEFAULT_DIVERGENCE_FACTOR,
               max(1.0, 10.0 * prob.data_scale))
-    return _assert_march_is_oracle(prob.f_profile, prob.g_profile, grid, prob.A,
-                                   lambda r, t, u: np.abs(u) ** p, limits)
+    ref, ref_status, ref_t_b = march_oracle._march(prob.f_profile, prob.g_profile, grid, prob.A,
+                                                   lambda r, t, u: np.abs(u) ** prob.p, *limits)
+    assert (fld.status, fld.t_b, fld.samples.shape) == (ref_status, ref_t_b, ref.shape)
+    assert fld.samples.tobytes() == ref.tobytes()
+    return fld.samples, fld.status
+
+
+def _assert_nonlinear_march_is_oracle(p, amplitude):
+    grid = CharGrid(RHO / 16, RHO + 20.0, 20.0)
+    return _assert_solve_is_oracle(blowup_problem(grid, amplitude=amplitude, p=p), grid)
 
 
 def _forced(forcing):
@@ -538,6 +603,15 @@ def _forced(forcing):
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.41, 2.5, 3.0])
 def test_march_is_bitwise_the_oracle(p, amplitude):
     _assert_nonlinear_march_is_oracle(p, amplitude)
+
+
+def test_march_window_follows_the_data_support():
+    # the window comes from the profiles' own support radius, so a Problem
+    # whose rho understates it still marches as |u|^p on every node does
+    grid = CharGrid(RHO / 16, RHO + 8.0, 8.0)
+    gr = grid.r_values()
+    prob = Problem(2.41, 1.0, bump_profile(1.0, RHO, gr), bump_profile(3.0, RHO, gr), RHO / 4)
+    _assert_solve_is_oracle(prob, grid)
 
 
 def test_forced_and_blocked_march_is_bitwise_the_oracle(monkeypatch):
