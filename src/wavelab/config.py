@@ -101,7 +101,7 @@ class RunConfig:
 
     def build_problem(self, grid: CharGrid) -> Problem:
         f, g = self.data.build_profiles(grid.r_values())
-        return Problem(self.p, self.A, f, g, self.data.rho)
+        return Problem(self.p, self.A, f, g)
 
 
 def _parse_data(d, path):

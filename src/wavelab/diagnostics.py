@@ -249,15 +249,15 @@ class DiagnosticsReport:
 # Cone base selection and the constant M
 # ---------------------------------------------------------------------------
 
-def select_t2_delta(field: RadialField, fbar: RadialProfile, gbar: RadialProfile, rho: float):
+def select_t2_delta(field: RadialField, fbar: RadialProfile, gbar: RadialProfile):
     """Earliest grid-aligned cone base (t2, delta) admissible for the chain.
 
     t2 is the smallest grid time such that the homogeneous part u0 of the data
     (fbar, gbar) is nonnegative, up to tol = 1e-10 max(1, max|u0|), on the
     forward cone from (0, t2), and the solution is positive at the probe
     point (delta, t2 + delta).  delta is max(4h, rho/8) for the data's support
-    radius rho, rounded up to an even number of cells so the corners of the
-    region T are lattice nodes.
+    radius rho (the larger of the two profiles' radii), rounded up to an even
+    number of cells so the corners of the region T are lattice nodes.
 
     u0 is evaluated in blocks of _GRID_ROWS levels and each level j keeps only
     j - c_j, with c_j its first column i <= j where u0 < -tol: the cone from
@@ -267,9 +267,7 @@ def select_t2_delta(field: RadialField, fbar: RadialProfile, gbar: RadialProfile
     """
     grid = field.grid
     h = grid.h
-    if rho <= 0:
-        raise ValueError("no admissible cone: field has trivial data")
-    d_cells = max(4, int(math.ceil(rho / (8.0 * h))))
+    d_cells = max(4, int(math.ceil(max(fbar.rho, gbar.rho) / (8.0 * h))))
     d_cells += d_cells % 2
     delta = d_cells * h
 

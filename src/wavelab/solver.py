@@ -72,21 +72,23 @@ _U0_BLOCK = 32          # levels of ubar0 the march reads at a time
 
 @dataclass(frozen=True)
 class Problem:
-    """Instance data: exponent p > 1, coefficient A > 0, radial data, support."""
+    """Instance data: exponent p > 1, coefficient A > 0, radial data."""
 
     p: float
     A: float
     f_profile: RadialProfile
     g_profile: RadialProfile
-    rho: float
 
     def __post_init__(self):
         if self.p <= 1:
             raise ValueError("exponent p must exceed 1")
         if self.A <= 0:
             raise ValueError("coefficient A must be positive")
-        if self.rho <= 0:
-            raise ValueError("support radius must be positive")
+
+    @property
+    def rho(self):
+        """The data's support radius: the larger of the two profiles' radii."""
+        return max(self.f_profile.rho, self.g_profile.rho)
 
     @property
     def data_scale(self):
@@ -159,7 +161,6 @@ class RadialField:
     t_b: Optional[float] = None
     p: Optional[float] = None
     A: Optional[float] = None
-    residual: Optional[dict] = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -487,25 +488,21 @@ def _power_source(p, h, rho):
 
 def solve_march(problem: Problem, grid: CharGrid,
                 blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-                divergence_factor: float = DEFAULT_DIVERGENCE_FACTOR,
-                residual_nodes: int = 4096) -> RadialField:
+                divergence_factor: float = DEFAULT_DIVERGENCE_FACTOR) -> RadialField:
     """March the fixed point ubar = ubar0 + A*P(|ubar|^p) up the lattice.
 
     The march stops with status "blown_up" at the first level whose max
     amplitude reaches the threshold or jumps by more than the divergence
-    factor in a single step; a blow-up is a result, not an error.  The
-    integral-equation residual against the independent region quadrature is
-    recorded on a deterministic interior subsample (capped at residual_nodes
-    nodes; pass 0 to skip).
+    factor in a single step; a blow-up is a result, not an error.
 
-    The data vanish past their support radius rho (the larger of the two
-    profiles' radii), so by finite speed of propagation u is exactly +0.0 at
-    every node with r - t > rho, and the march keeps it so.  The source |u|^p
-    is therefore evaluated only in the light-cone window i <= j + floor(rho/h)
-    + 1 of each level row and on the matching tail of the axis diagonal
-    (``_power_source``); outside it |u|^p is the +0.0 left there, so the
-    samples are bitwise those of the source ``np.abs(u) ** p`` on every node.
-    The axis dot product keeps its full-length operands.
+    The data vanish past their support radius rho (``Problem.rho``, the larger
+    of the two profiles' radii), so by finite speed of propagation u is exactly
+    +0.0 at every node with r - t > rho, and the march keeps it so.  The
+    source |u|^p is therefore evaluated only in the light-cone window
+    i <= j + floor(rho/h) + 1 of each level row and on the matching tail of
+    the axis diagonal (``_power_source``); outside it |u|^p is the +0.0 left
+    there, so the samples are bitwise those of the source ``np.abs(u) ** p``
+    on every node.  The axis dot product keeps its full-length operands.
     """
     if grid.r_max + 1e-12 < problem.rho + grid.t_max:
         raise ValueError("grid violates the domain of dependence: need r_max >= rho + t_max")
@@ -513,14 +510,10 @@ def solve_march(problem: Problem, grid: CharGrid,
         raise ValueError("blowup_threshold must exceed the initial amplitude")
 
     ratio_floor = max(1.0, 10.0 * problem.data_scale)
-    support = max(problem.f_profile.rho, problem.g_profile.rho)   # the data's own radius
     samples, status, t_b = _march(problem.f_profile, problem.g_profile, grid, problem.A,
-                                  _power_source(problem.p, grid.h, support),
+                                  _power_source(problem.p, grid.h, problem.rho),
                                   blowup_threshold, divergence_factor, ratio_floor)
-    field = RadialField(grid, samples, status=status, t_b=t_b, p=problem.p, A=problem.A)
-    if residual_nodes:
-        field.residual = integral_residual(problem, field, max_nodes=residual_nodes)
-    return field
+    return RadialField(grid, samples, status=status, t_b=t_b, p=problem.p, A=problem.A)
 
 
 def solve_forced(fbar: RadialProfile, gbar: RadialProfile,

@@ -9,7 +9,7 @@ RHO = 1.0
 
 def blowup_problem(grid, amplitude=10.0, p=2.0, A=1.0, rho=RHO):
     gr = grid.r_values()
-    return Problem(p, A, zero_profile(rho, gr), bump_profile(amplitude, rho, gr), rho)
+    return Problem(p, A, zero_profile(rho, gr), bump_profile(amplitude, rho, gr))
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +17,7 @@ def blowup_run_coarse():
     """Reference blow-up run at h = rho/32, cheap enough for unit tests."""
     grid = CharGrid(RHO / 32, RHO + 16.0, 16.0)
     prob = blowup_problem(grid)
-    field = solve_march(prob, grid, residual_nodes=0)
+    field = solve_march(prob, grid)
     assert field.status == "blown_up"
     return prob, field
 
@@ -27,7 +27,7 @@ def crit4_run():
     """The acceptance blow-up run at h = rho/128."""
     grid = CharGrid(RHO / 128, RHO + 16.0, 16.0)
     prob = blowup_problem(grid)
-    field = solve_march(prob, grid, residual_nodes=0)
+    field = solve_march(prob, grid)
     return prob, field
 
 
@@ -35,7 +35,7 @@ def crit4_run():
 def crit4_chain(crit4_run):
     """Selected cone base, constants, and full chain report for the run."""
     prob, field = crit4_run
-    t2, delta = select_t2_delta(field, prob.f_profile, prob.g_profile, prob.rho)
+    t2, delta = select_t2_delta(field, prob.f_profile, prob.g_profile)
     cfg = ChainConfig(prob.p, prob.A, t2, delta)
     cfg = cfg.with_constants(compute_M(field, t2, delta, prob.p))
     report = check_chain(field, cfg)

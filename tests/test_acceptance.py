@@ -96,7 +96,7 @@ def test_criterion_3_huygens_support():
 def test_criterion_4_subcritical_blowup(crit4_run):
     _, f128 = crit4_run
     grid = CharGrid(RHO / 256, RHO + 16.0, 16.0)
-    f256 = solve_march(blowup_problem(grid), grid, residual_nodes=0)
+    f256 = solve_march(blowup_problem(grid), grid)
     ok = (f128.status == "blown_up" and f256.status == "blown_up"
           and abs(f128.t_b - f256.t_b) <= 0.10 * f256.t_b)
     _report(4, ok, f"t_b(h)={f128.t_b:.4f}, t_b(h/2)={f256.t_b:.4f}, "
@@ -207,7 +207,7 @@ def test_criterion_8_end_to_end_contradiction(crit4_chain):
 def test_criterion_9_determinism(tmp_path, crit4_run):
     prob, first = crit4_run
     grid = first.grid
-    second = solve_march(blowup_problem(grid), grid, residual_nodes=0)
+    second = solve_march(blowup_problem(grid), grid)
     a, b = tmp_path / "a.npz", tmp_path / "b.npz"
     first.save(a)
     second.save(b)

@@ -161,9 +161,11 @@ def test_solve_blowup_recorded(tmp_path):
     assert man["status"] == "blown_up"
     assert man["t_b"] is not None and 10.0 < man["t_b"] < 17.0
     assert man["config_hash"] == config_hash(doc)
-    assert set(man["timings"]) == {"march_s", "field_write_s", "blowup_fit_s"}
-    assert man["timings"]["march_s"] == man["wall_time_s"]
+    assert set(man["timings"]) == {"march_s", "residual_s", "field_write_s", "blowup_fit_s"}
+    assert set(man["peak_rss_mb_after"]) == {"march", "residual", "field_write", "blowup_fit"}
+    assert man["timings"]["march_s"] + man["timings"]["residual_s"] == man["wall_time_s"]
     assert all(v >= 0.0 for v in man["timings"].values()) and man["peak_rss_mb"] > 0.0
+    assert man["residual"] == json.loads((tmp_path / "out" / "residual.json").read_text())
 
 
 def test_solve_malformed_config(tmp_path, capsys):
@@ -274,13 +276,16 @@ def test_solve_logs_one_info_line_per_phase(tmp_path, caplog):
     assert main(["solve", "--config", write(tmp_path / "c.json", doc)]) == 0
     lines = [rec.getMessage() for rec in caplog.records
              if rec.name == "wavelab" and rec.levelno == logging.INFO]
-    phases = ["march", "field_write", "blowup_fit"]
+    phases = ["march", "residual", "field_write", "blowup_fit"]
     assert [line.split()[1] for line in lines] == phases
     assert all(line.startswith("solve: ") and "peak RSS" in line for line in lines)
     # the manifest keeps the running peak after each phase beside the timings
     man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert set(man["peak_rss_mb_after"]) == set(phases)
+    assert set(man["timings"]) == {name + "_s" for name in phases}
     after = [man["peak_rss_mb_after"][name] for name in phases]
     assert 0 < after[0] and after == sorted(after) and after[-1] <= man["peak_rss_mb"]
+    assert man["timings"]["march_s"] + man["timings"]["residual_s"] == man["wall_time_s"]
 
 
 def test_diagnose_lifespan_beyond_r_star_is_exit_3(solved_run, tmp_path, monkeypatch):
@@ -467,7 +472,7 @@ def test_sweep_rows_and_resume(tmp_path):
     # each row manifest carries its solve's timings
     for row_dir in (tmp_path / "sweep" / "rows").iterdir():
         man = json.loads((row_dir / "manifest.json").read_text())
-        assert set(man["timings"]) == {"march_s", "field_write_s", "blowup_fit_s"}
+        assert set(man["timings"]) == {"march_s", "residual_s", "field_write_s", "blowup_fit_s"}
         assert man["peak_rss_mb"] > 0.0
     # resume: artifacts verify against manifests and rows are reused bytewise
     assert main(["sweep", "--config", cfg_path]) == 0

@@ -71,7 +71,7 @@ def test_compute_M_zero_field_and_grid_check():
 
 def test_select_t2_delta_nonnegative_velocity_data(blowup_run_coarse):
     prob, fld = blowup_run_coarse
-    t2, delta = select_t2_delta(fld, prob.f_profile, prob.g_profile, prob.rho)
+    t2, delta = select_t2_delta(fld, prob.f_profile, prob.g_profile)
     assert t2 == 0.0
     assert delta == pytest.approx(RHO / 8.0)
     i, j = fld.grid.index_of(delta, t2 + delta)
@@ -83,9 +83,7 @@ def test_select_t2_delta_zero_field_errors():
     zeros = RadialField(grid, np.zeros((grid.n_t + 1, grid.n_r + 1)))
     zero = zero_profile(RHO, grid.r_values())
     with pytest.raises(ValueError, match="no admissible cone"):
-        select_t2_delta(zeros, zero, zero, rho=1.0)
-    with pytest.raises(ValueError, match="trivial data"):
-        select_t2_delta(zeros, zero, zero, rho=0.0)
+        select_t2_delta(zeros, zero, zero)
 
 
 def _select_reference(field, u0, rho):
@@ -123,13 +121,13 @@ def select_cases(blowup_run_coarse):
     prob, fld = blowup_run_coarse
     grid = CharGrid(1 / 16, RHO + 6.0, 6.0)
     gr = grid.r_values()
-    disp = Problem(2.0, 1.0, bump_profile(2.0, RHO, gr), zero_profile(RHO, gr), RHO)
+    disp = Problem(2.0, 1.0, bump_profile(2.0, RHO, gr), zero_profile(RHO, gr))
     ones = RadialField(grid, np.ones((grid.n_t + 1, grid.n_r + 1)))
     zeros = RadialField(grid, np.zeros((grid.n_t + 1, grid.n_r + 1)))
     zero = zero_profile(RHO, gr)
     return {
         "blowup": (fld, prob.f_profile, prob.g_profile),
-        "displacement": (solve_march(disp, grid, residual_nodes=0), disp.f_profile, zero),
+        "displacement": (solve_march(disp, grid), disp.f_profile, zero),
         "shell-within-tol": (ones, zero, _shell_velocity(1e-9)),
         "shell-below-tol": (ones, zero, _shell_velocity(1e-3)),
         "zero-solution": (zeros, zero, bump_profile(1.0, RHO, gr)),
@@ -150,9 +148,9 @@ def test_select_t2_delta_matches_whole_lattice_scan(select_cases, monkeypatch, c
     if isinstance(want, ValueError):
         assert case == "zero-solution"
         with pytest.raises(ValueError, match="no admissible cone"):
-            select_t2_delta(fld, fbar, gbar, RHO)
+            select_t2_delta(fld, fbar, gbar)
         return
-    assert select_t2_delta(fld, fbar, gbar, RHO) == want
+    assert select_t2_delta(fld, fbar, gbar) == want
     # the cases reach what they are named for
     tol = 1e-10 * max(1.0, float(np.max(np.abs(u0))))
     within = (u0 < -1e-10) & (u0 >= -tol)
@@ -166,7 +164,7 @@ def test_select_t2_delta_peak_memory(crit4_run):
     prob, field = crit4_run
     tracemalloc.start()
     try:
-        select_t2_delta(field, prob.f_profile, prob.g_profile, prob.rho)
+        select_t2_delta(field, prob.f_profile, prob.g_profile)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -658,12 +656,12 @@ def test_gronwall_params_from_chain(crit4_chain):
 def test_dilation_invariance_of_verdicts():
     grid = CharGrid(RHO / 32, RHO + 8.0, 8.0)
     gr = grid.r_values()
-    prob = Problem(2.0, 3.0, zero_profile(RHO, gr), bump_profile(4.0, RHO, gr), RHO)
+    prob = Problem(2.0, 3.0, zero_profile(RHO, gr), bump_profile(4.0, RHO, gr))
     # u -> c u with c = A^(1/(p-1)) turns box(u) = A|u|^p into box(u) = |u|^p
     c = prob.A ** (1.0 / (prob.p - 1.0))
-    scaled = Problem(prob.p, 1.0, zero_profile(RHO, gr), bump_profile(c * 4.0, RHO, gr), RHO)
-    f1 = solve_march(prob, grid, residual_nodes=0)
-    f2 = solve_march(scaled, grid, residual_nodes=0)
+    scaled = Problem(prob.p, 1.0, zero_profile(RHO, gr), bump_profile(c * 4.0, RHO, gr))
+    f1 = solve_march(prob, grid)
+    f2 = solve_march(scaled, grid)
     assert f1.status == f2.status
     t2, delta = 0.0, RHO / 8.0
     cfg1 = ChainConfig(prob.p, prob.A, t2, delta).with_constants(

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -79,6 +80,22 @@ def test_field_save_load_roundtrip_bitwise(tmp_path):
     plain.save(a)
     back = RadialField.load(a)
     assert back.status == "complete" and back.t_b is None and back.p is None and back.A is None
+
+
+def test_field_save_load_keeps_every_dataclass_field(tmp_path):
+    # RadialField holds exactly what save writes: each of its fields comes back
+    g = CharGrid(0.25, 2.0, 1.0)
+    f = RadialField(g, np.arange(5 * 9, dtype=float).reshape(5, 9) / 3.0,
+                    status="blown_up", t_b=1.25, p=2.5, A=0.5)
+    f.save(tmp_path / "f.npz")
+    back = RadialField.load(tmp_path / "f.npz")
+    for fd in dataclasses.fields(RadialField):
+        got, want = getattr(back, fd.name), getattr(f, fd.name)
+        assert fd.default is dataclasses.MISSING or want != fd.default, fd.name
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape, fd.name
+        else:
+            assert got == want, fd.name
 
 
 def test_field_npz_truncated_rejected(tmp_path):
@@ -344,24 +361,35 @@ def test_homogeneous_node_read_is_bitwise_linear_radial():
 def test_solve_march_zero_data_stays_zero():
     grid = CharGrid(1 / 32, 2.0, 1.0)
     gr = grid.r_values()
-    prob = Problem(2.0, 1.0, zero_profile(1.0, gr), zero_profile(1.0, gr), 1.0)
+    prob = Problem(2.0, 1.0, zero_profile(1.0, gr), zero_profile(1.0, gr))
     fld = solve_march(prob, grid)
     assert fld.status == "complete"
     assert np.all(fld.samples == 0.0)
-    assert fld.residual["residual_linf"] == 0.0
+    assert integral_residual(prob, fld)["residual_linf"] == 0.0
 
 
 def test_solve_march_validates_grid_and_threshold():
     grid = CharGrid(1 / 32, 1.5, 1.0)     # r_max < rho + t_max
     gr = grid.r_values()
-    prob = Problem(2.0, 1.0, zero_profile(1.0, gr), bump_profile(1.0, 1.0, gr), 1.0)
+    prob = Problem(2.0, 1.0, zero_profile(1.0, gr), bump_profile(1.0, 1.0, gr))
     with pytest.raises(ValueError, match="domain of dependence"):
         solve_march(prob, grid)
     grid2 = CharGrid(1 / 32, 2.0, 1.0)
     gr2 = grid2.r_values()
-    prob2 = Problem(2.0, 1.0, bump_profile(5.0, 1.0, gr2), zero_profile(1.0, gr2), 1.0)
+    prob2 = Problem(2.0, 1.0, bump_profile(5.0, 1.0, gr2), zero_profile(1.0, gr2))
     with pytest.raises(ValueError, match="threshold"):
         solve_march(prob2, grid2, blowup_threshold=1.0)
+
+
+def test_domain_of_dependence_reads_the_data_radius():
+    # the check takes rho from the profiles: data of radius 1 need r_max >= 1 + t_max
+    t_max = 1.0
+    grid = CharGrid(1 / 32, 0.25 + t_max, t_max)
+    gr = grid.r_values()
+    prob = Problem(2.0, 1.0, bump_profile(1.0, 1.0, gr), bump_profile(1.0, 1.0, gr))
+    assert prob.rho == 1.0
+    with pytest.raises(ValueError, match="domain of dependence"):
+        solve_march(prob, grid)
 
 
 def _mms_exact(r, t):
@@ -412,7 +440,7 @@ def test_positivity_for_nonnegative_velocity_data():
     prob = blowup_problem(grid, amplitude=2.0)
     u0 = homogeneous_levels(prob.f_profile, prob.g_profile, grid)(0, grid.n_t + 1)
     assert np.min(u0) >= -1e-13
-    fld = solve_march(prob, grid, residual_nodes=0)
+    fld = solve_march(prob, grid)
     assert fld.status == "complete"
     assert np.min(fld.samples) >= -1e-13
     assert np.min(fld.samples - u0[: fld.n_levels]) >= -1e-12
@@ -422,8 +450,8 @@ def test_residual_contract_for_complete_fields():
     h = 1 / 64
     grid = CharGrid(h, 2.0, 1.0)
     gr = grid.r_values()
-    prob = Problem(2.0, 1.0, bump_profile(0.5, 1.0, gr), bump_profile(0.5, 1.0, gr), 1.0)
-    fld = solve_march(prob, grid, residual_nodes=0)
+    prob = Problem(2.0, 1.0, bump_profile(0.5, 1.0, gr), bump_profile(0.5, 1.0, gr))
+    fld = solve_march(prob, grid)
     assert fld.status == "complete"
     res = integral_residual(prob, fld, max_nodes=10**9)
     sigma_scale = float(np.max(np.abs(fld.samples))**prob.p)
@@ -452,7 +480,7 @@ def test_march_peak_memory():
     prob = blowup_problem(grid)
     tracemalloc.start()
     try:
-        fld = solve_march(prob, grid, residual_nodes=0)
+        fld = solve_march(prob, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -463,8 +491,8 @@ def test_march_peak_memory():
 def test_march_is_independent_of_the_u0_block(monkeypatch, blowup_run_coarse):
     grid = CharGrid(1 / 32, 5.0, 4.0)           # 129 levels: 5 default blocks, 19 of 7
     f, g = _off_lattice_data()
-    prob = Problem(2.0, 1.0, f, g, RHO)
-    runs = (lambda: solve_march(prob, grid, residual_nodes=0),
+    prob = Problem(2.0, 1.0, f, g)
+    runs = (lambda: solve_march(prob, grid),
             lambda: solve_forced(f, g, _mms_forcing, grid))
     default = [run() for run in runs]
     monkeypatch.setattr(solver, "_U0_BLOCK", 7)
@@ -472,14 +500,14 @@ def test_march_is_independent_of_the_u0_block(monkeypatch, blowup_run_coarse):
         assert fld.n_levels == grid.n_t + 1
         assert np.array_equal(run().samples, fld.samples)
     prob, fld = blowup_run_coarse                # computed with the default block
-    small = solve_march(prob, fld.grid, residual_nodes=0)
+    small = solve_march(prob, fld.grid)
     assert small.status == "blown_up" and small.t_b == fld.t_b
     assert np.array_equal(small.samples, fld.samples)
 
 
 def test_solve_reads_u0_one_block_at_a_time(monkeypatch):
     # solve never builds a whole-lattice u0: the march reads it by blocks and
-    # the residual at its nodes
+    # only the residual reads it at nodes, once, at all of its nodes
     real, spans, node_reads = solver.homogeneous_levels, [], []
 
     def guarded(fbar, gbar, grid):
@@ -498,10 +526,13 @@ def test_solve_reads_u0_one_block_at_a_time(monkeypatch):
 
     monkeypatch.setattr(solver, "homogeneous_levels", guarded)
     grid = CharGrid(RHO / 32, RHO + 16.0, 16.0)
-    fld = solve_march(blowup_problem(grid), grid)
-    assert fld.status == "blown_up" and fld.residual["nodes"] > 0
+    prob = blowup_problem(grid)
+    fld = solve_march(prob, grid)
+    assert fld.status == "blown_up"
     assert len(spans) > 1 and max(spans) <= solver._U0_BLOCK
-    assert node_reads == [fld.residual["nodes"]]
+    assert node_reads == []
+    res = integral_residual(prob, fld)
+    assert res["nodes"] > 0 and node_reads == [res["nodes"]]
 
 
 def test_quadrature_peak_memory(monkeypatch):
@@ -509,7 +540,7 @@ def test_quadrature_peak_memory(monkeypatch):
     # and keeps only column sums: no temporary the size of the lattice
     grid = CharGrid(RHO / 64, RHO + 16.0, 16.0)
     prob = blowup_problem(grid)
-    fld = solve_march(prob, grid, residual_nodes=0)
+    fld = solve_march(prob, grid)
     seen = []
 
     def traced(g, i, j, **floors):
@@ -564,7 +595,7 @@ def test_march_rejects_a_lattice_whose_axis_diagonal_leaves_it():
     with pytest.raises(ValueError, match="diagonal leaves the lattice"):
         solve_forced(zero, zero, lambda r, t: np.ones_like(r), grid)
     with pytest.raises(ValueError, match="domain of dependence"):
-        solve_march(Problem(2.0, 1.0, zero, zero, 1.0), grid)
+        solve_march(Problem(2.0, 1.0, zero, zero), grid)
 
 
 # the march against its reference (march_oracle), bit for bit
@@ -580,7 +611,7 @@ def _assert_march_is_oracle(fbar, gbar, grid, A, sigma, limits):
 def _assert_solve_is_oracle(prob, grid):
     # solve_march, whose source takes |u|^p only inside the light cone, against
     # the reference march with |u|^p on every node
-    fld = solve_march(prob, grid, residual_nodes=0)
+    fld = solve_march(prob, grid)
     limits = (solver.DEFAULT_BLOWUP_THRESHOLD, solver.DEFAULT_DIVERGENCE_FACTOR,
               max(1.0, 10.0 * prob.data_scale))
     ref, ref_status, ref_t_b = march_oracle._march(prob.f_profile, prob.g_profile, grid, prob.A,
@@ -606,11 +637,12 @@ def test_march_is_bitwise_the_oracle(p, amplitude):
 
 
 def test_march_window_follows_the_data_support():
-    # the window comes from the profiles' own support radius, so a Problem
-    # whose rho understates it still marches as |u|^p on every node does
+    # the window reaches as far as the wider of the two profiles, so f of
+    # radius RHO/4 and g of radius RHO march as |u|^p on every node does
     grid = CharGrid(RHO / 16, RHO + 8.0, 8.0)
     gr = grid.r_values()
-    prob = Problem(2.41, 1.0, bump_profile(1.0, RHO, gr), bump_profile(3.0, RHO, gr), RHO / 4)
+    prob = Problem(2.41, 1.0, bump_profile(1.0, RHO / 4, gr), bump_profile(3.0, RHO, gr))
+    assert prob.rho == RHO
     _assert_solve_is_oracle(prob, grid)
 
 
@@ -648,7 +680,7 @@ def test_blowup_run_and_refinement_stability(blowup_run_coarse):
     prob, f32 = blowup_run_coarse
     assert f32.status == "blown_up"
     grid64 = CharGrid(RHO / 64, RHO + 16.0, 16.0)
-    f64 = solve_march(blowup_problem(grid64), grid64, residual_nodes=0)
+    f64 = solve_march(blowup_problem(grid64), grid64)
     assert f64.status == "blown_up"
     assert abs(f32.t_b - f64.t_b) <= 0.1 * f64.t_b
     # samples stop strictly before the blow-up time and stay finite
@@ -669,7 +701,7 @@ def test_detect_blowup_time(blowup_run_coarse):
 def test_detect_blowup_time_none_for_complete():
     grid = CharGrid(1 / 32, 2.0, 1.0)
     prob = blowup_problem(grid, amplitude=0.5)
-    fld = solve_march(prob, grid, residual_nodes=0)
+    fld = solve_march(prob, grid)
     assert fld.status == "complete"
     assert detect_blowup_time(fld) is None
 
@@ -682,8 +714,8 @@ def test_blowup_rate_against_ode_oracle():
     h = rho / 256
     grid = CharGrid(h, rho + 2.5, 2.5)
     gr = grid.r_values()
-    prob = Problem(2.0, 1.0, bump_profile(a0, rho, gr), zero_profile(rho, gr), rho)
-    fld = solve_march(prob, grid, residual_nodes=0)
+    prob = Problem(2.0, 1.0, bump_profile(a0, rho, gr), zero_profile(rho, gr))
+    fld = solve_march(prob, grid)
     assert fld.status == "blown_up"
     fit = detect_blowup_time(fld)
     assert abs(fit.fitted_exponent - (-2.0)) <= 0.2 * 2.0
@@ -702,8 +734,8 @@ def test_supercritical_small_data_stays_small():
     h = 1 / 8
     grid = CharGrid(h, 51.0, 50.0)
     gr = grid.r_values()
-    prob = Problem(3.0, 1.0, zero_profile(1.0, gr), bump_profile(0.01, 1.0, gr), 1.0)
-    fld = solve_march(prob, grid, residual_nodes=0)
+    prob = Problem(3.0, 1.0, zero_profile(1.0, gr), bump_profile(0.01, 1.0, gr))
+    fld = solve_march(prob, grid)
     assert fld.status == "complete"
     u0 = homogeneous_levels(prob.f_profile, prob.g_profile, grid)(0, grid.n_t + 1)
     initial = float(np.max(np.abs(u0)))
@@ -713,12 +745,12 @@ def test_supercritical_small_data_stays_small():
 def test_dilation_normalisation_scales_solution():
     grid = CharGrid(1 / 32, 3.0, 2.0)
     gr = grid.r_values()
-    prob = Problem(2.0, 4.0, zero_profile(1.0, gr), bump_profile(1.0, 1.0, gr), 1.0)
+    prob = Problem(2.0, 4.0, zero_profile(1.0, gr), bump_profile(1.0, 1.0, gr))
     # u -> c u with c = A^(1/(p-1)) turns box(u) = A|u|^p into box(u) = |u|^p
     c = prob.A ** (1.0 / (prob.p - 1.0))
-    scaled = Problem(prob.p, 1.0, zero_profile(1.0, gr), bump_profile(c, 1.0, gr), 1.0)
+    scaled = Problem(prob.p, 1.0, zero_profile(1.0, gr), bump_profile(c, 1.0, gr))
     assert c == pytest.approx(4.0)
-    f1 = solve_march(prob, grid, residual_nodes=0)
-    f2 = solve_march(scaled, grid, residual_nodes=0)
+    f1 = solve_march(prob, grid)
+    f2 = solve_march(scaled, grid)
     assert f1.status == f2.status == "complete"
     assert np.allclose(c * f1.samples, f2.samples, rtol=1e-10, atol=1e-12)

@@ -117,6 +117,10 @@ def test_profile_csv_roundtrip(tmp_path):
     back = RadialProfile.from_csv(path, rho=1.0)
     assert np.array_equal(back.r, prof.r)
     assert np.array_equal(back.values, prof.values)
+    # the profile is the one holder of the support radius, so it checks it
+    for rho in (0.0, -1.0):
+        with pytest.raises(ValueError, match="support radius must be positive"):
+            RadialProfile.from_csv(path, rho=rho)
 
 
 def test_profile_moment_integral_matches_quadrature():
