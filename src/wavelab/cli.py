@@ -265,19 +265,16 @@ def _sweep_row(task):
     eps = choose_epsilon(p)
     row["epsilon"] = eps
     row["s_margin"] = s_exponent(p, eps if eps is not None else 0.0) + 1.0
-    wall = None
     record = {}
     try:
-        started = time.perf_counter()
         _, record = _run_solve(cfg, row_dir)
-        wall = time.perf_counter() - started
         row.update({k: record[k] for k in ("status", "t_b", "fitted_t_b",
                                            "max_amplitude_reached")})
     except Exception as exc:           # row errors recorded, sweep continues
         row["status"] = "error"
         row["error"] = str(exc)
     _write_json(marker, _manifest(row_doc, {"row": row, "code_digest": _code_digest(),
-                                            "wall_time_s": wall,
+                                            "wall_time_s": record.get("wall_time_s"),
                                             "timings": record.get("timings"),
                                             "peak_rss_mb": record.get("peak_rss_mb")}))
     return row

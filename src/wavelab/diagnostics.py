@@ -259,7 +259,8 @@ def select_t2_delta(field: RadialField, fbar: RadialProfile, gbar: RadialProfile
     radius rho (the larger of the two profiles' radii), rounded up to an even
     number of cells so the corners of the region T are lattice nodes.
 
-    u0 is evaluated in blocks of _GRID_ROWS levels and each level j keeps only
+    u0 is evaluated in blocks of _GRID_ROWS levels (each only on its band
+    around the diagonal; ``homogeneous_levels``) and each level j keeps only
     j - c_j, with c_j its first column i <= j where u0 < -tol: the cone from
     level j2 is admissible iff j2 exceeds that reach on every level from j2 on,
     a suffix maximum.  tol is known only after the last block, so the blocks

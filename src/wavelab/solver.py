@@ -325,26 +325,52 @@ def homogeneous_levels(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid)
     t*gbar(t).  Compact support is honoured to round-off: ubar0 vanishes
     wherever |r - t| > rho (sharp Huygens).
 
-    The two 1-D d'Alembert tables (and the r = 0 column) are built once; level
-    j reads the F and I windows starting at n_t +- j.  ``levels.at(ii, jj)``
+    The two 1-D d'Alembert tables (and the r = 0 column) are built once.  A
+    block of levels is evaluated only on the band |i - j| <= b = ceil(rho/h) + 1
+    around the diagonal, with rho the larger of the two profiles' radii: off it
+    |r - t| > rho, both table entries of F vanish and both of I hold the total
+    moment, so ubar0 is the +0.0 the block is allocated with.  In band
+    coordinates (j, d = i - j) the node reads F and I at n_t + 2j + d and
+    n_t + d, so each level is a stride-2 window of the tables (zero-padded
+    by b, for the band's cells off the lattice, which are discarded) and the
+    band lands in the block through a diagonal view.  ``levels.at(ii, jj)``
     reads ubar0 at nodes with ii >= 1 straight from the tables.  Every read is
     computed elementwise by the same arithmetic, so its values are bitwise
-    those of the whole-lattice array ``levels(0, n_t + 1)``.
+    those of the whole-lattice array ``levels(0, n_t + 1)`` evaluated on
+    every node.
     """
     n_r, n_t = grid.n_r, grid.n_t
     y = grid.h * np.arange(-n_t, n_r + n_t + 1)
     Fy, Iy = y * fbar(np.abs(y)), gbar.moment_integral(y)
-    F, I = sliding_window_view(Fy, n_r + 1), sliding_window_view(Iy, n_r + 1)
     tv = grid.t_values()
     axis = fbar(tv) + tv * fbar.derivative(tv) + tv * gbar(tv)
     rv = grid.r_values()
 
+    b = math.ceil(max(fbar.rho, gbar.rho) / grid.h) + 1
+    n = 2 * b + 1
+    # the band windows of the tables, padded with b zeros in front (and behind
+    # as many as level n_t's window needs when n_t > n_r): level j's at n_t + 2j
+    pad = (b, b + max(0, n_t - n_r))
+    F = sliding_window_view(np.pad(Fy, pad), n)
+    I = sliding_window_view(np.pad(Iy, pad), n)
+    # a block holds column c at c + b, so level j's band starts at its column j;
+    # the radii at the block's columns, 1.0 at r = 0 and off the lattice
+    width = max(n_r + 1, n_t + 1 + b) + b
+    rp = np.ones(width)
+    rp[b + 1 : b + n_r + 1] = rv[1:]
+    R = sliding_window_view(rp, n)
+
     def levels(lo, hi):
-        up, down = slice(n_t + lo, n_t + hi), slice(n_t - hi + 1, n_t - lo + 1)
-        v = 0.5 * (F[up] + F[down][::-1]) + 0.5 * (I[up] - I[down][::-1])
-        v[:, 1:] /= rv[1:]
-        v[:, 0] = axis[lo:hi]
-        return v
+        m = hi - lo
+        # row k of the band starts at flat index lo + k*(width + 1): column lo + k of block row k
+        flat = np.zeros(lo + m * (width + 1))
+        block = flat[: m * width].reshape(m, width)
+        band = flat[lo : lo + m * (width + 1)].reshape(m, width + 1)[:, :n]
+        up = slice(n_t + 2 * lo, n_t + 2 * hi, 2)
+        v = 0.5 * (F[up] + F[n_t]) + 0.5 * (I[up] - I[n_t])
+        np.divide(v, R[lo:hi], out=band)
+        block[:, b] = axis[lo:hi]
+        return block[:, b : b + n_r + 1]
 
     def at(ii, jj):
         up, down = n_t + ii + jj, n_t + ii - jj
@@ -359,94 +385,117 @@ def homogeneous_levels(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid)
 # ---------------------------------------------------------------------------
 
 def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
-           sigma: Callable[..., np.ndarray],
-           blowup_threshold: float, divergence_factor: float, ratio_floor: float):
+           sigma: Callable[..., None],
+           blowup_threshold: float, divergence_factor: float, ratio_floor: float,
+           cone: bool = True):
     """Level-by-level march; returns (samples, status, t_b).
 
-    The source sigma(r, t, u) is evaluated elementwise at nodes (r, t) with
-    solution values u; t is a scalar on a level and an array on the backward
-    diagonal.  One predictor/corrector pass settles the new level; a source
-    that ignores u (forced mode) gives the same values at both passes.
+    The source ``sigma(r, t, u, out)`` writes its values at the nodes (r, t),
+    where the solution is u, into ``out``; t is a scalar on a level and an
+    array on the backward diagonal.  One predictor/corrector pass settles the
+    new level; a source that ignores u (forced mode) gives the same values at
+    both passes.
 
     Only the solution history is kept in full (the r = 0 limit formula reads
     the source along a backward characteristic through all earlier levels, so
     that diagonal must stay inside the lattice: n_t <= n_r), and the samples
     are a prefix of it; ubar0 streams in blocks of levels.  Everything else
     lives in rows allocated once: A*lambda*sigma at two levels, the auxiliary
-    w = r*ubar1 at three, the predictor, and the part ``base`` that both
-    passes share.  The solution vanishes beyond r_max, so the right neighbour
-    of the last column is the exact zero kept at the end of every F and w row.
+    w = r*ubar1 at three, the extrapolated and the predicted level, the part
+    ``base`` that both passes share, a scratch row and the source on the axis
+    diagonal.  The solution vanishes beyond r_max, so the right neighbour of
+    the last column is the exact zero kept at the end of every F and w row.
+
+    With ``cone``, for a source that vanishes wherever u does (|u|^p), every
+    per-level operation runs only on the columns i <= j + floor(rho/h) + 1 of
+    the new level j, rho the data's support radius, and the axis diagonal only
+    on its nodes inside that window.  Past it ubar0 is exactly +0.0 (sharp
+    Huygens) and so, by finite speed of propagation, are u, w and the source.
+    The window grows by one column a level, as the domain of dependence does,
+    so whatever a window node reads past the window of the level before is a
+    row entry never written: the +0.0 the full-width march computes there.
+    The samples are therefore bitwise those of the full-width march (``cone``
+    false, which the forced mode needs: its forcing may reach any column).
     """
     h, n_r, n_t = grid.h, grid.n_r, grid.n_t
     if n_t > n_r:
         raise ValueError(f"the r = 0 diagonal leaves the lattice: need n_t <= n_r, "
                          f"got n_t={n_t}, n_r={n_r}")
     lam, tv = grid.r_values(), grid.t_values()
-    alam, lam_in, wts = A * lam, lam[1:], _axis_weights(n_t, h)
+    alam, wts = A * lam, _axis_weights(n_t, h)
     hh6 = h * h / 6.0
-    inner = slice(1, n_r + 1)
+    # level j can be nonzero only on its columns i < j + reach
+    reach = int(max(fbar.rho, gbar.rho) / h) + 2 if cone else n_r + 1
     u = np.zeros((n_t + 1, n_r + 1))
     flat = u.ravel()                   # u[k, j - k] is flat[j + k*n_r]
     F = np.zeros((2, n_r + 2))         # A*lambda*sigma at levels j and j - 1
     w = np.zeros((3, n_r + 2))         # w at levels j + 1, j and j - 1
-    u_pre, base, tmp = np.zeros(n_r + 1), np.empty(n_r), np.empty(n_r + 1)
-    pre_in, tmp_in = u_pre[inner], tmp[inner]
-    # the rows' views by level j mod 2 and mod 3: F_j (to write, then at columns
-    # i - 1, i, i + 1) and F_{j-1} at i; w_{j+1} at i, w_j at i -+ 1, w_{j-1} at i
-    F_views = [(F[a, : n_r + 1], F[a, :n_r], F[a, inner], F[a, 2:], F[1 - a, inner])
-               for a in (0, 1)]
-    w_views = [(w[a, inner], w[a - 1, :n_r], w[a - 1, 2:], w[a - 2, inner]) for a in range(3)]
+    u_star, u_pre = np.empty(n_r + 1), np.zeros(n_r + 1)
+    base, tmp = np.empty(n_r), np.empty(n_r + 1)
+    diag = np.zeros(n_t)               # the source on the axis diagonal of the new level
+    zeros = np.zeros(n_r + 1)          # 0 * x is finite unless x is NaN or +-inf
 
     u0_levels = homogeneous_levels(fbar, gbar, grid)
     u0_rows = (row for lo in range(0, n_t + 1, _U0_BLOCK)
                for row in u0_levels(lo, min(lo + _U0_BLOCK, n_t + 1)))
     u[0] = next(u0_rows)
-    sig_curr = sigma(lam, 0.0, u[0])
+    c = min(n_r + 1, reach)
+    sigma(lam[:c], 0.0, u[0, :c], F[0, :c])
+    np.multiply(alam[:c], F[0, :c], out=F[0, :c])
     status, t_b, defined = "complete", None, n_t + 1
     m_prev = float(np.max(np.abs(u[0])))
 
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_t):
             new, t_new = j + 1, (j + 1) * h
+            c = min(n_r + 1, new + reach)   # the new level's columns 0..c-1
             u0 = next(u0_rows)
-            Fh, F0, F1, F2, Fp1 = F_views[j % 2]
-            wn_in, wc0, wc2, wp1 = w_views[j % 3]
-            np.multiply(alam, sig_curr, out=Fh)
+            u0_in = u0[1:c]
+            Fj, Fp, wc, wp = F[j % 2], F[new % 2], w[j % 3 - 1], w[j % 3 - 2]
+            lam_c, alam_in, tmp_c = lam[:c], alam[1:c], tmp[:c]
+            lam_in, tmp_in, base_in = lam[1:c], tmp[1:c], base[: c - 1]
             if j == 0:
-                np.multiply(h * h / 12.0, F0 + 2.0 * F1 + F2, out=base)
-                u_star = u[0]
+                np.multiply(h * h / 12.0, Fj[: c - 1] + 2.0 * Fj[1:c] + Fj[2 : c + 1], out=base_in)
+                star = u[0, :c]
             else:
                 # base = ((wc0 + wc2) - wp1) + hh6 * (((2 F1 + F0) + F2) + Fp1)
-                np.multiply(F1, 2.0, out=tmp_in)
-                np.add(tmp_in, F0, out=tmp_in)
-                np.add(tmp_in, F2, out=tmp_in)
-                np.add(tmp_in, Fp1, out=tmp_in)
+                np.multiply(Fj[1:c], 2.0, out=tmp_in)
+                np.add(tmp_in, Fj[: c - 1], out=tmp_in)
+                np.add(tmp_in, Fj[2 : c + 1], out=tmp_in)
+                np.add(tmp_in, Fp[1:c], out=tmp_in)
                 np.multiply(tmp_in, hh6, out=tmp_in)
-                np.add(wc0, wc2, out=base)
-                np.subtract(base, wp1, out=base)
-                np.add(base, tmp_in, out=base)
-                u_star = np.multiply(u[j], 2.0, out=tmp)
-                np.subtract(u_star, u[j - 1], out=u_star)
+                np.add(wc[: c - 1], wc[2 : c + 1], out=base_in)
+                np.subtract(base_in, wp[1:c], out=base_in)
+                np.add(base_in, tmp_in, out=base_in)
+                star = np.multiply(u[j, :c], 2.0, out=u_star[:c])
+                np.subtract(star, u[j - 1, :c], out=star)
 
             # predictor: u0 + (base + hh6 * A*lambda*sigma(u_star)) / lambda
-            np.multiply(alam, sigma(lam, t_new, u_star), out=tmp)
+            sigma(lam_c, t_new, star, tmp_c)
+            np.multiply(alam_in, tmp_in, out=tmp_in)
             np.multiply(tmp_in, hh6, out=tmp_in)
-            np.add(base, tmp_in, out=tmp_in)
+            np.add(base_in, tmp_in, out=tmp_in)
             np.divide(tmp_in, lam_in, out=tmp_in)
-            np.add(u0[1:], tmp_in, out=pre_in)
+            np.add(u0_in, tmp_in, out=u_pre[1:c])
             # corrector: w = base + hh6 * A*lambda*sigma(u_pre), u = u0 + w / lambda
-            np.multiply(alam, sigma(lam, t_new, u_pre), out=tmp)
-            un, un_in = u[new], u[new, 1:]
+            sigma(lam_c, t_new, u_pre[:c], tmp_c)
+            np.multiply(alam_in, tmp_in, out=tmp_in)
+            un, un_in, wn_in = u[new, :c], u[new, 1:c], w[j % 3, 1:c]
             np.multiply(tmp_in, hh6, out=wn_in)
-            np.add(base, wn_in, out=wn_in)
+            np.add(base_in, wn_in, out=wn_in)
             np.divide(wn_in, lam_in, out=un_in)
-            np.add(u0[1:], un_in, out=un_in)
-            lam_diag = lam[new:0:-1]
-            diag = sigma(lam_diag, tv[:new], flat[new : new + new * n_r : n_r])
-            un[0] = u0[0] + A * _axis_P(diag, wts[:new], lam_diag)
+            np.add(u0_in, un_in, out=un_in)
+            # the axis: the source at the diagonal's nodes (new - k, k) for k < new,
+            # gathered from k0 on, the nodes in their level's window.  diag[:k0]
+            # holds +0.0: the one entry the tail gives up every second level held
+            # the source at a node with i - j = floor(rho/h) + 1, past the light cone
+            k0 = max(0, (new - reach + 2) // 2)
+            sigma(lam[new - k0 : 0 : -1], tv[k0:new],
+                  flat[new + k0 * n_r : new + new * n_r : n_r], diag[k0:new])
+            un[0] = u0[0] + A * _axis_P(diag[:new], wts[:new], lam[new:0:-1])
 
             # max|u| carries any NaN and shows +-inf
-            m_new = float(np.abs(un, out=tmp).max())
+            m_new = float(np.abs(un, out=tmp_c).max())
             if not math.isfinite(m_new):
                 status, defined = "error", new
                 break
@@ -455,33 +504,30 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
                 status, t_b, defined = "blown_up", t_new, new
                 break
 
-            sig_curr = sigma(lam, t_new, un)
-            if not np.all(np.isfinite(sig_curr)):
+            # the new level's source, into the row of F_{j-1}: the dot with zeros
+            # is finite unless some entry is NaN or +-inf
+            sig = Fp[:c]
+            sigma(lam_c, t_new, un, sig)
+            if not math.isfinite(np.dot(sig, zeros[:c])):
                 status, defined = "error", new
                 break
+            np.multiply(alam[:c], sig, out=sig)
             m_prev = m_new
 
     return u[:defined], status, t_b
 
 
-def _power_source(p, h, rho):
-    """The march's source sigma(r, t, u) = |u|^p, raised only inside the light cone.
+def _power_source(p):
+    """The march's source sigma(r, t, u, out): |u|^p written into out.
 
-    It reads a level row (t = jh, u at columns i = 0..n_r) or the axis
-    diagonal (t = kh, u at ((n - k)h, kh) for k < n).  u is +-0.0 wherever
-    r - t > rho, so the power is taken only where i - j <= floor(rho/h) + 1
-    (one column of margin); elsewhere |u| is already the +0.0 of |u|^p.
+    The march hands it only the nodes inside its light-cone window (a level
+    row cut at i <= j + floor(rho/h) + 1, the matching tail of the axis
+    diagonal); past them u is +0.0, whose |u|^p is the +0.0 already there.
     """
-    reach = int(rho / h) + 1
 
-    def sigma(r, t, u):
-        out = np.abs(u)
-        if isinstance(t, np.ndarray):   # the axis diagonal: node k has i - j = n - 2k
-            inside = out[max(0, (u.size - reach + 1) // 2):]
-        else:                           # level j = t/h
-            inside = out[: round(t / h) + reach + 1]
-        inside **= p
-        return out
+    def sigma(r, t, u, out):
+        np.abs(u, out=out)
+        out **= p
 
     return sigma
 
@@ -497,12 +543,13 @@ def solve_march(problem: Problem, grid: CharGrid,
 
     The data vanish past their support radius rho (``Problem.rho``, the larger
     of the two profiles' radii), so by finite speed of propagation u is exactly
-    +0.0 at every node with r - t > rho, and the march keeps it so.  The
-    source |u|^p is therefore evaluated only in the light-cone window
-    i <= j + floor(rho/h) + 1 of each level row and on the matching tail of
-    the axis diagonal (``_power_source``); outside it |u|^p is the +0.0 left
-    there, so the samples are bitwise those of the source ``np.abs(u) ** p``
-    on every node.  The axis dot product keeps its full-length operands.
+    +0.0 at every node with r - t > rho, and the march keeps it so.  Each level
+    is therefore marched only on its light-cone window i <= j + floor(rho/h) + 1
+    (``_march`` with ``cone``): ubar0, the source |u|^p, both passes and max|u|
+    on the window's columns and the axis diagonal on its tail.  Everything past
+    it is the +0.0 the full-width march computes there, so the samples are
+    bitwise those of the full-width march with the source ``np.abs(u) ** p``;
+    the axis dot product keeps its full-length operands and summation order.
     """
     if grid.r_max + 1e-12 < problem.rho + grid.t_max:
         raise ValueError("grid violates the domain of dependence: need r_max >= rho + t_max")
@@ -511,7 +558,7 @@ def solve_march(problem: Problem, grid: CharGrid,
 
     ratio_floor = max(1.0, 10.0 * problem.data_scale)
     samples, status, t_b = _march(problem.f_profile, problem.g_profile, grid, problem.A,
-                                  _power_source(problem.p, grid.h, problem.rho),
+                                  _power_source(problem.p),
                                   blowup_threshold, divergence_factor, ratio_floor)
     return RadialField(grid, samples, status=status, t_b=t_b, p=problem.p, A=problem.A)
 
@@ -523,14 +570,18 @@ def solve_forced(fbar: RadialProfile, gbar: RadialProfile,
 
     The forcing must broadcast over congruent r/t arrays and should be
     supported inside the light cone of r_max (the lattice assumes the solution
-    vanishes beyond the last column).  The grid needs t_max <= r_max, so that
+    vanishes beyond the last column).  It may be nonzero anywhere else, so the
+    march runs on full-width rows.  The grid needs t_max <= r_max, so that
     the backward diagonal from the axis stays on the lattice; a ValueError
     says otherwise.  (``solve_march``'s domain-of-dependence check,
     r_max >= rho + t_max, already implies it.)
     """
-    samples, status, t_b = _march(fbar, gbar, grid, A,
-                                  lambda r, t, u: forcing(r, np.full_like(r, t)),
-                                  np.inf, np.inf, np.inf)
+
+    def sigma(r, t, u, out):
+        out[...] = forcing(r, np.full_like(r, t))
+
+    samples, status, t_b = _march(fbar, gbar, grid, A, sigma, np.inf, np.inf, np.inf,
+                                  cone=False)
     return RadialField(grid, samples, status=status, t_b=t_b, A=A)
 
 

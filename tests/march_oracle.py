@@ -2,7 +2,9 @@
 
 :func:`_march` is kept here verbatim, with the axis formula :func:`_axis_P`
 it called, as the reference the solver's march is tested against bit for
-bit: samples, status, t_b and level count.
+bit: samples, status, t_b and level count.  It runs every level on all
+columns and reads ubar0 from its own :func:`homogeneous_levels`, the
+d'Alembert evaluator on every column, independent of the solver's banded one.
 """
 
 from __future__ import annotations
@@ -10,11 +12,38 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from wavelab.profiles import RadialProfile
-from wavelab.solver import CharGrid, homogeneous_levels
+from wavelab.solver import CharGrid
 
 _U0_BLOCK = 32          # levels of ubar0 the march reads at a time
+
+
+def homogeneous_levels(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
+    """ubar0 on levels lo..hi-1 and every column: ``levels(lo, hi)``.
+
+    ubar0(r, t) = [Ff(r+t) + Ff(r-t) + Ig(r+t) - Ig(|r-t|)] / (2r), with
+    Ff(y) = y*fbar(|y|) and Ig the running moment of y*gbar(y), read from two
+    1-D tables (level j at the windows starting at n_t +- j); at r = 0,
+    ubar0(0, t) = fbar(t) + t*fbar'(t) + t*gbar(t).
+    """
+    n_r, n_t = grid.n_r, grid.n_t
+    y = grid.h * np.arange(-n_t, n_r + n_t + 1)
+    Fy, Iy = y * fbar(np.abs(y)), gbar.moment_integral(y)
+    F, I = sliding_window_view(Fy, n_r + 1), sliding_window_view(Iy, n_r + 1)
+    tv = grid.t_values()
+    axis = fbar(tv) + tv * fbar.derivative(tv) + tv * gbar(tv)
+    rv = grid.r_values()
+
+    def levels(lo, hi):
+        up, down = slice(n_t + lo, n_t + hi), slice(n_t - hi + 1, n_t - lo + 1)
+        v = 0.5 * (F[up] + F[down][::-1]) + 0.5 * (I[up] - I[down][::-1])
+        v[:, 1:] /= rv[1:]
+        v[:, 0] = axis[lo:hi]
+        return v
+
+    return levels
 
 
 def _axis_P(sigma_diag, h):

@@ -18,6 +18,7 @@ from wavelab.config import (ConfigError, DataSpec, apply_overrides, config_hash,
                             parse_run_config, parse_sweep_config)
 from wavelab.solver import RadialField
 
+import march_oracle
 import quadrature_oracle
 
 
@@ -425,15 +426,19 @@ def _solve_and_diagnose(tmp_path, doc):
 @pytest.mark.parametrize("p", [2.0, 2.41])
 def test_light_cone_cuts_keep_every_artifact_byte(tmp_path, monkeypatch, p):
     # solve and diagnose at rho/32, then again with the references swapped in:
-    # the sweep over every cell diagonal (in solver and diagnostics), |u|^p on
-    # every node for the march and the residual's source
+    # the sweep over every cell diagonal (in solver and diagnostics), the march
+    # on full-width rows (march_oracle) with |u|^p on every node, u0 on every
+    # column for the march and the cone selection, and |u|^p on every node for
+    # the residual's source
     doc = base_run_config(tmp_path, grid={"h": 1 / 32, "t_max": 16.0})
     doc["problem"]["p"] = p
     codes, cut = _solve_and_diagnose(tmp_path / "cut", doc)
     assert codes[0] == 0 and json.loads(cut["residual.json"])["nodes"] > 0
     monkeypatch.setattr(solver, "influence_quadrature", quadrature_oracle.influence_quadrature)
     monkeypatch.setattr(diagnostics, "influence_quadrature", quadrature_oracle.influence_quadrature)
-    monkeypatch.setattr(solver, "_power_source", lambda p, h, rho: lambda r, t, u: np.abs(u) ** p)
+    monkeypatch.setattr(solver, "_march", lambda *args, cone=True: march_oracle._march(*args))
+    monkeypatch.setattr(solver, "_power_source", lambda p: lambda r, t, u: np.abs(u) ** p)
+    monkeypatch.setattr(diagnostics, "homogeneous_levels", march_oracle.homogeneous_levels)
     monkeypatch.setattr(solver, "_row_ends", lambda g: np.full(g.shape[0], g.shape[1]))
     assert _solve_and_diagnose(tmp_path / "whole", doc) == (codes, cut)
 
@@ -469,10 +474,12 @@ def test_sweep_rows_and_resume(tmp_path):
     assert row20[2] == "complete" and row20[5] == "0"
     row30 = lines[3].split(",")
     assert row30[6] == "" and float(row30[7]) < 0
-    # each row manifest carries its solve's timings
+    # each row manifest carries its solve's timings, and wall_time_s means
+    # what it means in solve's manifest: march plus residual
     for row_dir in (tmp_path / "sweep" / "rows").iterdir():
         man = json.loads((row_dir / "manifest.json").read_text())
         assert set(man["timings"]) == {"march_s", "residual_s", "field_write_s", "blowup_fit_s"}
+        assert man["wall_time_s"] == man["timings"]["march_s"] + man["timings"]["residual_s"]
         assert man["peak_rss_mb"] > 0.0
     # resume: artifacts verify against manifests and rows are reused bytewise
     assert main(["sweep", "--config", cfg_path]) == 0

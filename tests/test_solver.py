@@ -1,13 +1,15 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from wavelab import solver
+from wavelab import diagnostics, solver
 from wavelab.config import parse_run_config
 from wavelab.profiles import RadialProfile, bump_profile, zero_profile
+from wavelab.diagnostics import select_t2_delta
 from wavelab.regions import influence_quadrature
 from wavelab.solver import (CharGrid, FieldFormatError, Problem, RadialField, apply_P,
                             detect_blowup_time, homogeneous_levels, integral_residual,
@@ -354,6 +356,68 @@ def test_homogeneous_node_read_is_bitwise_linear_radial():
     assert np.array_equal(homogeneous_levels(f, g, grid).at(ii, jj), whole[jj, ii])
 
 
+def _band_cases(tmp_path):
+    """(fbar, gbar, grid) triples for the banded u0 against the full-width one."""
+    knots, rho = np.linspace(0.0, 1.2, 9), 0.8          # rho between the knots 0.75 and 0.9
+    for name, values in (("f", 0.5 * np.clip(1 - (knots / rho) ** 2, 0, None) ** 2),
+                         ("g", 2.0 * np.clip(1 - (knots / rho) ** 2, 0, None))):
+        (tmp_path / f"{name}.csv").write_text(
+            "r,value\n" + "".join(f"{r:.17g},{v:.17g}\n" for r, v in zip(knots, values)))
+    csv = (RadialProfile.from_csv(tmp_path / "f.csv", rho),
+           RadialProfile.from_csv(tmp_path / "g.csv", rho))
+    grid = CharGrid(0.1, 6.0, 4.0)                       # not dyadic: every rounding counts
+    gr = grid.r_values()
+    return {
+        "bump": (bump_profile(5.0, RHO, gr), bump_profile(-3.0, RHO, gr), grid),
+        "off-lattice-bump": (*_off_lattice_data(), CharGrid(1 / 32, RHO + 4.0, 4.0)),
+        "custom-csv": (*csv, grid),
+        "csv-more-levels-than-columns": (*csv, CharGrid(1 / 16, 1.5, 3.0)),
+        "f-quarter-radius": (bump_profile(1.0, RHO / 4, gr), bump_profile(3.0, RHO, gr), grid),
+        "zero": (zero_profile(RHO, gr), zero_profile(RHO, gr), grid),
+    }
+
+
+@pytest.mark.parametrize("rows", [1, 7, 32, 256, None])
+def test_homogeneous_band_is_the_full_width_evaluator(tmp_path, rows):
+    # every block of levels is bitwise the full-width block, and off the band
+    # |i - j| <= ceil(rho/h) + 1 it is +0.0 with no signbit
+    for name, (f, g, grid) in _band_cases(tmp_path).items():
+        band = math.ceil(max(f.rho, g.rho) / grid.h) + 1
+        assert band < grid.n_t, name
+        got, want = homogeneous_levels(f, g, grid), march_oracle.homogeneous_levels(f, g, grid)
+        step = rows or grid.n_t + 1
+        for lo in range(0, grid.n_t + 1, step):
+            hi = min(lo + step, grid.n_t + 1)
+            block, full = got(lo, hi), want(lo, hi)
+            assert block.shape == full.shape and block.tobytes() == full.tobytes(), (name, lo)
+            jj, ii = np.indices(block.shape)
+            off = block[np.abs(ii - (jj + lo)) > band]
+            assert np.all(off == 0) and not np.any(np.signbit(off)), (name, lo)
+        whole = want(0, grid.n_t + 1)
+        assert (name == "zero") == (not np.any(whole)), name
+
+
+def test_march_reads_the_banded_u0_bitwise(monkeypatch):
+    # the march, in blocks of 7 levels, on the banded u0 and on the full-width one
+    grid = CharGrid(RHO / 16, RHO + 8.0, 8.0)
+    gr = grid.r_values()
+    prob = Problem(2.41, 1.0, bump_profile(1.0, RHO / 4, gr), bump_profile(3.0, RHO, gr))
+    monkeypatch.setattr(solver, "_U0_BLOCK", 7)
+    banded = solve_march(prob, grid)
+    monkeypatch.setattr(solver, "homogeneous_levels", march_oracle.homogeneous_levels)
+    full = solve_march(prob, grid)
+    assert (banded.status, banded.t_b) == (full.status, full.t_b)
+    assert banded.samples.tobytes() == full.samples.tobytes()
+
+
+def test_cone_selection_reads_the_banded_u0(monkeypatch, blowup_run_coarse):
+    # the README run at rho/32: the same (t2, delta) from the full-width u0
+    prob, fld = blowup_run_coarse
+    got = select_t2_delta(fld, prob.f_profile, prob.g_profile)
+    monkeypatch.setattr(diagnostics, "homogeneous_levels", march_oracle.homogeneous_levels)
+    assert select_t2_delta(fld, prob.f_profile, prob.g_profile) == got
+
+
 # ---------------------------------------------------------------------------
 # marching solver
 # ---------------------------------------------------------------------------
@@ -600,9 +664,16 @@ def test_march_rejects_a_lattice_whose_axis_diagonal_leaves_it():
 
 # the march against its reference (march_oracle), bit for bit
 
-def _assert_march_is_oracle(fbar, gbar, grid, A, sigma, limits):
-    samples, status, t_b = solver._march(fbar, gbar, grid, A, sigma, *limits)
-    ref, ref_status, ref_t_b = march_oracle._march(fbar, gbar, grid, A, sigma, *limits)
+def _into(source):
+    # a source sigma(r, t, u) that returns its values, as the march's sigma(r, t, u, out)
+    def sigma(r, t, u, out):
+        out[...] = source(r, t, u)
+    return sigma
+
+
+def _assert_march_is_oracle(fbar, gbar, grid, A, source, limits, cone):
+    samples, status, t_b = solver._march(fbar, gbar, grid, A, _into(source), *limits, cone=cone)
+    ref, ref_status, ref_t_b = march_oracle._march(fbar, gbar, grid, A, source, *limits)
     assert (status, t_b, samples.shape) == (ref_status, ref_t_b, ref.shape)
     assert samples.tobytes() == ref.tobytes()
     return samples, status
@@ -646,11 +717,44 @@ def test_march_window_follows_the_data_support():
     _assert_solve_is_oracle(prob, grid)
 
 
+def test_march_rows_stop_at_the_light_cone_window(monkeypatch):
+    # solve_march hands its source level rows cut at i <= j + floor(rho/h) + 1;
+    # solve_forced, whose forcing may reach any column, whole rows
+    grid = CharGrid(RHO / 16, RHO + 8.0, 8.0)
+    prob = blowup_problem(grid, amplitude=1.0)
+    real, rows = solver._power_source, []
+
+    def recording(p):
+        sigma = real(p)
+
+        def record(r, t, u, out):
+            if not isinstance(t, np.ndarray):
+                rows.append((round(t / grid.h), r.size))
+            sigma(r, t, u, out)
+        return record
+
+    monkeypatch.setattr(solver, "_power_source", recording)
+    assert solve_march(prob, grid).status == "complete"
+    reach = int(prob.rho / grid.h) + 1
+    assert len(rows) == 3 * grid.n_t + 1 and rows[0] == (0, reach + 1)
+    assert all(size == min(grid.n_r, j + reach) + 1 for j, size in rows)
+    sizes = []
+
+    def forcing(r, t):
+        if r[0] == 0.0:                            # a level row, not the axis diagonal
+            sizes.append(r.size)
+        return _mms_forcing(r, t)
+
+    fb, gb, grid = _mms_data(16)
+    solve_forced(fb, gb, forcing, grid)
+    assert sizes == [grid.n_r + 1] * (3 * grid.n_t + 1)
+
+
 def test_forced_and_blocked_march_is_bitwise_the_oracle(monkeypatch):
     fb, gb, grid = _mms_data(32)
-    _assert_march_is_oracle(fb, gb, grid, 1.0, _forced(_mms_forcing), (np.inf,) * 3)
+    _assert_march_is_oracle(fb, gb, grid, 1.0, _forced(_mms_forcing), (np.inf,) * 3, False)
     monkeypatch.setattr(solver, "_U0_BLOCK", 7)   # the oracle reads 32 levels at a time
-    _assert_march_is_oracle(fb, gb, grid, 1.0, _forced(_mms_forcing), (np.inf,) * 3)
+    _assert_march_is_oracle(fb, gb, grid, 1.0, _forced(_mms_forcing), (np.inf,) * 3, False)
     assert _assert_nonlinear_march_is_oracle(2.0, 10.0)[1] == "blown_up"
 
 
@@ -658,22 +762,29 @@ def test_march_error_exits_are_the_oracle():
     # a source that turns NaN at t = 1/2 makes u non-finite at level 16
     fb, gb, grid = _mms_data(32)
     nan_late = _forced(lambda r, t: np.where(t >= 0.5, np.nan, _mms_forcing(r, t)))
-    samples, status = _assert_march_is_oracle(fb, gb, grid, 1.0, nan_late, (np.inf,) * 3)
+    samples, status = _assert_march_is_oracle(fb, gb, grid, 1.0, nan_late, (np.inf,) * 3, False)
     assert status == "error" and samples.shape[0] == 16
-    # |u|^3 overflows while u is still finite: the check on the source row stops it
+    # |u|^3 overflows while u is still finite: the check on the source row stops
+    # it, whether that row holds +inf, -inf (the mirrored problem) or NaN
     grid = CharGrid(RHO / 16, RHO + 20.0, 20.0)
-    prob = blowup_problem(grid, amplitude=24.0, p=3.0)
-    calls = []
+    window = 11 + int(RHO / grid.h) + 2            # level 11's light-cone window
+    for sign, bad in ((1.0, np.inf), (-1.0, -np.inf), (1.0, np.nan)):
+        prob = blowup_problem(grid, amplitude=24.0 * sign, p=3.0)
+        calls = []
 
-    def sigma(r, t, u):
-        out = np.abs(u) ** 3.0
-        calls.append((r.size, bool(np.all(np.isfinite(u))), bool(np.all(np.isfinite(out)))))
-        return out
+        def sigma(r, t, u):
+            out = sign * np.abs(u) ** 3.0
+            out[np.isinf(out)] = bad
+            calls.append((r.size, bool(np.all(np.isfinite(u))), bool(np.all(np.isfinite(out)))))
+            return out
 
-    samples, status = _assert_march_is_oracle(prob.f_profile, prob.g_profile, grid, 1.0,
-                                              sigma, (1e300, np.inf, np.inf))
-    assert status == "error" and samples.shape[0] == 11
-    assert calls.count((grid.n_r + 1, True, False)) == 2 and calls[-1][1:] == (True, False)
+        samples, status = _assert_march_is_oracle(prob.f_profile, prob.g_profile, grid, 1.0,
+                                                  sigma, (1e300, np.inf, np.inf), True)
+        assert status == "error" and samples.shape[0] == 11
+        # one overflowing call from each march, the source row of level 11: the
+        # solver's on its light-cone window, then the oracle's on the full row
+        assert [c[0] for c in calls if c[1:] == (True, False)] == [window, grid.n_r + 1]
+        assert calls[-1][1:] == (True, False)
 
 
 def test_blowup_run_and_refinement_stability(blowup_run_coarse):
