@@ -3,12 +3,12 @@
 Exit codes are a contract for scripting: 0 success (a detected blow-up is a
 result, not a failure), 2 configuration or parse errors, 3 numerical errors or
 failed verdicts, 4 insufficient grid (extend t_max or the sample window).
-Every artifact except the manifests is deterministic: the field is one npz
-whose zip entries carry a fixed timestamp, and every CSV uses 17 significant
-digits.  Wall-clock data (timings, peak RSS) lives only in the run manifests,
-`manifest.json` and `diagnose_manifest.json`.  The WAVELAB_LOG environment
-variable selects the log level (DEBUG/INFO/WARNING/ERROR); there is no other
-environment coupling.
+Every artifact except the manifests is deterministic: `field.npz` and
+`residuals.npz` are npz files whose zip entries carry a fixed timestamp, and
+the two CSVs (`sweep.csv`, `mean.csv`) use 17 significant digits.  Wall-clock
+data (timings, peak RSS) lives only in the run manifests, `manifest.json` and
+`diagnose_manifest.json`.  The WAVELAB_LOG environment variable selects the log
+level (DEBUG/INFO/WARNING/ERROR); there is no other environment coupling.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def _run_diagnose(cfg: RunConfig, field_path, out_dir: Path):
     report = check_chain(field, ChainConfig(p, A, t2, delta, cfg.epsilon))
     phases.done("check_chain", "holds" if report.holds else "violated")
     _write_json(out_dir / "diagnostics.json", report.to_json_dict())
-    report.tables_to_csv(out_dir / "residuals.csv")
+    report.save_tables(out_dir / "residuals.npz")
     phases.done("tables", f"{sum(tb.lhs.size for tb in report.tables)} rows")
 
     cert_doc = {"r_star_note": "failure radius derived from the lemma's proof, "

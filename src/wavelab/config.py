@@ -16,7 +16,7 @@ from typing import Optional
 
 from .profiles import RadialProfile, bump_profile, zero_profile
 from .solver import (DEFAULT_BLOWUP_THRESHOLD, DEFAULT_DIVERGENCE_FACTOR,
-                     CharGrid, Problem)
+                     CharGrid, Problem, _is_number)
 
 __all__ = ["ConfigError", "RunConfig", "SweepConfig", "apply_overrides", "config_hash"]
 
@@ -34,11 +34,6 @@ def _require_keys(d, allowed, required, path):
     for k in required:
         if k not in d:
             raise ConfigError(f"missing key: {path + '.' if path else ''}{k}")
-
-
-def _is_number(v):
-    """A JSON number that is finite: Python's json also reads NaN and Infinity."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _number(d, key, path, default=None, positive=False, nonneg=False):

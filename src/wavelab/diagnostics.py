@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -47,7 +46,7 @@ import numpy as np
 from .gronwall import _cumulative_trapezoid
 from .profiles import RadialProfile
 from .regions import influence_quadrature
-from .solver import RadialField, homogeneous_levels
+from .solver import RadialField, _write_npz, homogeneous_levels
 
 __all__ = [
     "GridTooShortError",
@@ -66,7 +65,7 @@ CRITICAL_P = 1.0 + math.sqrt(2.0)
 BRT_SAMPLES = 60    # Sigma nodes checked by the region integral bound
 G1_SAMPLES = 144    # (alpha, beta) pairs checked by the weighted functional bound
 _GRID_ROWS = 256    # alpha-rows of the characteristic grid held at once
-_CSV_ROWS = 512     # table rows formatted at once by tables_to_csv
+MAX_ROWS = 20000    # rows a residual table keeps; past it, sampled (InequalityTable.build)
 
 
 class GridTooShortError(ValueError):
@@ -140,7 +139,7 @@ class InequalityTable:
     constants: dict
 
     @staticmethod
-    def build(inequality_id, r, t, lhs, rhs, tol, constants=None, max_rows=20000):
+    def build(inequality_id, r, t, lhs, rhs, tol, constants=None, max_rows=MAX_ROWS):
         """The table of lhs - rhs over the given points, at most about max_rows kept.
 
         Above max_rows, every stride-th row and the first row of least
@@ -152,10 +151,6 @@ class InequalityTable:
                    np.asarray(rhs, dtype=float).ravel(),
                    np.broadcast_to(np.asarray(tol, dtype=float), lhs.shape).ravel())
         return stream.finish()
-
-    @property
-    def residual(self):
-        return self.lhs - self.rhs
 
     def verdict(self):
         return "holds" if self.holds else f"violated(r={self.argmin[0]:g}, t={self.argmin[1]:g})"
@@ -171,7 +166,7 @@ class _TableStream:
     ``build``; fed in any blocks it gives the same table bit for bit.
     """
 
-    def __init__(self, inequality_id, size, constants=None, max_rows=20000):
+    def __init__(self, inequality_id, size, constants=None, max_rows=MAX_ROWS):
         if size == 0:
             raise ValueError(f"empty residual table for {inequality_id}")
         self.inequality_id, self.size, self.constants = inequality_id, size, constants or {}
@@ -233,16 +228,19 @@ class DiagnosticsReport:
             "notes": self.notes,
         }
 
-    def tables_to_csv(self, path):
-        row = "{},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}\n".format
-        with open(path, "w", newline="") as fh:
-            fh.write("inequality_id,r,t,lhs,rhs,residual\n")
-            for tb in self.tables:
-                cols = (tb.r, tb.t, tb.lhs, tb.rhs, tb.residual)
-                # row blocks: whole columns of Python floats would raise diagnose's peak RSS
-                for lo in range(0, tb.lhs.size, _CSV_ROWS):
-                    fh.writelines(map(row, repeat(tb.inequality_id),
-                                      *(c[lo : lo + _CSV_ROWS].tolist() for c in cols)))
+    def save_tables(self, path):
+        """Write ``residuals.npz`` (``_write_npz``): each table's r, t, lhs, rhs and
+        tol as float64 members ``<inequality_id>.<column>``, in table order, and a
+        ``meta`` with the ids in order, each table's rows and constants, and the
+        sampling rule."""
+        ids = [tb.inequality_id for tb in self.tables]
+        _write_npz(path, {f"{i}.{c}": getattr(tb, c) for i, tb in zip(ids, self.tables)
+                          for c in ("r", "t", "lhs", "rhs", "tol")},
+                   {"tables": ids, "rows": {i: tb.lhs.size for i, tb in zip(ids, self.tables)},
+                    "constants": {i: tb.constants for i, tb in zip(ids, self.tables)},
+                    "max_rows": MAX_ROWS,
+                    "sampling": "past max_rows points: every (points // max_rows + 1)-th "
+                                "point and the first of least residual"})
 
 
 # ---------------------------------------------------------------------------
@@ -265,28 +263,34 @@ def select_t2_delta(field: RadialField, fbar: RadialProfile, gbar: RadialProfile
     level j2 is admissible iff j2 exceeds that reach on every level from j2 on,
     a suffix maximum.  tol is known only after the last block, so the blocks
     with a value below -1e-10, the least tol possible, are evaluated again.
+    Off the band |i - j| <= b = ceil(rho/h) + 1 that the evaluator fills, u0 is
+    +0.0 (column 0 too: u0(0, t) vanishes for t > rho), so max|u0| and c_j read
+    only the columns that the band of the block's levels reaches.
     """
     grid = field.grid
     h = grid.h
-    d_cells = max(4, int(math.ceil(max(fbar.rho, gbar.rho) / (8.0 * h))))
+    rho = max(fbar.rho, gbar.rho)
+    d_cells = max(4, int(math.ceil(rho / (8.0 * h))))
     d_cells += d_cells % 2
     delta = d_cells * h
 
-    n_lev = field.n_levels
+    n_lev, b = field.n_levels, math.ceil(rho / h) + 1
     u0_levels = homogeneous_levels(fbar, gbar, grid)
     reach = np.full(n_lev, -1)          # j - c_j per level, -1 where no column is below -tol
     scale, suspect = 1.0, []
     for lo in range(0, grid.n_t + 1, _GRID_ROWS):
         hi = min(lo + _GRID_ROWS, grid.n_t + 1)
-        u0 = u0_levels(lo, hi)
+        c0 = max(0, min(lo, grid.n_r) - b)
+        u0 = u0_levels(lo, hi)[:, c0 : hi + b]
         scale = max(scale, float(np.max(np.abs(u0))))
         if lo < n_lev:
-            reach[lo:hi] = _cone_reach(u0[: n_lev - lo], lo, 1e-10)
+            reach[lo:hi] = _cone_reach(u0[: n_lev - lo], lo, 1e-10, c0)
             if np.any(reach[lo:hi] >= 0):
-                suspect.append((lo, hi))
+                suspect.append((lo, hi, c0))
     if scale > 1.0:
-        for lo, hi in suspect:
-            reach[lo:hi] = _cone_reach(u0_levels(lo, hi)[: n_lev - lo], lo, 1e-10 * scale)
+        for lo, hi, c0 in suspect:
+            u0 = u0_levels(lo, hi)[: n_lev - lo, c0 : hi + b]
+            reach[lo:hi] = _cone_reach(u0, lo, 1e-10 * scale, c0)
 
     worst = np.maximum.accumulate(reach[::-1])[::-1]   # max of j - c_j over the levels j >= j2
     for j2 in np.flatnonzero(np.arange(n_lev) > worst).tolist():
@@ -298,16 +302,17 @@ def select_t2_delta(field: RadialField, fbar: RadialProfile, gbar: RadialProfile
     raise ValueError("no admissible cone")
 
 
-def _cone_reach(u0, lo, tol):
+def _cone_reach(u0, lo, tol, c0=0):
     """j - c_j for the levels j = lo, lo+1, ... of the block u0; -1 where no c_j.
 
-    c_j is the first column i <= j with u0[j, i] < -tol: the cone from level j2
-    meets it iff j - j2 >= c_j.
+    u0 holds the columns c0, c0 + 1, ... of its levels.  c_j is the first
+    column i <= j with u0[j, i] < -tol: the cone from level j2 meets it iff
+    j - j2 >= c_j.
     """
     j = np.arange(lo, lo + u0.shape[0])
     bad = u0 < -tol
-    bad &= np.arange(u0.shape[1]) <= j[:, None]
-    return np.where(bad.any(axis=1), j - bad.argmax(axis=1), -1)
+    bad &= np.arange(c0, c0 + u0.shape[1]) <= j[:, None]
+    return np.where(bad.any(axis=1), j - c0 - bad.argmax(axis=1), -1)
 
 
 def compute_M(field: RadialField, t2: float, delta: float, p: float) -> float:

@@ -94,12 +94,6 @@ class RadialProfile:
         out = self._moments[idx] + part
         return out if out.ndim else float(out)
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("r,value\n")
-            for ri, vi in zip(self.r, self.values):
-                fh.write(f"{ri:.17g},{vi:.17g}\n")
-
     @staticmethod
     def from_csv(path, rho):
         data = np.genfromtxt(path, delimiter=",", skip_header=1)

@@ -142,9 +142,7 @@ _STATUSES = ("complete", "blown_up", "error")
 
 
 class FieldFormatError(ValueError):
-    """A field artifact that cannot be read: not an npz, a missing member or
-    meta key, a bad meta value or grid, or samples of the wrong shape, dtype or
-    with non-finite values."""
+    """An npz artifact that cannot be read (``_read_npz``, ``RadialField.load``)."""
 
 
 @dataclass
@@ -186,64 +184,20 @@ class RadialField:
     def level_max(self):
         return np.max(np.abs(self.samples), axis=1)
 
-    def to_csv(self, path):
-        """Text export: a ``# wavelab-field`` header line, then r,t,value rows (17 digits)."""
-        h = self.grid.h
-        n_r = self.grid.n_r
-        rv = self.grid.r_values()
-        tb = "none" if self.t_b is None else f"{self.t_b:.17g}"
-        p = "none" if self.p is None else f"{self.p:.17g}"
-        a = "none" if self.A is None else f"{self.A:.17g}"
-        rows = np.empty((self.n_levels * (n_r + 1), 3))
-        rows[:, 0] = np.tile(rv, self.n_levels)
-        rows[:, 1] = np.repeat(self.grid.t_values(self.n_levels), n_r + 1)
-        rows[:, 2] = self.samples.ravel()
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# wavelab-field h={h:.17g} r_max={self.grid.r_max:.17g} "
-                     f"t_max={self.grid.t_max:.17g} p={p} A={a} status={self.status} t_b={tb}\n")
-            fh.write("r,t,value\n")
-            np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
-
     def save(self, path):
-        """Write the field artifact: one npz holding ``samples`` and ``meta``.
-
-        ``samples`` is the float64 array unchanged; ``meta`` is a 0-d string of
-        sort-keyed JSON (h, r_max, t_max, p, A, status, t_b; floats by repr, so
-        they round-trip exactly).  Uncompressed, and zip entries carry the fixed
-        1980-01-01 stamp, so two writes of one field are byte-identical.
-        """
-        meta = {"h": self.grid.h, "r_max": self.grid.r_max, "t_max": self.grid.t_max,
-                "p": self.p, "A": self.A, "status": self.status, "t_b": self.t_b}
-        with open(path, "wb") as fh:
-            np.savez(fh, samples=self.samples, meta=np.array(json.dumps(meta, sort_keys=True)))
+        """Write the field artifact (``_write_npz``): the float64 ``samples``
+        unchanged and ``meta`` (h, r_max, t_max, p, A, status, t_b; floats by
+        repr, so they round-trip exactly)."""
+        _write_npz(path, {"samples": self.samples},
+                   {"h": self.grid.h, "r_max": self.grid.r_max, "t_max": self.grid.t_max,
+                    "p": self.p, "A": self.A, "status": self.status, "t_b": self.t_b})
 
     @staticmethod
     def load(path):
-        """Read a field artifact written by ``save``; refuses pickled members.
-
-        A missing file raises FileNotFoundError; every other defect (not an npz,
-        truncated, a missing member or key, a bad value, an off-lattice grid,
-        samples of the wrong width or dtype or not finite) a FieldFormatError.
-        """
-        with open(path, "rb") as fh:
-            if fh.read(4) != b"PK\x03\x04":
-                raise FieldFormatError("not a wavelab field npz (no zip signature)")
-            fh.seek(0)
-            try:
-                with np.load(fh) as npz:
-                    samples, meta = npz["samples"], npz["meta"]
-            except KeyError as exc:
-                raise FieldFormatError(f"malformed field npz ({exc.args[0]})") from None
-            except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
-                raise FieldFormatError(f"malformed field npz ({exc})") from None
-        if meta.shape != () or meta.dtype.kind != "U":
-            raise FieldFormatError("malformed field meta (not a string)")
-        try:
-            meta = json.loads(meta[()])
-        except ValueError as exc:
-            raise FieldFormatError(f"malformed field meta ({exc})") from None
-        if not isinstance(meta, dict):
-            raise FieldFormatError("malformed field meta (not an object)")
+        """Read a field artifact written by ``save`` (``_read_npz``); a missing or
+        bad meta key, an off-lattice grid, or samples of the wrong width or dtype
+        or not finite raise FieldFormatError too."""
+        members, meta = _read_npz(path, "field")
 
         def number(key, optional=False):
             if key not in meta:
@@ -251,8 +205,7 @@ class RadialField:
             value = meta[key]
             if value is None and optional:
                 return None
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
+            if not _is_number(value):
                 raise FieldFormatError(f"malformed field meta ({key}={value!r})")
             return float(value)
 
@@ -261,6 +214,7 @@ class RadialField:
         status = meta.get("status")
         if status not in _STATUSES:
             raise FieldFormatError(f"malformed field meta (status={status!r})")
+        samples = members.get("samples", np.array(None))
         if samples.dtype != np.float64 or samples.ndim != 2 or samples.shape[0] == 0:
             raise FieldFormatError(f"malformed field samples ({samples.dtype}, shape {samples.shape})")
         try:
@@ -268,6 +222,45 @@ class RadialField:
                                status=status, t_b=t_b, p=p, A=A)
         except ValueError as exc:
             raise FieldFormatError(f"malformed field ({exc})") from None
+
+
+def _is_number(v):
+    """A JSON number that is finite: Python's json also reads NaN and Infinity."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _write_npz(path, arrays, meta):
+    """One deterministic npz artifact: the arrays in order, then ``meta``, a 0-d
+    string of sort-keyed JSON.  Uncompressed, pickling refused, and every zip
+    entry carries the fixed 1980-01-01 stamp, so equal content gives equal bytes."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, value in (*arrays.items(), ("meta", np.array(json.dumps(meta, sort_keys=True)))):
+            entry = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with zf.open(entry, "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asanyarray(value), allow_pickle=False)
+
+
+def _read_npz(path, what):
+    """(arrays, meta dict) of an npz artifact written by ``_write_npz``.  A missing
+    file raises FileNotFoundError; no zip signature, a pickled or unreadable
+    member, or a meta not a JSON object string a FieldFormatError naming ``what``."""
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":
+            raise FieldFormatError(f"not a wavelab {what} npz (no zip signature)")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as npz:
+                members = {name: npz[name] for name in npz.files}
+        except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+            raise FieldFormatError(f"malformed {what} npz ({exc})") from None
+    meta = members.pop("meta", np.array(None))
+    try:
+        meta = json.loads(meta[()]) if meta.shape == () and meta.dtype.kind == "U" else None
+    except ValueError:
+        meta = None
+    if not isinstance(meta, dict):
+        raise FieldFormatError(f"malformed {what} meta (not a JSON object string)")
+    return members, meta
 
 
 # ---------------------------------------------------------------------------

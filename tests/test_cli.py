@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from wavelab.solver import RadialField
 
 import march_oracle
 import quadrature_oracle
+from text_export import field_to_csv
 
 
 def write(path, doc):
@@ -219,8 +221,25 @@ def test_diagnose_end_to_end(solved_run, tmp_path):
     assert math.log10(g["t_b"]) <= g["log10_r_star"]
     assert g["t_b_within_r_star"] is True
     assert g["window_end"] < g["t_b"]
-    header = (tmp_path / "diag" / "residuals.csv").read_text().splitlines()[0]
-    assert header == "inequality_id,r,t,lhs,rhs,residual"
+    members, meta = solver._read_npz(tmp_path / "diag" / "residuals.npz", "residuals")
+    assert set(meta["tables"]) == set(d["verdicts"])
+    assert list(members) == [f"{i}.{c}" for i in meta["tables"]
+                             for c in ("r", "t", "lhs", "rhs", "tol")]
+    assert all(members[f"{i}.lhs"].size == n for i, n in meta["rows"].items())
+
+
+def test_diagnose_residuals_npz_is_deterministic(solved_run, tmp_path):
+    tmp, _ = solved_run
+    for out in ("a", "b"):
+        assert main(["diagnose", "--config", str(tmp / "c.json"),
+                     "--field", str(tmp / "out" / "field.npz"),
+                     "--output", str(tmp_path / out)]) == 0
+    first = (tmp_path / "a" / "residuals.npz").read_bytes()
+    assert first[:4] == b"PK\x03\x04" and first == (tmp_path / "b" / "residuals.npz").read_bytes()
+    # equal bytes across runs at any time of day: the zip stamps are fixed
+    with zipfile.ZipFile(tmp_path / "a" / "residuals.npz") as zf:
+        assert {(e.date_time, e.compress_type) for e in zf.infolist()} == {
+            ((1980, 1, 1, 0, 0, 0), zipfile.ZIP_STORED)}
 
 
 def test_diagnose_manifest_records_timings(tmp_path):
@@ -243,8 +262,9 @@ def test_diagnose_manifest_records_timings(tmp_path):
     steps = [after[k] for k in ("field_read", "select", "check_chain", "tables", "certify")]
     assert 0 < steps[0] and steps == sorted(steps) and steps[-1] <= man["peak_rss_mb"]
     assert man["config_hash"] == config_hash(doc) and man["package_version"] == __version__
-    for name in ("diagnostics.json", "gronwall.json", "residuals.csv"):
-        text = (tmp_path / "diag" / name).read_text()
+    meta = solver._read_npz(tmp_path / "diag" / "residuals.npz", "residuals")[1]
+    for text in [(tmp_path / "diag" / name).read_text()
+                 for name in ("diagnostics.json", "gronwall.json")] + [json.dumps(meta)]:
         assert "timings" not in text and "peak_rss_mb" not in text
 
     # cone base set, no --output: the solve directory keeps solve's manifest
@@ -372,7 +392,7 @@ def _nan_cell(samples):
 
 def _as_csv(src, tmp_path):
     bad = tmp_path / "field.csv"
-    RadialField.load(src).to_csv(bad)
+    field_to_csv(RadialField.load(src), bad)
     return bad
 
 
@@ -419,7 +439,7 @@ def _solve_and_diagnose(tmp_path, doc):
     codes = (main(["solve", "--config", cfg, "--output", str(tmp_path / "out")]),
              main(["diagnose", "--config", cfg, "--field", str(tmp_path / "out" / "field.npz"),
                    "--output", str(tmp_path / "out")]))
-    names = ("field.npz", "residual.json", "diagnostics.json", "gronwall.json", "residuals.csv")
+    names = ("field.npz", "residual.json", "diagnostics.json", "gronwall.json", "residuals.npz")
     return codes, {name: (tmp_path / "out" / name).read_bytes() for name in names}
 
 

@@ -12,7 +12,8 @@ from wavelab.diagnostics import (ChainConfig, GridTooShortError, InequalityTable
                                  s_exponent, select_t2_delta)
 from wavelab.profiles import RadialProfile, bump_profile, zero_profile
 from wavelab.regions import influence_quadrature
-from wavelab.solver import CharGrid, Problem, RadialField, homogeneous_levels, solve_march
+from wavelab.solver import (CharGrid, Problem, RadialField, _read_npz, homogeneous_levels,
+                            solve_march)
 
 from conftest import RHO
 from field_oracle import H_of, interpolate
@@ -534,18 +535,9 @@ def test_check_chain_peak_memory(crit4_run):
     assert peak <= 2 * field.samples.nbytes
 
 
-def _tables_csv_by_row_loop(report):
-    """The per-row f-string writer that tables_to_csv replaced, the byte oracle."""
-    out = ["inequality_id,r,t,lhs,rhs,residual\n"]
-    for tb in report.tables:
-        res = tb.residual
-        for i in range(tb.lhs.size):
-            out.append(f"{tb.inequality_id},{tb.r[i]:.17g},{tb.t[i]:.17g},"
-                       f"{tb.lhs[i]:.17g},{tb.rhs[i]:.17g},{res[i]:.17g}\n")
-    return "".join(out).encode()
-
-
-def test_tables_to_csv_bytes_match_row_loop(crit4_chain, tmp_path):
+def test_residual_tables_npz_round_trip(crit4_chain, tmp_path):
+    # every column comes back bit for bit, odd values included, and meta
+    # lists the tables in order with their row counts and constants
     _, report = crit4_chain
     rng = np.random.default_rng(4)
     n = 50
@@ -556,14 +548,24 @@ def test_tables_to_csv_bytes_match_row_loop(crit4_chain, tmp_path):
     mixed = dataclasses.replace(report, tables=list(report.tables) + [odd])
     assert any(np.isnan(tb.t).all() for tb in report.tables)
     for rep in (report, mixed):
-        rep.tables_to_csv(tmp_path / "residuals.csv")
-        assert (tmp_path / "residuals.csv").read_bytes() == _tables_csv_by_row_loop(rep)
+        rep.save_tables(tmp_path / "residuals.npz")
+        members, meta = _read_npz(tmp_path / "residuals.npz", "residuals")
+        ids = [tb.inequality_id for tb in rep.tables]
+        assert meta["tables"] == ids and len(members) == 5 * len(ids)
+        for tb in rep.tables:
+            assert meta["rows"][tb.inequality_id] == tb.lhs.size
+            assert meta["constants"][tb.inequality_id] == tb.constants
+            for col in ("r", "t", "lhs", "rhs", "tol"):
+                got, want = members[f"{tb.inequality_id}.{col}"], getattr(tb, col)
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert meta["max_rows"] == diagnostics.MAX_ROWS
+    assert mixed.tables[-1].constants == {} and meta["constants"]["synthetic"] == {}
 
 
 def test_holder_residual_invariant(crit4_chain):
     field, report = crit4_chain
     table = next(tb for tb in report.tables if tb.inequality_id == "holder_interpolation")
-    assert np.all(table.residual >= -table.tol)
+    assert np.all(table.lhs - table.rhs >= -table.tol)
 
 
 def test_superadditivity_unit_and_property():

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import wavelab
 from wavelab import diagnostics, gronwall, profiles, regions, solver
+from wavelab.cli import main
 
 # exported for the acceptance criteria, which define P and the manufactured
 # solution through them, not for any command
@@ -29,13 +31,30 @@ def test_every_exported_name_resolves():
                      "RegionR", "RegionT", "RegionQ", "RegionQrt", "RegionBrt", "Sigma",
                      "SigmaPrime", "contains", "area", "subset_check",
                      "linear_radial", "normalize_coefficient", "check_pointwise_lower_bound",
-                     "F_of", "G_of", "H_of", "check_inequality"}
+                     "F_of", "G_of", "H_of", "check_inequality", "tables_to_csv", "_CSV_ROWS"}
     # not exported, since every exported name resolves
-    for module in (wavelab, regions, solver, diagnostics, gronwall):
-        assert not any(hasattr(module, n) for n in moved_or_gone), module.__name__
+    for owner in (wavelab, regions, solver, diagnostics, gronwall, diagnostics.DiagnosticsReport):
+        assert not any(hasattr(owner, n) for n in moved_or_gone), owner.__name__
+    # one export path: the npz artifacts; the text writers are test helpers
+    assert not hasattr(solver.RadialField, "to_csv")
+    assert not hasattr(profiles.RadialProfile, "to_csv")
     assert not hasattr(solver.RadialField, "value_at")
     assert not hasattr(solver.RadialField, "interpolate")
     assert not hasattr(profiles.RadialProfile, "scaled")
+
+
+def test_diagnose_writes_exactly_its_four_artifacts(tmp_path):
+    # the residual tables go to residuals.npz; no CSV or other file rides along
+    doc = {"problem": {"p": 2.0, "A": 1.0,
+                       "data": {"profile": "bump", "amplitude": 10.0, "rho": 1.0}},
+           "grid": {"h": 1 / 16, "t_max": 16.0}}
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    cfg, field = str(tmp_path / "c.json"), str(tmp_path / "run" / "field.npz")
+    assert main(["solve", "--config", cfg, "--output", str(tmp_path / "run")]) == 0
+    assert main(["diagnose", "--config", cfg, "--field", field,
+                 "--output", str(tmp_path / "diag")]) == 0
+    assert sorted(p.name for p in (tmp_path / "diag").iterdir()) == [
+        "diagnose_manifest.json", "diagnostics.json", "gronwall.json", "residuals.npz"]
 
 
 def _references(tree):

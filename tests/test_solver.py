@@ -11,13 +11,14 @@ from wavelab.config import parse_run_config
 from wavelab.profiles import RadialProfile, bump_profile, zero_profile
 from wavelab.diagnostics import select_t2_delta
 from wavelab.regions import influence_quadrature
-from wavelab.solver import (CharGrid, FieldFormatError, Problem, RadialField, apply_P,
-                            detect_blowup_time, homogeneous_levels, integral_residual,
-                            solve_forced, solve_march)
+from wavelab.solver import (CharGrid, FieldFormatError, Problem, RadialField, _read_npz,
+                            _write_npz, apply_P, detect_blowup_time, homogeneous_levels,
+                            integral_residual, solve_forced, solve_march)
 from wavelab.spherical import ScalarField3, build_sphere_quadrature, spherical_mean
 
 import march_oracle
 from conftest import RHO, blowup_problem
+from text_export import field_to_csv
 from field_oracle import interpolate
 
 
@@ -37,7 +38,7 @@ def test_chargrid_validation():
 
 
 def _parse_field_csv(path):
-    """Test-local reader of the to_csv export: header tokens and r,t,value rows."""
+    """Test-local reader of the text export: header tokens and r,t,value rows."""
     with open(path) as fh:
         header = fh.readline().split()
         assert header[:2] == ["#", "wavelab-field"]
@@ -51,7 +52,7 @@ def test_field_csv_roundtrip(tmp_path):
     vals = np.arange((g.n_t + 1) * (g.n_r + 1), dtype=float).reshape(g.n_t + 1, -1) / 7.0
     f = RadialField(g, vals, status="blown_up", t_b=1.25, p=2.0, A=1.0)
     path = tmp_path / "f.csv"
-    f.to_csv(path)
+    field_to_csv(f, path)
     meta, rows = _parse_field_csv(path)
     assert meta == {"h": "0.25", "r_max": "2", "t_max": "1", "p": "2", "A": "1",
                     "status": "blown_up", "t_b": "1.25"}
@@ -98,6 +99,24 @@ def test_field_save_load_keeps_every_dataclass_field(tmp_path):
             assert got.tobytes() == want.tobytes() and got.shape == want.shape, fd.name
         else:
             assert got == want, fd.name
+
+
+def test_npz_reader_refuses_pickles_and_non_zip_files(tmp_path):
+    # the one reader of field.npz and residuals.npz: a pickled member (an
+    # object array, as np.savez writes it) and a file that is no zip at all
+    g = CharGrid(0.25, 1.0, 0.5)
+    RadialField(g, np.zeros((3, 5))).save(tmp_path / "f.npz")
+    assert _read_npz(tmp_path / "f.npz", "field")[1]["status"] == "complete"
+    np.savez(tmp_path / "pickled.npz", samples=np.zeros((3, 5)).astype(object),
+             meta=np.array("{}"))
+    (tmp_path / "text.npz").write_text("r,t,value\n0,0,0\n")
+    for name, message in (("pickled.npz", "allow_pickle"), ("text.npz", "no zip signature")):
+        with pytest.raises(FieldFormatError, match=message):
+            _read_npz(tmp_path / name, "residuals")
+        with pytest.raises(FieldFormatError, match=message):
+            RadialField.load(tmp_path / name)
+    with pytest.raises(ValueError, match="allow_pickle"):
+        _write_npz(tmp_path / "w.npz", {"x": np.zeros(2, dtype=object)}, {})
 
 
 def test_field_npz_truncated_rejected(tmp_path):

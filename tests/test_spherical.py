@@ -4,6 +4,8 @@ import pytest
 from wavelab.profiles import RadialProfile, bump_profile
 from wavelab.spherical import ScalarField3, build_sphere_quadrature, spherical_mean
 
+from text_export import profile_to_csv
+
 
 @pytest.fixture(scope="module")
 def quad():
@@ -113,7 +115,7 @@ def test_jensen_inequality_on_samples(quad, p):
 def test_profile_csv_roundtrip(tmp_path):
     prof = bump_profile(2.0, 1.0, np.linspace(0, 1.5, 97))
     path = tmp_path / "prof.csv"
-    prof.to_csv(path)
+    profile_to_csv(prof, path)
     back = RadialProfile.from_csv(path, rho=1.0)
     assert np.array_equal(back.r, prof.r)
     assert np.array_equal(back.values, prof.values)
