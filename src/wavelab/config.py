@@ -65,11 +65,14 @@ class DataSpec:
         if self.profile == "bump":
             return (zero_profile(self.rho, grid_r),
                     bump_profile(self.amplitude, self.rho, grid_r))
-        f = RadialProfile.from_csv(self.f_csv, self.rho) if self.f_csv \
-            else zero_profile(self.rho, grid_r)
-        g = RadialProfile.from_csv(self.g_csv, self.rho) if self.g_csv \
-            else zero_profile(self.rho, grid_r)
-        return f, g
+        profiles = []
+        for key, path in (("f_csv", self.f_csv), ("g_csv", self.g_csv)):
+            try:
+                profiles.append(RadialProfile.from_csv(path, self.rho) if path
+                                else zero_profile(self.rho, grid_r))
+            except ValueError as exc:       # a malformed file is a config error
+                raise ConfigError(f"problem.data.{key}: {path}: {exc}") from None
+        return tuple(profiles)
 
 
 @dataclass(frozen=True)

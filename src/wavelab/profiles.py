@@ -35,7 +35,7 @@ class RadialProfile:
         if r.ndim != 1 or v.shape != r.shape:
             raise ValueError("profile grid and values must be 1-D and congruent")
         if r.size < 2 or r[0] != 0.0 or np.any(np.diff(r) <= 0):
-            raise ValueError("grid unsorted: radii must ascend strictly from 0")
+            raise ValueError("grid unsorted: need two or more radii ascending strictly from 0")
         if not np.all(np.isfinite(v)):
             raise ValueError("profile values must be finite")
         if self.rho <= 0:
@@ -96,8 +96,10 @@ class RadialProfile:
 
     @staticmethod
     def from_csv(path, rho):
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        data = np.atleast_2d(data)
+        data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+        rows, cols = data.shape
+        if cols != 2:
+            raise ValueError(f"expected rows of two columns r,value (read {rows}x{cols})")
         return RadialProfile(data[:, 0], data[:, 1], rho)
 
 

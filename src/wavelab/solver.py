@@ -277,32 +277,18 @@ def apply_P(source: RadialField, r: float, t: float) -> float:
     used directly.
     """
     i, j = source.grid.index_of(r, t)
-    if j >= source.n_levels:
+    if j >= source.n_levels or i + j > source.grid.n_r:
         raise ValueError("out of grid")
     h = source.grid.h
     if i == 0:
+        # sum over k < j of w_k (j-k)h sigma((j-k)h, kh), with the trapezoid
+        # weights w_0 = h/2 and w_k = h otherwise (the k = j term has lambda = 0)
         ks = np.arange(j)
-        return _axis_P(source.samples[ks, j - ks], _axis_weights(j, h), (j - ks) * h)
-    if i + j > source.grid.n_r:
-        raise ValueError("out of grid")
+        weights = np.full(j, h)
+        weights[:1] = 0.5 * h
+        return float(np.dot(weights, (j - ks) * h * source.samples[ks, j - ks]))
     g = h * np.arange(i + j + 1) * source.samples[: j + 1, : i + j + 1]
     return float(influence_quadrature(g, i, j)) * h * h / (2.0 * i * h)
-
-
-def _axis_P(sigma_diag, weights, lambdas):
-    """P(sigma)(0, jh), the r -> 0 limit: sum over k < j of w_k (j-k)h sigma_diag[k].
-
-    sigma_diag[k] = sigma((j-k)h, kh) and lambdas[k] = (j-k)h; the trapezoid
-    weights (``_axis_weights``) are w_0 = h/2 and w_k = h otherwise (the k = j
-    term has lambda = 0).
-    """
-    return float(np.dot(weights, lambdas * sigma_diag))
-
-
-def _axis_weights(n, h):
-    weights = np.full(n, h)
-    weights[:1] = 0.5 * h
-    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -383,49 +369,48 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
            cone: bool = True):
     """Level-by-level march; returns (samples, status, t_b).
 
-    The source ``sigma(r, t, u, out)`` writes its values at the nodes (r, t),
-    where the solution is u, into ``out``; t is a scalar on a level and an
-    array on the backward diagonal.  One predictor/corrector pass settles the
-    new level; a source that ignores u (forced mode) gives the same values at
-    both passes.
+    The source ``sigma(r, t, u, out)`` writes its values at the nodes (r, t)
+    of one level, t a scalar, where the solution is u, into ``out``.  One
+    predictor/corrector pass settles the new level; a source that ignores u
+    (forced mode) gives the same values at both passes.
 
-    Only the solution history is kept in full (the r = 0 limit formula reads
-    the source along a backward characteristic through all earlier levels, so
-    that diagonal must stay inside the lattice: n_t <= n_r), and the samples
-    are a prefix of it; ubar0 streams in blocks of levels.  Everything else
-    lives in rows allocated once: A*lambda*sigma at two levels, the auxiliary
+    A step reads no level older than the one before it, so the samples are
+    only written; ubar0 streams in blocks of levels.  Everything else lives in
+    rows allocated once: A*lambda*sigma at two levels, the auxiliary
     w = r*ubar1 at three, the extrapolated and the predicted level, the part
-    ``base`` that both passes share, a scratch row and the source on the axis
-    diagonal.  The solution vanishes beyond r_max, so the right neighbour of
-    the last column is the exact zero kept at the end of every F and w row.
+    ``base`` that both passes share, a scratch row and the axis sums.  The
+    solution vanishes beyond r_max, so the right neighbour of the last column
+    is the exact zero kept at the end of every F and w row.
+
+    The axis value is the r -> 0 limit A*P(sigma)(0, Jh): the sum over k < J
+    of w_k times A*lambda*sigma at ((J-k)h, kh), w_0 = h/2 and w_k = h
+    otherwise.  Node (i, k) enters only the sum of J = i + k, with w_k times
+    its entry of level k's F row, so each F row, once final, is added into
+    the running sums; a node past r_max enters none, so n_t may exceed n_r.
 
     With ``cone``, for a source that vanishes wherever u does (|u|^p), every
     per-level operation runs only on the columns i <= j + floor(rho/h) + 1 of
-    the new level j, rho the data's support radius, and the axis diagonal only
-    on its nodes inside that window.  Past it ubar0 is exactly +0.0 (sharp
-    Huygens) and so, by finite speed of propagation, are u, w and the source.
-    The window grows by one column a level, as the domain of dependence does,
-    so whatever a window node reads past the window of the level before is a
-    row entry never written: the +0.0 the full-width march computes there.
-    The samples are therefore bitwise those of the full-width march (``cone``
-    false, which the forced mode needs: its forcing may reach any column).
+    the new level j, rho the data's support radius.  Past them ubar0 is
+    exactly +0.0 (sharp Huygens) and so, by finite speed of propagation, are
+    u, w and the source.  The window grows by one column a level, as the
+    domain of dependence does, so whatever a window node reads past the window
+    of the level before is a row entry never written: the +0.0 the full-width
+    march computes there; the axis sums, which start at +0.0, skip only +0.0
+    terms.  The samples are therefore bitwise those of the full-width march
+    (``cone`` false, which the forced mode needs: its forcing may reach any
+    column).
     """
     h, n_r, n_t = grid.h, grid.n_r, grid.n_t
-    if n_t > n_r:
-        raise ValueError(f"the r = 0 diagonal leaves the lattice: need n_t <= n_r, "
-                         f"got n_t={n_t}, n_r={n_r}")
-    lam, tv = grid.r_values(), grid.t_values()
-    alam, wts = A * lam, _axis_weights(n_t, h)
-    hh6 = h * h / 6.0
+    lam = grid.r_values()
+    alam, hh6 = A * lam, h * h / 6.0
     # level j can be nonzero only on its columns i < j + reach
     reach = int(max(fbar.rho, gbar.rho) / h) + 2 if cone else n_r + 1
     u = np.zeros((n_t + 1, n_r + 1))
-    flat = u.ravel()                   # u[k, j - k] is flat[j + k*n_r]
     F = np.zeros((2, n_r + 2))         # A*lambda*sigma at levels j and j - 1
     w = np.zeros((3, n_r + 2))         # w at levels j + 1, j and j - 1
     u_star, u_pre = np.empty(n_r + 1), np.zeros(n_r + 1)
     base, tmp = np.empty(n_r), np.empty(n_r + 1)
-    diag = np.zeros(n_t)               # the source on the axis diagonal of the new level
+    axis = np.zeros(n_t + n_r + 1)     # A*P(sigma)(0, Jh), summed over the levels so far
     zeros = np.zeros(n_r + 1)          # 0 * x is finite unless x is NaN or +-inf
 
     u0_levels = homogeneous_levels(fbar, gbar, grid)
@@ -435,6 +420,7 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
     c = min(n_r + 1, reach)
     sigma(lam[:c], 0.0, u[0, :c], F[0, :c])
     np.multiply(alam[:c], F[0, :c], out=F[0, :c])
+    axis[1:c] += 0.5 * h * F[0, 1:c]
     status, t_b, defined = "complete", None, n_t + 1
     m_prev = float(np.max(np.abs(u[0])))
 
@@ -478,14 +464,7 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
             np.add(base_in, wn_in, out=wn_in)
             np.divide(wn_in, lam_in, out=un_in)
             np.add(u0_in, un_in, out=un_in)
-            # the axis: the source at the diagonal's nodes (new - k, k) for k < new,
-            # gathered from k0 on, the nodes in their level's window.  diag[:k0]
-            # holds +0.0: the one entry the tail gives up every second level held
-            # the source at a node with i - j = floor(rho/h) + 1, past the light cone
-            k0 = max(0, (new - reach + 2) // 2)
-            sigma(lam[new - k0 : 0 : -1], tv[k0:new],
-                  flat[new + k0 * n_r : new + new * n_r : n_r], diag[k0:new])
-            un[0] = u0[0] + A * _axis_P(diag[:new], wts[:new], lam[new:0:-1])
+            un[0] = u0[0] + axis[new]
 
             # max|u| carries any NaN and shows +-inf
             m_new = float(np.abs(un, out=tmp_c).max())
@@ -505,6 +484,7 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
                 status, defined = "error", new
                 break
             np.multiply(alam[:c], sig, out=sig)
+            axis[new + 1 : new + c] += h * sig[1:]
             m_prev = m_new
 
     return u[:defined], status, t_b
@@ -513,9 +493,9 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
 def _power_source(p):
     """The march's source sigma(r, t, u, out): |u|^p written into out.
 
-    The march hands it only the nodes inside its light-cone window (a level
-    row cut at i <= j + floor(rho/h) + 1, the matching tail of the axis
-    diagonal); past them u is +0.0, whose |u|^p is the +0.0 already there.
+    The march hands it only the nodes inside its light-cone window, a level
+    row cut at i <= j + floor(rho/h) + 1; past them u is +0.0, whose |u|^p is
+    the +0.0 already there.
     """
 
     def sigma(r, t, u, out):
@@ -538,11 +518,10 @@ def solve_march(problem: Problem, grid: CharGrid,
     of the two profiles' radii), so by finite speed of propagation u is exactly
     +0.0 at every node with r - t > rho, and the march keeps it so.  Each level
     is therefore marched only on its light-cone window i <= j + floor(rho/h) + 1
-    (``_march`` with ``cone``): ubar0, the source |u|^p, both passes and max|u|
-    on the window's columns and the axis diagonal on its tail.  Everything past
-    it is the +0.0 the full-width march computes there, so the samples are
-    bitwise those of the full-width march with the source ``np.abs(u) ** p``;
-    the axis dot product keeps its full-length operands and summation order.
+    (``_march`` with ``cone``): ubar0, the source |u|^p, both passes, max|u|
+    and the axis sums on the window's columns.  Everything past it is the +0.0
+    the full-width march computes there, so the samples are bitwise those of
+    the full-width march.
     """
     if grid.r_max + 1e-12 < problem.rho + grid.t_max:
         raise ValueError("grid violates the domain of dependence: need r_max >= rho + t_max")
@@ -564,10 +543,8 @@ def solve_forced(fbar: RadialProfile, gbar: RadialProfile,
     The forcing must broadcast over congruent r/t arrays and should be
     supported inside the light cone of r_max (the lattice assumes the solution
     vanishes beyond the last column).  It may be nonzero anywhere else, so the
-    march runs on full-width rows.  The grid needs t_max <= r_max, so that
-    the backward diagonal from the axis stays on the lattice; a ValueError
-    says otherwise.  (``solve_march``'s domain-of-dependence check,
-    r_max >= rho + t_max, already implies it.)
+    march runs on full-width rows.  The lattice may run longer than it is wide
+    (t_max > r_max): the axis sums take no node past r_max.
     """
 
     def sigma(r, t, u, out):

@@ -1,8 +1,10 @@
 """The characteristic march as it was before its level update was preallocated.
 
 :func:`_march` is kept here verbatim, with the axis formula :func:`_axis_P`
-it called, as the reference the solver's march is tested against bit for
-bit: samples, status, t_b and level count.  It runs every level on all
+it called, as the reference the solver's march is tested against: status,
+t_b and level count exactly, every column r > 0 bit for bit, and the r = 0
+column, whose sums the solver adds up level by level in another order, to
+round-off relative to the level's max|u|.  It runs every level on all
 columns and reads ubar0 from its own :func:`homogeneous_levels`, the
 d'Alembert evaluator on every column, independent of the solver's banded one.
 """

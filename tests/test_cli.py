@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import logging
 import math
@@ -84,6 +85,19 @@ def test_custom_csv_profile_continuous_at_rho(tmp_path):
     assert 1.0 in g.r and g(1.0) == 0.0
     assert g.moment_integral(1.2) == g.moment_integral(1.0)
     assert np.all(f.values == 0.0)
+
+
+@pytest.mark.parametrize("rows", ["0,1\n0.5,abc\n1,0\n", "0,1\n", "0,1\n1,0\n0.5,0.5\n", ""],
+                         ids=["non-numeric", "one-row", "unsorted", "header-only"])
+@pytest.mark.filterwarnings("ignore::UserWarning")       # genfromtxt on an empty table
+def test_malformed_custom_csv_is_a_config_error(tmp_path, capsys, rows):
+    (tmp_path / "f.csv").write_text("r,value\n" + rows)
+    doc = {"problem": {"p": 2.0, "data": {"profile": "custom-csv", "rho": 1.0,
+                                          "f_csv": str(tmp_path / "f.csv")}},
+           "grid": {"h": 1 / 16, "t_max": 1.0}}
+    cfg = write(tmp_path / "c.json", doc)
+    assert main(["solve", "--config", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: problem.data.f_csv: ")
 
 
 def test_cli_import_loads_no_scipy():
@@ -447,17 +461,16 @@ def _solve_and_diagnose(tmp_path, doc):
 def test_light_cone_cuts_keep_every_artifact_byte(tmp_path, monkeypatch, p):
     # solve and diagnose at rho/32, then again with the references swapped in:
     # the sweep over every cell diagonal (in solver and diagnostics), the march
-    # on full-width rows (march_oracle) with |u|^p on every node, u0 on every
-    # column for the march and the cone selection, and |u|^p on every node for
-    # the residual's source
+    # on full-width rows (cone off) with |u|^p on every node, u0 on every
+    # column for the cone selection, and |u|^p on every node for the
+    # residual's source
     doc = base_run_config(tmp_path, grid={"h": 1 / 32, "t_max": 16.0})
     doc["problem"]["p"] = p
     codes, cut = _solve_and_diagnose(tmp_path / "cut", doc)
     assert codes[0] == 0 and json.loads(cut["residual.json"])["nodes"] > 0
     monkeypatch.setattr(solver, "influence_quadrature", quadrature_oracle.influence_quadrature)
     monkeypatch.setattr(diagnostics, "influence_quadrature", quadrature_oracle.influence_quadrature)
-    monkeypatch.setattr(solver, "_march", lambda *args, cone=True: march_oracle._march(*args))
-    monkeypatch.setattr(solver, "_power_source", lambda p: lambda r, t, u: np.abs(u) ** p)
+    monkeypatch.setattr(solver, "_march", functools.partial(solver._march, cone=False))
     monkeypatch.setattr(diagnostics, "homogeneous_levels", march_oracle.homogeneous_levels)
     monkeypatch.setattr(solver, "_row_ends", lambda g: np.full(g.shape[0], g.shape[1]))
     assert _solve_and_diagnose(tmp_path / "whole", doc) == (codes, cut)

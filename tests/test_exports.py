@@ -62,7 +62,8 @@ def _references(tree):
     found = set()
     for stmt in tree.body:
         names = {node.id if isinstance(node, ast.Name) else node.attr
-                 for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+                 for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))
+                 and isinstance(node.ctx, ast.Load)}
         names.discard(getattr(stmt, "name", None))
         found |= names
     return found
@@ -83,6 +84,30 @@ def test_every_exported_name_has_a_caller_in_the_package():
         unused += [f"{stem}.{n}" for n in exported if n not in used and n not in CRITERIA_ONLY]
     assert unused == []
     assert CRITERIA_ONLY <= set(solver.__all__)
+
+
+def _private_definitions(tree):
+    """Module-level private names (_x, not dunders) a module defines by def, class or assignment."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def test_every_private_name_is_read_in_the_package():
+    # a helper outlives its last caller only until here: every module-level
+    # private name is read by some module of the package
+    pkg = Path(wavelab.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(pkg.glob("*.py"))}
+    used = set().union(*map(_references, trees.values()))
+    defined = [f"{stem}.{n}" for stem, tree in trees.items() for n in _private_definitions(tree)]
+    assert len(defined) > 10
+    assert [d for d in defined if d.split(".")[1] not in used] == []
 
 
 def test_cli_import_loads_no_fractions():
