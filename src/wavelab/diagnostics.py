@@ -39,10 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
+from .config import ConfigError
 from .gronwall import _cumulative_trapezoid
 from .profiles import RadialProfile
 from .regions import influence_quadrature
@@ -96,7 +98,7 @@ class ChainConfig:
         if self.t2 < 0 or self.delta <= 0:
             raise ValueError("need t2 >= 0 and delta > 0")
         if self.epsilon is not None and not (0 < self.epsilon < self.p - 1):
-            raise ValueError("epsilon must lie in (0, p-1)")
+            raise ConfigError(f"diagnostics.epsilon: must lie in (0, p-1) for p = {self.p:g}")
 
     @property
     def q(self):
@@ -142,14 +144,16 @@ class InequalityTable:
     def build(inequality_id, r, t, lhs, rhs, tol, constants=None, max_rows=MAX_ROWS):
         """The table of lhs - rhs over the given points, at most about max_rows kept.
 
-        Above max_rows, every stride-th row and the first row of least
-        residual are kept; the verdict and min_residual cover every row.
+        ``tol(lhs, rhs)`` is a function giving the rows' tolerances, as in
+        ``_TableStream.add``.  Above max_rows, every stride-th row and the first
+        row of least residual are kept; the verdict and min_residual cover every row.
         """
+        if not callable(tol):
+            raise TypeError("tol: expected a function of (lhs, rhs) giving the rows' tolerances")
         lhs = np.asarray(lhs, dtype=float).ravel()
         stream = _TableStream(inequality_id, lhs.size, constants, max_rows)
         stream.add(np.asarray(r, dtype=float).ravel(), np.asarray(t, dtype=float).ravel(), lhs,
-                   np.asarray(rhs, dtype=float).ravel(),
-                   np.broadcast_to(np.asarray(tol, dtype=float), lhs.shape).ravel())
+                   np.asarray(rhs, dtype=float).ravel(), tol)
         return stream.finish()
 
     def verdict(self):
@@ -164,6 +168,7 @@ class _TableStream:
     index 0 mod stride, the stride fixed by ``size`` and ``max_rows``, so a
     table over millions of points never holds them.  Fed in one block it is
     ``build``; fed in any blocks it gives the same table bit for bit.
+    Tolerances are evaluated only where a verdict can fail and on kept rows.
     """
 
     def __init__(self, inequality_id, size, constants=None, max_rows=MAX_ROWS):
@@ -172,27 +177,33 @@ class _TableStream:
         self.inequality_id, self.size, self.constants = inequality_id, size, constants or {}
         self.stride = size // max_rows + 1 if size > max_rows else 1
         self.seen, self.holds = 0, True
-        self.least = None       # (flat index, residual, row) of the first least residual
+        self.least = None       # (flat index, residual, row, tol function): first least residual
         self.kept = []          # per block, the kept rows as columns (r, t, lhs, rhs, tol)
 
     def add(self, r, t, lhs, rhs, tol):
-        cols = (r, t, lhs, rhs, tol)
+        """Feed the next rows (rhs may be a scalar).  ``tol(lhs, rhs)`` gives the
+        nonnegative tolerance of the rows passed; a residual >= 0 holds whatever it
+        is, so it sees only the rows whose residual is not >= 0 and the kept rows."""
+        rhs = np.broadcast_to(rhs, lhs.shape)
         res = lhs - rhs
-        self.holds = self.holds and bool(np.all(res >= -tol))
+        fails = np.flatnonzero(~(res >= 0))
+        self.holds = self.holds and bool(np.all(res[fails] >= -tol(lhs[fails], rhs[fails])))
         k = int(np.argmin(res))
         # a later block replaces the minimum only if strictly less (NaN counts as least)
         if self.least is None or not (np.isnan(self.least[1]) or res[k] >= self.least[1]):
-            self.least = (self.seen + k, res[k], tuple(c[k] for c in cols))
+            self.least = (self.seen + k, res[k], (r[k], t[k], lhs[k], rhs[k]), tol)
         keep = slice((-self.seen) % self.stride, None, self.stride)
-        self.kept.append(tuple(c[keep].copy() for c in cols))
+        self.kept.append((r[keep].copy(), t[keep].copy(), lhs[keep].copy(), rhs[keep].copy(),
+                          tol(lhs[keep], rhs[keep])))
         self.seen += lhs.size
 
     def finish(self) -> "InequalityTable":
         if self.seen != self.size:
             raise ValueError(f"{self.inequality_id}: fed {self.seen} rows, expected {self.size}")
         cols = [np.concatenate(c) for c in zip(*self.kept)]
-        k, least, row = self.least
+        k, least, row, tol = self.least
         if k % self.stride:       # the least residual's row joins the kept rows in order
+            row = (*row, tol(np.array([row[2]]), np.array([row[3]]))[0])
             cols = [np.insert(c, k // self.stride + 1, v) for c, v in zip(cols, row)]
         return InequalityTable(self.inequality_id, *cols, self.holds, float(least),
                                (float(row[0]), float(row[1])), self.constants)
@@ -374,9 +385,12 @@ def _sigma_tables(field, config):
         u = field.samples[lo:hi][inside]
         r = np.broadcast_to(h * cols, inside.shape)[inside]
         t = np.broadcast_to(h * np.arange(lo, hi)[:, None], inside.shape)[inside]
-        positivity.add(r, t, u, np.zeros_like(u), _chain_tol(h, u, 1.0))
-        rhs = C0 * (t + r) ** (1.0 - p)
-        pointwise.add(r, t, u, rhs, _chain_tol(h, u, rhs))
+        positivity.add(r, t, u, 0.0, lambda u, _: _chain_tol(h, u, 1.0))
+        rhs = t + r
+        rhs **= 1.0 - p
+        rhs *= C0
+        pointwise.add(r, t, u, rhs, partial(_chain_tol, h))
+        del inside, u, r, t, rhs        # so the next block is not read while this one is held
     return positivity.finish(), pointwise.finish()
 
 
@@ -407,68 +421,78 @@ def _region_integral_table(field, config, j_star):
     rhs_b = config.A * (integral / (2.0 * ib * h))
     lhs_b = field.samples[jb, ib]
     return [InequalityTable.build("region_integral_bound", ib * h, jb * h, lhs_b, rhs_b,
-                                  _chain_tol(h, lhs_b, rhs_b), {"A": config.A})]
+                                  partial(_chain_tol, h), {"A": config.A})]
 
 
-def _lattice_F(samples, j_star, lo, hi):
-    """F(alpha_a, beta_b) for a in [lo, hi), b in [0, hi), read off the lattice.
+def _alpha_blocks(n, j_star):
+    """The alpha-row blocks [lo, hi) of the characteristic pass.  A block reads its
+    first row down to level j_star + lo - hi/2: hi <= 2 (j_star + lo) keeps it >= 0."""
+    lo = 0
+    while lo <= n:
+        hi = min(lo + _GRID_ROWS, n + 1, max(2 * (j_star + lo), lo + 1))
+        yield lo, hi
+        lo = hi
 
-    alpha = t_star + a h and beta = t_star + b h put (r, t) at ((a - b)/2,
-    j_star + (a + b)/2) in lattice units: a node when a - b is even, a cell
-    centre when it is odd, whose value is the corner mean in the order of the
-    bilinear interpolant (``tests/field_oracle.py``), so the two agree bitwise.
-    Along a row, b -> b + 2 moves one node up-left, so each parity is a strided
-    anti-diagonal view of the samples.  Entries with b > a, outside
-    Sigma-prime, are zero.
+
+def _F_block(samples, j_star, lo, hi):
+    """F(alpha_a, beta_{a-d}) for a in [lo, hi), d in [0, hi), read off the lattice.
+
+    (r, t) = (d/2, j_star + a - d/2) in lattice units: a node at even d, else a cell
+    centre valued by the corner mean in the bilinear interpolant's order
+    (``tests/field_oracle.py``), so the two agree bitwise.  Each parity is a strided
+    view of the samples.  Entries with d > a, outside Sigma-prime, are zero.
     """
-    width, flat = samples.shape[1], samples.ravel()
-    step = width - 1
+    width, flat = samples.shape[1], samples.reshape(-1)
+    strides = (flat.itemsize * width, flat.itemsize * (width - 1))
 
-    def diagonal(i, j, count):
-        # the nodes (i - m, j + m), m = 0..count-1, as (column, level)
-        start = j * width + i
-        return flat[start : start + (count - 1) * step + 1 : step]
+    def view(i, j, count):      # samples[j + a - lo - m, i + m], a in [lo, hi), m < count
+        first = (j - count + 1) * width + i + count - 1     # as_strided checks no bounds
+        if count and (first < 0 or i + count > width or (j + hi - lo) * width > flat.size):
+            raise IndexError(f"anti-diagonals from ({i}, {j}) leave the lattice")
+        return np.lib.stride_tricks.as_strided(flat[max(first, 0):], (hi - lo, count), strides,
+                                               writeable=False)[:, ::-1]
 
-    F = np.zeros((hi - lo, hi))
-    for a in range(lo, hi):
-        k = a // 2                      # nodes (k, j_star + a - k) .. (0, j_star + a)
-        F[a - lo, a % 2 : a + 1 : 2] = diagonal(k, j_star + a - k, k + 1)
-        if a:                           # cells whose lower-left corners run the same way
-            k = (a - 1) // 2
-            i, j = k, j_star + a - 1 - k
-            F[a - lo, 1 - a % 2 : a : 2] = (
-                0.25 * diagonal(i, j, k + 1) + 0.25 * diagonal(i + 1, j, k + 1)
-                + 0.25 * diagonal(i, j + 1, k + 1) + 0.25 * diagonal(i + 1, j + 1, k + 1))
+    j, c = j_star + lo, hi // 2
+    F = np.empty((hi - lo, hi))
+    F[:, 0::2] = view(0, j, hi - c)
+    F[:, 1::2] = (0.25 * view(0, j - 1, c) + 0.25 * view(1, j - 1, c)
+                  + 0.25 * view(0, j, c) + 0.25 * view(1, j, c))
+    F[:, lo + 1 :] = np.tril(F[:, lo + 1 :], -1)
     return F
 
 
 def _characteristic_pass(field, config, n, cols, tri_a, tri_b):
-    """F on the lattice t_star + h*[0..n], beta <= alpha, _GRID_ROWS alpha-rows at a time.
+    """H, J, G and K1 on the lattice t_star + h*[0..n], beta <= alpha, by alpha-row blocks.
 
     Returns alphas, H, J, G and K1 at the columns ``cols``, and F at the row-sorted
-    nodes (tri_a, tri_b).  Each row sums the same terms as on the full square grid,
-    so every value keeps its bits; past the diagonal K1 only adds exact zeros.
+    nodes (tri_a, tri_b).  In (alpha, d = a - b) coordinates the weights are the 1-D
+    (d h)^q and (d h)^(1+q), so the trapezoids H and J are a matrix-vector product
+    less half the b = 0 term, and K1 at ``cols`` is read off one reverse cumulative
+    sum along d.  G and F keep their full-grid bits; H, J and K1 sum in another order.
     """
     h, p, q = field.grid.h, config.p, config.q
     j_star = int(round(config.t_star / h))
     alphas = config.t_star + h * np.arange(n + 1)
+    dh = h * np.arange(n + 1)
+    w_H, w_J = dh**q, dh ** (1.0 + q)
     H_vals, J_int, F_tri = np.empty(n + 1), np.empty(n + 1), np.empty(tri_a.size)
     G_cols, K1_cols = np.empty((n + 1, cols.size)), np.empty((n + 1, cols.size))
-    for lo in range(0, n + 1, _GRID_ROWS):
-        hi = min(lo + _GRID_ROWS, n + 1)
-        db = alphas[lo:hi, None] - alphas[None, :hi]
-        F = _lattice_F(field.samples, j_star, lo, hi)
-        Fp = np.clip(F, 0.0, None) ** p
-        db_pos = np.where(db > 0, db, 0.0)
-        G = db_pos**q * F
-        diag = (np.arange(hi - lo), np.arange(lo, hi))
-        H_vals[lo:hi] = _cumulative_trapezoid(G, dx=h)[diag]
-        J_int[lo:hi] = _cumulative_trapezoid(db_pos ** (1.0 + q) * Fp, dx=h)[diag]
-        c = np.minimum(cols, hi - 1)
-        G_cols[lo:hi] = G[:, c]
-        K1_cols[lo:hi] = _cumulative_trapezoid(db_pos * Fp, dx=h)[:, c]
+    for lo, hi in _alpha_blocks(n, j_star):
+        F = _F_block(field.samples, j_star, lo, hi)
+        rows, a = np.arange(hi - lo), np.arange(lo, hi)
+        H_vals[lo:hi] = h * (F @ w_H[:hi] - 0.5 * w_H[lo:hi] * F[rows, a])
+        db = alphas[lo:hi, None] - alphas[cols]
+        d = np.maximum(a[:, None] - cols, 0)
+        G_cols[lo:hi] = np.where(db > 0, db, 0.0) ** q * F[rows[:, None], d]
         s0, s1 = np.searchsorted(tri_a, [lo, hi])
-        F_tri[s0:s1] = F[tri_a[s0:s1] - lo, tri_b[s0:s1]]
+        F_tri[s0:s1] = F[tri_a[s0:s1] - lo, tri_a[s0:s1] - tri_b[s0:s1]]
+        Fp = np.clip(F, 0.0, None, out=F)
+        Fp **= p
+        J_int[lo:hi] = h * (Fp @ w_J[:hi] - 0.5 * w_J[lo:hi] * Fp[rows, a])
+        Fp *= dh[:hi]                       # K1's integrand (alpha - beta) F_+^p
+        tail = np.cumsum(Fp[:, ::-1], axis=1)[:, ::-1]
+        K1_cols[lo:hi] = h * (tail[rows[:, None], d] - 0.5 * Fp[rows[:, None], d]
+                              - 0.5 * Fp[rows, a][:, None])
     return alphas, H_vals, J_int, G_cols, K1_cols, F_tri
 
 
@@ -481,6 +505,7 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
     h = field.grid.h
     p, A, q = config.p, config.A, config.q
     t_star = config.t_star
+    tol = partial(_chain_tol, h)
     notes = []
 
     if field.defined_t_max + 1e-9 < 2 * t_star + 4 * config.delta:
@@ -517,10 +542,11 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
             "formula": "C_single * C_low^(p-1-eps)",
         }
 
-    # 1.-3. on the Sigma nodes, streamed by level blocks
+    # 1.-3. on the Sigma nodes, streamed by level blocks; step 2 first, so that its
+    # source window, the largest array of the chain, is freed before any block is read
+    region = _region_integral_table(field, config, int(round(t_star / h)))
     positivity, pointwise = _sigma_tables(field, config)
-    tables = [positivity, *_region_integral_table(field, config, int(round(t_star / h))),
-              pointwise]
+    tables = [positivity, *region, pointwise]
 
     # every stride-th node (a, b) of the row-major lower triangle, m = a(a+1)/2 + b
     n = int(math.floor((field.defined_t_max - t_star) / h + 1e-9))
@@ -534,8 +560,8 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
         field, config, n, it_idx, tri_a, tri_b)
     rhs_f = C0 * alphas[tri_a] ** (1.0 - p)
     tables.append(InequalityTable.build(
-        "inverse_power_lower_bound", alphas[tri_a], alphas[tri_b],
-        lhs_f, rhs_f, _chain_tol(h, lhs_f, rhs_f), {"C0": C0}))
+        "inverse_power_lower_bound", alphas[tri_a], alphas[tri_b], lhs_f, rhs_f, tol,
+        {"C0": C0}))
 
     # 4. weighted functional bound (G form), sampled over Sigma-prime
     lhs_g, rhs_g, rg, tg = [], [], [], []
@@ -551,8 +577,7 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
             rg.append(alphas[ir])
             tg.append(alphas[it])
     tables.append(InequalityTable.build(
-        "weighted_functional_bound", rg, tg, lhs_g, rhs_g,
-        _chain_tol(h, np.asarray(lhs_g), np.asarray(rhs_g)), {"C_G1": A / 4.0}))
+        "weighted_functional_bound", rg, tg, lhs_g, rhs_g, tol, {"C_G1": A / 4.0}))
 
     # 5. superadditivity of q-th powers (arithmetic property of the weight)
     rng = np.random.default_rng(20240803)
@@ -563,13 +588,13 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
     rhs_s = (aa - bb) ** q
     tables.append(InequalityTable.build(
         "power_superadditivity", rr, aa, lhs_s, rhs_s,
-        np.maximum(1e-12 * np.maximum(lhs_s, 1.0), 1e-12), {"q": q}))
+        lambda lhs, _: np.maximum(1e-12 * np.maximum(lhs, 1.0), 1e-12), {"q": q}))
 
     # 6. double integral bound for H
     rhs_h1 = (A / (4.0 * q)) * _cumulative_trapezoid(J_int, dx=h)
     tables.append(InequalityTable.build(
         "double_integral_bound", alphas, np.full_like(alphas, np.nan), H_vals, rhs_h1,
-        _chain_tol(h, H_vals, rhs_h1), {"C_H1": A / (4.0 * q)}))
+        tol, {"C_H1": A / (4.0 * q)}))
 
     # 7. Hoelder interpolation, per alpha
     gap = alphas - t_star
@@ -578,7 +603,7 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
     rhs_hold[pos] = H_vals[pos] ** p * (gap[pos] ** 2 / 2.0) ** (1.0 - p)
     tables.append(InequalityTable.build(
         "holder_interpolation", alphas, np.full_like(alphas, np.nan), J_int, rhs_hold,
-        _chain_tol(h, J_int, rhs_hold), {"holder_factor": 2.0 ** (p - 1.0)}))
+        tol, {"holder_factor": 2.0 ** (p - 1.0)}))
 
     # 8. single integral bound (the Gronwall-ready form)
     integrand = np.zeros_like(alphas)
@@ -586,7 +611,7 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
     rhs_single = c_single * _cumulative_trapezoid(integrand, dx=h)
     tables.append(InequalityTable.build(
         "single_integral_bound", alphas, np.full_like(alphas, np.nan), H_vals, rhs_single,
-        _chain_tol(h, H_vals, rhs_single), {"C_single": c_single}))
+        tol, {"C_single": c_single}))
 
     # 9. growth floor for alpha >= 2 t_star
     sel = alphas >= 2.0 * t_star - 1e-12
@@ -595,7 +620,7 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
     rhs_floor = c_low * (alphas[sel] - t_star) ** (2.0 - p + q)
     tables.append(InequalityTable.build(
         "growth_floor", alphas[sel], np.full(int(sel.sum()), np.nan), H_vals[sel], rhs_floor,
-        _chain_tol(h, H_vals[sel], rhs_floor), {"C_low": c_low}))
+        tol, {"C_low": c_low}))
 
     holds = all(tb.holds for tb in tables)
     return DiagnosticsReport(config, s_val, constants, tables, holds, notes, (alphas, H_vals))

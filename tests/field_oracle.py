@@ -1,8 +1,8 @@
 """Per-point field references: the bilinear interpolant and the functional H.
 
-The chain reads F off the lattice (``diagnostics._lattice_F``) and H by
-row-wise cumulative trapezoids (``DiagnosticsReport.H``); these evaluate the
-same quantities one point at a time from their definitions.
+The chain reads F off the lattice (``diagnostics._F_block``) and sums H along
+its alpha-rows (``DiagnosticsReport.H``); these evaluate the same quantities
+one point at a time from their definitions.
 """
 
 import numpy as np

@@ -355,6 +355,26 @@ def test_diagnose_supercritical_notes(tmp_path):
     assert "supercritical" in g["skipped"]
 
 
+@pytest.mark.parametrize("config_p, epsilon, rc", [
+    (2.0, 1.0, 2),      # epsilon = p - 1
+    (2.0, 1.5, 2),      # epsilon > p - 1
+    (3.0, 1.5, 2),      # admissible for the config's p = 3, not for the field's p = 2
+    (1.5, 0.7, 0),      # inadmissible for the config's p = 1.5, admissible for the field's
+])
+def test_diagnose_epsilon_checked_against_the_field_p(solved_run, tmp_path, capsys,
+                                                      config_p, epsilon, rc):
+    tmp, _ = solved_run
+    assert RadialField.load(tmp / "out" / "field.npz").p == 2.0
+    assert main(["diagnose", "--config", str(tmp / "c.json"),
+                 "--field", str(tmp / "out" / "field.npz"), "--output", str(tmp_path / "d"),
+                 "--override", f"problem.p={config_p}",
+                 "--override", f"diagnostics.epsilon={epsilon}"]) == rc
+    if rc == 2:
+        assert "config error: diagnostics.epsilon" in capsys.readouterr().err
+    else:
+        assert json.loads((tmp_path / "d" / "diagnostics.json").read_text())["epsilon"] == epsilon
+
+
 def test_diagnose_zero_constant_skips_certificate(tmp_path):
     # zero data: the chain holds trivially with M = C0 = 0, so the lemma's
     # constant C vanishes and the certificate is skipped with that reason

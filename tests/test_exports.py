@@ -31,7 +31,8 @@ def test_every_exported_name_resolves():
                      "RegionR", "RegionT", "RegionQ", "RegionQrt", "RegionBrt", "Sigma",
                      "SigmaPrime", "contains", "area", "subset_check",
                      "linear_radial", "normalize_coefficient", "check_pointwise_lower_bound",
-                     "F_of", "G_of", "H_of", "check_inequality", "tables_to_csv", "_CSV_ROWS"}
+                     "F_of", "G_of", "H_of", "check_inequality", "tables_to_csv", "_CSV_ROWS",
+                     "_lattice_F"}
     # not exported, since every exported name resolves
     for owner in (wavelab, regions, solver, diagnostics, gronwall, diagnostics.DiagnosticsReport):
         assert not any(hasattr(owner, n) for n in moved_or_gone), owner.__name__
