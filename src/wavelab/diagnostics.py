@@ -48,7 +48,7 @@ from .config import ConfigError
 from .gronwall import _cumulative_trapezoid
 from .profiles import RadialProfile
 from .regions import influence_quadrature
-from .solver import RadialField, _write_npz, homogeneous_levels
+from .solver import RadialField, _write_npz, homogeneous_band
 
 __all__ = [
     "GridTooShortError",
@@ -183,11 +183,13 @@ class _TableStream:
     def add(self, r, t, lhs, rhs, tol):
         """Feed the next rows (rhs may be a scalar).  ``tol(lhs, rhs)`` gives the
         nonnegative tolerance of the rows passed; a residual >= 0 holds whatever it
-        is, so it sees only the rows whose residual is not >= 0 and the kept rows."""
+        is, so it sees only the rows whose residual is not >= 0 and the kept rows.
+        A residual of -inf fails whatever its tolerance, +inf included."""
         rhs = np.broadcast_to(rhs, lhs.shape)
         res = lhs - rhs
         fails = np.flatnonzero(~(res >= 0))
-        self.holds = self.holds and bool(np.all(res[fails] >= -tol(lhs[fails], rhs[fails])))
+        self.holds = (self.holds and not np.any(res[fails] == -np.inf)
+                      and bool(np.all(res[fails] >= -tol(lhs[fails], rhs[fails]))))
         k = int(np.argmin(res))
         # a later block replaces the minimum only if strictly less (NaN counts as least)
         if self.least is None or not (np.isnan(self.least[1]) or res[k] >= self.least[1]):
@@ -268,15 +270,12 @@ def select_t2_delta(field: RadialField, fbar: RadialProfile, gbar: RadialProfile
     radius rho (the larger of the two profiles' radii), rounded up to an even
     number of cells so the corners of the region T are lattice nodes.
 
-    u0 is evaluated in blocks of _GRID_ROWS levels (each only on its band
-    around the diagonal; ``homogeneous_levels``) and each level j keeps only
-    j - c_j, with c_j its first column i <= j where u0 < -tol: the cone from
-    level j2 is admissible iff j2 exceeds that reach on every level from j2 on,
-    a suffix maximum.  tol is known only after the last block, so the blocks
-    with a value below -1e-10, the least tol possible, are evaluated again.
-    Off the band |i - j| <= b = ceil(rho/h) + 1 that the evaluator fills, u0 is
-    +0.0 (column 0 too: u0(0, t) vanishes for t > rho), so max|u0| and c_j read
-    only the columns that the band of the block's levels reaches.
+    u0 is read from its band (``homogeneous_band``), off which it is +0.0, so
+    the band holds max|u0|.  On level j the band cells k <= b are the columns
+    i = j + k - b <= j (cells off the lattice hold +0.0).  With k_j the first
+    of them where u0 < -tol, the cone from level j2 meets that node iff
+    j - j2 >= i, that is iff j2 <= b - k_j; so the cone is admissible iff j2
+    exceeds b - k_j on every level from j2 on, a suffix maximum.
     """
     grid = field.grid
     h = grid.h
@@ -285,25 +284,12 @@ def select_t2_delta(field: RadialField, fbar: RadialProfile, gbar: RadialProfile
     d_cells += d_cells % 2
     delta = d_cells * h
 
-    n_lev, b = field.n_levels, math.ceil(rho / h) + 1
-    u0_levels = homogeneous_levels(fbar, gbar, grid)
-    reach = np.full(n_lev, -1)          # j - c_j per level, -1 where no column is below -tol
-    scale, suspect = 1.0, []
-    for lo in range(0, grid.n_t + 1, _GRID_ROWS):
-        hi = min(lo + _GRID_ROWS, grid.n_t + 1)
-        c0 = max(0, min(lo, grid.n_r) - b)
-        u0 = u0_levels(lo, hi)[:, c0 : hi + b]
-        scale = max(scale, float(np.max(np.abs(u0))))
-        if lo < n_lev:
-            reach[lo:hi] = _cone_reach(u0[: n_lev - lo], lo, 1e-10, c0)
-            if np.any(reach[lo:hi] >= 0):
-                suspect.append((lo, hi, c0))
-    if scale > 1.0:
-        for lo, hi, c0 in suspect:
-            u0 = u0_levels(lo, hi)[: n_lev - lo, c0 : hi + b]
-            reach[lo:hi] = _cone_reach(u0, lo, 1e-10 * scale, c0)
-
-    worst = np.maximum.accumulate(reach[::-1])[::-1]   # max of j - c_j over the levels j >= j2
+    n_lev = field.n_levels
+    U, b = homogeneous_band(fbar, gbar, grid)
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(U))))
+    bad = U[:n_lev, : b + 1] < -tol
+    reach = np.where(bad.any(axis=1), b - bad.argmax(axis=1), -1)   # b - k_j, -1 if no k_j
+    worst = np.maximum.accumulate(reach[::-1])[::-1]   # its max over the levels j >= j2
     for j2 in np.flatnonzero(np.arange(n_lev) > worst).tolist():
         probe_j = j2 + d_cells
         if probe_j >= n_lev:
@@ -311,19 +297,6 @@ def select_t2_delta(field: RadialField, fbar: RadialProfile, gbar: RadialProfile
         if field.samples[probe_j, d_cells] > 0.0:
             return (j2 * h, delta)
     raise ValueError("no admissible cone")
-
-
-def _cone_reach(u0, lo, tol, c0=0):
-    """j - c_j for the levels j = lo, lo+1, ... of the block u0; -1 where no c_j.
-
-    u0 holds the columns c0, c0 + 1, ... of its levels.  c_j is the first
-    column i <= j with u0[j, i] < -tol: the cone from level j2 meets it iff
-    j - j2 >= c_j.
-    """
-    j = np.arange(lo, lo + u0.shape[0])
-    bad = u0 < -tol
-    bad &= np.arange(c0, c0 + u0.shape[1]) <= j[:, None]
-    return np.where(bad.any(axis=1), j - c0 - bad.argmax(axis=1), -1)
 
 
 def compute_M(field: RadialField, t2: float, delta: float, p: float) -> float:
@@ -352,14 +325,14 @@ def compute_M(field: RadialField, t2: float, delta: float, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _sigma_levels(field: RadialField, t_star: float):
-    """First Sigma level j_star and the node count of each level j_star..n_levels-1."""
+    """t_star's level j_star, the first of Sigma: on the lattice, below the last level."""
     h = field.grid.h
     j_star = int(round(t_star / h))
     if abs(j_star * h - t_star) > 1e-9 * max(1.0, t_star):
         raise ValueError("t_star is not lattice aligned")
     if j_star >= field.n_levels - 1:
         raise GridTooShortError("grid too short: no Sigma nodes below the defined horizon")
-    return j_star, np.minimum(np.arange(field.n_levels - j_star), field.grid.n_r) + 1
+    return j_star
 
 
 def _chain_tol(h, lhs, rhs):
@@ -367,15 +340,15 @@ def _chain_tol(h, lhs, rhs):
     return np.maximum(1e-9, 50.0 * h * h * scale)
 
 
-def _sigma_tables(field, config):
+def _sigma_tables(field, config, j_star):
     """Steps 1 and 3 at every Sigma node: the sigma_positivity and pointwise tables.
 
-    The nodes run level by level, outward in r, as one flat array would hold
-    them; they are read in blocks of _GRID_ROWS levels and streamed into the
-    tables, so only a block and the kept rows are held.
+    The nodes i <= j - j_star run level by level, outward in r, as one flat
+    array would hold them; they are read in blocks of _GRID_ROWS levels and
+    streamed into the tables, so only a block and the kept rows are held.
     """
     h, p, C0 = field.grid.h, config.p, config.C0
-    j_star, counts = _sigma_levels(field, config.t_star)
+    counts = np.minimum(np.arange(field.n_levels - j_star), field.grid.n_r) + 1
     positivity = _TableStream("sigma_positivity", int(counts.sum()))
     pointwise = _TableStream("pointwise_lower_bound", int(counts.sum()), {"C0": C0})
     cols = np.arange(field.grid.n_r + 1)
@@ -461,7 +434,7 @@ def _F_block(samples, j_star, lo, hi):
     return F
 
 
-def _characteristic_pass(field, config, n, cols, tri_a, tri_b):
+def _characteristic_pass(field, config, j_star, n, cols, tri_a, tri_b):
     """H, J, G and K1 on the lattice t_star + h*[0..n], beta <= alpha, by alpha-row blocks.
 
     Returns alphas, H, J, G and K1 at the columns ``cols``, and F at the row-sorted
@@ -471,7 +444,6 @@ def _characteristic_pass(field, config, n, cols, tri_a, tri_b):
     sum along d.  G and F keep their full-grid bits; H, J and K1 sum in another order.
     """
     h, p, q = field.grid.h, config.p, config.q
-    j_star = int(round(config.t_star / h))
     alphas = config.t_star + h * np.arange(n + 1)
     dh = h * np.arange(n + 1)
     w_H, w_J = dh**q, dh ** (1.0 + q)
@@ -544,8 +516,9 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
 
     # 1.-3. on the Sigma nodes, streamed by level blocks; step 2 first, so that its
     # source window, the largest array of the chain, is freed before any block is read
-    region = _region_integral_table(field, config, int(round(t_star / h)))
-    positivity, pointwise = _sigma_tables(field, config)
+    j_star = _sigma_levels(field, t_star)
+    region = _region_integral_table(field, config, j_star)
+    positivity, pointwise = _sigma_tables(field, config, j_star)
     tables = [positivity, *region, pointwise]
 
     # every stride-th node (a, b) of the row-major lower triangle, m = a(a+1)/2 + b
@@ -557,7 +530,7 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
     side = max(2, int(math.sqrt(G1_SAMPLES)))
     it_idx = np.unique(np.linspace(0, n - 1, side).astype(int))
     alphas, H_vals, J_int, G_cols, K1_cols, lhs_f = _characteristic_pass(
-        field, config, n, it_idx, tri_a, tri_b)
+        field, config, j_star, n, it_idx, tri_a, tri_b)
     rhs_f = C0 * alphas[tri_a] ** (1.0 - p)
     tables.append(InequalityTable.build(
         "inverse_power_lower_bound", alphas[tri_a], alphas[tri_b], lhs_f, rhs_f, tol,

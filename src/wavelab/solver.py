@@ -54,7 +54,7 @@ __all__ = [
     "RadialField",
     "BlowupFit",
     "apply_P",
-    "homogeneous_levels",
+    "homogeneous_band",
     "solve_march",
     "solve_forced",
     "detect_blowup_time",
@@ -63,7 +63,6 @@ __all__ = [
 
 DEFAULT_BLOWUP_THRESHOLD = 1.0e8
 DEFAULT_DIVERGENCE_FACTOR = 10.0
-_U0_BLOCK = 32          # levels of ubar0 the march reads at a time
 
 
 # ---------------------------------------------------------------------------
@@ -295,68 +294,52 @@ def apply_P(source: RadialField, r: float, t: float) -> float:
 # Homogeneous part by d'Alembert with odd extension
 # ---------------------------------------------------------------------------
 
-def homogeneous_levels(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
-    """ubar0 by level blocks: returns ``levels(lo, hi)``, ubar0 on levels lo..hi-1.
+def homogeneous_band(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
+    """ubar0 on the band around the lattice diagonal: returns (U, b).
 
     By d'Alembert with odd-extended data, ubar0(r, t) = [Ff(r+t) + Ff(r-t) +
     Ig(r+t) - Ig(|r-t|)] / (2r), with Ff(y) = y*fbar(|y|) and Ig the exact
     running moment of y*gbar(y); at r = 0, ubar0(0, t) = fbar(t) + t*fbar'(t) +
-    t*gbar(t).  Compact support is honoured to round-off: ubar0 vanishes
-    wherever |r - t| > rho (sharp Huygens).
+    t*gbar(t).  Compact support is honoured to round-off: ubar0 is +0.0
+    wherever |r - t| > rho (sharp Huygens), rho the larger of the two
+    profiles' radii.
 
-    The two 1-D d'Alembert tables (and the r = 0 column) are built once.  A
-    block of levels is evaluated only on the band |i - j| <= b = ceil(rho/h) + 1
-    around the diagonal, with rho the larger of the two profiles' radii: off it
-    |r - t| > rho, both table entries of F vanish and both of I hold the total
-    moment, so ubar0 is the +0.0 the block is allocated with.  In band
-    coordinates (j, d = i - j) the node reads F and I at n_t + 2j + d and
-    n_t + d, so each level is a stride-2 window of the tables (zero-padded
-    by b, for the band's cells off the lattice, which are discarded) and the
-    band lands in the block through a diagonal view.  ``levels.at(ii, jj)``
-    reads ubar0 at nodes with ii >= 1 straight from the tables.  Every read is
-    computed elementwise by the same arithmetic, so its values are bitwise
-    those of the whole-lattice array ``levels(0, n_t + 1)`` evaluated on
-    every node.
+    U[j, k] is ubar0 at the node (j + k - b, j), b = floor(rho/h) + 2 > rho/h,
+    so the band's edges k = 0 and k = 2b hold the +0.0 of every node off it.
+    Cells off the lattice hold +0.0 and the r = 0 values sit on k = b - j.  The
+    node (i, j) reads the 1-D tables at n_t + i + j and n_t + i - j, so row j
+    combines the tables' windows at n_t + 2j and at n_t; all rows in one pass.
     """
     n_r, n_t = grid.n_r, grid.n_t
     y = grid.h * np.arange(-n_t, n_r + n_t + 1)
     Fy, Iy = y * fbar(np.abs(y)), gbar.moment_integral(y)
     tv = grid.t_values()
     axis = fbar(tv) + tv * fbar.derivative(tv) + tv * gbar(tv)
-    rv = grid.r_values()
 
-    b = math.ceil(max(fbar.rho, gbar.rho) / grid.h) + 1
+    b = int(max(fbar.rho, gbar.rho) / grid.h) + 2
     n = 2 * b + 1
-    # the band windows of the tables, padded with b zeros in front (and behind
-    # as many as level n_t's window needs when n_t > n_r): level j's at n_t + 2j
+    # the tables padded with b zeros in front (and behind as many as level
+    # n_t's window needs when n_t > n_r): level j's r + t window at n_t + 2j
     pad = (b, b + max(0, n_t - n_r))
     F = sliding_window_view(np.pad(Fy, pad), n)
     I = sliding_window_view(np.pad(Iy, pad), n)
-    # a block holds column c at c + b, so level j's band starts at its column j;
-    # the radii at the block's columns, 1.0 at r = 0 and off the lattice
-    width = max(n_r + 1, n_t + 1 + b) + b
-    rp = np.ones(width)
-    rp[b + 1 : b + n_r + 1] = rv[1:]
-    R = sliding_window_view(rp, n)
-
-    def levels(lo, hi):
-        m = hi - lo
-        # row k of the band starts at flat index lo + k*(width + 1): column lo + k of block row k
-        flat = np.zeros(lo + m * (width + 1))
-        block = flat[: m * width].reshape(m, width)
-        band = flat[lo : lo + m * (width + 1)].reshape(m, width + 1)[:, :n]
-        up = slice(n_t + 2 * lo, n_t + 2 * hi, 2)
-        v = 0.5 * (F[up] + F[n_t]) + 0.5 * (I[up] - I[n_t])
-        np.divide(v, R[lo:hi], out=band)
-        block[:, b] = axis[lo:hi]
-        return block[:, b : b + n_r + 1]
-
-    def at(ii, jj):
-        up, down = n_t + ii + jj, n_t + ii - jj
-        return (0.5 * (Fy[up] + Fy[down]) + 0.5 * (Iy[up] - Iy[down])) / rv[ii]
-
-    levels.at = at
-    return levels
+    # the radii, 1.0 at r = 0 and off the lattice: level j's window at j
+    rp = np.ones(max(n_r + 1, n_t + 1 + b) + b)
+    rp[b + 1 : b + n_r + 1] = grid.r_values()[1:]
+    up = slice(n_t, 3 * n_t + 1, 2)
+    # in place, with one temporary: building the band costs at most twice its size
+    U = np.subtract(I[up], I[n_t])
+    U *= 0.5
+    even = np.add(F[up], F[n_t])
+    even *= 0.5
+    U += even
+    del even
+    U /= sliding_window_view(rp, n)[: n_t + 1]
+    k, j = np.arange(n), np.arange(n_t + 1)[:, None]
+    U[(k < b - j) | (k > n_r + b - j)] = 0.0          # i < 0 or i > n_r
+    j = np.arange(min(b, n_t) + 1)
+    U[j, b - j] = axis[j]
+    return U, b
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +358,9 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
     (forced mode) gives the same values at both passes.
 
     A step reads no level older than the one before it, so the samples are
-    only written; ubar0 streams in blocks of levels.  Everything else lives in
+    only written.  Level j's ubar0 band (``homogeneous_band``) is copied into
+    one u0 row on the columns max(0, j - b) .. j + b; left of them the row
+    keeps the +0.0 of earlier bands' edges k = 0.  Everything else lives in
     rows allocated once: A*lambda*sigma at two levels, the auxiliary
     w = r*ubar1 at three, the extrapolated and the predicted level, the part
     ``base`` that both passes share, a scratch row and the axis sums.  The
@@ -389,22 +374,22 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
     the running sums; a node past r_max enters none, so n_t may exceed n_r.
 
     With ``cone``, for a source that vanishes wherever u does (|u|^p), every
-    per-level operation runs only on the columns i <= j + floor(rho/h) + 1 of
-    the new level j, rho the data's support radius.  Past them ubar0 is
-    exactly +0.0 (sharp Huygens) and so, by finite speed of propagation, are
-    u, w and the source.  The window grows by one column a level, as the
-    domain of dependence does, so whatever a window node reads past the window
-    of the level before is a row entry never written: the +0.0 the full-width
-    march computes there; the axis sums, which start at +0.0, skip only +0.0
-    terms.  The samples are therefore bitwise those of the full-width march
-    (``cone`` false, which the forced mode needs: its forcing may reach any
-    column).
+    per-level operation runs only on the columns i <= j + b - 1 of the new
+    level j, b = floor(rho/h) + 2 from the band.  Past them ubar0 is exactly
+    +0.0 (sharp Huygens) and so, by finite speed of propagation, are u, w and
+    the source.  The window grows by one column a level, as the domain of
+    dependence does, so whatever a window node reads past the window of the
+    level before is a row entry never written: the +0.0 the full-width march
+    computes there; the axis sums, which start at +0.0, skip only +0.0 terms.
+    The samples are therefore bitwise those of the full-width march (``cone``
+    false, which the forced mode needs: its forcing may reach any column).
     """
     h, n_r, n_t = grid.h, grid.n_r, grid.n_t
     lam = grid.r_values()
     alam, hh6 = A * lam, h * h / 6.0
+    U, b = homogeneous_band(fbar, gbar, grid)
     # level j can be nonzero only on its columns i < j + reach
-    reach = int(max(fbar.rho, gbar.rho) / h) + 2 if cone else n_r + 1
+    reach = b if cone else n_r + 1
     u = np.zeros((n_t + 1, n_r + 1))
     F = np.zeros((2, n_r + 2))         # A*lambda*sigma at levels j and j - 1
     w = np.zeros((3, n_r + 2))         # w at levels j + 1, j and j - 1
@@ -412,11 +397,9 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
     base, tmp = np.empty(n_r), np.empty(n_r + 1)
     axis = np.zeros(n_t + n_r + 1)     # A*P(sigma)(0, Jh), summed over the levels so far
     zeros = np.zeros(n_r + 1)          # 0 * x is finite unless x is NaN or +-inf
+    u0 = np.zeros(n_r + 1)             # ubar0 at the level being marched
 
-    u0_levels = homogeneous_levels(fbar, gbar, grid)
-    u0_rows = (row for lo in range(0, n_t + 1, _U0_BLOCK)
-               for row in u0_levels(lo, min(lo + _U0_BLOCK, n_t + 1)))
-    u[0] = next(u0_rows)
+    u[0, : b + 1] = U[0, b : b + n_r + 1]
     c = min(n_r + 1, reach)
     sigma(lam[:c], 0.0, u[0, :c], F[0, :c])
     np.multiply(alam[:c], F[0, :c], out=F[0, :c])
@@ -428,7 +411,9 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
         for j in range(n_t):
             new, t_new = j + 1, (j + 1) * h
             c = min(n_r + 1, new + reach)   # the new level's columns 0..c-1
-            u0 = next(u0_rows)
+            # level new's band on the lattice; a band past r_max copies nothing
+            lo, hi = min(max(0, new - b), n_r + 1), min(n_r + 1, new + b + 1)
+            u0[lo:hi] = U[new, lo - new + b : hi - new + b]
             u0_in = u0[1:c]
             Fj, Fp, wc, wp = F[j % 2], F[new % 2], w[j % 3 - 1], w[j % 3 - 2]
             lam_c, alam_in, tmp_c = lam[:c], alam[1:c], tmp[:c]
@@ -518,10 +503,10 @@ def solve_march(problem: Problem, grid: CharGrid,
     of the two profiles' radii), so by finite speed of propagation u is exactly
     +0.0 at every node with r - t > rho, and the march keeps it so.  Each level
     is therefore marched only on its light-cone window i <= j + floor(rho/h) + 1
-    (``_march`` with ``cone``): ubar0, the source |u|^p, both passes, max|u|
-    and the axis sums on the window's columns.  Everything past it is the +0.0
-    the full-width march computes there, so the samples are bitwise those of
-    the full-width march.
+    (``_march`` with ``cone``; b - 1 past the diagonal, b from ubar0's band):
+    ubar0, the source |u|^p, both passes, max|u| and the axis sums on the
+    window's columns.  Everything past it is the +0.0 the full-width march
+    computes there, so the samples are bitwise those of the full-width march.
     """
     if grid.r_max + 1e-12 < problem.rho + grid.t_max:
         raise ValueError("grid violates the domain of dependence: need r_max >= rho + t_max")
@@ -612,9 +597,9 @@ def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 409
     at most max_nodes of them; pass a large max_nodes for full coverage.  P is
     evaluated at all of them by one regions.influence_quadrature sweep (one
     pass over the lattice inside the light cone plus O(1) per node); u0 is
-    read at the nodes from its two 1-D tables, so besides the field only the
-    source array is held.  |u|^p is taken only up to the last nonzero column
-    of each block of rows: past r = rho + t the field is exactly zero.
+    read at the nodes from its band (a node off it reads the +0.0 edge), freed
+    before the source array is built.  |u|^p is taken only up to the last
+    nonzero column of each block of rows: past r = rho + t the field is zero.
     """
     grid = field.grid
     n_lev = field.n_levels
@@ -624,8 +609,9 @@ def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 409
                          indexing="ij")
     keep = ii + jj <= grid.n_r
     jj, ii = jj[keep], ii[keep]
-    res = field.samples[jj, ii] - homogeneous_levels(problem.f_profile, problem.g_profile,
-                                                     grid).at(ii, jj)
+    U, b = homogeneous_band(problem.f_profile, problem.g_profile, grid)
+    res = field.samples[jj, ii] - U[jj, np.clip(ii - jj, -b, b) + b]
+    del U
     # lambda * |u|^p, built in place by row blocks up to their last nonzero
     # column; past it the +0.0 of np.zeros is already lambda * |+-0.0|^p
     src, lam = np.zeros(field.samples.shape), grid.h * np.arange(grid.n_r + 1)

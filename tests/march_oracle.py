@@ -6,7 +6,9 @@ t_b and level count exactly, every column r > 0 bit for bit, and the r = 0
 column, whose sums the solver adds up level by level in another order, to
 round-off relative to the level's max|u|.  It runs every level on all
 columns and reads ubar0 from its own :func:`homogeneous_levels`, the
-d'Alembert evaluator on every column, independent of the solver's banded one.
+d'Alembert evaluator on every column, independent of the solver's banded one;
+:func:`homogeneous_band` slices it into the solver's band layout and
+:func:`on_lattice` scatters a band back onto the lattice.
 """
 
 from __future__ import annotations
@@ -46,6 +48,27 @@ def homogeneous_levels(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid)
         return v
 
     return levels
+
+
+def homogeneous_band(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
+    """(U, b) as ``wavelab.solver.homogeneous_band`` lays it out, sliced from
+    :func:`homogeneous_levels`: U[j, k] is ubar0 at (j + k - b, j), +0.0 off the
+    lattice, with b = floor(rho/h) + 2."""
+    b = int(max(fbar.rho, gbar.rho) / grid.h) + 2
+    whole = homogeneous_levels(fbar, gbar, grid)(0, grid.n_t + 1)
+    padded = np.pad(whole, ((0, 0), (b, b + max(0, grid.n_t - grid.n_r))))
+    return np.array([padded[j, j : j + 2 * b + 1] for j in range(grid.n_t + 1)]), b
+
+
+def on_lattice(band, grid: CharGrid):
+    """The band (U, b) on every node of the lattice, +0.0 off the band."""
+    U, b = band
+    jj, kk = np.indices(U.shape)
+    ii = jj + kk - b
+    on = (ii >= 0) & (ii <= grid.n_r)
+    whole = np.zeros((grid.n_t + 1, grid.n_r + 1))
+    whole[jj[on], ii[on]] = U[on]
+    return whole
 
 
 def _axis_P(sigma_diag, h):

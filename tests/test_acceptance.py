@@ -19,9 +19,10 @@ from scipy.integrate import cumulative_trapezoid
 from wavelab.diagnostics import choose_epsilon, gronwall_params_from_chain, s_exponent
 from wavelab.gronwall import GronwallParams, certify, failure_radius
 from wavelab.profiles import RadialProfile, bump_profile
-from wavelab.solver import (CharGrid, RadialField, apply_P, homogeneous_levels,
+from wavelab.solver import (CharGrid, RadialField, apply_P, homogeneous_band,
                             solve_forced, solve_march)
 
+import march_oracle
 from conftest import RHO, blowup_problem
 
 CRIT_P = 1.0 + math.sqrt(2.0)
@@ -84,7 +85,7 @@ def test_criterion_3_huygens_support():
     grid = CharGrid(h, 3.0, 2.0)
     gr = grid.r_values()
     f, g = bump_profile(5.0, RHO, gr), bump_profile(-3.0, RHO, gr)
-    u0 = homogeneous_levels(f, g, grid)(0, grid.n_t + 1)
+    u0 = march_oracle.on_lattice(homogeneous_band(f, g, grid), grid)
     RR, TT = np.meshgrid(grid.r_values(), grid.t_values())
     inside = TT - RR > RHO + 1e-12
     worst = float(np.max(np.abs(u0[inside])))

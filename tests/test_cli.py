@@ -491,7 +491,7 @@ def test_light_cone_cuts_keep_every_artifact_byte(tmp_path, monkeypatch, p):
     monkeypatch.setattr(solver, "influence_quadrature", quadrature_oracle.influence_quadrature)
     monkeypatch.setattr(diagnostics, "influence_quadrature", quadrature_oracle.influence_quadrature)
     monkeypatch.setattr(solver, "_march", functools.partial(solver._march, cone=False))
-    monkeypatch.setattr(diagnostics, "homogeneous_levels", march_oracle.homogeneous_levels)
+    monkeypatch.setattr(diagnostics, "homogeneous_band", march_oracle.homogeneous_band)
     monkeypatch.setattr(solver, "_row_ends", lambda g: np.full(g.shape[0], g.shape[1]))
     assert _solve_and_diagnose(tmp_path / "whole", doc) == (codes, cut)
 

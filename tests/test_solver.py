@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import tracemalloc
 
 import numpy as np
@@ -12,7 +11,7 @@ from wavelab.profiles import RadialProfile, bump_profile, zero_profile
 from wavelab.diagnostics import select_t2_delta
 from wavelab.regions import influence_quadrature
 from wavelab.solver import (CharGrid, FieldFormatError, Problem, RadialField, _read_npz,
-                            _write_npz, apply_P, detect_blowup_time, homogeneous_levels,
+                            _write_npz, apply_P, detect_blowup_time, homogeneous_band,
                             integral_residual, solve_forced, solve_march)
 from wavelab.spherical import ScalarField3, build_sphere_quadrature, spherical_mean
 
@@ -259,8 +258,8 @@ def test_apply_P_out_of_grid(p_grid):
 def test_linear_radial_zero_data():
     grid = CharGrid(1 / 32, 2.0, 1.0)
     gr = grid.r_values()
-    u0 = homogeneous_levels(zero_profile(1.0, gr), zero_profile(1.0, gr), grid)(0, grid.n_t + 1)
-    assert np.all(u0 == 0.0)
+    U, _ = homogeneous_band(zero_profile(1.0, gr), zero_profile(1.0, gr), grid)
+    assert np.all(U == 0.0)
 
 
 def test_linear_radial_huygens_support_exact():
@@ -268,7 +267,7 @@ def test_linear_radial_huygens_support_exact():
     gr = grid.r_values()
     f = bump_profile(5.0, RHO, gr)
     g = bump_profile(-2.0, RHO, gr)
-    u0 = homogeneous_levels(f, g, grid)(0, grid.n_t + 1)
+    u0 = march_oracle.on_lattice(homogeneous_band(f, g, grid), grid)
     RR, TT = np.meshgrid(grid.r_values(), grid.t_values())
     inside_cone = TT - RR > RHO + 1e-12
     beyond_front = RR - TT > RHO + 1e-12
@@ -281,9 +280,9 @@ def test_linear_radial_truncated_velocity_example():
     grid = CharGrid(1 / 64, 3.0, 2.0)
     gr = np.linspace(0.0, 3.0, 385)
     g = RadialProfile(gr, np.where(gr <= 1.0, 1.0, 0.0), 1.0)
-    u0 = homogeneous_levels(zero_profile(1.0, gr), g, grid)(0, grid.n_t + 1)
+    U, b = homogeneous_band(zero_profile(1.0, gr), g, grid)
     i, j = grid.index_of(0.0, 0.5)
-    assert u0[j, i] == pytest.approx(0.5, rel=1e-12)
+    assert U[j, i - j + b] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_linear_radial_against_kirchhoff_oracle():
@@ -291,7 +290,7 @@ def test_linear_radial_against_kirchhoff_oracle():
     grid = CharGrid(1 / 64, 3.0, 2.0)
     gr = grid.r_values()
     g = bump_profile(3.0, RHO, gr)
-    u0 = homogeneous_levels(zero_profile(RHO, gr), g, grid)(0, grid.n_t + 1)
+    u0 = march_oracle.on_lattice(homogeneous_band(zero_profile(RHO, gr), g, grid), grid)
     quad = build_sphere_quadrature(47)
 
     def oracle(r, t):
@@ -335,7 +334,7 @@ def _off_lattice_data():
 def test_linear_radial_matches_pointwise_dalembert(h):
     grid = CharGrid(h, 4.0, 3.0)
     f, g = _off_lattice_data()
-    got = homogeneous_levels(f, g, grid)(0, grid.n_t + 1)
+    got = march_oracle.on_lattice(homogeneous_band(f, g, grid), grid)
     want = _pointwise_dalembert(f, g, grid)
     assert np.max(np.abs(want)) > 1.0
     if h == 1 / 8:                             # dyadic: r +- t exact, same bits
@@ -356,7 +355,7 @@ def test_bump_profile_continuous_at_off_lattice_rho():
     # on |r - t| = rho the table (k*h) and the pointwise (h*i - h*j) d'Alembert
     # read the profile on either side of rho; they now agree to round-off
     grid = CharGrid(0.1, 4.0, 3.0)
-    got = homogeneous_levels(f, g, grid)(0, grid.n_t + 1)
+    got = march_oracle.on_lattice(homogeneous_band(f, g, grid), grid)
     want = _pointwise_dalembert(f, g, grid)
     jj, ii = np.indices(want.shape)
     diag = np.abs(ii - jj) == 10
@@ -368,17 +367,21 @@ def test_unforced_march_is_linear_radial():
     f, g = _off_lattice_data()
     fld = solve_forced(f, g, lambda r, t: np.zeros_like(r), grid)
     assert fld.n_levels == grid.n_t + 1
-    assert np.array_equal(fld.samples, homogeneous_levels(f, g, grid)(0, grid.n_t + 1))
+    want = march_oracle.homogeneous_levels(f, g, grid)(0, grid.n_t + 1)
+    assert np.array_equal(fld.samples, want)
 
 
 def test_homogeneous_node_read_is_bitwise_linear_radial():
+    # every node with i >= 1 read off the band as integral_residual reads it,
+    # its column clipped to the band, is bitwise the full-width evaluator
     grid = CharGrid(0.1, 4.0, 3.0)              # not dyadic: every rounding counts
     f, g = _off_lattice_data()
-    whole = homogeneous_levels(f, g, grid)(0, grid.n_t + 1)
+    whole = march_oracle.homogeneous_levels(f, g, grid)(0, grid.n_t + 1)
     jj, ii = np.indices(whole.shape)
-    jj, ii = jj[:, 1:].ravel(), ii[:, 1:].ravel()   # every node with i >= 1
-    assert jj.max() == grid.n_t and ii.max() == grid.n_r
-    assert np.array_equal(homogeneous_levels(f, g, grid).at(ii, jj), whole[jj, ii])
+    jj, ii = jj[:, 1:].ravel(), ii[:, 1:].ravel()
+    U, b = homogeneous_band(f, g, grid)
+    assert np.any(np.abs(ii - jj) > b)          # some nodes read the band's edges
+    assert np.array_equal(U[jj, np.clip(ii - jj, -b, b) + b], whole[jj, ii])
 
 
 def _band_cases(tmp_path):
@@ -394,7 +397,7 @@ def _band_cases(tmp_path):
     gr = grid.r_values()
     return {
         "bump": (bump_profile(5.0, RHO, gr), bump_profile(-3.0, RHO, gr), grid),
-        "off-lattice-bump": (*_off_lattice_data(), CharGrid(1 / 32, RHO + 4.0, 4.0)),
+        "off-lattice-bump": (*_off_lattice_data(), CharGrid(1 / 32, RHO + 10.0, 10.0)),
         "custom-csv": (*csv, grid),
         "csv-more-levels-than-columns": (*csv, CharGrid(1 / 16, 1.5, 3.0)),
         "f-quarter-radius": (bump_profile(1.0, RHO / 4, gr), bump_profile(3.0, RHO, gr), grid),
@@ -402,34 +405,32 @@ def _band_cases(tmp_path):
     }
 
 
-@pytest.mark.parametrize("rows", [1, 7, 32, 256, None])
-def test_homogeneous_band_is_the_full_width_evaluator(tmp_path, rows):
-    # every block of levels is bitwise the full-width block, and off the band
-    # |i - j| <= ceil(rho/h) + 1 it is +0.0 with no signbit
+@pytest.mark.parametrize("levels", [1, 7, 32, 256, None])
+def test_homogeneous_band_is_the_full_width_evaluator(tmp_path, levels):
+    # the band on the lattice is bitwise the full-width evaluator, and its
+    # edges k = 0 and k = 2b and its cells off the lattice are +0.0 with no
+    # signbit; on each case's lattice, and on it cut to its first levels + 1
+    # levels (down to a lattice far shorter than the band is wide)
     for name, (f, g, grid) in _band_cases(tmp_path).items():
-        band = math.ceil(max(f.rho, g.rho) / grid.h) + 1
-        assert band < grid.n_t, name
-        got, want = homogeneous_levels(f, g, grid), march_oracle.homogeneous_levels(f, g, grid)
-        step = rows or grid.n_t + 1
-        for lo in range(0, grid.n_t + 1, step):
-            hi = min(lo + step, grid.n_t + 1)
-            block, full = got(lo, hi), want(lo, hi)
-            assert block.shape == full.shape and block.tobytes() == full.tobytes(), (name, lo)
-            jj, ii = np.indices(block.shape)
-            off = block[np.abs(ii - (jj + lo)) > band]
-            assert np.all(off == 0) and not np.any(np.signbit(off)), (name, lo)
-        whole = want(0, grid.n_t + 1)
-        assert (name == "zero") == (not np.any(whole)), name
+        if levels is not None and levels < grid.n_t:
+            grid = CharGrid(grid.h, grid.r_max, levels * grid.h)
+        U, b = homogeneous_band(f, g, grid)
+        assert b == int(max(f.rho, g.rho) / grid.h) + 2 and U.shape == (grid.n_t + 1, 2 * b + 1)
+        want = march_oracle.homogeneous_levels(f, g, grid)(0, grid.n_t + 1)
+        assert march_oracle.on_lattice((U, b), grid).tobytes() == want.tobytes(), name
+        ii = np.arange(grid.n_t + 1)[:, None] + np.arange(-b, b + 1)
+        zero = np.concatenate([U[(ii < 0) | (ii > grid.n_r)], U[:, 0], U[:, -1]])
+        assert np.all(zero == 0) and not np.any(np.signbit(zero)), name
+        assert (name == "zero") == (not np.any(want)), name
 
 
 def test_march_reads_the_banded_u0_bitwise(monkeypatch):
-    # the march, in blocks of 7 levels, on the banded u0 and on the full-width one
+    # the march on the band and on the full-width u0 sliced into its layout
     grid = CharGrid(RHO / 16, RHO + 8.0, 8.0)
     gr = grid.r_values()
     prob = Problem(2.41, 1.0, bump_profile(1.0, RHO / 4, gr), bump_profile(3.0, RHO, gr))
-    monkeypatch.setattr(solver, "_U0_BLOCK", 7)
     banded = solve_march(prob, grid)
-    monkeypatch.setattr(solver, "homogeneous_levels", march_oracle.homogeneous_levels)
+    monkeypatch.setattr(solver, "homogeneous_band", march_oracle.homogeneous_band)
     full = solve_march(prob, grid)
     assert (banded.status, banded.t_b) == (full.status, full.t_b)
     assert banded.samples.tobytes() == full.samples.tobytes()
@@ -439,7 +440,7 @@ def test_cone_selection_reads_the_banded_u0(monkeypatch, blowup_run_coarse):
     # the README run at rho/32: the same (t2, delta) from the full-width u0
     prob, fld = blowup_run_coarse
     got = select_t2_delta(fld, prob.f_profile, prob.g_profile)
-    monkeypatch.setattr(diagnostics, "homogeneous_levels", march_oracle.homogeneous_levels)
+    monkeypatch.setattr(diagnostics, "homogeneous_band", march_oracle.homogeneous_band)
     assert select_t2_delta(fld, prob.f_profile, prob.g_profile) == got
 
 
@@ -527,7 +528,7 @@ def test_forced_march_reproduces_P_closed_form():
 def test_positivity_for_nonnegative_velocity_data():
     grid = CharGrid(1 / 32, 4.0, 3.0)
     prob = blowup_problem(grid, amplitude=2.0)
-    u0 = homogeneous_levels(prob.f_profile, prob.g_profile, grid)(0, grid.n_t + 1)
+    u0 = march_oracle.on_lattice(homogeneous_band(prob.f_profile, prob.g_profile, grid), grid)
     assert np.min(u0) >= -1e-13
     fld = solve_march(prob, grid)
     assert fld.status == "complete"
@@ -564,7 +565,8 @@ def test_residual_peak_memory(crit4_run):
 
 
 def test_march_peak_memory():
-    # the state array is the field itself and u0 streams in blocks of levels
+    # the state array is the field itself and u0 is one band of 2b + 1 cells a
+    # level; measured 1.21x (1.19x when u0 streamed in blocks of 32 levels)
     grid = CharGrid(RHO / 64, RHO + 16.0, 16.0)
     prob = blowup_problem(grid)
     tracemalloc.start()
@@ -577,51 +579,24 @@ def test_march_peak_memory():
     assert peak <= 1.3 * fld.samples.nbytes
 
 
-def test_march_is_independent_of_the_u0_block(monkeypatch, blowup_run_coarse):
-    grid = CharGrid(1 / 32, 5.0, 4.0)           # 129 levels: 5 default blocks, 19 of 7
-    f, g = _off_lattice_data()
-    prob = Problem(2.0, 1.0, f, g)
-    runs = (lambda: solve_march(prob, grid),
-            lambda: solve_forced(f, g, _mms_forcing, grid))
-    default = [run() for run in runs]
-    monkeypatch.setattr(solver, "_U0_BLOCK", 7)
-    for run, fld in zip(runs, default):
-        assert fld.n_levels == grid.n_t + 1
-        assert np.array_equal(run().samples, fld.samples)
-    prob, fld = blowup_run_coarse                # computed with the default block
-    small = solve_march(prob, fld.grid)
-    assert small.status == "blown_up" and small.t_b == fld.t_b
-    assert np.array_equal(small.samples, fld.samples)
+def test_solve_never_builds_a_whole_lattice_u0(monkeypatch):
+    # the march and the residual each read u0 from one band of 2b + 1 cells a
+    # level, and nothing else evaluates u0
+    real, shapes = solver.homogeneous_band, []
 
+    def recorded(fbar, gbar, grid):
+        U, b = real(fbar, gbar, grid)
+        shapes.append((U.shape, b, grid.n_r))
+        return U, b
 
-def test_solve_reads_u0_one_block_at_a_time(monkeypatch):
-    # solve never builds a whole-lattice u0: the march reads it by blocks and
-    # only the residual reads it at nodes, once, at all of its nodes
-    real, spans, node_reads = solver.homogeneous_levels, [], []
-
-    def guarded(fbar, gbar, grid):
-        levels = real(fbar, gbar, grid)
-
-        def block(lo, hi):
-            spans.append(hi - lo)
-            return levels(lo, hi)
-
-        def at(ii, jj):
-            node_reads.append(ii.size)
-            return levels.at(ii, jj)
-
-        block.at = at
-        return block
-
-    monkeypatch.setattr(solver, "homogeneous_levels", guarded)
+    monkeypatch.setattr(solver, "homogeneous_band", recorded)
     grid = CharGrid(RHO / 32, RHO + 16.0, 16.0)
     prob = blowup_problem(grid)
     fld = solve_march(prob, grid)
-    assert fld.status == "blown_up"
-    assert len(spans) > 1 and max(spans) <= solver._U0_BLOCK
-    assert node_reads == []
-    res = integral_residual(prob, fld)
-    assert res["nodes"] > 0 and node_reads == [res["nodes"]]
+    assert fld.status == "blown_up" and len(shapes) == 1
+    assert integral_residual(prob, fld)["nodes"] > 0 and len(shapes) == 2
+    for (levels, width), b, n_r in shapes:
+        assert (levels, width) == (grid.n_t + 1, 2 * b + 1) and 4 * width < n_r + 1
 
 
 def test_quadrature_peak_memory(monkeypatch):
@@ -789,10 +764,8 @@ def test_march_rows_stop_at_the_light_cone_window(monkeypatch):
     assert sizes == [grid.n_r + 1] * (3 * grid.n_t + 1)
 
 
-def test_forced_and_blocked_march_is_bitwise_the_oracle(monkeypatch):
+def test_forced_march_is_bitwise_the_oracle():
     fb, gb, grid = _mms_data(32)
-    _assert_march_is_oracle(fb, gb, grid, 1.0, _forced(_mms_forcing), (np.inf,) * 3, False)
-    monkeypatch.setattr(solver, "_U0_BLOCK", 7)   # the oracle reads 32 levels at a time
     _assert_march_is_oracle(fb, gb, grid, 1.0, _forced(_mms_forcing), (np.inf,) * 3, False)
     assert _assert_nonlinear_march_is_oracle(2.0, 10.0)[1] == "blown_up"
 
@@ -887,8 +860,8 @@ def test_supercritical_small_data_stays_small():
     prob = Problem(3.0, 1.0, zero_profile(1.0, gr), bump_profile(0.01, 1.0, gr))
     fld = solve_march(prob, grid)
     assert fld.status == "complete"
-    u0 = homogeneous_levels(prob.f_profile, prob.g_profile, grid)(0, grid.n_t + 1)
-    initial = float(np.max(np.abs(u0)))
+    U, _ = homogeneous_band(prob.f_profile, prob.g_profile, grid)
+    initial = float(np.max(np.abs(U)))
     assert float(np.max(np.abs(fld.samples))) < 2.0 * initial
 
 
