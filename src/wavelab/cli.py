@@ -133,7 +133,7 @@ def _run_solve(cfg: RunConfig, out_dir: Path):
         "t_b": fld.t_b,
         "fitted_t_b": None if fit is None else fit.fitted_t_b,
         "fitted_exponent": None if fit is None else fit.fitted_exponent,
-        "max_amplitude_reached": float(np.max(np.abs(fld.samples))),
+        "max_amplitude_reached": float(fld.level_max().max()),
         "residual": residual,
     }
     return fld, record

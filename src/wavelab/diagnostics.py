@@ -67,6 +67,7 @@ CRITICAL_P = 1.0 + math.sqrt(2.0)
 BRT_SAMPLES = 60    # Sigma nodes checked by the region integral bound
 G1_SAMPLES = 144    # (alpha, beta) pairs checked by the weighted functional bound
 _GRID_ROWS = 256    # alpha-rows of the characteristic grid held at once
+_SIGMA_NODES = 1 << 17      # Sigma nodes of steps 1 and 3 held at once
 MAX_ROWS = 20000    # rows a residual table keeps; past it, sampled (InequalityTable.build)
 
 
@@ -152,8 +153,8 @@ class InequalityTable:
             raise TypeError("tol: expected a function of (lhs, rhs) giving the rows' tolerances")
         lhs = np.asarray(lhs, dtype=float).ravel()
         stream = _TableStream(inequality_id, lhs.size, constants, max_rows)
-        stream.add(np.asarray(r, dtype=float).ravel(), np.asarray(t, dtype=float).ravel(), lhs,
-                   np.asarray(rhs, dtype=float).ravel(), tol)
+        r, t = (np.asarray(v, dtype=float).ravel() for v in (r, t))
+        stream.add(lhs, np.asarray(rhs, dtype=float).ravel(), tol, lambda k: (r[k], t[k]))
         return stream.finish()
 
     def verdict(self):
@@ -180,11 +181,13 @@ class _TableStream:
         self.least = None       # (flat index, residual, row, tol function): first least residual
         self.kept = []          # per block, the kept rows as columns (r, t, lhs, rhs, tol)
 
-    def add(self, r, t, lhs, rhs, tol):
+    def add(self, lhs, rhs, tol, at):
         """Feed the next rows (rhs may be a scalar).  ``tol(lhs, rhs)`` gives the
         nonnegative tolerance of the rows passed; a residual >= 0 holds whatever it
         is, so it sees only the rows whose residual is not >= 0 and the kept rows.
-        A residual of -inf fails whatever its tolerance, +inf included."""
+        A residual of -inf fails whatever its tolerance, +inf included.  ``at(k)``
+        gives the points (r, t) of the rows at the indices k of this block; it is
+        asked only for the kept rows and the least one."""
         rhs = np.broadcast_to(rhs, lhs.shape)
         res = lhs - rhs
         fails = np.flatnonzero(~(res >= 0))
@@ -193,10 +196,10 @@ class _TableStream:
         k = int(np.argmin(res))
         # a later block replaces the minimum only if strictly less (NaN counts as least)
         if self.least is None or not (np.isnan(self.least[1]) or res[k] >= self.least[1]):
-            self.least = (self.seen + k, res[k], (r[k], t[k], lhs[k], rhs[k]), tol)
-        keep = slice((-self.seen) % self.stride, None, self.stride)
-        self.kept.append((r[keep].copy(), t[keep].copy(), lhs[keep].copy(), rhs[keep].copy(),
-                          tol(lhs[keep], rhs[keep])))
+            (r,), (t,) = at(np.array([k]))
+            self.least = (self.seen + k, res[k], (r, t, lhs[k], rhs[k]), tol)
+        keep = np.arange((-self.seen) % self.stride, lhs.size, self.stride)
+        self.kept.append((*at(keep), lhs[keep], rhs[keep], tol(lhs[keep], rhs[keep])))
         self.seen += lhs.size
 
     def finish(self) -> "InequalityTable":
@@ -314,10 +317,30 @@ def compute_M(field: RadialField, t2: float, delta: float, p: float) -> float:
     if j2 + d > field.n_levels - 1 or j2 + 2 * d > grid.n_r:
         raise ValueError("region outside grid")
     # T(t2, delta) is R(delta, t2 + delta) cut at alpha = t2 + delta
-    lam = h * np.arange(j2 + 2 * d + 1)
-    window = np.abs(field.samples[: j2 + d + 1, : j2 + 2 * d + 1]) ** p
-    g = 0.5 * lam[None, :] * window
-    return float(influence_quadrature(g, d, j2 + d, alpha_lo=j2 + d)) * h * h
+    window = field.samples[: j2 + d + 1, : j2 + 2 * d + 1]
+    return float(influence_quadrature(window, d, j2 + d, alpha_lo=j2 + d,
+                                      source=_cone_source(h, p))) * h * h
+
+
+def _cone_source(h, p):
+    """compute_M's source (lambda/2) |u|^p, as ``influence_quadrature`` reads it."""
+
+    def source(u, a):
+        return 0.5 * (h * a) * np.abs(u) ** p
+
+    return source
+
+
+def _region_source(h, p):
+    """Step 2's source lambda u_+^p, as ``influence_quadrature`` reads it."""
+
+    def source(u, a):
+        g = np.maximum(u, 0.0)      # np.clip(u, 0.0, None), without its wrapper
+        g **= p
+        g *= h * a
+        return g
+
+    return source
 
 
 # ---------------------------------------------------------------------------
@@ -344,26 +367,37 @@ def _sigma_tables(field, config, j_star):
     """Steps 1 and 3 at every Sigma node: the sigma_positivity and pointwise tables.
 
     The nodes i <= j - j_star run level by level, outward in r, as one flat
-    array would hold them; they are read in blocks of _GRID_ROWS levels and
-    streamed into the tables, so only a block and the kept rows are held.
+    array would hold them; they are read in blocks of whole levels, as many as
+    fit _SIGMA_NODES nodes (one level at least), and streamed into the tables.
+    A block holds u and the pointwise rhs at its nodes; r and t are read only
+    at the kept rows and the least one.
     """
     h, p, C0 = field.grid.h, config.p, config.C0
     counts = np.minimum(np.arange(field.n_levels - j_star), field.grid.n_r) + 1
-    positivity = _TableStream("sigma_positivity", int(counts.sum()))
-    pointwise = _TableStream("pointwise_lower_bound", int(counts.sum()), {"C0": C0})
+    ends = np.cumsum(counts)
+    positivity = _TableStream("sigma_positivity", int(ends[-1]))
+    pointwise = _TableStream("pointwise_lower_bound", int(ends[-1]), {"C0": C0})
     cols = np.arange(field.grid.n_r + 1)
-    for lo in range(j_star, field.n_levels, _GRID_ROWS):
-        hi = min(lo + _GRID_ROWS, field.n_levels)
-        inside = cols < counts[lo - j_star : hi - j_star, None]
-        u = field.samples[lo:hi][inside]
-        r = np.broadcast_to(h * cols, inside.shape)[inside]
-        t = np.broadcast_to(h * np.arange(lo, hi)[:, None], inside.shape)[inside]
-        positivity.add(r, t, u, 0.0, lambda u, _: _chain_tol(h, u, 1.0))
-        rhs = t + r
+    lo = 0
+    while lo < counts.size:
+        base = ends[lo] - counts[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _SIGMA_NODES, side="right")))
+        first, t = ends[lo:hi] - counts[lo:hi] - base, h * np.arange(j_star + lo, j_star + hi)
+
+        def at(k, first=first, t=t):        # (r, t) at the block's flat indices k
+            lev = np.searchsorted(first, k, side="right") - 1
+            return h * (k - first[lev]), t[lev]
+
+        inside = cols < counts[lo:hi, None]
+        u = field.samples[j_star + lo : j_star + hi][inside]
+        positivity.add(u, 0.0, lambda u, _: _chain_tol(h, u, 1.0), at)
+        rhs = np.broadcast_to(t[:, None], inside.shape)[inside]
+        rhs += np.broadcast_to(h * cols, inside.shape)[inside]      # t + r
         rhs **= 1.0 - p
         rhs *= C0
-        pointwise.add(r, t, u, rhs, partial(_chain_tol, h))
-        del inside, u, r, t, rhs        # so the next block is not read while this one is held
+        pointwise.add(u, rhs, partial(_chain_tol, h), at)
+        del inside, u, rhs        # so the next block is not read while this one is held
+        lo = hi
     return positivity.finish(), pointwise.finish()
 
 
@@ -372,8 +406,8 @@ def _region_integral_table(field, config, j_star):
 
     The eligible nodes (i >= 1, i + j <= n_r) are counted per level; every
     stride-th of them in Sigma's flat order is picked by its rank.  The
-    source lambda u_+^p is built only on the window of the regions: beta >=
-    t_star bounds lambda and the nodes bound the rows.
+    source lambda u_+^p is read from the window of the regions (beta >=
+    t_star bounds lambda and the nodes bound the rows); no array of it is built.
     """
     h, n_r = field.grid.h, field.grid.n_r
     js = np.arange(j_star, field.n_levels)
@@ -386,11 +420,8 @@ def _region_integral_table(field, config, j_star):
     jb, ib = js[lev], 1 + ranks - (ends[lev] - eligible[lev])
     # B(r, t) is R(i, j) cut at beta = j_star: it reaches lambda = (i + j - j_star)/2
     a_max = int((ib + jb - j_star + 1).max()) // 2
-    # lambda u_+^p, built in place: it is the largest array of the step
-    lam_src = np.clip(field.samples[: jb.max() + 1, : a_max + 1], 0.0, None)
-    lam_src **= config.p
-    lam_src *= h * np.arange(a_max + 1)
-    integral = influence_quadrature(lam_src, ib, jb, beta_lo=j_star) * h * h
+    integral = influence_quadrature(field.samples[: jb.max() + 1, : a_max + 1], ib, jb,
+                                    beta_lo=j_star, source=_region_source(h, config.p)) * h * h
     rhs_b = config.A * (integral / (2.0 * ib * h))
     lhs_b = field.samples[jb, ib]
     return [InequalityTable.build("region_integral_bound", ib * h, jb * h, lhs_b, rhs_b,
@@ -514,8 +545,8 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
             "formula": "C_single * C_low^(p-1-eps)",
         }
 
-    # 1.-3. on the Sigma nodes, streamed by level blocks; step 2 first, so that its
-    # source window, the largest array of the chain, is freed before any block is read
+    # 1.-3. on the Sigma nodes: step 2 reads its source from the field, steps 1 and 3
+    # stream the nodes by level blocks
     j_star = _sigma_levels(field, t_star)
     region = _region_integral_table(field, config, j_star)
     positivity, pointwise = _sigma_tables(field, config, j_star)

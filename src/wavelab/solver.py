@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .profiles import RadialProfile
-from .regions import _SCAN_ROWS, _row_ends, influence_quadrature
+from .regions import influence_quadrature
 
 __all__ = [
     "Problem",
@@ -181,7 +181,11 @@ class RadialField:
         return self.grid.h * (self.n_levels - 1)
 
     def level_max(self):
-        return np.max(np.abs(self.samples), axis=1)
+        """max|u| of each level, +0.0 for a zero level, with no temporary the size of the field."""
+        top = self.samples.max(axis=1)
+        np.maximum(top, -self.samples.min(axis=1), out=top)
+        top += 0.0          # -0.0 + 0.0 is +0.0
+        return top
 
     def save(self, path):
         """Write the field artifact (``_write_npz``): the float64 ``samples``
@@ -231,12 +235,20 @@ def _is_number(v):
 def _write_npz(path, arrays, meta):
     """One deterministic npz artifact: the arrays in order, then ``meta``, a 0-d
     string of sort-keyed JSON.  Uncompressed, pickling refused, and every zip
-    entry carries the fixed 1980-01-01 stamp, so equal content gives equal bytes."""
+    entry carries the fixed 1980-01-01 stamp, so equal content gives equal bytes.
+    A C-contiguous member is written as its npy header and then its buffer, with
+    no copy of it (numpy's writer copies a zip entry out in 16 MiB chunks)."""
     with zipfile.ZipFile(path, "w") as zf:
         for name, value in (*arrays.items(), ("meta", np.array(json.dumps(meta, sort_keys=True)))):
+            value = np.asanyarray(value)
             entry = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
             with zf.open(entry, "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, np.asanyarray(value), allow_pickle=False)
+                if value.flags.c_contiguous and not value.dtype.hasobject:
+                    fmt = np.lib.format
+                    fmt.write_array_header_1_0(fh, fmt.header_data_from_array_1_0(value))
+                    fh.write(value.data)
+                else:
+                    np.lib.format.write_array(fh, value, allow_pickle=False)
 
 
 def _read_npz(path, what):
@@ -286,8 +298,8 @@ def apply_P(source: RadialField, r: float, t: float) -> float:
         weights = np.full(j, h)
         weights[:1] = 0.5 * h
         return float(np.dot(weights, (j - ks) * h * source.samples[ks, j - ks]))
-    g = h * np.arange(i + j + 1) * source.samples[: j + 1, : i + j + 1]
-    return float(influence_quadrature(g, i, j)) * h * h / (2.0 * i * h)
+    return float(influence_quadrature(source.samples[: j + 1, : i + j + 1], i, j,
+                                      source=lambda u, a: h * a * u)) * h * h / (2.0 * i * h)
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +601,18 @@ def detect_blowup_time(field: RadialField) -> Optional[BlowupFit]:
 # Residual against the independent quadrature
 # ---------------------------------------------------------------------------
 
+def _residual_source(h, p):
+    """The residual's source lambda |u|^p, as ``influence_quadrature`` reads it."""
+
+    def source(u, a):
+        g = np.abs(u)
+        g **= p
+        g *= h * a
+        return g
+
+    return source
+
+
 def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 4096) -> dict:
     """Residual u - u0 - A*P(|u|^p) on a deterministic interior subsample.
 
@@ -596,10 +620,10 @@ def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 409
     fits the lattice.  The nodes form a square sub-lattice whose stride keeps
     at most max_nodes of them; pass a large max_nodes for full coverage.  P is
     evaluated at all of them by one regions.influence_quadrature sweep (one
-    pass over the lattice inside the light cone plus O(1) per node); u0 is
-    read at the nodes from its band (a node off it reads the +0.0 edge), freed
-    before the source array is built.  |u|^p is taken only up to the last
-    nonzero column of each block of rows: past r = rho + t the field is zero.
+    pass over the lattice inside the light cone plus O(1) per node), which
+    reads lambda |u|^p from the field diagonal by diagonal and starts from the
+    nonzeros of u, so no source array is built.  u0 is read at the nodes from
+    its band (a node off it reads the +0.0 edge), freed before the sweep.
     """
     grid = field.grid
     n_lev = field.n_levels
@@ -612,16 +636,9 @@ def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 409
     U, b = homogeneous_band(problem.f_profile, problem.g_profile, grid)
     res = field.samples[jj, ii] - U[jj, np.clip(ii - jj, -b, b) + b]
     del U
-    # lambda * |u|^p, built in place by row blocks up to their last nonzero
-    # column; past it the +0.0 of np.zeros is already lambda * |+-0.0|^p
-    src, lam = np.zeros(field.samples.shape), grid.h * np.arange(grid.n_r + 1)
-    ends = _row_ends(field.samples)
-    for k in range(0, n_lev, _SCAN_ROWS):
-        rows, c = slice(k, k + _SCAN_ROWS), int(ends[k : k + _SCAN_ROWS].max())
-        block = np.abs(field.samples[rows, :c], out=src[rows, :c])
-        block **= problem.p
-        block *= lam[:c]
-    res -= problem.A * (influence_quadrature(src, ii, jj) * grid.h * grid.h / (2.0 * ii * grid.h))
+    integral = influence_quadrature(field.samples, ii, jj,
+                                    source=_residual_source(grid.h, problem.p))
+    res -= problem.A * (integral * grid.h * grid.h / (2.0 * ii * grid.h))
     if res.size == 0:
         return {"residual_linf": 0.0, "residual_l2": 0.0, "nodes": 0}
     return {

@@ -1,10 +1,31 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
+import quadrature_oracle
 from wavelab.diagnostics import ChainConfig, check_chain, compute_M, select_t2_delta
 from wavelab.profiles import bump_profile, zero_profile
 from wavelab.solver import CharGrid, Problem, solve_march
 
 RHO = 1.0
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak of the memory traced while it ran, in bytes)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def dense_quadrature(u, i, j, alpha_lo=None, beta_lo=None, source=None):
+    """The reference quadrature (``quadrature_oracle``) on g = source(u, a) built whole."""
+    u = np.asarray(u, dtype=float)
+    g = u if source is None else source(u, np.arange(u.shape[1]))
+    return quadrature_oracle.influence_quadrature(g, i, j, alpha_lo, beta_lo)
 
 
 def blowup_problem(grid, amplitude=10.0, p=2.0, A=1.0, rho=RHO):

@@ -21,7 +21,7 @@ from wavelab.config import (ConfigError, DataSpec, apply_overrides, config_hash,
 from wavelab.solver import RadialField
 
 import march_oracle
-import quadrature_oracle
+from conftest import dense_quadrature
 from text_export import field_to_csv
 
 
@@ -480,19 +480,18 @@ def _solve_and_diagnose(tmp_path, doc):
 @pytest.mark.parametrize("p", [2.0, 2.41])
 def test_light_cone_cuts_keep_every_artifact_byte(tmp_path, monkeypatch, p):
     # solve and diagnose at rho/32, then again with the references swapped in:
-    # the sweep over every cell diagonal (in solver and diagnostics), the march
-    # on full-width rows (cone off) with |u|^p on every node, u0 on every
-    # column for the cone selection, and |u|^p on every node for the
-    # residual's source
+    # the sweep over every cell diagonal (in solver and diagnostics) of each
+    # source built whole, on every node, the march on full-width rows (cone
+    # off) with |u|^p on every node, and u0 on every column for the cone
+    # selection
     doc = base_run_config(tmp_path, grid={"h": 1 / 32, "t_max": 16.0})
     doc["problem"]["p"] = p
     codes, cut = _solve_and_diagnose(tmp_path / "cut", doc)
     assert codes[0] == 0 and json.loads(cut["residual.json"])["nodes"] > 0
-    monkeypatch.setattr(solver, "influence_quadrature", quadrature_oracle.influence_quadrature)
-    monkeypatch.setattr(diagnostics, "influence_quadrature", quadrature_oracle.influence_quadrature)
+    monkeypatch.setattr(solver, "influence_quadrature", dense_quadrature)
+    monkeypatch.setattr(diagnostics, "influence_quadrature", dense_quadrature)
     monkeypatch.setattr(solver, "_march", functools.partial(solver._march, cone=False))
     monkeypatch.setattr(diagnostics, "homogeneous_band", march_oracle.homogeneous_band)
-    monkeypatch.setattr(solver, "_row_ends", lambda g: np.full(g.shape[0], g.shape[1]))
     assert _solve_and_diagnose(tmp_path / "whole", doc) == (codes, cut)
 
 

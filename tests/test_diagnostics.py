@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from wavelab.regions import influence_quadrature
 from wavelab.solver import CharGrid, Problem, RadialField, _read_npz, solve_march
 
 import march_oracle
-from conftest import RHO, blowup_problem
+from conftest import RHO, blowup_problem, traced_peak
 from field_oracle import H_of, interpolate
 from lattice_oracle import _UNBOUNDED, RegionBrt, StripBounds, lattice_weights
 
@@ -173,12 +172,7 @@ def test_select_t2_delta_peak_memory(crit4_run):
     # whole-lattice u0 or prefix minima; measured 0.27x (level blocks of u0
     # peaked at 0.33x), so the bound leaves a fifth of headroom
     prob, field = crit4_run
-    tracemalloc.start()
-    try:
-        select_t2_delta(field, prob.f_profile, prob.g_profile)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(select_t2_delta, field, prob.f_profile, prob.g_profile)
     assert peak <= 0.32 * field.samples.nbytes
 
 
@@ -552,7 +546,8 @@ def test_table_stream_matches_whole_array_build(block, max_rows, values):
 
     stream = diagnostics._TableStream("synthetic", n, None, max_rows)
     for lo in range(0, n, block):
-        stream.add(*(c[lo : lo + block] for c in (r, t, lhs, rhs)), tol)
+        rb, tb = r[lo : lo + block], t[lo : lo + block]
+        stream.add(lhs[lo : lo + block], rhs[lo : lo + block], tol, lambda k: (rb[k], tb[k]))
     table = stream.finish()
     # the tolerance sees only rows that may fail (residual not >= 0) and kept rows
     with np.errstate(invalid="ignore"):
@@ -596,7 +591,8 @@ def test_sigma_tables_match_whole_array_build(blowup_run_coarse, monkeypatch, ro
     js, iss = np.nonzero(np.arange(fld.grid.n_r + 1) <= np.arange(fld.n_levels)[:, None] - j_star)
     u, r, t = fld.samples[js, iss], iss * h, js * h
     assert (u.size > 20000) == (case == "blowup")
-    monkeypatch.setattr(diagnostics, "_GRID_ROWS", rows)
+    # a block holds as many levels as fit `rows` full levels' nodes, one at least
+    monkeypatch.setattr(diagnostics, "_SIGMA_NODES", rows * (fld.grid.n_r + 1))
     positivity, pointwise = diagnostics._sigma_tables(fld, cfg, j_star)
     _assert_table_is(positivity, _build_reference(r, t, u, np.zeros_like(u),
                                                   diagnostics._chain_tol(h, u, 1.0)))
@@ -638,17 +634,14 @@ def test_lattice_gather_matches_interpolate(monkeypatch, k, j_star, rows):
 def test_check_chain_peak_memory(crit4_run):
     # no (n+1)^2 characteristic-grid array (the dense chain peaked at 11x the
     # field), no Sigma-size array (whole-Sigma steps 1-3 peaked at 3.9x) and no
-    # full-width weight or trapezoid arrays per alpha-block (0.96x with them);
-    # measured 0.58x, so the bound leaves a fifth of headroom
+    # full-width weight or trapezoid arrays per alpha-block (0.96x with them),
+    # no step-2 source array and Sigma blocks of _SIGMA_NODES nodes (0.58x
+    # with the array and 256-level blocks); measured 0.48x, so the bound
+    # leaves a fifth of headroom
     prob, field = crit4_run
     cfg = ChainConfig(prob.p, prob.A, 0.0, RHO / 8.0)
-    tracemalloc.start()
-    try:
-        check_chain(field, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.7 * field.samples.nbytes
+    _, peak = traced_peak(check_chain, field, cfg)
+    assert peak <= 0.57 * field.samples.nbytes
 
 
 def test_residual_tables_npz_round_trip(crit4_chain, tmp_path):

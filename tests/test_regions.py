@@ -5,9 +5,12 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from wavelab.diagnostics import _cone_source, _region_source
 from wavelab.regions import influence_quadrature
+from wavelab.solver import _residual_source
 
 import quadrature_oracle
+from conftest import dense_quadrature
 from lattice_oracle import (_UNBOUNDED, RegionBrt, RegionQ, RegionQrt, RegionR, RegionT,
                             Sigma, SigmaPrime, StripBounds, _StripRegion, area, contains,
                             lattice_weights, subset_check)
@@ -365,6 +368,63 @@ def test_sweep_is_bitwise_the_oracle(shape):
     assert np.any(cones == 0) and np.any(cones != 0)
     for got in answers[1:]:
         assert not np.any(np.signbit(got[got == 0]))
+
+
+def _package_sources(h, p):
+    """The sources the package passes: the residual's lambda |u|^p, step 2's
+    lambda u_+^p and compute_M's (lambda/2) |u|^p."""
+    return [_residual_source(h, p), _region_source(h, p), _cone_source(h, p)]
+
+
+@pytest.mark.parametrize("p", [2.0, 2.41, 3.0])
+def test_package_sources_are_the_source_arrays_they_replace(p):
+    # bitwise the arrays the residual, step 2 and compute_M once built, in
+    # their order of operations, on a signed field with signed zeros
+    h, rng = 1.0 / 16.0, np.random.default_rng(8)
+    u = np.where(rng.random((9, 40)) < 0.2, -0.0, 5.0 * rng.normal(size=(9, 40)))
+    u[:, -5:] = 0.0
+    lam = h * np.arange(u.shape[1])
+    residual, region = np.abs(u), np.clip(u, 0.0, None)
+    for g in (residual, region):
+        g **= p
+        g *= lam
+    cone = 0.5 * lam[None, :] * np.abs(u) ** p
+    for source, want in zip(_package_sources(h, p), (residual, region, cone)):
+        got = source(u, np.arange(u.shape[1]))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _assert_streamed_is_dense(u, i, j, source, **floors):
+    got = influence_quadrature(u, i, j, source=source, **floors)
+    ref = dense_quadrature(u, i, j, source=source, **floors)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), floors
+
+
+@pytest.mark.parametrize("p", [2.0, 2.41])
+@pytest.mark.parametrize("shape", [(2, 9), (13, 31), (31, 25)])
+def test_streamed_sources_are_bitwise_the_dense_oracle(shape, p):
+    # g = source(u, a) read diagonal by diagonal from u against the reference
+    # sweep on g built whole, for g = u and each source the package passes, on
+    # random signed fields with zero cones and signed zeros: R at every node,
+    # B(r, t) (beta floors), T (alpha floors) and both floors; u also as a
+    # window of a larger field and as a strided view of one
+    K, N = shape
+    rng = np.random.default_rng(K * N + 1)
+    big = 3.0 * rng.normal(size=(2 * K + 3, 3 * N + 4))
+    fields = _sources(K, N) + [big[2 : K + 2, 3 : N + 3], big[1::2, ::3][:K, :N]]
+    assert not fields[-1].flags.c_contiguous and not fields[-2].flags.c_contiguous
+    for u in fields:
+        for source in (None, *_package_sources(1.0 / 16.0, p)):
+            ii, jj = _fitting_nodes(K, N)
+            _assert_streamed_is_dense(u, ii, jj, source)
+            _assert_streamed_is_dense(u, ii, jj, source, alpha_lo=N // 2)
+            for j_star in sorted({0, K // 2}):
+                ii, jj = _fitting_nodes(K, N, j_star)
+                _assert_streamed_is_dense(u, ii, jj, source, beta_lo=j_star)
+                _assert_streamed_is_dense(u, ii, jj, source, alpha_lo=N // 3, beta_lo=j_star)
+            for d in range(1, (N + 1) // 2, 2):
+                for t2 in range(d % 3, min(K - d, N - 2 * d), 3):
+                    _assert_streamed_is_dense(u, d, t2 + d, source, alpha_lo=t2 + d)
 
 
 def test_subset_examples():

@@ -1,11 +1,12 @@
 import dataclasses
-import tracemalloc
+import io
+import zipfile
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from wavelab import diagnostics, solver
+from wavelab import cli, diagnostics, solver
 from wavelab.config import parse_run_config
 from wavelab.profiles import RadialProfile, bump_profile, zero_profile
 from wavelab.diagnostics import select_t2_delta
@@ -16,7 +17,7 @@ from wavelab.solver import (CharGrid, FieldFormatError, Problem, RadialField, _r
 from wavelab.spherical import ScalarField3, build_sphere_quadrature, spherical_mean
 
 import march_oracle
-from conftest import RHO, blowup_problem
+from conftest import RHO, blowup_problem, traced_peak
 from text_export import field_to_csv
 from field_oracle import interpolate
 
@@ -141,13 +142,39 @@ def test_field_rejects_non_finite_samples(bad):
 def test_field_finiteness_check_allocates_no_mask():
     g = CharGrid(1 / 64, 8.0, 4.0)
     vals = np.ones((g.n_t + 1, g.n_r + 1))
-    tracemalloc.start()
-    try:
-        RadialField(g, vals)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(RadialField, g, vals)
     assert peak <= 0.02 * vals.nbytes
+
+
+def test_level_max_is_max_abs_with_no_field_temporary():
+    # bitwise max|u| per level, +0.0 (no signbit) on levels of +0.0, -0.0 or both
+    g = CharGrid(1 / 64, 8.0, 4.0)
+    vals = np.random.default_rng(5).normal(size=(g.n_t + 1, g.n_r + 1))
+    vals[1], vals[2], vals[3] = 0.0, -0.0, np.where(np.arange(g.n_r + 1) % 2, -0.0, 0.0)
+    vals[4, 7] = -1e300
+    fld = RadialField(g, vals)
+    got, peak = traced_peak(fld.level_max)
+    want = np.max(np.abs(vals), axis=1)
+    assert got.tobytes() == want.tobytes() and not np.any(np.signbit(got))
+    assert peak <= 0.02 * vals.nbytes
+
+
+def test_field_save_writes_numpys_bytes_with_no_field_copy(tmp_path):
+    # every member is the npy numpy writes, for C-ordered, Fortran-ordered,
+    # strided and 0-d arrays alike; the samples are written from their buffer
+    g = CharGrid(1 / 64, 8.0, 4.0)
+    vals = np.random.default_rng(6).normal(size=(g.n_t + 1, g.n_r + 1))
+    fld = RadialField(g, vals, p=2.0, A=1.0)
+    _, peak = traced_peak(fld.save, tmp_path / "f.npz")
+    assert peak <= 0.02 * vals.nbytes
+    members = {"c": vals[:5], "f": np.asfortranarray(vals[:5, :9]), "strided": vals[::7, ::3],
+               "zero_d": np.array(2.5), "empty": np.zeros((0, 3)), "ints": np.arange(4)}
+    _write_npz(tmp_path / "m.npz", members, {"k": 1})
+    with zipfile.ZipFile(tmp_path / "m.npz") as zf:
+        for name, value in (*members.items(), ("meta", np.array('{"k": 1}'))):
+            want = io.BytesIO()
+            np.lib.format.write_array(want, value, allow_pickle=False)
+            assert zf.read(name + ".npy") == want.getvalue(), name
 
 
 def test_interpolate_returns_nodes_on_last_level_and_column(blowup_run_coarse):
@@ -551,17 +578,15 @@ def test_residual_contract_for_complete_fields():
 
 
 def test_residual_peak_memory(crit4_run):
-    # u0 is read at the nodes and dropped before the source is built, and the
-    # sweep keeps only column sums: no prefix-sum copy of the lattice
+    # u0's band (0.13x) is read at the nodes and dropped before the sweep, which
+    # reads its source from the field and keeps only column sums: no source
+    # array and no prefix-sum copy of the lattice.  Measured 0.27x, the band
+    # and its build (1.02x with a source array), so the bound leaves a fifth
+    # of headroom
     prob, field = crit4_run
-    tracemalloc.start()
-    try:
-        res = integral_residual(prob, field)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(integral_residual, prob, field)
     assert res["nodes"] > 0
-    assert peak <= 1.25 * field.samples.nbytes
+    assert peak <= 0.33 * field.samples.nbytes
 
 
 def test_march_peak_memory():
@@ -569,14 +594,26 @@ def test_march_peak_memory():
     # level; measured 1.21x (1.19x when u0 streamed in blocks of 32 levels)
     grid = CharGrid(RHO / 64, RHO + 16.0, 16.0)
     prob = blowup_problem(grid)
-    tracemalloc.start()
-    try:
-        fld = solve_march(prob, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    fld, peak = traced_peak(solve_march, prob, grid)
     assert fld.status == "blown_up"
     assert peak <= 1.3 * fld.samples.nbytes
+
+
+def test_solve_holds_one_field(tmp_path):
+    # march, residual, field write, blow-up fit and max|u|: after the march
+    # nothing builds an array the size of the field (no source array, no |u|,
+    # no copy for the writer).  Measured 1.29x the lattice, the march's own
+    # 1.14x and the residual's band (2.0x with a second field-sized array), so
+    # the bound leaves an eighth of headroom
+    doc = {"problem": {"p": 2.0, "A": 1.0,
+                       "data": {"profile": "bump", "amplitude": 10.0, "rho": RHO}},
+           "grid": {"h": RHO / 64, "t_max": 16.0}, "output_dir": str(tmp_path)}
+    cfg = parse_run_config(doc)
+    (fld, record), peak = traced_peak(cli._run_solve, cfg, tmp_path)
+    grid = fld.grid
+    assert record["status"] == "blown_up" and record["residual"]["nodes"] > 0
+    assert record["max_amplitude_reached"] == np.max(np.abs(fld.samples))
+    assert peak <= 1.45 * (grid.n_t + 1) * (grid.n_r + 1) * 8
 
 
 def test_solve_never_builds_a_whole_lattice_u0(monkeypatch):
@@ -600,20 +637,17 @@ def test_solve_never_builds_a_whole_lattice_u0(monkeypatch):
 
 
 def test_quadrature_peak_memory(monkeypatch):
-    # the sweep finds the support of the residual's source by blocks of rows
-    # and keeps only column sums: no temporary the size of the lattice
+    # the sweep finds the support of u by blocks of rows, reads the residual's
+    # source from the field three diagonals at a time and keeps only column
+    # sums: no temporary the size of the lattice
     grid = CharGrid(RHO / 64, RHO + 16.0, 16.0)
     prob = blowup_problem(grid)
     fld = solve_march(prob, grid)
     seen = []
 
-    def traced(g, i, j, **floors):
-        tracemalloc.start()
-        try:
-            out = influence_quadrature(g, i, j, **floors)
-            seen.append((tracemalloc.get_traced_memory()[1], g.nbytes))
-        finally:
-            tracemalloc.stop()
+    def traced(u, i, j, **floors):
+        out, peak = traced_peak(influence_quadrature, u, i, j, **floors)
+        seen.append((peak, u.nbytes))
         return out
 
     monkeypatch.setattr(solver, "influence_quadrature", traced)
