@@ -37,8 +37,8 @@ from .diagnostics import (ChainConfig, GridTooShortError, check_chain, choose_ep
                           gronwall_params_from_chain, s_exponent, select_t2_delta)
 from .gronwall import (GronwallCertificate, GronwallParams, WindowTooShortError, certify,
                        failure_radius, log10_failure_radius)
-from .solver import (FieldFormatError, RadialField, detect_blowup_time, integral_residual,
-                     solve_march)
+from .solver import (FieldFormatError, RadialField, detect_blowup_time, homogeneous_band,
+                     integral_residual, solve_march)
 from .spherical import ScalarField3, build_sphere_quadrature, spherical_mean
 
 log = logging.getLogger("wavelab")
@@ -115,13 +115,17 @@ def _run_solve(cfg: RunConfig, out_dir: Path):
     grid = cfg.build_grid()
     problem = cfg.build_problem(grid)
     phases = _PhaseClock("solve", ("march", "residual", "field_write", "blowup_fit"))
-    fld = solve_march(problem, grid, cfg.blowup_threshold, cfg.divergence_factor)
+    # one ubar0 band for the march and the residual
+    band = homogeneous_band(problem.f_profile, problem.g_profile, grid)
+    fld = solve_march(problem, grid, cfg.blowup_threshold, cfg.divergence_factor, band=band)
     phases.done("march", f"{fld.n_levels} levels, status={fld.status} t_b={fld.t_b}")
-    residual = integral_residual(problem, fld)
+    residual = integral_residual(problem, fld, band=band)
+    del band
     phases.done("residual", f"{residual['nodes']} nodes")
     fld.save(out_dir / "field.npz")
     phases.done("field_write", "field.npz")
-    fit = detect_blowup_time(fld)
+    amps = fld.level_max()
+    fit = detect_blowup_time(fld, amps)
     phases.done("blowup_fit", "none" if fit is None else f"t_b={fit.fitted_t_b:.6g}")
     _write_json(out_dir / "residual.json", residual)
     record = {
@@ -133,7 +137,7 @@ def _run_solve(cfg: RunConfig, out_dir: Path):
         "t_b": fld.t_b,
         "fitted_t_b": None if fit is None else fit.fitted_t_b,
         "fitted_exponent": None if fit is None else fit.fitted_exponent,
-        "max_amplitude_reached": float(fld.level_max().max()),
+        "max_amplitude_reached": float(amps.max()),
         "residual": residual,
     }
     return fld, record

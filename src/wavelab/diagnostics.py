@@ -48,7 +48,7 @@ from .config import ConfigError
 from .gronwall import _cumulative_trapezoid
 from .profiles import RadialProfile
 from .regions import influence_quadrature
-from .solver import RadialField, _write_npz, homogeneous_band
+from .solver import _BLOCK_NODES, RadialField, _write_npz, homogeneous_band
 
 __all__ = [
     "GridTooShortError",
@@ -66,8 +66,6 @@ __all__ = [
 CRITICAL_P = 1.0 + math.sqrt(2.0)
 BRT_SAMPLES = 60    # Sigma nodes checked by the region integral bound
 G1_SAMPLES = 144    # (alpha, beta) pairs checked by the weighted functional bound
-_GRID_ROWS = 256    # alpha-rows of the characteristic grid held at once
-_SIGMA_NODES = 1 << 17      # Sigma nodes of steps 1 and 3 held at once
 MAX_ROWS = 20000    # rows a residual table keeps; past it, sampled (InequalityTable.build)
 
 
@@ -289,7 +287,7 @@ def select_t2_delta(field: RadialField, fbar: RadialProfile, gbar: RadialProfile
 
     n_lev = field.n_levels
     U, b = homogeneous_band(fbar, gbar, grid)
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(U))))
+    tol = 1e-10 * max(1.0, float(max(U.max(), -U.min())))
     bad = U[:n_lev, : b + 1] < -tol
     reach = np.where(bad.any(axis=1), b - bad.argmax(axis=1), -1)   # b - k_j, -1 if no k_j
     worst = np.maximum.accumulate(reach[::-1])[::-1]   # its max over the levels j >= j2
@@ -368,7 +366,7 @@ def _sigma_tables(field, config, j_star):
 
     The nodes i <= j - j_star run level by level, outward in r, as one flat
     array would hold them; they are read in blocks of whole levels, as many as
-    fit _SIGMA_NODES nodes (one level at least), and streamed into the tables.
+    fit _BLOCK_NODES nodes (one level at least), and streamed into the tables.
     A block holds u and the pointwise rhs at its nodes; r and t are read only
     at the kept rows and the least one.
     """
@@ -381,7 +379,7 @@ def _sigma_tables(field, config, j_star):
     lo = 0
     while lo < counts.size:
         base = ends[lo] - counts[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, base + _SIGMA_NODES, side="right")))
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _BLOCK_NODES, side="right")))
         first, t = ends[lo:hi] - counts[lo:hi] - base, h * np.arange(j_star + lo, j_star + hi)
 
         def at(k, first=first, t=t):        # (r, t) at the block's flat indices k
@@ -429,11 +427,13 @@ def _region_integral_table(field, config, j_star):
 
 
 def _alpha_blocks(n, j_star):
-    """The alpha-row blocks [lo, hi) of the characteristic pass.  A block reads its
-    first row down to level j_star + lo - hi/2: hi <= 2 (j_star + lo) keeps it >= 0."""
-    lo = 0
+    """The alpha-row blocks [lo, hi) of the characteristic pass, covering [0, n].
+    A block holds hi <= n + 1 columns, so at most _BLOCK_NODES // (n + 1) rows keep
+    it within _BLOCK_NODES nodes (one row at least).  A block reads its first row
+    down to level j_star + lo - hi/2: hi <= 2 (j_star + lo) keeps it >= 0."""
+    rows, lo = max(1, _BLOCK_NODES // (n + 1)), 0
     while lo <= n:
-        hi = min(lo + _GRID_ROWS, n + 1, max(2 * (j_star + lo), lo + 1))
+        hi = min(lo + rows, n + 1, max(2 * (j_star + lo), lo + 1))
         yield lo, hi
         lo = hi
 

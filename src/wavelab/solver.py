@@ -63,6 +63,7 @@ __all__ = [
 
 DEFAULT_BLOWUP_THRESHOLD = 1.0e8
 DEFAULT_DIVERGENCE_FACTOR = 10.0
+_BLOCK_NODES = 1 << 15      # nodes a blocked loop holds at once (here and in diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +321,9 @@ def homogeneous_band(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
     so the band's edges k = 0 and k = 2b hold the +0.0 of every node off it.
     Cells off the lattice hold +0.0 and the r = 0 values sit on k = b - j.  The
     node (i, j) reads the 1-D tables at n_t + i + j and n_t + i - j, so row j
-    combines the tables' windows at n_t + 2j and at n_t; all rows in one pass.
+    combines the tables' windows at n_t + 2j and at n_t.  U is allocated once
+    and filled in place by blocks of about _BLOCK_NODES cells (one level at
+    least), so the build holds the band plus one block.
     """
     n_r, n_t = grid.n_r, grid.n_t
     y = grid.h * np.arange(-n_t, n_r + n_t + 1)
@@ -338,17 +341,22 @@ def homogeneous_band(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
     # the radii, 1.0 at r = 0 and off the lattice: level j's window at j
     rp = np.ones(max(n_r + 1, n_t + 1 + b) + b)
     rp[b + 1 : b + n_r + 1] = grid.r_values()[1:]
-    up = slice(n_t, 3 * n_t + 1, 2)
-    # in place, with one temporary: building the band costs at most twice its size
-    U = np.subtract(I[up], I[n_t])
-    U *= 0.5
-    even = np.add(F[up], F[n_t])
-    even *= 0.5
-    U += even
-    del even
-    U /= sliding_window_view(rp, n)[: n_t + 1]
-    k, j = np.arange(n), np.arange(n_t + 1)[:, None]
-    U[(k < b - j) | (k > n_r + b - j)] = 0.0          # i < 0 or i > n_r
+    R = sliding_window_view(rp, n)
+    U = np.empty((n_t + 1, n))
+    rows = max(1, _BLOCK_NODES // n)
+    even = np.empty((min(rows, n_t + 1), n))
+    k = np.arange(n)
+    for lo in range(0, n_t + 1, rows):
+        hi = min(lo + rows, n_t + 1)
+        u, e, up = U[lo:hi], even[: hi - lo], slice(n_t + 2 * lo, n_t + 2 * hi, 2)
+        np.subtract(I[up], I[n_t], out=u)
+        u *= 0.5
+        np.add(F[up], F[n_t], out=e)
+        e *= 0.5
+        u += e
+        u /= R[lo:hi]
+        j = np.arange(lo, hi)[:, None]
+        u[(k < b - j) | (k > n_r + b - j)] = 0.0          # i < 0 or i > n_r
     j = np.arange(min(b, n_t) + 1)
     U[j, b - j] = axis[j]
     return U, b
@@ -361,7 +369,7 @@ def homogeneous_band(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
 def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
            sigma: Callable[..., None],
            blowup_threshold: float, divergence_factor: float, ratio_floor: float,
-           cone: bool = True):
+           cone: bool = True, band=None):
     """Level-by-level march; returns (samples, status, t_b).
 
     The source ``sigma(r, t, u, out)`` writes its values at the nodes (r, t)
@@ -370,9 +378,10 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
     (forced mode) gives the same values at both passes.
 
     A step reads no level older than the one before it, so the samples are
-    only written.  Level j's ubar0 band (``homogeneous_band``) is copied into
-    one u0 row on the columns max(0, j - b) .. j + b; left of them the row
-    keeps the +0.0 of earlier bands' edges k = 0.  Everything else lives in
+    only written.  Level j's ubar0 band (``band``, the caller's
+    ``homogeneous_band``, or built here) is copied into one u0 row on the
+    columns max(0, j - b) .. j + b; left of them the row keeps the +0.0 of
+    earlier bands' edges k = 0.  Everything else lives in
     rows allocated once: A*lambda*sigma at two levels, the auxiliary
     w = r*ubar1 at three, the extrapolated and the predicted level, the part
     ``base`` that both passes share, a scratch row and the axis sums.  The
@@ -399,7 +408,7 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
     h, n_r, n_t = grid.h, grid.n_r, grid.n_t
     lam = grid.r_values()
     alam, hh6 = A * lam, h * h / 6.0
-    U, b = homogeneous_band(fbar, gbar, grid)
+    U, b = homogeneous_band(fbar, gbar, grid) if band is None else band
     # level j can be nonzero only on its columns i < j + reach
     reach = b if cone else n_r + 1
     u = np.zeros((n_t + 1, n_r + 1))
@@ -504,8 +513,11 @@ def _power_source(p):
 
 def solve_march(problem: Problem, grid: CharGrid,
                 blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-                divergence_factor: float = DEFAULT_DIVERGENCE_FACTOR) -> RadialField:
+                divergence_factor: float = DEFAULT_DIVERGENCE_FACTOR, band=None) -> RadialField:
     """March the fixed point ubar = ubar0 + A*P(|ubar|^p) up the lattice.
+
+    ``band`` is ubar0's band (U, b) from ``homogeneous_band``, built here if not
+    given, so a caller that reads ubar0 again builds it once.
 
     The march stops with status "blown_up" at the first level whose max
     amplitude reaches the threshold or jumps by more than the divergence
@@ -528,7 +540,7 @@ def solve_march(problem: Problem, grid: CharGrid,
     ratio_floor = max(1.0, 10.0 * problem.data_scale)
     samples, status, t_b = _march(problem.f_profile, problem.g_profile, grid, problem.A,
                                   _power_source(problem.p),
-                                  blowup_threshold, divergence_factor, ratio_floor)
+                                  blowup_threshold, divergence_factor, ratio_floor, band=band)
     return RadialField(grid, samples, status=status, t_b=t_b, p=problem.p, A=problem.A)
 
 
@@ -564,18 +576,20 @@ class BlowupFit:
     fitted_amplitude: float
 
 
-def detect_blowup_time(field: RadialField) -> Optional[BlowupFit]:
+def detect_blowup_time(field: RadialField, amps=None) -> Optional[BlowupFit]:
     """t_b plus a least-squares fit of max|u|(t) ~ c*(t_b' - t)^nu near the end.
 
     Returns None for fields that did not blow up.  The fit scans candidate
     singular times just beyond the last computed level and regresses log-max
     against log(t_b' - t); for the power nonlinearity the expected exponent is
-    nu = -2/(p-1).
+    nu = -2/(p-1).  ``amps`` is max|u| per level (``RadialField.level_max``),
+    taken here if not given.
     """
     if field.status != "blown_up":
         return None
     h = field.grid.h
-    amps = field.level_max()
+    if amps is None:
+        amps = field.level_max()
     ts = field.grid.t_values(field.n_levels)
     amp_end = amps[-1]
     window = np.nonzero(amps >= max(amp_end * 1e-3, 1e-300))[0]
@@ -613,7 +627,8 @@ def _residual_source(h, p):
     return source
 
 
-def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 4096) -> dict:
+def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 4096,
+                      band=None) -> dict:
     """Residual u - u0 - A*P(|u|^p) on a deterministic interior subsample.
 
     Interior means 1 <= i, 1 <= j, and i + j <= n_r so the influence region
@@ -623,7 +638,8 @@ def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 409
     pass over the lattice inside the light cone plus O(1) per node), which
     reads lambda |u|^p from the field diagonal by diagonal and starts from the
     nonzeros of u, so no source array is built.  u0 is read at the nodes from
-    its band (a node off it reads the +0.0 edge), freed before the sweep.
+    its band (a node off it reads the +0.0 edge): ``band`` from
+    ``homogeneous_band`` if given, else built here and freed before the sweep.
     """
     grid = field.grid
     n_lev = field.n_levels
@@ -633,7 +649,7 @@ def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 409
                          indexing="ij")
     keep = ii + jj <= grid.n_r
     jj, ii = jj[keep], ii[keep]
-    U, b = homogeneous_band(problem.f_profile, problem.g_profile, grid)
+    U, b = homogeneous_band(problem.f_profile, problem.g_profile, grid) if band is None else band
     res = field.samples[jj, ii] - U[jj, np.clip(ii - jj, -b, b) + b]
     del U
     integral = influence_quadrature(field.samples, ii, jj,

@@ -168,12 +168,13 @@ def test_select_t2_delta_matches_whole_lattice_scan(select_cases, case, levels):
 
 
 def test_select_t2_delta_peak_memory(crit4_run):
-    # one band of u0 (0.13x the field) and the temporaries that build it: no
-    # whole-lattice u0 or prefix minima; measured 0.27x (level blocks of u0
-    # peaked at 0.33x), so the bound leaves a fifth of headroom
+    # one band of u0 (0.13x the field), built in place by blocks, and no |u0|
+    # temporary: no whole-lattice u0 or prefix minima; measured 0.151x (0.27x
+    # with a band-sized temporary for the build and another for max|u0|, 0.33x
+    # with level blocks of u0), so the bound leaves a fifth of headroom
     prob, field = crit4_run
     _, peak = traced_peak(select_t2_delta, field, prob.f_profile, prob.g_profile)
-    assert peak <= 0.32 * field.samples.nbytes
+    assert peak <= 0.18 * field.samples.nbytes
 
 
 def test_cone_average_bound_on_Q(blowup_run_coarse):
@@ -458,14 +459,15 @@ def blowup_run_h003():
     pytest.param(7, 1.5, 0.03, id="7-1.5-h0.03")])
 def test_row_blocked_chain_matches_dense_grid(blowup_run_coarse, blowup_run_h003, monkeypatch,
                                               rows, p, h):
-    # 7 rows: many blocks and a ragged last one; n+1 rows: as few blocks as the
-    # level-0 bound allows; p = 1.5 takes numpy's general power instead of
-    # squaring; h = 0.03: alpha - beta is not exact, so (d h)^q moves H
+    # a budget of 7 (n + 1) nodes: blocks of 7 rows, many and a ragged last one;
+    # (n + 1)^2 nodes: as few blocks as the level-0 bound allows; p = 1.5 takes
+    # numpy's general power instead of squaring; h = 0.03: alpha - beta is not
+    # exact, so (d h)^q moves H
     prob, fld = blowup_run_coarse if h == RHO / 32 else blowup_run_h003
     cfg = ChainConfig(p, prob.A, 0.0, 4 * h)
     n = int(math.floor((fld.defined_t_max - cfg.t_star) / fld.grid.h + 1e-9))
     assert (n + 1) % 7
-    monkeypatch.setattr(diagnostics, "_GRID_ROWS", n + 1 if rows == "n+1" else rows)
+    monkeypatch.setattr(diagnostics, "_BLOCK_NODES", (n + 1) * (n + 1 if rows == "n+1" else rows))
     report = check_chain(fld, cfg)
     ref_tables, ref_H = _dense_chain_reference(fld, report.config)
     assert np.array_equal(report.H[0], ref_H[0])
@@ -592,7 +594,7 @@ def test_sigma_tables_match_whole_array_build(blowup_run_coarse, monkeypatch, ro
     u, r, t = fld.samples[js, iss], iss * h, js * h
     assert (u.size > 20000) == (case == "blowup")
     # a block holds as many levels as fit `rows` full levels' nodes, one at least
-    monkeypatch.setattr(diagnostics, "_SIGMA_NODES", rows * (fld.grid.n_r + 1))
+    monkeypatch.setattr(diagnostics, "_BLOCK_NODES", rows * (fld.grid.n_r + 1))
     positivity, pointwise = diagnostics._sigma_tables(fld, cfg, j_star)
     _assert_table_is(positivity, _build_reference(r, t, u, np.zeros_like(u),
                                                   diagnostics._chain_tol(h, u, 1.0)))
@@ -608,17 +610,20 @@ def test_sigma_tables_match_whole_array_build(blowup_run_coarse, monkeypatch, ro
 def test_lattice_gather_matches_interpolate(monkeypatch, k, j_star, rows):
     # dyadic h: r = d h/2 and t are exact, so the bilinear interpolant at the
     # node or cell centre and the direct read agree bit for bit, apex included.
-    # j_star = 8 is the least a chain uses (t2 = 0, delta = 4h); with n + 1
-    # rows its first blocks end on hi = 2 (j_star + lo), reading level 0
+    # j_star = 8 is the least a chain uses (t2 = 0, delta = 4h); with a budget
+    # of (n + 1)^2 nodes its first blocks end on hi = 2 (j_star + lo), reading
+    # level 0.  A budget of rows (n + 1) nodes gives blocks of `rows` rows
     rng = np.random.default_rng(k)
     h = 2.0**-k
     grid = CharGrid(h, 40 * h, 70 * h)
     fld = RadialField(grid, rng.normal(size=(grid.n_t - 3, grid.n_r + 1)))
     n = fld.n_levels - 1 - j_star
-    monkeypatch.setattr(diagnostics, "_GRID_ROWS", n + 1 if rows == "n+1" else rows)
+    monkeypatch.setattr(diagnostics, "_BLOCK_NODES", (n + 1) * (n + 1 if rows == "n+1" else rows))
     blocks = list(diagnostics._alpha_blocks(n, j_star))
     assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
     assert blocks[-1][1] == n + 1
+    if rows != "n+1":
+        assert all(hi - lo <= rows for lo, hi in blocks)
     if (j_star, rows) == (8, "n+1"):
         assert blocks[:2] == [(0, 16), (16, 48)]
     for lo, hi in blocks:
@@ -631,17 +636,32 @@ def test_lattice_gather_matches_interpolate(monkeypatch, k, j_star, rows):
         diagnostics._F_block(fld.samples, 8, 0, 18)
 
 
+@pytest.mark.parametrize("n, j_star", [(0, 8), (1, 0), (52, 13), (200, 8), (1925, 40)])
+@pytest.mark.parametrize("budget", [1, 7, 100, 1 << 15])
+def test_alpha_blocks_hold_the_node_budget(monkeypatch, n, j_star, budget):
+    # the blocks cover [0, n] contiguously; each holds (hi - lo) alpha-rows of
+    # hi columns, at most the budget or a single row, and reads no level below 0
+    monkeypatch.setattr(diagnostics, "_BLOCK_NODES", budget)
+    blocks = list(diagnostics._alpha_blocks(n, j_star))
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == n + 1
+    for lo, hi in blocks:
+        assert hi > lo and ((hi - lo) * hi <= budget or hi - lo == 1)
+        assert hi <= max(2 * (j_star + lo), lo + 1)
+
+
 def test_check_chain_peak_memory(crit4_run):
     # no (n+1)^2 characteristic-grid array (the dense chain peaked at 11x the
     # field), no Sigma-size array (whole-Sigma steps 1-3 peaked at 3.9x) and no
     # full-width weight or trapezoid arrays per alpha-block (0.96x with them),
-    # no step-2 source array and Sigma blocks of _SIGMA_NODES nodes (0.58x
-    # with the array and 256-level blocks); measured 0.48x, so the bound
-    # leaves a fifth of headroom
+    # no step-2 source array and Sigma blocks of whole levels (0.58x with the
+    # array and 256-level blocks), and alpha-blocks and Sigma blocks of at most
+    # _BLOCK_NODES nodes (0.48x with 256 alpha-rows and 2^17 Sigma nodes);
+    # measured 0.123x, so the bound leaves a fifth of headroom
     prob, field = crit4_run
     cfg = ChainConfig(prob.p, prob.A, 0.0, RHO / 8.0)
     _, peak = traced_peak(check_chain, field, cfg)
-    assert peak <= 0.57 * field.samples.nbytes
+    assert peak <= 0.15 * field.samples.nbytes
 
 
 def test_residual_tables_npz_round_trip(crit4_chain, tmp_path):

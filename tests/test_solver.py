@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import zipfile
 
 import numpy as np
@@ -451,6 +452,34 @@ def test_homogeneous_band_is_the_full_width_evaluator(tmp_path, levels):
         assert (name == "zero") == (not np.any(want)), name
 
 
+@pytest.mark.parametrize("levels", [1, 7, None])
+def test_homogeneous_band_blocks_are_bitwise_the_oracle(tmp_path, monkeypatch, levels):
+    # the band filled in place by blocks of 1 or 7 levels (a ragged last block)
+    # or in one block is, cell for cell, the oracle's band sliced from the
+    # full-width evaluator, on lattices with more levels than columns too
+    ragged = taller = False
+    for name, (f, g, grid) in _band_cases(tmp_path).items():
+        b = int(max(f.rho, g.rho) / grid.h) + 2
+        rows = grid.n_t + 1 if levels is None else levels
+        monkeypatch.setattr(solver, "_BLOCK_NODES", rows * (2 * b + 1))
+        U, got_b = homogeneous_band(f, g, grid)
+        want, want_b = march_oracle.homogeneous_band(f, g, grid)
+        assert got_b == want_b == b and U.tobytes() == want.tobytes(), name
+        ragged |= (grid.n_t + 1) % rows != 0
+        taller |= grid.n_t > grid.n_r
+    assert taller and ragged == (levels == 7)
+
+
+def test_homogeneous_band_peak_memory():
+    # U is allocated once and filled by blocks of _BLOCK_NODES cells: the README
+    # band at rho/128 measured 1.18x its own size (2.10x when one band-sized
+    # temporary was built beside it), so the bound leaves a fifth of headroom
+    grid = CharGrid(RHO / 128, RHO + 16.0, 16.0)
+    prob = blowup_problem(grid)
+    (U, _), peak = traced_peak(homogeneous_band, prob.f_profile, prob.g_profile, grid)
+    assert peak <= 1.42 * U.nbytes
+
+
 def test_march_reads_the_banded_u0_bitwise(monkeypatch):
     # the march on the band and on the full-width u0 sliced into its layout
     grid = CharGrid(RHO / 16, RHO + 8.0, 8.0)
@@ -580,13 +609,13 @@ def test_residual_contract_for_complete_fields():
 def test_residual_peak_memory(crit4_run):
     # u0's band (0.13x) is read at the nodes and dropped before the sweep, which
     # reads its source from the field and keeps only column sums: no source
-    # array and no prefix-sum copy of the lattice.  Measured 0.27x, the band
-    # and its build (1.02x with a source array), so the bound leaves a fifth
-    # of headroom
+    # array and no prefix-sum copy of the lattice.  Measured 0.153x, the band
+    # and its build in place (0.27x with a band-sized temporary, 1.02x with a
+    # source array), so the bound leaves a fifth of headroom
     prob, field = crit4_run
     res, peak = traced_peak(integral_residual, prob, field)
     assert res["nodes"] > 0
-    assert peak <= 0.33 * field.samples.nbytes
+    assert peak <= 0.18 * field.samples.nbytes
 
 
 def test_march_peak_memory():
@@ -599,26 +628,32 @@ def test_march_peak_memory():
     assert peak <= 1.3 * fld.samples.nbytes
 
 
+def _readme_run_config(h, out_dir):
+    return parse_run_config({"problem": {"p": 2.0, "A": 1.0,
+                                         "data": {"profile": "bump", "amplitude": 10.0,
+                                                  "rho": RHO}},
+                             "grid": {"h": h, "t_max": 16.0}, "output_dir": str(out_dir)})
+
+
 def test_solve_holds_one_field(tmp_path):
     # march, residual, field write, blow-up fit and max|u|: after the march
     # nothing builds an array the size of the field (no source array, no |u|,
-    # no copy for the writer).  Measured 1.29x the lattice, the march's own
-    # 1.14x and the residual's band (2.0x with a second field-sized array), so
-    # the bound leaves an eighth of headroom
-    doc = {"problem": {"p": 2.0, "A": 1.0,
-                       "data": {"profile": "bump", "amplitude": 10.0, "rho": RHO}},
-           "grid": {"h": RHO / 64, "t_max": 16.0}, "output_dir": str(tmp_path)}
-    cfg = parse_run_config(doc)
+    # no copy for the writer), and one u0 band serves the march and the
+    # residual.  Measured 1.21x the lattice, the march's own peak (1.29x when
+    # the residual built its own band, 2.0x with a second field-sized array),
+    # so the bound leaves an eighth of headroom
+    cfg = _readme_run_config(RHO / 64, tmp_path)
     (fld, record), peak = traced_peak(cli._run_solve, cfg, tmp_path)
     grid = fld.grid
     assert record["status"] == "blown_up" and record["residual"]["nodes"] > 0
     assert record["max_amplitude_reached"] == np.max(np.abs(fld.samples))
-    assert peak <= 1.45 * (grid.n_t + 1) * (grid.n_r + 1) * 8
+    assert peak <= 1.36 * (grid.n_t + 1) * (grid.n_r + 1) * 8
 
 
-def test_solve_never_builds_a_whole_lattice_u0(monkeypatch):
-    # the march and the residual each read u0 from one band of 2b + 1 cells a
-    # level, and nothing else evaluates u0
+def test_solve_never_builds_a_whole_lattice_u0(monkeypatch, tmp_path):
+    # a solve builds u0 once, as one band of 2b + 1 cells a level, which the
+    # march and the residual both read; nothing else evaluates u0.  Standalone,
+    # solve_march and integral_residual each build their own
     real, shapes = solver.homogeneous_band, []
 
     def recorded(fbar, gbar, grid):
@@ -626,14 +661,34 @@ def test_solve_never_builds_a_whole_lattice_u0(monkeypatch):
         shapes.append((U.shape, b, grid.n_r))
         return U, b
 
-    monkeypatch.setattr(solver, "homogeneous_band", recorded)
-    grid = CharGrid(RHO / 32, RHO + 16.0, 16.0)
-    prob = blowup_problem(grid)
-    fld = solve_march(prob, grid)
-    assert fld.status == "blown_up" and len(shapes) == 1
-    assert integral_residual(prob, fld)["nodes"] > 0 and len(shapes) == 2
-    for (levels, width), b, n_r in shapes:
-        assert (levels, width) == (grid.n_t + 1, 2 * b + 1) and 4 * width < n_r + 1
+    for module in (solver, cli):
+        monkeypatch.setattr(module, "homogeneous_band", recorded)
+    fld, record = cli._run_solve(_readme_run_config(RHO / 32, tmp_path), tmp_path)
+    assert fld.status == "blown_up" and record["residual"]["nodes"] > 0 and len(shapes) == 1
+    grid = fld.grid
+    (levels, width), b, n_r = shapes[0]
+    assert (levels, width) == (grid.n_t + 1, 2 * b + 1) and 4 * width < n_r + 1
+    assert json.loads((tmp_path / "residual.json").read_text()) == integral_residual(
+        blowup_problem(grid), fld)
+    assert len(shapes) == 2
+
+
+def test_solve_takes_max_abs_u_once(monkeypatch, tmp_path):
+    # _run_solve takes the per-level max|u| once; the blow-up fit reads those
+    # maxima, and fits exactly as it does when it takes them itself
+    real, calls = RadialField.level_max, []
+
+    def counted(self):
+        calls.append(self.n_levels)
+        return real(self)
+
+    monkeypatch.setattr(RadialField, "level_max", counted)
+    fld, record = cli._run_solve(_readme_run_config(RHO / 32, tmp_path), tmp_path)
+    assert fld.status == "blown_up" and calls == [fld.n_levels]
+    fit = detect_blowup_time(fld)
+    assert (record["fitted_t_b"], record["fitted_exponent"]) == (fit.fitted_t_b,
+                                                                 fit.fitted_exponent)
+    assert record["max_amplitude_reached"] == np.max(np.abs(fld.samples))
 
 
 def test_quadrature_peak_memory(monkeypatch):
