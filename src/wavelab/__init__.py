@@ -17,7 +17,7 @@ from .diagnostics import (ChainConfig, DiagnosticsReport, GridTooShortError, che
                           select_t2_delta)
 from .profiles import RadialProfile, bump_profile, zero_profile
 from .solver import (BlowupFit, CharGrid, Problem, RadialField, apply_P, detect_blowup_time,
-                     integral_residual, solve_forced, solve_march)
+                     integral_residual, solve_march)
 from .spherical import (ScalarField3, SphereQuadrature, build_sphere_quadrature,
                         spherical_mean)
 
@@ -27,7 +27,7 @@ __all__ = [
     "spherical_mean",
     "RadialProfile", "bump_profile", "zero_profile",
     "Problem", "CharGrid", "RadialField", "BlowupFit", "apply_P",
-    "solve_march", "solve_forced", "detect_blowup_time", "integral_residual",
+    "solve_march", "detect_blowup_time", "integral_residual",
     "ChainConfig", "DiagnosticsReport", "GridTooShortError",
     "select_t2_delta", "compute_M", "check_chain",
     "s_exponent", "choose_epsilon", "gronwall_params_from_chain",

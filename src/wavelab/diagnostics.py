@@ -63,7 +63,6 @@ __all__ = [
     "gronwall_params_from_chain",
 ]
 
-CRITICAL_P = 1.0 + math.sqrt(2.0)
 BRT_SAMPLES = 60    # Sigma nodes checked by the region integral bound
 G1_SAMPLES = 144    # (alpha, beta) pairs checked by the weighted functional bound
 MAX_ROWS = 20000    # rows a residual table keeps; past it, sampled (InequalityTable.build)
@@ -140,17 +139,17 @@ class InequalityTable:
     constants: dict
 
     @staticmethod
-    def build(inequality_id, r, t, lhs, rhs, tol, constants=None, max_rows=MAX_ROWS):
-        """The table of lhs - rhs over the given points, at most about max_rows kept.
+    def build(inequality_id, r, t, lhs, rhs, tol, constants=None):
+        """The table of lhs - rhs over the given points, at most about MAX_ROWS kept.
 
         ``tol(lhs, rhs)`` is a function giving the rows' tolerances, as in
-        ``_TableStream.add``.  Above max_rows, every stride-th row and the first
+        ``_TableStream.add``.  Above MAX_ROWS, every stride-th row and the first
         row of least residual are kept; the verdict and min_residual cover every row.
         """
         if not callable(tol):
             raise TypeError("tol: expected a function of (lhs, rhs) giving the rows' tolerances")
         lhs = np.asarray(lhs, dtype=float).ravel()
-        stream = _TableStream(inequality_id, lhs.size, constants, max_rows)
+        stream = _TableStream(inequality_id, lhs.size, constants)
         r, t = (np.asarray(v, dtype=float).ravel() for v in (r, t))
         stream.add(lhs, np.asarray(rhs, dtype=float).ravel(), tol, lambda k: (r[k], t[k]))
         return stream.finish()
@@ -164,17 +163,17 @@ class _TableStream:
 
     ``size`` rows are fed in order through :meth:`add`.  The stream keeps the
     running verdict, the first row of least residual and the rows at flat
-    index 0 mod stride, the stride fixed by ``size`` and ``max_rows``, so a
+    index 0 mod stride, the stride fixed by ``size`` and ``MAX_ROWS``, so a
     table over millions of points never holds them.  Fed in one block it is
     ``build``; fed in any blocks it gives the same table bit for bit.
     Tolerances are evaluated only where a verdict can fail and on kept rows.
     """
 
-    def __init__(self, inequality_id, size, constants=None, max_rows=MAX_ROWS):
+    def __init__(self, inequality_id, size, constants=None):
         if size == 0:
             raise ValueError(f"empty residual table for {inequality_id}")
         self.inequality_id, self.size, self.constants = inequality_id, size, constants or {}
-        self.stride = size // max_rows + 1 if size > max_rows else 1
+        self.stride = size // MAX_ROWS + 1 if size > MAX_ROWS else 1
         self.seen, self.holds = 0, True
         self.least = None       # (flat index, residual, row, tol function): first least residual
         self.kept = []          # per block, the kept rows as columns (r, t, lhs, rhs, tol)
@@ -465,13 +464,25 @@ def _F_block(samples, j_star, lo, hi):
     return F
 
 
+def _row_trapezoids(f, w, lo, h):
+    """h times the trapezoid over d of f[k, d] w[d], d <= a = lo + k, for each row
+    k of an alpha-block: the row's own a + 1 products summed pairwise (reduceat),
+    so its bits do not depend on the block's height, as a BLAS matrix-vector
+    product's (or einsum's) do."""
+    rows, width = f.shape
+    k = np.arange(rows)
+    bounds = np.ravel([k * width, k * width + lo + k + 1], order="F")[:-1]
+    sums = np.add.reduceat((f * w[:width]).ravel(), bounds)[::2]
+    return h * (sums - 0.5 * w[lo : lo + rows] * f[k, lo + k])
+
+
 def _characteristic_pass(field, config, j_star, n, cols, tri_a, tri_b):
     """H, J, G and K1 on the lattice t_star + h*[0..n], beta <= alpha, by alpha-row blocks.
 
     Returns alphas, H, J, G and K1 at the columns ``cols``, and F at the row-sorted
     nodes (tri_a, tri_b).  In (alpha, d = a - b) coordinates the weights are the 1-D
-    (d h)^q and (d h)^(1+q), so the trapezoids H and J are a matrix-vector product
-    less half the b = 0 term, and K1 at ``cols`` is read off one reverse cumulative
+    (d h)^q and (d h)^(1+q), so the trapezoids H and J are row sums
+    (``_row_trapezoids``), and K1 at ``cols`` is read off one reverse cumulative
     sum along d.  G and F keep their full-grid bits; H, J and K1 sum in another order.
     """
     h, p, q = field.grid.h, config.p, config.q
@@ -483,7 +494,7 @@ def _characteristic_pass(field, config, j_star, n, cols, tri_a, tri_b):
     for lo, hi in _alpha_blocks(n, j_star):
         F = _F_block(field.samples, j_star, lo, hi)
         rows, a = np.arange(hi - lo), np.arange(lo, hi)
-        H_vals[lo:hi] = h * (F @ w_H[:hi] - 0.5 * w_H[lo:hi] * F[rows, a])
+        H_vals[lo:hi] = _row_trapezoids(F, w_H, lo, h)
         db = alphas[lo:hi, None] - alphas[cols]
         d = np.maximum(a[:, None] - cols, 0)
         G_cols[lo:hi] = np.where(db > 0, db, 0.0) ** q * F[rows[:, None], d]
@@ -491,7 +502,7 @@ def _characteristic_pass(field, config, j_star, n, cols, tri_a, tri_b):
         F_tri[s0:s1] = F[tri_a[s0:s1] - lo, tri_a[s0:s1] - tri_b[s0:s1]]
         Fp = np.clip(F, 0.0, None, out=F)
         Fp **= p
-        J_int[lo:hi] = h * (Fp @ w_J[:hi] - 0.5 * w_J[lo:hi] * Fp[rows, a])
+        J_int[lo:hi] = _row_trapezoids(Fp, w_J, lo, h)
         Fp *= dh[:hi]                       # K1's integrand (alpha - beta) F_+^p
         tail = np.cumsum(Fp[:, ::-1], axis=1)[:, ::-1]
         K1_cols[lo:hi] = h * (tail[rows[:, None], d] - 0.5 * Fp[rows[:, None], d]

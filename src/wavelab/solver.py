@@ -39,7 +39,7 @@ import json
 import math
 import zipfile
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,7 +56,6 @@ __all__ = [
     "apply_P",
     "homogeneous_band",
     "solve_march",
-    "solve_forced",
     "detect_blowup_time",
     "integral_residual",
 ]
@@ -64,6 +63,7 @@ __all__ = [
 DEFAULT_BLOWUP_THRESHOLD = 1.0e8
 DEFAULT_DIVERGENCE_FACTOR = 10.0
 _BLOCK_NODES = 1 << 15      # nodes a blocked loop holds at once (here and in diagnostics)
+_RESIDUAL_NODES = 4096      # interior nodes integral_residual samples at most
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +323,12 @@ def homogeneous_band(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
     node (i, j) reads the 1-D tables at n_t + i + j and n_t + i - j, so row j
     combines the tables' windows at n_t + 2j and at n_t.  U is allocated once
     and filled in place by blocks of about _BLOCK_NODES cells (one level at
-    least), so the build holds the band plus one block.
+    least), so the build holds the band plus one block.  A lattice longer than
+    it is wide (n_t > n_r), which no march runs, raises ValueError.
     """
     n_r, n_t = grid.n_r, grid.n_t
+    if n_t > n_r:
+        raise ValueError("the ubar0 band needs n_t <= n_r (a lattice no longer than it is wide)")
     y = grid.h * np.arange(-n_t, n_r + n_t + 1)
     Fy, Iy = y * fbar(np.abs(y)), gbar.moment_integral(y)
     tv = grid.t_values()
@@ -333,13 +336,11 @@ def homogeneous_band(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
 
     b = int(max(fbar.rho, gbar.rho) / grid.h) + 2
     n = 2 * b + 1
-    # the tables padded with b zeros in front (and behind as many as level
-    # n_t's window needs when n_t > n_r): level j's r + t window at n_t + 2j
-    pad = (b, b + max(0, n_t - n_r))
-    F = sliding_window_view(np.pad(Fy, pad), n)
-    I = sliding_window_view(np.pad(Iy, pad), n)
+    # the tables padded with b zeros at both ends: level j's r + t window at n_t + 2j
+    F = sliding_window_view(np.pad(Fy, b), n)
+    I = sliding_window_view(np.pad(Iy, b), n)
     # the radii, 1.0 at r = 0 and off the lattice: level j's window at j
-    rp = np.ones(max(n_r + 1, n_t + 1 + b) + b)
+    rp = np.ones(n_r + 1 + 2 * b)
     rp[b + 1 : b + n_r + 1] = grid.r_values()[1:]
     R = sliding_window_view(rp, n)
     U = np.empty((n_t + 1, n))
@@ -363,66 +364,81 @@ def homogeneous_band(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
 
 
 # ---------------------------------------------------------------------------
-# Marching core
+# The march
 # ---------------------------------------------------------------------------
 
-def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
-           sigma: Callable[..., None],
-           blowup_threshold: float, divergence_factor: float, ratio_floor: float,
-           cone: bool = True, band=None):
-    """Level-by-level march; returns (samples, status, t_b).
+def _power_source(p):
+    """The march's source sigma(u, out): |u|^p written into out, on the nodes of
+    a level's light-cone window i <= j + floor(rho/h) + 1 (past it u is +0.0,
+    whose |u|^p is the +0.0 already there)."""
 
-    The source ``sigma(r, t, u, out)`` writes its values at the nodes (r, t)
-    of one level, t a scalar, where the solution is u, into ``out``.  One
-    predictor/corrector pass settles the new level; a source that ignores u
-    (forced mode) gives the same values at both passes.
+    def sigma(u, out):
+        np.abs(u, out=out)
+        out **= p
 
-    A step reads no level older than the one before it, so the samples are
-    only written.  Level j's ubar0 band (``band``, the caller's
-    ``homogeneous_band``, or built here) is copied into one u0 row on the
-    columns max(0, j - b) .. j + b; left of them the row keeps the +0.0 of
-    earlier bands' edges k = 0.  Everything else lives in
-    rows allocated once: A*lambda*sigma at two levels, the auxiliary
-    w = r*ubar1 at three, the extrapolated and the predicted level, the part
-    ``base`` that both passes share, a scratch row and the axis sums.  The
-    solution vanishes beyond r_max, so the right neighbour of the last column
-    is the exact zero kept at the end of every F and w row.
+    return sigma
 
-    The axis value is the r -> 0 limit A*P(sigma)(0, Jh): the sum over k < J
-    of w_k times A*lambda*sigma at ((J-k)h, kh), w_0 = h/2 and w_k = h
-    otherwise.  Node (i, k) enters only the sum of J = i + k, with w_k times
-    its entry of level k's F row, so each F row, once final, is added into
-    the running sums; a node past r_max enters none, so n_t may exceed n_r.
 
-    With ``cone``, for a source that vanishes wherever u does (|u|^p), every
-    per-level operation runs only on the columns i <= j + b - 1 of the new
-    level j, b = floor(rho/h) + 2 from the band.  Past them ubar0 is exactly
-    +0.0 (sharp Huygens) and so, by finite speed of propagation, are u, w and
-    the source.  The window grows by one column a level, as the domain of
-    dependence does, so whatever a window node reads past the window of the
-    level before is a row entry never written: the +0.0 the full-width march
-    computes there; the axis sums, which start at +0.0, skip only +0.0 terms.
-    The samples are therefore bitwise those of the full-width march (``cone``
-    false, which the forced mode needs: its forcing may reach any column).
+def solve_march(problem: Problem, grid: CharGrid,
+                blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
+                divergence_factor: float = DEFAULT_DIVERGENCE_FACTOR, band=None) -> RadialField:
+    """March the fixed point ubar = ubar0 + A*P(|ubar|^p) up the lattice.
+
+    ``band`` is ubar0's band (U, b) from ``homogeneous_band``, built here if not
+    given, so a caller that reads ubar0 again builds it once.
+
+    The march stops with status "blown_up" at the first level whose max
+    amplitude reaches the threshold or jumps by more than the divergence
+    factor in a single step (a result, not an error), and with status "error"
+    at the first level whose u or |u|^p is not finite; only the levels before
+    it are kept.
+
+    One predictor/corrector pass settles each level.  A step reads no level
+    older than the one before it, so the samples are only written.  Level j's
+    band is copied into one u0 row on the columns max(0, j - b) .. j + b; left
+    of them the row keeps the +0.0 of earlier bands' edges k = 0.  Everything
+    else lives in rows allocated once: A*lambda*|u|^p at two levels, the
+    auxiliary w = r*ubar1 at three, the extrapolated and the predicted level,
+    the part ``base`` both passes share, a scratch row and the axis sums.  The
+    solution vanishes beyond r_max: the right neighbour of the last column is
+    the exact zero kept at the end of every F and w row.  The axis value is the
+    r -> 0 limit A*P(|u|^p)(0, Jh), the sum over k < J of w_k times
+    A*lambda*|u|^p at ((J-k)h, kh), w_0 = h/2 and w_k = h otherwise; each F
+    row, once final, is added into the sums of the J = i + k it enters.
+
+    The data vanish past their support radius rho (``Problem.rho``), so by
+    finite speed of propagation u is exactly +0.0 at every node with r - t >
+    rho.  Each level j is therefore marched only on its light-cone window, the
+    columns i <= j + b - 1 (b = floor(rho/h) + 2 from the band).  The window
+    grows by one column a level, as the domain of dependence does, so whatever
+    a window node reads past the window of the level before is a row entry
+    never written: the +0.0 a march over every column computes there, as a
+    band widened with +0.0 cells to b > n_r makes it; the axis sums, which
+    start at +0.0, skip only +0.0 terms.  The samples are the same either way.
     """
+    if grid.r_max + 1e-12 < problem.rho + grid.t_max:
+        raise ValueError("grid violates the domain of dependence: need r_max >= rho + t_max")
+    if blowup_threshold <= problem.data_scale:
+        raise ValueError("blowup_threshold must exceed the initial amplitude")
+
+    ratio_floor = max(1.0, 10.0 * problem.data_scale)
+    sigma = _power_source(problem.p)
     h, n_r, n_t = grid.h, grid.n_r, grid.n_t
     lam = grid.r_values()
-    alam, hh6 = A * lam, h * h / 6.0
-    U, b = homogeneous_band(fbar, gbar, grid) if band is None else band
-    # level j can be nonzero only on its columns i < j + reach
-    reach = b if cone else n_r + 1
+    alam, hh6 = problem.A * lam, h * h / 6.0
+    U, b = homogeneous_band(problem.f_profile, problem.g_profile, grid) if band is None else band
     u = np.zeros((n_t + 1, n_r + 1))
-    F = np.zeros((2, n_r + 2))         # A*lambda*sigma at levels j and j - 1
+    F = np.zeros((2, n_r + 2))         # A*lambda*|u|^p at levels j and j - 1
     w = np.zeros((3, n_r + 2))         # w at levels j + 1, j and j - 1
     u_star, u_pre = np.empty(n_r + 1), np.zeros(n_r + 1)
     base, tmp = np.empty(n_r), np.empty(n_r + 1)
-    axis = np.zeros(n_t + n_r + 1)     # A*P(sigma)(0, Jh), summed over the levels so far
+    axis = np.zeros(n_t + n_r + 1)     # A*P(|u|^p)(0, Jh), summed over the levels so far
     zeros = np.zeros(n_r + 1)          # 0 * x is finite unless x is NaN or +-inf
     u0 = np.zeros(n_r + 1)             # ubar0 at the level being marched
 
     u[0, : b + 1] = U[0, b : b + n_r + 1]
-    c = min(n_r + 1, reach)
-    sigma(lam[:c], 0.0, u[0, :c], F[0, :c])
+    c = min(n_r + 1, b)
+    sigma(u[0, :c], F[0, :c])
     np.multiply(alam[:c], F[0, :c], out=F[0, :c])
     axis[1:c] += 0.5 * h * F[0, 1:c]
     status, t_b, defined = "complete", None, n_t + 1
@@ -431,13 +447,12 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_t):
             new, t_new = j + 1, (j + 1) * h
-            c = min(n_r + 1, new + reach)   # the new level's columns 0..c-1
-            # level new's band on the lattice; a band past r_max copies nothing
-            lo, hi = min(max(0, new - b), n_r + 1), min(n_r + 1, new + b + 1)
+            c = min(n_r + 1, new + b)      # the new level's columns 0..c-1
+            lo, hi = max(0, new - b), min(n_r + 1, new + b + 1)
             u0[lo:hi] = U[new, lo - new + b : hi - new + b]
             u0_in = u0[1:c]
             Fj, Fp, wc, wp = F[j % 2], F[new % 2], w[j % 3 - 1], w[j % 3 - 2]
-            lam_c, alam_in, tmp_c = lam[:c], alam[1:c], tmp[:c]
+            alam_in, tmp_c = alam[1:c], tmp[:c]
             lam_in, tmp_in, base_in = lam[1:c], tmp[1:c], base[: c - 1]
             if j == 0:
                 np.multiply(h * h / 12.0, Fj[: c - 1] + 2.0 * Fj[1:c] + Fj[2 : c + 1], out=base_in)
@@ -455,15 +470,15 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
                 star = np.multiply(u[j, :c], 2.0, out=u_star[:c])
                 np.subtract(star, u[j - 1, :c], out=star)
 
-            # predictor: u0 + (base + hh6 * A*lambda*sigma(u_star)) / lambda
-            sigma(lam_c, t_new, star, tmp_c)
+            # predictor: u0 + (base + hh6 * A*lambda*|u_star|^p) / lambda
+            sigma(star, tmp_c)
             np.multiply(alam_in, tmp_in, out=tmp_in)
             np.multiply(tmp_in, hh6, out=tmp_in)
             np.add(base_in, tmp_in, out=tmp_in)
             np.divide(tmp_in, lam_in, out=tmp_in)
             np.add(u0_in, tmp_in, out=u_pre[1:c])
-            # corrector: w = base + hh6 * A*lambda*sigma(u_pre), u = u0 + w / lambda
-            sigma(lam_c, t_new, u_pre[:c], tmp_c)
+            # corrector: w = base + hh6 * A*lambda*|u_pre|^p, u = u0 + w / lambda
+            sigma(u_pre[:c], tmp_c)
             np.multiply(alam_in, tmp_in, out=tmp_in)
             un, un_in, wn_in = u[new, :c], u[new, 1:c], w[j % 3, 1:c]
             np.multiply(tmp_in, hh6, out=wn_in)
@@ -485,7 +500,7 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
             # the new level's source, into the row of F_{j-1}: the dot with zeros
             # is finite unless some entry is NaN or +-inf
             sig = Fp[:c]
-            sigma(lam_c, t_new, un, sig)
+            sigma(un, sig)
             if not math.isfinite(np.dot(sig, zeros[:c])):
                 status, defined = "error", new
                 break
@@ -493,75 +508,7 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
             axis[new + 1 : new + c] += h * sig[1:]
             m_prev = m_new
 
-    return u[:defined], status, t_b
-
-
-def _power_source(p):
-    """The march's source sigma(r, t, u, out): |u|^p written into out.
-
-    The march hands it only the nodes inside its light-cone window, a level
-    row cut at i <= j + floor(rho/h) + 1; past them u is +0.0, whose |u|^p is
-    the +0.0 already there.
-    """
-
-    def sigma(r, t, u, out):
-        np.abs(u, out=out)
-        out **= p
-
-    return sigma
-
-
-def solve_march(problem: Problem, grid: CharGrid,
-                blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-                divergence_factor: float = DEFAULT_DIVERGENCE_FACTOR, band=None) -> RadialField:
-    """March the fixed point ubar = ubar0 + A*P(|ubar|^p) up the lattice.
-
-    ``band`` is ubar0's band (U, b) from ``homogeneous_band``, built here if not
-    given, so a caller that reads ubar0 again builds it once.
-
-    The march stops with status "blown_up" at the first level whose max
-    amplitude reaches the threshold or jumps by more than the divergence
-    factor in a single step; a blow-up is a result, not an error.
-
-    The data vanish past their support radius rho (``Problem.rho``, the larger
-    of the two profiles' radii), so by finite speed of propagation u is exactly
-    +0.0 at every node with r - t > rho, and the march keeps it so.  Each level
-    is therefore marched only on its light-cone window i <= j + floor(rho/h) + 1
-    (``_march`` with ``cone``; b - 1 past the diagonal, b from ubar0's band):
-    ubar0, the source |u|^p, both passes, max|u| and the axis sums on the
-    window's columns.  Everything past it is the +0.0 the full-width march
-    computes there, so the samples are bitwise those of the full-width march.
-    """
-    if grid.r_max + 1e-12 < problem.rho + grid.t_max:
-        raise ValueError("grid violates the domain of dependence: need r_max >= rho + t_max")
-    if blowup_threshold <= problem.data_scale:
-        raise ValueError("blowup_threshold must exceed the initial amplitude")
-
-    ratio_floor = max(1.0, 10.0 * problem.data_scale)
-    samples, status, t_b = _march(problem.f_profile, problem.g_profile, grid, problem.A,
-                                  _power_source(problem.p),
-                                  blowup_threshold, divergence_factor, ratio_floor, band=band)
-    return RadialField(grid, samples, status=status, t_b=t_b, p=problem.p, A=problem.A)
-
-
-def solve_forced(fbar: RadialProfile, gbar: RadialProfile,
-                 forcing: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 grid: CharGrid, A: float = 1.0) -> RadialField:
-    """March the linear problem ubar = ubar0 + A*P(forcing) (manufactured runs).
-
-    The forcing must broadcast over congruent r/t arrays and should be
-    supported inside the light cone of r_max (the lattice assumes the solution
-    vanishes beyond the last column).  It may be nonzero anywhere else, so the
-    march runs on full-width rows.  The lattice may run longer than it is wide
-    (t_max > r_max): the axis sums take no node past r_max.
-    """
-
-    def sigma(r, t, u, out):
-        out[...] = forcing(r, np.full_like(r, t))
-
-    samples, status, t_b = _march(fbar, gbar, grid, A, sigma, np.inf, np.inf, np.inf,
-                                  cone=False)
-    return RadialField(grid, samples, status=status, t_b=t_b, A=A)
+    return RadialField(grid, u[:defined], status=status, t_b=t_b, p=problem.p, A=problem.A)
 
 
 # ---------------------------------------------------------------------------
@@ -627,24 +574,23 @@ def _residual_source(h, p):
     return source
 
 
-def integral_residual(problem: Problem, field: RadialField, max_nodes: int = 4096,
-                      band=None) -> dict:
+def integral_residual(problem: Problem, field: RadialField, band=None) -> dict:
     """Residual u - u0 - A*P(|u|^p) on a deterministic interior subsample.
 
     Interior means 1 <= i, 1 <= j, and i + j <= n_r so the influence region
     fits the lattice.  The nodes form a square sub-lattice whose stride keeps
-    at most max_nodes of them; pass a large max_nodes for full coverage.  P is
-    evaluated at all of them by one regions.influence_quadrature sweep (one
-    pass over the lattice inside the light cone plus O(1) per node), which
-    reads lambda |u|^p from the field diagonal by diagonal and starts from the
-    nonzeros of u, so no source array is built.  u0 is read at the nodes from
-    its band (a node off it reads the +0.0 edge): ``band`` from
-    ``homogeneous_band`` if given, else built here and freed before the sweep.
+    at most _RESIDUAL_NODES of them.  P is evaluated at all of them by one
+    regions.influence_quadrature sweep (one pass over the lattice inside the
+    light cone plus O(1) per node), which reads lambda |u|^p from the field
+    diagonal by diagonal and starts from the nonzeros of u, so no source array
+    is built.  u0 is read at the nodes from its band (a node off it reads the
+    +0.0 edge): ``band`` from ``homogeneous_band`` if given, else built here and
+    freed before the sweep.
     """
     grid = field.grid
     n_lev = field.n_levels
     total = sum(max(0, min(grid.n_r - 1, grid.n_r - j)) for j in range(1, n_lev))
-    stride = max(1, int(np.ceil(np.sqrt(max(total, 1) / max_nodes))))
+    stride = max(1, int(np.ceil(np.sqrt(max(total, 1) / _RESIDUAL_NODES))))
     jj, ii = np.meshgrid(np.arange(1, n_lev, stride), np.arange(1, grid.n_r, stride),
                          indexing="ij")
     keep = ii + jj <= grid.n_r

@@ -8,7 +8,12 @@ round-off relative to the level's max|u|.  It runs every level on all
 columns and reads ubar0 from its own :func:`homogeneous_levels`, the
 d'Alembert evaluator on every column, independent of the solver's banded one;
 :func:`homogeneous_band` slices it into the solver's band layout and
-:func:`on_lattice` scatters a band back onto the lattice.
+:func:`on_lattice` scatters a band back onto the lattice.  Its source may
+ignore u, so it also marches the linear forced problem ubar = ubar0 +
+A*P(forcing), the manufactured solutions of criterion 2.
+
+:func:`full_width_band` widens the solver's own band with +0.0 cells until
+``wavelab.solver.solve_march`` marches every column of every level with it.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from wavelab import solver
 from wavelab.profiles import RadialProfile
 from wavelab.solver import CharGrid
 
@@ -58,6 +64,16 @@ def homogeneous_band(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
     whole = homogeneous_levels(fbar, gbar, grid)(0, grid.n_t + 1)
     padded = np.pad(whole, ((0, 0), (b, b + max(0, grid.n_t - grid.n_r))))
     return np.array([padded[j, j : j + 2 * b + 1] for j in range(grid.n_t + 1)]), b
+
+
+def full_width_band(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
+    """``wavelab.solver.homogeneous_band``'s (U, b) padded with +0.0 cells to a
+    half-width of at least n_r + 1: passed as ``band=``, every level's light-cone
+    window spans the whole row, so the march runs every column as a march with
+    no window does."""
+    U, b = solver.homogeneous_band(fbar, gbar, grid)
+    pad = max(0, grid.n_r + 1 - b)
+    return np.pad(U, ((0, 0), (pad, pad))), b + pad
 
 
 def on_lattice(band, grid: CharGrid):

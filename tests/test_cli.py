@@ -1,5 +1,4 @@
 import ast
-import functools
 import json
 import logging
 import math
@@ -481,16 +480,16 @@ def _solve_and_diagnose(tmp_path, doc):
 def test_light_cone_cuts_keep_every_artifact_byte(tmp_path, monkeypatch, p):
     # solve and diagnose at rho/32, then again with the references swapped in:
     # the sweep over every cell diagonal (in solver and diagnostics) of each
-    # source built whole, on every node, the march on full-width rows (cone
-    # off) with |u|^p on every node, and u0 on every column for the cone
-    # selection
+    # source built whole, on every node, the march on full-width rows (its u0
+    # band widened past r_max) with |u|^p on every node, and u0 on every column
+    # for the cone selection
     doc = base_run_config(tmp_path, grid={"h": 1 / 32, "t_max": 16.0})
     doc["problem"]["p"] = p
     codes, cut = _solve_and_diagnose(tmp_path / "cut", doc)
     assert codes[0] == 0 and json.loads(cut["residual.json"])["nodes"] > 0
     monkeypatch.setattr(solver, "influence_quadrature", dense_quadrature)
     monkeypatch.setattr(diagnostics, "influence_quadrature", dense_quadrature)
-    monkeypatch.setattr(solver, "_march", functools.partial(solver._march, cone=False))
+    monkeypatch.setattr(cli, "homogeneous_band", march_oracle.full_width_band)
     monkeypatch.setattr(diagnostics, "homogeneous_band", march_oracle.homogeneous_band)
     assert _solve_and_diagnose(tmp_path / "whole", doc) == (codes, cut)
 

@@ -490,7 +490,7 @@ def test_row_blocked_chain_matches_dense_grid(blowup_run_coarse, blowup_run_h003
         assert abs(tb.min_residual - ref.min_residual) <= bound, tb.inequality_id
 
 
-def _build_reference(r, t, lhs, rhs, tol, max_rows=20000):
+def _build_reference(r, t, lhs, rhs, tol, max_rows=diagnostics.MAX_ROWS):
     """InequalityTable.build on whole arrays, as written before tables streamed:
     (r, t, lhs, rhs, tol) kept, holds, min_residual, argmin."""
     res = lhs - rhs
@@ -518,7 +518,7 @@ def _assert_table_is(table, ref):
 @pytest.mark.parametrize("max_rows", [37, 20000])
 @pytest.mark.parametrize("values", [pytest.param("tied", id="True"),
                                     pytest.param("normal", id="False"), "holds", "inf", "nan"])
-def test_table_stream_matches_whole_array_build(block, max_rows, values):
+def test_table_stream_matches_whole_array_build(monkeypatch, block, max_rows, values):
     # tied: residuals drawn from a few integers, so the least one recurs in
     # many blocks and only its first row may be reported; normal: violated;
     # holds: negative residuals within the tolerance; inf: as holds, with +-inf
@@ -546,7 +546,8 @@ def test_table_stream_matches_whole_array_build(block, max_rows, values):
         seen.extend(rows(lhs, rhs))
         return 0.5 + 0.1 * np.maximum(np.abs(lhs), np.abs(rhs))
 
-    stream = diagnostics._TableStream("synthetic", n, None, max_rows)
+    monkeypatch.setattr(diagnostics, "MAX_ROWS", max_rows)
+    stream = diagnostics._TableStream("synthetic", n, None)
     for lo in range(0, n, block):
         rb, tb = r[lo : lo + block], t[lo : lo + block]
         stream.add(lhs[lo : lo + block], rhs[lo : lo + block], tol, lambda k: (rb[k], tb[k]))
@@ -564,8 +565,7 @@ def test_table_stream_matches_whole_array_build(block, max_rows, values):
     if values in ("inf", "nan"):
         assert np.isnan(ref[2]) if values == "nan" else ref[2] == -np.inf
     _assert_table_is(table, ref)
-    _assert_table_is(InequalityTable.build("synthetic", r, t, lhs, rhs, tol, max_rows=max_rows),
-                     ref)
+    _assert_table_is(InequalityTable.build("synthetic", r, t, lhs, rhs, tol), ref)
 
 
 def test_table_build_takes_a_tolerance_function():
@@ -603,6 +603,25 @@ def test_sigma_tables_match_whole_array_build(blowup_run_coarse, monkeypatch, ro
     assert positivity.holds == (case != "negative")
     if case == "negative":
         assert positivity.argmin == (0.0, j_star * h)
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_H_and_J_do_not_depend_on_the_block(blowup_run_coarse, monkeypatch, p):
+    # each alpha-row's H and J are the same bits whatever the height of its
+    # block: blocks of 1 or 17 rows and blocks as tall as the level-0 bound
+    # allows (a BLAS matrix-vector product, or einsum, rounds some rows otherwise)
+    _, fld = blowup_run_coarse
+    cfg = ChainConfig(p, 1.0, 0.0, RHO / 8.0)
+    j_star = diagnostics._sigma_levels(fld, cfg.t_star)
+    n = int(math.floor((fld.defined_t_max - cfg.t_star) / fld.grid.h + 1e-9))
+    cols, tri = np.arange(0, n, 7), np.zeros(1, dtype=np.int64)
+    got = []
+    for rows in (1, 17, n + 1):
+        monkeypatch.setattr(diagnostics, "_BLOCK_NODES", (n + 1) * rows)
+        assert len(list(diagnostics._alpha_blocks(n, j_star))) > 2
+        _, H, J, *_ = diagnostics._characteristic_pass(fld, cfg, j_star, n, cols, tri, tri)
+        got.append((H.tobytes(), J.tobytes()))
+    assert got[0] == got[1] == got[2]
 
 
 @pytest.mark.parametrize("k, j_star, rows", [(3, 0, 5), (4, 6, 7), (5, 13, 256),

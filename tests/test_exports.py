@@ -13,7 +13,7 @@ from wavelab.cli import main
 
 # exported for the acceptance criteria, which define P and the manufactured
 # solution through them, not for any command
-CRITERIA_ONLY = {"apply_P", "solve_forced"}
+CRITERIA_ONLY = {"apply_P"}
 
 
 def test_every_exported_name_resolves():
@@ -32,7 +32,8 @@ def test_every_exported_name_resolves():
                      "SigmaPrime", "contains", "area", "subset_check",
                      "linear_radial", "normalize_coefficient", "check_pointwise_lower_bound",
                      "F_of", "G_of", "H_of", "check_inequality", "tables_to_csv", "_CSV_ROWS",
-                     "_lattice_F", "homogeneous_levels", "_U0_BLOCK", "_cone_reach"}
+                     "_lattice_F", "homogeneous_levels", "_U0_BLOCK", "_cone_reach",
+                     "solve_forced", "_march", "CRITICAL_P"}
     # not exported, since every exported name resolves
     for owner in (wavelab, regions, solver, diagnostics, gronwall, diagnostics.DiagnosticsReport):
         assert not any(hasattr(owner, n) for n in moved_or_gone), owner.__name__
@@ -87,8 +88,8 @@ def test_every_exported_name_has_a_caller_in_the_package():
     assert CRITERIA_ONLY <= set(solver.__all__)
 
 
-def _private_definitions(tree):
-    """Module-level private names (_x, not dunders) a module defines by def, class or assignment."""
+def _definitions(tree):
+    """Module-level names (not dunders) a module defines by def, class or assignment."""
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             names = [stmt.name]
@@ -97,18 +98,37 @@ def _private_definitions(tree):
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+        yield from (n for n in names if not n.startswith("__"))
+
+
+def _package_trees():
+    pkg = Path(wavelab.__file__).parent
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(pkg.glob("*.py"))}
 
 
 def test_every_private_name_is_read_in_the_package():
     # a helper outlives its last caller only until here: every module-level
     # private name is read by some module of the package
-    pkg = Path(wavelab.__file__).parent
-    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(pkg.glob("*.py"))}
+    trees = _package_trees()
     used = set().union(*map(_references, trees.values()))
-    defined = [f"{stem}.{n}" for stem, tree in trees.items() for n in _private_definitions(tree)]
+    defined = [f"{stem}.{n}" for stem, tree in trees.items() for n in _definitions(tree)
+               if n.startswith("_")]
     assert len(defined) > 10
     assert [d for d in defined if d.split(".")[1] not in used] == []
+
+
+def test_every_public_name_is_exported_or_read():
+    # a public constant or function with no caller and no place in __all__ is
+    # dead: every public module-level name is exported or read in the package
+    trees = _package_trees()
+    used = set().union(*map(_references, trees.values()))
+    dead = []
+    for stem, tree in trees.items():
+        module = importlib.import_module("wavelab" if stem == "__init__" else f"wavelab.{stem}")
+        exported = set(getattr(module, "__all__", ()))
+        dead += [f"{stem}.{n}" for n in _definitions(tree)
+                 if not n.startswith("_") and n not in exported and n not in used]
+    assert dead == []
 
 
 def test_cli_import_loads_no_fractions():
