@@ -170,6 +170,10 @@ def _run_diagnose(cfg: RunConfig, field_path, out_dir: Path):
     p = field.p if field.p is not None else cfg.p
     A = field.A if field.A is not None else cfg.A
     grid = field.grid
+    # solve_march's domain-of-dependence test: diagnose reads only lattices a solve can write
+    if grid.r_max + 1e-12 < cfg.data.rho + grid.t_max:
+        raise ConfigError(f"field grid violates the domain of dependence: r_max = {grid.r_max:g}"
+                          f" < rho + t_max = {cfg.data.rho + grid.t_max:g}")
     if cfg.t2 is None or cfg.delta is None:
         f_prof, g_prof = cfg.data.build_profiles(grid.r_values())
         t2, delta = select_t2_delta(field, f_prof, g_prof)
@@ -243,23 +247,29 @@ def _row_doc(sweep_raw, p, amplitude):
     return doc
 
 
+def _resumable_row(task):
+    """The row recorded by the task's manifest if it is current, else None (solve it)."""
+    row_doc, row_dir = task
+    row_dir = Path(row_dir)
+    try:
+        old = json.loads((row_dir / "manifest.json").read_text())
+    except (FileNotFoundError, json.JSONDecodeError):
+        return None
+    if (isinstance(old, dict) and isinstance(old.get("row"), dict)
+            and old.get("config_hash") == config_hash(row_doc)
+            and old.get("package_version") == __version__
+            and old.get("code_digest") == _code_digest()
+            and (row_dir / "field.npz").exists()):
+        return old["row"]
+    return None
+
+
 def _sweep_row(task):
-    """One sweep cell; runs in a worker process, owns its directory."""
+    """Solve one sweep cell; runs in a worker process when the sweep has more than one job."""
     row_doc, row_dir = task
     row_dir = Path(row_dir)
     row_dir.mkdir(parents=True, exist_ok=True)
     marker = row_dir / "manifest.json"
-    h = config_hash(row_doc)
-    if marker.exists():
-        try:
-            old = json.loads(marker.read_text())
-            if (isinstance(old, dict) and isinstance(old.get("row"), dict)
-                    and old.get("config_hash") == h and old.get("package_version") == __version__
-                    and old.get("code_digest") == _code_digest()
-                    and (row_dir / "field.npz").exists()):
-                return old["row"]
-        except json.JSONDecodeError:
-            pass
     cfg = parse_run_config(row_doc)
     p = cfg.p
     amplitude = cfg.data.amplitude
@@ -305,11 +315,17 @@ def cmd_sweep(args):
             row_dir = out_dir / "rows" / f"p{ip:02d}_a{ia:02d}"
             tasks.append((_row_doc(doc, p, amp), str(row_dir)))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
+    # resume is decided here, so a sweep with nothing to solve starts no worker
+    rows = [_resumable_row(t) for t in tasks]
+    pending = [i for i, row in enumerate(rows) if row is None]
+    workers = min(jobs, len(pending)) if jobs > 1 else 0
+    if workers:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            solved = list(pool.map(_sweep_row, [tasks[i] for i in pending]))
     else:
-        rows = [_sweep_row(t) for t in tasks]
+        solved = [_sweep_row(tasks[i]) for i in pending]
+    for i, row in zip(pending, solved):
+        rows[i] = row
 
     cols = ["p", "amplitude", "status", "t_b", "fitted_t_b",
             "max_amplitude_reached", "epsilon", "s_margin"]
@@ -317,7 +333,8 @@ def cmd_sweep(args):
         fh.write(",".join(cols) + "\n")
         for row in rows:
             fh.write(",".join(_fmt_cell(row.get(c)) for c in cols) + "\n")
-    log.info("sweep: %d rows -> %s", len(rows), out_dir / "sweep.csv")
+    log.info("sweep: %d rows (%d resumed, %d solved on %d workers) -> %s", len(rows),
+             len(rows) - len(pending), len(pending), workers, out_dir / "sweep.csv")
     return EXIT_OK
 
 

@@ -466,6 +466,27 @@ def test_diagnose_grid_too_short(tmp_path, capsys):
     assert "extend" in capsys.readouterr().err
 
 
+def test_diagnose_refuses_a_field_short_of_the_domain_of_dependence(solved_run, tmp_path,
+                                                                    capsys):
+    # README data (rho = 1) with t_max = 4 needs r_max >= 5, the test solve applies;
+    # r_max = 2 is a lattice longer than it is wide, r_max = 4 one just too narrow
+    tmp, _ = solved_run
+    cfg = write(tmp_path / "c.json", base_run_config(tmp_path, grid={"h": 1 / 16, "t_max": 4.0}))
+    for r_max in (2.0, 4.0):
+        grid = solver.CharGrid(1 / 16, r_max, 4.0)
+        field = RadialField(grid, np.full((grid.n_t + 1, grid.n_r + 1), 0.5), p=2.0, A=1.0)
+        field.save(tmp_path / "field.npz")
+        assert main(["diagnose", "--config", cfg, "--field", str(tmp_path / "field.npz"),
+                     "--output", str(tmp_path / "d")]) == 2
+        assert (f"config error: field grid violates the domain of dependence: "
+                f"r_max = {r_max:g} < rho + t_max = 5") in capsys.readouterr().err
+        assert not (tmp_path / "d" / "diagnostics.json").exists()
+    # the README field has r_max = rho + t_max exactly
+    assert main(["diagnose", "--config", str(tmp / "c.json"),
+                 "--field", str(tmp / "out" / "field.npz"),
+                 "--output", str(tmp_path / "readme")]) == 0
+
+
 def _solve_and_diagnose(tmp_path, doc):
     tmp_path.mkdir()
     cfg = write(tmp_path / "c.json", doc)
@@ -575,6 +596,90 @@ def test_sweep_writes_each_row_manifest_once(tmp_path, monkeypatch):
     written.clear()
     assert main(["sweep", "--config", cfg_path, "--jobs", "1"]) == 0
     assert written == []
+
+
+def _row_files(out):
+    return {f: (f.read_bytes(), f.stat().st_mtime_ns)
+            for f in sorted((out / "rows").rglob("*")) if f.is_file()}
+
+
+def test_current_sweep_resumes_without_a_pool(tmp_path, monkeypatch, caplog):
+    cfg_path = write(tmp_path / "s.json", sweep_doc(tmp_path))
+    out = tmp_path / "sweep"
+    caplog.set_level(logging.INFO, logger="wavelab")
+    assert main(["sweep", "--config", cfg_path, "--jobs", "2"]) == 0
+    csv1, files = (out / "sweep.csv").read_bytes(), _row_files(out)
+    assert len(files) == 4 * 3
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a sweep with every row current started a worker pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    caplog.clear()
+    assert main(["sweep", "--config", cfg_path, "--jobs", "2"]) == 0
+    assert (out / "sweep.csv").read_bytes() == csv1
+    assert _row_files(out) == files
+    lines = [rec.getMessage() for rec in caplog.records if rec.name == "wavelab"]
+    assert f"sweep: 4 rows (4 resumed, 0 solved on 0 workers) -> {out / 'sweep.csv'}" in lines
+
+
+def _recording_pool(monkeypatch):
+    """Patch cli.ProcessPoolExecutor with an in-process executor; returns the executors built."""
+    built = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            self.max_workers, self.fn, self.tasks = max_workers, None, None
+            built.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            self.fn, self.tasks = fn, list(tasks)
+            return map(fn, self.tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    return built
+
+
+def test_sweep_pool_is_sized_to_the_rows_to_solve(tmp_path, monkeypatch, caplog):
+    built = _recording_pool(monkeypatch)
+    cfg_path = write(tmp_path / "s.json", sweep_doc(tmp_path))
+    out = tmp_path / "sweep"
+    # one job: rows run in the sweep's own process
+    assert main(["sweep", "--config", cfg_path, "--jobs", "1"]) == 0
+    assert built == []
+    csv1 = (out / "sweep.csv").read_bytes()
+    rows = sorted((out / "rows").iterdir())
+
+    def make_stale(row_dir):
+        man = json.loads((row_dir / "manifest.json").read_text())
+        man["code_digest"] = "0" * 16
+        (row_dir / "manifest.json").write_text(json.dumps(man))
+
+    caplog.set_level(logging.INFO, logger="wavelab")
+    for stale, jobs, workers in (([rows[1], rows[3]], 4, 2), ([rows[2]], 2, 1)):
+        for row_dir in stale:
+            make_stale(row_dir)
+        kept = {f: v for f, v in _row_files(out).items() if f.parent not in stale}
+        built.clear()
+        caplog.clear()
+        assert main(["sweep", "--config", cfg_path, "--jobs", str(jobs)]) == 0
+        assert [pool.max_workers for pool in built] == [workers]
+        assert built[0].fn is cli._sweep_row
+        assert [Path(row_dir) for _, row_dir in built[0].tasks] == stale
+        assert (out / "sweep.csv").read_bytes() == csv1
+        assert {f: v for f, v in _row_files(out).items() if f.parent not in stale} == kept
+        for row_dir in stale:
+            assert json.loads((row_dir / "manifest.json").read_text())["code_digest"] == \
+                cli._code_digest()
+        lines = [rec.getMessage() for rec in caplog.records if rec.name == "wavelab"]
+        assert (f"sweep: 4 rows ({4 - len(stale)} resumed, {len(stale)} solved on "
+                f"{workers} workers) -> {out / 'sweep.csv'}") in lines
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
