@@ -17,12 +17,12 @@ import argparse
 import functools
 import hashlib
 import json
+import locale  # noqa: F401 -- argparse's gettext imports it when main builds the parser
 import logging
 import os
 import resource
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -290,8 +290,16 @@ def _sweep_row(task):
     _write_json(marker, _manifest(row_doc, {"row": row, "code_digest": _code_digest(),
                                             "wall_time_s": record.get("wall_time_s"),
                                             "timings": record.get("timings"),
+                                            "peak_rss_mb_after": record.get("peak_rss_mb_after"),
                                             "peak_rss_mb": record.get("peak_rss_mb")}))
     return row
+
+
+def _process_pool(workers):
+    """The sweep's worker pool, imported here: only a sweep that starts workers pays
+    for concurrent.futures.process and multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _fmt_cell(x):
@@ -320,7 +328,7 @@ def cmd_sweep(args):
     pending = [i for i, row in enumerate(rows) if row is None]
     workers = min(jobs, len(pending)) if jobs > 1 else 0
     if workers:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             solved = list(pool.map(_sweep_row, [tasks[i] for i in pending]))
     else:
         solved = [_sweep_row(tasks[i]) for i in pending]

@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -198,10 +200,11 @@ class RadialField:
 
     @staticmethod
     def load(path):
-        """Read a field artifact written by ``save`` (``_read_npz``); a missing or
+        """Read a field artifact written by ``save`` (``_read_npz``, the samples
+        by ``_read_samples``, so only the light cone takes memory); a missing or
         bad meta key, an off-lattice grid, or samples of the wrong width or dtype
         or not finite raise FieldFormatError too."""
-        members, meta = _read_npz(path, "field")
+        members, meta = _read_npz(path, "field", readers={"samples": _read_samples})
 
         def number(key, optional=False):
             if key not in meta:
@@ -252,18 +255,25 @@ def _write_npz(path, arrays, meta):
                     np.lib.format.write_array(fh, value, allow_pickle=False)
 
 
-def _read_npz(path, what):
+def _read_npz(path, what, readers=None):
     """(arrays, meta dict) of an npz artifact written by ``_write_npz``.  A missing
     file raises FileNotFoundError; no zip signature, a pickled or unreadable
-    member, or a meta not a JSON object string a FieldFormatError naming ``what``."""
+    member (a CRC-32 mismatch or a corrupt deflate stream among them), or a meta
+    not a JSON object string a FieldFormatError naming ``what``.  ``readers``
+    maps a member name to the reader of its open npy stream; ``_read_array``
+    reads the others."""
     with open(path, "rb") as fh:
         if fh.read(4) != b"PK\x03\x04":
             raise FieldFormatError(f"not a wavelab {what} npz (no zip signature)")
         fh.seek(0)
+        members = {}
         try:
-            with np.load(fh, allow_pickle=False) as npz:
-                members = {name: npz[name] for name in npz.files}
-        except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+            with zipfile.ZipFile(fh) as zf:
+                for info in zf.infolist():
+                    name = info.filename.removesuffix(".npy")
+                    with zf.open(info) as member:
+                        members[name] = (readers or {}).get(name, _read_array)(member)
+        except (ValueError, OSError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
             raise FieldFormatError(f"malformed {what} npz ({exc})") from None
     meta = members.pop("meta", np.array(None))
     try:
@@ -273,6 +283,54 @@ def _read_npz(path, what):
     if not isinstance(meta, dict):
         raise FieldFormatError(f"malformed {what} meta (not a JSON object string)")
     return members, meta
+
+
+def _read_array(member):
+    """One npy member as numpy reads it, pickles refused."""
+    return np.lib.format.read_array(member, allow_pickle=False)
+
+
+def _read_samples(member):
+    """A C-order float64 2-D npy member read into ``_zeros`` in blocks of about
+    _BLOCK_NODES cells through one buffer.  Each block is copied only up to its
+    last column that holds a bit pattern other than +0.0, so the +0.0 tail past
+    the light cone is never written and holds no memory; -0.0 and zeros inside
+    the copied columns keep their bits.  The member is read to its end, where
+    zipfile checks the CRC-32.  Any other member is ``_read_array``'s."""
+    fmt = np.lib.format
+    if fmt.read_magic(member) == (1, 0):          # the header version _write_npz writes
+        shape, fortran, dtype = fmt.read_array_header_1_0(member)
+    else:
+        shape, fortran, dtype = (), False, None
+    if dtype != np.float64 or len(shape) != 2 or fortran:
+        member.seek(0)
+        return _read_array(member)
+    rows, width = shape
+    out = _zeros(shape)
+    buf = np.empty((max(1, min(rows, _BLOCK_NODES // max(width, 1))), width))
+    for lo in range(0, rows, len(buf)):
+        block = buf[: min(len(buf), rows - lo)]
+        got = member.readinto(block)
+        if got != block.nbytes:
+            raise EOFError(f"EOF: reading array data, expected {block.nbytes} bytes got {got}")
+        nonzero = np.flatnonzero(np.bitwise_or.reduce(block.view(np.int64), axis=0))
+        end = nonzero[-1] + 1 if nonzero.size else 0
+        out[lo : lo + len(block), :end] = block[:, :end]
+    while member.read(1 << 16):
+        pass
+    return out
+
+
+def _zeros(shape):
+    """float64 zeros in a private anonymous mapping, for field-sized arrays: a page
+    is resident only once written, and a cell never written reads the kernel's
+    shared zero page.  Huge pages are declined (numpy asks for them on its own
+    arrays of 4 MiB or more), so one write makes 4 KiB resident, not 2 MiB."""
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(8 * count, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +485,7 @@ def solve_march(problem: Problem, grid: CharGrid,
     lam = grid.r_values()
     alam, hh6 = problem.A * lam, h * h / 6.0
     U, b = homogeneous_band(problem.f_profile, problem.g_profile, grid) if band is None else band
-    u = np.zeros((n_t + 1, n_r + 1))
+    u = _zeros((n_t + 1, n_r + 1))     # its pages past the light cone are never written
     F = np.zeros((2, n_r + 2))         # A*lambda*|u|^p at levels j and j - 1
     w = np.zeros((3, n_r + 2))         # w at levels j + 1, j and j - 1
     u_star, u_pre = np.empty(n_r + 1), np.zeros(n_r + 1)

@@ -109,6 +109,17 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_process_pool():
+    # only a sweep that starts workers imports the pool and multiprocessing
+    src = os.path.dirname(os.path.dirname(wavelab.__file__))
+    code = ("import sys, wavelab.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_package_source_never_imports_scipy():
     # scipy is a test-only dependency; this also catches imports inside functions
     pkg = Path(wavelab.__file__).parent
@@ -454,6 +465,18 @@ def test_diagnose_non_numeric_field_cell(solved_run, tmp_path, capsys, corrupt):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_diagnose_refuses_a_field_whose_crc_fails(solved_run, tmp_path, capsys):
+    # one byte flipped inside the samples' data, past the npy header
+    tmp, _ = solved_run
+    raw = bytearray((tmp / "out" / "field.npz").read_bytes())
+    raw[len(raw) // 2] ^= 0x01
+    (tmp_path / "field.npz").write_bytes(bytes(raw))
+    rc = main(["diagnose", "--config", str(tmp / "c.json"),
+               "--field", str(tmp_path / "field.npz"), "--output", str(tmp_path / "d")])
+    assert rc == 2
+    assert "Bad CRC-32 for file 'samples.npy'" in capsys.readouterr().err
+
+
 def test_diagnose_grid_too_short(tmp_path, capsys):
     doc = base_run_config(tmp_path, grid={"h": 1 / 16, "t_max": 0.5})
     doc["problem"]["data"]["amplitude"] = 1.0
@@ -593,6 +616,11 @@ def test_sweep_writes_each_row_manifest_once(tmp_path, monkeypatch):
     manifests = [path for path in written if path.name == "manifest.json"]
     assert len(manifests) == len(set(manifests)) == 4
     assert json.loads(manifests[0].read_text())["row"]["p"] == 2.0
+    # each row's running peak RSS after every phase, keyed as in solve's manifest
+    for path in manifests:
+        after = json.loads(path.read_text())["peak_rss_mb_after"]
+        assert set(after) == {"march", "residual", "field_write", "blowup_fit"}
+        assert 0 < after["march"] <= after["blowup_fit"]
     written.clear()
     assert main(["sweep", "--config", cfg_path, "--jobs", "1"]) == 0
     assert written == []
@@ -614,7 +642,7 @@ def test_current_sweep_resumes_without_a_pool(tmp_path, monkeypatch, caplog):
     def no_pool(*args, **kwargs):
         raise AssertionError("a sweep with every row current started a worker pool")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "_process_pool", no_pool)
     caplog.clear()
     assert main(["sweep", "--config", cfg_path, "--jobs", "2"]) == 0
     assert (out / "sweep.csv").read_bytes() == csv1
@@ -624,7 +652,7 @@ def test_current_sweep_resumes_without_a_pool(tmp_path, monkeypatch, caplog):
 
 
 def _recording_pool(monkeypatch):
-    """Patch cli.ProcessPoolExecutor with an in-process executor; returns the executors built."""
+    """Patch cli._process_pool with an in-process executor; returns the executors built."""
     built = []
 
     class Pool:
@@ -642,7 +670,7 @@ def _recording_pool(monkeypatch):
             self.fn, self.tasks = fn, list(tasks)
             return map(fn, self.tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(cli, "_process_pool", Pool)
     return built
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import os
 import zipfile
 
 import numpy as np
@@ -119,6 +120,105 @@ def test_npz_reader_refuses_pickles_and_non_zip_files(tmp_path):
             RadialField.load(tmp_path / name)
     with pytest.raises(ValueError, match="allow_pickle"):
         _write_npz(tmp_path / "w.npz", {"x": np.zeros(2, dtype=object)}, {})
+
+
+def _light_cone_samples():
+    """13 levels x 17 columns: a signed interior and a +0.0 tail past column 8, with
+    -0.0 cells in the tail, an interior +0.0 run, a nonzero in the last column, and
+    all-zero rows (levels 10 and 11, one whole block at two rows a block)."""
+    vals = np.random.default_rng(7).standard_normal((13, 17))
+    vals[:, 9:] = 0.0
+    vals[2, 14] = vals[6, 16] = vals[7, 9] = -0.0
+    vals[4, 2:6] = 0.0
+    vals[8, 16] = 2.5
+    vals[10:12] = 0.0
+    return vals
+
+
+@pytest.mark.parametrize("block_nodes", [2**15, 40, 17])
+@pytest.mark.parametrize("case", ["light_cone", "fortran", "one_row", "one_zero_row"])
+def test_field_load_is_bitwise_numpys_read(tmp_path, monkeypatch, block_nodes, case):
+    # the loader streams C-order samples by blocks (13 rows in one block, or 2 or
+    # 1 rows a block, so 13 rows are not a multiple of it) and copies each block
+    # up to its last column other than +0.0; Fortran-order samples are numpy's
+    # own read.  Every cell keeps numpy's bits
+    monkeypatch.setattr(solver, "_BLOCK_NODES", block_nodes)
+    vals = _light_cone_samples()
+    if case == "fortran":
+        vals = np.asfortranarray(vals)
+    elif case == "one_row":
+        vals = vals[8:9]
+    elif case == "one_zero_row":
+        vals = vals[10:11]
+    g = CharGrid(0.25, 4.0, 0.25 * (len(vals) - 1))
+    path = tmp_path / "f.npz"
+    RadialField(g, vals, p=2.0, A=1.0).save(path)
+    with np.load(path) as npz:
+        want = npz["samples"]
+    got = RadialField.load(path).samples
+    assert got.shape == want.shape == vals.shape
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+    assert got.tobytes("A") == want.tobytes("A") == vals.tobytes("A")
+
+
+def test_field_load_checks_the_crc(tmp_path):
+    # one flipped byte inside the samples' data: zipfile's CRC-32 check at the
+    # member's end makes it a FieldFormatError
+    g = CharGrid(0.25, 4.0, 3.0)
+    vals = _light_cone_samples()
+    path = tmp_path / "f.npz"
+    RadialField(g, vals).save(path)
+    raw = bytearray(path.read_bytes())
+    at = raw.index(vals[5].tobytes()) + 3
+    raw[at] ^= 0x10
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FieldFormatError, match="CRC"):
+        RadialField.load(path)
+    # a foreign writer's deflated member: a corrupt stream is a FieldFormatError too
+    np.savez_compressed(path, samples=vals, meta=np.array('{"h": 0.25}'))
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("samples.npy")
+    raw = path.read_bytes()
+    at = info.header_offset + 26                  # the local header's name and extra lengths
+    start = at + 4 + sum(int.from_bytes(raw[k : k + 2], "little") for k in (at, at + 2))
+    for at in range(start, start + 8):
+        bad = bytearray(raw)
+        bad[at] ^= 0xFF
+        path.write_bytes(bytes(bad))
+        with pytest.raises(FieldFormatError, match="npz"):
+            RadialField.load(path)
+
+
+def _written_bytes(array):
+    """Bytes of the pages under ``array`` that are present and mapped by this process
+    alone (/proc/self/pagemap bits 63 and 56): the pages it wrote.  A page read but
+    never written maps the kernel's shared zero page and is not counted.  The
+    array's own pages are read, not its mapping's Rss in /proc/self/smaps: the
+    kernel merges adjacent mappings of equal flags, two fields' among them."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    addr = array.__array_interface__["data"][0]
+    first, last = addr // page, (addr + array.nbytes - 1) // page
+    with open("/proc/self/pagemap", "rb") as fh:
+        fh.seek(8 * first)
+        bits = np.frombuffer(fh.read(8 * (last - first + 1)), dtype=np.uint64)
+    written = (bits >> np.uint64(63)) & (bits >> np.uint64(56)) & np.uint64(1)
+    return int(written.sum()) * page
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/pagemap"), reason="needs /proc/self/pagemap")
+def test_field_memory_is_resident_only_inside_the_light_cone(crit4_run, tmp_path):
+    # u is +0.0 past r = rho + t: half the cells of the README field at rho/128,
+    # and 28 % of its 4 KiB pages (a page also holds the end of a row's window or
+    # the start of the next row).  The march and the loader never write those
+    # pages, so they stay the kernel's zero page: 0.72x the field is written
+    _, field = crit4_run
+    dense = field.samples.copy()                     # every page written: the control
+    assert _written_bytes(dense) > 0.95 * dense.nbytes
+    del dense
+    path = tmp_path / "f.npz"
+    field.save(path)
+    for samples in (field.samples, RadialField.load(path).samples):
+        assert _written_bytes(samples) < 0.8 * samples.nbytes
 
 
 def test_field_npz_truncated_rejected(tmp_path):
