@@ -253,7 +253,7 @@ def _resumable_row(task):
     row_dir = Path(row_dir)
     try:
         old = json.loads((row_dir / "manifest.json").read_text())
-    except (FileNotFoundError, json.JSONDecodeError):
+    except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError):
         return None
     if (isinstance(old, dict) and isinstance(old.get("row"), dict)
             and old.get("config_hash") == config_hash(row_doc)
@@ -382,7 +382,12 @@ def cmd_gronwall(args):
     if "H_csv" in doc:
         if not isinstance(doc["H_csv"], str):
             raise ConfigError("H_csv: expected a path string")
-        data = np.genfromtxt(doc["H_csv"], delimiter=",", skip_header=1)
+        try:
+            data = np.genfromtxt(doc["H_csv"], delimiter=",", skip_header=1)
+        except FileNotFoundError:
+            raise
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"H_csv: {doc['H_csv']}: {exc}") from None
         data = np.atleast_2d(data)
         if data.shape[1] != 2 or not np.all(np.isfinite(data)):
             raise ConfigError("H_csv: expected two finite columns (r, H)")

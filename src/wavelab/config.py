@@ -70,7 +70,9 @@ class DataSpec:
             try:
                 profiles.append(RadialProfile.from_csv(path, self.rho) if path
                                 else zero_profile(self.rho, grid_r))
-            except ValueError as exc:       # a malformed file is a config error
+            except FileNotFoundError:
+                raise
+            except (OSError, ValueError) as exc:    # an unreadable or malformed file
                 raise ConfigError(f"problem.data.{key}: {path}: {exc}") from None
         return tuple(profiles)
 
@@ -168,7 +170,6 @@ class SweepConfig:
     amplitudes: tuple
     parallel_jobs: int
     base: RunConfig
-    raw: dict = field(compare=False, default_factory=dict)
 
 
 def parse_sweep_config(doc: dict) -> SweepConfig:
@@ -193,7 +194,7 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
     if base.data.profile != "bump":
         raise ConfigError("base.problem.data.profile: sweeps need the bump family")
     return SweepConfig(tuple(float(x) for x in ps), tuple(float(x) for x in amps),
-                       jobs, base, raw=doc)
+                       jobs, base)
 
 
 def apply_overrides(doc: dict, overrides) -> dict:
@@ -225,6 +226,8 @@ def load_json(path):
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file unreadable: {path}: {exc}")
 
 
 def config_hash(doc: dict) -> str:

@@ -48,7 +48,8 @@ from .config import ConfigError
 from .gronwall import _cumulative_trapezoid
 from .profiles import RadialProfile
 from .regions import influence_quadrature
-from .solver import _BLOCK_NODES, RadialField, _write_npz, homogeneous_band
+from .solver import (_BLOCK_NODES, RadialField, _lambda_source, _power_source, _write_npz,
+                     homogeneous_band)
 
 __all__ = [
     "GridTooShortError",
@@ -151,7 +152,7 @@ class InequalityTable:
         lhs = np.asarray(lhs, dtype=float).ravel()
         stream = _TableStream(inequality_id, lhs.size, constants)
         r, t = (np.asarray(v, dtype=float).ravel() for v in (r, t))
-        stream.add(lhs, np.asarray(rhs, dtype=float).ravel(), tol, lambda k: (r[k], t[k]))
+        stream.add(r, t, lhs, np.asarray(rhs, dtype=float).ravel(), tol)
         return stream.finish()
 
     def verdict(self):
@@ -178,13 +179,12 @@ class _TableStream:
         self.least = None       # (flat index, residual, row, tol function): first least residual
         self.kept = []          # per block, the kept rows as columns (r, t, lhs, rhs, tol)
 
-    def add(self, lhs, rhs, tol, at):
-        """Feed the next rows (rhs may be a scalar).  ``tol(lhs, rhs)`` gives the
-        nonnegative tolerance of the rows passed; a residual >= 0 holds whatever it
-        is, so it sees only the rows whose residual is not >= 0 and the kept rows.
-        A residual of -inf fails whatever its tolerance, +inf included.  ``at(k)``
-        gives the points (r, t) of the rows at the indices k of this block; it is
-        asked only for the kept rows and the least one."""
+    def add(self, r, t, lhs, rhs, tol):
+        """Feed the next rows, at the points (r, t) (rhs may be a scalar).
+        ``tol(lhs, rhs)`` gives the nonnegative tolerance of the rows passed; a
+        residual >= 0 holds whatever it is, so it sees only the rows whose residual
+        is not >= 0 and the kept rows.  A residual of -inf fails whatever its
+        tolerance, +inf included."""
         rhs = np.broadcast_to(rhs, lhs.shape)
         res = lhs - rhs
         fails = np.flatnonzero(~(res >= 0))
@@ -193,10 +193,9 @@ class _TableStream:
         k = int(np.argmin(res))
         # a later block replaces the minimum only if strictly less (NaN counts as least)
         if self.least is None or not (np.isnan(self.least[1]) or res[k] >= self.least[1]):
-            (r,), (t,) = at(np.array([k]))
-            self.least = (self.seen + k, res[k], (r, t, lhs[k], rhs[k]), tol)
+            self.least = (self.seen + k, res[k], (r[k], t[k], lhs[k], rhs[k]), tol)
         keep = np.arange((-self.seen) % self.stride, lhs.size, self.stride)
-        self.kept.append((*at(keep), lhs[keep], rhs[keep], tol(lhs[keep], rhs[keep])))
+        self.kept.append((r[keep], t[keep], lhs[keep], rhs[keep], tol(lhs[keep], rhs[keep])))
         self.seen += lhs.size
 
     def finish(self) -> "InequalityTable":
@@ -316,28 +315,18 @@ def compute_M(field: RadialField, t2: float, delta: float, p: float) -> float:
     # T(t2, delta) is R(delta, t2 + delta) cut at alpha = t2 + delta
     window = field.samples[: j2 + d + 1, : j2 + 2 * d + 1]
     return float(influence_quadrature(window, d, j2 + d, alpha_lo=j2 + d,
-                                      source=_cone_source(h, p))) * h * h
+                                      source=_lambda_source(0.5 * h, _power_source(p)))) * h * h
 
 
-def _cone_source(h, p):
-    """compute_M's source (lambda/2) |u|^p, as ``influence_quadrature`` reads it."""
+def _positive_power(p):
+    """sigma(u, out): u_+^p written into out, the package's one u_+^p (step 2's
+    source, with ``_lambda_source``, and the characteristic pass's F_+^p)."""
 
-    def source(u, a):
-        return 0.5 * (h * a) * np.abs(u) ** p
+    def sigma(u, out):
+        np.maximum(u, 0.0, out=out)
+        out **= p
 
-    return source
-
-
-def _region_source(h, p):
-    """Step 2's source lambda u_+^p, as ``influence_quadrature`` reads it."""
-
-    def source(u, a):
-        g = np.maximum(u, 0.0)      # np.clip(u, 0.0, None), without its wrapper
-        g **= p
-        g *= h * a
-        return g
-
-    return source
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +355,7 @@ def _sigma_tables(field, config, j_star):
     The nodes i <= j - j_star run level by level, outward in r, as one flat
     array would hold them; they are read in blocks of whole levels, as many as
     fit _BLOCK_NODES nodes (one level at least), and streamed into the tables.
-    A block holds u and the pointwise rhs at its nodes; r and t are read only
-    at the kept rows and the least one.
+    A block holds u, r, t and the pointwise rhs t + r at its nodes.
     """
     h, p, C0 = field.grid.h, config.p, config.C0
     counts = np.minimum(np.arange(field.n_levels - j_star), field.grid.n_r) + 1
@@ -375,25 +363,21 @@ def _sigma_tables(field, config, j_star):
     positivity = _TableStream("sigma_positivity", int(ends[-1]))
     pointwise = _TableStream("pointwise_lower_bound", int(ends[-1]), {"C0": C0})
     cols = np.arange(field.grid.n_r + 1)
+    r_col, t_lev = h * cols, h * np.arange(j_star, field.n_levels)
     lo = 0
     while lo < counts.size:
         base = ends[lo] - counts[lo]
         hi = max(lo + 1, int(np.searchsorted(ends, base + _BLOCK_NODES, side="right")))
-        first, t = ends[lo:hi] - counts[lo:hi] - base, h * np.arange(j_star + lo, j_star + hi)
-
-        def at(k, first=first, t=t):        # (r, t) at the block's flat indices k
-            lev = np.searchsorted(first, k, side="right") - 1
-            return h * (k - first[lev]), t[lev]
-
         inside = cols < counts[lo:hi, None]
         u = field.samples[j_star + lo : j_star + hi][inside]
-        positivity.add(u, 0.0, lambda u, _: _chain_tol(h, u, 1.0), at)
-        rhs = np.broadcast_to(t[:, None], inside.shape)[inside]
-        rhs += np.broadcast_to(h * cols, inside.shape)[inside]      # t + r
+        r = np.broadcast_to(r_col, inside.shape)[inside]
+        t = np.broadcast_to(t_lev[lo:hi, None], inside.shape)[inside]
+        positivity.add(r, t, u, 0.0, lambda u, _: _chain_tol(h, u, 1.0))
+        rhs = t + r
         rhs **= 1.0 - p
         rhs *= C0
-        pointwise.add(u, rhs, partial(_chain_tol, h), at)
-        del inside, u, rhs        # so the next block is not read while this one is held
+        pointwise.add(r, t, u, rhs, partial(_chain_tol, h))
+        del inside, u, r, t, rhs        # so the next block is not read while this one is held
         lo = hi
     return positivity.finish(), pointwise.finish()
 
@@ -417,8 +401,9 @@ def _region_integral_table(field, config, j_star):
     jb, ib = js[lev], 1 + ranks - (ends[lev] - eligible[lev])
     # B(r, t) is R(i, j) cut at beta = j_star: it reaches lambda = (i + j - j_star)/2
     a_max = int((ib + jb - j_star + 1).max()) // 2
+    source = _lambda_source(h, _positive_power(config.p))
     integral = influence_quadrature(field.samples[: jb.max() + 1, : a_max + 1], ib, jb,
-                                    beta_lo=j_star, source=_region_source(h, config.p)) * h * h
+                                    beta_lo=j_star, source=source) * h * h
     rhs_b = config.A * (integral / (2.0 * ib * h))
     lhs_b = field.samples[jb, ib]
     return [InequalityTable.build("region_integral_bound", ib * h, jb * h, lhs_b, rhs_b,
@@ -490,6 +475,7 @@ def _characteristic_pass(field, config, j_star, n, cols, tri_a, tri_b):
     dh = h * np.arange(n + 1)
     w_H, w_J = dh**q, dh ** (1.0 + q)
     H_vals, J_int, F_tri = np.empty(n + 1), np.empty(n + 1), np.empty(tri_a.size)
+    positive_power = _positive_power(p)
     G_cols, K1_cols = np.empty((n + 1, cols.size)), np.empty((n + 1, cols.size))
     for lo, hi in _alpha_blocks(n, j_star):
         F = _F_block(field.samples, j_star, lo, hi)
@@ -500,13 +486,12 @@ def _characteristic_pass(field, config, j_star, n, cols, tri_a, tri_b):
         G_cols[lo:hi] = np.where(db > 0, db, 0.0) ** q * F[rows[:, None], d]
         s0, s1 = np.searchsorted(tri_a, [lo, hi])
         F_tri[s0:s1] = F[tri_a[s0:s1] - lo, tri_a[s0:s1] - tri_b[s0:s1]]
-        Fp = np.clip(F, 0.0, None, out=F)
-        Fp **= p
-        J_int[lo:hi] = _row_trapezoids(Fp, w_J, lo, h)
-        Fp *= dh[:hi]                       # K1's integrand (alpha - beta) F_+^p
-        tail = np.cumsum(Fp[:, ::-1], axis=1)[:, ::-1]
-        K1_cols[lo:hi] = h * (tail[rows[:, None], d] - 0.5 * Fp[rows[:, None], d]
-                              - 0.5 * Fp[rows, a][:, None])
+        positive_power(F, F)                # F_+^p, in place
+        J_int[lo:hi] = _row_trapezoids(F, w_J, lo, h)
+        F *= dh[:hi]                        # K1's integrand (alpha - beta) F_+^p
+        tail = np.cumsum(F[:, ::-1], axis=1)[:, ::-1]
+        K1_cols[lo:hi] = h * (tail[rows[:, None], d] - 0.5 * F[rows[:, None], d]
+                              - 0.5 * F[rows, a][:, None])
     return alphas, H_vals, J_int, G_cols, K1_cols, F_tri
 
 

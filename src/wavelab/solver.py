@@ -200,11 +200,11 @@ class RadialField:
 
     @staticmethod
     def load(path):
-        """Read a field artifact written by ``save`` (``_read_npz``, the samples
-        by ``_read_samples``, so only the light cone takes memory); a missing or
-        bad meta key, an off-lattice grid, or samples of the wrong width or dtype
-        or not finite raise FieldFormatError too."""
-        members, meta = _read_npz(path, "field", readers={"samples": _read_samples})
+        """Read a field artifact written by ``save`` (``_read_npz``, so only the
+        samples' light cone takes memory); a missing or bad meta key, an
+        off-lattice grid, or samples of the wrong width or dtype or not finite
+        raise FieldFormatError too."""
+        members, meta = _read_npz(path, "field")
 
         def number(key, optional=False):
             if key not in meta:
@@ -255,14 +255,19 @@ def _write_npz(path, arrays, meta):
                     np.lib.format.write_array(fh, value, allow_pickle=False)
 
 
-def _read_npz(path, what, readers=None):
-    """(arrays, meta dict) of an npz artifact written by ``_write_npz``.  A missing
-    file raises FileNotFoundError; no zip signature, a pickled or unreadable
-    member (a CRC-32 mismatch or a corrupt deflate stream among them), or a meta
-    not a JSON object string a FieldFormatError naming ``what``.  ``readers``
-    maps a member name to the reader of its open npy stream; ``_read_array``
-    reads the others."""
-    with open(path, "rb") as fh:
+def _read_npz(path, what):
+    """(arrays, meta dict) of an npz artifact written by ``_write_npz``, each
+    member read by ``_read_member``.  A missing file raises FileNotFoundError; a
+    file that cannot be opened (a directory, say), no zip signature, a pickled or
+    unreadable member (a CRC-32 mismatch or a corrupt deflate stream among
+    them), or a meta not a JSON object string a FieldFormatError naming ``what``."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise FieldFormatError(f"unreadable {what} npz ({exc})") from None
+    with fh:
         if fh.read(4) != b"PK\x03\x04":
             raise FieldFormatError(f"not a wavelab {what} npz (no zip signature)")
         fh.seek(0)
@@ -270,9 +275,8 @@ def _read_npz(path, what, readers=None):
         try:
             with zipfile.ZipFile(fh) as zf:
                 for info in zf.infolist():
-                    name = info.filename.removesuffix(".npy")
                     with zf.open(info) as member:
-                        members[name] = (readers or {}).get(name, _read_array)(member)
+                        members[info.filename.removesuffix(".npy")] = _read_member(member)
         except (ValueError, OSError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
             raise FieldFormatError(f"malformed {what} npz ({exc})") from None
     meta = members.pop("meta", np.array(None))
@@ -285,18 +289,14 @@ def _read_npz(path, what, readers=None):
     return members, meta
 
 
-def _read_array(member):
-    """One npy member as numpy reads it, pickles refused."""
-    return np.lib.format.read_array(member, allow_pickle=False)
-
-
-def _read_samples(member):
-    """A C-order float64 2-D npy member read into ``_zeros`` in blocks of about
-    _BLOCK_NODES cells through one buffer.  Each block is copied only up to its
-    last column that holds a bit pattern other than +0.0, so the +0.0 tail past
-    the light cone is never written and holds no memory; -0.0 and zeros inside
-    the copied columns keep their bits.  The member is read to its end, where
-    zipfile checks the CRC-32.  Any other member is ``_read_array``'s."""
+def _read_member(member):
+    """One npy member, pickles refused.  A C-order float64 2-D one (the field's
+    samples) is read into ``_zeros`` in blocks of about _BLOCK_NODES cells through
+    one buffer.  Each block is copied only up to its last column that holds a bit
+    pattern other than +0.0, so the +0.0 tail past the light cone is never
+    written and holds no memory; -0.0 and zeros inside the copied columns keep
+    their bits.  The member is read to its end, where zipfile checks the CRC-32.
+    Any other member is read as numpy reads it."""
     fmt = np.lib.format
     if fmt.read_magic(member) == (1, 0):          # the header version _write_npz writes
         shape, fortran, dtype = fmt.read_array_header_1_0(member)
@@ -304,7 +304,7 @@ def _read_samples(member):
         shape, fortran, dtype = (), False, None
     if dtype != np.float64 or len(shape) != 2 or fortran:
         member.seek(0)
-        return _read_array(member)
+        return fmt.read_array(member, allow_pickle=False)
     rows, width = shape
     out = _zeros(shape)
     buf = np.empty((max(1, min(rows, _BLOCK_NODES // max(width, 1))), width))
@@ -426,15 +426,29 @@ def homogeneous_band(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
 # ---------------------------------------------------------------------------
 
 def _power_source(p):
-    """The march's source sigma(u, out): |u|^p written into out, on the nodes of
-    a level's light-cone window i <= j + floor(rho/h) + 1 (past it u is +0.0,
-    whose |u|^p is the +0.0 already there)."""
+    """sigma(u, out): |u|^p written into out, the package's one |u|^p.  The march
+    calls it on a level's light-cone window i <= j + floor(rho/h) + 1 (past it u
+    is +0.0, whose |u|^p is the +0.0 already there); ``_lambda_source`` weights
+    it for the residual and for M."""
 
     def sigma(u, out):
         np.abs(u, out=out)
         out **= p
 
     return sigma
+
+
+def _lambda_source(h, sigma):
+    """The source lambda sigma(u), lambda = h*a, as ``influence_quadrature`` reads it:
+    sigma(u, out) as in ``_power_source``, then the weight."""
+
+    def source(u, a):
+        g = np.empty_like(u)
+        sigma(u, g)
+        g *= h * a
+        return g
+
+    return source
 
 
 def solve_march(problem: Problem, grid: CharGrid,
@@ -620,18 +634,6 @@ def detect_blowup_time(field: RadialField, amps=None) -> Optional[BlowupFit]:
 # Residual against the independent quadrature
 # ---------------------------------------------------------------------------
 
-def _residual_source(h, p):
-    """The residual's source lambda |u|^p, as ``influence_quadrature`` reads it."""
-
-    def source(u, a):
-        g = np.abs(u)
-        g **= p
-        g *= h * a
-        return g
-
-    return source
-
-
 def integral_residual(problem: Problem, field: RadialField, band=None) -> dict:
     """Residual u - u0 - A*P(|u|^p) on a deterministic interior subsample.
 
@@ -657,7 +659,7 @@ def integral_residual(problem: Problem, field: RadialField, band=None) -> dict:
     res = field.samples[jj, ii] - U[jj, np.clip(ii - jj, -b, b) + b]
     del U
     integral = influence_quadrature(field.samples, ii, jj,
-                                    source=_residual_source(grid.h, problem.p))
+                                    source=_lambda_source(grid.h, _power_source(problem.p)))
     res -= problem.A * (integral * grid.h * grid.h / (2.0 * ii * grid.h))
     if res.size == 0:
         return {"residual_linf": 0.0, "residual_l2": 0.0, "nodes": 0}

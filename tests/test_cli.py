@@ -1,4 +1,5 @@
 import ast
+import errno
 import json
 import logging
 import math
@@ -207,6 +208,44 @@ def test_solve_invalid_json(tmp_path):
     path = tmp_path / "c.json"
     path.write_text("{not json")
     assert main(["solve", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("what, kind", [
+    ("config", "directory"), ("config", "not_utf8"), ("H_csv", "directory"),
+    ("H_csv", "not_utf8"), ("f_csv", "directory"), ("f_csv", "not_utf8"),
+    ("g_csv", "directory"), ("field", "directory")])
+def test_unreadable_input_file_exits_2(tmp_path, capsys, what, kind):
+    # a directory or a file that is not UTF-8 where an input file belongs is the
+    # user's error: exit 2 naming the file, not a traceback or exit 3
+    bad = tmp_path / "input"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b'{"r": "\xe9t\xe9"}\n')          # Latin-1
+    run = base_run_config(tmp_path)
+    if what.endswith("_csv"):
+        run["problem"]["data"] = {"profile": "custom-csv", "rho": 1.0, what: str(bad)}
+    gronwall = {"params": {"C": 1, "a": 2, "b": 0, "t0": 0, "t1": 0}, "H_csv": str(bad)}
+    argv = {"config": ["solve", "--config", str(bad)],
+            "H_csv": ["gronwall", "--config", write(tmp_path / "g.json", gronwall),
+                      "--output", str(tmp_path / "out")],
+            "field": ["diagnose", "--config", write(tmp_path / "c.json", run),
+                      "--field", str(bad)]}
+    assert main(argv.get(what, ["solve", "--config", write(tmp_path / "c.json", run)])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: " if what == "field" else "config error: ")
+    assert str(bad) in err
+
+
+def test_an_oserror_while_computing_is_not_a_config_error(tmp_path, monkeypatch):
+    # only the read sites classify OSError: one raised by the march's allocation
+    # (mmap's ENOMEM) is not reported as the user's error
+    def no_memory(shape):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(solver, "_zeros", no_memory)
+    with pytest.raises(OSError, match="Cannot allocate memory"):
+        main(["solve", "--config", write(tmp_path / "c.json", base_run_config(tmp_path))])
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +642,28 @@ def test_sweep_rows_and_resume(tmp_path):
         assert (man["package_version"], man["code_digest"]) == (__version__, cli._code_digest())
         assert {f: (row_dir / f).read_bytes() for f in row_bytes[row_dir]} == row_bytes[row_dir]
     assert {f: f.read_bytes() for f in kept_bytes} == kept_bytes
+
+
+def test_sweep_recomputes_a_row_whose_manifest_is_not_utf8(tmp_path):
+    # an undecodable row manifest makes that row stale, as invalid JSON does:
+    # it is solved again to the same bytes, and no other file is rewritten
+    cfg_path = write(tmp_path / "s.json", sweep_doc(tmp_path))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg_path, "--jobs", "1"]) == 0
+    csv1, files = (out / "sweep.csv").read_bytes(), _row_files(out)
+    stale = sorted((out / "rows").iterdir())[2]
+    (stale / "manifest.json").write_bytes(b"\xff\xfe{}")
+    assert main(["sweep", "--config", cfg_path, "--jobs", "1"]) == 0
+    assert (out / "sweep.csv").read_bytes() == csv1
+    after = _row_files(out)
+    assert after.keys() == files.keys()
+    for f, (data, mtime) in files.items():
+        if f.parent != stale:
+            assert after[f] == (data, mtime), f
+        elif f.name != "manifest.json":
+            assert after[f][0] == data, f
+    man = json.loads((stale / "manifest.json").read_text())
+    assert man["code_digest"] == cli._code_digest() and man["row"]["p"] == 3.0
 
 
 def test_sweep_writes_each_row_manifest_once(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from wavelab.regions import influence_quadrature
 from wavelab.solver import CharGrid, Problem, RadialField, _read_npz, solve_march
 
 import march_oracle
-from conftest import RHO, blowup_problem, traced_peak
+from conftest import RHO, blowup_problem, dense_quadrature, traced_peak
 from field_oracle import H_of, interpolate
 from lattice_oracle import _UNBOUNDED, RegionBrt, StripBounds, lattice_weights
 
@@ -39,6 +39,27 @@ def test_compute_M_constant_field_oracle():
     for t2, delta in ((0.25, 3 / 64), (0.5, 0.5)):
         F = [a**3 / 2 + a**2 * t2 / 2 - a * t2**2 / 2 for a in (t2 + delta, t2 + 2 * delta)]
         assert compute_M(ones, t2, delta, 2.0) == pytest.approx((F[1] - F[0]) / 8, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.41, 3.0])
+def test_compute_M_is_bitwise_the_dense_quadrature(p):
+    # M against the reference sweep over the (lambda/2)|u|^p array built whole,
+    # in the order of operations compute_M once used, times h^2: on a signed
+    # field with -0.0 and +0.0 cells, a spacing that is not dyadic, and T with
+    # delta an even and an odd number of cells
+    grid = CharGrid(0.3, 19.2, 9.6)
+    h, rng = grid.h, np.random.default_rng(30)
+    u = 3.0 * rng.normal(size=(grid.n_t + 1, grid.n_r + 1))
+    u[rng.random(u.shape) < 0.2] = -0.0
+    u[rng.random(u.shape) < 0.1] = 0.0
+    field = RadialField(grid, u, p=p)
+    for j2, d in ((0, 1), (0, 4), (3, 5), (8, 12), (2, 30)):
+        window = u[: j2 + d + 1, : j2 + 2 * d + 1]
+        want = dense_quadrature(window, d, j2 + d, alpha_lo=j2 + d,
+                                source=lambda u, a: 0.5 * (h * a) * np.abs(u) ** p) * h * h
+        got = compute_M(field, j2 * h, d * h, p)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (j2, d)
+        assert got > 0.0
 
 
 def test_brt_quadrature_at_last_level():
@@ -549,8 +570,8 @@ def test_table_stream_matches_whole_array_build(monkeypatch, block, max_rows, va
     monkeypatch.setattr(diagnostics, "MAX_ROWS", max_rows)
     stream = diagnostics._TableStream("synthetic", n, None)
     for lo in range(0, n, block):
-        rb, tb = r[lo : lo + block], t[lo : lo + block]
-        stream.add(lhs[lo : lo + block], rhs[lo : lo + block], tol, lambda k: (rb[k], tb[k]))
+        rows_in = slice(lo, lo + block)
+        stream.add(r[rows_in], t[rows_in], lhs[rows_in], rhs[rows_in], tol)
     table = stream.finish()
     # the tolerance sees only rows that may fail (residual not >= 0) and kept rows
     with np.errstate(invalid="ignore"):

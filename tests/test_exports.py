@@ -33,7 +33,8 @@ def test_every_exported_name_resolves():
                      "linear_radial", "normalize_coefficient", "check_pointwise_lower_bound",
                      "F_of", "G_of", "H_of", "check_inequality", "tables_to_csv", "_CSV_ROWS",
                      "_lattice_F", "homogeneous_levels", "_U0_BLOCK", "_cone_reach",
-                     "solve_forced", "_march", "CRITICAL_P"}
+                     "solve_forced", "_march", "CRITICAL_P", "_residual_source", "_cone_source",
+                     "_region_source", "_read_array", "_read_samples"}
     # not exported, since every exported name resolves
     for owner in (wavelab, regions, solver, diagnostics, gronwall, diagnostics.DiagnosticsReport):
         assert not any(hasattr(owner, n) for n in moved_or_gone), owner.__name__

@@ -5,9 +5,9 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from wavelab.diagnostics import _cone_source, _region_source
+from wavelab.diagnostics import _positive_power
 from wavelab.regions import influence_quadrature
-from wavelab.solver import _residual_source
+from wavelab.solver import _lambda_source, _power_source
 
 import quadrature_oracle
 from conftest import dense_quadrature
@@ -373,25 +373,29 @@ def test_sweep_is_bitwise_the_oracle(shape):
 def _package_sources(h, p):
     """The sources the package passes: the residual's lambda |u|^p, step 2's
     lambda u_+^p and compute_M's (lambda/2) |u|^p."""
-    return [_residual_source(h, p), _region_source(h, p), _cone_source(h, p)]
+    return [_lambda_source(h, _power_source(p)), _lambda_source(h, _positive_power(p)),
+            _lambda_source(0.5 * h, _power_source(p))]
 
 
 @pytest.mark.parametrize("p", [2.0, 2.41, 3.0])
 def test_package_sources_are_the_source_arrays_they_replace(p):
     # bitwise the arrays the residual, step 2 and compute_M once built, in
-    # their order of operations, on a signed field with signed zeros
-    h, rng = 1.0 / 16.0, np.random.default_rng(8)
+    # their order of operations, on a signed field with signed zeros, at a
+    # dyadic spacing and one that is not: M's weight (h/2) a is 0.5 (h a)
+    # exactly, halving being exact
+    rng = np.random.default_rng(8)
     u = np.where(rng.random((9, 40)) < 0.2, -0.0, 5.0 * rng.normal(size=(9, 40)))
     u[:, -5:] = 0.0
-    lam = h * np.arange(u.shape[1])
-    residual, region = np.abs(u), np.clip(u, 0.0, None)
-    for g in (residual, region):
-        g **= p
-        g *= lam
-    cone = 0.5 * lam[None, :] * np.abs(u) ** p
-    for source, want in zip(_package_sources(h, p), (residual, region, cone)):
-        got = source(u, np.arange(u.shape[1]))
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for h in (1.0 / 16.0, 0.3):
+        lam = h * np.arange(u.shape[1])
+        residual, region = np.abs(u), np.clip(u, 0.0, None)
+        for g in (residual, region):
+            g **= p
+            g *= lam
+        cone = 0.5 * lam[None, :] * np.abs(u) ** p
+        for source, want in zip(_package_sources(h, p), (residual, region, cone)):
+            got = source(u, np.arange(u.shape[1]))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _assert_streamed_is_dense(u, i, j, source, **floors):
