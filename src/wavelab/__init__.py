@@ -16,7 +16,7 @@ from .diagnostics import (ChainConfig, DiagnosticsReport, GridTooShortError, che
                           choose_epsilon, compute_M, gronwall_params_from_chain, s_exponent,
                           select_t2_delta)
 from .profiles import RadialProfile, bump_profile, zero_profile
-from .solver import (BlowupFit, CharGrid, Problem, RadialField, apply_P, detect_blowup_time,
+from .solver import (BlowupFit, CharGrid, Problem, RadialField, detect_blowup_time,
                      integral_residual, solve_march)
 from .spherical import (ScalarField3, SphereQuadrature, build_sphere_quadrature,
                         spherical_mean)
@@ -26,7 +26,7 @@ __all__ = [
     "ScalarField3", "SphereQuadrature", "build_sphere_quadrature",
     "spherical_mean",
     "RadialProfile", "bump_profile", "zero_profile",
-    "Problem", "CharGrid", "RadialField", "BlowupFit", "apply_P",
+    "Problem", "CharGrid", "RadialField", "BlowupFit",
     "solve_march", "detect_blowup_time", "integral_residual",
     "ChainConfig", "DiagnosticsReport", "GridTooShortError",
     "select_t2_delta", "compute_M", "check_chain",

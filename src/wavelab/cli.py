@@ -37,6 +37,7 @@ from .diagnostics import (ChainConfig, GridTooShortError, check_chain, choose_ep
                           gronwall_params_from_chain, s_exponent, select_t2_delta)
 from .gronwall import (GronwallCertificate, GronwallParams, WindowTooShortError, certify,
                        failure_radius, log10_failure_radius)
+from .profiles import _read_columns
 from .solver import (FieldFormatError, RadialField, detect_blowup_time, homogeneous_band,
                      integral_residual, solve_march)
 from .spherical import ScalarField3, build_sphere_quadrature, spherical_mean
@@ -143,8 +144,8 @@ def _run_solve(cfg: RunConfig, out_dir: Path):
     return fld, record
 
 
-def cmd_solve(args):
-    cfg = parse_run_config(apply_overrides(load_json(args.config), args.override))
+def cmd_solve(args, doc):
+    cfg = parse_run_config(doc)
     out_dir = Path(args.output or cfg.output_dir)
     fld, record = _run_solve(cfg, out_dir)
     _write_json(out_dir / "manifest.json", _manifest(cfg.raw, record))
@@ -230,8 +231,8 @@ def _run_diagnose(cfg: RunConfig, field_path, out_dir: Path):
     return EXIT_NUMERICAL if refuted or not report.holds else EXIT_OK
 
 
-def cmd_diagnose(args):
-    cfg = parse_run_config(apply_overrides(load_json(args.config), args.override))
+def cmd_diagnose(args, doc):
+    cfg = parse_run_config(doc)
     out_dir = Path(args.output or cfg.output_dir)
     return _run_diagnose(cfg, args.field, out_dir)
 
@@ -239,13 +240,6 @@ def cmd_diagnose(args):
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
-
-def _row_doc(sweep_raw, p, amplitude):
-    doc = json.loads(json.dumps(sweep_raw["base"]))
-    doc.setdefault("problem", {})["p"] = p
-    doc["problem"].setdefault("data", {})["amplitude"] = amplitude
-    return doc
-
 
 def _resumable_row(task):
     """The row recorded by the task's manifest if it is current, else None (solve it)."""
@@ -310,8 +304,7 @@ def _fmt_cell(x):
     return str(x)
 
 
-def cmd_sweep(args):
-    doc = apply_overrides(load_json(args.config), args.override)
+def cmd_sweep(args, doc):
     sweep = parse_sweep_config(doc)
     out_dir = Path(args.output or sweep.base.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -321,7 +314,9 @@ def cmd_sweep(args):
     for ip, p in enumerate(sweep.p_values):
         for ia, amp in enumerate(sweep.amplitudes):
             row_dir = out_dir / "rows" / f"p{ip:02d}_a{ia:02d}"
-            tasks.append((_row_doc(doc, p, amp), str(row_dir)))
+            row_doc = apply_overrides(doc["base"], [f"problem.p={p!r}",
+                                                    f"problem.data.amplitude={amp!r}"])
+            tasks.append((row_doc, str(row_dir)))
 
     # resume is decided here, so a sweep with nothing to solve starts no worker
     rows = [_resumable_row(t) for t in tasks]
@@ -370,27 +365,23 @@ def _parse_gronwall_params(doc):
         raise ConfigError(f"params: {exc}")
 
 
-def cmd_gronwall(args):
+def cmd_gronwall(args, doc):
     """gronwall.json from sampled H (``H_csv``) or from J1 alone.
 
     Exit 4 when the samples end before t1 + 1 or short of r_star; the
     certificate's numbers are written in the second case too.
     """
-    doc = apply_overrides(load_json(args.config), args.override)
     _require_keys(doc, {"params", "H_csv", "J1", "output_dir"}, {"params"}, "")
     params = _parse_gronwall_params(doc["params"])
     if "H_csv" in doc:
         if not isinstance(doc["H_csv"], str):
             raise ConfigError("H_csv: expected a path string")
         try:
-            data = np.genfromtxt(doc["H_csv"], delimiter=",", skip_header=1)
+            data = _read_columns(doc["H_csv"])
         except FileNotFoundError:
             raise
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:      # an unreadable or malformed table
             raise ConfigError(f"H_csv: {doc['H_csv']}: {exc}") from None
-        data = np.atleast_2d(data)
-        if data.shape[1] != 2 or not np.all(np.isfinite(data)):
-            raise ConfigError("H_csv: expected two finite columns (r, H)")
         out_dir = _direct_output_dir(args, doc)
         try:
             cert = certify(data[:, 0], data[:, 1], params)
@@ -456,8 +447,7 @@ def _build_family(doc):
     raise ConfigError("family: expected monomial, radial-bump, or offset-gaussian")
 
 
-def cmd_mean(args):
-    doc = apply_overrides(load_json(args.config), args.override)
+def cmd_mean(args, doc):
     _require_keys(doc, {"family", "params", "degree", "t", "radii", "output_dir"}, set(), "")
     field = _build_family(doc)
     degree = doc.get("degree", 23)
@@ -536,7 +526,7 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, apply_overrides(load_json(args.config), args.override))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -48,7 +48,7 @@ from .config import ConfigError
 from .gronwall import _cumulative_trapezoid
 from .profiles import RadialProfile
 from .regions import influence_quadrature
-from .solver import (_BLOCK_NODES, RadialField, _lambda_source, _power_source, _write_npz,
+from .solver import (_BLOCK_NODES, RadialField, _lambda_source, _power_source, _snap, _write_npz,
                      homogeneous_band)
 
 __all__ = [
@@ -306,10 +306,9 @@ def compute_M(field: RadialField, t2: float, delta: float, p: float) -> float:
     """
     grid = field.grid
     h = grid.h
-    q = np.array([t2, delta]) / h
-    j2, d = (int(v) for v in np.rint(q))
-    if np.any(np.abs(q - np.rint(q)) > 1e-6) or j2 < 0 or d < 1:
-        raise ValueError(f"T({t2}, {delta}) needs t2 >= 0 and delta > 0 on the lattice spacing {h}")
+    j2, d = _snap(t2, h, "t2"), _snap(delta, h, "delta")
+    if j2 < 0 or d < 1:
+        raise ValueError(f"T({t2}, {delta}) needs t2 >= 0 and delta > 0")
     if j2 + d > field.n_levels - 1 or j2 + 2 * d > grid.n_r:
         raise ValueError("region outside grid")
     # T(t2, delta) is R(delta, t2 + delta) cut at alpha = t2 + delta
@@ -335,10 +334,7 @@ def _positive_power(p):
 
 def _sigma_levels(field: RadialField, t_star: float):
     """t_star's level j_star, the first of Sigma: on the lattice, below the last level."""
-    h = field.grid.h
-    j_star = int(round(t_star / h))
-    if abs(j_star * h - t_star) > 1e-9 * max(1.0, t_star):
-        raise ValueError("t_star is not lattice aligned")
+    j_star = _snap(t_star, field.grid.h, "t_star")
     if j_star >= field.n_levels - 1:
         raise GridTooShortError("grid too short: no Sigma nodes below the defined horizon")
     return j_star

@@ -34,10 +34,10 @@ class RadialProfile:
         v = np.asarray(self.values, dtype=float)
         if r.ndim != 1 or v.shape != r.shape:
             raise ValueError("profile grid and values must be 1-D and congruent")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+            raise ValueError("profile radii and values must be finite")
         if r.size < 2 or r[0] != 0.0 or np.any(np.diff(r) <= 0):
             raise ValueError("grid unsorted: need two or more radii ascending strictly from 0")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("profile values must be finite")
         if self.rho <= 0:
             raise ValueError("support radius must be positive")
         if r[0] < self.rho < r[-1] and not np.any(r == self.rho):
@@ -96,11 +96,18 @@ class RadialProfile:
 
     @staticmethod
     def from_csv(path, rho):
-        data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
-        rows, cols = data.shape
-        if cols != 2:
-            raise ValueError(f"expected rows of two columns r,value (read {rows}x{cols})")
+        data = _read_columns(path)
         return RadialProfile(data[:, 0], data[:, 1], rho)
+
+
+def _read_columns(path):
+    """The rows of a two-column CSV table after its header line, as an (n, 2)
+    array; ValueError unless every row holds two finite numbers."""
+    data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+    rows, cols = data.shape
+    if cols != 2 or not np.all(np.isfinite(data)):
+        raise ValueError(f"expected rows of two finite numbers (read {rows}x{cols})")
+    return data
 
 
 def bump_profile(amplitude, rho, grid_r):

@@ -35,6 +35,7 @@ corrector pass on that single value.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import mmap
@@ -55,7 +56,6 @@ __all__ = [
     "FieldFormatError",
     "RadialField",
     "BlowupFit",
-    "apply_P",
     "homogeneous_band",
     "solve_march",
     "detect_blowup_time",
@@ -131,13 +131,6 @@ class CharGrid:
     def t_values(self, n_levels=None):
         n = self.n_t + 1 if n_levels is None else n_levels
         return self.h * np.arange(n)
-
-    def index_of(self, r, t):
-        i = _snap(r, self.h, "r")
-        j = _snap(t, self.h, "t")
-        if not (0 <= i <= self.n_r and 0 <= j <= self.n_t):
-            raise ValueError("out of grid")
-        return i, j
 
 
 _STATUSES = ("complete", "blown_up", "error")
@@ -260,7 +253,9 @@ def _read_npz(path, what):
     member read by ``_read_member``.  A missing file raises FileNotFoundError; a
     file that cannot be opened (a directory, say), no zip signature, a pickled or
     unreadable member (a CRC-32 mismatch or a corrupt deflate stream among
-    them), or a meta not a JSON object string a FieldFormatError naming ``what``."""
+    them), or a meta not a JSON object string a FieldFormatError naming ``what``.
+    An ENOMEM from allocating a member (``_zeros``) is no fault of the file and
+    propagates."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
@@ -278,6 +273,8 @@ def _read_npz(path, what):
                     with zf.open(info) as member:
                         members[info.filename.removesuffix(".npy")] = _read_member(member)
         except (ValueError, OSError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+            if isinstance(exc, OSError) and exc.errno == errno.ENOMEM:
+                raise
             raise FieldFormatError(f"malformed {what} npz ({exc})") from None
     meta = members.pop("meta", np.array(None))
     try:
@@ -331,34 +328,6 @@ def _zeros(shape):
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buf.madvise(mmap.MADV_NOHUGEPAGE)
     return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# The P operator
-# ---------------------------------------------------------------------------
-
-def apply_P(source: RadialField, r: float, t: float) -> float:
-    """Integral of (lambda/2r) * source over R(r, t), trapezoid on the lattice.
-
-    For r > 0 this is the quadrature of lambda * source over R(r, t)
-    (regions.influence_quadrature) divided by 2r.  At r = 0 the 1/(2r)
-    singularity cancels against the shrinking lambda interval and the limit
-    is a single integral along the backward characteristic; that form is
-    used directly.
-    """
-    i, j = source.grid.index_of(r, t)
-    if j >= source.n_levels or i + j > source.grid.n_r:
-        raise ValueError("out of grid")
-    h = source.grid.h
-    if i == 0:
-        # sum over k < j of w_k (j-k)h sigma((j-k)h, kh), with the trapezoid
-        # weights w_0 = h/2 and w_k = h otherwise (the k = j term has lambda = 0)
-        ks = np.arange(j)
-        weights = np.full(j, h)
-        weights[:1] = 0.5 * h
-        return float(np.dot(weights, (j - ks) * h * source.samples[ks, j - ks]))
-    return float(influence_quadrature(source.samples[: j + 1, : i + j + 1], i, j,
-                                      source=lambda u, a: h * a * u)) * h * h / (2.0 * i * h)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +561,6 @@ class BlowupFit:
     t_b: float
     fitted_t_b: float
     fitted_exponent: float
-    fitted_amplitude: float
 
 
 def detect_blowup_time(field: RadialField, amps=None) -> Optional[BlowupFit]:
@@ -618,7 +586,7 @@ def detect_blowup_time(field: RadialField, amps=None) -> Optional[BlowupFit]:
     aw = amps[window]
     tw = ts[window]
     t_end = ts[-1]
-    best = (np.inf, field.t_b, -2.0, amp_end)
+    best = (np.inf, field.t_b, -2.0)
     for bump in np.geomspace(0.25, 8.0, 48):
         t_cand = t_end + bump * h
         x = np.log(t_cand - tw)
@@ -626,8 +594,8 @@ def detect_blowup_time(field: RadialField, amps=None) -> Optional[BlowupFit]:
         slope, intercept = np.polyfit(x, y, 1)
         sse = float(np.sum((y - (slope * x + intercept)) ** 2))
         if sse < best[0]:
-            best = (sse, t_cand, float(slope), float(np.exp(intercept)))
-    return BlowupFit(field.t_b, best[1], best[2], best[3])
+            best = (sse, t_cand, float(slope))
+    return BlowupFit(field.t_b, best[1], best[2])
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,15 @@ d'Alembert evaluator on every column, independent of the solver's banded one;
 :func:`homogeneous_band` slices it into the solver's band layout and
 :func:`on_lattice` scatters a band back onto the lattice.  Its source may
 ignore u, so it also marches the linear forced problem ubar = ubar0 +
-A*P(forcing), the manufactured solutions of criterion 2.
+A*P(forcing) (:func:`forced_march`), the manufactured solution of criterion 2
+among them (:func:`mms_data`, :func:`mms_error`).
 
 :func:`full_width_band` widens the solver's own band with +0.0 cells until
 ``wavelab.solver.solve_march`` marches every column of every level with it.
+
+:func:`apply_P` is P(sigma) at one node, the operator the acceptance criteria
+are written against: the package's quadrature engine for r > 0 and
+:func:`_axis_P` at r = 0.  No command evaluates P on its own.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from wavelab import solver
 from wavelab.profiles import RadialProfile
-from wavelab.solver import CharGrid
+from wavelab.regions import influence_quadrature
+from wavelab.solver import CharGrid, RadialField
 
 _U0_BLOCK = 32          # levels of ubar0 the march reads at a time
 
@@ -97,6 +103,33 @@ def _axis_P(sigma_diag, h):
     weights = np.full(j, h)
     weights[:1] = 0.5 * h
     return float(np.dot(weights, (np.arange(j, 0, -1) * h) * sigma_diag))
+
+
+def index_of(grid: CharGrid, r, t):
+    """The node (i, j) at (r, t) = (ih, jh); ValueError off the lattice or the grid."""
+    i, j = solver._snap(r, grid.h, "r"), solver._snap(t, grid.h, "t")
+    if not (0 <= i <= grid.n_r and 0 <= j <= grid.n_t):
+        raise ValueError("out of grid")
+    return i, j
+
+
+def apply_P(source: RadialField, r: float, t: float) -> float:
+    """Integral of (lambda/2r) * source over R(r, t), trapezoid on the lattice.
+
+    For r > 0 this is the quadrature of lambda * source over R(r, t)
+    (regions.influence_quadrature) divided by 2r.  At r = 0 the 1/(2r)
+    singularity cancels against the shrinking lambda interval and the limit
+    is the single integral along the backward characteristic, :func:`_axis_P`.
+    """
+    i, j = index_of(source.grid, r, t)
+    if j >= source.n_levels or i + j > source.grid.n_r:
+        raise ValueError("out of grid")
+    h = source.grid.h
+    if i == 0:
+        ks = np.arange(j)
+        return _axis_P(source.samples[ks, j - ks], h)
+    return float(influence_quadrature(source.samples[: j + 1, : i + j + 1], i, j,
+                                      source=lambda u, a: h * a * u)) * h * h / (2.0 * i * h)
 
 
 def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
@@ -176,3 +209,41 @@ def _march(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid, A: float,
         m_prev = m_new
 
     return u[:defined], status, t_b
+
+
+def forced_march(fbar: RadialProfile, gbar: RadialProfile, forcing, grid: CharGrid):
+    """Samples of ubar = ubar0 + P(forcing), the forcing(r, t) broadcast over r and
+    t arrays: :func:`_march` with a source that ignores u."""
+    samples, status, _ = _march(fbar, gbar, grid, 1.0,
+                                lambda r, t, u: forcing(r, np.full_like(r, t)), np.inf, np.inf, np.inf)
+    assert status == "complete"
+    return samples
+
+
+def _mms_exact(r, t):
+    return np.clip(1.0 - r**2, 0.0, None)**3 * (1.0 + t)**-2
+
+
+def _mms_forcing(r, t):
+    # box(u) for u = (1-r^2)^3 (1+t)^-2 inside the unit ball, zero outside
+    B = np.clip(1.0 - r**2, 0.0, None)
+    w = 6.0 * B**3 * (1.0 + t)**-4 + (18.0 * B**2 - 24.0 * r**2 * B) * (1.0 + t)**-2
+    return np.where(r < 1.0, w, 0.0)
+
+
+def mms_data(n):
+    """(fbar, gbar, grid) at h = 1/n of criterion 2's manufactured solution
+    u = (1 - r^2)_+^3 (1 + t)^-2: its u and u_t at t = 0."""
+    h = 1.0 / n
+    gr = np.arange(0.0, 2.0 + h / 2, h)
+    fb = RadialProfile(gr, _mms_exact(gr, 0.0), 1.0)
+    gb = RadialProfile(gr, -2.0 * np.clip(1 - gr**2, 0, None)**3, 1.0)
+    return fb, gb, CharGrid(h, 2.0, 1.0)
+
+
+def mms_error(n):
+    """max|ubar - u| over the lattice of :func:`mms_data`'s forced march."""
+    fb, gb, grid = mms_data(n)
+    samples = forced_march(fb, gb, _mms_forcing, grid)
+    RR, TT = np.meshgrid(grid.r_values(), grid.t_values())
+    return float(np.max(np.abs(samples - _mms_exact(RR, TT))))

@@ -18,10 +18,11 @@ from scipy.integrate import cumulative_trapezoid
 
 from wavelab.diagnostics import choose_epsilon, gronwall_params_from_chain, s_exponent
 from wavelab.gronwall import GronwallParams, certify, failure_radius
-from wavelab.profiles import RadialProfile, bump_profile
-from wavelab.solver import CharGrid, RadialField, apply_P, homogeneous_band, solve_march
+from wavelab.profiles import bump_profile
+from wavelab.solver import CharGrid, RadialField, homogeneous_band, solve_march
 
 import march_oracle
+from march_oracle import apply_P
 from conftest import RHO, blowup_problem
 
 CRIT_P = 1.0 + math.sqrt(2.0)
@@ -52,28 +53,8 @@ def test_criterion_1_p_operator_closed_forms():
     assert ok
 
 
-def _mms_error(n):
-    def exact(r, t):
-        return np.clip(1.0 - r**2, 0.0, None)**3 * (1.0 + t)**-2
-
-    def forcing(r, t):
-        B = np.clip(1.0 - r**2, 0.0, None)
-        w = 6.0 * B**3 * (1 + t)**-4 + (18.0 * B**2 - 24.0 * r**2 * B) * (1 + t)**-2
-        return np.where(r < 1.0, w, 0.0)
-
-    h = 1.0 / n
-    grid = CharGrid(h, 2.0, 1.0)
-    gr = np.arange(0.0, 2.0 + h / 2, h)
-    fb = RadialProfile(gr, exact(gr, 0.0), 1.0)
-    gb = RadialProfile(gr, -2.0 * np.clip(1 - gr**2, 0, None)**3, 1.0)
-    samples, _, _ = march_oracle._march(fb, gb, grid, 1.0, lambda r, t, u: forcing(r, t),
-                                        np.inf, np.inf, np.inf)
-    RR, TT = np.meshgrid(grid.r_values(), grid.t_values())
-    return float(np.max(np.abs(samples - exact(RR, TT))))
-
-
 def test_criterion_2_manufactured_convergence():
-    e1, e2 = _mms_error(64), _mms_error(128)
+    e1, e2 = march_oracle.mms_error(64), march_oracle.mms_error(128)
     ratio = e1 / e2
     ok = 3.5 <= ratio <= 4.5
     _report(2, ok, f"Linf errors {e1:.3e} -> {e2:.3e}, ratio {ratio:.3f} in [3.5, 4.5]")

@@ -87,8 +87,10 @@ def test_custom_csv_profile_continuous_at_rho(tmp_path):
     assert np.all(f.values == 0.0)
 
 
-@pytest.mark.parametrize("rows", ["0,1\n0.5,abc\n1,0\n", "0,1\n", "0,1\n1,0\n0.5,0.5\n", ""],
-                         ids=["non-numeric", "one-row", "unsorted", "header-only"])
+@pytest.mark.parametrize("rows", ["0,1\n0.5,abc\n1,0\n", "0,1\n", "0,1\n1,0\n0.5,0.5\n", "",
+                                  "0,1\nnan,0.5\n1,0\n", "0,1\n0.5,0.5\ninf,0\n"],
+                         ids=["non-numeric", "one-row", "unsorted", "header-only", "nan-radius",
+                              "inf-radius"])
 @pytest.mark.filterwarnings("ignore::UserWarning")       # genfromtxt on an empty table
 def test_malformed_custom_csv_is_a_config_error(tmp_path, capsys, rows):
     (tmp_path / "f.csv").write_text("r,value\n" + rows)
@@ -212,14 +214,17 @@ def test_solve_invalid_json(tmp_path):
 
 @pytest.mark.parametrize("what, kind", [
     ("config", "directory"), ("config", "not_utf8"), ("H_csv", "directory"),
-    ("H_csv", "not_utf8"), ("f_csv", "directory"), ("f_csv", "not_utf8"),
-    ("g_csv", "directory"), ("field", "directory")])
+    ("H_csv", "not_utf8"), ("H_csv", "ragged"), ("f_csv", "directory"), ("f_csv", "not_utf8"),
+    ("f_csv", "ragged"), ("g_csv", "directory"), ("field", "directory")])
 def test_unreadable_input_file_exits_2(tmp_path, capsys, what, kind):
-    # a directory or a file that is not UTF-8 where an input file belongs is the
-    # user's error: exit 2 naming the file, not a traceback or exit 3
+    # a directory, a file that is not UTF-8 or a table with a ragged row where an
+    # input file belongs is the user's error: exit 2 naming the file, not a
+    # traceback or exit 3
     bad = tmp_path / "input"
     if kind == "directory":
         bad.mkdir()
+    elif kind == "ragged":
+        bad.write_text("r,value\n0,1\n0.5,0.5,2\n1,0\n")
     else:
         bad.write_bytes(b'{"r": "\xe9t\xe9"}\n')          # Latin-1
     run = base_run_config(tmp_path)
@@ -238,14 +243,19 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, what, kind):
 
 
 def test_an_oserror_while_computing_is_not_a_config_error(tmp_path, monkeypatch):
-    # only the read sites classify OSError: one raised by the march's allocation
-    # (mmap's ENOMEM) is not reported as the user's error
+    # only the read sites classify OSError: one raised by allocating a field
+    # (mmap's ENOMEM), in the march or while diagnose loads field.npz, is not
+    # reported as the user's error
     def no_memory(shape):
         raise OSError(errno.ENOMEM, "Cannot allocate memory")
 
+    cfg = write(tmp_path / "c.json", base_run_config(tmp_path))
+    assert main(["solve", "--config", cfg]) == 0
     monkeypatch.setattr(solver, "_zeros", no_memory)
-    with pytest.raises(OSError, match="Cannot allocate memory"):
-        main(["solve", "--config", write(tmp_path / "c.json", base_run_config(tmp_path))])
+    for argv in (["solve", "--config", cfg],
+                 ["diagnose", "--config", cfg, "--field", str(tmp_path / "out" / "field.npz")]):
+        with pytest.raises(OSError, match="Cannot allocate memory"):
+            main(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +652,25 @@ def test_sweep_rows_and_resume(tmp_path):
         assert (man["package_version"], man["code_digest"]) == (__version__, cli._code_digest())
         assert {f: (row_dir / f).read_bytes() for f in row_bytes[row_dir]} == row_bytes[row_dir]
     assert {f: f.read_bytes() for f in kept_bytes} == kept_bytes
+
+
+def test_sweep_row_documents_are_the_base_with_p_and_amplitude(tmp_path, monkeypatch):
+    # a row solves the base with problem.p and problem.data.amplitude set; the
+    # config_hash of its document decides resume, so the hashes are pinned
+    tasks = []
+    monkeypatch.setattr(cli, "_resumable_row", lambda task: tasks.append(task) or {})
+    base = {"problem": {"A": 2.0, "data": {"profile": "bump", "rho": 1.0, "amplitude": 0.0}},
+            "grid": {"h": 0.0625, "t_max": 1.0}}
+    cfg = write(tmp_path / "s.json", {"p_values": [2, 3.5], "amplitudes": [1e-05, 10.0],
+                                      "base": base})
+    assert main(["sweep", "--config", cfg, "--output", str(tmp_path),
+                 "--override", "base.grid.t_max=2.0"]) == 0
+    # the last row is the base with the override, its p and its amplitude applied
+    base["grid"]["t_max"], base["problem"]["p"] = 2.0, 3.5
+    base["problem"]["data"]["amplitude"] = 10.0
+    assert tasks[3] == (base, str(tmp_path / "rows" / "p01_a01"))
+    assert [config_hash(doc) for doc, _ in tasks] == [
+        "0bc54eaa1ed9f698", "87b8b64a4f593170", "7ce6264ab12e76da", "e00b82e7846cb7ed"]
 
 
 def test_sweep_recomputes_a_row_whose_manifest_is_not_utf8(tmp_path):

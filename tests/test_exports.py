@@ -8,12 +8,8 @@ import sys
 from pathlib import Path
 
 import wavelab
-from wavelab import diagnostics, gronwall, profiles, regions, solver
+from wavelab import cli, diagnostics, gronwall, profiles, regions, solver
 from wavelab.cli import main
-
-# exported for the acceptance criteria, which define P and the manufactured
-# solution through them, not for any command
-CRITERIA_ONLY = {"apply_P"}
 
 
 def test_every_exported_name_resolves():
@@ -34,10 +30,14 @@ def test_every_exported_name_resolves():
                      "F_of", "G_of", "H_of", "check_inequality", "tables_to_csv", "_CSV_ROWS",
                      "_lattice_F", "homogeneous_levels", "_U0_BLOCK", "_cone_reach",
                      "solve_forced", "_march", "CRITICAL_P", "_residual_source", "_cone_source",
-                     "_region_source", "_read_array", "_read_samples"}
-    # not exported, since every exported name resolves
-    for owner in (wavelab, regions, solver, diagnostics, gronwall, diagnostics.DiagnosticsReport):
-        assert not any(hasattr(owner, n) for n in moved_or_gone), owner.__name__
+                     "_region_source", "_read_array", "_read_samples", "apply_P", "index_of",
+                     "_row_doc", "fitted_amplitude"}
+    # not exported, since every exported name resolves; a dataclass field
+    # without a default is no class attribute, so fields are looked up too
+    for owner in (wavelab, regions, solver, diagnostics, gronwall, cli,
+                  diagnostics.DiagnosticsReport, solver.CharGrid, solver.BlowupFit):
+        fields = getattr(owner, "__dataclass_fields__", {})
+        assert not any(hasattr(owner, n) or n in fields for n in moved_or_gone), owner.__name__
     # one export path: the npz artifacts; the text writers are test helpers
     assert not hasattr(solver.RadialField, "to_csv")
     assert not hasattr(profiles.RadialProfile, "to_csv")
@@ -75,18 +75,16 @@ def _references(tree):
 def test_every_exported_name_has_a_caller_in_the_package():
     # test-only code lives in tests/: every name a module exports is read by
     # some module of the package (its own definition, __all__ and __init__.py
-    # do not count), except what the acceptance criteria are written against
-    pkg = Path(wavelab.__file__).parent
-    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(pkg.glob("*.py"))
-             if p.name != "__init__.py"}
+    # do not count)
+    trees = _package_trees()
+    del trees["__init__"]
     used = set().union(*map(_references, trees.values()))
     assert len(trees) > 5
     unused = []
     for stem in trees:
         exported = getattr(importlib.import_module(f"wavelab.{stem}"), "__all__", ())
-        unused += [f"{stem}.{n}" for n in exported if n not in used and n not in CRITERIA_ONLY]
+        unused += [f"{stem}.{n}" for n in exported if n not in used]
     assert unused == []
-    assert CRITERIA_ONLY <= set(solver.__all__)
 
 
 def _definitions(tree):
@@ -140,3 +138,25 @@ def test_cli_import_loads_no_fractions():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _callers(trees, name):
+    """module.function of each function or method calling ``name``, bare or as an attribute."""
+    found = []
+    for stem, tree in trees.items():
+        for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            calls = [node.func for node in ast.walk(fn) if isinstance(node, ast.Call)]
+            if any(name in (getattr(f, "id", None), getattr(f, "attr", None)) for f in calls):
+                found.append(f"{stem}.{fn.name}")
+    return found
+
+
+def test_tables_configs_and_lattice_snaps_each_have_one_path():
+    # one two-column table reader, one config load, and diagnostics snaps to
+    # the lattice only through solver._snap
+    trees = _package_trees()
+    assert _callers(trees, "genfromtxt") == ["profiles._read_columns"]
+    assert _callers(trees, "load_json") == ["cli.main"]
+    assert {"diagnostics.compute_M", "diagnostics._sigma_levels"} <= set(_callers(trees, "_snap"))
+    assert not [n for n in ast.walk(trees["diagnostics"])
+                if getattr(n, "id", getattr(n, "attr", None)) in ("round", "rint")]

@@ -14,13 +14,14 @@ from wavelab.profiles import RadialProfile, bump_profile, zero_profile
 from wavelab.diagnostics import select_t2_delta
 from wavelab.regions import influence_quadrature
 from wavelab.solver import (CharGrid, FieldFormatError, Problem, RadialField, _read_npz,
-                            _write_npz, apply_P, detect_blowup_time, homogeneous_band,
+                            _write_npz, detect_blowup_time, homogeneous_band,
                             integral_residual, solve_march)
 from wavelab.spherical import ScalarField3, build_sphere_quadrature, spherical_mean
 
 import continuum_oracle
 import march_oracle
 from conftest import RHO, blowup_problem, traced_peak
+from march_oracle import apply_P
 from text_export import field_to_csv
 from field_oracle import interpolate
 
@@ -37,7 +38,7 @@ def test_chargrid_validation():
     g = CharGrid(0.25, 2.0, 1.0)
     assert g.n_r == 8 and g.n_t == 4
     with pytest.raises(ValueError, match="out of grid"):
-        g.index_of(3.0, 0.0)
+        march_oracle.index_of(g, 3.0, 0.0)
 
 
 def _parse_field_csv(path):
@@ -360,7 +361,7 @@ def test_apply_P_not_monotone_for_localised_source(p_grid):
     # unrestricted monotonicity claim fails, by design of the region geometry
     shape = (p_grid.n_t + 1, p_grid.n_r + 1)
     src = np.zeros(shape)
-    i0 = p_grid.index_of(0.25, 0.0)[0]
+    i0 = march_oracle.index_of(p_grid, 0.25, 0.0)[0]
     src[0:3, i0 - 2 : i0 + 3] = 1.0
     f = RadialField(p_grid, src)
     early = apply_P(f, 0.25, 0.375)
@@ -410,7 +411,7 @@ def test_linear_radial_truncated_velocity_example():
     gr = np.linspace(0.0, 3.0, 385)
     g = RadialProfile(gr, np.where(gr <= 1.0, 1.0, 0.0), 1.0)
     U, b = homogeneous_band(zero_profile(1.0, gr), g, grid)
-    i, j = grid.index_of(0.0, 0.5)
+    i, j = march_oracle.index_of(grid, 0.0, 0.5)
     assert U[j, i - j + b] == pytest.approx(0.5, rel=1e-12)
 
 
@@ -435,7 +436,7 @@ def test_linear_radial_against_kirchhoff_oracle():
 
     for r, t in [(0.25, 0.25), (0.5, 0.75), (1.0, 0.5), (0.0, 0.625), (1.5, 1.0)]:
         want = oracle(r, t)
-        i, j = grid.index_of(r, t)
+        i, j = march_oracle.index_of(grid, r, t)
         got = u0[j, i]
         assert got == pytest.approx(want, abs=3e-4)
 
@@ -650,43 +651,8 @@ def test_domain_of_dependence_reads_the_data_radius():
         solve_march(prob, grid)
 
 
-def _mms_exact(r, t):
-    return np.clip(1.0 - r**2, 0.0, None)**3 * (1.0 + t)**-2
-
-
-def _mms_forcing(r, t):
-    # box(u) for u = (1-r^2)^3 (1+t)^-2 inside the unit ball, zero outside
-    B = np.clip(1.0 - r**2, 0.0, None)
-    w = 6.0 * B**3 * (1.0 + t)**-4 + (18.0 * B**2 - 24.0 * r**2 * B) * (1.0 + t)**-2
-    return np.where(r < 1.0, w, 0.0)
-
-
-def _mms_data(n):
-    h = 1.0 / n
-    gr = np.arange(0.0, 2.0 + h / 2, h)
-    fb = RadialProfile(gr, _mms_exact(gr, 0.0), 1.0)
-    gb = RadialProfile(gr, -2.0 * np.clip(1 - gr**2, 0, None)**3, 1.0)
-    return fb, gb, CharGrid(h, 2.0, 1.0)
-
-
-def _forced_march(fbar, gbar, forcing, grid):
-    """Samples of ubar = ubar0 + P(forcing), the forcing(r, t) broadcast over r and
-    t arrays: the linear forced march of the reference (``march_oracle``)."""
-    samples, status, _ = march_oracle._march(
-        fbar, gbar, grid, 1.0, lambda r, t, u: forcing(r, np.full_like(r, t)), np.inf, np.inf, np.inf)
-    assert status == "complete"
-    return samples
-
-
-def _mms_error(n):
-    fb, gb, grid = _mms_data(n)
-    samples = _forced_march(fb, gb, _mms_forcing, grid)
-    RR, TT = np.meshgrid(grid.r_values(), grid.t_values())
-    return float(np.max(np.abs(samples - _mms_exact(RR, TT))))
-
-
 def test_manufactured_solution_second_order():
-    e1, e2 = _mms_error(32), _mms_error(64)
+    e1, e2 = march_oracle.mms_error(32), march_oracle.mms_error(64)
     assert 3.5 <= e1 / e2 <= 4.5
 
 
@@ -696,7 +662,7 @@ def test_forced_march_reproduces_P_closed_form():
     grid = CharGrid(1 / 32, 2.0, 1.0)
     gr = grid.r_values()
     zero = zero_profile(1.0, gr)
-    samples = _forced_march(zero, zero, lambda r, t: np.ones_like(r), grid)
+    samples = march_oracle.forced_march(zero, zero, lambda r, t: np.ones_like(r), grid)
     RR, TT = np.meshgrid(grid.r_values(), grid.t_values())
     inside = RR + TT <= grid.r_max + 1e-12
     assert np.max(np.abs((samples - TT**2 / 2.0)[inside])) <= 1e-12
@@ -867,7 +833,7 @@ def test_solution_is_plus_zero_past_the_light_cone(blowup_run_coarse, tmp_path):
 def test_march_refuses_a_lattice_longer_than_it_is_wide():
     # r_max >= rho + t_max leaves no lattice longer than it is wide to march,
     # and the u0 band refuses one rather than give wrong values
-    fb, gb, grid = _mms_data(16)
+    fb, gb, grid = march_oracle.mms_data(16)
     tall = CharGrid(grid.h, 2.0, 4.0)
     assert tall.n_t == 2 * tall.n_r
     with pytest.raises(ValueError, match="domain of dependence"):
@@ -961,7 +927,7 @@ def test_march_rows_stop_at_the_light_cone_window(monkeypatch):
 def test_march_error_exits_are_the_oracle(monkeypatch):
     # a source that turns NaN on level 16's predictor row only makes u non-finite
     # there: the march keeps the 16 levels before it, bitwise the clean run's
-    fb, gb, grid = _mms_data(32)
+    fb, gb, grid = march_oracle.mms_data(32)
     prob = Problem(2.0, 1.0, fb, gb)
     clean, calls, sigma = solve_march(prob, grid), [], solver._power_source(prob.p)
     predictor = 1 + 3 * 15 + 1          # level 0's row, three rows a level, then level 16's first

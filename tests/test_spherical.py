@@ -125,6 +125,13 @@ def test_profile_csv_roundtrip(tmp_path):
             RadialProfile.from_csv(path, rho=rho)
 
 
+@pytest.mark.parametrize("r", [[0.0, np.nan, 0.5], [0.0, 0.5, np.inf]], ids=["nan", "inf"])
+def test_profile_refuses_non_finite_radii(r):
+    # np.diff(r) <= 0 is False next to a NaN, so the ascending check alone lets one in
+    with pytest.raises(ValueError, match="radii and values must be finite"):
+        RadialProfile(r, [1.0, 2.0, 0.0], 1.0)
+
+
 def test_profile_moment_integral_matches_quadrature():
     grid = np.linspace(0.0, 2.0, 513)
     prof = bump_profile(1.7, 1.0, grid)
