@@ -38,7 +38,7 @@ from .diagnostics import (ChainConfig, GridTooShortError, check_chain, choose_ep
 from .gronwall import (GronwallCertificate, GronwallParams, WindowTooShortError, certify,
                        failure_radius, log10_failure_radius)
 from .profiles import _read_columns
-from .solver import (FieldFormatError, RadialField, detect_blowup_time, homogeneous_band,
+from .solver import (FieldFormatError, HomogeneousPart, RadialField, detect_blowup_time,
                      integral_residual, solve_march)
 from .spherical import ScalarField3, build_sphere_quadrature, spherical_mean
 
@@ -108,48 +108,48 @@ def _manifest(config_doc, extra):
 def _run_solve(cfg: RunConfig, out_dir: Path):
     """March, check the integral residual, write field.npz and residual.json.
 
-    Returns the field and the run record (status, t_b, the blow-up fit,
-    max|u|, the residual, timings, peak RSS); each caller writes its own
-    manifest.json.
+    Returns the run record (status, t_b, the blow-up fit, max|u|, the
+    residual, timings, peak RSS); each caller writes its own manifest.json.
+    The field is dropped once field.npz and its max|u| per level are written,
+    so the blow-up fit runs without it.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = cfg.build_grid()
     problem = cfg.build_problem(grid)
     phases = _PhaseClock("solve", ("march", "residual", "field_write", "blowup_fit"))
-    # one ubar0 band for the march and the residual
-    band = homogeneous_band(problem.f_profile, problem.g_profile, grid)
-    fld = solve_march(problem, grid, cfg.blowup_threshold, cfg.divergence_factor, band=band)
+    # one ubar0 for the march and the residual
+    ubar0 = HomogeneousPart(problem.f_profile, problem.g_profile, grid)
+    fld = solve_march(problem, grid, cfg.blowup_threshold, cfg.divergence_factor, ubar0=ubar0)
     phases.done("march", f"{fld.n_levels} levels, status={fld.status} t_b={fld.t_b}")
-    residual = integral_residual(problem, fld, band=band)
-    del band
+    residual = integral_residual(problem, fld, ubar0)
     phases.done("residual", f"{residual['nodes']} nodes")
     fld.save(out_dir / "field.npz")
     phases.done("field_write", "field.npz")
-    amps = fld.level_max()
-    fit = detect_blowup_time(fld, amps)
+    amps, status, t_b = fld.level_max(), fld.status, fld.t_b
+    del fld
+    fit = detect_blowup_time(status, t_b, grid, amps)
     phases.done("blowup_fit", "none" if fit is None else f"t_b={fit.fitted_t_b:.6g}")
     _write_json(out_dir / "residual.json", residual)
-    record = {
+    return {
         "wall_time_s": phases.timings["march_s"] + phases.timings["residual_s"],
         "timings": phases.timings,
         "peak_rss_mb_after": phases.rss_after,
         "peak_rss_mb": _peak_rss_mb(),
-        "status": fld.status,
-        "t_b": fld.t_b,
+        "status": status,
+        "t_b": t_b,
         "fitted_t_b": None if fit is None else fit.fitted_t_b,
         "fitted_exponent": None if fit is None else fit.fitted_exponent,
         "max_amplitude_reached": float(amps.max()),
         "residual": residual,
     }
-    return fld, record
 
 
 def cmd_solve(args, doc):
     cfg = parse_run_config(doc)
     out_dir = Path(args.output or cfg.output_dir)
-    fld, record = _run_solve(cfg, out_dir)
+    record = _run_solve(cfg, out_dir)
     _write_json(out_dir / "manifest.json", _manifest(cfg.raw, record))
-    return EXIT_NUMERICAL if fld.status == "error" else EXIT_OK
+    return EXIT_NUMERICAL if record["status"] == "error" else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def _sweep_row(task):
     row["s_margin"] = s_exponent(p, eps if eps is not None else 0.0) + 1.0
     record = {}
     try:
-        _, record = _run_solve(cfg, row_dir)
+        record = _run_solve(cfg, row_dir)
         row.update({k: record[k] for k in ("status", "t_b", "fitted_t_b",
                                            "max_amplitude_reached")})
     except Exception as exc:           # row errors recorded, sweep continues

@@ -48,8 +48,8 @@ from .config import ConfigError
 from .gronwall import _cumulative_trapezoid
 from .profiles import RadialProfile
 from .regions import influence_quadrature
-from .solver import (_BLOCK_NODES, RadialField, _lambda_source, _power_source, _snap, _write_npz,
-                     homogeneous_band)
+from .solver import (_BLOCK_NODES, HomogeneousPart, RadialField, _lambda_source, _power_source,
+                     _snap, _write_npz)
 
 __all__ = [
     "GridTooShortError",
@@ -269,12 +269,14 @@ def select_t2_delta(field: RadialField, fbar: RadialProfile, gbar: RadialProfile
     radius rho (the larger of the two profiles' radii), rounded up to an even
     number of cells so the corners of the region T are lattice nodes.
 
-    u0 is read from its band (``homogeneous_band``), off which it is +0.0, so
-    the band holds max|u0|.  On level j the band cells k <= b are the columns
-    i = j + k - b <= j (cells off the lattice hold +0.0).  With k_j the first
-    of them where u0 < -tol, the cone from level j2 meets that node iff
-    j - j2 >= i, that is iff j2 <= b - k_j; so the cone is admissible iff j2
-    exceeds b - k_j on every level from j2 on, a suffix maximum.
+    u0 is read from its band (``HomogeneousPart.blocks``), off which it is
+    +0.0, so the band holds max|u0|; it is walked twice, a block of levels at a
+    time, once for max|u0| and once for the cone.  On level j the band cells k
+    <= b are the columns i = j + k - b <= j (cells off the lattice hold +0.0).
+    With k_j the first of them where u0 < -tol, the cone from level j2 meets
+    that node iff j - j2 >= i, that is iff j2 <= b - k_j; so the cone is
+    admissible iff j2 exceeds b - k_j on every level from j2 on, a suffix
+    maximum.
     """
     grid = field.grid
     h = grid.h
@@ -284,10 +286,15 @@ def select_t2_delta(field: RadialField, fbar: RadialProfile, gbar: RadialProfile
     delta = d_cells * h
 
     n_lev = field.n_levels
-    U, b = homogeneous_band(fbar, gbar, grid)
-    tol = 1e-10 * max(1.0, float(max(U.max(), -U.min())))
-    bad = U[:n_lev, : b + 1] < -tol
-    reach = np.where(bad.any(axis=1), b - bad.argmax(axis=1), -1)   # b - k_j, -1 if no k_j
+    ubar0 = HomogeneousPart(fbar, gbar, grid)
+    b, top = ubar0.b, 1.0
+    for _, U in ubar0.blocks():
+        top = max(top, float(U.max()), float(-U.min()))
+    tol = 1e-10 * top
+    reach = np.empty(n_lev, dtype=np.int64)     # b - k_j, -1 if no k_j
+    for lo, U in ubar0.blocks(n_lev):
+        bad = U[:, : b + 1] < -tol
+        reach[lo : lo + len(U)] = np.where(bad.any(axis=1), b - bad.argmax(axis=1), -1)
     worst = np.maximum.accumulate(reach[::-1])[::-1]   # its max over the levels j >= j2
     for j2 in np.flatnonzero(np.arange(n_lev) > worst).tolist():
         probe_j = j2 + d_cells
@@ -423,17 +430,18 @@ def _F_block(samples, j_star, lo, hi):
 
     (r, t) = (d/2, j_star + a - d/2) in lattice units: a node at even d, else a cell
     centre valued by the corner mean in the bilinear interpolant's order
-    (``tests/field_oracle.py``), so the two agree bitwise.  Each parity is a strided
-    view of the samples.  Entries with d > a, outside Sigma-prime, are zero.
+    (``tests/field_oracle.py``), so the two agree bitwise.  Each parity is a view
+    of the samples built from their own strides, so rows padded to whole pages
+    (``_zeros``) are read in place.  Entries with d > a, outside Sigma-prime, are zero.
     """
-    width, flat = samples.shape[1], samples.reshape(-1)
-    strides = (flat.itemsize * width, flat.itemsize * (width - 1))
+    (rows, width), (s_row, s_col) = samples.shape, samples.strides
 
     def view(i, j, count):      # samples[j + a - lo - m, i + m], a in [lo, hi), m < count
-        first = (j - count + 1) * width + i + count - 1     # as_strided checks no bounds
-        if count and (first < 0 or i + count > width or (j + hi - lo) * width > flat.size):
+        top, right = j - count + 1, i + count - 1       # as_strided checks no bounds
+        if count and (top < 0 or i + count > width or j + hi - lo > rows):
             raise IndexError(f"anti-diagonals from ({i}, {j}) leave the lattice")
-        return np.lib.stride_tricks.as_strided(flat[max(first, 0):], (hi - lo, count), strides,
+        first = samples[top:, right:] if count else samples
+        return np.lib.stride_tricks.as_strided(first, (hi - lo, count), (s_row, s_row - s_col),
                                                writeable=False)[:, ::-1]
 
     j, c = j_star + lo, hi // 2
@@ -495,6 +503,14 @@ def _characteristic_pass(field, config, j_star, n, cols, tri_a, tri_b):
 # The full chain
 # ---------------------------------------------------------------------------
 
+def _spread(lo, hi, count):
+    """The ints of ``count`` points spread evenly over [lo, hi], lo <= hi, each once:
+    np.unique's array, since they do not decrease, with no call of np.unique (which
+    imports numpy.ma)."""
+    x = np.linspace(lo, hi, count).astype(int)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
     """Run every inequality of the chain on a frozen field; see module docstring."""
     h = field.grid.h
@@ -551,7 +567,7 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
     tri_a = ((np.sqrt(8.0 * m + 1.0) - 1.0) // 2.0).astype(np.int64)
     tri_b = m - tri_a * (tri_a + 1) // 2
     side = max(2, int(math.sqrt(G1_SAMPLES)))
-    it_idx = np.unique(np.linspace(0, n - 1, side).astype(int))
+    it_idx = _spread(0, n - 1, side)
     alphas, H_vals, J_int, G_cols, K1_cols, lhs_f = _characteristic_pass(
         field, config, j_star, n, it_idx, tri_a, tri_b)
     rhs_f = C0 * alphas[tri_a] ** (1.0 - p)
@@ -563,7 +579,7 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
     lhs_g, rhs_g, rg, tg = [], [], [], []
     for k, it in enumerate(it_idx):
         outer = _cumulative_trapezoid(K1_cols[:, k], dx=h)
-        ir_idx = np.unique(np.linspace(it, n, side).astype(int))
+        ir_idx = _spread(it, n, side)
         for ir in ir_idx:
             if ir <= it:
                 continue

@@ -15,6 +15,7 @@ needs:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,8 +103,15 @@ class RadialProfile:
 
 def _read_columns(path):
     """The rows of a two-column CSV table after its header line, as an (n, 2)
-    array; ValueError unless every row holds two finite numbers."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+    array; ValueError unless every row holds two finite numbers.  A table with
+    no rows, on which genfromtxt warns and returns an empty array, is one of
+    these errors, with no warning shown."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        try:
+            data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+        except UserWarning:
+            raise ValueError("expected rows of two finite numbers (read no rows)") from None
     rows, cols = data.shape
     if cols != 2 or not np.all(np.isfinite(data)):
         raise ValueError(f"expected rows of two finite numbers (read {rows}x{cols})")

@@ -56,7 +56,7 @@ __all__ = [
     "FieldFormatError",
     "RadialField",
     "BlowupFit",
-    "homogeneous_band",
+    "HomogeneousPart",
     "solve_march",
     "detect_blowup_time",
     "integral_residual",
@@ -66,6 +66,7 @@ DEFAULT_BLOWUP_THRESHOLD = 1.0e8
 DEFAULT_DIVERGENCE_FACTOR = 10.0
 _BLOCK_NODES = 1 << 15      # nodes a blocked loop holds at once (here and in diagnostics)
 _RESIDUAL_NODES = 4096      # interior nodes integral_residual samples at most
+_HUGE_PAGE_BYTES = 1 << 22  # numpy asks for huge pages on arrays of this size and more
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +235,30 @@ def _write_npz(path, arrays, meta):
     string of sort-keyed JSON.  Uncompressed, pickling refused, and every zip
     entry carries the fixed 1980-01-01 stamp, so equal content gives equal bytes.
     A C-contiguous member is written as its npy header and then its buffer, with
-    no copy of it (numpy's writer copies a zip entry out in 16 MiB chunks)."""
+    no copy of it (numpy's writer copies a zip entry out in 16 MiB chunks).  A
+    2-D member that is neither C- nor Fortran-contiguous (a field on page-aligned
+    rows, ``_zeros``) is written in C order by row blocks of about _BLOCK_NODES
+    cells through one buffer, the bytes numpy's writer gives."""
+    fmt = np.lib.format
     with zipfile.ZipFile(path, "w") as zf:
         for name, value in (*arrays.items(), ("meta", np.array(json.dumps(meta, sort_keys=True)))):
             value = np.asanyarray(value)
             entry = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
             with zf.open(entry, "w", force_zip64=True) as fh:
-                if value.flags.c_contiguous and not value.dtype.hasobject:
-                    fmt = np.lib.format
-                    fmt.write_array_header_1_0(fh, fmt.header_data_from_array_1_0(value))
+                if value.dtype.hasobject or not (value.flags.c_contiguous or (
+                        value.ndim == 2 and not value.flags.f_contiguous)):
+                    fmt.write_array(fh, value, allow_pickle=False)
+                    continue
+                fmt.write_array_header_1_0(fh, fmt.header_data_from_array_1_0(value))
+                if value.flags.c_contiguous:
                     fh.write(value.data)
-                else:
-                    np.lib.format.write_array(fh, value, allow_pickle=False)
+                    continue
+                rows, width = value.shape
+                buf = np.empty((min(rows, max(1, _BLOCK_NODES // width)), width), value.dtype)
+                for lo in range(0, rows, len(buf)):
+                    block = buf[: min(len(buf), rows - lo)]
+                    block[...] = value[lo : lo + len(block)]
+                    fh.write(block.data)
 
 
 def _read_npz(path, what):
@@ -319,23 +332,41 @@ def _read_member(member):
 
 
 def _zeros(shape):
-    """float64 zeros in a private anonymous mapping, for field-sized arrays: a page
-    is resident only once written, and a cell never written reads the kernel's
-    shared zero page.  Huge pages are declined (numpy asks for them on its own
-    arrays of 4 MiB or more), so one write makes 4 KiB resident, not 2 MiB."""
-    count = math.prod(shape)
-    buf = mmap.mmap(-1, max(8 * count, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    """A (rows, width) float64 field of zeros.  Under _HUGE_PAGE_BYTES it is
+    ``np.zeros``.  From there on it lies in a private anonymous mapping, each row
+    starting on a page boundary, its stride rounded up to whole pages: a page is
+    resident only once written and never holds cells of two rows, so the pages
+    of a light cone's rows hold no row's +0.0 tail past it, and a cell never
+    written reads the kernel's shared zero page.  Huge pages are declined (numpy
+    asks for them on its own arrays of 4 MiB or more), so one write makes 4 KiB
+    resident, not 2 MiB.  Readers go by the array's own strides."""
+    rows, width = shape
+    if 8 * rows * width < _HUGE_PAGE_BYTES:
+        return np.zeros(shape)
+    stride = -(-8 * width // mmap.PAGESIZE) * mmap.PAGESIZE
+    buf = mmap.mmap(-1, rows * stride, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
+    return np.ndarray(shape, np.float64, buf, strides=(stride, 8))
 
 
 # ---------------------------------------------------------------------------
 # Homogeneous part by d'Alembert with odd extension
 # ---------------------------------------------------------------------------
 
-def homogeneous_band(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
-    """ubar0 on the band around the lattice diagonal: returns (U, b).
+def _dalembert(I_up, I_down, F_up, F_down, r, out, even):
+    """ubar0 off the axis into ``out``: ((I_up - I_down)/2 + (F_up + F_down)/2) / r,
+    in this operand order for every caller (``even`` is scratch of out's shape)."""
+    np.subtract(I_up, I_down, out=out)
+    out *= 0.5
+    np.add(F_up, F_down, out=even)
+    even *= 0.5
+    out += even
+    out /= r
+
+
+class HomogeneousPart:
+    """ubar0, the solution of the homogeneous problem, evaluated from 1-D tables.
 
     By d'Alembert with odd-extended data, ubar0(r, t) = [Ff(r+t) + Ff(r-t) +
     Ig(r+t) - Ig(|r-t|)] / (2r), with Ff(y) = y*fbar(|y|) and Ig the exact
@@ -344,50 +375,68 @@ def homogeneous_band(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
     wherever |r - t| > rho (sharp Huygens), rho the larger of the two
     profiles' radii.
 
-    U[j, k] is ubar0 at the node (j + k - b, j), b = floor(rho/h) + 2 > rho/h,
-    so the band's edges k = 0 and k = 2b hold the +0.0 of every node off it.
-    Cells off the lattice hold +0.0 and the r = 0 values sit on k = b - j.  The
-    node (i, j) reads the 1-D tables at n_t + i + j and n_t + i - j, so row j
-    combines the tables' windows at n_t + 2j and at n_t.  U is allocated once
-    and filled in place by blocks of about _BLOCK_NODES cells (one level at
-    least), so the build holds the band plus one block.  A lattice longer than
-    it is wide (n_t > n_r), which no march runs, raises ValueError.
+    ubar0 lives on the band |i - j| <= b around the lattice diagonal, b =
+    floor(rho/h) + 2 > rho/h, so the band's edges hold the +0.0 of every node
+    off it.  The node (i, j) reads the tables at n_t + i + j and n_t + i - j
+    (each padded with b zeros at both ends) and divides by r_i (1.0 at i <= 0
+    and i > n_r); nodes off the lattice read +0.0 and the r = 0 values stand
+    at i = 0 for j <= b.  Only the tables and the r = 0 values are kept, O(n_r
+    + n_t) numbers: :meth:`blocks` gives the band a block of levels at a time
+    and :meth:`at` any nodes, in the same operand order (``_dalembert``), so
+    every value is the same bits either way.  A lattice longer than it is wide
+    (n_t > n_r), which no march runs, raises ValueError.
     """
-    n_r, n_t = grid.n_r, grid.n_t
-    if n_t > n_r:
-        raise ValueError("the ubar0 band needs n_t <= n_r (a lattice no longer than it is wide)")
-    y = grid.h * np.arange(-n_t, n_r + n_t + 1)
-    Fy, Iy = y * fbar(np.abs(y)), gbar.moment_integral(y)
-    tv = grid.t_values()
-    axis = fbar(tv) + tv * fbar.derivative(tv) + tv * gbar(tv)
 
-    b = int(max(fbar.rho, gbar.rho) / grid.h) + 2
-    n = 2 * b + 1
-    # the tables padded with b zeros at both ends: level j's r + t window at n_t + 2j
-    F = sliding_window_view(np.pad(Fy, b), n)
-    I = sliding_window_view(np.pad(Iy, b), n)
-    # the radii, 1.0 at r = 0 and off the lattice: level j's window at j
-    rp = np.ones(n_r + 1 + 2 * b)
-    rp[b + 1 : b + n_r + 1] = grid.r_values()[1:]
-    R = sliding_window_view(rp, n)
-    U = np.empty((n_t + 1, n))
-    rows = max(1, _BLOCK_NODES // n)
-    even = np.empty((min(rows, n_t + 1), n))
-    k = np.arange(n)
-    for lo in range(0, n_t + 1, rows):
-        hi = min(lo + rows, n_t + 1)
-        u, e, up = U[lo:hi], even[: hi - lo], slice(n_t + 2 * lo, n_t + 2 * hi, 2)
-        np.subtract(I[up], I[n_t], out=u)
-        u *= 0.5
-        np.add(F[up], F[n_t], out=e)
-        e *= 0.5
-        u += e
-        u /= R[lo:hi]
-        j = np.arange(lo, hi)[:, None]
-        u[(k < b - j) | (k > n_r + b - j)] = 0.0          # i < 0 or i > n_r
-    j = np.arange(min(b, n_t) + 1)
-    U[j, b - j] = axis[j]
-    return U, b
+    def __init__(self, fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
+        n_r, n_t = grid.n_r, grid.n_t
+        if n_t > n_r:
+            raise ValueError("ubar0 needs n_t <= n_r (a lattice no longer than it is wide)")
+        self.n_r, self.n_t = n_r, n_t
+        self.b = b = int(max(fbar.rho, gbar.rho) / grid.h) + 2
+        y = grid.h * np.arange(-n_t, n_r + n_t + 1)
+        self._F, self._I = np.pad(y * fbar(np.abs(y)), b), np.pad(gbar.moment_integral(y), b)
+        self._r = np.ones(n_r + 1 + 2 * b)          # r_i at i + b
+        self._r[b + 1 : b + n_r + 1] = grid.r_values()[1:]
+        tv = grid.t_values(min(b, n_t) + 1)
+        self._axis = fbar(tv) + tv * fbar.derivative(tv) + tv * gbar(tv)
+
+    def blocks(self, levels=None):
+        """(lo, U) for the levels 0..levels - 1 (all of them by default), in blocks
+        of about _BLOCK_NODES cells (one level at least): U[j - lo, k] is ubar0 at
+        the node (j + k - b, j), k = 0..2b.  Row j combines the tables' windows at
+        n_t + 2j and at n_t.  Every block is written into one buffer, so a block
+        is valid until the next is asked for."""
+        n_r, n_t, b = self.n_r, self.n_t, self.b
+        levels = n_t + 1 if levels is None else levels
+        n = 2 * b + 1
+        F, I, R = (sliding_window_view(v, n) for v in (self._F, self._I, self._r))
+        rows = max(1, _BLOCK_NODES // n)
+        buf, even = np.empty((2, min(rows, levels), n))
+        k = np.arange(n)
+        for lo in range(0, levels, rows):
+            hi = min(lo + rows, levels)
+            u, up = buf[: hi - lo], slice(n_t + 2 * lo, n_t + 2 * hi, 2)
+            _dalembert(I[up], I[n_t], F[up], F[n_t], R[lo:hi], u, even[: hi - lo])
+            if lo < b or hi - 1 > n_r - b:                      # cells off the lattice
+                j = np.arange(lo, hi)[:, None]
+                u[(k < b - j) | (k > n_r + b - j)] = 0.0      # i < 0 or i > n_r
+            j = np.arange(lo, min(hi, b + 1))
+            u[j - lo, b - j] = self._axis[j]
+            yield lo, u
+
+    def at(self, i, j):
+        """ubar0 at the nodes (i, j), integer arrays of one shape with 0 <= j <=
+        n_t; a node off the band, |i - j| > b, reads the +0.0 of the band's edge."""
+        n_r, n_t, b = self.n_r, self.n_t, self.b
+        i = j + np.clip(i - j, -b, b)
+        up, down = n_t + b + i + j, n_t + b + i - j
+        u, even = np.empty((2, *np.shape(i)))
+        _dalembert(self._I[up], self._I[down], self._F[up], self._F[down], self._r[i + b],
+                   u, even)
+        u[(i < 0) | (i > n_r)] = 0.0
+        axis = (i == 0) & (j <= b)
+        u[axis] = self._axis[j[axis]]
+        return u
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +471,12 @@ def _lambda_source(h, sigma):
 
 def solve_march(problem: Problem, grid: CharGrid,
                 blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-                divergence_factor: float = DEFAULT_DIVERGENCE_FACTOR, band=None) -> RadialField:
+                divergence_factor: float = DEFAULT_DIVERGENCE_FACTOR,
+                ubar0: Optional[HomogeneousPart] = None) -> RadialField:
     """March the fixed point ubar = ubar0 + A*P(|ubar|^p) up the lattice.
 
-    ``band`` is ubar0's band (U, b) from ``homogeneous_band``, built here if not
-    given, so a caller that reads ubar0 again builds it once.
+    ``ubar0`` is the data's ``HomogeneousPart``, built here if not given, so a
+    caller that reads ubar0 again builds its tables once.
 
     The march stops with status "blown_up" at the first level whose max
     amplitude reaches the threshold or jumps by more than the divergence
@@ -435,9 +485,11 @@ def solve_march(problem: Problem, grid: CharGrid,
     it are kept.
 
     One predictor/corrector pass settles each level.  A step reads no level
-    older than the one before it, so the samples are only written.  Level j's
-    band is copied into one u0 row on the columns max(0, j - b) .. j + b; left
-    of them the row keeps the +0.0 of earlier bands' edges k = 0.  Everything
+    older than the one before it, so the samples are only written.  ubar0's
+    band is read a block of levels at a time (``HomogeneousPart.blocks``), and
+    level j's row of it is copied into one u0 row on the columns max(0, j - b)
+    .. j + b; left of them the row keeps the +0.0 of earlier bands' edges k =
+    0.  Everything
     else lives in rows allocated once: A*lambda*|u|^p at two levels, the
     auxiliary w = r*ubar1 at three, the extrapolated and the predicted level,
     the part ``base`` both passes share, a scratch row and the axis sums.  The
@@ -456,6 +508,8 @@ def solve_march(problem: Problem, grid: CharGrid,
     never written: the +0.0 a march over every column computes there, as a
     band widened with +0.0 cells to b > n_r makes it; the axis sums, which
     start at +0.0, skip only +0.0 terms.  The samples are the same either way.
+    The samples are ``_zeros``: a field of 4 MiB or more keeps in memory only
+    the pages its light cone writes.
     """
     if grid.r_max + 1e-12 < problem.rho + grid.t_max:
         raise ValueError("grid violates the domain of dependence: need r_max >= rho + t_max")
@@ -467,7 +521,10 @@ def solve_march(problem: Problem, grid: CharGrid,
     h, n_r, n_t = grid.h, grid.n_r, grid.n_t
     lam = grid.r_values()
     alam, hh6 = problem.A * lam, h * h / 6.0
-    U, b = homogeneous_band(problem.f_profile, problem.g_profile, grid) if band is None else band
+    if ubar0 is None:
+        ubar0 = HomogeneousPart(problem.f_profile, problem.g_profile, grid)
+    b = ubar0.b
+    band_rows = (row for _, block in ubar0.blocks() for row in block)
     u = _zeros((n_t + 1, n_r + 1))     # its pages past the light cone are never written
     F = np.zeros((2, n_r + 2))         # A*lambda*|u|^p at levels j and j - 1
     w = np.zeros((3, n_r + 2))         # w at levels j + 1, j and j - 1
@@ -477,7 +534,7 @@ def solve_march(problem: Problem, grid: CharGrid,
     zeros = np.zeros(n_r + 1)          # 0 * x is finite unless x is NaN or +-inf
     u0 = np.zeros(n_r + 1)             # ubar0 at the level being marched
 
-    u[0, : b + 1] = U[0, b : b + n_r + 1]
+    u[0, : b + 1] = next(band_rows)[b : b + n_r + 1]
     c = min(n_r + 1, b)
     sigma(u[0, :c], F[0, :c])
     np.multiply(alam[:c], F[0, :c], out=F[0, :c])
@@ -490,7 +547,7 @@ def solve_march(problem: Problem, grid: CharGrid,
             new, t_new = j + 1, (j + 1) * h
             c = min(n_r + 1, new + b)      # the new level's columns 0..c-1
             lo, hi = max(0, new - b), min(n_r + 1, new + b + 1)
-            u0[lo:hi] = U[new, lo - new + b : hi - new + b]
+            u0[lo:hi] = next(band_rows)[lo - new + b : hi - new + b]
             u0_in = u0[1:c]
             Fj, Fp, wc, wp = F[j % 2], F[new % 2], w[j % 3 - 1], w[j % 3 - 2]
             alam_in, tmp_c = alam[1:c], tmp[:c]
@@ -563,30 +620,30 @@ class BlowupFit:
     fitted_exponent: float
 
 
-def detect_blowup_time(field: RadialField, amps=None) -> Optional[BlowupFit]:
+def detect_blowup_time(status: str, t_b: Optional[float], grid: CharGrid,
+                       amps: np.ndarray) -> Optional[BlowupFit]:
     """t_b plus a least-squares fit of max|u|(t) ~ c*(t_b' - t)^nu near the end.
 
-    Returns None for fields that did not blow up.  The fit scans candidate
-    singular times just beyond the last computed level and regresses log-max
-    against log(t_b' - t); for the power nonlinearity the expected exponent is
-    nu = -2/(p-1).  ``amps`` is max|u| per level (``RadialField.level_max``),
-    taken here if not given.
+    Takes a field's status and t_b, its grid and its max|u| per level
+    (``RadialField.level_max``), one per stored level, so the field itself
+    need not be held.  Returns None for fields that did not blow up.  The fit
+    scans candidate singular times just beyond the last computed level and
+    regresses log-max against log(t_b' - t); for the power nonlinearity the
+    expected exponent is nu = -2/(p-1).
     """
-    if field.status != "blown_up":
+    if status != "blown_up":
         return None
-    h = field.grid.h
-    if amps is None:
-        amps = field.level_max()
-    ts = field.grid.t_values(field.n_levels)
+    h, n_levels = grid.h, amps.size
+    ts = grid.t_values(n_levels)
     amp_end = amps[-1]
     window = np.nonzero(amps >= max(amp_end * 1e-3, 1e-300))[0]
     window = window[-60:]
     if window.size < 5:
-        window = np.arange(max(0, field.n_levels - 5), field.n_levels)
+        window = np.arange(max(0, n_levels - 5), n_levels)
     aw = amps[window]
     tw = ts[window]
     t_end = ts[-1]
-    best = (np.inf, field.t_b, -2.0)
+    best = (np.inf, t_b, -2.0)
     for bump in np.geomspace(0.25, 8.0, 48):
         t_cand = t_end + bump * h
         x = np.log(t_cand - tw)
@@ -595,14 +652,15 @@ def detect_blowup_time(field: RadialField, amps=None) -> Optional[BlowupFit]:
         sse = float(np.sum((y - (slope * x + intercept)) ** 2))
         if sse < best[0]:
             best = (sse, t_cand, float(slope))
-    return BlowupFit(field.t_b, best[1], best[2])
+    return BlowupFit(t_b, best[1], best[2])
 
 
 # ---------------------------------------------------------------------------
 # Residual against the independent quadrature
 # ---------------------------------------------------------------------------
 
-def integral_residual(problem: Problem, field: RadialField, band=None) -> dict:
+def integral_residual(problem: Problem, field: RadialField,
+                      ubar0: Optional[HomogeneousPart] = None) -> dict:
     """Residual u - u0 - A*P(|u|^p) on a deterministic interior subsample.
 
     Interior means 1 <= i, 1 <= j, and i + j <= n_r so the influence region
@@ -611,9 +669,8 @@ def integral_residual(problem: Problem, field: RadialField, band=None) -> dict:
     regions.influence_quadrature sweep (one pass over the lattice inside the
     light cone plus O(1) per node), which reads lambda |u|^p from the field
     diagonal by diagonal and starts from the nonzeros of u, so no source array
-    is built.  u0 is read at the nodes from its band (a node off it reads the
-    +0.0 edge): ``band`` from ``homogeneous_band`` if given, else built here and
-    freed before the sweep.
+    is built.  u0 is evaluated at the nodes alone (``HomogeneousPart.at``) from
+    ``ubar0``, built here if not given.
     """
     grid = field.grid
     n_lev = field.n_levels
@@ -623,9 +680,9 @@ def integral_residual(problem: Problem, field: RadialField, band=None) -> dict:
                          indexing="ij")
     keep = ii + jj <= grid.n_r
     jj, ii = jj[keep], ii[keep]
-    U, b = homogeneous_band(problem.f_profile, problem.g_profile, grid) if band is None else band
-    res = field.samples[jj, ii] - U[jj, np.clip(ii - jj, -b, b) + b]
-    del U
+    if ubar0 is None:
+        ubar0 = HomogeneousPart(problem.f_profile, problem.g_profile, grid)
+    res = field.samples[jj, ii] - ubar0.at(ii, jj)
     integral = influence_quadrature(field.samples, ii, jj,
                                     source=_lambda_source(grid.h, _power_source(problem.p)))
     res -= problem.A * (integral * grid.h * grid.h / (2.0 * ii * grid.h))

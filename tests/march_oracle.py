@@ -7,13 +7,14 @@ column, whose sums the solver adds up level by level in another order, to
 round-off relative to the level's max|u|.  It runs every level on all
 columns and reads ubar0 from its own :func:`homogeneous_levels`, the
 d'Alembert evaluator on every column, independent of the solver's banded one;
-:func:`homogeneous_band` slices it into the solver's band layout and
-:func:`on_lattice` scatters a band back onto the lattice.  Its source may
-ignore u, so it also marches the linear forced problem ubar = ubar0 +
-A*P(forcing) (:func:`forced_march`), the manufactured solution of criterion 2
-among them (:func:`mms_data`, :func:`mms_error`).
+:func:`homogeneous_band` slices it into the solver's band layout,
+:class:`BandEvaluator` serves a band as ``wavelab.solver.HomogeneousPart``
+does (:func:`band_evaluator`), and :func:`on_lattice` evaluates ubar0 on every
+node.  Its source may ignore u, so it also marches the linear forced problem
+ubar = ubar0 + A*P(forcing) (:func:`forced_march`), the manufactured solution
+of criterion 2 among them (:func:`mms_data`, :func:`mms_error`).
 
-:func:`full_width_band` widens the solver's own band with +0.0 cells until
+:func:`full_width_band` widens that band with +0.0 cells until
 ``wavelab.solver.solve_march`` marches every column of every level with it.
 
 :func:`apply_P` is P(sigma) at one node, the operator the acceptance criteria
@@ -63,34 +64,55 @@ def homogeneous_levels(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid)
 
 
 def homogeneous_band(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
-    """(U, b) as ``wavelab.solver.homogeneous_band`` lays it out, sliced from
-    :func:`homogeneous_levels`: U[j, k] is ubar0 at (j + k - b, j), +0.0 off the
-    lattice, with b = floor(rho/h) + 2."""
+    """(U, b), ubar0's band as ``wavelab.solver.HomogeneousPart.blocks`` lays it
+    out, sliced from :func:`homogeneous_levels`: U[j, k] is ubar0 at
+    (j + k - b, j), +0.0 off the lattice, with b = floor(rho/h) + 2."""
     b = int(max(fbar.rho, gbar.rho) / grid.h) + 2
     whole = homogeneous_levels(fbar, gbar, grid)(0, grid.n_t + 1)
     padded = np.pad(whole, ((0, 0), (b, b + max(0, grid.n_t - grid.n_r))))
     return np.array([padded[j, j : j + 2 * b + 1] for j in range(grid.n_t + 1)]), b
 
 
+class BandEvaluator:
+    """A whole band (U, b) served as ``wavelab.solver.HomogeneousPart`` serves
+    ubar0: ``b``, ``blocks`` (the band in one block) and ``at`` (a node off the
+    band reads its edge)."""
+
+    def __init__(self, band):
+        self.U, self.b = band
+
+    def blocks(self, levels=None):
+        yield 0, self.U[:levels]
+
+    def at(self, i, j):
+        return self.U[j, np.clip(i - j, -self.b, self.b) + self.b]
+
+
+def band_evaluator(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
+    """:func:`homogeneous_band` as a :class:`BandEvaluator`."""
+    return BandEvaluator(homogeneous_band(fbar, gbar, grid))
+
+
 def full_width_band(fbar: RadialProfile, gbar: RadialProfile, grid: CharGrid):
-    """``wavelab.solver.homogeneous_band``'s (U, b) padded with +0.0 cells to a
-    half-width of at least n_r + 1: passed as ``band=``, every level's light-cone
-    window spans the whole row, so the march runs every column as a march with
-    no window does."""
-    U, b = solver.homogeneous_band(fbar, gbar, grid)
+    """:func:`homogeneous_band` padded with +0.0 cells to a half-width of at least
+    n_r + 1, as a :class:`BandEvaluator`: passed as ``ubar0``, every level's
+    light-cone window spans the whole row, so the march runs every column as a
+    march with no window does."""
+    U, b = homogeneous_band(fbar, gbar, grid)
     pad = max(0, grid.n_r + 1 - b)
-    return np.pad(U, ((0, 0), (pad, pad))), b + pad
+    return BandEvaluator((np.pad(U, ((0, 0), (pad, pad))), b + pad))
 
 
-def on_lattice(band, grid: CharGrid):
-    """The band (U, b) on every node of the lattice, +0.0 off the band."""
-    U, b = band
-    jj, kk = np.indices(U.shape)
-    ii = jj + kk - b
-    on = (ii >= 0) & (ii <= grid.n_r)
-    whole = np.zeros((grid.n_t + 1, grid.n_r + 1))
-    whole[jj[on], ii[on]] = U[on]
-    return whole
+def on_lattice(ubar0, grid: CharGrid):
+    """ubar0 (a ``HomogeneousPart``) on every node of the lattice."""
+    jj, ii = np.indices((grid.n_t + 1, grid.n_r + 1))
+    return ubar0.at(ii, jj)
+
+
+def band_of(ubar0, levels=None):
+    """The band of ``ubar0`` (a ``HomogeneousPart``) on its first levels (all by
+    default), gathered from its blocks."""
+    return np.concatenate([block.copy() for _, block in ubar0.blocks(levels)])
 
 
 def _axis_P(sigma_diag, h):

@@ -91,7 +91,6 @@ def test_custom_csv_profile_continuous_at_rho(tmp_path):
                                   "0,1\nnan,0.5\n1,0\n", "0,1\n0.5,0.5\ninf,0\n"],
                          ids=["non-numeric", "one-row", "unsorted", "header-only", "nan-radius",
                               "inf-radius"])
-@pytest.mark.filterwarnings("ignore::UserWarning")       # genfromtxt on an empty table
 def test_malformed_custom_csv_is_a_config_error(tmp_path, capsys, rows):
     (tmp_path / "f.csv").write_text("r,value\n" + rows)
     doc = {"problem": {"p": 2.0, "data": {"profile": "custom-csv", "rho": 1.0,
@@ -574,16 +573,16 @@ def test_light_cone_cuts_keep_every_artifact_byte(tmp_path, monkeypatch, p):
     # solve and diagnose at rho/32, then again with the references swapped in:
     # the sweep over every cell diagonal (in solver and diagnostics) of each
     # source built whole, on every node, the march on full-width rows (its u0
-    # band widened past r_max) with |u|^p on every node, and u0 on every column
-    # for the cone selection
+    # band, from the full-width evaluator, widened past r_max) with |u|^p on
+    # every node, and u0 on every column for the cone selection
     doc = base_run_config(tmp_path, grid={"h": 1 / 32, "t_max": 16.0})
     doc["problem"]["p"] = p
     codes, cut = _solve_and_diagnose(tmp_path / "cut", doc)
     assert codes[0] == 0 and json.loads(cut["residual.json"])["nodes"] > 0
     monkeypatch.setattr(solver, "influence_quadrature", dense_quadrature)
     monkeypatch.setattr(diagnostics, "influence_quadrature", dense_quadrature)
-    monkeypatch.setattr(cli, "homogeneous_band", march_oracle.full_width_band)
-    monkeypatch.setattr(diagnostics, "homogeneous_band", march_oracle.homogeneous_band)
+    monkeypatch.setattr(cli, "HomogeneousPart", march_oracle.full_width_band)
+    monkeypatch.setattr(diagnostics, "HomogeneousPart", march_oracle.band_evaluator)
     assert _solve_and_diagnose(tmp_path / "whole", doc) == (codes, cut)
 
 

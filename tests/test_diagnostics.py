@@ -189,13 +189,13 @@ def test_select_t2_delta_matches_whole_lattice_scan(select_cases, case, levels):
 
 
 def test_select_t2_delta_peak_memory(crit4_run):
-    # one band of u0 (0.13x the field), built in place by blocks, and no |u0|
-    # temporary: no whole-lattice u0 or prefix minima; measured 0.151x (0.27x
-    # with a band-sized temporary for the build and another for max|u0|, 0.33x
-    # with level blocks of u0), so the bound leaves a fifth of headroom
+    # u0's band read twice a block of _BLOCK_NODES cells at a time (for max|u0|,
+    # then for the cone), and no |u0| temporary: no band (0.13x the field), no
+    # whole-lattice u0 and no prefix minima; measured 0.041x (0.151x with the
+    # band built whole), so the bound leaves a third of headroom
     prob, field = crit4_run
     _, peak = traced_peak(select_t2_delta, field, prob.f_profile, prob.g_profile)
-    assert peak <= 0.18 * field.samples.nbytes
+    assert peak <= 0.055 * field.samples.nbytes
 
 
 def test_cone_average_bound_on_Q(blowup_run_coarse):
@@ -660,6 +660,8 @@ def test_lattice_gather_matches_interpolate(monkeypatch, k, j_star, rows):
     n = fld.n_levels - 1 - j_star
     monkeypatch.setattr(diagnostics, "_BLOCK_NODES", (n + 1) * (n + 1 if rows == "n+1" else rows))
     blocks = list(diagnostics._alpha_blocks(n, j_star))
+    padded = np.full((fld.n_levels, grid.n_r + 8), np.nan)[:, : grid.n_r + 1]
+    padded[...] = fld.samples
     assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
     assert blocks[-1][1] == n + 1
     if rows != "n+1":
@@ -671,9 +673,13 @@ def test_lattice_gather_matches_interpolate(monkeypatch, k, j_star, rows):
         got = diagnostics._F_block(fld.samples, j_star, lo, hi)
         want = np.where(d <= a, interpolate(fld, d * h / 2.0, (j_star + a - d / 2.0) * h), 0.0)
         assert np.array_equal(got, want)
+        # rows padded past the field's width (as ``_zeros`` lays them on pages)
+        assert diagnostics._F_block(padded, j_star, lo, hi).tobytes() == got.tobytes()
     # one row past the bound would read below level 0: refused, not read
     with pytest.raises(IndexError, match="leave the lattice"):
         diagnostics._F_block(fld.samples, 8, 0, 18)
+    with pytest.raises(IndexError, match="leave the lattice"):
+        diagnostics._F_block(padded, 8, 0, 18)
 
 
 @pytest.mark.parametrize("n, j_star", [(0, 8), (1, 0), (52, 13), (200, 8), (1925, 40)])
@@ -690,6 +696,18 @@ def test_alpha_blocks_hold_the_node_budget(monkeypatch, n, j_star, budget):
         assert hi <= max(2 * (j_star + lo), lo + 1)
 
 
+@pytest.mark.parametrize("side", [2, 12, 40])
+def test_spread_is_numpys_unique(side):
+    # the sample columns of the weighted functional bound: the ints of evenly
+    # spread points, each once, are np.unique's array for every span the chain
+    # asks for, [0, n - 1] and [it, n] with it < n
+    for n in range(1, 80):
+        for lo, hi in [(0, n - 1)] + [(it, n) for it in range(n)]:
+            want = np.unique(np.linspace(lo, hi, side).astype(int))
+            got = diagnostics._spread(lo, hi, side)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (lo, hi)
+
+
 def test_check_chain_peak_memory(crit4_run):
     # no (n+1)^2 characteristic-grid array (the dense chain peaked at 11x the
     # field), no Sigma-size array (whole-Sigma steps 1-3 peaked at 3.9x) and no
@@ -697,11 +715,20 @@ def test_check_chain_peak_memory(crit4_run):
     # no step-2 source array and Sigma blocks of whole levels (0.58x with the
     # array and 256-level blocks), and alpha-blocks and Sigma blocks of at most
     # _BLOCK_NODES nodes (0.48x with 256 alpha-rows and 2^17 Sigma nodes);
-    # measured 0.123x, so the bound leaves a fifth of headroom
+    # measured 0.123x, so the bound leaves a fifth of headroom.  The field lies
+    # on page-aligned rows (``_zeros``), read in place: a flat copy of it would
+    # add 1x, and the report is bitwise that of its contiguous copy
     prob, field = crit4_run
     cfg = ChainConfig(prob.p, prob.A, 0.0, RHO / 8.0)
-    _, peak = traced_peak(check_chain, field, cfg)
+    report, peak = traced_peak(check_chain, field, cfg)
+    assert not field.samples.flags.c_contiguous
     assert peak <= 0.15 * field.samples.nbytes
+    copy = check_chain(dataclasses.replace(field, samples=np.ascontiguousarray(field.samples)), cfg)
+    assert report.to_json_dict() == copy.to_json_dict()
+    for got, want in zip(report.tables, copy.tables, strict=True):
+        for column in ("r", "t", "lhs", "rhs", "tol"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+    assert [v.tobytes() for v in report.H] == [v.tobytes() for v in copy.H]
 
 
 def test_residual_tables_npz_round_trip(crit4_chain, tmp_path):

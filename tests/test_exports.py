@@ -31,7 +31,7 @@ def test_every_exported_name_resolves():
                      "_lattice_F", "homogeneous_levels", "_U0_BLOCK", "_cone_reach",
                      "solve_forced", "_march", "CRITICAL_P", "_residual_source", "_cone_source",
                      "_region_source", "_read_array", "_read_samples", "apply_P", "index_of",
-                     "_row_doc", "fitted_amplitude"}
+                     "_row_doc", "fitted_amplitude", "homogeneous_band"}
     # not exported, since every exported name resolves; a dataclass field
     # without a default is no class attribute, so fields are looked up too
     for owner in (wavelab, regions, solver, diagnostics, gronwall, cli,
@@ -138,6 +138,26 @@ def test_cli_import_loads_no_fractions():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_diagnose_loads_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call; the chain spreads its
+    # sample columns without it, so a diagnose in a fresh interpreter (the
+    # way the command runs) never loads numpy.ma
+    doc = {"problem": {"p": 2.0, "A": 1.0,
+                       "data": {"profile": "bump", "amplitude": 10.0, "rho": 1.0}},
+           "grid": {"h": 1 / 16, "t_max": 16.0}}
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    cfg, field = str(tmp_path / "c.json"), str(tmp_path / "run" / "field.npz")
+    assert main(["solve", "--config", cfg, "--output", str(tmp_path / "run")]) == 0
+    code = ("import sys, wavelab.cli; "
+            f"code = wavelab.cli.main(['diagnose', '--config', {cfg!r}, '--field', {field!r}, "
+            f"'--output', {str(tmp_path / 'diag')!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wavelab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]
 
 
 def _callers(trees, name):
