@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import locale  # noqa: F401 -- argparse's gettext imports it when main builds the parser
 import logging
@@ -32,7 +31,7 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, RunConfig, _is_number, _number, _require_keys,
                      apply_overrides, config_hash, load_json, parse_run_config,
-                     parse_sweep_config)
+                     parse_sweep_config, sha256)
 from .diagnostics import (ChainConfig, GridTooShortError, check_chain, choose_epsilon,
                           gronwall_params_from_chain, s_exponent, select_t2_delta)
 from .gronwall import (GronwallCertificate, GronwallParams, WindowTooShortError, certify,
@@ -85,10 +84,10 @@ class _PhaseClock:
 
 @functools.cache
 def _code_digest():
-    """sha256 over the package's own source files, computed once per process."""
+    """SHA-256 over the package's own source files, computed once per process."""
     files = sorted(Path(__file__).parent.glob("*.py"))
-    return hashlib.sha256(b"".join(f.name.encode() + b"\0" + f.read_bytes() + b"\0"
-                                   for f in files)).hexdigest()[:16]
+    return sha256(b"".join(f.name.encode() + b"\0" + f.read_bytes() + b"\0"
+                          for f in files)).hexdigest()[:16]
 
 
 def _manifest(config_doc, extra):
@@ -492,39 +491,39 @@ def _positive_int(text):
     return int(text)
 
 
-def build_parser():
+_COMMANDS = {"solve": (cmd_solve, "march one problem and write field artifacts"),
+             "diagnose": (cmd_diagnose, "run the estimate chain and the Gronwall certificate"),
+             "sweep": (cmd_sweep, "grid of (p, amplitude) runs with resume"),
+             "gronwall": (cmd_gronwall, "failure radius / certificate for sampled H"),
+             "mean": (cmd_mean, "spherical means of a built-in field family")}
+
+
+def build_parser(command=None):
+    """The wavelab parser; given a command name, only that command's subparser
+    is built (each one costs argparse's gettext lookups)."""
     ap = argparse.ArgumentParser(prog="wavelab",
                                  description="radial semilinear wave laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("solve", help="march one problem and write field artifacts")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("diagnose", help="run the estimate chain and the Gronwall certificate")
-    _add_common(sp)
-    sp.add_argument("--field", required=True, help="field artifact (field.npz) written by solve")
-    sp.set_defaults(func=cmd_diagnose)
-
-    sp = sub.add_parser("sweep", help="grid of (p, amplitude) runs with resume")
-    _add_common(sp)
-    sp.add_argument("--jobs", type=_positive_int, help="parallel worker processes")
-    sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("gronwall", help="failure radius / certificate for sampled H")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_gronwall)
-
-    sp = sub.add_parser("mean", help="spherical means of a built-in field family")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_mean)
-
+    for name, (func, help_text) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        sp = sub.add_parser(name, help=help_text)
+        _add_common(sp)
+        if name == "diagnose":
+            sp.add_argument("--field", required=True,
+                            help="field artifact (field.npz) written by solve")
+        elif name == "sweep":
+            sp.add_argument("--jobs", type=_positive_int, help="parallel worker processes")
+        sp.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # help, no command and an unknown one list all commands
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args, apply_overrides(load_json(args.config), args.override))
     except ConfigError as exc:

@@ -8,11 +8,20 @@ validation so they obey the same rules.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
+
+# CPython's built-in SHA-256, the module hashlib itself falls back to: the same
+# digest without loading OpenSSL's libcrypto (3.3 MB resident) into every command
+try:
+    from _sha2 import sha256            # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256      # builds without the built-in modules
 
 from .profiles import RadialProfile, bump_profile, zero_profile
 from .solver import (DEFAULT_BLOWUP_THRESHOLD, DEFAULT_DIVERGENCE_FACTOR,
@@ -231,4 +240,4 @@ def load_json(path):
 
 
 def config_hash(doc: dict) -> str:
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+    return sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]

@@ -511,6 +511,46 @@ def _spread(lo, hi, count):
     return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
+def _pcg64_doubles(seed, count):
+    """``np.random.default_rng(seed).random(count)`` bit for bit, 0 <= seed < 2**32,
+    without importing numpy.random (which loads secrets, hmac and OpenSSL).
+
+    numpy's SeedSequence hashes the seed into a pool of four 32-bit words and
+    expands the pool into PCG64's 128-bit state and increment; each double is
+    the top 53 bits of one XSL-RR output of the 128-bit LCG."""
+    m32, h = 0xFFFFFFFF, 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal h
+        v ^= h
+        h = h * 0x931E8875 & m32
+        v = v * h & m32
+        return v ^ v >> 16
+
+    pool = [hashmix(seed if k == 0 else 0) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                r = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])) & m32
+                pool[dst] = r ^ r >> 16
+    g, words = 0x8B51F9DD, []
+    for k in range(8):
+        v = pool[k % 4] ^ g
+        g = g * 0x58F38DED & m32
+        v = v * g & m32
+        words.append(v ^ v >> 16)
+    w = [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+    mult, m64, m128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 64) - 1, (1 << 128) - 1
+    inc = (w[2] << 65 | w[3] << 1 | 1) & m128
+    state = ((inc + (w[0] << 64 | w[1])) * mult + inc) & m128
+    out = []
+    for _ in range(count):
+        state = (state * mult + inc) & m128
+        x, rot = (state >> 64 ^ state) & m64, state >> 122
+        out.append(((x >> rot | x << (64 - rot)) & m64) >> 11)
+    return np.array(out, dtype=float) * 2.0 ** -53
+
+
 def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
     """Run every inequality of the chain on a frozen field; see module docstring."""
     h = field.grid.h
@@ -591,11 +631,12 @@ def check_chain(field: RadialField, config: ChainConfig) -> DiagnosticsReport:
     tables.append(InequalityTable.build(
         "weighted_functional_bound", rg, tg, lhs_g, rhs_g, tol, {"C_G1": A / 4.0}))
 
-    # 5. superadditivity of q-th powers (arithmetic property of the weight)
-    rng = np.random.default_rng(20240803)
-    rr = t_star + rng.uniform(0, 10, 1000) * max(1.0, t_star)
-    aa = t_star + (rr - t_star) * rng.uniform(0, 1, 1000)
-    bb = t_star + (aa - t_star) * rng.uniform(0, 1, 1000)
+    # 5. superadditivity of q-th powers (arithmetic property of the weight), on
+    # default_rng(20240803)'s uniform(0, 10), uniform(0, 1), uniform(0, 1) draws
+    d = _pcg64_doubles(20240803, 3000)
+    rr = t_star + 10.0 * d[:1000] * max(1.0, t_star)
+    aa = t_star + (rr - t_star) * d[1000:2000]
+    bb = t_star + (aa - t_star) * d[2000:]
     lhs_s = (rr - bb) ** q - (rr - aa) ** q
     rhs_s = (aa - bb) ** q
     tables.append(InequalityTable.build(

@@ -1,5 +1,7 @@
 import ast
 import errno
+import hashlib
+import importlib.util
 import json
 import logging
 import math
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import wavelab
-from wavelab import __version__, cli, diagnostics, solver
+from wavelab import __version__, cli, config, diagnostics, solver
 from wavelab.cli import main
 from wavelab.gronwall import GronwallCertificate
 from wavelab.config import (ConfigError, DataSpec, apply_overrides, config_hash,
@@ -101,41 +103,141 @@ def test_malformed_custom_csv_is_a_config_error(tmp_path, capsys, rows):
     assert capsys.readouterr().err.startswith("config error: problem.data.f_csv: ")
 
 
+# modules no command may load: OpenSSL's hashlib and numpy.random (which loads
+# secrets, hmac and _hashlib) cost every process megabytes of resident code,
+# numpy.ma is what np.unique pulls in, and scipy and fractions are test references
+_NEVER_LOADED = ("_hashlib", "hashlib", "hmac", "secrets", "numpy.random", "numpy.ma",
+                 "scipy", "fractions")
+_POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+
+
+def _fresh_python(code, *args):
+    """Standard output of ``code`` run in a fresh interpreter on this checkout's wavelab."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wavelab.__file__)))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def _fresh_interpreter_footprint(commands):
+    """Import wavelab.cli in one fresh interpreter, the way the commands run, and
+    call main on each argv in turn: [(step, exit code, sys.modules)] after the
+    import and after each command."""
+    code = ("import json, sys; import wavelab.cli; "
+            "steps = [['import', None, sorted(sys.modules)]]; "
+            "steps += [[argv[0], wavelab.cli.main(argv), sorted(sys.modules)] "
+            "for argv in json.loads(sys.argv[1])]; "
+            "print(json.dumps(steps))")
+    out = _fresh_python(code, json.dumps(commands))
+    return [(step, exit_code, set(modules))
+            for step, exit_code, modules in json.loads(out.splitlines()[-1])]
+
+
+def test_commands_load_no_openssl_random_ma_scipy_or_fractions(tmp_path):
+    # every command in one fresh interpreter: none loads a module of
+    # _NEVER_LOADED, and only a sweep that starts workers loads the pool
+    run = tmp_path / "run"
+    cfg = write(tmp_path / "c.json", base_run_config(tmp_path))
+    gronwall = write(tmp_path / "g.json", {"params": {"C": 1, "a": 2, "b": 0, "t0": 0, "t1": 0},
+                                           "J1": 1.0})
+    mean = write(tmp_path / "m.json", {"family": "monomial", "params": {"powers": [2, 0, 0]},
+                                       "radii": [0.0, 1.0], "degree": 5})
+    sweep = write(tmp_path / "s.json", sweep_doc(tmp_path))
+    steps = _fresh_interpreter_footprint([
+        ["solve", "--config", cfg, "--output", str(run)],
+        ["diagnose", "--config", cfg, "--field", str(run / "field.npz"),
+         "--output", str(tmp_path / "diag")],
+        ["gronwall", "--config", gronwall, "--output", str(tmp_path / "g")],
+        ["mean", "--config", mean, "--output", str(tmp_path / "m")],
+        ["sweep", "--config", sweep, "--jobs", "2"],
+        ["sweep", "--config", sweep, "--jobs", "2"]])
+    assert [(step, exit_code) for step, exit_code, _ in steps] == [
+        ("import", None), ("solve", 0), ("diagnose", 0), ("gronwall", 0), ("mean", 0),
+        ("sweep", 0), ("sweep", 0)]
+    for step, _, modules in steps:
+        assert [m for m in modules if m in _NEVER_LOADED or m.split(".")[0] == "scipy"] == [], step
+    assert [bool(set(_POOL_MODULES) & modules) for _, _, modules in steps] == [
+        False, False, False, False, False, True, True]
+    assert set(_POOL_MODULES) <= steps[5][2]
+
+
 def test_cli_import_loads_no_scipy():
-    src = os.path.dirname(os.path.dirname(wavelab.__file__))
-    code = ("import sys, wavelab.cli; "
-            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    [(_, _, modules)] = _fresh_interpreter_footprint([])
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
 def test_cli_import_loads_no_process_pool():
     # only a sweep that starts workers imports the pool and multiprocessing
-    src = os.path.dirname(os.path.dirname(wavelab.__file__))
-    code = ("import sys, wavelab.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    [(_, _, modules)] = _fresh_interpreter_footprint([])
+    assert set(_POOL_MODULES) & modules == set()
+
+
+def _absolute_imports(tree):
+    """(node, module names) of each absolute import; ``from m import x`` names m and m.x."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node, [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
 
 
 def test_package_source_never_imports_scipy():
     # scipy is a test-only dependency; this also catches imports inside functions
-    pkg = Path(wavelab.__file__).parent
-    found = []
-    for path in sorted(pkg.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module or ""]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
-    assert len(list(pkg.rglob("*.py"))) > 5 and found == []
+    paths = sorted(Path(wavelab.__file__).parent.rglob("*.py"))
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node, names in _absolute_imports(ast.parse(path.read_text(), str(path)))
+             if any(n.split(".")[0] == "scipy" for n in names)]
+    assert len(paths) > 5 and found == []
+
+
+def test_package_source_never_loads_openssl_or_numpy_random():
+    # no module imports hmac, secrets, _hashlib or numpy.random, or reads
+    # np.random, even inside a function; hashlib only as the fallback of the
+    # built-in SHA-256 import, for builds without CPython's _sha2/_sha256
+    found, fallbacks = [], []
+    for path in sorted(Path(wavelab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        fallback = {id(node) for t in ast.walk(tree) if isinstance(t, ast.Try)
+                    for handler in t.handlers if getattr(handler.type, "id", None) == "ImportError"
+                    for node in handler.body}
+        for node, names in _absolute_imports(tree):
+            where = f"{path.name}:{node.lineno}"
+            if any(n in ("hmac", "secrets", "_hashlib") or n.startswith("numpy.random")
+                   for n in names):
+                found.append(where)
+            elif "hashlib" in names:
+                is_fallback = id(node) in fallback and names == ["hashlib", "hashlib.sha256"]
+                (fallbacks if is_fallback else found).append(where)
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "random"
+                  and getattr(node.value, "id", None) in ("np", "numpy")]
+    assert found == [] and [f.split(":")[0] for f in fallbacks] == ["config.py"]
+
+
+def test_sha256_is_hashlibs_digest():
+    # config hashes and the code digest keep hashlib's bytes; the built-in
+    # module is the one imported wherever CPython has it
+    docs = [{}, base_run_config(Path("x")), {"p_values": [2, 3.5], "amplitudes": [1e-05, 10.0]}]
+    for doc in docs:
+        data = json.dumps(doc, sort_keys=True).encode()
+        assert config_hash(doc) == hashlib.sha256(data).hexdigest()[:16]
+    files = sorted(Path(wavelab.__file__).parent.glob("*.py"))
+    source = b"".join(f.name.encode() + b"\0" + f.read_bytes() + b"\0" for f in files)
+    assert config.sha256(source).hexdigest() == hashlib.sha256(source).hexdigest()
+    assert cli._code_digest() == hashlib.sha256(source).hexdigest()[:16]
+    builtin = [m for m in ("_sha2", "_sha256") if importlib.util.find_spec(m)]
+    if builtin:
+        assert config.sha256.__module__ == builtin[0]
+
+
+def test_sha256_falls_back_to_hashlib():
+    # without CPython's built-in modules, hashlib's sha256 is imported, and the
+    # pinned row hashes of the sweep test stay the same
+    doc = {"problem": {"A": 2.0, "data": {"profile": "bump", "rho": 1.0, "amplitude": 1e-05},
+                       "p": 2.0}, "grid": {"h": 0.0625, "t_max": 2.0}}
+    code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+            "import hashlib, json, wavelab.config as c; "
+            f"print(c.sha256 is hashlib.sha256, c.config_hash(json.loads({json.dumps(doc)!r})))")
+    assert _fresh_python(code).split() == ["True", "0bc54eaa1ed9f698"] == ["True", config_hash(doc)]
 
 
 def test_default_h_is_rho_over_128():
@@ -797,6 +899,31 @@ def test_sweep_pool_is_sized_to_the_rows_to_solve(tmp_path, monkeypatch, caplog)
         lines = [rec.getMessage() for rec in caplog.records if rec.name == "wavelab"]
         assert (f"sweep: 4 rows ({4 - len(stale)} resumed, {len(stale)} solved on "
                 f"{workers} workers) -> {out / 'sweep.csv'}") in lines
+
+
+def test_main_builds_only_the_invoked_commands_parser(tmp_path, capsys, monkeypatch):
+    # a command builds its own subparser alone; no command, --help and an
+    # unknown command build all five, so usage, help and the error list them
+    usages, build = [], cli.build_parser
+
+    def spy(command=None):
+        ap = build(command)
+        usages.append(ap.format_usage())
+        return ap
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cfg = write(tmp_path / "g.json", {"params": {"C": 1, "a": 2, "b": 0, "t0": 0, "t1": 0},
+                                      "J1": 1.0})
+    assert main(["gronwall", "--config", cfg, "--output", str(tmp_path)]) == 0
+    assert usages == ["usage: wavelab [-h] {gronwall} ...\n"]
+    every = "{solve,diagnose,sweep,gronwall,mean}"
+    invalid = "invalid choice: 'bogus' (choose from 'solve', 'diagnose', 'sweep', 'gronwall', 'mean')"
+    for argv, code, stream, text in [([], 2, "err", every), (["--help"], 0, "out", every),
+                                     (["bogus"], 2, "err", invalid)]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code and usages[-1] == f"usage: wavelab [-h] {every} ...\n"
+        assert text in getattr(capsys.readouterr(), stream)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -708,6 +708,18 @@ def test_spread_is_numpys_unique(side):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (lo, hi)
 
 
+@pytest.mark.parametrize("seed", [20240803, 0, 1, 2**32 - 1])
+def test_pcg64_doubles_are_default_rngs(seed):
+    # step 5 draws without numpy.random: its PCG64 gives default_rng's doubles
+    # bit for bit, and the chain's three uniform arrays are slices of them
+    d = diagnostics._pcg64_doubles(seed, 3000)
+    assert d.dtype == np.float64 and d.tobytes() == np.random.default_rng(seed).random(3000).tobytes()
+    rng = np.random.default_rng(seed)
+    assert [rng.uniform(0, 10, 1000).tobytes(), rng.uniform(0, 1, 1000).tobytes(),
+            rng.uniform(0, 1, 1000).tobytes()] == [
+        (10.0 * d[:1000]).tobytes(), d[1000:2000].tobytes(), d[2000:].tobytes()]
+
+
 def test_check_chain_peak_memory(crit4_run):
     # no (n+1)^2 characteristic-grid array (the dense chain peaked at 11x the
     # field), no Sigma-size array (whole-Sigma steps 1-3 peaked at 3.9x) and no
