@@ -22,6 +22,7 @@ import os
 import resource
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -37,8 +38,8 @@ from .diagnostics import (ChainConfig, GridTooShortError, check_chain, choose_ep
 from .gronwall import (GronwallCertificate, GronwallParams, WindowTooShortError, certify,
                        failure_radius, log10_failure_radius)
 from .profiles import _read_columns
-from .solver import (FieldFormatError, HomogeneousPart, RadialField, detect_blowup_time,
-                     integral_residual, solve_march)
+from .solver import (FieldFormatError, HomogeneousPart, RadialField, RowFile,
+                     detect_blowup_time, integral_residual, solve_march)
 from .spherical import ScalarField3, build_sphere_quadrature, spherical_mean
 
 log = logging.getLogger("wavelab")
@@ -104,13 +105,27 @@ def _manifest(config_doc, extra):
 # solve
 # ---------------------------------------------------------------------------
 
+# field.npz while solve writes it; hidden, and not field.*, so no reader of
+# the directory takes it for the field artifact
+_FIELD_PART = ".field.npz.part"
+# a field of this many bytes or more is written to field.npz as the march
+# makes it; a smaller one (a sweep's rows at rho/32) costs less held than
+# written and read back
+_STREAM_BYTES = 1 << 22
+
+
 def _run_solve(cfg: RunConfig, out_dir: Path):
     """March, check the integral residual, write field.npz and residual.json.
 
     Returns the run record (status, t_b, the blow-up fit, max|u|, the
     residual, timings, peak RSS); each caller writes its own manifest.json.
-    The field is dropped once field.npz and its max|u| per level are written,
-    so the blow-up fit runs without it.
+    No phase holds a field of _STREAM_BYTES or more: the march writes each
+    level into field.npz as it goes (a RowFile, named ``_FIELD_PART`` until
+    it is complete) and keeps its max|u|, the residual reads the rows back,
+    ``save`` completes the file and renames it, and a phase that raises
+    removes it, leaving any earlier field.npz as it was.  A smaller field is
+    held in memory and written by ``_write_npz``.  The blow-up fit reads the
+    march's max|u|.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = cfg.build_grid()
@@ -118,13 +133,16 @@ def _run_solve(cfg: RunConfig, out_dir: Path):
     phases = _PhaseClock("solve", ("march", "residual", "field_write", "blowup_fit"))
     # one ubar0 for the march and the residual
     ubar0 = HomogeneousPart(problem.f_profile, problem.g_profile, grid)
-    fld = solve_march(problem, grid, cfg.blowup_threshold, cfg.divergence_factor, ubar0=ubar0)
-    phases.done("march", f"{fld.n_levels} levels, status={fld.status} t_b={fld.t_b}")
-    residual = integral_residual(problem, fld, ubar0)
-    phases.done("residual", f"{residual['nodes']} nodes")
-    fld.save(out_dir / "field.npz")
-    phases.done("field_write", "field.npz")
-    amps, status, t_b = fld.level_max(), fld.status, fld.t_b
+    stream = 8 * (grid.n_t + 1) * (grid.n_r + 1) >= _STREAM_BYTES
+    with (RowFile(out_dir / _FIELD_PART, grid.n_r + 1) if stream else nullcontext()) as rows:
+        fld = solve_march(problem, grid, cfg.blowup_threshold, cfg.divergence_factor,
+                          ubar0=ubar0, rows=rows)
+        phases.done("march", f"{fld.n_levels} levels, status={fld.status} t_b={fld.t_b}")
+        residual = integral_residual(problem, fld, ubar0)
+        phases.done("residual", f"{residual['nodes']} nodes")
+        fld.save(out_dir / "field.npz")
+        phases.done("field_write", "field.npz")
+    amps, status, t_b = fld.level_max, fld.status, fld.t_b
     del fld
     fit = detect_blowup_time(status, t_b, grid, amps)
     phases.done("blowup_fit", "none" if fit is None else f"t_b={fit.fitted_t_b:.6g}")

@@ -24,21 +24,22 @@ three-vertex rule on the kept triangle (1/6 per kept corner), and cells cut
 through their centre by two lines keep a quadrant triangle whose centre value
 is the corner mean (1/12 per kept corner, 1/48 per corner).  The weights are
 nonnegative and reproduce the clipped area exactly.  One engine applies it:
-:func:`influence_quadrature` sweeps the cell diagonals once and answers R(i, j)
-at any set of lattice nodes, clipped by an optional alpha or beta floor, so it
-serves the P operator and the integral residual (R), the region integral
-bound (B(r, t)) and the cone constant M (T).
+:func:`influence_quadrature` sweeps the rows of cells once, upward, and
+answers R(i, j) at any set of lattice nodes, clipped by an optional alpha or
+beta floor, so it serves the P operator and the integral residual (R), the
+region integral bound (B(r, t)) and the cone constant M (T).
 
-The sweep covers only the part of the lattice where the sources live.  For
-compactly supported data u vanishes past the light cone r = rho + t, so a
-source g = lambda |u|^p is exactly zero below some diagonal k - a, and about
-half of the lattice is.  The engine reads g as ``source(u, columns)`` from
-the field u, a few diagonals at a time, so no caller builds a source array.  The
-sweep starts one diagonal below the lowest that holds a nonzero of u (found
-by row blocks, :func:`_row_ends`) and stops each diagonal at the largest
-column any query reads.  A source is zero wherever u is, so a skipped
-diagonal would only have added zeros to sums that start at +0.0, which
-leaves them +0.0, and every answer keeps its bits.
+The sweep reads the field u a block of rows at a time (``u[lo:hi]``), so u
+may be an array, a window of one, or a field's rows read back from a file
+(``solver.RowFile``), and it holds only that block and O(n_r + nodes)
+numbers.  It covers only the part of the lattice where the sources live.
+For compactly supported data u vanishes past the light cone r = rho + t, so
+a source g = lambda |u|^p is exactly zero there, about half of the lattice.
+The engine reads g as ``source(u, columns)`` a block at a time, so no caller
+builds a source array, and each block only up to its last column holding a
+nonzero of u.  A source is zero wherever u is, so a skipped cell would only
+have added zeros to sums that start at +0.0, which leaves them unchanged,
+and every answer keeps its bits.
 """
 
 from __future__ import annotations
@@ -53,27 +54,10 @@ def _require(bad, message):
         raise ValueError(message)
 
 
-_SCAN_ROWS = 64         # rows of an array tested for nonzeros at a time
-_READ_DIAGONALS = 8     # node diagonals of u read per call of a source
+_BLOCK_CELLS = 1 << 14      # cells of u a block of the row sweep holds, in 16 to 48 rows
+_BLOCK_TERMS = 1 << 15      # cumsum terms a block holds, 8 per diagonal and row
+_TERM_ROWS = 8              # rows whose cells' terms it holds at once
 
-
-def _row_ends(g):
-    """One past the last nonzero column of each row of the 2-D array g; 0 for a zero row.
-
-    NaN counts as nonzero.  g is read by blocks of _SCAN_ROWS rows, so the
-    only temporaries are one block's mask and one integer per row.
-    """
-    ends = np.zeros(g.shape[0], dtype=np.int64)
-    for k in range(0, g.shape[0], _SCAN_ROWS):
-        nz = g[k : k + _SCAN_ROWS] != 0
-        ends[k : k + _SCAN_ROWS] = np.where(nz.any(axis=1),
-                                            g.shape[1] - nz[:, ::-1].argmax(axis=1), 0)
-    return ends
-
-
-# ---------------------------------------------------------------------------
-# Lattice quadrature
-# ---------------------------------------------------------------------------
 
 def _plain(u, a):
     return u
@@ -85,8 +69,10 @@ def influence_quadrature(u, i, j, alpha_lo=None, beta_lo=None, source=None) -> n
     ``u`` holds lattice samples indexed ``[k, a]`` for the node (a*h, k*h), and
     g = ``source(u, a)`` is read from it: given the values of u at some nodes
     and their columns a, ``source`` returns g there, elementwise, and it must
-    give a zero wherever u is zero; without it g is u.  u may be any 2-D view,
-    a window of the field included: it is read through its own strides.
+    give a zero wherever u is zero; without it g is u.  u is read only as
+    ``u.shape``, ``u[lo:hi]`` (a block of rows, which may come cut short after
+    a column of +0.0 past which the rows are +0.0) and ``u[k, a]`` (nodes): any
+    2-D float view, a window of the field included, or a ``solver.RowFile``.
     ``i >= 1`` and ``j >= 0`` are ints or broadcastable integer arrays, and the
     result has their broadcast shape.  The integer floors clip every region to
     alpha >= alpha_lo and beta >= beta_lo: B(r, t) is R(i, j) with beta_lo =
@@ -102,28 +88,11 @@ def influence_quadrature(u, i, j, alpha_lo=None, beta_lo=None, source=None) -> n
     the column a_lo (for a_lo < 1 it is column 0, which holds no cell),
     top-cut on the diagonal beta_c = B, bottom-cut on beta_c = beta_lo.  A
     corner on a cell centre, where alpha + beta is odd, leaves that cell a
-    quadrant (1/12 per kept corner, 1/48 per corner).
-
-    The diagonals are swept upward, keeping running column sums of the full,
-    right-cut and left-cut corner sums; the bottom-cut diagonal beta_lo enters
-    the full sums only, its 1/6 written as 2/3 of their 1/4.  The nodes of
-    diagonal B are answered before it is added, by one cumsum over the columns
-    from a_lo + 1 (no prefix difference is taken) and one lookup in each cut
-    column; the quadrants, O(1) per node, are added last.  Cell diagonal beta
-    reads g on the node diagonals beta - 1, beta and beta + 1, so g is taken
-    once per node diagonal, _READ_DIAGONALS of them per call of ``source``, and
-    only one such block and three diagonals are held.
-
-    The sweep starts at beta_lo or at d - 1, whichever is higher, where d is
-    the lowest diagonal k - a holding a nonzero of u (g is zero wherever u
-    is, so none lower holds a nonzero of g), and each diagonal stops at the
-    column max(i + j).  Below d - 1 every corner sum is a zero, and a zero
-    added to the sums, which start at +0.0, leaves them +0.0; a node below d
-    is answered from those sums and zero top-cut corners, so it reads +0.0
-    before its quadrants either way.  No column past max(i + j) is read.  So the answers are bitwise those of the sweep over
-    every cell from beta_lo of the array g built whole.
+    quadrant (1/12 per kept corner, 1/48 per corner).  The quadrants, O(1) per
+    node, are added last; :func:`_row_sweep` gives the rest.
     """
-    u = np.asarray(u, dtype=float)
+    if getattr(u, "dtype", None) != np.float64:
+        u = np.asarray(u, dtype=float)
     source = _plain if source is None else source
     i, j = np.broadcast_arrays(np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64))
     shape, i, j = i.shape, i.ravel(), j.ravel()
@@ -134,74 +103,12 @@ def influence_quadrature(u, i, j, alpha_lo=None, beta_lo=None, source=None) -> n
     # the region reaches lambda = (i + j - beta_lo)/2, or i + j where s = 0 cuts it first
     _require((i < 1) | (j < 0) | (j > n_k) | (np.minimum(top, (top - lo + 1) // 2) > n_a),
              "R(i, j) must fit the lattice of g")
-    out = np.zeros(i.size)
-    live = np.flatnonzero((b > lo) & (a_lo < top))
-    order = live[np.argsort(b[live], kind="stable")]
-    diags, first = np.unique(b[order], return_index=True)
-    groups = dict(zip(diags.tolist(), np.split(order, first[1:])))
-
-    ends = _row_ends(u)
-    held = np.flatnonzero(ends)
-    last = max(groups, default=lo)
-    start = max(lo, int((held - ends[held]).min())) if held.size else last + 1
-    reach = int(top[live].max()) if live.size else 0    # the last column any node reads
-    # the node diagonals d the sweep reads, and on each the cells a0 <= a < a1
-    # (k = a + d) whose column alpha_c = 2a + d + 1 is at most reach
-    d = np.arange(start - 1, max(start, last) + 2)
-    a0s = np.maximum(-d, 0)
-    a1s = np.minimum(np.minimum(n_k - d, n_a), (reach - d + 1) // 2)
-    sizes = np.maximum(a1s + 1 - a0s, 0)
-    d, a0s, a1s, sizes = (v.tolist() for v in (d, a0s, a1s, sizes))
-    columns = np.arange(n_a + 1)
-
-    def diagonals():
-        """g on each node diagonal d at the nodes (a + d, a), a0 <= a <= a1: every
-        node of it that the cell diagonals d - 1, d and d + 1 read.  They are read
-        _READ_DIAGONALS at a time into one array, so source is called once for them."""
-        for m0 in range(0, len(d), _READ_DIAGONALS):
-            block = range(m0, min(m0 + _READ_DIAGONALS, len(d)))
-            g = source(np.concatenate([u.diagonal(-d[m])[: sizes[m]] for m in block]),
-                       np.concatenate([columns[a0s[m] : a0s[m] + sizes[m]] for m in block]))
-            offset = 0
-            for m in block:
-                yield g[offset : offset + sizes[m]]
-                offset += sizes[m]
-
-    full, right, left = (np.zeros(n_k + n_a + 1) for _ in range(3))
-    # g on the node diagonals beta - 1, beta and beta + 1
-    read = diagonals()
-    lower, nxt = next(read), next(read)
-    for m, beta in enumerate(range(start, last + 1), 1):
-        prev, lower, nxt = lower, nxt, next(read)
-        a0, a1 = a0s[m], a1s[m]
-        if a1 > a0:                                     # c00 = lower[:-1], c11 = lower[1:]
-            s0 = a0 + 1 - a0s[m - 1]                    # c01 = g[a + beta, a + 1]
-            c01 = prev[s0 : s0 + a1 - a0]
-            s0 = a0 - a0s[m + 1]                        # c10 = g[a + beta + 1, a]
-            c10 = nxt[s0 : s0 + a1 - a0]
-            side = c01 + c10
-            cut_r = side + lower[:-1]
-        q = groups.get(beta)
-        if q is not None:
-            edge = int(a_lo[q[0]])                      # the left edge a_lo of every node of q
-            c0, c1 = max(edge + 1, 0), top[q].max()
-            run = np.zeros(c1 - c0 + 1)                 # run[c - c0 + 1] is column c
-            np.multiply(full[c0:c1], 0.25, out=run[1:])
-            if a1 > a0:      # top-cut cells c00 + c01 + c11, from the first column >= c0
-                skip = max(0, (c0 - 2 * a0 - beta) // 2)
-                tri = run[2 * (a0 + skip) + beta + 2 - c0 :: 2]
-                n = tri.size
-                tri += (c01[skip : skip + n] + lower[skip : skip + n]
-                        + lower[skip + 1 : skip + n + 1]) / 6.0
-            out[q] = np.cumsum(run)[top[q] - c0] + (right[top[q]] + left[max(edge, 0)]) / 6.0
-        if a1 > a0:
-            cols = slice(2 * a0 + beta + 1, 2 * a1 + beta, 2)      # alpha_c = 2a + beta + 1
-            if beta == beta_lo:      # bottom-cut cells keep c00 + c10 + c11
-                full[cols] += (lower[:-1] + c10 + lower[1:]) * (2.0 / 3.0)
-            else:
-                full[cols] += cut_r + lower[1:]
-                right[cols] += cut_r
-                left[cols] += side + lower[1:]
+    live = (b > lo) & (a_lo < top)
+    some = slice(None) if live.all() else np.flatnonzero(live)    # no copies if all are
+    swept = _row_sweep(u, source, lo, b[some], j[some], top[some], a_lo[some]) if live.any() else 0.0
+    out = np.zeros(i.size)              # after the sweep, which holds enough of its own
+    out[some] = swept
+    live = np.flatnonzero(live)
 
     # quadrants at the corners (a_lo, beta_lo), (i + j, beta_lo), (a_lo, B), by
     # their kept corners c00, c01, c10, c11 = 0..3, where the cell is on the lattice
@@ -212,3 +119,150 @@ def influence_quadrature(u, i, j, alpha_lo=None, beta_lo=None, source=None) -> n
         corners = [source(u[k + dk, a + da], a + da) for dk, da in ((0, 0), (0, 1), (1, 0), (1, 1))]
         out[live[on]] += (corners[kept[0]] + corners[kept[1]]) / 12.0 + sum(corners) / 48.0
     return out.reshape(shape)
+
+
+def _row_sweep(u, source, lo, b, j, top, a_lo):
+    """Everything but the quadrants of R(i, j) at nodes on the diagonals b = j - i
+    with left edges a_lo (one per diagonal) and floor lo, each region nonempty.
+
+    The cell rows k = 0, 1, ... are added in turn into running column sums of
+    the full, right-cut and left-cut corner sums, by column alpha_c = a + k + 1;
+    a cell on the diagonal lo enters the full sums only, its 1/6 written as 2/3
+    of their 1/4.  A column's cells come in increasing k, which is increasing
+    beta_c, so each sum adds its cells in the order of a sweep up the cell
+    diagonals.  The node (i, j) on diagonal B reads the sums as they stand once
+    every cell below B is in and none from B up: column c is so after row
+    floor((B + c - 2)/2), so B's columns 2k + 2 - B and 2k + 3 - B are read
+    after row k (step k, from -2, when no row is in yet).  The node takes the
+    cumsum, from column max(a_lo + 1, 0), of a quarter of each full sum plus,
+    in B's columns that hold a cell of B, its top-cut triangle (rows k + 1 and
+    k + 2, so a block of steps reads two rows past its last), up to column
+    i + j - 1 (step j - 2); then the right-cut sum of column i + j (step j - 1)
+    and the left-cut sum of column max(a_lo, 0).  The cumsums run a block of
+    steps at a time, each from the last sum of the block before: the adds of
+    one cumsum over the columns.  A block takes only the diagonals whose
+    cumsums have a column in it; the others keep their sums.
+
+    Only the cells that can reach an answer are added: rows below max(j),
+    beta_c below the highest diagonal, columns up to max(i + j), and in each
+    block of rows the columns before the last that holds a nonzero of u.  Past
+    it every corner is a zero of g, and a zero added to a sum, or a zero
+    triangle to a quarter of one, leaves its bits (the sums start at +0.0 and
+    never become -0.0).
+    """
+    n_k, n_a = u.shape[0] - 1, u.shape[1] - 1
+    diags, inv = np.unique(b, return_inverse=True)
+    nd = diags.size
+    c0 = np.empty(nd, dtype=np.int64)
+    c0[inv] = np.maximum(a_lo + 1, 0)               # the first column of each cumsum
+    c1 = np.zeros(nd, dtype=np.int64)
+    np.maximum.at(c1, inv, top)                     # one past its last
+    left_col = np.maximum(c0 - 1, 0)                # the left-cut column max(a_lo, 0)
+    left_at = _groups(np.maximum((diags + left_col - 2) // 2, -2), np.arange(nd))
+    at_row = _groups(j, np.arange(j.size))          # the nodes of each row j
+    last, reach, k_end = int(diags[-1]), int(top.max()), int(j.max())
+    width = min(n_a + 1, reach + 1)                 # the columns any cell reads
+    columns = np.arange(width)
+
+    steps = max(1, min(min(max(_BLOCK_CELLS // (n_a + 1), 16), 48), _BLOCK_TERMS // (8 * nd)))
+    sums = np.zeros((3, n_k + n_a + 1))     # full, right-cut, left-cut: by column
+    full = sums[0]
+    terms = np.empty(3 * _TERM_ROWS * n_a)
+    # after step k diagonal B reads its columns 2k + 2 - B and 2k + 3 - B, the
+    # slots 2k and 2k + 1 of its cumsum, which takes the slots lo_slot .. hi_slot - 1
+    first = np.stack([2 - diags, 3 - diags])
+    lo_slot, hi_slot = c0 - first[0], c1 - first[0]
+    at_top, at_cut, at_left = np.empty(j.size), np.empty(j.size), np.zeros(nd)
+    acc = np.zeros(nd)
+    for k0 in range(-2, k_end, steps):
+        k1 = min(k0 + steps, k_end)
+        n, ks = k1 - k0, np.arange(k0, k1)
+        # g on the rows k0 .. k1 + 1 (none past k_end), columns 0 .. end: the cells
+        # a < end, and one column of zeros past them
+        block = u[max(k0, 0) : min(k1 + 2, k_end + 1)][:, :width]
+        if block.shape[1] < width:                  # cut short, after a column of +0.0
+            end = block.shape[1] - 1
+        else:
+            held = block.any(axis=0)                # NaN counts as nonzero
+            end = width - int(held[::-1].argmax()) if held.any() else 0
+        g = np.ascontiguousarray(source(block[:, : min(end + 1, width)],
+                                        columns[: min(end + 1, width)]))
+        del block
+        if k0 < 0:
+            g = np.concatenate([np.zeros((-k0, g.shape[1])), g])       # the rows -2 and -1
+        # row k's cells a0 <= a < a1: c00 = g[k, a], c01 = g[k, a + 1], c10, c11 of row k + 1
+        cells = min(n_a, end)
+        a0s = [max(k - last + 1, 0) for k in range(k0, k1)]
+        a1s = [min(k - lo, reach - k, cells) if k >= 0 else 0 for k in range(k0, k1)]
+        # the diagonals d0 .. d1 - 1 hold every cumsum with a slot in the block;
+        # per diagonal (a column each) its sum so far, then two full sums a step
+        live = np.flatnonzero((lo_slot < 2 * k1) & (hi_slot > 2 * k0))
+        d0, d1 = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+        run = np.empty((2 * n + 1, d1 - d0))
+        cols = first[:, d0:d1] + 2 * ks[:, None, None]      # (step, 2, diagonal)
+        for m0 in range(0, n, _TERM_ROWS):
+            # the three terms of the cells of the rows m0 .. m0 + _TERM_ROWS - 1
+            rows, wide = min(_TERM_ROWS, n - m0), max(0, *a1s[m0 : m0 + _TERM_ROWS])
+            add = terms[: 3 * rows * wide].reshape(3, rows, wide)
+            lower, upper = g[m0 : m0 + rows, : wide + 1], g[m0 + 1 : m0 + rows + 1, : wide + 1]
+            np.add(lower[:, 1:], upper[:, :-1], out=add[2])     # c01 + c10
+            np.add(add[2], lower[:, :-1], out=add[1])       # right-cut: (c01 + c10) + c00
+            np.add(add[1], upper[:, 1:], out=add[0])        # full: that + c11
+            add[2] += upper[:, 1:]                          # left-cut: (c01 + c10) + c11
+            for m in range(m0, m0 + rows):
+                k, a0, a1 = k0 + m, a0s[m], a1s[m]
+                if a1 > a0:
+                    here = sums[:, a0 + k + 1 : a1 + k + 1]
+                    here += add[:, m - m0, a0:a1]
+                a = k - lo              # the cell on beta_c = lo: 2/3 of c00 + c10 + c11
+                if k >= 0 and a0 <= a < min(reach - k, cells):
+                    full[a + k + 1] += (g[m, a] + g[m + 1, a] + g[m + 1, a + 1]) * (2.0 / 3.0)
+                # a column below 0 or past the sums is outside every cumsum: clipped
+                full.take(cols[m], out=run[2 * m + 1 : 2 * m + 3], mode="clip")
+                q = at_row.get(k + 1)
+                if q is not None:
+                    at_cut[q] = sums[1, top[q]]
+                q = left_at.get(k)
+                if q is not None:
+                    at_left[q] = sums[2, left_col[q]]
+        # a quarter of each full sum, plus in the columns 2k + 3 - B the top-cut
+        # cell (k + 1, a = k + 1 - B) of B: g[k + 1, a + 1] + g[k + 1, a] + g[k + 2, a + 1],
+        # where the cell is on the lattice and before column end
+        run[0] = acc[d0:d1]
+        part = run[1:]
+        part *= 0.25
+        g_rows, w = g.shape
+        a = (ks + 1)[:, None] - diags[d0:d1]
+        on = ((a >= 0) & (a < cells)
+              & ((ks + 1 >= 0) & (ks + 1 < n_k) & (ks + 2 < k0 + g_rows))[:, None])
+        a += w * np.arange(1, n + 1)[:, None]       # the flat index of g[k + 1, a]
+        flat = g.ravel()
+        tri = flat.take(a + 1, mode="clip")
+        tri += flat.take(a, mode="clip")
+        tri += flat.take(a + w + 1, mode="clip")
+        tri /= 6.0
+        np.add(part[1::2], tri, out=part[1::2], where=on)
+        del a, on, tri
+        slot = np.arange(2 * k0, 2 * k1)[:, None]
+        np.copyto(part, 0.0, where=(slot < lo_slot[d0:d1]) | (slot >= hi_slot[d0:d1]))
+        np.cumsum(run, axis=0, out=run)
+        acc[d0:d1] = run[2 * n]
+        for k in range(k0, k1):         # a diagonal out of d0 .. d1 - 1 keeps its sum
+            q = at_row.get(k + 2)
+            if q is not None:
+                d = inv[q] - d0
+                inside = (d >= 0) & (d < d1 - d0)
+                at_top[q] = acc[inv[q]]
+                at_top[q[inside]] = run[2 * (k - k0) + 2, d[inside]]
+        del g, flat, add, lower, upper      # before the next block's g is read
+    at_cut += at_left[inv]
+    at_cut /= 6.0
+    at_top += at_cut
+    return at_top
+
+
+def _groups(keys, values):
+    """{key: the values of that key, in order} for integer arrays of one size."""
+    order = np.argsort(keys, kind="stable")
+    found, first = np.unique(keys[order], return_index=True)
+    return dict(zip(found.tolist(), np.split(values[order], first[1:])))

@@ -35,10 +35,13 @@ corrector pass on that single value.
 
 from __future__ import annotations
 
+import array
 import errno
+import io
 import json
 import math
 import mmap
+import os
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -55,6 +58,8 @@ __all__ = [
     "CharGrid",
     "FieldFormatError",
     "RadialField",
+    "MarchedField",
+    "RowFile",
     "BlowupFit",
     "HomogeneousPart",
     "solve_march",
@@ -67,6 +72,8 @@ DEFAULT_DIVERGENCE_FACTOR = 10.0
 _BLOCK_NODES = 1 << 15      # nodes a blocked loop holds at once (here and in diagnostics)
 _RESIDUAL_NODES = 4096      # interior nodes integral_residual samples at most
 _HUGE_PAGE_BYTES = 1 << 22  # numpy asks for huge pages on arrays of this size and more
+_BAND_CELLS = 1 << 13       # cells of ubar0's band a block of levels holds
+_STAGE_BYTES = 1 << 16      # bytes of rows a RowFile stages before it writes them
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +153,9 @@ class RadialField:
     """Samples of a radial function on the lattice, row-major by time level.
 
     ``samples[j, i]`` holds the value at (i*h, j*h).  For a blown-up field only
-    levels with t < t_b are stored, so every stored value is finite.
+    levels with t < t_b are stored, so every stored value is finite.  The
+    samples are an array or, for a march that streamed its levels to disk, a
+    ``RowFile``, whose rows the march checked finite as it wrote them.
     """
 
     grid: CharGrid
@@ -157,7 +166,8 @@ class RadialField:
     A: Optional[float] = None
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
+        if not isinstance(self.samples, RowFile):
+            self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 2 or self.samples.shape[1] != self.grid.n_r + 1:
             raise ValueError("samples must be (levels, n_r + 1)")
         if self.status not in _STATUSES:
@@ -165,8 +175,8 @@ class RadialField:
         if self.status == "blown_up" and self.t_b is None:
             raise ValueError("blown_up status requires t_b")
         # min and max carry any NaN and show +-inf, without a mask the size of the field
-        if self.samples.size and not (np.isfinite(self.samples.min())
-                                      and np.isfinite(self.samples.max())):
+        if (isinstance(self.samples, np.ndarray) and self.samples.size
+                and not (np.isfinite(self.samples.min()) and np.isfinite(self.samples.max()))):
             raise ValueError("stored samples must be finite")
 
     @property
@@ -177,20 +187,18 @@ class RadialField:
     def defined_t_max(self):
         return self.grid.h * (self.n_levels - 1)
 
-    def level_max(self):
-        """max|u| of each level, +0.0 for a zero level, with no temporary the size of the field."""
-        top = self.samples.max(axis=1)
-        np.maximum(top, -self.samples.min(axis=1), out=top)
-        top += 0.0          # -0.0 + 0.0 is +0.0
-        return top
-
     def save(self, path):
         """Write the field artifact (``_write_npz``): the float64 ``samples``
         unchanged and ``meta`` (h, r_max, t_max, p, A, status, t_b; floats by
-        repr, so they round-trip exactly)."""
-        _write_npz(path, {"samples": self.samples},
-                   {"h": self.grid.h, "r_max": self.grid.r_max, "t_max": self.grid.t_max,
-                    "p": self.p, "A": self.A, "status": self.status, "t_b": self.t_b})
+        repr, so they round-trip exactly).  Samples in a RowFile are already in
+        their place in the file, which ``RowFile.save`` completes into the same
+        bytes."""
+        meta = {"h": self.grid.h, "r_max": self.grid.r_max, "t_max": self.grid.t_max,
+                "p": self.p, "A": self.A, "status": self.status, "t_b": self.t_b}
+        if isinstance(self.samples, RowFile):
+            self.samples.save(path, meta)
+        else:
+            _write_npz(path, {"samples": self.samples}, meta)
 
     @staticmethod
     def load(path):
@@ -225,6 +233,15 @@ class RadialField:
             raise FieldFormatError(f"malformed field ({exc})") from None
 
 
+@dataclass
+class MarchedField(RadialField):
+    """A field as ``solve_march`` leaves it: with ``level_max``, max|u| of each
+    stored level as the march's stopping test took it, so no caller scans the
+    field for it."""
+
+    level_max: Optional[np.ndarray] = field(default=None, repr=False)
+
+
 def _is_number(v):
     """A JSON number that is finite: Python's json also reads NaN and Infinity."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
@@ -232,33 +249,69 @@ def _is_number(v):
 
 def _write_npz(path, arrays, meta):
     """One deterministic npz artifact: the arrays in order, then ``meta``, a 0-d
-    string of sort-keyed JSON.  Uncompressed, pickling refused, and every zip
-    entry carries the fixed 1980-01-01 stamp, so equal content gives equal bytes.
-    A C-contiguous member is written as its npy header and then its buffer, with
-    no copy of it (numpy's writer copies a zip entry out in 16 MiB chunks).  A
-    2-D member that is neither C- nor Fortran-contiguous (a field on page-aligned
-    rows, ``_zeros``) is written in C order by row blocks of about _BLOCK_NODES
-    cells through one buffer, the bytes numpy's writer gives."""
-    fmt = np.lib.format
+    string of sort-keyed JSON (``_write_members``)."""
     with zipfile.ZipFile(path, "w") as zf:
-        for name, value in (*arrays.items(), ("meta", np.array(json.dumps(meta, sort_keys=True)))):
-            value = np.asanyarray(value)
-            entry = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            with zf.open(entry, "w", force_zip64=True) as fh:
-                if value.dtype.hasobject or not (value.flags.c_contiguous or (
-                        value.ndim == 2 and not value.flags.f_contiguous)):
-                    fmt.write_array(fh, value, allow_pickle=False)
-                    continue
+        _write_members(zf, arrays, meta)
+
+
+def _npz_entry(name):
+    """The zip entry of an npz member: uncompressed, with the fixed 1980-01-01 stamp."""
+    return zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+
+
+def _write_members(zf, arrays, meta):
+    """The arrays, then ``meta``, into the open ZipFile ``zf``, each a zip64 entry
+    (``_npz_entry``), pickling refused, so equal content gives equal bytes.  A
+    C-contiguous member is written as its npy header and then its buffer, with
+    no copy of it (numpy's writer copies a zip entry out in 16 MiB chunks); any
+    other as numpy's writer writes it."""
+    fmt = np.lib.format
+    for name, value in (*arrays.items(), ("meta", np.array(json.dumps(meta, sort_keys=True)))):
+        value = np.asanyarray(value)
+        with zf.open(_npz_entry(name), "w", force_zip64=True) as fh:
+            if value.dtype.hasobject or not value.flags.c_contiguous:
+                fmt.write_array(fh, value, allow_pickle=False)
+            else:
                 fmt.write_array_header_1_0(fh, fmt.header_data_from_array_1_0(value))
-                if value.flags.c_contiguous:
-                    fh.write(value.data)
-                    continue
-                rows, width = value.shape
-                buf = np.empty((min(rows, max(1, _BLOCK_NODES // width)), width), value.dtype)
-                for lo in range(0, rows, len(buf)):
-                    block = buf[: min(len(buf), rows - lo)]
-                    block[...] = value[lo : lo + len(block)]
-                    fh.write(block.data)
+                fh.write(value.data)
+
+
+_CRC_POLY = 0xEDB88320      # CRC-32's polynomial, bits reflected as zlib keeps them
+
+
+def _crc_times(a, b):
+    """a * b modulo the CRC-32 polynomial (zlib's multmodp); x^0 is bit 31."""
+    p = 0
+    for _ in range(32):
+        if a & 1 << 31:
+            p ^= b
+        a = a << 1 & 0xFFFFFFFF
+        b = b >> 1 ^ _CRC_POLY if b & 1 else b >> 1
+    return p
+
+
+def _crc32_combine(crc1, crc2, len2):
+    """zlib's crc32_combine: the CRC-32 of A + B from crc1 = crc32(A), crc2 =
+    crc32(B) and len2 = len(B), as crc1 times x^(8 len2) plus crc2."""
+    shift, power = 1 << 31, 1 << 30             # x^0, and x^1
+    for _ in range(3):
+        power = _crc_times(power, power)        # x^8, a byte
+    while len2:
+        if len2 & 1:
+            shift = _crc_times(power, shift)
+        power = _crc_times(power, power)
+        len2 >>= 1
+    return _crc_times(shift, crc1) ^ crc2
+
+
+def _npy_header(shape):
+    """The npy 1.0 header numpy writes for a C-order float64 array of ``shape``.
+    numpy leaves room in it for axis 0 to grow, so its length does not depend on
+    the number of rows."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(out, {"descr": np.lib.format.dtype_to_descr(
+        np.dtype(np.float64)), "fortran_order": False, "shape": shape})
+    return out.getvalue()
 
 
 def _read_npz(path, what):
@@ -329,6 +382,127 @@ def _read_member(member):
     while member.read(1 << 16):
         pass
     return out
+
+
+class RowFile:
+    """field.npz written a level at a time: the rows of its ``samples`` member go
+    to their places in the file as the march accepts them, and ``save`` makes
+    the file the artifact ``_write_npz`` writes, so neither the march, nor the
+    residual that reads the rows back, nor the writer holds the field.
+
+    The file starts with room for the member's zip header and npy header; the
+    rows follow, (levels, width) float64 in C order, the npy payload.
+    ``append`` stages the next level's leading columns (the march's window)
+    with +0.0 after them, and ``lengths`` records how many; the staged rows
+    go to the file about _STAGE_BYTES at a time, one write each, and their
+    CRC-32 into the payload's.  ``rows[lo:hi]`` reads those rows into one
+    buffer, kept for the next read (so a block is valid until then), and
+    gives it cut one column of +0.0 past the longest (every column after it
+    is +0.0 too); ``rows[k, a]`` reads the values at the nodes (k, a).  Every
+    read goes through the file (preadv), never a mapping.  ``save(path,
+    meta)`` writes the headers, the member's CRC-32 combining the header's
+    with the payload's, adds ``meta`` and the central directory with
+    ``zipfile``, and renames the file to ``path``; ``close`` (or leaving a
+    ``with`` block) removes the file if it was not saved.
+    """
+
+    dtype = np.dtype(np.float64)
+    ndim = 2
+
+    def __init__(self, path, width):
+        self.path, self.width, self.lengths = path, width, array.array("q")
+        self._start = len(self._entry(0).FileHeader(zip64=True)) + len(_npy_header((0, width)))
+        self._stage = np.empty((max(1, _STAGE_BYTES // (8 * width)), width))
+        self._staged, self._crc, self._saved, self._buf = 0, 0, False, np.empty(0)
+        self._fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o600)
+
+    @property
+    def shape(self):
+        return (len(self.lengths), self.width)
+
+    @property
+    def size(self):
+        return len(self.lengths) * self.width
+
+    def _entry(self, crc):
+        """The samples member's zip entry, as ZipFile leaves it once written."""
+        entry = _npz_entry("samples")
+        entry.external_attr = 0o600 << 16
+        entry.file_size = entry.compress_size = len(_npy_header(self.shape)) + 8 * self.size
+        entry.CRC, entry.header_offset = crc, 0
+        return entry
+
+    def append(self, row):
+        """The next level: ``row``, a contiguous float64 array, holds its leading
+        columns, and +0.0 follows them."""
+        if self._staged == len(self._stage):
+            self._flush()
+        slot = self._stage[self._staged]
+        slot[: row.size] = row
+        slot[row.size :] = 0.0
+        self._staged += 1
+        self.lengths.append(row.size)
+
+    def _flush(self):
+        """Write the staged rows to their place and take them into the CRC-32."""
+        if not self._staged:
+            return
+        rows = self._stage[: self._staged]
+        offset = self._start + 8 * self.width * (len(self.lengths) - self._staged)
+        if os.pwrite(self._fd, rows, offset) != rows.nbytes:
+            raise OSError(errno.ENOSPC, "short write", str(self.path))
+        self._crc = zlib.crc32(rows, self._crc)
+        self._staged = 0
+
+    def _read(self, out, lo):
+        """The rows lo, lo + 1, ... into the contiguous array ``out`` of whole rows."""
+        self._flush()
+        got = os.preadv(self._fd, [out], self._start + 8 * self.width * lo)
+        if got != out.nbytes:
+            raise EOFError(f"{self.path}: expected {out.nbytes} bytes, got {got}")
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            lo, hi, _ = key.indices(len(self.lengths))
+            if self._buf.size < max(hi - lo, 0) * self.width:
+                self._buf = np.empty((hi - lo) * self.width)
+            out = self._buf[: max(hi - lo, 0) * self.width].reshape(-1, self.width)
+            if out.size:
+                self._read(out, lo)
+            return out[:, : min(self.width, max(self.lengths[lo:hi], default=0) + 1)]
+        k, a = np.broadcast_arrays(*key)
+        out, row = np.empty(k.shape), np.empty((1, self.width))
+        for level in set(k.ravel().tolist()):
+            self._read(row, level)
+            at = k == level
+            out[at] = row[0, a[at]]
+        return out
+
+    def save(self, path, meta):
+        self._flush()
+        npy = _npy_header(self.shape)
+        entry = self._entry(_crc32_combine(zlib.crc32(npy), self._crc, 8 * self.size))
+        os.pwrite(self._fd, entry.FileHeader(zip64=True) + npy, 0)
+        with open(self._fd, "r+b", closefd=False) as fh:
+            fh.seek(self._start + 8 * self.size)
+            with zipfile.ZipFile(fh, "w") as zf:
+                zf.filelist.append(entry)
+                _write_members(zf, {}, meta)
+        os.replace(self.path, path)
+        self.path, self._saved = path, True
+
+    def close(self):
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+            if not self._saved:
+                os.unlink(self.path)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def _zeros(shape):
@@ -402,7 +576,7 @@ class HomogeneousPart:
 
     def blocks(self, levels=None):
         """(lo, U) for the levels 0..levels - 1 (all of them by default), in blocks
-        of about _BLOCK_NODES cells (one level at least): U[j - lo, k] is ubar0 at
+        of about _BAND_CELLS cells (one level at least): U[j - lo, k] is ubar0 at
         the node (j + k - b, j), k = 0..2b.  Row j combines the tables' windows at
         n_t + 2j and at n_t.  Every block is written into one buffer, so a block
         is valid until the next is asked for."""
@@ -410,7 +584,7 @@ class HomogeneousPart:
         levels = n_t + 1 if levels is None else levels
         n = 2 * b + 1
         F, I, R = (sliding_window_view(v, n) for v in (self._F, self._I, self._r))
-        rows = max(1, _BLOCK_NODES // n)
+        rows = max(1, _BAND_CELLS // n)
         buf, even = np.empty((2, min(rows, levels), n))
         k = np.arange(n)
         for lo in range(0, levels, rows):
@@ -472,7 +646,8 @@ def _lambda_source(h, sigma):
 def solve_march(problem: Problem, grid: CharGrid,
                 blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
                 divergence_factor: float = DEFAULT_DIVERGENCE_FACTOR,
-                ubar0: Optional[HomogeneousPart] = None) -> RadialField:
+                ubar0: Optional[HomogeneousPart] = None,
+                rows: Optional[RowFile] = None) -> MarchedField:
     """March the fixed point ubar = ubar0 + A*P(|ubar|^p) up the lattice.
 
     ``ubar0`` is the data's ``HomogeneousPart``, built here if not given, so a
@@ -482,19 +657,23 @@ def solve_march(problem: Problem, grid: CharGrid,
     amplitude reaches the threshold or jumps by more than the divergence
     factor in a single step (a result, not an error), and with status "error"
     at the first level whose u or |u|^p is not finite; only the levels before
-    it are kept.
+    it are kept.  Each level it keeps is handed on as soon as it is accepted:
+    its max|u|, which the stopping test took, goes to the result's
+    ``level_max``, and its row is appended to ``rows``.  With ``rows`` the
+    march holds no field, u lives in three rows used in turn (a step reads no
+    level older than the one before it), and the result's samples are
+    ``rows``; without, u is the field, held in memory (``_zeros``).
 
-    One predictor/corrector pass settles each level.  A step reads no level
-    older than the one before it, so the samples are only written.  ubar0's
-    band is read a block of levels at a time (``HomogeneousPart.blocks``), and
-    level j's row of it is copied into one u0 row on the columns max(0, j - b)
-    .. j + b; left of them the row keeps the +0.0 of earlier bands' edges k =
-    0.  Everything
-    else lives in rows allocated once: A*lambda*|u|^p at two levels, the
-    auxiliary w = r*ubar1 at three, the extrapolated and the predicted level,
-    the part ``base`` both passes share, a scratch row and the axis sums.  The
-    solution vanishes beyond r_max: the right neighbour of the last column is
-    the exact zero kept at the end of every F and w row.  The axis value is the
+    One predictor/corrector pass settles each level.  ubar0's band is read a
+    block of levels at a time (``HomogeneousPart.blocks``), and level j's row
+    of it is copied into one u0 row on the columns max(0, j - b) .. j + b;
+    left of them the row keeps the +0.0 of earlier bands' edges k = 0.
+    Everything else lives in rows allocated once: A*lambda*|u|^p at two
+    levels, the auxiliary w = r*ubar1 at three, the extrapolated and the
+    predicted level, the part ``base`` both passes share, a scratch row and
+    the axis sums.  The solution vanishes beyond r_max: the right neighbour
+    of the last column is the exact zero kept at the end of every F and w
+    row.  The axis value is the
     r -> 0 limit A*P(|u|^p)(0, Jh), the sum over k < J of w_k times
     A*lambda*|u|^p at ((J-k)h, kh), w_0 = h/2 and w_k = h otherwise; each F
     row, once final, is added into the sums of the J = i + k it enters.
@@ -507,9 +686,10 @@ def solve_march(problem: Problem, grid: CharGrid,
     a window node reads past the window of the level before is a row entry
     never written: the +0.0 a march over every column computes there, as a
     band widened with +0.0 cells to b > n_r makes it; the axis sums, which
-    start at +0.0, skip only +0.0 terms.  The samples are the same either way.
-    The samples are ``_zeros``: a field of 4 MiB or more keeps in memory only
-    the pages its light cone writes.
+    start at +0.0, skip only +0.0 terms.  The samples are the same either way,
+    and a level is handed on as its window (a u row is written only there, so
+    past it the row holds +0.0).  A field held in memory is ``_zeros``: one of
+    4 MiB or more keeps in memory only the pages its light cone writes.
     """
     if grid.r_max + 1e-12 < problem.rho + grid.t_max:
         raise ValueError("grid violates the domain of dependence: need r_max >= rho + t_max")
@@ -525,7 +705,16 @@ def solve_march(problem: Problem, grid: CharGrid,
         ubar0 = HomogeneousPart(problem.f_profile, problem.g_profile, grid)
     b = ubar0.b
     band_rows = (row for _, block in ubar0.blocks() for row in block)
-    u = _zeros((n_t + 1, n_r + 1))     # its pages past the light cone are never written
+    # u at level j in the row j % len(u): three rows in turn, or the held field
+    u = np.zeros((3, n_r + 1)) if rows is not None else _zeros((n_t + 1, n_r + 1))
+    level_max = np.empty(n_t + 1)
+
+    def accept(j, row, m):
+        """Hand level j on: ``row`` is its window, ``m`` its max|u|."""
+        level_max[j] = m
+        if rows is not None:
+            rows.append(row)
+
     F = np.zeros((2, n_r + 2))         # A*lambda*|u|^p at levels j and j - 1
     w = np.zeros((3, n_r + 2))         # w at levels j + 1, j and j - 1
     u_star, u_pre = np.empty(n_r + 1), np.zeros(n_r + 1)
@@ -541,6 +730,7 @@ def solve_march(problem: Problem, grid: CharGrid,
     axis[1:c] += 0.5 * h * F[0, 1:c]
     status, t_b, defined = "complete", None, n_t + 1
     m_prev = float(np.max(np.abs(u[0])))
+    accept(0, u[0, : b + 1], m_prev)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_t):
@@ -565,8 +755,8 @@ def solve_march(problem: Problem, grid: CharGrid,
                 np.add(wc[: c - 1], wc[2 : c + 1], out=base_in)
                 np.subtract(base_in, wp[1:c], out=base_in)
                 np.add(base_in, tmp_in, out=base_in)
-                star = np.multiply(u[j, :c], 2.0, out=u_star[:c])
-                np.subtract(star, u[j - 1, :c], out=star)
+                star = np.multiply(u[j % len(u), :c], 2.0, out=u_star[:c])
+                np.subtract(star, u[(j - 1) % len(u), :c], out=star)
 
             # predictor: u0 + (base + hh6 * A*lambda*|u_star|^p) / lambda
             sigma(star, tmp_c)
@@ -578,7 +768,7 @@ def solve_march(problem: Problem, grid: CharGrid,
             # corrector: w = base + hh6 * A*lambda*|u_pre|^p, u = u0 + w / lambda
             sigma(u_pre[:c], tmp_c)
             np.multiply(alam_in, tmp_in, out=tmp_in)
-            un, un_in, wn_in = u[new, :c], u[new, 1:c], w[j % 3, 1:c]
+            un, un_in, wn_in = u[new % len(u), :c], u[new % len(u), 1:c], w[j % 3, 1:c]
             np.multiply(tmp_in, hh6, out=wn_in)
             np.add(base_in, wn_in, out=wn_in)
             np.divide(wn_in, lam_in, out=un_in)
@@ -605,8 +795,10 @@ def solve_march(problem: Problem, grid: CharGrid,
             np.multiply(alam[:c], sig, out=sig)
             axis[new + 1 : new + c] += h * sig[1:]
             m_prev = m_new
+            accept(new, un, m_new)
 
-    return RadialField(grid, u[:defined], status=status, t_b=t_b, p=problem.p, A=problem.A)
+    return MarchedField(grid, u[:defined] if rows is None else rows, status=status, t_b=t_b,
+                        p=problem.p, A=problem.A, level_max=level_max[:defined])
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +817,8 @@ def detect_blowup_time(status: str, t_b: Optional[float], grid: CharGrid,
     """t_b plus a least-squares fit of max|u|(t) ~ c*(t_b' - t)^nu near the end.
 
     Takes a field's status and t_b, its grid and its max|u| per level
-    (``RadialField.level_max``), one per stored level, so the field itself
-    need not be held.  Returns None for fields that did not blow up.  The fit
+    (``MarchedField.level_max``, as the march took it), one per stored level,
+    so the field itself need not be held.  Returns None for fields that did not blow up.  The fit
     scans candidate singular times just beyond the last computed level and
     regresses log-max against log(t_b' - t); for the power nonlinearity the
     expected exponent is nu = -2/(p-1).
@@ -680,11 +872,11 @@ def integral_residual(problem: Problem, field: RadialField,
                          indexing="ij")
     keep = ii + jj <= grid.n_r
     jj, ii = jj[keep], ii[keep]
+    integral = influence_quadrature(field.samples, ii, jj,
+                                    source=_lambda_source(grid.h, _power_source(problem.p)))
     if ubar0 is None:
         ubar0 = HomogeneousPart(problem.f_profile, problem.g_profile, grid)
     res = field.samples[jj, ii] - ubar0.at(ii, jj)
-    integral = influence_quadrature(field.samples, ii, jj,
-                                    source=_lambda_source(grid.h, _power_source(problem.p)))
     res -= problem.A * (integral * grid.h * grid.h / (2.0 * ii * grid.h))
     if res.size == 0:
         return {"residual_linf": 0.0, "residual_l2": 0.0, "nodes": 0}

@@ -22,8 +22,12 @@ def traced_peak(fn, *args, **kwargs):
 
 
 def dense_quadrature(u, i, j, alpha_lo=None, beta_lo=None, source=None):
-    """The reference quadrature (``quadrature_oracle``) on g = source(u, a) built whole."""
-    u = np.asarray(u, dtype=float)
+    """The reference quadrature (``quadrature_oracle``) on g = source(u, a) built
+    whole; u is an array or a ``solver.RowFile``, whose rows come cut past
+    their last nonzero column and are read back into the whole lattice."""
+    rows = u[: u.shape[0]]
+    u = np.zeros(u.shape)
+    u[:, : rows.shape[1]] = rows
     g = u if source is None else source(u, np.arange(u.shape[1]))
     return quadrature_oracle.influence_quadrature(g, i, j, alpha_lo, beta_lo)
 

@@ -344,18 +344,24 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, what, kind):
 
 
 def test_an_oserror_while_computing_is_not_a_config_error(tmp_path, monkeypatch):
-    # only the read sites classify OSError: one raised by allocating a field
-    # (mmap's ENOMEM), in the march or while diagnose loads field.npz, is not
-    # reported as the user's error
+    # only the read sites classify OSError: one raised by writing the march's
+    # rows (a full disk) or by allocating the field diagnose loads field.npz
+    # into (mmap's ENOMEM) is not reported as the user's error
+    def no_space(self, row):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
     def no_memory(shape):
         raise OSError(errno.ENOMEM, "Cannot allocate memory")
 
     cfg = write(tmp_path / "c.json", base_run_config(tmp_path))
     assert main(["solve", "--config", cfg]) == 0
+    monkeypatch.setattr(cli, "_STREAM_BYTES", 0)        # this small field streams too
+    monkeypatch.setattr(solver.RowFile, "append", no_space)
     monkeypatch.setattr(solver, "_zeros", no_memory)
-    for argv in (["solve", "--config", cfg],
-                 ["diagnose", "--config", cfg, "--field", str(tmp_path / "out" / "field.npz")]):
-        with pytest.raises(OSError, match="Cannot allocate memory"):
+    for argv, message in ((["solve", "--config", cfg], "No space left"),
+                          (["diagnose", "--config", cfg, "--field",
+                            str(tmp_path / "out" / "field.npz")], "Cannot allocate memory")):
+        with pytest.raises(OSError, match=message):
             main(argv)
 
 
@@ -984,12 +990,34 @@ def test_solve_determinism_bytewise(tmp_path):
     assert fa == fb
 
 
-def test_solve_leaves_one_field_artifact(tmp_path):
-    # tools find the field as the one field.* file that is not JSON
+def test_solve_leaves_one_field_artifact(tmp_path, monkeypatch):
+    # tools find the field as the one field.* file that is not JSON, and a
+    # sweep's resume compares the stamps of every file in a row: the file the
+    # march writes field.npz into is renamed field.npz once complete, and
+    # removed when solve raises mid-march, which leaves the earlier field.npz
+    # as it was
     doc = base_run_config(tmp_path, grid={"h": 1 / 16, "t_max": 2.0})
-    assert main(["solve", "--config", write(tmp_path / "c.json", doc)]) == 0
-    names = sorted(f.name for f in (tmp_path / "out").iterdir())
+    cfg, out = write(tmp_path / "c.json", doc), tmp_path / "out"
+    monkeypatch.setattr(cli, "_STREAM_BYTES", 0)        # this small field streams too
+    assert main(["solve", "--config", cfg]) == 0
+    names = sorted(f.name for f in out.iterdir())
     assert names == ["field.npz", "manifest.json", "residual.json"]
+    before = (out / "field.npz").read_bytes(), (out / "field.npz").stat().st_mtime_ns
+    append, levels = solver.RowFile.append, []
+
+    def fail_mid_march(rows, row):
+        levels.append(len(rows.lengths))
+        if len(levels) == 5:
+            assert (out / cli._FIELD_PART).exists()
+            raise RuntimeError("mid-march")
+        append(rows, row)
+
+    monkeypatch.setattr(solver.RowFile, "append", fail_mid_march)
+    with pytest.raises(RuntimeError, match="mid-march"):
+        main(["solve", "--config", cfg])
+    assert levels == [0, 1, 2, 3, 4]
+    assert sorted(f.name for f in out.iterdir()) == names
+    assert ((out / "field.npz").read_bytes(), (out / "field.npz").stat().st_mtime_ns) == before
 
 
 # ---------------------------------------------------------------------------
@@ -1093,3 +1121,56 @@ def test_mean_subcommand_monomial(tmp_path):
     assert vals[0] == 0.0
     assert vals[1] == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert vals[2] == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+
+def test_solve_streams_fields_of_stream_bytes_or_more(tmp_path, monkeypatch):
+    # a field of _STREAM_BYTES or more goes to field.npz as the march makes
+    # it, a smaller one is held in memory; both write the same artifacts
+    cfg = write(tmp_path / "c.json", base_run_config(tmp_path, grid={"h": 1 / 16, "t_max": 4.0}))
+    made, row_file = [], cli.RowFile
+
+    def counted(*args):
+        made.append(args)
+        return row_file(*args)
+
+    monkeypatch.setattr(cli, "RowFile", counted)
+    assert main(["solve", "--config", cfg, "--output", str(tmp_path / "held")]) == 0
+    assert made == []
+    monkeypatch.setattr(cli, "_STREAM_BYTES", 0)
+    assert main(["solve", "--config", cfg, "--output", str(tmp_path / "streamed")]) == 0
+    assert len(made) == 1
+    for name in ("field.npz", "residual.json"):
+        assert (tmp_path / "held" / name).read_bytes() == (tmp_path / "streamed" / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's traced run
+# ---------------------------------------------------------------------------
+
+def test_traced_bench_child_runs_solve_and_diagnose(tmp_path):
+    # perfbench/child.py --trace wraps the names the CLI calls and reads
+    # their results (solve_march's n_levels and samples, the field writer's
+    # path): a name that changes what it takes or returns crashes every traced
+    # bench run, so solve, then diagnose on its field, must exit 0 traced
+    root = Path(__file__).resolve().parent.parent
+    doc = base_run_config(tmp_path, grid={"h": 1 / 16, "t_max": 4.0})
+    cfg, spans = write(tmp_path / "c.json", doc), tmp_path / "spans"
+    spans.mkdir()
+    env = dict(os.environ, PYTHONPATH="src")
+    for name, argv in (("solve", ["solve", "--config", cfg]),
+                       ("diagnose", ["diagnose", "--config", cfg, "--field",
+                                     str(tmp_path / "out" / "field.npz"),
+                                     "--output", str(tmp_path / "diag")])):
+        result = tmp_path / f"{name}.json"
+        proc = subprocess.run([sys.executable, "perfbench/child.py", str(result), "--trace",
+                               str(spans), "--", *argv], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(result.read_text())
+        assert record["exit"] == 0 and "exception" not in record, record
+    traced = [json.loads(line) for f in spans.glob("spans-*.jsonl")
+              for line in f.read_text().splitlines()]
+    marches = [s for s in traced if s["name"] == "solver.solve_march"]
+    writes = [s for s in traced if s["name"] == "solver.field_write"]
+    assert len(marches) == 1 and marches[0]["levels"] > 0
+    assert len(writes) == 1 and writes[0]["bytes"] > 0

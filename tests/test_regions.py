@@ -431,6 +431,88 @@ def test_streamed_sources_are_bitwise_the_dense_oracle(shape, p):
                     _assert_streamed_is_dense(u, d, t2 + d, source, alpha_lo=t2 + d)
 
 
+# the row sweep against the diagonal sweep it replaced (quadrature_oracle), bit for bit
+
+def _supports(K, N, rng):
+    """Signed fields with zeros where the package's sources have them and where
+    they do not: a light cone a < k + c, a cut after a column, a floor below a
+    diagonal (u zero for k - a < c, so low nodes answer from no cell), sparse
+    entries, signed zeros and one entry of 1e100."""
+    kk, aa = np.indices((K, N))
+    dense = 3.0 * rng.normal(size=(K, N))
+    fields = [dense, np.where(aa >= kk + 2, 0.0, dense), np.where(aa >= N // 3, 0.0, dense),
+              np.where(kk - aa < K // 3, 0.0, dense), np.where(rng.random((K, N)) < 0.8, 0.0, dense),
+              np.where(aa >= kk + 1, -0.0, np.where(rng.random((K, N)) < 0.3, -0.0, dense)),
+              np.zeros((K, N))]
+    fields[1][-1, 0] = 1e100
+    return fields
+
+
+def _assert_rows_are_diagonals(u, i, j, source=None, **floors):
+    got = influence_quadrature(u, i, j, source=source, **floors)
+    ref = quadrature_oracle.diagonal_sweep(u, i, j, source=source, **floors)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), floors
+    return got
+
+
+@pytest.mark.parametrize("shape", [(2, 9), (17, 12), (23, 40), (40, 23)])
+def test_row_sweep_is_bitwise_the_diagonal_sweep(shape):
+    # every node whose region fits, under no floor, each floor and both, for
+    # alpha_lo and beta_lo from below the lattice to its top, with g = u and
+    # the residual's source, on whole fields and on a window of a larger one;
+    # a block of rows holds 16 steps, so (23, 40) and (40, 23) cross blocks
+    K, N = shape
+    rng = np.random.default_rng(K * N + 7)
+    big = rng.normal(size=(K + 5, N + 9))
+    for u in _supports(K, N, rng) + [big[3 : K + 3, 4 : N + 4]]:
+        for source in (None, _package_sources(1.0 / 16.0, 2.41)[0]):
+            for beta_lo in (None, *sorted({0, K // 2, K - 1})):
+                ii, jj = _fitting_nodes(K, N, beta_lo)
+                floors = {} if beta_lo is None else {"beta_lo": beta_lo}
+                _assert_rows_are_diagonals(u, ii, jj, source, **floors)
+                for alpha_lo in (-2, 1, (K + N) // 3, K + N - 1):
+                    _assert_rows_are_diagonals(u, ii, jj, source, alpha_lo=alpha_lo, **floors)
+
+
+def test_row_sweep_answers_nodes_below_the_support_and_none():
+    # nodes on diagonals below the lowest that holds a nonzero of u answer +0.0
+    # before their quadrants, as the diagonal sweep, which skips them, does;
+    # an empty node set answers an empty array without reading u
+    K, N = 30, 40
+    kk, aa = np.indices((K, N))
+    u = np.where(kk - aa >= 6, 1.0 + np.random.default_rng(2).random((K, N)), 0.0)
+    ii, jj = _fitting_nodes(K, N)
+    below, above = jj - ii < 5, jj - ii >= 8
+    assert below.any() and above.any()
+    got = _assert_rows_are_diagonals(u, ii, jj)
+    assert np.all(got[below] == 0) and not np.any(np.signbit(got))
+    assert np.all(got[above] > 0)
+    for floors in ({}, {"alpha_lo": 3}, {"beta_lo": 2}):
+        empty = _assert_rows_are_diagonals(u, np.array([], dtype=int), np.array([], dtype=int),
+                                           **floors)
+        assert empty.shape == (0,)
+    assert influence_quadrature(u[:0], np.zeros((0, 3), dtype=int), 0).shape == (0, 3)
+
+
+def test_row_sweep_reads_a_row_file_as_its_array(tmp_path):
+    # the residual's source read back from a file of rows (solver.RowFile), a
+    # block of rows and the quadrant corners at a time, answers bitwise as the
+    # array those rows make
+    from wavelab.solver import RowFile
+    K, N = 37, 52
+    kk, aa = np.indices((K, N))
+    u = np.where(aa < kk + 6, np.random.default_rng(4).normal(size=(K, N)), 0.0)
+    source = _package_sources(1.0 / 16.0, 2.0)[0]
+    with RowFile(tmp_path / "rows", N) as rows:
+        for k in range(K):
+            rows.append(np.ascontiguousarray(u[k, : min(N, k + 6)]))
+        for floors in ({}, {"alpha_lo": 9}, {"beta_lo": 4}, {"alpha_lo": 12, "beta_lo": 4}):
+            ii, jj = _fitting_nodes(K, N, floors.get("beta_lo"))
+            got = influence_quadrature(rows, ii, jj, source=source, **floors)
+            ref = influence_quadrature(u, ii, jj, source=source, **floors)
+            assert got.tobytes() == ref.tobytes(), floors
+
+
 def test_subset_examples():
     assert subset_check(RegionQrt(1, 10, 2, 0.5), RegionR(1, 10))
     assert subset_check(RegionBrt(2, 12, 5), Sigma(5))

@@ -5,6 +5,7 @@ import mmap
 import os
 import weakref
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from wavelab.profiles import RadialProfile, bump_profile, zero_profile
 from wavelab.diagnostics import select_t2_delta
 from wavelab.regions import influence_quadrature
 from wavelab.solver import (CharGrid, FieldFormatError, HomogeneousPart, Problem, RadialField,
-                            _read_npz, _write_npz, detect_blowup_time, integral_residual,
-                            solve_march)
+                            RowFile, _read_npz, _write_npz, detect_blowup_time,
+                            integral_residual, solve_march)
 from wavelab.spherical import ScalarField3, build_sphere_quadrature, spherical_mean
 
 import continuum_oracle
@@ -251,17 +252,31 @@ def test_field_finiteness_check_allocates_no_mask():
     assert peak <= 0.02 * vals.nbytes
 
 
-def test_level_max_is_max_abs_with_no_field_temporary():
-    # bitwise max|u| per level, +0.0 (no signbit) on levels of +0.0, -0.0 or both
-    g = CharGrid(1 / 64, 8.0, 4.0)
-    vals = np.random.default_rng(5).normal(size=(g.n_t + 1, g.n_r + 1))
-    vals[1], vals[2], vals[3] = 0.0, -0.0, np.where(np.arange(g.n_r + 1) % 2, -0.0, 0.0)
-    vals[4, 7] = -1e300
-    fld = RadialField(g, vals)
-    got, peak = traced_peak(fld.level_max)
-    want = np.max(np.abs(vals), axis=1)
-    assert got.tobytes() == want.tobytes() and not np.any(np.signbit(got))
-    assert peak <= 0.02 * vals.nbytes
+def _marches(statuses=("blown_up", "complete", "error")):
+    """(status, problem, grid, march limits) of a coarse run ending in each
+    status: the README bump, the same at amplitude 1, and p = 3 whose |u|^p
+    overflows."""
+    runs = {"blown_up": (CharGrid(RHO / 16, RHO + 16.0, 16.0), {}, ()),
+            "complete": (CharGrid(RHO / 16, RHO + 16.0, 16.0), {"amplitude": 1.0}, ()),
+            "error": (CharGrid(RHO / 16, RHO + 20.0, 20.0), {"amplitude": 24.0, "p": 3.0},
+                      (1e300, np.inf))}
+    for status in statuses:
+        grid, data, limits = runs[status]
+        yield status, blowup_problem(grid, **data), grid, limits
+
+
+def test_march_level_max_is_max_abs_of_each_level():
+    # the march hands on each level's max|u| as its stopping test took it:
+    # bitwise max|u| of every stored level, +0.0 (no signbit) on zero levels
+    gr = CharGrid(RHO / 16, RHO + 4.0, 4.0).r_values()
+    zero = ("complete", Problem(2.0, 1.0, zero_profile(RHO, gr), zero_profile(RHO, gr)),
+            CharGrid(RHO / 16, RHO + 4.0, 4.0), ())
+    for status, prob, grid, limits in (*_marches(), zero):
+        fld = solve_march(prob, grid, *limits)
+        want = np.max(np.abs(fld.samples), axis=1)
+        assert fld.status == status and fld.level_max.shape == (fld.n_levels,)
+        assert fld.level_max.tobytes() == want.tobytes()
+        assert not np.any(np.signbit(fld.level_max))
 
 
 def test_field_save_writes_numpys_bytes_with_no_field_copy(tmp_path):
@@ -298,20 +313,72 @@ def test_zeros_rows_start_on_pages_from_the_huge_page_size():
         assert z.shape == shape and z.flags.c_contiguous and not np.any(z)
 
 
-def test_page_aligned_field_writes_a_contiguous_copys_bytes(tmp_path, crit4_run):
-    # a marched field on page-aligned rows writes field.npz byte for byte as
-    # its contiguous copy does, through one buffer of _BLOCK_NODES cells: the
-    # README run at rho/128, blown up, and one at rho/64 that completes
-    grid = CharGrid(RHO / 64, RHO + 16.0, 16.0)
-    complete = solve_march(blowup_problem(grid, amplitude=1.0), grid)
-    for name, fld in (("blown_up", crit4_run[1]), ("complete", complete)):
-        assert fld.status == name and not fld.samples.flags.c_contiguous
-        _, peak = traced_peak(fld.save, tmp_path / f"{name}.npz")
-        assert peak <= 1.1 * 8 * solver._BLOCK_NODES
-        copy = dataclasses.replace(fld, samples=np.ascontiguousarray(fld.samples))
-        copy.save(tmp_path / f"{name}-copy.npz")
-        assert ((tmp_path / f"{name}.npz").read_bytes()
-                == (tmp_path / f"{name}-copy.npz").read_bytes()), name
+def test_streamed_field_writes_the_in_memory_fields_bytes(tmp_path):
+    # a march that appends its levels to a RowFile writes field.npz byte for
+    # byte as _write_npz writes the same march held in memory, and keeps the
+    # same max|u| per level, whether it completes, blows up or stops on an error
+    for status, prob, grid, limits in _marches():
+        held = solve_march(prob, grid, *limits)
+        held.save(tmp_path / f"{status}-held.npz")
+        with RowFile(tmp_path / f"{status}.rows", grid.n_r + 1) as rows:
+            streamed = solve_march(prob, grid, *limits, rows=rows)
+            assert streamed.samples is rows and rows.shape == held.samples.shape
+            streamed.save(tmp_path / f"{status}.npz")
+        assert held.status == streamed.status == status
+        assert streamed.level_max.tobytes() == held.level_max.tobytes()
+        assert ((tmp_path / f"{status}.npz").read_bytes()
+                == (tmp_path / f"{status}-held.npz").read_bytes()), status
+        assert not (tmp_path / f"{status}.rows").exists()
+
+
+def test_residual_of_streamed_rows_is_the_in_memory_ones(tmp_path):
+    # integral_residual on the rows a march appended to a RowFile, read back a
+    # block of rows and the residual's nodes at a time, is bitwise the residual
+    # of the same march held in memory
+    for status, prob, grid, limits in _marches(("blown_up", "complete")):
+        held = solve_march(prob, grid, *limits)
+        want = integral_residual(prob, held)
+        with RowFile(tmp_path / f"{status}.rows", grid.n_r + 1) as rows:
+            got = integral_residual(prob, solve_march(prob, grid, *limits, rows=rows))
+        assert held.status == status and want["nodes"] > 1000
+        assert json.dumps(got) == json.dumps(want)
+
+
+def test_row_file_reads_back_what_was_appended(tmp_path):
+    # rows of any length, the rest of each row +0.0: read back by blocks of
+    # rows (cut one column of +0.0 past the longest) and at nodes as the array
+    # they make, and saved as the npz _write_npz writes of it; a file not saved
+    # is removed
+    rng = np.random.default_rng(3)
+    width, lengths = 7, (7, 3, 0, 5, 7, 1, 2)
+    want = np.zeros((len(lengths), width))
+    with RowFile(tmp_path / "r", width) as rows:
+        for k, n in enumerate(lengths):
+            want[k, :n] = rng.normal(size=n)
+            rows.append(np.ascontiguousarray(want[k, :n]))
+        assert rows.shape == want.shape and rows.size == want.size
+        for (lo, hi), cut in (((0, 6), 7), ((1, 4), 6), ((5, 9), 3), ((3, 3), 1), ((2, 3), 1)):
+            got = rows[lo:hi]
+            assert got.shape == (len(want[lo:hi]), cut)
+            assert got.tobytes() == want[lo:hi, :cut].tobytes()
+            assert cut == width or not want[lo:hi, cut - 1 :].any()
+        k, a = np.array([[5, 0], [3, 3]]), np.array([[0, 6], [4, 0]])
+        assert rows[k, a].tobytes() == want[k, a].tobytes()
+        rows.save(tmp_path / "f.npz", {"k": 1})
+        assert rows[0:7].tobytes() == want.tobytes()
+    _write_npz(tmp_path / "want.npz", {"samples": want}, {"k": 1})
+    assert (tmp_path / "f.npz").read_bytes() == (tmp_path / "want.npz").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.npz", "want.npz"]
+    with RowFile(tmp_path / "gone", 3) as rows:
+        rows.append(np.ones(2))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.npz", "want.npz"]
+
+
+def test_crc32_combine_is_zlibs():
+    rng = np.random.default_rng(8)
+    for n1, n2 in ((0, 0), (5, 0), (0, 7), (128, 1000), (3, 1 << 20)):
+        a, b = rng.bytes(n1), rng.bytes(n2)
+        assert solver._crc32_combine(zlib.crc32(a), zlib.crc32(b), n2) == zlib.crc32(a + b)
 
 
 def test_interpolate_returns_nodes_on_last_level_and_column(blowup_run_coarse):
@@ -779,30 +846,38 @@ def test_residual_peak_memory(crit4_run):
     assert peak <= 0.05 * field.samples.nbytes
 
 
-def test_march_peak_memory():
-    # the state array is the field itself, in _zeros' mapping (which tracemalloc
-    # does not see), and u0 is read a block of _BLOCK_NODES band cells at a
-    # time: the rest measured 0.11x the field, so no field-sized array is built
-    grid = CharGrid(RHO / 64, RHO + 16.0, 16.0)
-    prob = blowup_problem(grid)
-    fld, peak = traced_peak(solve_march, prob, grid)
-    assert fld.status == "blown_up"
-    assert peak <= 0.15 * fld.samples.nbytes
+def test_march_peak_memory(tmp_path, monkeypatch):
+    # a streamed solve holds no field, so its memory does not grow with the
+    # number of levels: quadrupling t_max at rho/16 (streamed at any size
+    # here) grows field.npz 13x and the traced peak of the whole solve
+    # (march, residual, field.npz, fit) 1.25x, by the residual's nodes (3040
+    # to 4171 of them) and the rows growing with r_max
+    monkeypatch.setattr(cli, "_STREAM_BYTES", 0)
+    peaks, sizes = [], []
+    for t_max in (4.0, 16.0):
+        cfg = _readme_run_config(RHO / 16, tmp_path / f"t{t_max:g}", amplitude=1.0, t_max=t_max)
+        record, peak = traced_peak(cli._run_solve, cfg, tmp_path / f"t{t_max:g}")
+        assert record["status"] == "complete"
+        peaks.append(peak)
+        sizes.append((tmp_path / f"t{t_max:g}" / "field.npz").stat().st_size)
+    assert sizes[1] > 10 * sizes[0]
+    assert peaks[1] < 1.5 * peaks[0]
 
 
-def _readme_run_config(h, out_dir):
+def _readme_run_config(h, out_dir, amplitude=10.0, t_max=16.0):
     return parse_run_config({"problem": {"p": 2.0, "A": 1.0,
-                                         "data": {"profile": "bump", "amplitude": 10.0,
+                                         "data": {"profile": "bump", "amplitude": amplitude,
                                                   "rho": RHO}},
-                             "grid": {"h": h, "t_max": 16.0}, "output_dir": str(out_dir)})
+                             "grid": {"h": h, "t_max": t_max}, "output_dir": str(out_dir)})
 
 
-def test_solve_holds_one_field(tmp_path):
-    # march, residual, field write, blow-up fit and max|u|: the field lives in
-    # _zeros' mapping, which tracemalloc does not see, and nothing else builds
-    # an array the size of the field (no source array, no |u|, no copy for the
-    # writer).  The rest measured 0.11x the lattice, so the bound leaves a
-    # third of headroom; the field is read back from field.npz
+def test_solve_holds_no_field(tmp_path):
+    # march, residual, field write, blow-up fit and max|u|: the levels go to a
+    # file as they are made and are read back a block of rows at a time, so
+    # no array of the field's size, nor one that grows with its levels, is
+    # built.  Measured 0.131x the lattice, nothing hidden from tracemalloc:
+    # most of it is the residual's sweep (its 4131 nodes and a block of rows);
+    # the field is read back from field.npz
     cfg = _readme_run_config(RHO / 64, tmp_path)
     record, peak = traced_peak(cli._run_solve, cfg, tmp_path)
     fld = RadialField.load(tmp_path / "field.npz")
@@ -816,10 +891,10 @@ def test_solve_never_builds_a_whole_lattice_u0(tmp_path, crit4_run):
     # u0 is read a block of levels at a time (the march, the cone selection)
     # or at the nodes alone (the residual), so neither a solve nor diagnose's
     # cone selection allocates u0's band, (n_t + 1) x (2b + 1) cells: at
-    # rho/128 the solve's traced peak measured 0.32x the band (the field lives
-    # in _zeros' mapping, which tracemalloc does not see) and the cone
-    # selection's less.  The field is read back from field.npz: the residual
-    # is the standalone one's and the cone the one picked from the march's field
+    # rho/128 the solve's traced peak measured 0.37x the band (solve holds
+    # no field) and the cone selection's less.  The field is read back from
+    # field.npz: the residual is the standalone one's and the cone the one
+    # picked from the march's field
     record, peak = traced_peak(cli._run_solve, _readme_run_config(RHO / 128, tmp_path), tmp_path)
     fld = RadialField.load(tmp_path / "field.npz")
     prob, marched = crit4_run
@@ -834,27 +909,28 @@ def test_solve_never_builds_a_whole_lattice_u0(tmp_path, crit4_run):
 
 
 def test_solve_takes_max_abs_u_once(monkeypatch, tmp_path):
-    # _run_solve takes the per-level max|u| once; the blow-up fit reads those
-    # maxima, and fits exactly as it does on the field read back from field.npz
-    real, calls = RadialField.level_max, []
+    # _run_solve at rho/64, a field of _STREAM_BYTES or more, never builds a
+    # field (solver._zeros) and takes max|u| per level from the march alone;
+    # the blow-up fit reads those maxima, and fits exactly as it does on the
+    # maxima of the field read back from field.npz
+    def no_field(shape):
+        raise AssertionError(f"a {shape} field was built")
 
-    def counted(self):
-        calls.append(self.n_levels)
-        return real(self)
-
-    monkeypatch.setattr(RadialField, "level_max", counted)
-    record = cli._run_solve(_readme_run_config(RHO / 32, tmp_path), tmp_path)
+    monkeypatch.setattr(solver, "_zeros", no_field)
+    record = cli._run_solve(_readme_run_config(RHO / 64, tmp_path), tmp_path)
+    monkeypatch.undo()
     fld = RadialField.load(tmp_path / "field.npz")
-    assert fld.status == "blown_up" and calls == [fld.n_levels]
-    fit = _fit(fld)
+    assert fld.status == "blown_up"
+    fit = detect_blowup_time(fld.status, fld.t_b, fld.grid, np.max(np.abs(fld.samples), axis=1))
     assert (record["fitted_t_b"], record["fitted_exponent"]) == (fit.fitted_t_b,
                                                                  fit.fitted_exponent)
     assert record["max_amplitude_reached"] == np.max(np.abs(fld.samples))
 
 
 def test_solve_frees_the_field_before_the_fit(monkeypatch, tmp_path):
-    # once field.npz and max|u| are written the field is dropped, so the
-    # blow-up fit (whose first LAPACK call allocates) runs without it
+    # once field.npz is written the march's result (its rows file and max|u|)
+    # is dropped, so the blow-up fit (whose first LAPACK call allocates) runs
+    # with nothing of the field's
     real_march, real_fit, fields, alive = cli.solve_march, cli.detect_blowup_time, [], []
 
     def march(*args, **kwargs):
@@ -1097,7 +1173,7 @@ def test_blowup_run_and_refinement_stability(blowup_run_coarse):
 
 def _fit(fld):
     """The blow-up fit of a field, from its max|u| per level."""
-    return detect_blowup_time(fld.status, fld.t_b, fld.grid, fld.level_max())
+    return detect_blowup_time(fld.status, fld.t_b, fld.grid, fld.level_max)
 
 
 def test_detect_blowup_time(blowup_run_coarse):
