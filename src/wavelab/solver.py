@@ -414,7 +414,7 @@ class RowFile:
         self._start = len(self._entry(0).FileHeader(zip64=True)) + len(_npy_header((0, width)))
         self._stage = np.empty((max(1, _STAGE_BYTES // (8 * width)), width))
         self._staged, self._crc, self._saved, self._buf = 0, 0, False, np.empty(0)
-        self._fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o600)
+        self._fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)     # as open() does
 
     @property
     def shape(self):

@@ -1125,7 +1125,8 @@ def test_mean_subcommand_monomial(tmp_path):
 
 def test_solve_streams_fields_of_stream_bytes_or_more(tmp_path, monkeypatch):
     # a field of _STREAM_BYTES or more goes to field.npz as the march makes
-    # it, a smaller one is held in memory; both write the same artifacts
+    # it, a smaller one is held in memory; both write the same artifacts,
+    # with the same file mode
     cfg = write(tmp_path / "c.json", base_run_config(tmp_path, grid={"h": 1 / 16, "t_max": 4.0}))
     made, row_file = [], cli.RowFile
 
@@ -1140,7 +1141,9 @@ def test_solve_streams_fields_of_stream_bytes_or_more(tmp_path, monkeypatch):
     assert main(["solve", "--config", cfg, "--output", str(tmp_path / "streamed")]) == 0
     assert len(made) == 1
     for name in ("field.npz", "residual.json"):
-        assert (tmp_path / "held" / name).read_bytes() == (tmp_path / "streamed" / name).read_bytes()
+        held, streamed = tmp_path / "held" / name, tmp_path / "streamed" / name
+        assert held.read_bytes() == streamed.read_bytes()
+        assert held.stat().st_mode == streamed.stat().st_mode
 
 
 # ---------------------------------------------------------------------------
