@@ -66,18 +66,35 @@ def _peak_rss_mb():      # of this process so far; ru_maxrss is in KiB on Linux
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _rss_anon_mb():
+    """This process's anonymous resident memory now (RssAnon in /proc/self/status,
+    in KiB), None where the file or the line is absent: unlike the RSS peak, it
+    leaves out file pages, which are clean and reclaimable."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("RssAnon:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
+
+
 class _PhaseClock:
-    """Per phase of a command: its time, the running peak RSS after it and one INFO line."""
+    """Per phase of a command: its time, the running peak RSS and the anonymous RSS
+    after it, and one INFO line."""
 
     def __init__(self, command, phases):
         self.command = command
         self.timings = {name + "_s": None for name in phases}
         self.rss_after = dict.fromkeys(phases)
+        self.anon_after = dict.fromkeys(phases)
         self._clock = time.perf_counter()
 
     def done(self, name, detail):
         now = time.perf_counter()
         self.timings[name + "_s"], self.rss_after[name] = now - self._clock, _peak_rss_mb()
+        self.anon_after[name] = _rss_anon_mb()
         log.info("%s: %s %s in %.2fs, peak RSS %.0f MB", self.command, name, detail,
                  now - self._clock, self.rss_after[name])
         self._clock = now
@@ -151,6 +168,7 @@ def _run_solve(cfg: RunConfig, out_dir: Path):
         "wall_time_s": phases.timings["march_s"] + phases.timings["residual_s"],
         "timings": phases.timings,
         "peak_rss_mb_after": phases.rss_after,
+        "rss_anon_mb_after": phases.anon_after,
         "peak_rss_mb": _peak_rss_mb(),
         "status": status,
         "t_b": t_b,
@@ -183,25 +201,26 @@ def _lattice_round(x, h, up_even=False):
 def _run_diagnose(cfg: RunConfig, field_path, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     phases = _PhaseClock("diagnose", ("field_read", "select", "check_chain", "tables", "certify"))
-    field = RadialField.load(field_path)
-    phases.done("field_read", f"{field.n_levels} levels")
-    p = field.p if field.p is not None else cfg.p
-    A = field.A if field.A is not None else cfg.A
-    grid = field.grid
-    # solve_march's domain-of-dependence test: diagnose reads only lattices a solve can write
-    if grid.r_max + 1e-12 < cfg.data.rho + grid.t_max:
-        raise ConfigError(f"field grid violates the domain of dependence: r_max = {grid.r_max:g}"
-                          f" < rho + t_max = {cfg.data.rho + grid.t_max:g}")
-    if cfg.t2 is None or cfg.delta is None:
-        f_prof, g_prof = cfg.data.build_profiles(grid.r_values())
-        t2, delta = select_t2_delta(field, f_prof, g_prof)
-        phases.done("select", f"t2={t2:g} delta={delta:g}")
-    if cfg.t2 is not None:
-        t2 = _lattice_round(cfg.t2, grid.h) if cfg.t2 > 0 else 0.0
-    if cfg.delta is not None:
-        delta = _lattice_round(cfg.delta, grid.h, up_even=True)
-
-    report = check_chain(field, ChainConfig(p, A, t2, delta, cfg.epsilon))
+    # the field stays on disk: field_read is the load's checking pass, and the
+    # chain reads the file a block of rows at a time until the file is closed
+    with RadialField.load(field_path) as field:
+        phases.done("field_read", f"{field.n_levels} levels")
+        p = field.p if field.p is not None else cfg.p
+        A = field.A if field.A is not None else cfg.A
+        grid = field.grid
+        # solve_march's domain-of-dependence test: diagnose reads only lattices a solve can write
+        if grid.r_max + 1e-12 < cfg.data.rho + grid.t_max:
+            raise ConfigError(f"field grid violates the domain of dependence: r_max = "
+                              f"{grid.r_max:g} < rho + t_max = {cfg.data.rho + grid.t_max:g}")
+        if cfg.t2 is None or cfg.delta is None:
+            f_prof, g_prof = cfg.data.build_profiles(grid.r_values())
+            t2, delta = select_t2_delta(field, f_prof, g_prof)
+            phases.done("select", f"t2={t2:g} delta={delta:g}")
+        if cfg.t2 is not None:
+            t2 = _lattice_round(cfg.t2, grid.h) if cfg.t2 > 0 else 0.0
+        if cfg.delta is not None:
+            delta = _lattice_round(cfg.delta, grid.h, up_even=True)
+        report = check_chain(field, ChainConfig(p, A, t2, delta, cfg.epsilon))
     phases.done("check_chain", "holds" if report.holds else "violated")
     _write_json(out_dir / "diagnostics.json", report.to_json_dict())
     report.save_tables(out_dir / "residuals.npz")
@@ -241,6 +260,7 @@ def _run_diagnose(cfg: RunConfig, field_path, out_dir: Path):
     _write_json(out_dir / "diagnose_manifest.json",
                 _manifest(cfg.raw, {"timings": phases.timings,
                                     "peak_rss_mb_after": phases.rss_after,
+                                    "rss_anon_mb_after": phases.anon_after,
                                     "peak_rss_mb": _peak_rss_mb()}))
 
     if not report.holds:
@@ -302,6 +322,7 @@ def _sweep_row(task):
                                             "wall_time_s": record.get("wall_time_s"),
                                             "timings": record.get("timings"),
                                             "peak_rss_mb_after": record.get("peak_rss_mb_after"),
+                                            "rss_anon_mb_after": record.get("rss_anon_mb_after"),
                                             "peak_rss_mb": record.get("peak_rss_mb")}))
     return row
 

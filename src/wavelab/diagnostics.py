@@ -67,6 +67,7 @@ __all__ = [
 BRT_SAMPLES = 60    # Sigma nodes checked by the region integral bound
 G1_SAMPLES = 144    # (alpha, beta) pairs checked by the weighted functional bound
 MAX_ROWS = 20000    # rows a residual table keeps; past it, sampled (InequalityTable.build)
+_BAND_BYTES = 1 << 21   # bytes of the skewed band of levels the characteristic pass reads at once
 
 
 class GridTooShortError(ValueError):
@@ -319,8 +320,7 @@ def compute_M(field: RadialField, t2: float, delta: float, p: float) -> float:
     if j2 + d > field.n_levels - 1 or j2 + 2 * d > grid.n_r:
         raise ValueError("region outside grid")
     # T(t2, delta) is R(delta, t2 + delta) cut at alpha = t2 + delta
-    window = field.samples[: j2 + d + 1, : j2 + 2 * d + 1]
-    return float(influence_quadrature(window, d, j2 + d, alpha_lo=j2 + d,
+    return float(influence_quadrature(field.samples, d, j2 + d, alpha_lo=j2 + d,
                                       source=_lambda_source(0.5 * h, _power_source(p)))) * h * h
 
 
@@ -357,30 +357,30 @@ def _sigma_tables(field, config, j_star):
 
     The nodes i <= j - j_star run level by level, outward in r, as one flat
     array would hold them; they are read in blocks of whole levels, as many as
-    fit _BLOCK_NODES nodes (one level at least), and streamed into the tables.
-    A block holds u, r, t and the pointwise rhs t + r at its nodes.
+    fit _BLOCK_NODES nodes (one level at least), each level's nodes one run
+    of cells (``samples[j, :count]``), and streamed into the tables.  A block
+    holds u, r, t and the pointwise rhs t + r at its nodes.
     """
     h, p, C0 = field.grid.h, config.p, config.C0
     counts = np.minimum(np.arange(field.n_levels - j_star), field.grid.n_r) + 1
     ends = np.cumsum(counts)
     positivity = _TableStream("sigma_positivity", int(ends[-1]))
     pointwise = _TableStream("pointwise_lower_bound", int(ends[-1]), {"C0": C0})
-    cols = np.arange(field.grid.n_r + 1)
-    r_col, t_lev = h * cols, h * np.arange(j_star, field.n_levels)
+    t_lev = h * np.arange(j_star, field.n_levels)
     lo = 0
     while lo < counts.size:
         base = ends[lo] - counts[lo]
         hi = max(lo + 1, int(np.searchsorted(ends, base + _BLOCK_NODES, side="right")))
-        inside = cols < counts[lo:hi, None]
-        u = field.samples[j_star + lo : j_star + hi][inside]
-        r = np.broadcast_to(r_col, inside.shape)[inside]
-        t = np.broadcast_to(t_lev[lo:hi, None], inside.shape)[inside]
+        u = np.concatenate([field.samples[j_star + k, : counts[k]] for k in range(lo, hi)])
+        first = np.repeat(ends[lo:hi] - counts[lo:hi], counts[lo:hi])     # of each node's level
+        r = h * (np.arange(base, ends[hi - 1]) - first)
+        t = np.repeat(t_lev[lo:hi], counts[lo:hi])
         positivity.add(r, t, u, 0.0, lambda u, _: _chain_tol(h, u, 1.0))
         rhs = t + r
         rhs **= 1.0 - p
         rhs *= C0
         pointwise.add(r, t, u, rhs, partial(_chain_tol, h))
-        del inside, u, r, t, rhs        # so the next block is not read while this one is held
+        del u, first, r, t, rhs        # so the next block is not read while this one is held
         lo = hi
     return positivity.finish(), pointwise.finish()
 
@@ -390,8 +390,9 @@ def _region_integral_table(field, config, j_star):
 
     The eligible nodes (i >= 1, i + j <= n_r) are counted per level; every
     stride-th of them in Sigma's flat order is picked by its rank.  The
-    source lambda u_+^p is read from the window of the regions (beta >=
-    t_star bounds lambda and the nodes bound the rows); no array of it is built.
+    source lambda u_+^p is read from the field by the quadrature's sweep,
+    which reads only the rows and columns the regions reach (beta >= t_star
+    bounds lambda and the nodes bound the rows); no array of it is built.
     """
     h, n_r = field.grid.h, field.grid.n_r
     js = np.arange(j_star, field.n_levels)
@@ -402,11 +403,9 @@ def _region_integral_table(field, config, j_star):
     ranks = np.arange(0, ends[-1], max(1, int(ends[-1]) // BRT_SAMPLES))[:BRT_SAMPLES]
     lev = np.searchsorted(ends, ranks, side="right")
     jb, ib = js[lev], 1 + ranks - (ends[lev] - eligible[lev])
-    # B(r, t) is R(i, j) cut at beta = j_star: it reaches lambda = (i + j - j_star)/2
-    a_max = int((ib + jb - j_star + 1).max()) // 2
+    # B(r, t) is R(i, j) cut at beta = j_star
     source = _lambda_source(h, _positive_power(config.p))
-    integral = influence_quadrature(field.samples[: jb.max() + 1, : a_max + 1], ib, jb,
-                                    beta_lo=j_star, source=source) * h * h
+    integral = influence_quadrature(field.samples, ib, jb, beta_lo=j_star, source=source) * h * h
     rhs_b = config.A * (integral / (2.0 * ib * h))
     lhs_b = field.samples[jb, ib]
     return [InequalityTable.build("region_integral_bound", ib * h, jb * h, lhs_b, rhs_b,
@@ -425,23 +424,67 @@ def _alpha_blocks(n, j_star):
         lo = hi
 
 
-def _F_block(samples, j_star, lo, hi):
+def _band_levels(blocks, j_star):
+    """(L0, L1, s0, s1): the levels L0 .. L1 and the anti-diagonals s = level +
+    column s0 .. s1 that the alpha rows of ``blocks``, consecutive blocks of
+    ``_alpha_blocks``, read.  Alpha row a reads s = j_star + a - 1, j_star + a
+    and j_star + a + 1 only, on the levels down to j_star + lo - hi // 2 in its
+    block [lo, hi)."""
+    lo, hi = blocks[0][0], blocks[-1][1]
+    floor = min(j_star + a - b // 2 for a, b in blocks)
+    return floor, j_star + hi - 1, j_star + lo - 1, j_star + hi
+
+
+def _alpha_spans(n, j_star):
+    """``_alpha_blocks`` in runs whose band (``_band``) holds at most _BAND_BYTES,
+    one block at least."""
+    span = []
+    for block in _alpha_blocks(n, j_star):
+        L0, L1, s0, s1 = _band_levels(span + [block], j_star)
+        if span and 8 * (L1 - L0 + 1) * (s1 - s0 + 1) > _BAND_BYTES:
+            yield span
+            span = []
+        span.append(block)
+    yield span
+
+
+def _band(samples, j_star, blocks):
+    """The cells the alpha rows of ``blocks`` read, skewed so that anti-diagonals
+    are columns: (U, L0, s0) with U[L - L0, L + c - s0] = samples[L, c] for the
+    levels and anti-diagonals of ``_band_levels``.  Each level is one run of
+    cells (``samples[L, c0:c1]``), so a field on disk is read one preadv a
+    level; cells off the lattice are left unset, and no F view reads them.
+    Blocks that would read off the lattice raise IndexError."""
+    L0, L1, s0, s1 = _band_levels(blocks, j_star)
+    rows, width = samples.shape
+    if L0 < 0 or blocks[-1][1] // 2 >= width or L1 >= rows:
+        raise IndexError(f"alpha rows {blocks[0][0]}..{blocks[-1][1] - 1} from level {j_star} "
+                         "leave the lattice")
+    U = np.empty((L1 - L0 + 1, s1 - s0 + 1))
+    for L in range(L0, L1 + 1):
+        c0, c1 = max(0, s0 - L), min(width, s1 + 1 - L)
+        if c1 > c0:
+            U[L - L0, L + c0 - s0 : L + c1 - s0] = samples[L, c0:c1]
+    return U, L0, s0
+
+
+def _F_block(band, j_star, lo, hi):
     """F(alpha_a, beta_{a-d}) for a in [lo, hi), d in [0, hi), read off the lattice.
 
     (r, t) = (d/2, j_star + a - d/2) in lattice units: a node at even d, else a cell
     centre valued by the corner mean in the bilinear interpolant's order
-    (``tests/field_oracle.py``), so the two agree bitwise.  Each parity is a view
-    of the samples built from their own strides, so rows padded to whole pages
-    (``_zeros``) are read in place.  Entries with d > a, outside Sigma-prime, are zero.
+    (``tests/field_oracle.py``), so the two agree bitwise.  Each parity is a
+    strided view of ``band`` (``_band``, for blocks holding [lo, hi)): an
+    anti-diagonal of the lattice is a column of the band, so a view steps one
+    row and one column per alpha row and one row per cell along it.  Entries
+    with d > a, outside Sigma-prime, are zero.
     """
-    (rows, width), (s_row, s_col) = samples.shape, samples.strides
+    U, L0, s0 = band
+    s_row, s_col = U.strides
 
     def view(i, j, count):      # samples[j + a - lo - m, i + m], a in [lo, hi), m < count
-        top, right = j - count + 1, i + count - 1       # as_strided checks no bounds
-        if count and (top < 0 or i + count > width or j + hi - lo > rows):
-            raise IndexError(f"anti-diagonals from ({i}, {j}) leave the lattice")
-        first = samples[top:, right:] if count else samples
-        return np.lib.stride_tricks.as_strided(first, (hi - lo, count), (s_row, s_row - s_col),
+        first = U[j - count + 1 - L0 :, j + i - s0 :] if count else U   # as_strided checks none
+        return np.lib.stride_tricks.as_strided(first, (hi - lo, count), (s_row + s_col, s_row),
                                                writeable=False)[:, ::-1]
 
     j, c = j_star + lo, hi // 2
@@ -468,6 +511,9 @@ def _row_trapezoids(f, w, lo, h):
 def _characteristic_pass(field, config, j_star, n, cols, tri_a, tri_b):
     """H, J, G and K1 on the lattice t_star + h*[0..n], beta <= alpha, by alpha-row blocks.
 
+    The blocks come in spans (``_alpha_spans``), each read as one band of the
+    field (``_band``) and cut from it as strided views (``_F_block``), so the
+    pass holds a band and a block, never the field.
     Returns alphas, H, J, G and K1 at the columns ``cols``, and F at the row-sorted
     nodes (tri_a, tri_b).  In (alpha, d = a - b) coordinates the weights are the 1-D
     (d h)^q and (d h)^(1+q), so the trapezoids H and J are row sums
@@ -481,21 +527,24 @@ def _characteristic_pass(field, config, j_star, n, cols, tri_a, tri_b):
     H_vals, J_int, F_tri = np.empty(n + 1), np.empty(n + 1), np.empty(tri_a.size)
     positive_power = _positive_power(p)
     G_cols, K1_cols = np.empty((n + 1, cols.size)), np.empty((n + 1, cols.size))
-    for lo, hi in _alpha_blocks(n, j_star):
-        F = _F_block(field.samples, j_star, lo, hi)
-        rows, a = np.arange(hi - lo), np.arange(lo, hi)
-        H_vals[lo:hi] = _row_trapezoids(F, w_H, lo, h)
-        db = alphas[lo:hi, None] - alphas[cols]
-        d = np.maximum(a[:, None] - cols, 0)
-        G_cols[lo:hi] = np.where(db > 0, db, 0.0) ** q * F[rows[:, None], d]
-        s0, s1 = np.searchsorted(tri_a, [lo, hi])
-        F_tri[s0:s1] = F[tri_a[s0:s1] - lo, tri_a[s0:s1] - tri_b[s0:s1]]
-        positive_power(F, F)                # F_+^p, in place
-        J_int[lo:hi] = _row_trapezoids(F, w_J, lo, h)
-        F *= dh[:hi]                        # K1's integrand (alpha - beta) F_+^p
-        tail = np.cumsum(F[:, ::-1], axis=1)[:, ::-1]
-        K1_cols[lo:hi] = h * (tail[rows[:, None], d] - 0.5 * F[rows[:, None], d]
-                              - 0.5 * F[rows, a][:, None])
+    for blocks in _alpha_spans(n, j_star):
+        band = _band(field.samples, j_star, blocks)
+        for lo, hi in blocks:
+            F = _F_block(band, j_star, lo, hi)
+            rows, a = np.arange(hi - lo), np.arange(lo, hi)
+            H_vals[lo:hi] = _row_trapezoids(F, w_H, lo, h)
+            db = alphas[lo:hi, None] - alphas[cols]
+            d = np.maximum(a[:, None] - cols, 0)
+            G_cols[lo:hi] = np.where(db > 0, db, 0.0) ** q * F[rows[:, None], d]
+            s0, s1 = np.searchsorted(tri_a, [lo, hi])
+            F_tri[s0:s1] = F[tri_a[s0:s1] - lo, tri_a[s0:s1] - tri_b[s0:s1]]
+            positive_power(F, F)                # F_+^p, in place
+            J_int[lo:hi] = _row_trapezoids(F, w_J, lo, h)
+            F *= dh[:hi]                        # K1's integrand (alpha - beta) F_+^p
+            tail = np.cumsum(F[:, ::-1], axis=1)[:, ::-1]
+            K1_cols[lo:hi] = h * (tail[rows[:, None], d] - 0.5 * F[rows[:, None], d]
+                                  - 0.5 * F[rows, a][:, None])
+        del band                            # before the next band is read
     return alphas, H_vals, J_int, G_cols, K1_cols, F_tri
 
 

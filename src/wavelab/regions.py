@@ -161,7 +161,8 @@ def _row_sweep(u, source, lo, b, j, top, a_lo):
     left_at = _groups(np.maximum((diags + left_col - 2) // 2, -2), np.arange(nd))
     at_row = _groups(j, np.arange(j.size))          # the nodes of each row j
     last, reach, k_end = int(diags[-1]), int(top.max()), int(j.max())
-    width = min(n_a + 1, reach + 1)                 # the columns any cell reads
+    # the columns any cell reads: a region reaches lambda = min(i + j, (i + j - lo + 1)/2)
+    width = min(n_a + 1, int(np.minimum(top, (top - lo + 1) // 2).max()) + 1)
     columns = np.arange(width)
 
     steps = max(1, min(min(max(_BLOCK_CELLS // (n_a + 1), 16), 48), _BLOCK_TERMS // (8 * nd)))

@@ -154,8 +154,10 @@ class RadialField:
 
     ``samples[j, i]`` holds the value at (i*h, j*h).  For a blown-up field only
     levels with t < t_b are stored, so every stored value is finite.  The
-    samples are an array or, for a march that streamed its levels to disk, a
-    ``RowFile``, whose rows the march checked finite as it wrote them.
+    samples are an array or a ``RowFile``: the rows a march streamed to disk,
+    checked finite as it wrote them, or those of a field.npz ``load`` read
+    back, checked finite by its pass.  A field is a context manager that
+    closes a RowFile's file when it is left.
     """
 
     grid: CharGrid
@@ -178,6 +180,13 @@ class RadialField:
         if (isinstance(self.samples, np.ndarray) and self.samples.size
                 and not (np.isfinite(self.samples.min()) and np.isfinite(self.samples.max()))):
             raise ValueError("stored samples must be finite")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if isinstance(self.samples, RowFile):
+            self.samples.close()
 
     @property
     def n_levels(self):
@@ -202,11 +211,16 @@ class RadialField:
 
     @staticmethod
     def load(path):
-        """Read a field artifact written by ``save`` (``_read_npz``, so only the
-        samples' light cone takes memory); a missing or bad meta key, an
-        off-lattice grid, or samples of the wrong width or dtype or not finite
-        raise FieldFormatError too."""
-        members, meta = _read_npz(path, "field")
+        """Read a field artifact written by ``save`` (``_read_npz``).  Samples as
+        ``save`` writes them come back as a read-only ``RowFile`` on the file,
+        after one pass that checks their CRC-32 and finiteness, so the field
+        holds no memory; leaving the field as a context manager closes the file.
+        Samples of another layout (Fortran order, a deflated member) are read
+        into memory by numpy.  A missing or bad meta key, an off-lattice grid,
+        or samples of the wrong width or dtype or not finite raise
+        FieldFormatError too."""
+        members, meta = _read_npz(path, "field", rows="samples")
+        samples = members.get("samples", np.array(None))
 
         def number(key, optional=False):
             if key not in meta:
@@ -218,19 +232,24 @@ class RadialField:
                 raise FieldFormatError(f"malformed field meta ({key}={value!r})")
             return float(value)
 
-        h, r_max, t_max = (number(k) for k in ("h", "r_max", "t_max"))
-        p, A, t_b = (number(k, optional=True) for k in ("p", "A", "t_b"))
-        status = meta.get("status")
-        if status not in _STATUSES:
-            raise FieldFormatError(f"malformed field meta (status={status!r})")
-        samples = members.get("samples", np.array(None))
-        if samples.dtype != np.float64 or samples.ndim != 2 or samples.shape[0] == 0:
-            raise FieldFormatError(f"malformed field samples ({samples.dtype}, shape {samples.shape})")
         try:
-            return RadialField(CharGrid(h, r_max, t_max), samples,
-                               status=status, t_b=t_b, p=p, A=A)
-        except ValueError as exc:
-            raise FieldFormatError(f"malformed field ({exc})") from None
+            h, r_max, t_max = (number(k) for k in ("h", "r_max", "t_max"))
+            p, A, t_b = (number(k, optional=True) for k in ("p", "A", "t_b"))
+            status = meta.get("status")
+            if status not in _STATUSES:
+                raise FieldFormatError(f"malformed field meta (status={status!r})")
+            if samples.dtype != np.float64 or samples.ndim != 2 or samples.shape[0] == 0:
+                raise FieldFormatError(
+                    f"malformed field samples ({samples.dtype}, shape {samples.shape})")
+            try:
+                return RadialField(CharGrid(h, r_max, t_max), samples,
+                                   status=status, t_b=t_b, p=p, A=A)
+            except ValueError as exc:
+                raise FieldFormatError(f"malformed field ({exc})") from None
+        except BaseException:
+            if isinstance(samples, RowFile):
+                samples.close()
+            raise
 
 
 @dataclass
@@ -314,20 +333,23 @@ def _npy_header(shape):
     return out.getvalue()
 
 
-def _read_npz(path, what):
+def _read_npz(path, what, rows=None):
     """(arrays, meta dict) of an npz artifact written by ``_write_npz``, each
-    member read by ``_read_member``.  A missing file raises FileNotFoundError; a
-    file that cannot be opened (a directory, say), no zip signature, a pickled or
+    member read as numpy reads it, pickles refused.  The member named ``rows``,
+    if it is stored as ``_write_npz`` stores a C-order float64 2-D array, is
+    instead checked in one pass (``_check_rows``) and returned as a read-only
+    ``RowFile`` on the file.  A missing file raises FileNotFoundError; a file
+    that cannot be opened (a directory, say), no zip signature, a pickled or
     unreadable member (a CRC-32 mismatch or a corrupt deflate stream among
-    them), or a meta not a JSON object string a FieldFormatError naming ``what``.
-    An ENOMEM from allocating a member (``_zeros``) is no fault of the file and
-    propagates."""
+    them), non-finite rows, or a meta not a JSON object string a
+    FieldFormatError naming ``what``."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
         raise
     except OSError as exc:
         raise FieldFormatError(f"unreadable {what} npz ({exc})") from None
+    fmt, checked = np.lib.format, None
     with fh:
         if fh.read(4) != b"PK\x03\x04":
             raise FieldFormatError(f"not a wavelab {what} npz (no zip signature)")
@@ -336,85 +358,114 @@ def _read_npz(path, what):
         try:
             with zipfile.ZipFile(fh) as zf:
                 for info in zf.infolist():
+                    name = info.filename.removesuffix(".npy")
                     with zf.open(info) as member:
-                        members[info.filename.removesuffix(".npy")] = _read_member(member)
+                        if name == rows and info.compress_type == zipfile.ZIP_STORED:
+                            # the header version, shape, order and dtype _write_npz writes
+                            if fmt.read_magic(member) == (1, 0):
+                                shape, fortran, dtype = fmt.read_array_header_1_0(member)
+                                if dtype == np.float64 and len(shape) == 2 and not fortran:
+                                    checked = (name, shape[1], *_check_rows(
+                                        fh.fileno(), info, member.tell(), shape))
+                                    continue
+                            member.seek(0)
+                        members[name] = fmt.read_array(member, allow_pickle=False)
         except (ValueError, OSError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
-            if isinstance(exc, OSError) and exc.errno == errno.ENOMEM:
-                raise
             raise FieldFormatError(f"malformed {what} npz ({exc})") from None
-    meta = members.pop("meta", np.array(None))
-    try:
-        meta = json.loads(meta[()]) if meta.shape == () and meta.dtype.kind == "U" else None
-    except ValueError:
-        meta = None
-    if not isinstance(meta, dict):
-        raise FieldFormatError(f"malformed {what} meta (not a JSON object string)")
+        meta = members.pop("meta", np.array(None))
+        try:
+            meta = json.loads(meta[()]) if meta.shape == () and meta.dtype.kind == "U" else None
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise FieldFormatError(f"malformed {what} meta (not a JSON object string)")
+        if checked is not None:
+            name, width, start, lengths = checked
+            members[name] = RowFile(path, width, fd=os.dup(fh.fileno()), start=start,
+                                    lengths=lengths)
     return members, meta
 
 
-def _read_member(member):
-    """One npy member, pickles refused.  A C-order float64 2-D one (the field's
-    samples) is read into ``_zeros`` in blocks of about _BLOCK_NODES cells through
-    one buffer.  Each block is copied only up to its last column that holds a bit
-    pattern other than +0.0, so the +0.0 tail past the light cone is never
-    written and holds no memory; -0.0 and zeros inside the copied columns keep
-    their bits.  The member is read to its end, where zipfile checks the CRC-32.
-    Any other member is read as numpy reads it."""
-    fmt = np.lib.format
-    if fmt.read_magic(member) == (1, 0):          # the header version _write_npz writes
-        shape, fortran, dtype = fmt.read_array_header_1_0(member)
-    else:
-        shape, fortran, dtype = (), False, None
-    if dtype != np.float64 or len(shape) != 2 or fortran:
-        member.seek(0)
-        return fmt.read_array(member, allow_pickle=False)
+def _check_rows(fd, info, header, shape):
+    """One pass over the stored zip member ``info`` of the file open as ``fd``,
+    an npy array of C-order float64 rows of ``shape`` after ``header`` bytes of
+    npy header: (the file offset of its rows, the length of each row).  The
+    rows are read _BLOCK_NODES cells at a time into one buffer, and the pass
+    checks the member's size and CRC-32 against the zip directory's and then
+    that every value is finite.  A row's length is one past its last column
+    holding a bit pattern other than +0.0, so -0.0 counts; every column from it
+    on is +0.0."""
+    local = os.pread(fd, 30, info.header_offset)
+    if len(local) < 30 or local[:4] != b"PK\x03\x04":
+        raise zipfile.BadZipFile(f"bad local file header for {info.filename!r}")
+    head = (info.header_offset + 30 + int.from_bytes(local[26:28], "little")
+            + int.from_bytes(local[28:30], "little"))
     rows, width = shape
-    out = _zeros(shape)
+    if info.file_size != header + 8 * rows * width:
+        raise ValueError(f"{info.filename}: {info.file_size} bytes do not hold shape {shape}")
+    crc, finite, lengths = zlib.crc32(os.pread(fd, header, head)), True, array.array("q")
     buf = np.empty((max(1, min(rows, _BLOCK_NODES // max(width, 1))), width))
     for lo in range(0, rows, len(buf)):
         block = buf[: min(len(buf), rows - lo)]
-        got = member.readinto(block)
+        got = os.preadv(fd, [block], head + header + 8 * width * lo)
         if got != block.nbytes:
             raise EOFError(f"EOF: reading array data, expected {block.nbytes} bytes got {got}")
-        nonzero = np.flatnonzero(np.bitwise_or.reduce(block.view(np.int64), axis=0))
-        end = nonzero[-1] + 1 if nonzero.size else 0
-        out[lo : lo + len(block), :end] = block[:, :end]
-    while member.read(1 << 16):
-        pass
-    return out
+        crc = zlib.crc32(block, crc)
+        finite = finite and bool(np.isfinite(block).all())
+        held = block.view(np.int64) != 0
+        lengths.extend(np.where(held.any(axis=1), width - held[:, ::-1].argmax(axis=1), 0).tolist())
+    if crc != info.CRC:
+        raise zipfile.BadZipFile(f"Bad CRC-32 for file {info.filename!r}")
+    if not finite:
+        raise ValueError("stored samples must be finite")
+    return head + header, lengths
 
 
 class RowFile:
-    """field.npz written a level at a time: the rows of its ``samples`` member go
-    to their places in the file as the march accepts them, and ``save`` makes
-    the file the artifact ``_write_npz`` writes, so neither the march, nor the
-    residual that reads the rows back, nor the writer holds the field.
+    """The rows of field.npz's ``samples`` member, in the file: written a level
+    at a time by a march, or read back from a field.npz on disk.
 
-    The file starts with room for the member's zip header and npy header; the
-    rows follow, (levels, width) float64 in C order, the npy payload.
-    ``append`` stages the next level's leading columns (the march's window)
-    with +0.0 after them, and ``lengths`` records how many; the staged rows
-    go to the file about _STAGE_BYTES at a time, one write each, and their
-    CRC-32 into the payload's.  ``rows[lo:hi]`` reads those rows into one
-    buffer, kept for the next read (so a block is valid until then), and
-    gives it cut one column of +0.0 past the longest (every column after it
-    is +0.0 too); ``rows[k, a]`` reads the values at the nodes (k, a).  Every
-    read goes through the file (preadv), never a mapping.  ``save(path,
-    meta)`` writes the headers, the member's CRC-32 combining the header's
-    with the payload's, adds ``meta`` and the central directory with
-    ``zipfile``, and renames the file to ``path``; ``close`` (or leaving a
-    ``with`` block) removes the file if it was not saved.
+    A writer, ``RowFile(path, width)``, creates the file with room for the
+    member's zip header and npy header; the rows follow, (levels, width)
+    float64 in C order, the npy payload.  ``append`` stages the next level's
+    leading columns (the march's window) with +0.0 after them, and
+    ``lengths`` records how many; the staged rows go to the file about
+    _STAGE_BYTES at a time, one write each, and their CRC-32 into the
+    payload's.  ``save(path, meta)`` writes the headers, the member's CRC-32
+    combining the header's with the payload's, adds ``meta`` and the central
+    directory with ``zipfile``, and renames the file to ``path``, making it
+    the artifact ``_write_npz`` writes; so neither the march, nor the residual
+    that reads the rows back, nor the writer holds the field.  ``close`` (or
+    leaving a ``with`` block) removes the file if it was not saved.
+
+    A reader (``RadialField.load``) is given ``fd``, the file opened read-only,
+    the offset ``start`` of its rows and their ``lengths`` (each row is +0.0
+    past its length); it neither writes nor removes the file, and ``close``
+    only closes ``fd``.
+
+    Every read goes through the file (preadv), never a mapping.
+    ``rows[lo:hi]`` reads those rows into one buffer, kept for the next read
+    (so a block is valid until then), and gives it cut one column of +0.0
+    past the longest (every column after it is +0.0 too); ``rows[k, c0:c1]``
+    reads the cells c0 .. c1 - 1 of level k, one read; ``rows[k, a]`` reads
+    the values at the nodes (k, a), one read of the columns asked for per
+    level.
     """
 
     dtype = np.dtype(np.float64)
     ndim = 2
 
-    def __init__(self, path, width):
-        self.path, self.width, self.lengths = path, width, array.array("q")
-        self._start = len(self._entry(0).FileHeader(zip64=True)) + len(_npy_header((0, width)))
-        self._stage = np.empty((max(1, _STAGE_BYTES // (8 * width)), width))
-        self._staged, self._crc, self._saved, self._buf = 0, 0, False, np.empty(0)
-        self._fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)     # as open() does
+    def __init__(self, path, width, fd=None, start=None, lengths=()):
+        self.path, self.width, self.lengths = path, width, array.array("q", lengths)
+        self._staged, self._crc, self._buf = 0, 0, np.empty(0)
+        self._temporary = fd is None        # a writer's file, removed unless saved
+        if fd is None:
+            self._start = len(self._entry(0).FileHeader(zip64=True)) + len(_npy_header((0, width)))
+            self._stage = np.empty((max(1, _STAGE_BYTES // (8 * width)), width))
+            fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)     # as open() does
+        else:
+            self._start, self._stage = start, None
+        self._fd = fd
 
     @property
     def shape(self):
@@ -432,9 +483,14 @@ class RowFile:
         entry.CRC, entry.header_offset = crc, 0
         return entry
 
+    def _writable(self):
+        if self._stage is None:
+            raise io.UnsupportedOperation(f"{self.path}: rows read back are read-only")
+
     def append(self, row):
         """The next level: ``row``, a contiguous float64 array, holds its leading
         columns, and +0.0 follows them."""
+        self._writable()
         if self._staged == len(self._stage):
             self._flush()
         slot = self._stage[self._staged]
@@ -454,10 +510,10 @@ class RowFile:
         self._crc = zlib.crc32(rows, self._crc)
         self._staged = 0
 
-    def _read(self, out, lo):
-        """The rows lo, lo + 1, ... into the contiguous array ``out`` of whole rows."""
+    def _read(self, out, cell):
+        """The cells from the row-major index ``cell`` on into the contiguous array ``out``."""
         self._flush()
-        got = os.preadv(self._fd, [out], self._start + 8 * self.width * lo)
+        got = os.preadv(self._fd, [out], self._start + 8 * cell)
         if got != out.nbytes:
             raise EOFError(f"{self.path}: expected {out.nbytes} bytes, got {got}")
 
@@ -468,17 +524,30 @@ class RowFile:
                 self._buf = np.empty((hi - lo) * self.width)
             out = self._buf[: max(hi - lo, 0) * self.width].reshape(-1, self.width)
             if out.size:
-                self._read(out, lo)
+                self._read(out, lo * self.width)
             return out[:, : min(self.width, max(self.lengths[lo:hi], default=0) + 1)]
-        k, a = np.broadcast_arrays(*key)
-        out, row = np.empty(k.shape), np.empty((1, self.width))
+        k, a = key
+        if isinstance(a, slice):
+            (c0, c1, step), k = a.indices(self.width), range(len(self.lengths))[k]
+            if step != 1:
+                raise IndexError("a run of cells takes no step")
+            out = np.empty(max(c1 - c0, 0))
+            if out.size:
+                self._read(out, k * self.width + c0)
+            return out
+        k, a = np.broadcast_arrays(k, a)
+        if a.size and (a.min() < 0 or a.max() >= self.width):
+            raise IndexError(f"columns out of 0 .. {self.width - 1}")
+        out = np.empty(k.shape)
         for level in set(k.ravel().tolist()):
-            self._read(row, level)
             at = k == level
-            out[at] = row[0, a[at]]
+            cols = a[at]
+            c0 = int(cols.min())
+            out[at] = self[level, c0 : int(cols.max()) + 1][cols - c0]
         return out
 
     def save(self, path, meta):
+        self._writable()
         self._flush()
         npy = _npy_header(self.shape)
         entry = self._entry(_crc32_combine(zlib.crc32(npy), self._crc, 8 * self.size))
@@ -489,13 +558,13 @@ class RowFile:
                 zf.filelist.append(entry)
                 _write_members(zf, {}, meta)
         os.replace(self.path, path)
-        self.path, self._saved = path, True
+        self.path, self._temporary = path, False
 
     def close(self):
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
-            if not self._saved:
+            if self._temporary:
                 os.unlink(self.path)
 
     def __enter__(self):

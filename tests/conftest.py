@@ -21,13 +21,20 @@ def traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
+def held(samples):
+    """A field's samples as one array in memory: an array's copy, or the rows of a
+    ``solver.RowFile`` (which come cut past their last nonzero column) read
+    back into the whole lattice."""
+    rows = samples[: samples.shape[0]]
+    out = np.zeros(samples.shape)
+    out[:, : rows.shape[1]] = rows
+    return out
+
+
 def dense_quadrature(u, i, j, alpha_lo=None, beta_lo=None, source=None):
     """The reference quadrature (``quadrature_oracle``) on g = source(u, a) built
-    whole; u is an array or a ``solver.RowFile``, whose rows come cut past
-    their last nonzero column and are read back into the whole lattice."""
-    rows = u[: u.shape[0]]
-    u = np.zeros(u.shape)
-    u[:, : rows.shape[1]] = rows
+    whole; u is an array or a ``solver.RowFile`` (``held``)."""
+    u = held(u)
     g = u if source is None else source(u, np.arange(u.shape[1]))
     return quadrature_oracle.influence_quadrature(g, i, j, alpha_lo, beta_lo)
 

@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 import errno
 import hashlib
 import importlib.util
+import io
 import json
 import logging
 import math
@@ -9,6 +11,7 @@ import os
 import subprocess
 import sys
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,7 @@ from wavelab.config import (ConfigError, DataSpec, apply_overrides, config_hash,
 from wavelab.solver import RadialField
 
 import march_oracle
-from conftest import dense_quadrature
+from conftest import dense_quadrature, held
 from text_export import field_to_csv
 
 
@@ -279,7 +282,7 @@ def test_solve_zero_data(tmp_path):
     assert rc == 0
     fld = RadialField.load(tmp_path / "out" / "field.npz")
     assert fld.status == "complete"
-    assert np.all(fld.samples == 0.0)
+    assert np.all(held(fld.samples) == 0.0)
     res = json.loads((tmp_path / "out" / "residual.json").read_text())
     assert set(res) == {"residual_linf", "residual_l2", "nodes"}
 
@@ -345,22 +348,22 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, what, kind):
 
 def test_an_oserror_while_computing_is_not_a_config_error(tmp_path, monkeypatch):
     # only the read sites classify OSError: one raised by writing the march's
-    # rows (a full disk) or by allocating the field diagnose loads field.npz
-    # into (mmap's ENOMEM) is not reported as the user's error
+    # rows (a full disk) or by reading field.npz's rows back once the load has
+    # checked them (a failing disk, EIO) is not reported as the user's error
     def no_space(self, row):
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    def no_memory(shape):
-        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+    def io_error(self, out, cell):
+        raise OSError(errno.EIO, "Input/output error")
 
     cfg = write(tmp_path / "c.json", base_run_config(tmp_path))
     assert main(["solve", "--config", cfg]) == 0
     monkeypatch.setattr(cli, "_STREAM_BYTES", 0)        # this small field streams too
     monkeypatch.setattr(solver.RowFile, "append", no_space)
-    monkeypatch.setattr(solver, "_zeros", no_memory)
+    monkeypatch.setattr(solver.RowFile, "_read", io_error)
     for argv, message in ((["solve", "--config", cfg], "No space left"),
                           (["diagnose", "--config", cfg, "--field",
-                            str(tmp_path / "out" / "field.npz")], "Cannot allocate memory")):
+                            str(tmp_path / "out" / "field.npz")], "Input/output error")):
         with pytest.raises(OSError, match=message):
             main(argv)
 
@@ -631,6 +634,162 @@ def test_diagnose_refuses_a_field_whose_crc_fails(solved_run, tmp_path, capsys):
                "--field", str(tmp_path / "field.npz"), "--output", str(tmp_path / "d")])
     assert rc == 2
     assert "Bad CRC-32 for file 'samples.npy'" in capsys.readouterr().err
+
+
+_DIAGNOSE_OUTPUTS = ("diagnostics.json", "residuals.npz", "gronwall.json")
+
+
+def test_diagnose_leaves_field_npz_as_it_was(solved_run, tmp_path):
+    # the loader opens field.npz read-only and its reader only closes it: the
+    # file keeps its bytes, mode and mtime, and its directory gains no file,
+    # after a diagnose that exits 0, one that exits 4 (GridTooShortError: t2
+    # leaves no room for the chain) and one that exits 2 (an epsilon outside
+    # (0, p - 1), refused once the field is loaded)
+    tmp, _ = solved_run
+    field = tmp_path / "field" / "field.npz"
+    field.parent.mkdir()
+    field.write_bytes((tmp / "out" / "field.npz").read_bytes())
+    os.chmod(field, 0o640)
+    os.utime(field, ns=(1_000_000_000, 1_000_000_000))
+    before = (field.read_bytes(), field.stat().st_mode, field.stat().st_mtime_ns)
+    for code, override in ((0, []), (4, ["--override", "diagnostics.t2=14"]),
+                           (2, ["--override", "diagnostics.epsilon=5"])):
+        assert main(["diagnose", "--config", str(tmp / "c.json"), "--field", str(field),
+                     "--output", str(tmp_path / f"d{code}"), *override]) == code
+        assert (field.read_bytes(), field.stat().st_mode, field.stat().st_mtime_ns) == before
+        assert [p.name for p in field.parent.iterdir()] == ["field.npz"]
+
+
+def _member_data(raw, name):
+    """(the zip local header offset, the start and end of the data) of a stored member."""
+    with zipfile.ZipFile(io.BytesIO(raw)) as zf:
+        info = zf.getinfo(name)
+    at = info.header_offset + 26
+    start = at + 4 + sum(int.from_bytes(raw[k : k + 2], "little") for k in (at, at + 2))
+    return info.header_offset, start, start + info.file_size
+
+
+@pytest.mark.parametrize("damage", ["flipped_last_row", "nan_with_valid_crc"])
+def test_diagnose_checks_the_field_before_any_output(solved_run, tmp_path, capsys, damage):
+    # the load's pass reads every row before the chain starts: a byte flipped
+    # in the last stored row fails the CRC-32, and a NaN planted mid-field with
+    # the member's CRC-32 recomputed (so the zip is valid) fails the finiteness
+    # check; both exit 2 with no diagnose output written
+    tmp, _ = solved_run
+    raw = bytearray((tmp / "out" / "field.npz").read_bytes())
+    local, start, end = _member_data(bytes(raw), "samples.npy")
+    with np.load(tmp / "out" / "field.npz") as npz:
+        rows, width = npz["samples"].shape
+    if damage == "flipped_last_row":
+        raw[end - 8 * width + 3] ^= 0x10
+        message = "Bad CRC-32 for file 'samples.npy'"
+    else:
+        mid = end - 8 * width * (rows // 2) - 8 * (width // 3)
+        raw[mid : mid + 8] = np.array([np.nan]).tobytes()
+        crc = zlib.crc32(raw[start:end]).to_bytes(4, "little")
+        central = raw.index(b"PK\x01\x02")           # samples.npy's entry comes first
+        raw[local + 14 : local + 18] = raw[central + 16 : central + 20] = crc
+        message = "stored samples must be finite"
+    bad = tmp_path / "field.npz"
+    bad.write_bytes(bytes(raw))
+    if damage == "nan_with_valid_crc":
+        with zipfile.ZipFile(bad) as zf:
+            assert zf.testzip() is None
+    out = tmp_path / "d"
+    assert main(["diagnose", "--config", str(tmp / "c.json"), "--field", str(bad),
+                 "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any((out / name).exists() for name in _DIAGNOSE_OUTPUTS)
+
+
+def _diagnose_outputs(out):
+    """diagnostics.json, gronwall.json and every residuals.npz column, as bytes."""
+    tables, _ = solver._read_npz(out / "residuals.npz", "residuals")
+    return ({name: (out / name).read_bytes() for name in ("diagnostics.json", "gronwall.json")},
+            {name: column.tobytes() for name, column in tables.items()})
+
+
+@pytest.mark.parametrize("amplitude", [10.0, 1.0])
+def test_diagnose_of_the_field_on_disk_is_the_field_held(tmp_path, monkeypatch, amplitude):
+    # _run_diagnose on field.npz kept on disk (a RowFile) and on the same field
+    # held as an array give the same diagnostics.json and gronwall.json and
+    # every residuals.npz column bit for bit, for a blown-up field and a
+    # complete one; the budgets are cut so the load's blocks, the Sigma
+    # blocks, the alpha blocks and their bands all end mid-field
+    doc = base_run_config(tmp_path, grid={"h": 1 / 16, "t_max": 16.0})
+    doc["problem"]["data"]["amplitude"] = amplitude
+    cfg = parse_run_config(doc)
+    cli._run_solve(cfg, tmp_path / "out")
+    for module, name, value in ((solver, "_BLOCK_NODES", 3000), (diagnostics, "_BLOCK_NODES", 2000),
+                                (diagnostics, "_BAND_BYTES", 40000)):
+        monkeypatch.setattr(module, name, value)
+    with RadialField.load(tmp_path / "out" / "field.npz") as field:
+        assert isinstance(field.samples, solver.RowFile)
+        assert len(list(diagnostics._alpha_spans(field.n_levels - 20, 8))) > 3
+    assert cli._run_diagnose(cfg, tmp_path / "out" / "field.npz", tmp_path / "disk") == 0
+    load = RadialField.load
+
+    def in_memory(path):
+        with load(path) as field:
+            return dataclasses.replace(field, samples=held(field.samples))
+
+    monkeypatch.setattr(RadialField, "load", staticmethod(in_memory))
+    assert cli._run_diagnose(cfg, tmp_path / "out" / "field.npz", tmp_path / "held") == 0
+    disk, memory = _diagnose_outputs(tmp_path / "disk"), _diagnose_outputs(tmp_path / "held")
+    assert json.loads(disk[0]["diagnostics.json"])["holds"] is True
+    assert disk == memory
+
+
+@pytest.mark.parametrize("layout", ["fortran", "compressed"])
+def test_foreign_field_layouts_load_and_give_the_same_report(solved_run, tmp_path, layout):
+    # samples written in Fortran order, or deflated by np.savez_compressed, are
+    # numpy's in-memory read; the report is the one of field.npz as solve wrote it
+    tmp, _ = solved_run
+    with np.load(tmp / "out" / "field.npz") as npz:
+        samples, meta = npz["samples"], npz["meta"]
+    bad = tmp_path / "field.npz"
+    if layout == "fortran":
+        solver._write_npz(bad, {"samples": np.asfortranarray(samples)}, json.loads(meta[()]))
+    else:
+        np.savez_compressed(bad, samples=samples, meta=meta)
+    with RadialField.load(bad) as field:
+        assert isinstance(field.samples, np.ndarray)
+    for field, out in ((tmp / "out" / "field.npz", "solved"), (bad, layout)):
+        assert main(["diagnose", "--config", str(tmp / "c.json"), "--field", str(field),
+                     "--output", str(tmp_path / out)]) == 0
+    assert _diagnose_outputs(tmp_path / "solved") == _diagnose_outputs(tmp_path / layout)
+
+
+def test_manifests_record_anonymous_rss_after_each_phase(solved_run, tmp_path):
+    # RssAnon from /proc/self/status after each phase, beside the running RSS
+    # peak, in solve's manifest.json and in diagnose_manifest.json: a number
+    # where the process's status file has it, else null
+    tmp, _ = solved_run
+    assert main(["diagnose", "--config", str(tmp / "c.json"),
+                 "--field", str(tmp / "out" / "field.npz"), "--output", str(tmp_path)]) == 0
+    have = cli._rss_anon_mb() is not None
+    for path in (tmp / "out" / "manifest.json", tmp_path / "diagnose_manifest.json"):
+        man = json.loads(path.read_text())
+        anon = man["rss_anon_mb_after"]
+        assert set(anon) == set(man["peak_rss_mb_after"])
+        for phase, value in anon.items():
+            if man["peak_rss_mb_after"][phase] is None:
+                assert value is None
+            else:
+                assert (0 < value <= man["peak_rss_mb"]) if have else value is None
+
+
+def test_rss_anon_is_none_without_a_status_line(monkeypatch, tmp_path):
+    status = tmp_path / "status"
+    status.write_text("Name:\tpython\nVmRSS:\t 100 kB\n")
+    real_open = open
+    monkeypatch.setattr("builtins.open", lambda path, *a, **k: real_open(
+        status if path == "/proc/self/status" else path, *a, **k))
+    assert cli._rss_anon_mb() is None
+    status.write_text("RssAnon:\t 2048 kB\n")
+    assert cli._rss_anon_mb() == 2.0
+    status.unlink()
+    assert cli._rss_anon_mb() is None
 
 
 def test_diagnose_grid_too_short(tmp_path, capsys):

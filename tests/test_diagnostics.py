@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from wavelab import diagnostics
+from wavelab import diagnostics, solver
 from wavelab.diagnostics import (ChainConfig, GridTooShortError, InequalityTable, check_chain,
                                  choose_epsilon, compute_M, gronwall_params_from_chain,
                                  s_exponent, select_t2_delta)
@@ -647,12 +647,14 @@ def test_H_and_J_do_not_depend_on_the_block(blowup_run_coarse, monkeypatch, p):
 
 @pytest.mark.parametrize("k, j_star, rows", [(3, 0, 5), (4, 6, 7), (5, 13, 256),
                                              (5, 8, 1), (5, 8, 7), (5, 8, "n+1")])
-def test_lattice_gather_matches_interpolate(monkeypatch, k, j_star, rows):
+def test_lattice_gather_matches_interpolate(tmp_path, monkeypatch, k, j_star, rows):
     # dyadic h: r = d h/2 and t are exact, so the bilinear interpolant at the
     # node or cell centre and the direct read agree bit for bit, apex included.
     # j_star = 8 is the least a chain uses (t2 = 0, delta = 4h); with a budget
     # of (n + 1)^2 nodes its first blocks end on hi = 2 (j_star + lo), reading
-    # level 0.  A budget of rows (n + 1) nodes gives blocks of `rows` rows
+    # level 0.  A budget of rows (n + 1) nodes gives blocks of `rows` rows.
+    # Each block is cut from the band of its own rows, of all the blocks at
+    # once, and of the field read back from field.npz (a RowFile), alike
     rng = np.random.default_rng(k)
     h = 2.0**-k
     grid = CharGrid(h, 40 * h, 70 * h)
@@ -660,8 +662,9 @@ def test_lattice_gather_matches_interpolate(monkeypatch, k, j_star, rows):
     n = fld.n_levels - 1 - j_star
     monkeypatch.setattr(diagnostics, "_BLOCK_NODES", (n + 1) * (n + 1 if rows == "n+1" else rows))
     blocks = list(diagnostics._alpha_blocks(n, j_star))
-    padded = np.full((fld.n_levels, grid.n_r + 8), np.nan)[:, : grid.n_r + 1]
-    padded[...] = fld.samples
+    fld.save(tmp_path / "f.npz")
+    on_disk = RadialField.load(tmp_path / "f.npz").samples
+    whole = diagnostics._band(fld.samples, j_star, blocks)
     assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
     assert blocks[-1][1] == n + 1
     if rows != "n+1":
@@ -670,16 +673,39 @@ def test_lattice_gather_matches_interpolate(monkeypatch, k, j_star, rows):
         assert blocks[:2] == [(0, 16), (16, 48)]
     for lo, hi in blocks:
         a, d = np.arange(lo, hi)[:, None], np.arange(hi)[None, :]
-        got = diagnostics._F_block(fld.samples, j_star, lo, hi)
+        got = diagnostics._F_block(diagnostics._band(fld.samples, j_star, [(lo, hi)]),
+                                   j_star, lo, hi)
         want = np.where(d <= a, interpolate(fld, d * h / 2.0, (j_star + a - d / 2.0) * h), 0.0)
         assert np.array_equal(got, want)
-        # rows padded past the field's width (as ``_zeros`` lays them on pages)
-        assert diagnostics._F_block(padded, j_star, lo, hi).tobytes() == got.tobytes()
+        assert diagnostics._F_block(whole, j_star, lo, hi).tobytes() == got.tobytes()
+        band = diagnostics._band(on_disk, j_star, [(lo, hi)])
+        assert diagnostics._F_block(band, j_star, lo, hi).tobytes() == got.tobytes()
+    on_disk.close()
     # one row past the bound would read below level 0: refused, not read
     with pytest.raises(IndexError, match="leave the lattice"):
-        diagnostics._F_block(fld.samples, 8, 0, 18)
+        diagnostics._band(fld.samples, 8, [(0, 18)])
+    # and so are rows reaching past the last level or the last column
     with pytest.raises(IndexError, match="leave the lattice"):
-        diagnostics._F_block(padded, 8, 0, 18)
+        diagnostics._band(fld.samples, j_star, [(n, n + 2)])
+    with pytest.raises(IndexError, match="leave the lattice"):
+        diagnostics._band(fld.samples[:, :10], j_star, [(0, 20)])
+
+
+@pytest.mark.parametrize("n, j_star", [(0, 8), (52, 13), (200, 8), (1925, 40), (5800, 100)])
+@pytest.mark.parametrize("budget", [1, 4000, 1 << 21])
+def test_alpha_spans_hold_the_band_budget(monkeypatch, n, j_star, budget):
+    # the spans are the alpha blocks in order, each band within the byte
+    # budget or a single block; a band holds the levels and anti-diagonals its
+    # blocks read (each block's F views stay inside it)
+    monkeypatch.setattr(diagnostics, "_BAND_BYTES", budget)
+    spans = list(diagnostics._alpha_spans(n, j_star))
+    assert [b for span in spans for b in span] == list(diagnostics._alpha_blocks(n, j_star))
+    for span in spans:
+        L0, L1, s0, s1 = diagnostics._band_levels(span, j_star)
+        assert 8 * (L1 - L0 + 1) * (s1 - s0 + 1) <= budget or len(span) == 1
+        for lo, hi in span:
+            assert L0 <= j_star + lo - hi // 2 and j_star + hi - 1 <= L1
+            assert s0 <= j_star + lo - 1 and j_star + hi <= s1
 
 
 @pytest.mark.parametrize("n, j_star", [(0, 8), (1, 0), (52, 13), (200, 8), (1925, 40)])
@@ -720,27 +746,30 @@ def test_pcg64_doubles_are_default_rngs(seed):
         (10.0 * d[:1000]).tobytes(), d[1000:2000].tobytes(), d[2000:].tobytes()]
 
 
-def test_check_chain_peak_memory(crit4_run):
+def test_check_chain_peak_memory(crit4_run, tmp_path):
     # no (n+1)^2 characteristic-grid array (the dense chain peaked at 11x the
     # field), no Sigma-size array (whole-Sigma steps 1-3 peaked at 3.9x) and no
     # full-width weight or trapezoid arrays per alpha-block (0.96x with them),
     # no step-2 source array and Sigma blocks of whole levels (0.58x with the
     # array and 256-level blocks), and alpha-blocks and Sigma blocks of at most
-    # _BLOCK_NODES nodes (0.48x with 256 alpha-rows and 2^17 Sigma nodes);
-    # measured 0.123x, so the bound leaves a fifth of headroom.  The field lies
-    # on page-aligned rows (``_zeros``), read in place: a flat copy of it would
-    # add 1x, and the report is bitwise that of its contiguous copy
+    # _BLOCK_NODES nodes (0.48x with 256 alpha-rows and 2^17 Sigma nodes).  The
+    # field stays in field.npz (a RowFile): the characteristic pass reads it a
+    # band of _BAND_BYTES at a time; measured 0.184x (0.123x held in memory
+    # with no band), so the bound leaves a seventh of headroom, and the report
+    # is bitwise that of the field held
     prob, field = crit4_run
     cfg = ChainConfig(prob.p, prob.A, 0.0, RHO / 8.0)
-    report, peak = traced_peak(check_chain, field, cfg)
-    assert not field.samples.flags.c_contiguous
-    assert peak <= 0.15 * field.samples.nbytes
-    copy = check_chain(dataclasses.replace(field, samples=np.ascontiguousarray(field.samples)), cfg)
-    assert report.to_json_dict() == copy.to_json_dict()
-    for got, want in zip(report.tables, copy.tables, strict=True):
+    field.save(tmp_path / "field.npz")
+    with RadialField.load(tmp_path / "field.npz") as on_disk:
+        assert isinstance(on_disk.samples, solver.RowFile)
+        report, peak = traced_peak(check_chain, on_disk, cfg)
+    assert peak <= 0.21 * field.samples.nbytes
+    held = check_chain(field, cfg)
+    assert report.to_json_dict() == held.to_json_dict()
+    for got, want in zip(report.tables, held.tables, strict=True):
         for column in ("r", "t", "lhs", "rhs", "tol"):
             assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
-    assert [v.tobytes() for v in report.H] == [v.tobytes() for v in copy.H]
+    assert [v.tobytes() for v in report.H] == [v.tobytes() for v in held.H]
 
 
 def test_residual_tables_npz_round_trip(crit4_chain, tmp_path):

@@ -23,7 +23,7 @@ from wavelab.spherical import ScalarField3, build_sphere_quadrature, spherical_m
 
 import continuum_oracle
 import march_oracle
-from conftest import RHO, blowup_problem, traced_peak
+from conftest import RHO, blowup_problem, held, traced_peak
 from march_oracle import apply_P
 from text_export import field_to_csv
 from field_oracle import interpolate
@@ -82,7 +82,7 @@ def test_field_save_load_roundtrip_bitwise(tmp_path):
         assert sorted(npz.files) == ["meta", "samples"]
     back = RadialField.load(a)
     assert back.samples.dtype == np.float64
-    assert back.samples.tobytes() == vals.tobytes()
+    assert held(back.samples).tobytes() == vals.tobytes()
     assert back.grid == g
     assert (back.status, back.t_b, back.p, back.A) == ("blown_up", 0.7000000000000001,
                                                          1 + 2**0.5, 0.1)
@@ -103,6 +103,7 @@ def test_field_save_load_keeps_every_dataclass_field(tmp_path):
         got, want = getattr(back, fd.name), getattr(f, fd.name)
         assert fd.default is dataclasses.MISSING or want != fd.default, fd.name
         if isinstance(want, np.ndarray):
+            got = held(got)                     # samples read back from the file
             assert got.tobytes() == want.tobytes() and got.shape == want.shape, fd.name
         else:
             assert got == want, fd.name
@@ -142,10 +143,12 @@ def _light_cone_samples():
 @pytest.mark.parametrize("block_nodes", [2**15, 40, 17])
 @pytest.mark.parametrize("case", ["light_cone", "fortran", "one_row", "one_zero_row"])
 def test_field_load_is_bitwise_numpys_read(tmp_path, monkeypatch, block_nodes, case):
-    # the loader streams C-order samples by blocks (13 rows in one block, or 2 or
-    # 1 rows a block, so 13 rows are not a multiple of it) and copies each block
-    # up to its last column other than +0.0; Fortran-order samples are numpy's
-    # own read.  Every cell keeps numpy's bits
+    # the loader's checking pass reads C-order samples by blocks (13 rows in
+    # one block, or 2 or 1 rows a block, so 13 rows are not a multiple of it)
+    # and keeps them on disk: read back whole, by blocks of rows, by runs of
+    # a level's cells or at nodes they are numpy's bits, and each row's
+    # length ends at its last column other than +0.0 (-0.0 counts).
+    # Fortran-order samples are numpy's own read, in memory
     monkeypatch.setattr(solver, "_BLOCK_NODES", block_nodes)
     vals = _light_cone_samples()
     if case == "fortran":
@@ -159,10 +162,25 @@ def test_field_load_is_bitwise_numpys_read(tmp_path, monkeypatch, block_nodes, c
     RadialField(g, vals, p=2.0, A=1.0).save(path)
     with np.load(path) as npz:
         want = npz["samples"]
-    got = RadialField.load(path).samples
-    assert got.shape == want.shape == vals.shape
-    assert got.flags.f_contiguous == want.flags.f_contiguous
-    assert got.tobytes("A") == want.tobytes("A") == vals.tobytes("A")
+    with RadialField.load(path) as field:
+        got = field.samples
+        assert got.shape == want.shape == vals.shape
+        if case == "fortran":
+            assert isinstance(got, np.ndarray) and got.flags.f_contiguous
+            assert got.tobytes("A") == want.tobytes("A") == vals.tobytes("A")
+            return
+        assert isinstance(got, RowFile)
+        assert held(got).tobytes() == want.tobytes() == vals.tobytes()
+        bits = want.view(np.int64) != 0
+        assert list(got.lengths) == [int(np.flatnonzero(row).max()) + 1 if row.any() else 0
+                                     for row in bits]
+        for lo in range(len(want)):
+            block = got[lo : lo + 3]
+            assert block.tobytes() == want[lo : lo + 3, : block.shape[1]].tobytes()
+            assert not want[lo : lo + 3, block.shape[1] :].view(np.int64).any()
+            assert got[lo, 2:11].tobytes() == want[lo, 2:11].tobytes()
+        k, a = np.nonzero(np.ones_like(want, dtype=bool))
+        assert got[k[::-1], a[::-1]].tobytes() == want[k[::-1], a[::-1]].tobytes()
 
 
 def test_field_load_checks_the_crc(tmp_path):
@@ -213,16 +231,21 @@ def _written_bytes(array):
 def test_field_memory_is_resident_only_inside_the_light_cone(crit4_run, tmp_path):
     # u is +0.0 past r = rho + t: half the cells of the README field at rho/128,
     # and 28 % of its 4 KiB pages (a page also holds the end of a row's window or
-    # the start of the next row).  The march and the loader never write those
-    # pages, so they stay the kernel's zero page: 0.72x the field is written
+    # the start of the next row).  The march never writes those pages, so they
+    # stay the kernel's zero page: 0.72x the field is written.  A field loaded
+    # from field.npz holds no samples at all: the load keeps them on disk, and
+    # its checking pass holds one block of rows (measured 0.012x the field traced)
     _, field = crit4_run
     dense = field.samples.copy()                     # every page written: the control
     assert _written_bytes(dense) > 0.95 * dense.nbytes
     del dense
+    assert _written_bytes(field.samples) < 0.8 * field.samples.nbytes
     path = tmp_path / "f.npz"
     field.save(path)
-    for samples in (field.samples, RadialField.load(path).samples):
-        assert _written_bytes(samples) < 0.8 * samples.nbytes
+    loaded, peak = traced_peak(RadialField.load, path)
+    with loaded:
+        assert isinstance(loaded.samples, RowFile) and loaded.samples.shape == field.samples.shape
+        assert peak <= 0.02 * field.samples.nbytes
 
 
 def test_field_npz_truncated_rejected(tmp_path):
@@ -372,6 +395,45 @@ def test_row_file_reads_back_what_was_appended(tmp_path):
     with RowFile(tmp_path / "gone", 3) as rows:
         rows.append(np.ones(2))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.npz", "want.npz"]
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+
+
+def test_loaded_rows_are_read_only_and_leave_the_file(tmp_path):
+    # a field read back from field.npz is a reader on the file: it refuses to
+    # append or save, reads past its rows or columns raise IndexError, and
+    # leaving the field closes the file and keeps it with its bytes, mode and
+    # mtime; a load refused after the checking pass (an off-lattice meta)
+    # keeps no file open either
+    g = CharGrid(0.25, 4.0, 3.0)
+    vals = _light_cone_samples()
+    path = tmp_path / "f.npz"
+    RadialField(g, vals, p=2.0, A=1.0).save(path)
+    os.chmod(path, 0o444)
+    before, fds = (path.read_bytes(), path.stat().st_mode, path.stat().st_mtime_ns), _open_fds()
+    with RadialField.load(path) as field:
+        rows = field.samples
+        assert _open_fds() == fds + 1 or not fds
+        with pytest.raises(io.UnsupportedOperation, match="read-only"):
+            rows.append(np.ones(3))
+        with pytest.raises(io.UnsupportedOperation, match="read-only"):
+            rows.save(tmp_path / "g.npz", {})
+        for key in ((13, slice(0, 3)), (0, slice(0, 3, 2)), (np.array([1]), np.array([17])),
+                    (np.array([1]), np.array([-1]))):
+            with pytest.raises(IndexError):
+                rows[key]
+        assert rows[-1, 0:20].tobytes() == vals[-1].tobytes() and rows[3, 5:5].size == 0
+        assert rows[12:20].shape == (1, 10) and rows[20:30].shape == (0, 1)     # cut past col 8
+    assert (path.read_bytes(), path.stat().st_mode, path.stat().st_mtime_ns) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.npz"] and _open_fds() == fds
+    with np.load(path) as npz:
+        meta = json.loads(npz["meta"][()])
+    _write_npz(tmp_path / "off.npz", {"samples": vals}, {**meta, "r_max": 4.1})
+    with pytest.raises(FieldFormatError, match="r_max"):
+        RadialField.load(tmp_path / "off.npz")
+    assert _open_fds() == fds
 
 
 def test_crc32_combine_is_zlibs():
@@ -883,8 +945,36 @@ def test_solve_holds_no_field(tmp_path):
     fld = RadialField.load(tmp_path / "field.npz")
     grid = fld.grid
     assert record["status"] == fld.status == "blown_up" and record["residual"]["nodes"] > 0
-    assert record["max_amplitude_reached"] == np.max(np.abs(fld.samples))
+    assert record["max_amplitude_reached"] == np.max(np.abs(held(fld.samples)))
     assert peak <= 0.15 * (grid.n_t + 1) * (grid.n_r + 1) * 8
+
+
+def test_diagnose_holds_no_field(tmp_path, monkeypatch):
+    # the load keeps field.npz on disk and the chain reads it a block of rows,
+    # a run of a level's cells or a band of levels at a time, so diagnose's
+    # traced peak at README rho/64 is well under the lattice (measured 0.63x:
+    # the chain's residual tables and a band of _BAND_BYTES; holding the field
+    # alone was 1x).  Quadrupling t_max at rho/16 (amplitude 1, complete) grows
+    # field.npz 15x and the peak 1.22x: the tables and the band stop growing
+    # once they reach MAX_ROWS rows and _BAND_BYTES
+    monkeypatch.setattr(cli, "_STREAM_BYTES", 0)
+    cfg = _readme_run_config(RHO / 64, tmp_path / "readme")
+    cli._run_solve(cfg, tmp_path / "readme")
+    code, peak = traced_peak(cli._run_diagnose, cfg, tmp_path / "readme" / "field.npz",
+                             tmp_path / "readme")
+    grid = cfg.build_grid()
+    assert code == 0 and peak <= 0.75 * (grid.n_t + 1) * (grid.n_r + 1) * 8
+    peaks, sizes = [], []
+    for t_max in (16.0, 64.0):
+        out = tmp_path / f"t{t_max:g}"
+        cfg = _readme_run_config(RHO / 16, out, amplitude=1.0, t_max=t_max)
+        assert cli._run_solve(cfg, out)["status"] == "complete"
+        code, peak = traced_peak(cli._run_diagnose, cfg, out / "field.npz", out)
+        assert code == 0
+        peaks.append(peak)
+        sizes.append((out / "field.npz").stat().st_size)
+    assert sizes[1] > 3 * sizes[0]
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_solve_never_builds_a_whole_lattice_u0(tmp_path, crit4_run):
@@ -921,10 +1011,11 @@ def test_solve_takes_max_abs_u_once(monkeypatch, tmp_path):
     monkeypatch.undo()
     fld = RadialField.load(tmp_path / "field.npz")
     assert fld.status == "blown_up"
-    fit = detect_blowup_time(fld.status, fld.t_b, fld.grid, np.max(np.abs(fld.samples), axis=1))
+    amps = np.max(np.abs(held(fld.samples)), axis=1)
+    fit = detect_blowup_time(fld.status, fld.t_b, fld.grid, amps)
     assert (record["fitted_t_b"], record["fitted_exponent"]) == (fit.fitted_t_b,
                                                                  fit.fitted_exponent)
-    assert record["max_amplitude_reached"] == np.max(np.abs(fld.samples))
+    assert record["max_amplitude_reached"] == amps.max()
 
 
 def test_solve_frees_the_field_before_the_fit(monkeypatch, tmp_path):

@@ -7,6 +7,8 @@ These writers make the CSV inputs and the non-npz field that the tests need.
 
 import numpy as np
 
+from conftest import held
+
 
 def field_to_csv(field, path):
     """A ``# wavelab-field`` header line, then r,t,value rows by level."""
@@ -15,7 +17,7 @@ def field_to_csv(field, path):
     rows = np.empty((field.n_levels * (n_r + 1), 3))
     rows[:, 0] = np.tile(grid.r_values(), field.n_levels)
     rows[:, 1] = np.repeat(grid.t_values(field.n_levels), n_r + 1)
-    rows[:, 2] = field.samples.ravel()
+    rows[:, 2] = held(field.samples).ravel()
     with open(path, "w", newline="") as fh:
         fh.write(f"# wavelab-field h={grid.h:.17g} r_max={grid.r_max:.17g} "
                  f"t_max={grid.t_max:.17g} p={p} A={a} status={field.status} t_b={tb}\n")
