@@ -49,7 +49,7 @@ from .gronwall import _cumulative_trapezoid
 from .profiles import RadialProfile
 from .regions import influence_quadrature
 from .solver import (_BLOCK_NODES, HomogeneousPart, RadialField, _lambda_source, _power_source,
-                     _snap, _write_npz)
+                     _snap, _write_npz, read_skewed)
 
 __all__ = [
     "GridTooShortError",
@@ -67,7 +67,7 @@ __all__ = [
 BRT_SAMPLES = 60    # Sigma nodes checked by the region integral bound
 G1_SAMPLES = 144    # (alpha, beta) pairs checked by the weighted functional bound
 MAX_ROWS = 20000    # rows a residual table keeps; past it, sampled (InequalityTable.build)
-_BAND_BYTES = 1 << 21   # bytes of the skewed band of levels the characteristic pass reads at once
+_SPAN_CELLS = 1 << 17   # cells of the skewed band of levels a span of alpha-row blocks reads
 
 
 class GridTooShortError(ValueError):
@@ -359,7 +359,8 @@ def _sigma_tables(field, config, j_star):
     array would hold them; they are read in blocks of whole levels, as many as
     fit _BLOCK_NODES nodes (one level at least), each level's nodes one run
     of cells (``samples[j, :count]``), and streamed into the tables.  A block
-    holds u, r, t and the pointwise rhs t + r at its nodes.
+    holds u, r, t and the pointwise rhs t + r at its nodes, in arrays that
+    every block reuses.
     """
     h, p, C0 = field.grid.h, config.p, config.C0
     counts = np.minimum(np.arange(field.n_levels - j_star), field.grid.n_r) + 1
@@ -367,21 +368,24 @@ def _sigma_tables(field, config, j_star):
     positivity = _TableStream("sigma_positivity", int(ends[-1]))
     pointwise = _TableStream("pointwise_lower_bound", int(ends[-1]), {"C0": C0})
     t_lev = h * np.arange(j_star, field.n_levels)
+    # one set of block arrays for every block: fresh ones would fault in their pages anew
+    held = np.empty((4, min(int(ends[-1]), max(_BLOCK_NODES, int(counts.max())))))
     lo = 0
     while lo < counts.size:
         base = ends[lo] - counts[lo]
         hi = max(lo + 1, int(np.searchsorted(ends, base + _BLOCK_NODES, side="right")))
-        u = np.concatenate([field.samples[j_star + k, : counts[k]] for k in range(lo, hi)])
+        u, r, t, rhs = held[:, : ends[hi - 1] - base]
+        np.concatenate([field.samples[j_star + k, : counts[k]] for k in range(lo, hi)], out=u)
         first = np.repeat(ends[lo:hi] - counts[lo:hi], counts[lo:hi])     # of each node's level
-        r = h * (np.arange(base, ends[hi - 1]) - first)
-        t = np.repeat(t_lev[lo:hi], counts[lo:hi])
+        np.multiply(h, np.arange(base, ends[hi - 1]) - first, out=r)
+        t[:] = np.repeat(t_lev[lo:hi], counts[lo:hi])
         positivity.add(r, t, u, 0.0, lambda u, _: _chain_tol(h, u, 1.0))
-        rhs = t + r
+        np.add(t, r, out=rhs)
         rhs **= 1.0 - p
         rhs *= C0
         pointwise.add(r, t, u, rhs, partial(_chain_tol, h))
-        del u, first, r, t, rhs        # so the next block is not read while this one is held
         lo = hi
+    del held, u, r, t, rhs              # before the tables are built
     return positivity.finish(), pointwise.finish()
 
 
@@ -436,12 +440,12 @@ def _band_levels(blocks, j_star):
 
 
 def _alpha_spans(n, j_star):
-    """``_alpha_blocks`` in runs whose band (``_band``) holds at most _BAND_BYTES,
-    one block at least."""
+    """``_alpha_blocks`` in runs whose band (``_band``) holds at most _SPAN_CELLS
+    cells, one block at least."""
     span = []
     for block in _alpha_blocks(n, j_star):
         L0, L1, s0, s1 = _band_levels(span + [block], j_star)
-        if span and 8 * (L1 - L0 + 1) * (s1 - s0 + 1) > _BAND_BYTES:
+        if span and (L1 - L0 + 1) * (s1 - s0 + 1) > _SPAN_CELLS:
             yield span
             span = []
         span.append(block)
@@ -451,20 +455,17 @@ def _alpha_spans(n, j_star):
 def _band(samples, j_star, blocks):
     """The cells the alpha rows of ``blocks`` read, skewed so that anti-diagonals
     are columns: (U, L0, s0) with U[L - L0, L + c - s0] = samples[L, c] for the
-    levels and anti-diagonals of ``_band_levels``.  Each level is one run of
-    cells (``samples[L, c0:c1]``), so a field on disk is read one preadv a
-    level; cells off the lattice are left unset, and no F view reads them.
-    Blocks that would read off the lattice raise IndexError."""
+    levels and anti-diagonals of ``_band_levels`` (``read_skewed``: a field on
+    disk is read one preadv a level, straight into the band); cells off the
+    lattice are left unset, and no F view reads them.  Blocks that would read
+    off the lattice raise IndexError."""
     L0, L1, s0, s1 = _band_levels(blocks, j_star)
     rows, width = samples.shape
     if L0 < 0 or blocks[-1][1] // 2 >= width or L1 >= rows:
         raise IndexError(f"alpha rows {blocks[0][0]}..{blocks[-1][1] - 1} from level {j_star} "
                          "leave the lattice")
     U = np.empty((L1 - L0 + 1, s1 - s0 + 1))
-    for L in range(L0, L1 + 1):
-        c0, c1 = max(0, s0 - L), min(width, s1 + 1 - L)
-        if c1 > c0:
-            U[L - L0, L + c0 - s0 : L + c1 - s0] = samples[L, c0:c1]
+    read_skewed(samples, L0, s0, U)
     return U, L0, s0
 
 
@@ -477,22 +478,30 @@ def _F_block(band, j_star, lo, hi):
     strided view of ``band`` (``_band``, for blocks holding [lo, hi)): an
     anti-diagonal of the lattice is a column of the band, so a view steps one
     row and one column per alpha row and one row per cell along it.  Entries
-    with d > a, outside Sigma-prime, are zero.
+    with d > a, outside Sigma-prime, are zero.  A block whose cells the band
+    does not hold raises IndexError.
     """
     U, L0, s0 = band
     s_row, s_col = U.strides
 
     def view(i, j, count):      # samples[j + a - lo - m, i + m], a in [lo, hi), m < count
-        first = U[j - count + 1 - L0 :, j + i - s0 :] if count else U   # as_strided checks none
+        row, col = j - count + 1 - L0, j + i - s0       # of samples[j - count + 1, i + count - 1]
+        if count and (row < 0 or col < 0 or row + count + hi - lo - 1 > len(U)
+                      or col + hi - lo > U.shape[1]):     # as_strided checks none of it
+            raise IndexError(f"alpha rows {lo}..{hi - 1} from level {j_star} leave the band")
+        first = U[row:, col:] if count else U
         return np.lib.stride_tricks.as_strided(first, (hi - lo, count), (s_row + s_col, s_row),
                                                writeable=False)[:, ::-1]
 
     j, c = j_star + lo, hi // 2
     F = np.empty((hi - lo, hi))
     F[:, 0::2] = view(0, j, hi - c)
-    F[:, 1::2] = (0.25 * view(0, j - 1, c) + 0.25 * view(1, j - 1, c)
-                  + 0.25 * view(0, j, c) + 0.25 * view(1, j, c))
-    F[:, lo + 1 :] = np.tril(F[:, lo + 1 :], -1)
+    odd, term = F[:, 1::2], np.empty((hi - lo, c))    # the corner mean, summed in place
+    np.multiply(view(0, j - 1, c), 0.25, out=odd)
+    for i, jj in ((1, j - 1), (0, j), (1, j)):
+        odd += np.multiply(view(i, jj, c), 0.25, out=term)
+    for k in range(hi - lo):
+        F[k, lo + k + 1 :] = 0.0
     return F
 
 
@@ -544,6 +553,7 @@ def _characteristic_pass(field, config, j_star, n, cols, tri_a, tri_b):
             tail = np.cumsum(F[:, ::-1], axis=1)[:, ::-1]
             K1_cols[lo:hi] = h * (tail[rows[:, None], d] - 0.5 * F[rows[:, None], d]
                                   - 0.5 * F[rows, a][:, None])
+            del F, tail                         # before the next block is cut
         del band                            # before the next band is read
     return alphas, H_vals, J_int, G_cols, K1_cols, F_tri
 

@@ -42,6 +42,7 @@ import json
 import math
 import mmap
 import os
+import weakref
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -366,7 +367,7 @@ def _read_npz(path, what, rows=None):
                                 shape, fortran, dtype = fmt.read_array_header_1_0(member)
                                 if dtype == np.float64 and len(shape) == 2 and not fortran:
                                     checked = (name, shape[1], *_check_rows(
-                                        fh.fileno(), info, member.tell(), shape))
+                                        member, info, fh.fileno(), shape))
                                     continue
                             member.seek(0)
                         members[name] = fmt.read_array(member, allow_pickle=False)
@@ -386,39 +387,37 @@ def _read_npz(path, what, rows=None):
     return members, meta
 
 
-def _check_rows(fd, info, header, shape):
-    """One pass over the stored zip member ``info`` of the file open as ``fd``,
-    an npy array of C-order float64 rows of ``shape`` after ``header`` bytes of
-    npy header: (the file offset of its rows, the length of each row).  The
-    rows are read _BLOCK_NODES cells at a time into one buffer, and the pass
-    checks the member's size and CRC-32 against the zip directory's and then
-    that every value is finite.  A row's length is one past its last column
-    holding a bit pattern other than +0.0, so -0.0 counts; every column from it
-    on is +0.0."""
-    local = os.pread(fd, 30, info.header_offset)
-    if len(local) < 30 or local[:4] != b"PK\x03\x04":
-        raise zipfile.BadZipFile(f"bad local file header for {info.filename!r}")
-    head = (info.header_offset + 30 + int.from_bytes(local[26:28], "little")
-            + int.from_bytes(local[28:30], "little"))
+def _check_rows(member, info, fd, shape):
+    """One pass over ``member``, the stored zip member ``info`` of the file open
+    as ``fd``, open and read past its npy header: C-order float64 rows of
+    ``shape``.  Returns (the file offset of its rows, the length of each row).
+    The rows are read _BLOCK_NODES cells at a time, zipfile checking the
+    member's CRC-32 as the last of them comes in, and the pass checks that
+    every value is finite.  A row's length is one past its last column holding
+    a bit pattern other than +0.0, so -0.0 counts; every column from it on is
+    +0.0."""
     rows, width = shape
+    header = member.tell()
     if info.file_size != header + 8 * rows * width:
         raise ValueError(f"{info.filename}: {info.file_size} bytes do not hold shape {shape}")
-    crc, finite, lengths = zlib.crc32(os.pread(fd, header, head)), True, array.array("q")
-    buf = np.empty((max(1, min(rows, _BLOCK_NODES // max(width, 1))), width))
-    for lo in range(0, rows, len(buf)):
-        block = buf[: min(len(buf), rows - lo)]
-        got = os.preadv(fd, [block], head + header + 8 * width * lo)
-        if got != block.nbytes:
-            raise EOFError(f"EOF: reading array data, expected {block.nbytes} bytes got {got}")
-        crc = zlib.crc32(block, crc)
+    local = os.pread(fd, 30, info.header_offset)    # zipfile has read and checked it
+    start = (info.header_offset + 30 + int.from_bytes(local[26:28], "little")
+             + int.from_bytes(local[28:30], "little") + header)
+    finite, lengths = True, array.array("q")
+    step = max(1, min(rows, _BLOCK_NODES // max(width, 1)))
+    for lo in range(0, rows, step):
+        count = min(step, rows - lo)
+        data = member.read(8 * width * count)
+        if len(data) != 8 * width * count:
+            raise EOFError(f"EOF: reading array data, expected {8 * width * count} bytes got "
+                           f"{len(data)}")
+        block = np.frombuffer(data).reshape(count, width)
         finite = finite and bool(np.isfinite(block).all())
         held = block.view(np.int64) != 0
         lengths.extend(np.where(held.any(axis=1), width - held[:, ::-1].argmax(axis=1), 0).tolist())
-    if crc != info.CRC:
-        raise zipfile.BadZipFile(f"Bad CRC-32 for file {info.filename!r}")
     if not finite:
         raise ValueError("stored samples must be finite")
-    return head + header, lengths
+    return start, lengths
 
 
 class RowFile:
@@ -441,7 +440,8 @@ class RowFile:
     A reader (``RadialField.load``) is given ``fd``, the file opened read-only,
     the offset ``start`` of its rows and their ``lengths`` (each row is +0.0
     past its length); it neither writes nor removes the file, and ``close``
-    only closes ``fd``.
+    only closes ``fd``.  A RowFile never closed closes its ``fd`` once it is
+    collected.
 
     Every read goes through the file (preadv), never a mapping.
     ``rows[lo:hi]`` reads those rows into one buffer, kept for the next read
@@ -466,6 +466,7 @@ class RowFile:
         else:
             self._start, self._stage = start, None
         self._fd = fd
+        self._release = weakref.finalize(self, os.close, fd)
 
     @property
     def shape(self):
@@ -562,7 +563,7 @@ class RowFile:
 
     def close(self):
         if self._fd is not None:
-            os.close(self._fd)
+            self._release()
             self._fd = None
             if self._temporary:
                 os.unlink(self.path)
@@ -572,6 +573,33 @@ class RowFile:
 
     def __exit__(self, *exc):
         self.close()
+
+
+def read_skewed(samples, L0, s0, out):
+    """Fill ``out``, a C-contiguous float64 array, with out[L - L0, L + c - s0] =
+    samples[L, c] for its levels L = L0, L0 + 1, ... and each cell c that both
+    ``out`` and the lattice hold; the rest of ``out`` is left as it is.  Each
+    level is one run of cells: an array's are copied, a ``RowFile``'s read from
+    the file straight into ``out``, one preadv a level.  Levels off the lattice
+    raise IndexError."""
+    levels, width = samples.shape
+    rows, span = out.shape
+    if L0 < 0 or L0 + rows > levels:
+        raise IndexError(f"levels {L0} .. {L0 + rows - 1} leave the lattice")
+    runs = [(L, max(0, s0 - L), min(width, s0 + span - L)) for L in range(L0, L0 + rows)]
+    if not isinstance(samples, RowFile):
+        for L, c0, c1 in runs:
+            if c1 > c0:
+                out[L - L0, L + c0 - s0 : L + c1 - s0] = samples[L, c0:c1]
+        return
+    samples._flush()
+    fd, start, cells = samples._fd, samples._start, memoryview(out).cast("B")
+    for L, c0, c1 in runs:      # a loop of bare preadv calls: one a level, each a few cells
+        if c1 > c0:
+            at = 8 * ((L - L0) * span + L + c0 - s0)
+            got = os.preadv(fd, [cells[at : at + 8 * (c1 - c0)]], start + 8 * (L * width + c0))
+            if got != 8 * (c1 - c0):
+                raise EOFError(f"{samples.path}: expected {8 * (c1 - c0)} bytes, got {got}")
 
 
 def _zeros(shape):

@@ -280,9 +280,9 @@ def test_solve_zero_data(tmp_path):
     doc["problem"]["data"]["amplitude"] = 0.0
     rc = main(["solve", "--config", write(tmp_path / "c.json", doc)])
     assert rc == 0
-    fld = RadialField.load(tmp_path / "out" / "field.npz")
-    assert fld.status == "complete"
-    assert np.all(held(fld.samples) == 0.0)
+    with RadialField.load(tmp_path / "out" / "field.npz") as fld:
+        assert fld.status == "complete"
+        assert np.all(held(fld.samples) == 0.0)
     res = json.loads((tmp_path / "out" / "residual.json").read_text())
     assert set(res) == {"residual_linf", "residual_l2", "nodes"}
 
@@ -533,7 +533,8 @@ def test_diagnose_supercritical_notes(tmp_path):
 def test_diagnose_epsilon_checked_against_the_field_p(solved_run, tmp_path, capsys,
                                                       config_p, epsilon, rc):
     tmp, _ = solved_run
-    assert RadialField.load(tmp / "out" / "field.npz").p == 2.0
+    with RadialField.load(tmp / "out" / "field.npz") as fld:
+        assert fld.p == 2.0
     assert main(["diagnose", "--config", str(tmp / "c.json"),
                  "--field", str(tmp / "out" / "field.npz"), "--output", str(tmp_path / "d"),
                  "--override", f"problem.p={config_p}",
@@ -595,7 +596,8 @@ def _nan_cell(samples):
 
 def _as_csv(src, tmp_path):
     bad = tmp_path / "field.csv"
-    field_to_csv(RadialField.load(src), bad)
+    with RadialField.load(src) as fld:
+        field_to_csv(fld, bad)
     return bad
 
 
@@ -721,7 +723,7 @@ def test_diagnose_of_the_field_on_disk_is_the_field_held(tmp_path, monkeypatch, 
     cfg = parse_run_config(doc)
     cli._run_solve(cfg, tmp_path / "out")
     for module, name, value in ((solver, "_BLOCK_NODES", 3000), (diagnostics, "_BLOCK_NODES", 2000),
-                                (diagnostics, "_BAND_BYTES", 40000)):
+                                (diagnostics, "_SPAN_CELLS", 5000)):
         monkeypatch.setattr(module, name, value)
     with RadialField.load(tmp_path / "out" / "field.npz") as field:
         assert isinstance(field.samples, solver.RowFile)

@@ -681,6 +681,12 @@ def test_lattice_gather_matches_interpolate(tmp_path, monkeypatch, k, j_star, ro
         band = diagnostics._band(on_disk, j_star, [(lo, hi)])
         assert diagnostics._F_block(band, j_star, lo, hi).tobytes() == got.tobytes()
     on_disk.close()
+    # a block cut from a band that does not hold its cells is refused, not read
+    if len(blocks) > 1:
+        for held_block, cut in ((blocks[0], blocks[-1]), (blocks[-1], blocks[0])):
+            with pytest.raises(IndexError, match="leave the band"):
+                diagnostics._F_block(diagnostics._band(fld.samples, j_star, [held_block]),
+                                     j_star, *cut)
     # one row past the bound would read below level 0: refused, not read
     with pytest.raises(IndexError, match="leave the lattice"):
         diagnostics._band(fld.samples, 8, [(0, 18)])
@@ -692,17 +698,17 @@ def test_lattice_gather_matches_interpolate(tmp_path, monkeypatch, k, j_star, ro
 
 
 @pytest.mark.parametrize("n, j_star", [(0, 8), (52, 13), (200, 8), (1925, 40), (5800, 100)])
-@pytest.mark.parametrize("budget", [1, 4000, 1 << 21])
+@pytest.mark.parametrize("budget", [1, 500, 1 << 17])
 def test_alpha_spans_hold_the_band_budget(monkeypatch, n, j_star, budget):
-    # the spans are the alpha blocks in order, each band within the byte
+    # the spans are the alpha blocks in order, each band within the cell
     # budget or a single block; a band holds the levels and anti-diagonals its
     # blocks read (each block's F views stay inside it)
-    monkeypatch.setattr(diagnostics, "_BAND_BYTES", budget)
+    monkeypatch.setattr(diagnostics, "_SPAN_CELLS", budget)
     spans = list(diagnostics._alpha_spans(n, j_star))
     assert [b for span in spans for b in span] == list(diagnostics._alpha_blocks(n, j_star))
     for span in spans:
         L0, L1, s0, s1 = diagnostics._band_levels(span, j_star)
-        assert 8 * (L1 - L0 + 1) * (s1 - s0 + 1) <= budget or len(span) == 1
+        assert (L1 - L0 + 1) * (s1 - s0 + 1) <= budget or len(span) == 1
         for lo, hi in span:
             assert L0 <= j_star + lo - hi // 2 and j_star + hi - 1 <= L1
             assert s0 <= j_star + lo - 1 and j_star + hi <= s1
@@ -754,16 +760,16 @@ def test_check_chain_peak_memory(crit4_run, tmp_path):
     # array and 256-level blocks), and alpha-blocks and Sigma blocks of at most
     # _BLOCK_NODES nodes (0.48x with 256 alpha-rows and 2^17 Sigma nodes).  The
     # field stays in field.npz (a RowFile): the characteristic pass reads it a
-    # band of _BAND_BYTES at a time; measured 0.184x (0.123x held in memory
-    # with no band), so the bound leaves a seventh of headroom, and the report
-    # is bitwise that of the field held
+    # band of _SPAN_CELLS at a time and frees a block before cutting the next;
+    # measured 0.141x (0.123x held in memory with no band; 0.167x with a band
+    # of 2^18 cells), and the report is bitwise that of the field held
     prob, field = crit4_run
     cfg = ChainConfig(prob.p, prob.A, 0.0, RHO / 8.0)
     field.save(tmp_path / "field.npz")
     with RadialField.load(tmp_path / "field.npz") as on_disk:
         assert isinstance(on_disk.samples, solver.RowFile)
         report, peak = traced_peak(check_chain, on_disk, cfg)
-    assert peak <= 0.21 * field.samples.nbytes
+    assert peak <= 0.15 * field.samples.nbytes
     held = check_chain(field, cfg)
     assert report.to_json_dict() == held.to_json_dict()
     for got, want in zip(report.tables, held.tables, strict=True):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import io
 import json
 import mmap
@@ -18,7 +19,7 @@ from wavelab.diagnostics import select_t2_delta
 from wavelab.regions import influence_quadrature
 from wavelab.solver import (CharGrid, FieldFormatError, HomogeneousPart, Problem, RadialField,
                             RowFile, _read_npz, _write_npz, detect_blowup_time,
-                            integral_residual, solve_march)
+                            integral_residual, read_skewed, solve_march)
 from wavelab.spherical import ScalarField3, build_sphere_quadrature, spherical_mean
 
 import continuum_oracle
@@ -80,16 +81,16 @@ def test_field_save_load_roundtrip_bitwise(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     with np.load(a) as npz:
         assert sorted(npz.files) == ["meta", "samples"]
-    back = RadialField.load(a)
-    assert back.samples.dtype == np.float64
-    assert held(back.samples).tobytes() == vals.tobytes()
-    assert back.grid == g
-    assert (back.status, back.t_b, back.p, back.A) == ("blown_up", 0.7000000000000001,
-                                                         1 + 2**0.5, 0.1)
+    with RadialField.load(a) as back:
+        assert back.samples.dtype == np.float64
+        assert held(back.samples).tobytes() == vals.tobytes()
+        assert back.grid == g
+        assert (back.status, back.t_b, back.p, back.A) == ("blown_up", 0.7000000000000001,
+                                                             1 + 2**0.5, 0.1)
     plain = RadialField(g, vals)
     plain.save(a)
-    back = RadialField.load(a)
-    assert back.status == "complete" and back.t_b is None and back.p is None and back.A is None
+    with RadialField.load(a) as back:
+        assert back.status == "complete" and back.t_b is None and back.p is None and back.A is None
 
 
 def test_field_save_load_keeps_every_dataclass_field(tmp_path):
@@ -98,15 +99,15 @@ def test_field_save_load_keeps_every_dataclass_field(tmp_path):
     f = RadialField(g, np.arange(5 * 9, dtype=float).reshape(5, 9) / 3.0,
                     status="blown_up", t_b=1.25, p=2.5, A=0.5)
     f.save(tmp_path / "f.npz")
-    back = RadialField.load(tmp_path / "f.npz")
-    for fd in dataclasses.fields(RadialField):
-        got, want = getattr(back, fd.name), getattr(f, fd.name)
-        assert fd.default is dataclasses.MISSING or want != fd.default, fd.name
-        if isinstance(want, np.ndarray):
-            got = held(got)                     # samples read back from the file
-            assert got.tobytes() == want.tobytes() and got.shape == want.shape, fd.name
-        else:
-            assert got == want, fd.name
+    with RadialField.load(tmp_path / "f.npz") as back:
+        for fd in dataclasses.fields(RadialField):
+            got, want = getattr(back, fd.name), getattr(f, fd.name)
+            assert fd.default is dataclasses.MISSING or want != fd.default, fd.name
+            if isinstance(want, np.ndarray):
+                got = held(got)                     # samples read back from the file
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape, fd.name
+            else:
+                assert got == want, fd.name
 
 
 def test_npz_reader_refuses_pickles_and_non_zip_files(tmp_path):
@@ -234,7 +235,7 @@ def test_field_memory_is_resident_only_inside_the_light_cone(crit4_run, tmp_path
     # the start of the next row).  The march never writes those pages, so they
     # stay the kernel's zero page: 0.72x the field is written.  A field loaded
     # from field.npz holds no samples at all: the load keeps them on disk, and
-    # its checking pass holds one block of rows (measured 0.012x the field traced)
+    # its checking pass holds about two blocks of rows (measured 0.018x the field traced)
     _, field = crit4_run
     dense = field.samples.copy()                     # every page written: the control
     assert _written_bytes(dense) > 0.95 * dense.nbytes
@@ -424,6 +425,14 @@ def test_loaded_rows_are_read_only_and_leave_the_file(tmp_path):
                     (np.array([1]), np.array([-1]))):
             with pytest.raises(IndexError):
                 rows[key]
+        for L0, count in ((-1, 3), (11, 3), (0, 14)):
+            with pytest.raises(IndexError, match="leave the lattice"):
+                read_skewed(rows, L0, 0, np.empty((count, 4)))
+        # a skewed read gives the array's cells and leaves those off the lattice
+        want, got = np.full((13, 9), 7.0), np.full((13, 9), 7.0)
+        read_skewed(vals, 0, 12, want)
+        read_skewed(rows, 0, 12, got)
+        assert got.tobytes() == want.tobytes() and (want == 7.0).any() and (want != 7.0).any()
         assert rows[-1, 0:20].tobytes() == vals[-1].tobytes() and rows[3, 5:5].size == 0
         assert rows[12:20].shape == (1, 10) and rows[20:30].shape == (0, 1)     # cut past col 8
     assert (path.read_bytes(), path.stat().st_mode, path.stat().st_mtime_ns) == before
@@ -433,6 +442,18 @@ def test_loaded_rows_are_read_only_and_leave_the_file(tmp_path):
     _write_npz(tmp_path / "off.npz", {"samples": vals}, {**meta, "r_max": 4.1})
     with pytest.raises(FieldFormatError, match="r_max"):
         RadialField.load(tmp_path / "off.npz")
+    assert _open_fds() == fds
+
+
+def test_a_loaded_field_left_open_closes_its_file_once_collected(tmp_path):
+    # a load outside a with block that is dropped keeps no file open
+    path = tmp_path / "f.npz"
+    RadialField(CharGrid(0.25, 4.0, 3.0), _light_cone_samples()).save(path)
+    fds = _open_fds()
+    field = RadialField.load(path)
+    assert isinstance(field.samples, RowFile) and (_open_fds() == fds + 1 or not fds)
+    del field
+    gc.collect()
     assert _open_fds() == fds
 
 
@@ -942,21 +963,21 @@ def test_solve_holds_no_field(tmp_path):
     # the field is read back from field.npz
     cfg = _readme_run_config(RHO / 64, tmp_path)
     record, peak = traced_peak(cli._run_solve, cfg, tmp_path)
-    fld = RadialField.load(tmp_path / "field.npz")
-    grid = fld.grid
-    assert record["status"] == fld.status == "blown_up" and record["residual"]["nodes"] > 0
-    assert record["max_amplitude_reached"] == np.max(np.abs(held(fld.samples)))
+    with RadialField.load(tmp_path / "field.npz") as fld:
+        grid = fld.grid
+        assert record["status"] == fld.status == "blown_up" and record["residual"]["nodes"] > 0
+        assert record["max_amplitude_reached"] == np.max(np.abs(held(fld.samples)))
     assert peak <= 0.15 * (grid.n_t + 1) * (grid.n_r + 1) * 8
 
 
 def test_diagnose_holds_no_field(tmp_path, monkeypatch):
     # the load keeps field.npz on disk and the chain reads it a block of rows,
     # a run of a level's cells or a band of levels at a time, so diagnose's
-    # traced peak at README rho/64 is well under the lattice (measured 0.63x:
-    # the chain's residual tables and a band of _BAND_BYTES; holding the field
+    # traced peak at README rho/64 is well under the lattice (measured 0.50x:
+    # the chain's residual tables and a band of _SPAN_CELLS; holding the field
     # alone was 1x).  Quadrupling t_max at rho/16 (amplitude 1, complete) grows
-    # field.npz 15x and the peak 1.22x: the tables and the band stop growing
-    # once they reach MAX_ROWS rows and _BAND_BYTES
+    # field.npz 15x and the peak 0.96x: the tables and the band stop growing
+    # once they reach MAX_ROWS rows and _SPAN_CELLS
     monkeypatch.setattr(cli, "_STREAM_BYTES", 0)
     cfg = _readme_run_config(RHO / 64, tmp_path / "readme")
     cli._run_solve(cfg, tmp_path / "readme")
@@ -986,16 +1007,16 @@ def test_solve_never_builds_a_whole_lattice_u0(tmp_path, crit4_run):
     # field.npz: the residual is the standalone one's and the cone the one
     # picked from the march's field
     record, peak = traced_peak(cli._run_solve, _readme_run_config(RHO / 128, tmp_path), tmp_path)
-    fld = RadialField.load(tmp_path / "field.npz")
     prob, marched = crit4_run
-    grid = fld.grid
-    band = (grid.n_t + 1) * (2 * (int(prob.rho / grid.h) + 2) + 1) * 8
-    assert record["status"] == "blown_up" and record["residual"]["nodes"] > 0
-    assert peak <= 0.5 * band
-    cone, peak = traced_peak(select_t2_delta, fld, prob.f_profile, prob.g_profile)
-    assert peak <= 0.5 * band
-    assert cone == select_t2_delta(marched, prob.f_profile, prob.g_profile)
-    assert json.loads((tmp_path / "residual.json").read_text()) == integral_residual(prob, fld)
+    with RadialField.load(tmp_path / "field.npz") as fld:
+        grid = fld.grid
+        band = (grid.n_t + 1) * (2 * (int(prob.rho / grid.h) + 2) + 1) * 8
+        assert record["status"] == "blown_up" and record["residual"]["nodes"] > 0
+        assert peak <= 0.5 * band
+        cone, peak = traced_peak(select_t2_delta, fld, prob.f_profile, prob.g_profile)
+        assert peak <= 0.5 * band
+        assert cone == select_t2_delta(marched, prob.f_profile, prob.g_profile)
+        assert json.loads((tmp_path / "residual.json").read_text()) == integral_residual(prob, fld)
 
 
 def test_solve_takes_max_abs_u_once(monkeypatch, tmp_path):
@@ -1009,10 +1030,10 @@ def test_solve_takes_max_abs_u_once(monkeypatch, tmp_path):
     monkeypatch.setattr(solver, "_zeros", no_field)
     record = cli._run_solve(_readme_run_config(RHO / 64, tmp_path), tmp_path)
     monkeypatch.undo()
-    fld = RadialField.load(tmp_path / "field.npz")
-    assert fld.status == "blown_up"
-    amps = np.max(np.abs(held(fld.samples)), axis=1)
-    fit = detect_blowup_time(fld.status, fld.t_b, fld.grid, amps)
+    with RadialField.load(tmp_path / "field.npz") as fld:
+        assert fld.status == "blown_up"
+        amps = np.max(np.abs(held(fld.samples)), axis=1)
+        fit = detect_blowup_time(fld.status, fld.t_b, fld.grid, amps)
     assert (record["fitted_t_b"], record["fitted_exponent"]) == (fit.fitted_t_b,
                                                                  fit.fitted_exponent)
     assert record["max_amplitude_reached"] == amps.max()
