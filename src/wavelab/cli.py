@@ -22,7 +22,6 @@ import os
 import resource
 import sys
 import time
-from contextlib import nullcontext
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -125,10 +124,6 @@ def _manifest(config_doc, extra):
 # field.npz while solve writes it; hidden, and not field.*, so no reader of
 # the directory takes it for the field artifact
 _FIELD_PART = ".field.npz.part"
-# a field of this many bytes or more is written to field.npz as the march
-# makes it; a smaller one (a sweep's rows at rho/32) costs less held than
-# written and read back
-_STREAM_BYTES = 1 << 22
 
 
 def _run_solve(cfg: RunConfig, out_dir: Path):
@@ -136,13 +131,11 @@ def _run_solve(cfg: RunConfig, out_dir: Path):
 
     Returns the run record (status, t_b, the blow-up fit, max|u|, the
     residual, timings, peak RSS); each caller writes its own manifest.json.
-    No phase holds a field of _STREAM_BYTES or more: the march writes each
-    level into field.npz as it goes (a RowFile, named ``_FIELD_PART`` until
-    it is complete) and keeps its max|u|, the residual reads the rows back,
-    ``save`` completes the file and renames it, and a phase that raises
-    removes it, leaving any earlier field.npz as it was.  A smaller field is
-    held in memory and written by ``_write_npz``.  The blow-up fit reads the
-    march's max|u|.
+    No phase holds the field: the march writes each level into field.npz as
+    it goes (a RowFile, named ``_FIELD_PART`` until it is complete) and keeps
+    its max|u|, the residual reads the rows back, ``save`` completes the file
+    and renames it, and a phase that raises removes it, leaving any earlier
+    field.npz as it was.  The blow-up fit reads the march's max|u|.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = cfg.build_grid()
@@ -150,8 +143,7 @@ def _run_solve(cfg: RunConfig, out_dir: Path):
     phases = _PhaseClock("solve", ("march", "residual", "field_write", "blowup_fit"))
     # one ubar0 for the march and the residual
     ubar0 = HomogeneousPart(problem.f_profile, problem.g_profile, grid)
-    stream = 8 * (grid.n_t + 1) * (grid.n_r + 1) >= _STREAM_BYTES
-    with (RowFile(out_dir / _FIELD_PART, grid.n_r + 1) if stream else nullcontext()) as rows:
+    with RowFile(out_dir / _FIELD_PART, grid.n_r + 1) as rows:
         fld = solve_march(problem, grid, cfg.blowup_threshold, cfg.divergence_factor,
                           ubar0=ubar0, rows=rows)
         phases.done("march", f"{fld.n_levels} levels, status={fld.status} t_b={fld.t_b}")

@@ -4,11 +4,26 @@ import numpy as np
 import pytest
 
 import quadrature_oracle
+from wavelab.cli import _FIELD_PART
 from wavelab.diagnostics import ChainConfig, check_chain, compute_M, select_t2_delta
 from wavelab.profiles import bump_profile, zero_profile
 from wavelab.solver import CharGrid, Problem, solve_march
 
 RHO = 1.0
+
+
+@pytest.fixture(autouse=True)
+def no_field_left_open(request):
+    """Fail a test that leaves a solve's unfinished field.npz (``cli._FIELD_PART``)
+    under its tmp_path: every solve writes through a RowFile, which is renamed
+    field.npz once complete or removed when closed unsaved."""
+    if "tmp_path" not in request.fixturenames:
+        yield
+        return
+    tmp_path = request.getfixturevalue("tmp_path")
+    yield
+    left = sorted(str(f.relative_to(tmp_path)) for f in tmp_path.rglob(_FIELD_PART))
+    assert not left, f"unclosed field writers left {left}"
 
 
 def traced_peak(fn, *args, **kwargs):

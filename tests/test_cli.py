@@ -358,7 +358,6 @@ def test_an_oserror_while_computing_is_not_a_config_error(tmp_path, monkeypatch)
 
     cfg = write(tmp_path / "c.json", base_run_config(tmp_path))
     assert main(["solve", "--config", cfg]) == 0
-    monkeypatch.setattr(cli, "_STREAM_BYTES", 0)        # this small field streams too
     monkeypatch.setattr(solver.RowFile, "append", no_space)
     monkeypatch.setattr(solver.RowFile, "_read", io_error)
     for argv, message in ((["solve", "--config", cfg], "No space left"),
@@ -1159,7 +1158,6 @@ def test_solve_leaves_one_field_artifact(tmp_path, monkeypatch):
     # as it was
     doc = base_run_config(tmp_path, grid={"h": 1 / 16, "t_max": 2.0})
     cfg, out = write(tmp_path / "c.json", doc), tmp_path / "out"
-    monkeypatch.setattr(cli, "_STREAM_BYTES", 0)        # this small field streams too
     assert main(["solve", "--config", cfg]) == 0
     names = sorted(f.name for f in out.iterdir())
     assert names == ["field.npz", "manifest.json", "residual.json"]
@@ -1284,11 +1282,29 @@ def test_mean_subcommand_monomial(tmp_path):
     assert vals[2] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
-def test_solve_streams_fields_of_stream_bytes_or_more(tmp_path, monkeypatch):
-    # a field of _STREAM_BYTES or more goes to field.npz as the march makes
-    # it, a smaller one is held in memory; both write the same artifacts,
-    # with the same file mode
-    cfg = write(tmp_path / "c.json", base_run_config(tmp_path, grid={"h": 1 / 16, "t_max": 4.0}))
+def _held_solve(cfg, out_dir):
+    """solve's field.npz and residual.json as the in-memory writer makes them:
+    the march holds the field and ``RadialField.save`` writes it whole."""
+    out_dir.mkdir(parents=True)
+    grid = cfg.build_grid()
+    problem = cfg.build_problem(grid)
+    fld = solver.solve_march(problem, grid, cfg.blowup_threshold, cfg.divergence_factor)
+    fld.save(out_dir / "field.npz")
+    cli._write_json(out_dir / "residual.json", solver.integral_residual(problem, fld))
+    return fld.status
+
+
+def _same_artifacts(a, b):
+    for name in ("field.npz", "residual.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert (a / name).stat().st_mode == (b / name).stat().st_mode
+
+
+def test_every_solve_streams_its_field(tmp_path, monkeypatch):
+    # a solve of any size, here h = 1/16 (a 42 KB field), goes to field.npz
+    # as the march makes it, and writes what the in-memory writer writes, with
+    # the same file mode
+    doc = base_run_config(tmp_path, grid={"h": 1 / 16, "t_max": 4.0})
     made, row_file = [], cli.RowFile
 
     def counted(*args):
@@ -1296,15 +1312,31 @@ def test_solve_streams_fields_of_stream_bytes_or_more(tmp_path, monkeypatch):
         return row_file(*args)
 
     monkeypatch.setattr(cli, "RowFile", counted)
-    assert main(["solve", "--config", cfg, "--output", str(tmp_path / "held")]) == 0
-    assert made == []
-    monkeypatch.setattr(cli, "_STREAM_BYTES", 0)
-    assert main(["solve", "--config", cfg, "--output", str(tmp_path / "streamed")]) == 0
+    out = tmp_path / "streamed"
+    assert main(["solve", "--config", write(tmp_path / "c.json", doc), "--output", str(out)]) == 0
     assert len(made) == 1
-    for name in ("field.npz", "residual.json"):
-        held, streamed = tmp_path / "held" / name, tmp_path / "streamed" / name
-        assert held.read_bytes() == streamed.read_bytes()
-        assert held.stat().st_mode == streamed.stat().st_mode
+    monkeypatch.undo()
+    assert _held_solve(parse_run_config(doc), tmp_path / "held") == "complete"
+    _same_artifacts(tmp_path / "held", out)
+
+
+def test_sweep_row_holds_no_field(tmp_path, monkeypatch):
+    # a sweep row marches into field.npz and never builds a field
+    # (solver._zeros), blown up or complete, and writes what the in-memory
+    # writer writes
+    def no_field(shape):
+        raise AssertionError(f"a {shape} field was built")
+
+    base = base_run_config(tmp_path)
+    for amplitude, status in ((10.0, "blown_up"), (1.0, "complete")):
+        row_doc = apply_overrides(base, ["problem.p=2.0", f"problem.data.amplitude={amplitude!r}"])
+        row_dir = tmp_path / f"row-{status}"
+        monkeypatch.setattr(solver, "_zeros", no_field)
+        row = cli._sweep_row((row_doc, str(row_dir)))
+        monkeypatch.undo()
+        assert row["status"] == status and "error" not in row
+        assert _held_solve(parse_run_config(row_doc), tmp_path / f"held-{status}") == status
+        _same_artifacts(tmp_path / f"held-{status}", row_dir)
 
 
 # ---------------------------------------------------------------------------

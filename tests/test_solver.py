@@ -929,13 +929,11 @@ def test_residual_peak_memory(crit4_run):
     assert peak <= 0.05 * field.samples.nbytes
 
 
-def test_march_peak_memory(tmp_path, monkeypatch):
-    # a streamed solve holds no field, so its memory does not grow with the
-    # number of levels: quadrupling t_max at rho/16 (streamed at any size
-    # here) grows field.npz 13x and the traced peak of the whole solve
-    # (march, residual, field.npz, fit) 1.25x, by the residual's nodes (3040
-    # to 4171 of them) and the rows growing with r_max
-    monkeypatch.setattr(cli, "_STREAM_BYTES", 0)
+def test_march_peak_memory(tmp_path):
+    # a solve holds no field, so its memory does not grow with the number of
+    # levels: quadrupling t_max at rho/16 grows field.npz 13x and the traced
+    # peak of the whole solve (march, residual, field.npz, fit) 1.25x, by the
+    # residual's nodes (3040 to 4171 of them) and the rows growing with r_max
     peaks, sizes = [], []
     for t_max in (4.0, 16.0):
         cfg = _readme_run_config(RHO / 16, tmp_path / f"t{t_max:g}", amplitude=1.0, t_max=t_max)
@@ -970,7 +968,7 @@ def test_solve_holds_no_field(tmp_path):
     assert peak <= 0.15 * (grid.n_t + 1) * (grid.n_r + 1) * 8
 
 
-def test_diagnose_holds_no_field(tmp_path, monkeypatch):
+def test_diagnose_holds_no_field(tmp_path):
     # the load keeps field.npz on disk and the chain reads it a block of rows,
     # a run of a level's cells or a band of levels at a time, so diagnose's
     # traced peak at README rho/64 is well under the lattice (measured 0.50x:
@@ -978,7 +976,6 @@ def test_diagnose_holds_no_field(tmp_path, monkeypatch):
     # alone was 1x).  Quadrupling t_max at rho/16 (amplitude 1, complete) grows
     # field.npz 15x and the peak 0.96x: the tables and the band stop growing
     # once they reach MAX_ROWS rows and _SPAN_CELLS
-    monkeypatch.setattr(cli, "_STREAM_BYTES", 0)
     cfg = _readme_run_config(RHO / 64, tmp_path / "readme")
     cli._run_solve(cfg, tmp_path / "readme")
     code, peak = traced_peak(cli._run_diagnose, cfg, tmp_path / "readme" / "field.npz",
@@ -1020,10 +1017,9 @@ def test_solve_never_builds_a_whole_lattice_u0(tmp_path, crit4_run):
 
 
 def test_solve_takes_max_abs_u_once(monkeypatch, tmp_path):
-    # _run_solve at rho/64, a field of _STREAM_BYTES or more, never builds a
-    # field (solver._zeros) and takes max|u| per level from the march alone;
-    # the blow-up fit reads those maxima, and fits exactly as it does on the
-    # maxima of the field read back from field.npz
+    # _run_solve never builds a field (solver._zeros) and takes max|u| per
+    # level from the march alone; the blow-up fit reads those maxima, and fits
+    # exactly as it does on the maxima of the field read back from field.npz
     def no_field(shape):
         raise AssertionError(f"a {shape} field was built")
 
