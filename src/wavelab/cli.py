@@ -19,9 +19,11 @@ import json
 import locale  # noqa: F401 -- argparse's gettext imports it when main builds the parser
 import logging
 import os
+import pickle
 import resource
 import sys
 import time
+import traceback
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -288,7 +290,7 @@ def _resumable_row(task):
 
 
 def _sweep_row(task):
-    """Solve one sweep cell; runs in a worker process when the sweep has more than one job."""
+    """Solve one sweep cell; runs in a forked worker when the sweep has more than one job."""
     row_doc, row_dir = task
     row_dir = Path(row_dir)
     row_dir.mkdir(parents=True, exist_ok=True)
@@ -319,11 +321,103 @@ def _sweep_row(task):
     return row
 
 
-def _process_pool(workers):
-    """The sweep's worker pool, imported here: only a sweep that starts workers pays
-    for concurrent.futures.process and multiprocessing."""
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=workers)
+def _pipe():
+    """An unbuffered (read end, write end) pair of pipe files."""
+    r, w = os.pipe()
+    return open(r, "rb", buffering=0), open(w, "wb", buffering=0)
+
+
+def _read_exactly(pipe, n):
+    """n bytes from the pipe, fewer only where its writers have all closed it first."""
+    data = b""
+    while len(data) < n and (chunk := pipe.read(n - len(data))):
+        data += chunk
+    return data
+
+
+def _row_worker(tasks, task_r, result_w):
+    """A forked sweep worker's rows: take the next row index (4 bytes) from task_r
+    until the pipe is closed and drained, and send back on result_w the row
+    _sweep_row returns, or the exception that escaped it with its traceback.
+
+    The workers share result_w, so a reply goes in frames of at most PIPE_BUF
+    bytes, which the kernel writes whole: the row index (4 bytes), the chunk's
+    length (4), whether more frames follow (1), then the chunk of the pickle.
+    """
+    step = os.fpathconf(result_w.fileno(), "PC_PIPE_BUF") - 9
+    while index := task_r.read(4):
+        i = int.from_bytes(index, "little")
+        try:
+            reply = True, _sweep_row(tasks[i])
+        except Exception as exc:
+            reply = False, (exc, "".join(traceback.format_exception(exc)))
+        payload = pickle.dumps(reply)
+        for at in range(0, len(payload), step):
+            chunk = payload[at:at + step]
+            result_w.write(index + len(chunk).to_bytes(4, "little")
+                           + bytes([at + step < len(payload)]) + chunk)
+
+
+def _forked_rows(tasks, workers):
+    """[_sweep_row(task) for task in tasks], solved on `workers` forked processes.
+
+    Whichever worker is free takes the next row (``_row_worker``); the sweep
+    keeps at most `workers` rows handed out and not yet returned.  An exception
+    that escapes _sweep_row is raised here, as it would be with one job.  A
+    worker leaves only through os._exit, so it never returns into its caller's
+    stack; one that exits without returning its row fails the sweep, naming
+    the rows no worker returned.  On every way out the task pipe is closed, so
+    each worker stops once its row is done, and every worker is reaped.
+    """
+    rows = [None] * len(tasks)
+    (task_r, task_w), (result_r, result_w) = _pipe(), _pipe()
+    pids = []
+    try:
+        for _ in range(workers):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    task_w.close()
+                    result_r.close()
+                    _row_worker(tasks, task_r, result_w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        task_r.close()
+        result_w.close()
+        sent, returned, frames = 0, 0, {}
+        while returned < len(tasks):
+            while sent < min(len(tasks), returned + workers):
+                try:
+                    task_w.write(sent.to_bytes(4, "little"))
+                except BrokenPipeError:         # no worker is left to read it
+                    break
+                sent += 1
+            if sent == len(tasks):
+                task_w.close()
+            head = _read_exactly(result_r, 9)
+            if not head:                    # every worker has exited
+                break
+            i, n = int.from_bytes(head[:4], "little"), int.from_bytes(head[4:8], "little")
+            frames.setdefault(i, []).append(_read_exactly(result_r, n))
+            if head[8]:
+                continue
+            ok, value = pickle.loads(b"".join(frames.pop(i)))
+            if not ok:
+                exc, trace = value
+                raise exc from RuntimeError(f"in the sweep worker solving {tasks[i][1]}:\n{trace}")
+            rows[i], returned = value, returned + 1
+        if returned < len(tasks):
+            missing = [row_dir for (_, row_dir), row in zip(tasks, rows) if row is None]
+            raise RuntimeError(f"no sweep worker returned the row of {', '.join(missing)}")
+        return rows
+    finally:
+        for pipe in (task_r, task_w, result_r, result_w):
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _fmt_cell(x):
@@ -348,13 +442,15 @@ def cmd_sweep(args, doc):
                                                     f"problem.data.amplitude={amp!r}"])
             tasks.append((row_doc, str(row_dir)))
 
+    # the code digest is read once, before any row runs: the workers inherit it,
+    # and a source edited during the sweep cannot label rows it did not compute
+    _code_digest()
     # resume is decided here, so a sweep with nothing to solve starts no worker
     rows = [_resumable_row(t) for t in tasks]
     pending = [i for i, row in enumerate(rows) if row is None]
     workers = min(jobs, len(pending)) if jobs > 1 else 0
     if workers:
-        with _process_pool(workers) as pool:
-            solved = list(pool.map(_sweep_row, [tasks[i] for i in pending]))
+        solved = _forked_rows([tasks[i] for i in pending], workers)
     else:
         solved = [_sweep_row(tasks[i]) for i in pending]
     for i, row in zip(pending, solved):

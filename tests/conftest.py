@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,21 @@ def no_field_left_open(request):
     yield
     left = sorted(str(f.relative_to(tmp_path)) for f in tmp_path.rglob(_FIELD_PART))
     assert not left, f"unclosed field writers left {left}"
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process behind, running or unreaped: a
+    sweep reaps every worker it forks, however it ends."""
+    yield
+    left = []
+    try:
+        while pid := os.waitpid(-1, os.WNOHANG)[0]:
+            left.append(f"unreaped {pid}")      # reaped now, so the next test starts clean
+        left.append("still running")
+    except ChildProcessError:
+        pass
+    assert not left, f"child processes left behind: {left}"
 
 
 def traced_peak(fn, *args, **kwargs):

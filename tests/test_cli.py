@@ -108,10 +108,11 @@ def test_malformed_custom_csv_is_a_config_error(tmp_path, capsys, rows):
 
 # modules no command may load: OpenSSL's hashlib and numpy.random (which loads
 # secrets, hmac and _hashlib) cost every process megabytes of resident code,
-# numpy.ma is what np.unique pulls in, and scipy and fractions are test references
+# numpy.ma is what np.unique pulls in, scipy and fractions are test references,
+# and a sweep forks its own workers, so none loads multiprocessing or the
+# process pool of concurrent.futures
 _NEVER_LOADED = ("_hashlib", "hashlib", "hmac", "secrets", "numpy.random", "numpy.ma",
-                 "scipy", "fractions")
-_POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+                 "scipy", "fractions", "multiprocessing", "concurrent.futures.process")
 
 
 def _fresh_python(code, *args):
@@ -136,8 +137,8 @@ def _fresh_interpreter_footprint(commands):
 
 
 def test_commands_load_no_openssl_random_ma_scipy_or_fractions(tmp_path):
-    # every command in one fresh interpreter: none loads a module of
-    # _NEVER_LOADED, and only a sweep that starts workers loads the pool
+    # every command in one fresh interpreter, a sweep that forks workers and
+    # its resume included: none loads a module of _NEVER_LOADED
     run = tmp_path / "run"
     cfg = write(tmp_path / "c.json", base_run_config(tmp_path))
     gronwall = write(tmp_path / "g.json", {"params": {"C": 1, "a": 2, "b": 0, "t0": 0, "t1": 0},
@@ -158,20 +159,11 @@ def test_commands_load_no_openssl_random_ma_scipy_or_fractions(tmp_path):
         ("sweep", 0), ("sweep", 0)]
     for step, _, modules in steps:
         assert [m for m in modules if m in _NEVER_LOADED or m.split(".")[0] == "scipy"] == [], step
-    assert [bool(set(_POOL_MODULES) & modules) for _, _, modules in steps] == [
-        False, False, False, False, False, True, True]
-    assert set(_POOL_MODULES) <= steps[5][2]
 
 
 def test_cli_import_loads_no_scipy():
     [(_, _, modules)] = _fresh_interpreter_footprint([])
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
-
-
-def test_cli_import_loads_no_process_pool():
-    # only a sweep that starts workers imports the pool and multiprocessing
-    [(_, _, modules)] = _fresh_interpreter_footprint([])
-    assert set(_POOL_MODULES) & modules == set()
 
 
 def _absolute_imports(tree):
@@ -996,10 +988,10 @@ def test_current_sweep_resumes_without_a_pool(tmp_path, monkeypatch, caplog):
     csv1, files = (out / "sweep.csv").read_bytes(), _row_files(out)
     assert len(files) == 4 * 3
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a sweep with every row current started a worker pool")
+    def no_workers(*args, **kwargs):
+        raise AssertionError("a sweep with every row current forked workers")
 
-    monkeypatch.setattr(cli, "_process_pool", no_pool)
+    monkeypatch.setattr(cli, "_forked_rows", no_workers)
     caplog.clear()
     assert main(["sweep", "--config", cfg_path, "--jobs", "2"]) == 0
     assert (out / "sweep.csv").read_bytes() == csv1
@@ -1008,31 +1000,30 @@ def test_current_sweep_resumes_without_a_pool(tmp_path, monkeypatch, caplog):
     assert f"sweep: 4 rows (4 resumed, 0 solved on 0 workers) -> {out / 'sweep.csv'}" in lines
 
 
-def _recording_pool(monkeypatch):
-    """Patch cli._process_pool with an in-process executor; returns the executors built."""
-    built = []
+def _recording_forks(monkeypatch):
+    """Record each cli._forked_rows call: its workers, its tasks, and for each row
+    it returns the process that ran cli._sweep_row and the task it ran on.  The
+    rows are solved by the real helper in forked workers, and _sweep_row marks
+    each row it returns; the marks go no further than the record."""
+    calls, forked_rows, sweep_row = [], cli._forked_rows, cli._sweep_row
 
-    class Pool:
-        def __init__(self, max_workers):
-            self.max_workers, self.fn, self.tasks = max_workers, None, None
-            built.append(self)
+    def marked_row(task):
+        return {**sweep_row(task), "ran_in": os.getpid(), "ran_on": task}
 
-        def __enter__(self):
-            return self
+    def recorder(tasks, workers):
+        rows = forked_rows(tasks, workers)
+        calls.append({"workers": workers, "tasks": tasks,
+                      "ran_in": [row.pop("ran_in") for row in rows],
+                      "ran_on": [row.pop("ran_on") for row in rows]})
+        return rows
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            self.fn, self.tasks = fn, list(tasks)
-            return map(fn, self.tasks)
-
-    monkeypatch.setattr(cli, "_process_pool", Pool)
-    return built
+    monkeypatch.setattr(cli, "_sweep_row", marked_row)
+    monkeypatch.setattr(cli, "_forked_rows", recorder)
+    return calls
 
 
 def test_sweep_pool_is_sized_to_the_rows_to_solve(tmp_path, monkeypatch, caplog):
-    built = _recording_pool(monkeypatch)
+    built = _recording_forks(monkeypatch)
     cfg_path = write(tmp_path / "s.json", sweep_doc(tmp_path))
     out = tmp_path / "sweep"
     # one job: rows run in the sweep's own process
@@ -1054,9 +1045,11 @@ def test_sweep_pool_is_sized_to_the_rows_to_solve(tmp_path, monkeypatch, caplog)
         built.clear()
         caplog.clear()
         assert main(["sweep", "--config", cfg_path, "--jobs", str(jobs)]) == 0
-        assert [pool.max_workers for pool in built] == [workers]
-        assert built[0].fn is cli._sweep_row
-        assert [Path(row_dir) for _, row_dir in built[0].tasks] == stale
+        assert [call["workers"] for call in built] == [workers]
+        assert [Path(row_dir) for _, row_dir in built[0]["tasks"]] == stale
+        # _sweep_row ran on each task, in forked workers, and the rows came back in order
+        assert built[0]["ran_on"] == built[0]["tasks"]
+        assert os.getpid() not in built[0]["ran_in"] and len(set(built[0]["ran_in"])) <= workers
         assert (out / "sweep.csv").read_bytes() == csv1
         assert {f: v for f, v in _row_files(out).items() if f.parent not in stale} == kept
         for row_dir in stale:
@@ -1065,6 +1058,85 @@ def test_sweep_pool_is_sized_to_the_rows_to_solve(tmp_path, monkeypatch, caplog)
         lines = [rec.getMessage() for rec in caplog.records if rec.name == "wavelab"]
         assert (f"sweep: 4 rows ({4 - len(stale)} resumed, {len(stale)} solved on "
                 f"{workers} workers) -> {out / 'sweep.csv'}") in lines
+
+
+def test_sweep_reads_the_code_digest_before_any_row(tmp_path, monkeypatch):
+    # a fresh sweep hashes the package's sources before its first row starts,
+    # so every row, in this process or a forked worker, carries that one digest
+    seen, run_solve = [], cli._run_solve
+
+    def spy(cfg, out_dir):
+        seen.append(cli._code_digest.cache_info().currsize)
+        return run_solve(cfg, out_dir)
+
+    monkeypatch.setattr(cli, "_run_solve", spy)
+    cli._code_digest.cache_clear()
+    assert main(["sweep", "--config", write(tmp_path / "s.json", sweep_doc(tmp_path)),
+                 "--jobs", "1"]) == 0
+    assert seen == [1, 1, 1, 1]
+
+
+def _assert_every_child_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("error, code", [(ConfigError, 2), (ValueError, 3)])
+def test_an_exception_in_a_forked_row_exits_as_with_one_job(tmp_path, monkeypatch, capsys,
+                                                            error, code):
+    # an exception that escapes _sweep_row in a worker is raised in the sweep's
+    # process: the exit code and the message are those of one job, no
+    # sweep.csv is written, and every worker is reaped
+    sweep_row = cli._sweep_row
+
+    def failing_row(task):
+        if Path(task[1]).name == "p00_a01":
+            raise error("row refused")
+        return sweep_row(task)
+
+    monkeypatch.setattr(cli, "_sweep_row", failing_row)
+    cfg_path = write(tmp_path / "s.json", sweep_doc(tmp_path))
+    errors = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--config", cfg_path, "--jobs", jobs, "--output", str(out)]) == code
+        errors.append(capsys.readouterr().err)
+        assert not (out / "sweep.csv").exists()
+        _assert_every_child_reaped()
+    assert errors[0] == errors[1] and errors[0].endswith(": row refused\n")
+
+
+def test_a_worker_that_dies_fails_the_sweep_naming_its_row(tmp_path, monkeypatch):
+    # a worker that exits without returning its row fails the sweep: the error
+    # names the row, no sweep.csv is written, the other worker solves the
+    # other rows, and every worker is reaped
+    sweep_row = cli._sweep_row
+
+    def dying_row(task):
+        if Path(task[1]).name == "p01_a00":
+            os._exit(1)
+        return sweep_row(task)
+
+    monkeypatch.setattr(cli, "_sweep_row", dying_row)
+    cfg_path = write(tmp_path / "s.json", sweep_doc(tmp_path))
+    out = tmp_path / "sweep"
+    with pytest.raises(RuntimeError) as exc:
+        main(["sweep", "--config", cfg_path, "--jobs", "2"])
+    assert str(exc.value) == f"no sweep worker returned the row of {out / 'rows' / 'p01_a00'}"
+    assert not (out / "sweep.csv").exists()
+    _assert_every_child_reaped()
+    assert sorted(d.name for d in (out / "rows").iterdir() if (d / "manifest.json").exists()) == [
+        "p00_a00", "p00_a01", "p01_a01"]
+
+
+def test_forked_rows_come_back_whole_past_one_pipe_write(monkeypatch):
+    # replies longer than PIPE_BUF go back in frames that the workers, more
+    # of them than this machine may have cores, interleave; each row comes
+    # back whole, and the rows in task order
+    monkeypatch.setattr(cli, "_sweep_row", lambda task: {"doc": task[0] * 3, "dir": task[1]})
+    tasks = [(chr(ord("a") + i) * 5000, f"row{i}") for i in range(7)]
+    assert cli._forked_rows(tasks, 3) == [{"doc": doc * 3, "dir": d} for doc, d in tasks]
+    _assert_every_child_reaped()
 
 
 def test_main_builds_only_the_invoked_commands_parser(tmp_path, capsys, monkeypatch):
