@@ -166,6 +166,13 @@ def test_cli_import_loads_no_scipy():
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
+def test_cli_import_loads_no_process_pool():
+    # a sweep forks its own workers, so importing the CLI loads neither
+    # multiprocessing nor the process pool of concurrent.futures
+    [(_, _, modules)] = _fresh_interpreter_footprint([])
+    assert {"multiprocessing", "concurrent.futures.process"} & modules == set()
+
+
 def _absolute_imports(tree):
     """(node, module names) of each absolute import; ``from m import x`` names m and m.x."""
     for node in ast.walk(tree):
